@@ -31,8 +31,6 @@ import (
 	"gonoc/internal/obs"
 	"gonoc/internal/reliability"
 	"gonoc/internal/router"
-	"gonoc/internal/sim"
-	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
 )
 
@@ -230,17 +228,6 @@ func BenchmarkStep(b *testing.B) {
 				b.ReportMetric(float64(n.Stats().Ejected()), "pkts_delivered")
 			})
 		}
-	}
-}
-
-func BenchmarkRouterTick(b *testing.B) {
-	rc := router.DefaultConfig()
-	rc.FaultTolerant = true
-	rc.Classes = 1
-	r := core.MustNew(4, topology.NewMesh(3, 3), rc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Tick(sim.Cycle(i))
 	}
 }
 

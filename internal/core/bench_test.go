@@ -1,0 +1,135 @@
+package core
+
+import (
+	"testing"
+
+	"gonoc/internal/flit"
+	"gonoc/internal/router"
+	"gonoc/internal/sim"
+	"gonoc/internal/topology"
+)
+
+// feeder plays the upstream neighbours and the NI of one router: it
+// streams a fixed packet into each chosen input VC under credit flow
+// control (at most one flit per port per cycle) and hands every output
+// flit's credit straight back, so the router runs as loaded as its
+// pipeline allows on the VCs that are fed and sees nothing on the rest.
+// Steady state allocates nothing: the flits are segmented once.
+type feeder struct {
+	r     *Router
+	vcs   int
+	feeds [][]vcFeed // [port][vc]; nil for a port with no fed VC, and a feed with no flits is off
+	next  []int      // per port, the VC the round-robin starts at
+	cycle sim.Cycle
+}
+
+type vcFeed struct {
+	flits   []*flit.Flit
+	sent    int
+	credits int
+	busy    bool // the VC holds a packet whose tail has not left yet
+}
+
+// newFeeder builds a router at the centre of a 3x3 mesh and feeds the
+// input VCs fed selects. VC v of port p sends 1- and 5-flit packets
+// (odd v: 5) out of a port other than p.
+func newFeeder(cfg router.Config, fed func(p, v int) bool) *feeder {
+	mesh := topology.NewMesh(3, 3)
+	const centre = 4
+	f := &feeder{r: MustNew(centre, mesh, cfg), vcs: cfg.VCs, next: make([]int, cfg.Ports)}
+	f.feeds = make([][]vcFeed, cfg.Ports)
+	for p := 0; p < cfg.Ports; p++ {
+		for v := 0; v < cfg.VCs; v++ {
+			if !fed(p, v) {
+				continue
+			}
+			if f.feeds[p] == nil {
+				f.feeds[p] = make([]vcFeed, cfg.VCs)
+			}
+			out := topology.Port((p + 1 + v%(cfg.Ports-1)) % cfg.Ports)
+			dst := centre
+			if out != topology.Local {
+				dst, _ = mesh.Neighbor(centre, out)
+			}
+			size := 1 + 4*(v%2)
+			pkt := &flit.Packet{Dst: dst, Size: size, Class: flit.Class(cfg.ClassOf(v))}
+			f.feeds[p][v] = vcFeed{flits: flit.Segment(pkt), sent: size, credits: cfg.Depth}
+		}
+	}
+	return f
+}
+
+func (f *feeder) tick() {
+	for p, row := range f.feeds {
+		for k := 0; k < len(row); k++ {
+			v := (f.next[p] + k) % f.vcs
+			fd := &row[v]
+			if len(fd.flits) == 0 || fd.credits == 0 {
+				continue
+			}
+			if fd.sent == len(fd.flits) {
+				if fd.busy {
+					continue
+				}
+				fd.sent, fd.busy = 0, true
+			}
+			f.r.AcceptFlit(router.InFlit{In: topology.Port(p), VC: v, F: fd.flits[fd.sent]})
+			fd.sent++
+			fd.credits--
+			f.next[p] = v + 1
+			break
+		}
+	}
+	f.r.Tick(f.cycle)
+	f.cycle++
+	for _, of := range f.r.TakeOutFlits() {
+		f.r.AcceptCredit(CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
+	}
+	for _, cr := range f.r.TakeOutCredits() {
+		fd := &f.feeds[cr.In][cr.VC]
+		fd.credits++
+		if cr.VCFree {
+			fd.busy = false
+		}
+	}
+}
+
+// BenchmarkTick times one Router.Tick (plus the feeder's share) at the
+// four occupancies the step loop meets: an empty router, one VC of one
+// port streaming (what a router on a low-load path looks like), every VC
+// of every port streaming, and an empty router kept awake by a port in
+// SA bypass mode. The first two are where occupancy masks pay.
+func BenchmarkTick(b *testing.B) {
+	none := func(p, v int) bool { return false }
+	for _, bc := range []struct {
+		name   string
+		fed    func(p, v int) bool
+		bypass bool
+	}{
+		{"idle", none, false},
+		{"sparse-1vc", func(p, v int) bool { return p == int(topology.West) && v == 1 }, false},
+		{"loaded", func(p, v int) bool { return true }, false},
+		{"bypass-idle", none, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := router.DefaultConfig()
+			cfg.FaultTolerant = true
+			f := newFeeder(cfg, bc.fed)
+			if bc.bypass {
+				f.r.SetSA1Fault(topology.East, true)
+			}
+			for i := 0; i < 100; i++ {
+				f.tick() // fill the pipeline
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.tick()
+			}
+			b.StopTimer()
+			if got := f.r.Counters.FlitsRouted; (got == 0) != (bc.name == "idle" || bc.bypass) {
+				b.Fatalf("%d flits routed: the case does not run at the occupancy it names", got)
+			}
+		})
+	}
+}

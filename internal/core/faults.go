@@ -55,7 +55,15 @@ func (r *Router) SetVA2Fault(out topology.Port, dvc int, f bool) {
 
 // SetSA1Fault marks input port p's stage-1 SA arbiter faulty.
 func (r *Router) SetSA1Fault(p topology.Port, f bool) {
-	r.sa.Stage1(int(p)).Arb.SetFaulty(f)
+	arb := r.sa.Stage1(int(p)).Arb
+	if arb.Faulty() != f {
+		if f {
+			r.sa1Faults++
+		} else {
+			r.sa1Faults--
+		}
+	}
+	arb.SetFaulty(f)
 }
 
 // SetSA1BypassFault marks input port p's SA bypass path faulty.

@@ -111,9 +111,9 @@ func TestVA1BorrowScenario2OneCycleStall(t *testing.T) {
 	// same cycle.
 	q0, q1 := b.r.InputVC(topology.West, 0), b.r.InputVC(topology.West, 1)
 	q0.Push(flit.Segment(p0)[0])
-	q0.G, q0.R = vc.VCAlloc, topology.East
+	b.r.setVCState(topology.West, 0, vc.VCAlloc, topology.East)
 	q1.Push(flit.Segment(p1)[0])
-	q1.G, q1.R = vc.VCAlloc, topology.East
+	b.r.setVCState(topology.West, 1, vc.VCAlloc, topology.East)
 	b.run(12)
 	if b.r.Counters.VA1BorrowStalls == 0 {
 		t.Error("expected at least one borrow stall (Scenario 2)")

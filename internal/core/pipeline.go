@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
@@ -26,6 +27,7 @@ func (r *Router) acceptInputs() {
 				panic(fmt.Sprintf("core: router %d head flit into busy VC %v/%d (G=%v)", r.ID, inf.In, inf.VC, q.G))
 			}
 			q.G = vc.Routing
+			r.vcOccupy(inf.In, inf.VC)
 		}
 		q.Push(inf.F)
 	}
@@ -38,9 +40,16 @@ func (r *Router) acceptInputs() {
 // when the computed output port's regular path is unusable (Section V-D).
 func (r *Router) rcStage(cy sim.Cycle) {
 	for p := 0; p < r.cfg.Ports; p++ {
+		m := r.occ[p]
+		if m == 0 {
+			continue
+		}
 		ip := r.in[p]
 		for i := 0; i < r.cfg.VCs; i++ {
 			idx := (r.rcScan[p] + i) % r.cfg.VCs
+			if m&(1<<uint(idx)) == 0 {
+				continue
+			}
 			q := ip.VCs[idx]
 			if q.G != vc.Routing || !headReady(q) {
 				continue
@@ -52,6 +61,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				// the buffered flits one per cycle, returning credits
 				// upstream, until the tail releases the VC.
 				q.G = vc.Dropping
+				r.dropping++
 				r.droppedPkts = append(r.droppedPkts, q.Front().Pkt)
 				r.rcScan[p] = (idx + 1) % r.cfg.VCs
 				break
@@ -121,8 +131,13 @@ func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port,
 // the upstream router's flow control unwinds exactly as if the flits had
 // been forwarded.
 func (r *Router) drainStage() {
-	for p := 0; p < r.cfg.Ports; p++ {
-		for _, q := range r.in[p].VCs {
+	if r.dropping == 0 {
+		return
+	}
+	for p, ip := range r.in {
+		for m := r.occ[p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			q := ip.VCs[v]
 			if q.G != vc.Dropping || q.Empty() {
 				continue
 			}
@@ -134,6 +149,8 @@ func (r *Router) drainStage() {
 			})
 			if f.Kind.IsTail() {
 				q.ResetPacketState()
+				r.vcRelease(topology.Port(p), v)
+				r.dropping--
 			}
 		}
 	}
@@ -167,17 +184,18 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 // vaStage runs the two-stage separable virtual-channel allocator,
 // including the protected router's arbiter borrowing.
 func (r *Router) vaStage(cy sim.Cycle) {
-	// Reset stage-2 request lists.
-	for p := range r.va2req {
-		for v := range r.va2req[p] {
-			r.va2req[p][v] = r.va2req[p][v][:0]
-		}
-	}
-
 	// Stage 1: each input VC in VCAlloc picks one candidate downstream VC.
+	requests := 0
 	for p := 0; p < r.cfg.Ports; p++ {
+		m := r.occ[p]
+		if m == 0 {
+			continue
+		}
 		ip := r.in[p]
 		for v := 0; v < r.cfg.VCs; v++ {
+			if m&(1<<uint(v)) == 0 {
+				continue
+			}
 			q := ip.VCs[v]
 			if q.G != vc.VCAlloc {
 				continue
@@ -232,6 +250,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			if any {
 				if dvc, ok := r.va.Stage1(p, arbVC).Grant(reqs); ok {
 					r.va2req[out][dvc] = append(r.va2req[out][dvc], p*r.cfg.VCs+v)
+					requests++
 				}
 			}
 			if arbVC != v {
@@ -242,13 +261,18 @@ func (r *Router) vaStage(cy sim.Cycle) {
 		}
 	}
 
-	// Stage 2: one arbiter per downstream VC resolves conflicts.
+	// Stage 2: one arbiter per downstream VC resolves conflicts, consuming
+	// (and emptying) the request lists stage 1 filled.
+	if requests == 0 {
+		return
+	}
 	for out := 0; out < r.cfg.Ports; out++ {
 		for dvc := 0; dvc < r.cfg.VCs; dvc++ {
 			cands := r.va2req[out][dvc]
 			if len(cands) == 0 {
 				continue
 			}
+			r.va2req[out][dvc] = cands[:0]
 			arb := r.va.Stage2(out, dvc)
 			if arb.Faulty() {
 				// Section V-B3: the requesters lose this downstream VC
@@ -322,14 +346,21 @@ func (r *Router) saStage(cy sim.Cycle) {
 		winners[i] = saWinner{vcIdx: -1}
 	}
 
-	// Stage 1: pick one VC per input port.
+	// Stage 1: pick one VC per input port. An empty port has nothing to
+	// request — unless it is in bypass mode, whose default winner and
+	// adoption age advance on empty cycles too.
+	won := false
 	for p := 0; p < r.cfg.Ports; p++ {
+		m := r.occ[p]
+		b := r.sa.Stage1(p)
+		if m == 0 && !b.Arb.Faulty() {
+			continue
+		}
 		ip := r.in[p]
 		ready := r.reqBuf[:r.cfg.VCs]
 		for v := 0; v < r.cfg.VCs; v++ {
-			ready[v] = r.saReady(ip.VCs[v])
+			ready[v] = m&(1<<uint(v)) != 0 && r.saReady(ip.VCs[v])
 		}
-		b := r.sa.Stage1(p)
 		var w int
 		var ok, bypassed bool
 		switch {
@@ -390,9 +421,13 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		winners[p] = saWinner{vcIdx: w, reqPort: reqPort, outPort: q.R, secondary: q.FSP, bypass: bypassed}
+		won = true
 	}
 
 	// Stage 2: one arbiter per output port resolves input-port conflicts.
+	if !won {
+		return
+	}
 	reqs := r.reqBuf[:r.cfg.Ports]
 	for out := 0; out < r.cfg.Ports; out++ {
 		arb := r.sa.Stage2(out)
@@ -519,6 +554,7 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		})
 		if f.Kind.IsTail() {
 			q.ResetPacketState()
+			r.vcRelease(g.inPort, g.inVC)
 		}
 	}
 	r.grants = r.grants[:0]

@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gonoc/internal/crossbar"
 	"gonoc/internal/flit"
@@ -158,9 +159,31 @@ type Router struct {
 	// saAdoptAge counts cycles since the adoption, for rotation expiry.
 	saAdoptAge []int
 
+	// Occupancy state, derived from the VCs' G fields and the SA stage-1
+	// fault bits so the stages visit only VCs that hold a packet and Tick
+	// can return early on a quiescent router. It is maintained where a VC
+	// leaves or re-enters Idle (vcOccupy, vcRelease), where one starts
+	// Dropping (rcStage) and in SetSA1Fault; CheckOccupancy recomputes it.
+	//
+	// occ[p] has bit v set iff in[p].VCs[v].G != vc.Idle (router.Config
+	// caps VCs at 64 so a port fits one word).
+	//noc:derived recomputed from the VC G states by RestoreState
+	occ []uint64
+	// occupied counts the set bits of occ.
+	//noc:derived recomputed from the VC G states by RestoreState
+	occupied int
+	// dropping counts the VCs in vc.Dropping.
+	//noc:derived recomputed from the VC G states by RestoreState
+	dropping int
+	// sa1Faults counts the input ports whose SA stage-1 arbiter is faulty.
+	//noc:derived recomputed from the SA stage-1 fault bits by RestoreState
+	sa1Faults int
+
 	// va2req collects stage-2 VA requests: va2req[outPort][dvc] lists
-	// flat input-VC indices (p*V + v). Reused across cycles.
-	//noc:derived per-cycle scratch, rebuilt from empty every Tick
+	// flat input-VC indices (p*V + v). Reused across cycles: stage 1
+	// fills a list and stage 2 truncates it as it consumes it, so every
+	// list is empty outside vaStage.
+	//noc:derived per-cycle scratch, empty outside vaStage
 	va2req [][][]int
 	//noc:derived per-cycle scratch, rebuilt from empty every Tick
 	reqBuf []bool // scratch request vector, len = Ports*VCs
@@ -210,6 +233,7 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	r.rcScan = make([]int, cfg.Ports)
 	r.saAdopted = make([]int, cfg.Ports)
 	r.saAdoptAge = make([]int, cfg.Ports)
+	r.occ = make([]uint64, cfg.Ports)
 	for i := range r.saAdopted {
 		r.saAdopted[i] = -1
 	}
@@ -268,7 +292,10 @@ func (r *Router) Config() router.Config { return r.cfg }
 // FaultTolerant reports whether this is the protected design.
 func (r *Router) FaultTolerant() bool { return r.cfg.FaultTolerant }
 
-// InputVC exposes input VC (p, v) for inspection by tests and the NI.
+// InputVC exposes input VC (p, v) for inspection by tests, the NI and the
+// invariant checkers. The returned VC is read-only outside this package:
+// the pipeline finds work through occupancy state derived from the G
+// field, so a G written through this pointer never reaches the stages.
 func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return r.in[p].VCs[v] }
 
 // AcceptFlit delivers a flit to input port latch; it is buffered at the
@@ -332,14 +359,28 @@ func (r *Router) FreeOutVCs(p topology.Port, cls int) int {
 // earlier stage this cycle is consumed by the next stage next cycle; the
 // head-flit pipeline is therefore RC → VA → SA → XB, one stage per cycle,
 // exactly the paper's Figure 2.
+// A quiescent router returns right after the latches are applied.
 func (r *Router) Tick(cy sim.Cycle) {
 	r.acceptInputs()
+	if r.quiescent() {
+		return
+	}
 	r.drainStage()
 	r.xbStage(cy)
 	r.saStage(cy)
 	r.vaStage(cy)
 	r.rcStage(cy)
 	r.stallScan(cy)
+}
+
+// quiescent reports whether no pipeline stage has anything to do this
+// cycle: no VC holds a packet and no grant awaits the crossbar. A port in
+// SA bypass mode is the exception that keeps an empty router ticking:
+// its default winner rotates (and an adoption ages) on empty cycles too,
+// see saStage. Every other piece of cross-cycle state — arbiter
+// priorities, rcScan — moves only when a VC is served.
+func (r *Router) quiescent() bool {
+	return r.occupied == 0 && len(r.grants) == 0 && r.sa1Faults == 0
 }
 
 // String implements fmt.Stringer.
@@ -357,8 +398,6 @@ func headReady(v *vc.VC) bool {
 	f := v.Front()
 	return f != nil && f.Kind.IsHead()
 }
-
-var _ = flit.Head // keep the flit import referenced even if unused later
 
 // Credits returns the router's current credit count for downstream VC
 // (p, v) — exposed for the network-level credit-conservation checker.
@@ -401,4 +440,87 @@ func (r *Router) PendingGrants(p topology.Port, v int) int {
 		}
 	}
 	return n
+}
+
+// vcOccupy records that input VC (p, v) left Idle.
+func (r *Router) vcOccupy(p topology.Port, v int) {
+	r.occ[p] |= 1 << uint(v)
+	r.occupied++
+}
+
+// vcRelease records that input VC (p, v) returned to Idle.
+func (r *Router) vcRelease(p topology.Port, v int) {
+	r.occ[p] &^= 1 << uint(v)
+	r.occupied--
+}
+
+// portOccupancy recounts input port p's occupancy mask and its number of
+// Dropping VCs from the VCs themselves.
+func (r *Router) portOccupancy(p int) (mask uint64, dropping int) {
+	for v, q := range r.in[p].VCs {
+		if q.G == vc.Idle {
+			continue
+		}
+		mask |= 1 << uint(v)
+		if q.G == vc.Dropping {
+			dropping++
+		}
+	}
+	return mask, dropping
+}
+
+// recount derives the occupancy state from the VCs and the SA stage-1
+// arbiters: the three totals and, per port, the mask, which it writes to
+// r.occ when store is set and otherwise compares with it. stale is the
+// first port whose maintained mask disagreed, -1 when none did.
+func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) {
+	stale = -1
+	for p := range r.in {
+		m, d := r.portOccupancy(p)
+		if m != r.occ[p] && stale < 0 {
+			stale = p
+		}
+		if store {
+			r.occ[p] = m
+		}
+		occupied += bits.OnesCount64(m)
+		dropping += d
+		if r.sa.Stage1(p).Arb.Faulty() {
+			sa1Faults++
+		}
+	}
+	return occupied, dropping, sa1Faults, stale
+}
+
+// rebuildOccupancy recomputes the derived occupancy state from the VCs
+// and the SA stage-1 arbiters.
+func (r *Router) rebuildOccupancy() {
+	r.occupied, r.dropping, r.sa1Faults, _ = r.recount(true)
+}
+
+// CheckOccupancy recounts the derived occupancy state from the VCs and
+// arbiters and returns an error describing the first disagreement with
+// what the pipeline maintains incrementally. It must be called between
+// Ticks, where the stage-2 VA request lists must also be empty. It is
+// the runtime half of the //noc:derived markers on those fields, run
+// every cycle under the nocassert build tag (so it allocates nothing on
+// the passing path).
+func (r *Router) CheckOccupancy() error {
+	occupied, dropping, sa1Faults, stale := r.recount(false)
+	if stale >= 0 {
+		m, _ := r.portOccupancy(stale)
+		return fmt.Errorf("port %v occupancy mask %#x, VCs say %#x", topology.Port(stale), r.occ[stale], m)
+	}
+	if occupied != r.occupied || dropping != r.dropping || sa1Faults != r.sa1Faults {
+		return fmt.Errorf("occupied/dropping/sa1Faults = %d/%d/%d, VCs and arbiters say %d/%d/%d",
+			r.occupied, r.dropping, r.sa1Faults, occupied, dropping, sa1Faults)
+	}
+	for out := range r.va2req {
+		for dvc, cands := range r.va2req[out] {
+			if len(cands) != 0 {
+				return fmt.Errorf("VA stage-2 request list (%v, vc%d) holds %d stale requests", topology.Port(out), dvc, len(cands))
+			}
+		}
+	}
+	return nil
 }

@@ -206,6 +206,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 	copy(r.saAdopted, s.saAdopted)
 	copy(r.saAdoptAge, s.saAdopt)
 	r.Counters = s.counters
+	r.rebuildOccupancy()
 	r.inFlits = r.inFlits[:0]
 	r.inCredits = r.inCredits[:0]
 	r.outFlits = r.outFlits[:0]

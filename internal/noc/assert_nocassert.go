@@ -29,7 +29,10 @@ const assertEnabled = true
 //   - the global credit-conservation equation (CheckInvariants): for every
 //     inter-router link and VC, credits + occupancy + wire flits + wire
 //     credits + pending grants = Depth;
-//   - every virtual channel's state-machine consistency (checkVCState).
+//   - every virtual channel's state-machine consistency (checkVCState);
+//   - every router's derived occupancy state (masks, occupied/dropping/
+//     SA1-fault counts) against a recount from its VCs and arbiters
+//     (core.Router.CheckOccupancy).
 //
 // A violation panics with the cycle and location: these are simulator
 // bugs, never workload conditions, so failing loudly at the first bad
@@ -39,6 +42,9 @@ func (n *Network) assertPostStep() {
 		n.assertFail(fmt.Sprintf("nocassert: cycle %d: %v", n.cycle, err))
 	}
 	for id, r := range n.routers {
+		if err := r.CheckOccupancy(); err != nil {
+			n.assertFail(fmt.Sprintf("nocassert: cycle %d: router %d: %v", n.cycle, id, err))
+		}
 		cfg := r.Config()
 		for p := 0; p < cfg.Ports; p++ {
 			for v := 0; v < cfg.VCs; v++ {

@@ -752,6 +752,9 @@ func (n *Network) commitLinksNode(u int, c sim.Cycle) {
 		if v < 0 {
 			continue
 		}
+		if len(n.stagedFlits[v]) == 0 && len(n.stagedCredits[v]) == 0 {
+			continue
+		}
 		q := p.Opposite() // v's output port facing u
 		mf := n.midFlight[v][q]
 		ld := n.linkDrop[v][q]

@@ -14,6 +14,7 @@ import (
 	"gonoc/internal/sim"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
+	"gonoc/internal/vc"
 )
 
 // trajectory records per-cycle canonical hashes plus the final summary
@@ -147,5 +148,85 @@ func TestSnapshotParallelWorkers(t *testing.T) {
 	par.Restore(snap)
 	if got := trajectory(par, 80); got != want {
 		t.Errorf("parallel continuation diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+}
+
+// vcsIn counts the input VCs of the whole network in pipeline state g.
+func vcsIn(n *noc.Network, g vc.GState) int {
+	count := 0
+	for id := 0; id < n.Topo().Nodes(); id++ {
+		r := n.Router(id)
+		cfg := r.Config()
+		for p := 0; p < cfg.Ports; p++ {
+			for v := 0; v < cfg.VCs; v++ {
+				if r.InputVC(topology.Port(p), v).G == g {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
+// TestRestoreIntoFreshNetwork restores a mid-packet snapshot into a
+// network that has never stepped, so every piece of router state the
+// snapshot does not carry — the occupancy masks and counts the pipeline
+// finds its work through — must be rebuilt by Restore rather than happen
+// to match. The partitioned variant snapshots while routing holds a VC
+// in Dropping, the state with its own derived count.
+func TestRestoreIntoFreshNetwork(t *testing.T) {
+	const stop = 120
+	for _, partition := range []bool{false, true} {
+		name := "loaded"
+		if partition {
+			name = "partitioned"
+		}
+		t.Run(name, func(t *testing.T) {
+			retx := noc.RetxConfig{Timeout: 150, MaxRetries: 2}
+			build := func(workers int) *noc.Network {
+				src := traffic.NewSynthetic(16, 0.1, traffic.Uniform(16), traffic.FixedSize(5), 4242)
+				src.StopAt(stop)
+				return newFaultNet(t, 4, 4, retx, workers, src)
+			}
+			n := build(1)
+			defer n.Close()
+			if partition {
+				n.AddHook(func(c sim.Cycle) {
+					if c != stop-1 {
+						return
+					}
+					// Cut the NW corner off with packets to and from it in flight.
+					for _, p := range []topology.Port{topology.East, topology.South} {
+						if err := n.SetLinkFault(0, p, true); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			}
+			n.Run(stop)
+			if partition {
+				for i := 0; vcsIn(n, vc.Dropping) == 0; i++ {
+					if i == 200 {
+						t.Fatal("no VC entered Dropping after the partition; case exercises nothing")
+					}
+					n.Step()
+				}
+			}
+			if vcsIn(n, vc.Active) == 0 {
+				t.Fatal("no packet mid-flight at the snapshot; case exercises nothing")
+			}
+
+			snap := n.Snapshot()
+			want := trajectory(n, 200)
+			for _, workers := range []int{1, 2} {
+				fresh := build(workers)
+				fresh.Restore(snap)
+				if got := trajectory(fresh, 200); got != want {
+					t.Errorf("workers=%d: fresh network diverged after Restore:\n--- original ---\n%s--- fresh ---\n%s",
+						workers, want, got)
+				}
+				fresh.Close()
+			}
+		})
 	}
 }

@@ -42,6 +42,10 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// maxVCs is the largest VC count per input port: the core router keeps
+// one occupancy bit per VC in a single 64-bit word per port.
+const maxVCs = 64
+
 // DefaultConfig returns the paper's 5×5, 4-VC, depth-4 configuration.
 func DefaultConfig() Config {
 	return Config{Ports: 5, VCs: 4, Depth: 4, Classes: 2, BypassRotatePeriod: 16}
@@ -55,6 +59,9 @@ func (c *Config) Validate() error {
 	}
 	if c.VCs < 1 {
 		return fmt.Errorf("router: need at least 1 VC, got %d", c.VCs)
+	}
+	if c.VCs > maxVCs {
+		return fmt.Errorf("router: at most %d VCs per port (one occupancy-mask word), got %d", maxVCs, c.VCs)
 	}
 	if c.Depth < 1 {
 		return fmt.Errorf("router: need buffer depth >= 1, got %d", c.Depth)

@@ -24,6 +24,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"too few ports", func(c *Config) { c.Ports = 2 }, false},
 		{"no VCs", func(c *Config) { c.VCs = 0 }, false},
+		{"most VCs one mask word holds", func(c *Config) { c.VCs = maxVCs }, true},
+		{"more VCs than one mask word holds", func(c *Config) { c.VCs = 65; c.Classes = 1 }, false},
 		{"no depth", func(c *Config) { c.Depth = 0 }, false},
 		{"classes must divide VCs", func(c *Config) { c.VCs = 3; c.Classes = 2 }, false},
 		{"single class ok", func(c *Config) { c.Classes = 1 }, true},
