@@ -15,6 +15,7 @@ func TestSnapshotCompleteFixtures(t *testing.T) {
 	runFixture(t, "snapshotcomplete/flagged", "gonoc/internal/core", SnapshotComplete)
 	runFixture(t, "snapshotcomplete/clean", "gonoc/internal/core", SnapshotComplete)
 	runFixture(t, "snapshotcomplete/ignore", "gonoc/internal/core", SnapshotComplete)
+	runFixture(t, "snapshotcomplete/recycle", "gonoc/internal/core", SnapshotComplete)
 	runFixture(t, "snapshotcomplete/accessor", "gonoc/internal/vc", SnapshotComplete)
 }
 
@@ -119,6 +120,7 @@ func TestSuiteOverFixtures(t *testing.T) {
 		{"snapshotcomplete/flagged", "gonoc/internal/core"},
 		{"snapshotcomplete/clean", "gonoc/internal/core"},
 		{"snapshotcomplete/ignore", "gonoc/internal/core"},
+		{"snapshotcomplete/recycle", "gonoc/internal/core"},
 		{"snapshotcomplete/accessor", "gonoc/internal/vc"},
 		{"hotpathalloc/flagged", "gonoc/internal/core"},
 		{"hotpathalloc/clean", "gonoc/internal/core"},

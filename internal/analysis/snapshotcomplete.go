@@ -11,8 +11,9 @@ import (
 // SnapshotComplete proves the snapshot triple covers every mutable field.
 //
 // The model-checking tier (PR 7) and the ROADMAP's checkpoint/restore
-// direction hang on one convention: SaveState/RestoreState/AppendCanonical
-// (core.Router) and Snapshot/Restore/AppendCanonical (noc.Network) must
+// direction hang on one convention: SaveStateInto/RestoreState/
+// AppendCanonical (core.Router) and SnapshotInto/Restore/AppendCanonical
+// (noc.Network; SaveState and Snapshot are their allocate-fresh case) must
 // touch *every* mutable field, or state hashing silently folds distinct
 // states together and golden determinism drifts after a restore. A field
 // added without snapshot coverage is exactly the heisenbug class runtime
@@ -38,9 +39,15 @@ import (
 //     //noc:derived.
 //
 // The mirror-struct checks are the tripwire the acceptance contract
-// names: deleting a single field assignment from SaveState/RestoreState
-// makes that RouterState field unreferenced in its role and fails the
-// build.
+// names: deleting a single field assignment from SaveStateInto/
+// RestoreState makes that RouterState field unreferenced in its role and
+// fails the build.
+//
+// The save functions fill caller-supplied storage when offered some and
+// allocate only otherwise (SaveStateInto, SnapshotInto). A reference
+// inside the allocating branch — the if body that assigns a whole new
+// contract struct to a variable — therefore does not count: a field set
+// only there keeps its stale value in recycled storage, and is reported.
 var SnapshotComplete = &Analyzer{
 	Name: "snapshotcomplete",
 	Doc:  "verify every mutable field of the router/network state structs is covered by the Save/Restore/AppendCanonical triple or marked //noc:derived",
@@ -78,12 +85,12 @@ var snapContracts = map[string]struct {
 	"gonoc/internal/core": {
 		owners: []snapOwner{
 			{typeName: "Router", roles: []snapRole{
-				{name: "save", funcs: []string{"SaveState", "saveVC"}},
+				{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
 				{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
 				{name: "canonical", funcs: []string{"AppendCanonical"}},
 			}},
 			{typeName: "RouterState", roles: []snapRole{
-				{name: "save", funcs: []string{"SaveState", "saveVC"}},
+				{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
 				{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
 			}},
 			{typeName: "vcState", roles: []snapRole{
@@ -102,7 +109,7 @@ var snapContracts = map[string]struct {
 	"gonoc/internal/noc": {
 		owners: []snapOwner{
 			{typeName: "Network", roles: []snapRole{
-				{name: "save", funcs: []string{"Snapshot", "saveNI"}},
+				{name: "save", funcs: []string{"SnapshotInto", "saveNI"}},
 				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
 				{name: "canonical", funcs: []string{"AppendCanonical", "appendCanonicalNI", "appendCanonicalWindows"}},
 			}},
@@ -112,7 +119,7 @@ var snapContracts = map[string]struct {
 				{name: "canonical", funcs: []string{"appendCanonicalNI"}},
 			}},
 			{typeName: "Snapshot", roles: []snapRole{
-				{name: "save", funcs: []string{"Snapshot", "saveNI"}},
+				{name: "save", funcs: []string{"SnapshotInto", "saveNI"}},
 				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
 			}},
 			{typeName: "niState", roles: []snapRole{
@@ -288,6 +295,7 @@ func checkOwner(pass *Pass, owner snapOwner, st *types.Struct, structPos token.P
 	}
 	for _, role := range owner.roles {
 		covered := map[*types.Var]bool{}
+		freshOnly := map[*types.Var]bool{}
 		for _, name := range role.funcs {
 			fds, ok := decls[name]
 			if !ok {
@@ -295,7 +303,7 @@ func checkOwner(pass *Pass, owner snapOwner, st *types.Struct, structPos token.P
 				continue
 			}
 			for _, fd := range fds {
-				collectFieldRefs(pass.TypesInfo, fd, fieldSet, covered)
+				collectFieldRefs(pass.TypesInfo, fd, st, fieldSet, covered, freshOnly)
 			}
 		}
 		for i := 0; i < st.NumFields(); i++ {
@@ -313,31 +321,82 @@ func checkOwner(pass *Pass, owner snapOwner, st *types.Struct, structPos token.P
 			if pos == token.NoPos {
 				pos = structPos
 			}
+			if freshOnly[f] {
+				pass.Reportf(pos, "field %s of %s is set by its %s functions (%s) only in the branch that allocates a fresh %s: recycled storage keeps its stale value — assign it on the shared path",
+					f.Name(), display, role.name, strings.Join(role.funcs, "/"), display)
+				continue
+			}
 			pass.Reportf(pos, "field %s of %s is not referenced by its %s functions (%s): cover it in the snapshot triple or mark it %s <reason>",
 				f.Name(), display, role.name, strings.Join(role.funcs, "/"), MarkerDerived)
 		}
 	}
 }
 
-// collectFieldRefs records every field of fieldSet referenced anywhere
+// collectFieldRefs records in covered every field of fieldSet referenced
 // in the function body — selectors, composite-literal keys, anything the
-// type-checker resolved to the field object.
-func collectFieldRefs(info *types.Info, fd *ast.FuncDecl, fieldSet, covered map[*types.Var]bool) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if v, ok := info.Uses[n].(*types.Var); ok && fieldSet[v] {
-				covered[v] = true
-			}
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[n]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok && fieldSet[v] {
-					covered[v] = true
+// type-checker resolved to the field object — outside the branches that
+// allocate a fresh st; references inside those go to freshOnly.
+func collectFieldRefs(info *types.Info, fd *ast.FuncDecl, st *types.Struct, fieldSet, covered, freshOnly map[*types.Var]bool) {
+	var walk func(root ast.Node, into map[*types.Var]bool)
+	walk = func(root ast.Node, into map[*types.Var]bool) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if allocatesFresh(info, n.Body, st) {
+					if n.Init != nil {
+						walk(n.Init, into)
+					}
+					walk(n.Cond, into)
+					walk(n.Body, freshOnly)
+					if n.Else != nil {
+						walk(n.Else, into)
+					}
+					return false
+				}
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && fieldSet[v] {
+					into[v] = true
+				}
+			case *ast.SelectorExpr:
+				if sel, ok := info.Selections[n]; ok && sel.Kind() == types.FieldVal {
+					if v, ok := sel.Obj().(*types.Var); ok && fieldSet[v] {
+						into[v] = true
+					}
 				}
 			}
+			return true
+		})
+	}
+	walk(fd.Body, covered)
+}
+
+// allocatesFresh reports whether one of the block's own statements
+// assigns a whole st, or a pointer to one, to a plain variable: the
+// shape of "no storage was offered for reuse, allocate some".
+func allocatesFresh(info *types.Info, body *ast.BlockStmt, st *types.Struct) bool {
+	for _, stmt := range body.List {
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok {
+			continue
 		}
-		return true
-	})
+		for _, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			t := info.TypeOf(id)
+			if t == nil {
+				continue
+			}
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if t.Underlying() == st {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // checkAccessors runs the accessor-completeness mode: every unexported

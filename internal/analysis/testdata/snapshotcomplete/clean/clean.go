@@ -19,7 +19,7 @@ type vcState struct {
 	g int
 }
 
-func (r *Router) SaveState() *RouterState {
+func (r *Router) SaveStateInto() *RouterState {
 	return &RouterState{
 		covered: r.covered,
 		flags:   append([]bool(nil), r.flags...),

@@ -25,7 +25,7 @@ type vcState struct {
 	lost bool // want `field lost of vcState is not referenced by its restore functions \(restoreVC\)`
 }
 
-func (r *Router) SaveState() *RouterState {
+func (r *Router) SaveStateInto() *RouterState {
 	s := &RouterState{covered: r.covered, dropped: r.bad}
 	s.vcs = append(s.vcs, saveVC(r.covered))
 	return s

@@ -17,7 +17,7 @@ type vcState struct {
 	g int
 }
 
-func (r *Router) SaveState() *RouterState {
+func (r *Router) SaveStateInto() *RouterState {
 	return &RouterState{covered: r.covered}
 }
 

@@ -55,16 +55,16 @@ type RouterState struct {
 	saAdopted []int
 	saAdopt   []int
 
-	va1Prio [][]int
-	va2Prio [][]int
+	va1Prio []int // per (port, VC), indexed p*VCs+v, as va2Prio and the two va*Faulty
+	va2Prio []int
 	sa1Prio []int
 	sa1DW   []int // bypass default-winner register, per port
 	sa1Rot  []int // bypass grants-since-rotation counter, per port
 	sa2Prio []int
 
 	rcFaulty     [][2]bool
-	va1Faulty    [][]bool
-	va2Faulty    [][]bool
+	va1Faulty    []bool
+	va2Faulty    []bool
 	sa1ArbFault  []bool
 	sa1BypFault  []bool
 	sa2Faulty    []bool
@@ -83,48 +83,37 @@ type RouterState struct {
 // mutated in place by the pipeline (Hops), so aliasing would let
 // post-snapshot execution corrupt the snapshot.
 func (r *Router) SaveState(cloneFlit func(*flit.Flit) *flit.Flit) *RouterState {
+	return r.SaveStateInto(nil, cloneFlit)
+}
+
+// SaveStateInto is SaveState writing into old's storage: every field of
+// old is overwritten and old is returned, so saving into a state the
+// caller no longer needs allocates nothing beyond cloneFlit's copies.
+// The caller must own old outright — nothing may still expect to
+// restore from it. A nil old, or one saved from a router with a
+// different port or VC count, is left untouched and a fresh state is
+// returned instead.
+func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *flit.Flit) *RouterState {
 	P, V := r.cfg.Ports, r.cfg.VCs
-	s := &RouterState{
-		vcs:       make([][]vcState, P),
-		outVCBusy: make([][]bool, P),
-		credits:   make([][]int, P),
-		grants:    append([]grant(nil), r.grants...),
-		rcScan:    append([]int(nil), r.rcScan...),
-		saAdopted: append([]int(nil), r.saAdopted...),
-		saAdopt:   append([]int(nil), r.saAdoptAge...),
-
-		va1Prio: make([][]int, P),
-		va2Prio: make([][]int, P),
-		sa1Prio: make([]int, P),
-		sa1DW:   make([]int, P),
-		sa1Rot:  make([]int, P),
-		sa2Prio: make([]int, P),
-
-		rcFaulty:    make([][2]bool, P),
-		va1Faulty:   make([][]bool, P),
-		va2Faulty:   make([][]bool, P),
-		sa1ArbFault: make([]bool, P),
-		sa1BypFault: make([]bool, P),
-		sa2Faulty:   make([]bool, P),
-		xbMuxFaulty: make([]bool, P),
-		xbSecFaulty: make([]bool, P),
-
-		counters: r.Counters,
+	s := old
+	if s == nil || len(s.vcs) != P || len(s.va1Prio) != P*V {
+		s = newRouterState(P, V)
 	}
+	s.grants = append(s.grants[:0], r.grants...)
+	copy(s.rcScan, r.rcScan)
+	copy(s.saAdopted, r.saAdopted)
+	copy(s.saAdopt, r.saAdoptAge)
+	s.xbSecPresent = r.xbProt != nil
+	s.counters = r.Counters
 	for p := 0; p < P; p++ {
-		s.vcs[p] = make([]vcState, V)
-		s.outVCBusy[p] = append([]bool(nil), r.outVCBusy[p]...)
-		s.credits[p] = append([]int(nil), r.credits[p]...)
-		s.va1Prio[p] = make([]int, V)
-		s.va2Prio[p] = make([]int, V)
-		s.va1Faulty[p] = make([]bool, V)
-		s.va2Faulty[p] = make([]bool, V)
+		copy(s.outVCBusy[p], r.outVCBusy[p])
+		copy(s.credits[p], r.credits[p])
 		for v := 0; v < V; v++ {
-			s.vcs[p][v] = saveVC(r.in[p].VCs[v], cloneFlit)
-			s.va1Prio[p][v] = r.va.Stage1(p, v).Prio()
-			s.va2Prio[p][v] = r.va.Stage2(p, v).Prio()
-			s.va1Faulty[p][v] = r.va.Stage1Faulty(p, v)
-			s.va2Faulty[p][v] = r.va.Stage2(p, v).Faulty()
+			saveVC(&s.vcs[p][v], r.in[p].VCs[v], cloneFlit)
+			s.va1Prio[p*V+v] = r.va.Stage1(p, v).Prio()
+			s.va2Prio[p*V+v] = r.va.Stage2(p, v).Prio()
+			s.va1Faulty[p*V+v] = r.va.Stage1Faulty(p, v)
+			s.va2Faulty[p*V+v] = r.va.Stage2(p, v).Faulty()
 		}
 		b := r.sa.Stage1(p)
 		s.sa1Prio[p] = b.Arb.Prio()
@@ -134,32 +123,78 @@ func (r *Router) SaveState(cloneFlit func(*flit.Flit) *flit.Flit) *RouterState {
 		s.sa2Prio[p] = r.sa.Stage2(p).Prio()
 		s.sa2Faulty[p] = r.sa.Stage2(p).Faulty()
 		s.rcFaulty[p][0] = r.rc[p].Faulty(0)
-		if r.cfg.FaultTolerant {
-			s.rcFaulty[p][1] = r.rc[p].Faulty(1)
-		}
+		s.rcFaulty[p][1] = r.cfg.FaultTolerant && r.rc[p].Faulty(1)
 		if r.xbProt != nil {
-			s.xbSecPresent = true
 			s.xbMuxFaulty[p] = r.xbProt.MuxFaulty(p)
 			s.xbSecFaulty[p] = r.xbProt.SecondaryFaulty(p)
 		} else {
 			s.xbMuxFaulty[p] = r.xbBase.MuxFaulty(p)
+			s.xbSecFaulty[p] = false
 		}
 	}
 	return s
 }
 
-func saveVC(v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) vcState {
-	live := v.Flits()
-	fs := make([]*flit.Flit, len(live))
-	for i, f := range live {
-		fs[i] = cloneFlit(f)
+// newRouterState allocates the storage of a P-port, V-VC router state,
+// carving the fixed-length slices out of one backing array per element
+// type. It sets no values: SaveStateInto writes every field of a fresh
+// state and of a recycled one through the same assignments.
+func newRouterState(P, V int) *RouterState {
+	ints := make([]int, 7*P+3*P*V)
+	bools := make([]bool, 5*P+3*P*V)
+	takeInts := func(n int) []int {
+		out := ints[:n:n]
+		ints = ints[n:]
+		return out
 	}
-	return vcState{
-		flits: fs,
-		g:     v.G, r: v.R, outVC: v.OutVC,
-		r2: v.R2, vf: v.VF, id: v.ID, sp: v.SP, fsp: v.FSP, detour: v.Detour,
-		creditHome: v.CreditHome, dvcLo: v.DvcLo, dvcHi: v.DvcHi,
+	takeBools := func(n int) []bool {
+		out := bools[:n:n]
+		bools = bools[n:]
+		return out
 	}
+	s := &RouterState{
+		vcs:       make([][]vcState, P),
+		outVCBusy: make([][]bool, P),
+		credits:   make([][]int, P),
+		rcScan:    takeInts(P),
+		saAdopted: takeInts(P),
+		saAdopt:   takeInts(P),
+
+		va1Prio: takeInts(P * V),
+		va2Prio: takeInts(P * V),
+		sa1Prio: takeInts(P),
+		sa1DW:   takeInts(P),
+		sa1Rot:  takeInts(P),
+		sa2Prio: takeInts(P),
+
+		rcFaulty:    make([][2]bool, P),
+		va1Faulty:   takeBools(P * V),
+		va2Faulty:   takeBools(P * V),
+		sa1ArbFault: takeBools(P),
+		sa1BypFault: takeBools(P),
+		sa2Faulty:   takeBools(P),
+		xbMuxFaulty: takeBools(P),
+		xbSecFaulty: takeBools(P),
+	}
+	vcs := make([]vcState, P*V)
+	for p := 0; p < P; p++ {
+		s.vcs[p] = vcs[p*V : (p+1)*V : (p+1)*V]
+		s.outVCBusy[p] = takeBools(V)
+		s.credits[p] = takeInts(V)
+	}
+	return s
+}
+
+func saveVC(s *vcState, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) {
+	s.flits = s.flits[:0]
+	for _, f := range v.Flits() {
+		s.flits = append(s.flits, cloneFlit(f))
+	}
+	s.g, s.r, s.outVC = v.G, v.R, v.OutVC
+	s.r2, s.vf, s.id, s.sp, s.fsp = v.R2, v.VF, v.ID, v.SP, v.FSP
+	s.detour = v.Detour
+	s.creditHome = v.CreditHome
+	s.dvcLo, s.dvcHi = v.DvcLo, v.DvcHi
 }
 
 // RestoreState rewinds the router to a state saved by SaveState.
@@ -172,16 +207,15 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 		panic("core: RestoreState: snapshot crossbar protection does not match the router's configuration")
 	}
 	P, V := r.cfg.Ports, r.cfg.VCs
-	scratch := make([]*flit.Flit, 0, r.cfg.Depth)
 	for p := 0; p < P; p++ {
 		copy(r.outVCBusy[p], s.outVCBusy[p])
 		copy(r.credits[p], s.credits[p])
 		for v := 0; v < V; v++ {
-			restoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit, &scratch)
-			r.va.Stage1(p, v).SetPrio(s.va1Prio[p][v])
-			r.va.Stage2(p, v).SetPrio(s.va2Prio[p][v])
-			r.va.SetStage1Faulty(p, v, s.va1Faulty[p][v])
-			r.va.Stage2(p, v).SetFaulty(s.va2Faulty[p][v])
+			restoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit)
+			r.va.Stage1(p, v).SetPrio(s.va1Prio[p*V+v])
+			r.va.Stage2(p, v).SetPrio(s.va2Prio[p*V+v])
+			r.va.SetStage1Faulty(p, v, s.va1Faulty[p*V+v])
+			r.va.Stage2(p, v).SetFaulty(s.va2Faulty[p*V+v])
 		}
 		b := r.sa.Stage1(p)
 		b.Arb.SetPrio(s.sa1Prio[p])
@@ -214,13 +248,8 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 	r.droppedPkts = r.droppedPkts[:0]
 }
 
-func restoreVC(v *vc.VC, s *vcState, cloneFlit func(*flit.Flit) *flit.Flit, scratch *[]*flit.Flit) {
-	fs := (*scratch)[:0]
-	for _, f := range s.flits {
-		fs = append(fs, cloneFlit(f))
-	}
-	*scratch = fs
-	v.SetFlits(fs)
+func restoreVC(v *vc.VC, s *vcState, cloneFlit func(*flit.Flit) *flit.Flit) {
+	v.SetFlits(s.flits, cloneFlit)
 	v.G, v.R, v.OutVC = s.g, s.r, s.outVC
 	v.R2, v.VF, v.ID, v.SP, v.FSP = s.r2, s.vf, s.id, s.sp, s.fsp
 	v.Detour = s.detour

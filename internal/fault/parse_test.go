@@ -115,12 +115,12 @@ func TestParseNetworkInjections(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"5:link",      // link needs a port
-		"5:link:l",    // local is not a mesh link
-		"5:link:0",    // numeric local port
-		"5:link:e:1",  // link takes no VC index
-		"5:router:n",  // router takes no port
-		"5:router:0",  // router takes no numeric port either
+		"5:link",     // link needs a port
+		"5:link:l",   // local is not a mesh link
+		"5:link:0",   // numeric local port
+		"5:link:e:1", // link takes no VC index
+		"5:router:n", // router takes no port
+		"5:router:0", // router takes no numeric port either
 		"5:router:e:1",
 	}
 	for _, spec := range bad {

@@ -37,14 +37,25 @@ func CheckTopo(topo string, w, h int, retx noc.RetxConfig, opt Options) ([]Resul
 	return out, nil
 }
 
+// StatesPerSec is the exploration rate: distinct states discovered per
+// second of wall-clock time, 0 when no time was measured.
+func (r Result) StatesPerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.States) / r.Elapsed.Seconds()
+}
+
 // FormatResults renders a sweep outcome as a one-line-per-scenario
-// table plus, for a failed scenario, the full counterexample report.
+// table — graph size, peak frontier (what bounds memory), wall-clock
+// time and states/s (what bounds patience) — plus, for a failed
+// scenario, the full counterexample report.
 func FormatResults(results []Result) string {
 	var b strings.Builder
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-28s %-9s %8d states %9d transitions  depth %-4d %8s  %s\n",
-			r.Scenario.Name, r.Verdict, r.States, r.Transitions, r.Deepest,
-			r.Elapsed.Round(1000000), r.Detail)
+		fmt.Fprintf(&b, "%-28s %-9s %8d states %9d transitions  depth %-4d frontier %-6d %8s %7.0f states/s  %s\n",
+			r.Scenario.Name, r.Verdict, r.States, r.Transitions, r.Deepest, r.PeakFrontier,
+			r.Elapsed.Round(1000000), r.StatesPerSec(), r.Detail)
 	}
 	for _, r := range results {
 		if len(r.Counterexample) > 0 {

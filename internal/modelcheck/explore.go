@@ -3,7 +3,7 @@ package modelcheck
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -122,6 +122,10 @@ type Result struct {
 	Expected int
 	// Deepest is the largest transition depth reached.
 	Deepest int
+	// PeakFrontier is the largest number of discovered-but-unexpanded
+	// states held at once: each holds a network snapshot, so this is
+	// what bounds the exploration's memory.
+	PeakFrontier int
 	// Counterexample is the choice sequence from the initial state to
 	// the violating state (plus, for livelocks, one full cycle); empty
 	// unless the verdict is Deadlocked or Livelocked. Replay it with
@@ -150,6 +154,8 @@ type machine struct {
 	minInjectSrc int
 	sabotaged    bool
 	expected     int
+	// keyScratch is key's buffer for sorting the delivery ledger.
+	keyScratch []uint64
 }
 
 // newMachine builds the scenario's transition system. Observer o may be
@@ -253,11 +259,12 @@ func (m *machine) key(buf []byte) []byte {
 	for _, c := range m.injected {
 		buf = append(buf, c)
 	}
-	keys := make([]uint64, 0, len(m.led.delivered))
+	keys := m.keyScratch[:0]
 	for k := range m.led.delivered {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	m.keyScratch = keys
 	for _, k := range keys {
 		buf = binary.AppendUvarint(buf, k)
 	}
@@ -278,9 +285,12 @@ type shadow struct {
 	sabotaged    bool
 }
 
-func (m *machine) saveShadow() shadow {
+// saveShadow captures the explorer-side state into old's storage (the
+// zero shadow allocates).
+func (m *machine) saveShadow(old shadow) shadow {
 	s := shadow{
-		injected:     append([]uint8{}, m.injected...),
+		injected:     append(old.injected[:0], m.injected...),
+		delivered:    old.delivered[:0],
 		minInjectSrc: m.minInjectSrc,
 		sabotaged:    m.sabotaged,
 	}
@@ -300,11 +310,29 @@ func (m *machine) restoreShadow(s shadow) {
 	}
 }
 
-// edge records how a state was first reached, for counterexample
-// reconstruction.
-type edge struct {
+// state is the explorer's record of one discovered state, indexed by
+// the dense id the visited set assigns in discovery order.
+type state struct {
+	// parent and choice record how the state was first reached, for
+	// counterexample reconstruction.
 	parent int32
 	choice Choice
+	// tickSucc is the state's tick successor, or -1 until the state is
+	// expanded (terminal states never are). The livelock pass walks
+	// tick chains through fully-injected states only (injection counts
+	// are monotone, so any cycle is made of ticks alone).
+	tickSucc int32
+	// terminal marks terminal success; full marks fully injected.
+	terminal, full bool
+}
+
+// held is a discovered state awaiting expansion, and the storage of an
+// expanded one awaiting reuse.
+type held struct {
+	id    int32
+	snap  *noc.Snapshot
+	shad  shadow
+	depth int
 }
 
 // Explore exhaustively enumerates the scenario's reachable state space
@@ -331,42 +359,46 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		return res, nil
 	}
 
-	type frontierEntry struct {
-		id    int32
-		snap  *noc.Snapshot
-		shad  shadow
-		depth int
-	}
-
+	// visited keys on the full canonical bytes, so a hash collision
+	// cannot fold two states together.
 	visited := make(map[string]int32)
-	var edges []edge
-	// tickSucc[id] is id's tick-successor state, recorded for every
-	// expanded state; terminalAt marks terminal-success states, which
-	// are not expanded. The livelock pass walks tick chains through
-	// fully-injected states only (injection counts are monotone, so
-	// any cycle is made of ticks alone).
-	tickSucc := map[int32]int32{}
-	terminalAt := map[int32]bool{}
-	fullAt := map[int32]bool{}
+	var states []state
+	// frontier is the BFS queue. An expanded entry's snapshot and shadow
+	// go to free, and the next new state is saved into them: snapshot
+	// storage is allocated PeakFrontier times, not once per state.
+	var frontier, free []held
+	var keyBuf []byte
 
-	rootKey := string(m.key(nil))
-	visited[rootKey] = 0
-	edges = append(edges, edge{parent: -1})
-	frontier := []frontierEntry{{id: 0, snap: m.n.Snapshot(), shad: m.saveShadow()}}
-	if m.terminal() {
-		terminalAt[0] = true
-		res.Terminals++
-		frontier = nil
+	// discover records the machine's current state, reached from parent
+	// by c, and queues it for expansion unless it is terminal.
+	discover := func(parent int32, c Choice, depth int) int32 {
+		id := int32(len(states))
+		visited[string(keyBuf)] = id
+		st := state{parent: parent, choice: c, tickSucc: -1, terminal: m.terminal(), full: m.fullyInjected()}
+		states = append(states, st)
+		res.States++
+		if st.terminal {
+			res.Terminals++
+			return id
+		}
+		var h held
+		if k := len(free) - 1; k >= 0 {
+			h, free = free[k], free[:k]
+		}
+		frontier = append(frontier, held{id: id, snap: m.n.SnapshotInto(h.snap), shad: m.saveShadow(h.shad), depth: depth})
+		res.PeakFrontier = max(res.PeakFrontier, len(frontier))
+		return id
 	}
-	fullAt[0] = m.fullyInjected()
-	res.States = 1
+
+	keyBuf = m.key(keyBuf)
+	discover(-1, Choice{}, 0)
 
 	// trace reconstructs the choice path from the root to state id.
 	trace := func(id int32) []Choice {
 		var out []Choice
 		for id > 0 {
-			out = append(out, edges[id].choice)
-			id = edges[id].parent
+			out = append(out, states[id].choice)
+			id = states[id].parent
 		}
 		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 			out[i], out[j] = out[j], out[i]
@@ -374,14 +406,14 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		return out
 	}
 
-	var choiceBuf []Choice
-	var keyBuf []byte
+	var enabled []Choice
 	for len(frontier) > 0 {
 		if opt.Budget > 0 && time.Since(start) > opt.Budget {
 			return finish(Exhausted, fmt.Sprintf("wall-clock budget %v exhausted at %d states", opt.Budget, res.States))
 		}
 		// Pop breadth-first: counterexamples come out minimal-depth.
 		cur := frontier[0]
+		frontier[0] = held{}
 		frontier = frontier[1:]
 		if cur.depth >= opt.MaxDepth {
 			return finish(Exhausted, fmt.Sprintf("depth bound %d reached at %d states", opt.MaxDepth, res.States))
@@ -390,8 +422,7 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		// The enabled set derives from the shadow alone, so the parent
 		// network state only needs restoring per applied choice.
 		m.restoreShadow(cur.shad)
-		choiceBuf = m.choices(choiceBuf)
-		enabled := append([]Choice{}, choiceBuf...)
+		enabled = m.choices(enabled)
 
 		for _, c := range enabled {
 			m.n.Restore(cur.snap)
@@ -400,35 +431,24 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 			res.Transitions++
 
 			keyBuf = m.key(keyBuf)
-			k := string(keyBuf)
-			id, seen := visited[k]
+			// The conversion in the index expression does not allocate;
+			// only a new state's key is materialised, in discover.
+			id, seen := visited[string(keyBuf)]
 			if !seen {
-				id = int32(len(edges))
-				visited[k] = id
-				edges = append(edges, edge{parent: cur.id, choice: c})
-				res.States++
+				id = discover(cur.id, c, cur.depth+1)
 				if d := cur.depth + 1; d > res.Deepest {
 					res.Deepest = d
-				}
-				fullAt[id] = m.fullyInjected()
-				if m.terminal() {
-					terminalAt[id] = true
-					res.Terminals++
-				} else {
-					frontier = append(frontier, frontierEntry{
-						id: id, snap: m.n.Snapshot(), shad: m.saveShadow(), depth: cur.depth + 1,
-					})
 				}
 				if res.States > opt.MaxStates {
 					return finish(Exhausted, fmt.Sprintf("state bound %d exceeded", opt.MaxStates))
 				}
 			}
 			if c.Op == OpTick {
-				tickSucc[cur.id] = id
+				states[cur.id].tickSucc = id
 				// A tick self-loop on a fully-injected, non-terminal
 				// state is the classical deadlock: no transition
 				// remains that could change anything.
-				if id == cur.id && fullAt[cur.id] {
+				if id == cur.id && states[cur.id].full {
 					res.Counterexample = append(trace(cur.id), Choice{Op: OpTick})
 					return finish(Deadlocked, fmt.Sprintf(
 						"quiescent state with %d/%d packets delivered and %d flits in flight",
@@ -436,6 +456,7 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 				}
 			}
 		}
+		free = append(free, cur)
 	}
 
 	// The space is exhausted. Every fully-injected state's tick chain
@@ -446,15 +467,16 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, len(edges))
-	for id := range edges {
-		if !fullAt[int32(id)] {
+	color := make([]uint8, len(states))
+	var chain []int32
+	for id := range states {
+		if !states[id].full {
 			continue
 		}
-		var chain []int32
+		chain = chain[:0]
 		at := int32(id)
 		for {
-			if terminalAt[at] || color[at] == black {
+			if states[at].terminal || color[at] == black {
 				break
 			}
 			if color[at] == gray {
@@ -476,13 +498,12 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 			}
 			color[at] = gray
 			chain = append(chain, at)
-			next, ok := tickSucc[at]
-			if !ok {
+			at = states[at].tickSucc
+			if at < 0 {
 				// Unexpanded (can only happen under a bound that was
 				// already reported); treat as unknown-safe.
 				break
 			}
-			at = next
 		}
 		for _, s := range chain {
 			color[s] = black

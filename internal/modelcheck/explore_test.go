@@ -7,6 +7,69 @@ import (
 	"gonoc/internal/noc"
 )
 
+// goldenGraph pins the explored graph, not just the verdict, of all 22
+// scenarios of the 2x2 mesh and torus single-fault sweeps without
+// retransmission (393,984 states in total): generated from the commit
+// before snapshot recycling and dense explorer bookkeeping went in, so
+// any change to Explore, Snapshot/Restore or the canonical encoding
+// that merges, splits, loses or reorders states fails here even when
+// every verdict still reads PROVED.
+var goldenGraph = map[string]struct{ states, transitions, terminals, deepest, expected int }{
+	"ring-2x2":                {27224, 34834, 15, 17, 4},
+	"ring-2x2/link-0-E":       {33596, 43581, 20, 24, 4},
+	"ring-2x2/link-0-S":       {27224, 34834, 15, 17, 4},
+	"ring-2x2/link-1-S":       {27224, 34834, 15, 17, 4},
+	"ring-2x2/link-2-E":       {24896, 33207, 12, 28, 4},
+	"ring-2x2/router-0":       {990, 1692, 8, 17, 2},
+	"ring-2x2/router-1":       {940, 1640, 8, 17, 2},
+	"ring-2x2/router-2":       {1275, 2178, 11, 17, 2},
+	"ring-2x2/router-3":       {1319, 2233, 11, 17, 2},
+	"ring-2x2-torus":          {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-0-E": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-0-S": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-1-E": {27102, 34684, 22, 22, 4},
+	"ring-2x2-torus/link-1-S": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-2-E": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-2-S": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/link-3-E": {27102, 34684, 22, 22, 4},
+	"ring-2x2-torus/link-3-S": {27224, 34834, 15, 17, 4},
+	"ring-2x2-torus/router-0": {990, 1692, 8, 17, 2},
+	"ring-2x2-torus/router-1": {940, 1640, 8, 17, 2},
+	"ring-2x2-torus/router-2": {1275, 2178, 11, 17, 2},
+	"ring-2x2-torus/router-3": {1319, 2233, 11, 17, 2},
+}
+
+// checkGolden compares one sweep result with its goldenGraph row.
+func checkGolden(t *testing.T, res Result) {
+	t.Helper()
+	want, ok := goldenGraph[res.Scenario.Name]
+	if !ok {
+		t.Errorf("%s: no golden row", res.Scenario.Name)
+		return
+	}
+	got := want
+	got.states, got.transitions, got.terminals = res.States, res.Transitions, res.Terminals
+	got.deepest, got.expected = res.Deepest, res.Expected
+	if got != want {
+		t.Errorf("%s: explored graph %+v, golden %+v", res.Scenario.Name, got, want)
+	}
+	if res.PeakFrontier < 1 || res.PeakFrontier >= res.States {
+		t.Errorf("%s: implausible peak frontier %d for %d states", res.Scenario.Name, res.PeakFrontier, res.States)
+	}
+}
+
+// TestGoldenGraphTable guards the table itself: 22 rows summing to the
+// state count the benchmark's check_2x2 workload reports at full scale.
+func TestGoldenGraphTable(t *testing.T) {
+	total := 0
+	for _, g := range goldenGraph {
+		total += g.states
+	}
+	if len(goldenGraph) != 22 || total != 393984 {
+		t.Errorf("golden table has %d rows and %d states, want 22 and 393984", len(goldenGraph), total)
+	}
+}
+
 // TestExploreRing2x2FaultFree exhausts the fault-free 2x2 ring and
 // requires a proof: every interleaving of the four injections with
 // ticking delivers all four packets and drains.
@@ -84,6 +147,7 @@ func TestExploreRing2x2TorusSingleFaultSweep(t *testing.T) {
 			if res.Verdict != Proved {
 				t.Fatalf("verdict %v, want PROVED: %s\n%s", res.Verdict, res.Detail, FormatCounterexample(res))
 			}
+			checkGolden(t, res)
 			t.Logf("%s: %d states, expected %d, %v", sc.Name, res.States, res.Expected, res.Elapsed)
 		})
 	}
@@ -174,8 +238,11 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 	if res.Verdict != Deadlocked {
 		t.Fatalf("verdict %v, want DEADLOCK (detail: %s)", res.Verdict, res.Detail)
 	}
-	if len(res.Counterexample) == 0 {
-		t.Fatal("deadlock verdict without a counterexample trace")
+	// Breadth-first exploration returns a minimal-depth counterexample;
+	// the length and graph size are the parent commit's.
+	if len(res.Counterexample) != 14 || res.States != 56 || res.Transitions != 131 {
+		t.Fatalf("counterexample of %d choices after %d states and %d transitions, want 14, 56 and 131:\n%v",
+			len(res.Counterexample), res.States, res.Transitions, res.Counterexample)
 	}
 
 	// The counterexample must be genuine: replaying it from scratch
@@ -218,6 +285,7 @@ func TestCheckMeshSweep(t *testing.T) {
 		if r.Verdict != Proved {
 			t.Errorf("%s: %v (%s)", r.Scenario.Name, r.Verdict, r.Detail)
 		}
+		checkGolden(t, r)
 	}
 	if out := FormatResults(results); !strings.Contains(out, "PROVED") {
 		t.Errorf("formatted sweep lacks verdicts:\n%s", out)
@@ -293,4 +361,20 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Explore(sc, Options{}); err == nil {
 		t.Error("out-of-range sabotage node accepted")
 	}
+}
+
+// BenchmarkExplore times the fault-free 2x2 proof, the unit the
+// benchmark's check_2x2 workload repeats: B/op over 34,834 transitions
+// is the heap cost of one explored transition.
+func BenchmarkExplore(b *testing.B) {
+	b.ReportAllocs()
+	var states int
+	for i := 0; i < b.N; i++ {
+		res, err := Explore(Ring(2, 2), Options{})
+		if err != nil || res.Verdict != Proved {
+			b.Fatalf("verdict %v, err %v", res.Verdict, err)
+		}
+		states += res.States
+	}
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }

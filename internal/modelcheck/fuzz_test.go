@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"gonoc/internal/noc"
 	"gonoc/internal/rng"
 )
 
@@ -44,6 +45,10 @@ func FuzzModelCheckConformance(f *testing.F) {
 		r := rng.New(seed)
 		var trace []Choice
 		var buf []Choice
+		// One snapshot and one shadow, refilled every step as Explore
+		// refills a recycled frontier entry's.
+		var snap *noc.Snapshot
+		var shad shadow
 		for i := 0; i < int(steps)%64; i++ {
 			buf = a.choices(buf)
 			c := buf[r.Intn(len(buf))]
@@ -53,8 +58,8 @@ func FuzzModelCheckConformance(f *testing.F) {
 			// the restored state must be canonically identical to the
 			// live one.
 			before := append([]byte(nil), a.key(nil)...)
-			snap := a.n.Snapshot()
-			shad := a.saveShadow()
+			snap = a.n.SnapshotInto(snap)
+			shad = a.saveShadow(shad)
 			a.n.Step() // perturb
 			a.n.Restore(snap)
 			a.restoreShadow(shad)

@@ -78,7 +78,7 @@ func MonteCarlo(sc Scenario, opt MCOptions) (MCResult, error) {
 	defer m.Close()
 
 	root := m.n.Snapshot()
-	rootShadow := m.saveShadow()
+	rootShadow := m.saveShadow(shadow{})
 	r := rng.New(opt.Seed)
 	res := MCResult{Scenario: sc, Walks: opt.Walks, Delta: opt.Delta}
 	var stepSum float64

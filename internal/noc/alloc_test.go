@@ -3,7 +3,9 @@ package noc
 import (
 	"testing"
 
+	"gonoc/internal/flit"
 	"gonoc/internal/router"
+	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
 )
 
@@ -73,6 +75,92 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				t.Fatal("network drained during measurement; the window no longer covers the hot path")
 			}
 		})
+	}
+}
+
+// countClones returns how many flits and distinct packets the network
+// holds at a step boundary: what one Snapshot or Restore has to clone.
+func countClones(n *Network) (flits, pkts int) {
+	seen := map[*flit.Packet]bool{}
+	add := func(f *flit.Flit) {
+		flits++
+		seen[f.Pkt] = true
+	}
+	for id, r := range n.routers {
+		cfg := r.Config()
+		for p := 0; p < cfg.Ports; p++ {
+			for v := 0; v < cfg.VCs; v++ {
+				for _, f := range r.InputVC(topology.Port(p), v).Flits() {
+					add(f)
+				}
+			}
+		}
+		for _, fl := range n.nis[id].active {
+			for _, f := range fl {
+				add(f)
+			}
+		}
+		for _, q := range n.nis[id].queues {
+			for _, p := range q {
+				seen[p] = true
+			}
+		}
+		for _, w := range n.inFlits[id] {
+			add(w.F)
+		}
+	}
+	return flits, len(seen)
+}
+
+// TestModelCheckTransitionAllocs pins the memory contract of the model
+// checker's inner loop — restore a held snapshot, step, save the new
+// state into recycled storage — on a loaded 2x2 network. Restore and
+// SnapshotInto each allocate exactly one object per flit and per packet
+// they clone (a few hundred bytes here) and nothing else: no slices, no
+// maps, no collector. The step in between allocates only the
+// copy-on-write of the short histogram arrays an ejection touches. The
+// parent of this contract allocated about 48 KB per transition.
+func TestModelCheckTransitionAllocs(t *testing.T) {
+	src := traffic.NewSynthetic(4, 0.4, traffic.Uniform(4), traffic.Bimodal(1, 5, 0.6), 17)
+	src.StopAt(100)
+	rc := router.DefaultConfig()
+	rc.FaultTolerant = true
+	n, err := New(Config{Width: 2, Height: 2, Router: rc, Workers: 1}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.Run(100)
+	for i := 0; !n.InjectionIdle(); i++ {
+		if i == 2000 {
+			t.Fatal("injection backlog did not flush")
+		}
+		n.Step()
+	}
+	flits, pkts := countClones(n)
+	if flits < 4 || pkts < 2 {
+		t.Fatalf("only %d flits of %d packets in flight; nothing loaded to measure", flits, pkts)
+	}
+	clones := float64(flits + pkts)
+	t.Logf("%d flits of %d packets held: %d objects per Restore and per recycled SnapshotInto", flits, pkts, flits+pkts)
+
+	snap := n.Snapshot()
+	spare := n.Snapshot()
+	if got := testing.AllocsPerRun(50, func() { n.Restore(snap) }); got != clones {
+		t.Errorf("Restore allocates %.0f objects, want the %d flit + %d packet clones alone", got, flits, pkts)
+	}
+	if got := testing.AllocsPerRun(50, func() { spare = n.SnapshotInto(spare) }); got != clones {
+		t.Errorf("SnapshotInto recycled storage allocates %.0f objects, want the %d flit + %d packet clones alone", got, flits, pkts)
+	}
+	// lat, net and one class histogram per ejecting class, each at most
+	// once per restore.
+	const histograms = 2 + flit.NumClasses
+	got := testing.AllocsPerRun(50, func() {
+		n.Restore(snap)
+		n.Step()
+	})
+	if got < clones || got > clones+histograms {
+		t.Errorf("Restore+Step allocates %.0f objects, want %.0f clones plus at most %d histogram copies", got, clones, histograms)
 	}
 }
 

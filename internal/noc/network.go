@@ -187,7 +187,7 @@ type Network struct {
 	traffic Traffic
 	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because statistics never feed arbitration
 	stats *stats.Collector
-	cycle   sim.Cycle //noc:committed
+	cycle sim.Cycle //noc:committed
 	//noc:committed
 	//noc:derived saved and restored, but excluded from the canonical encoding like the packet IDs it mints: bookkeeping identity, never behaviour
 	nextID uint64
@@ -230,8 +230,8 @@ type Network struct {
 	// marked); routerDead marks completely failed routers. routes is the
 	// fault-aware routing table, nil while the network is fault-free —
 	// routing is then the exact XY baseline.
-	linkDead   [][]bool    //noc:committed
-	routerDead []bool      //noc:committed
+	linkDead   [][]bool //noc:committed
+	routerDead []bool   //noc:committed
 	//noc:committed
 	//noc:derived recomputed on restore: rebuildRoutes reconstructs it from linkDead/routerDead, which the snapshot covers
 	routes *routeTable
@@ -244,8 +244,8 @@ type Network struct {
 	// linkDrop bits: while any packet is mid-discard the link commit
 	// must stay serial, because discarding synthesizes credits for
 	// other nodes' latches.
-	midFlight       [][][]bool //noc:committed
-	linkDrop        [][][]bool //noc:committed
+	midFlight [][][]bool //noc:committed
+	linkDrop  [][][]bool //noc:committed
 	//noc:committed
 	//noc:derived excluded from the canonical encoding: it is the count of set linkDrop bits, which are encoded
 	linkDropsActive int
@@ -258,6 +258,14 @@ type Network struct {
 	delivered []map[int]*seqWindow //noc:committed
 	//noc:derived immutable configuration, resolved from cfg.Retx at construction
 	retxCfg RetxConfig
+
+	// cl is the flit/packet cloner Snapshot and Restore share, reset at
+	// the start of each.
+	cl *cloner //noc:derived snapshot/restore scratch, empty of meaning between calls
+	// canonSrcs and canonSeen are AppendCanonical's buffers for sorting
+	// the duplicate-suppression windows' map keys.
+	canonSrcs []int    //noc:derived canonical-encoding scratch, empty of meaning between calls
+	canonSeen []uint64 //noc:derived canonical-encoding scratch, empty of meaning between calls
 
 	// workers is the resolved parallel-phase shard count (>= 1); pool is
 	// the persistent worker pool, started lazily on the first parallel
@@ -366,6 +374,7 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		ports:   ports,
 		traffic: traffic,
 		stats:   stats.NewCollector(cfg.Warmup),
+		cl:      newCloner(),
 		workers: workers,
 		retxCfg: cfg.Retx.withDefaults(),
 	}

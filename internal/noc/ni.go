@@ -34,6 +34,11 @@ type NI struct {
 	// sendScan rotates the VC served first, for fairness.
 	sendScan int
 
+	// queueBuf and activeBuf keep whole the backing arrays restoreNI
+	// refills queues and active from; nil until the first restore.
+	queueBuf  [][]*flit.Packet //noc:derived restore scratch: storage only, its contents are queues'
+	activeBuf [][]*flit.Flit   //noc:derived restore scratch: storage only, its contents are active's
+
 	// eject assembles arriving packets; flits of a packet arrive in
 	// order, so we only track the count per packet.
 	//noc:derived immutable wiring, fixed at construction

@@ -2,8 +2,9 @@ package noc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
@@ -36,12 +37,23 @@ func appB(b []byte, v bool) []byte {
 // commit phase — and all in-flight traffic lives in the network's
 // inbound latches (inFlits/inCredits/inNICredits), which the snapshot
 // captures.
+//
+// Both directions are on the model checker's per-transition path, so
+// both overwrite storage in place: SnapshotInto fills a snapshot the
+// caller is finished with, Restore fills the network's own slices, maps
+// and collector, and what either allocates in the steady state is the
+// flit and packet clones alone (TestModelCheckTransitionAllocs).
 
 // Snapshot is a deep, self-contained copy of a Network's mutable state.
 // It holds no aliases into the live network: packets and flits are
 // cloned with identity preserved (all flits of one packet share one
 // cloned *Packet), so a snapshot can be restored any number of times.
 type Snapshot struct {
+	// shape is the dimensions of the network the snapshot was taken
+	// from: the only networks Restore accepts it on, and the only ones
+	// SnapshotInto reuses its storage for.
+	shape snapShape
+
 	cycle  sim.Cycle
 	nextID uint64
 
@@ -67,6 +79,13 @@ type Snapshot struct {
 	stats *stats.Collector
 }
 
+// snapShape is what every slice length in a Snapshot derives from.
+type snapShape struct{ nodes, ports, vcs, classes int }
+
+func (n *Network) shape() snapShape {
+	return snapShape{nodes: len(n.routers), ports: n.ports, vcs: n.cfg.Router.VCs, classes: n.cfg.Router.Classes}
+}
+
 // niState is the saved form of one network interface.
 type niState struct {
 	queues    [][]*flit.Packet
@@ -80,14 +99,26 @@ type niState struct {
 // cloner deep-copies flits and packets with identity preservation: every
 // distinct live *Packet maps to exactly one clone, so the flits of a
 // packet split between an NI and router buffers still share their
-// packet after a round trip.
+// packet after a round trip. A network owns one and resets it for each
+// Snapshot or Restore, so neither rebuilds the maps.
 type cloner struct {
 	pkts  map[*flit.Packet]*flit.Packet
 	flits map[*flit.Flit]*flit.Flit
+	// flitFn is the flit method bound once, for core's SaveStateInto
+	// and RestoreState.
+	flitFn func(*flit.Flit) *flit.Flit
 }
 
 func newCloner() *cloner {
-	return &cloner{pkts: map[*flit.Packet]*flit.Packet{}, flits: map[*flit.Flit]*flit.Flit{}}
+	c := &cloner{pkts: map[*flit.Packet]*flit.Packet{}, flits: map[*flit.Flit]*flit.Flit{}}
+	c.flitFn = c.flit
+	return c
+}
+
+func (c *cloner) reset() *cloner {
+	clear(c.pkts)
+	clear(c.flits)
+	return c
 }
 
 func (c *cloner) pkt(p *flit.Packet) *flit.Packet {
@@ -117,117 +148,162 @@ func (c *cloner) flit(f *flit.Flit) *flit.Flit {
 
 // Snapshot captures the network's complete mutable state. The receiver
 // is unchanged; the returned snapshot shares nothing with it.
-func (n *Network) Snapshot() *Snapshot {
-	cl := newCloner()
-	nodes := len(n.routers)
-	s := &Snapshot{
-		cycle:  n.cycle,
-		nextID: n.nextID,
+func (n *Network) Snapshot() *Snapshot { return n.SnapshotInto(nil) }
 
-		routers: make([]*core.RouterState, nodes),
-		nis:     make([]niState, nodes),
-
-		inFlits:     make([][]router.InFlit, nodes),
-		inCredits:   make([][]core.CreditIn, nodes),
-		inNICredits: make([][]router.Credit, nodes),
-
-		linkFlits: make([][]uint64, nodes),
-
-		linkDead:        make([][]bool, nodes),
-		routerDead:      append([]bool(nil), n.routerDead...),
-		midFlight:       make([][][]bool, nodes),
-		linkDrop:        make([][][]bool, nodes),
-		linkDropsActive: n.linkDropsActive,
-
-		seqNext:   append([]uint64(nil), n.seqNext...),
-		retx:      make([][]retxEntry, nodes),
-		delivered: make([]map[int]*seqWindow, nodes),
-
-		stats: n.stats.Clone(),
+// SnapshotInto is Snapshot writing into old's storage: every field of
+// old is overwritten and old is returned, so a caller that takes many
+// snapshots and is finished with some — the model checker, once a
+// frontier state is fully expanded — pays for the flit and packet
+// clones only. The caller must own old outright: whatever it held is
+// gone. Restore never consumes a snapshot, so handing storage back is
+// always the caller's decision. A nil old, or one taken from a network
+// of another shape (node, port, VC or class count), is left untouched
+// and a fresh snapshot is returned instead.
+func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
+	s := old
+	if sh := n.shape(); s == nil || s.shape != sh {
+		s = newSnapshot(sh)
 	}
-	for id := 0; id < nodes; id++ {
-		s.routers[id] = n.routers[id].SaveState(cl.flit)
-		s.nis[id] = saveNI(n.nis[id], cl)
+	cl := n.cl.reset()
+	s.cycle = n.cycle
+	s.nextID = n.nextID
+	s.linkDropsActive = n.linkDropsActive
+	copy(s.routerDead, n.routerDead)
+	copy(s.seqNext, n.seqNext)
+	s.stats.CopyFrom(n.stats)
+	for id := range n.routers {
+		s.routers[id] = n.routers[id].SaveStateInto(s.routers[id], cl.flitFn)
+		saveNI(&s.nis[id], n.nis[id], cl)
 
-		fl := make([]router.InFlit, len(n.inFlits[id]))
-		for i, w := range n.inFlits[id] {
-			fl[i] = router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)}
+		fl := s.inFlits[id][:0]
+		for _, w := range n.inFlits[id] {
+			fl = append(fl, router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)})
 		}
 		s.inFlits[id] = fl
-		s.inCredits[id] = append([]core.CreditIn(nil), n.inCredits[id]...)
-		s.inNICredits[id] = append([]router.Credit(nil), n.inNICredits[id]...)
+		s.inCredits[id] = append(s.inCredits[id][:0], n.inCredits[id]...)
+		s.inNICredits[id] = append(s.inNICredits[id][:0], n.inNICredits[id]...)
 
-		s.linkFlits[id] = append([]uint64(nil), n.linkFlits[id]...)
-		s.linkDead[id] = append([]bool(nil), n.linkDead[id]...)
-		s.midFlight[id] = copyBoolGrid(n.midFlight[id])
-		s.linkDrop[id] = copyBoolGrid(n.linkDrop[id])
-		s.retx[id] = append([]retxEntry(nil), n.retx[id]...)
-		s.delivered[id] = copyWindows(n.delivered[id])
+		copy(s.linkFlits[id], n.linkFlits[id])
+		copy(s.linkDead[id], n.linkDead[id])
+		for p := range s.midFlight[id] {
+			copy(s.midFlight[id][p], n.midFlight[id][p])
+			copy(s.linkDrop[id][p], n.linkDrop[id][p])
+		}
+		s.retx[id] = append(s.retx[id][:0], n.retx[id]...)
+		s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
 	}
 	return s
 }
 
-func copyBoolGrid(g [][]bool) [][]bool {
-	out := make([][]bool, len(g))
-	for i, row := range g {
-		out[i] = append([]bool(nil), row...)
+// newSnapshot allocates the storage of a snapshot of the given shape.
+// It sets no values: SnapshotInto writes every field of a fresh
+// snapshot and of a recycled one through the same assignments.
+func newSnapshot(sh snapShape) *Snapshot {
+	s := &Snapshot{
+		shape: sh,
+
+		routers: make([]*core.RouterState, sh.nodes),
+		nis:     make([]niState, sh.nodes),
+
+		inFlits:     make([][]router.InFlit, sh.nodes),
+		inCredits:   make([][]core.CreditIn, sh.nodes),
+		inNICredits: make([][]router.Credit, sh.nodes),
+
+		linkFlits: makeGrid[uint64](sh.nodes, sh.ports),
+
+		linkDead:   makeGrid[bool](sh.nodes, sh.ports),
+		routerDead: make([]bool, sh.nodes),
+		midFlight:  make([][][]bool, sh.nodes),
+		linkDrop:   make([][][]bool, sh.nodes),
+
+		seqNext:   make([]uint64, sh.nodes),
+		retx:      make([][]retxEntry, sh.nodes),
+		delivered: make([]map[int]*seqWindow, sh.nodes),
+
+		stats: new(stats.Collector),
 	}
-	return out
+	mid := makeGrid[bool](sh.nodes*sh.ports, sh.vcs)
+	drop := makeGrid[bool](sh.nodes*sh.ports, sh.vcs)
+	queues := make([][]*flit.Packet, sh.nodes*sh.classes)
+	active := make([][]*flit.Flit, sh.nodes*sh.vcs)
+	busy := makeGrid[bool](sh.nodes, sh.vcs)
+	credits := makeGrid[int](sh.nodes, sh.vcs)
+	for id := range s.nis {
+		s.midFlight[id] = mid[id*sh.ports : (id+1)*sh.ports]
+		s.linkDrop[id] = drop[id*sh.ports : (id+1)*sh.ports]
+		s.nis[id] = niState{
+			queues:  queues[id*sh.classes : (id+1)*sh.classes],
+			active:  active[id*sh.vcs : (id+1)*sh.vcs],
+			vcBusy:  busy[id],
+			credits: credits[id],
+		}
+	}
+	return s
 }
 
-func copyWindows(m map[int]*seqWindow) map[int]*seqWindow {
-	if m == nil {
-		return nil
+// makeGrid returns rows fixed-length rows of per elements carved from
+// one backing array.
+func makeGrid[T any](rows, per int) [][]T {
+	g := makeBuckets[T](rows, per)
+	for i := range g {
+		g[i] = g[i][:per]
 	}
-	out := make(map[int]*seqWindow, len(m))
+	return g
+}
+
+// copyWindows returns an independent copy of src to replace dst. Without
+// retransmission both are always empty and nothing is allocated.
+func copyWindows(dst, src map[int]*seqWindow) map[int]*seqWindow {
+	if len(src) == 0 {
+		clear(dst)
+		return dst
+	}
+	out := make(map[int]*seqWindow, len(src))
 	//nocvet:ignore determinism map-to-map copy; result order-independent
-	for src, w := range m {
+	for from, w := range src {
 		seen := make(map[uint64]bool, len(w.seen))
 		//nocvet:ignore determinism map-to-map copy; result order-independent
 		for k, v := range w.seen {
 			seen[k] = v
 		}
-		out[src] = &seqWindow{floor: w.floor, seen: seen}
+		out[from] = &seqWindow{floor: w.floor, seen: seen}
 	}
 	return out
 }
 
-func saveNI(ni *NI, cl *cloner) niState {
-	s := niState{
-		queues:    make([][]*flit.Packet, len(ni.queues)),
-		active:    make([][]*flit.Flit, len(ni.active)),
-		activeVCs: ni.activeVCs,
-		vcBusy:    append([]bool(nil), ni.vcBusy...),
-		credits:   append([]int(nil), ni.credits...),
-		sendScan:  ni.sendScan,
-	}
+func saveNI(s *niState, ni *NI, cl *cloner) {
+	s.activeVCs = ni.activeVCs
+	s.sendScan = ni.sendScan
+	copy(s.vcBusy, ni.vcBusy)
+	copy(s.credits, ni.credits)
 	for cls, q := range ni.queues {
-		qs := make([]*flit.Packet, len(q))
-		for i, p := range q {
-			qs[i] = cl.pkt(p)
+		qs := s.queues[cls][:0]
+		for _, p := range q {
+			qs = append(qs, cl.pkt(p))
 		}
 		s.queues[cls] = qs
 	}
 	for v, fl := range ni.active {
-		if len(fl) == 0 {
-			continue
-		}
-		fs := make([]*flit.Flit, len(fl))
-		for i, f := range fl {
-			fs[i] = cl.flit(f)
+		fs := s.active[v][:0]
+		for _, f := range fl {
+			fs = append(fs, cl.flit(f))
 		}
 		s.active[v] = fs
 	}
-	return s
 }
 
 // Restore rewinds the network to a state captured by Snapshot. The
 // snapshot is re-cloned, not consumed: the same snapshot can be
-// restored again. Restore must be called at a step boundary, on the
-// same network (same configuration and topology) the snapshot came
-// from. Fault-aware routing tables are rebuilt from the restored
-// link/router fault sets.
+// restored again. Restore must be called at a step boundary, on a
+// network of the snapshot's shape and configuration (it panics on a
+// shape mismatch). The network's own storage is overwritten in place —
+// in particular the collector Stats returns stays the same object and
+// reads the restored values. Fault-aware routing tables are rebuilt
+// from the restored link/router fault sets.
 func (n *Network) Restore(s *Snapshot) {
+	if s.shape != n.shape() {
+		panic(fmt.Sprintf("noc: Restore: snapshot of a %+v network restored into a %+v one", s.shape, n.shape()))
+	}
 	// The fault-aware routing tables are a pure function of the link and
 	// router fault sets, so the rebuild at the end is only needed when
 	// the snapshot's fault sets differ from the network's current ones.
@@ -252,16 +328,16 @@ func (n *Network) Restore(s *Snapshot) {
 		}
 	}
 
-	cl := newCloner()
+	cl := n.cl.reset()
 	n.cycle = s.cycle
 	n.nextID = s.nextID
 	n.linkDropsActive = s.linkDropsActive
 	copy(n.routerDead, s.routerDead)
 	copy(n.seqNext, s.seqNext)
-	n.stats = s.stats.Clone()
+	n.stats.CopyFrom(s.stats)
 
 	for id := range n.routers {
-		n.routers[id].RestoreState(s.routers[id], cl.flit)
+		n.routers[id].RestoreState(s.routers[id], cl.flitFn)
 		restoreNI(n.nis[id], &s.nis[id], cl)
 
 		n.inFlits[id] = n.inFlits[id][:0]
@@ -279,7 +355,7 @@ func (n *Network) Restore(s *Snapshot) {
 			copy(n.linkDrop[id][p], s.linkDrop[id][p])
 		}
 		n.retx[id] = append(n.retx[id][:0], s.retx[id]...)
-		n.delivered[id] = copyWindows(s.delivered[id])
+		n.delivered[id] = copyWindows(n.delivered[id], s.delivered[id])
 
 		// Staged compute outputs alias router buffers that RestoreState
 		// just reset; drop the stale views.
@@ -299,18 +375,26 @@ func (n *Network) Restore(s *Snapshot) {
 	}
 }
 
+// restoreNI overwrites the NI's queues and in-progress packets in
+// place. The live slices are re-sliced forward by tick (and active
+// entries replaced by flit.Segment's), so the backing arrays restore
+// refills are kept whole in queueBuf/activeBuf and the live slices
+// re-pointed at them.
 func restoreNI(ni *NI, s *niState, cl *cloner) {
 	ni.activeVCs = s.activeVCs
 	ni.sendScan = s.sendScan
 	copy(ni.vcBusy, s.vcBusy)
 	copy(ni.credits, s.credits)
+	if ni.queueBuf == nil {
+		ni.queueBuf = make([][]*flit.Packet, len(ni.queues))
+		ni.activeBuf = make([][]*flit.Flit, len(ni.active))
+	}
 	for cls := range ni.queues {
-		// Fresh backing arrays: the live queues are re-sliced by
-		// Offer/tick, and restore is not a hot path.
-		q := make([]*flit.Packet, 0, len(s.queues[cls]))
+		q := ni.queueBuf[cls][:0]
 		for _, p := range s.queues[cls] {
 			q = append(q, cl.pkt(p))
 		}
+		ni.queueBuf[cls] = q
 		ni.queues[cls] = q
 	}
 	for v := range ni.active {
@@ -318,10 +402,11 @@ func restoreNI(ni *NI, s *niState, cl *cloner) {
 			ni.active[v] = nil
 			continue
 		}
-		fs := make([]*flit.Flit, 0, len(s.active[v]))
+		fs := ni.activeBuf[v][:0]
 		for _, f := range s.active[v] {
 			fs = append(fs, cl.flit(f))
 		}
+		ni.activeBuf[v] = fs
 		ni.active[v] = fs
 	}
 }
@@ -411,22 +496,24 @@ func (n *Network) appendCanonicalNI(b []byte, id int) []byte {
 
 func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte {
 	b = appI(b, len(m))
-	srcs := make([]int, 0, len(m))
+	srcs := n.canonSrcs[:0]
 	//nocvet:ignore determinism collected keys are sorted before use
 	for src := range m {
 		srcs = append(srcs, src)
 	}
-	sort.Ints(srcs)
+	slices.Sort(srcs)
+	n.canonSrcs = srcs
 	for _, src := range srcs {
 		w := m[src]
 		b = appI(b, src)
 		b = appU(b, w.floor)
-		seen := make([]uint64, 0, len(w.seen))
+		seen := n.canonSeen[:0]
 		//nocvet:ignore determinism collected keys are sorted before use
 		for s := range w.seen {
 			seen = append(seen, s)
 		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+		slices.Sort(seen)
+		n.canonSeen = seen
 		b = appI(b, len(seen))
 		for _, s := range seen {
 			b = appU(b, s)

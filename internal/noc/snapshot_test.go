@@ -104,9 +104,12 @@ func TestSnapshotRestoreUnderFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation asserts post-snapshot execution cannot corrupt
-// the snapshot: the canonical encoding captured at snapshot time is
-// reproduced exactly by restoring after the network has moved on.
+// TestSnapshotIsolation asserts nothing done after a snapshot can
+// corrupt it: neither stepping the live network (which mutates flits,
+// credits and arbiters in place, and writes histograms the snapshot
+// shares copy-on-write) nor refilling another snapshot's recycled
+// storage. The canonical encoding and the statistics captured at
+// snapshot time are reproduced exactly by a later restore.
 func TestSnapshotIsolation(t *testing.T) {
 	src := traffic.NewSynthetic(16, 0.1, traffic.Uniform(16), traffic.FixedSize(3), 5)
 	src.StopAt(80)
@@ -115,15 +118,218 @@ func TestSnapshotIsolation(t *testing.T) {
 	n.Run(90)
 
 	before := n.AppendCanonical(nil)
+	beforeStats := n.Stats().Summary()
 	snap := n.Snapshot()
-	n.Run(100) // mutate flits, credits, arbiters in place
+	spare := n.Snapshot()
+	n.Run(50)
+	spare = n.SnapshotInto(spare) // refill recycled storage while snap is held
+	mid := n.AppendCanonical(nil)
+	n.Run(50)
+	if ejected := n.Stats().Summary(); ejected == beforeStats {
+		t.Fatal("no ejection after the snapshot; the shared histograms were never written")
+	}
+
 	n.Restore(snap)
-	after := n.AppendCanonical(nil)
-	if !bytes.Equal(before, after) {
+	if after := n.AppendCanonical(nil); !bytes.Equal(before, after) {
 		t.Error("canonical state after restore differs from the state at snapshot time")
+	}
+	if got := n.Stats().Summary(); got != beforeStats {
+		t.Errorf("statistics after restore differ from those at snapshot time:\n--- snapshot ---\n%s--- restored ---\n%s", beforeStats, got)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Errorf("restored network violates invariants: %v", err)
+	}
+	n.Restore(spare)
+	if got := n.AppendCanonical(nil); !bytes.Equal(mid, got) {
+		t.Error("the refilled snapshot does not restore the state it was refilled with")
+	}
+}
+
+// load summarises how much a network state holds, so a test can assert
+// one state is strictly larger than another.
+type load struct{ inFlight, queued, retx int }
+
+func loadOf(n *noc.Network) load {
+	l := load{inFlight: int(n.Stats().InFlight()), retx: n.PendingRetx()}
+	for id := 0; id < n.Topo().Nodes(); id++ {
+		l.queued += n.NI(id).QueuedPackets()
+	}
+	return l
+}
+
+// TestSnapshotIntoRecycledEqualsFresh is the differential check on
+// snapshot recycling: a snapshot written into storage that previously
+// held a different, larger state — more buffered flits, longer NI
+// queues, and with retransmission armed a fuller retransmission buffer
+// and duplicate-suppression windows — must restore to exactly what a
+// fresh Snapshot of the same state restores to: the same canonical
+// bytes, state hash, statistics and 200-cycle continuation. Anything
+// the recycled path forgets to overwrite or truncate shows up here.
+func TestSnapshotIntoRecycledEqualsFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) *noc.Network
+		peak  sim.Cycle
+		retx  bool
+	}{
+		{name: "loaded-2x2", peak: 100, build: func(t *testing.T) *noc.Network {
+			src := traffic.NewSynthetic(4, 0.5, traffic.Uniform(4), traffic.Bimodal(1, 5, 0.6), 31)
+			src.StopAt(100)
+			return newFaultNet(t, 2, 2, noc.RetxConfig{}, 1, src)
+		}},
+		{name: "faulted-retx-4x4", peak: 200, retx: true, build: func(t *testing.T) *noc.Network {
+			src := traffic.NewSynthetic(16, 0.12, traffic.Uniform(16), traffic.FixedSize(2), 23)
+			src.StopAt(200)
+			n := newFaultNet(t, 4, 4, noc.RetxConfig{Timeout: 120, MaxRetries: 4}, 1, src)
+			n.AddHook(func(c sim.Cycle) {
+				if c == 50 {
+					if err := n.SetLinkFault(5, topology.East, true); err != nil {
+						t.Error(err)
+					}
+				}
+				if c == 90 {
+					if err := n.SetRouterFault(10, true); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			return n
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.build(t)
+			defer n.Close()
+			n.Run(tc.peak)
+			big := loadOf(n)
+			bigSnap := n.Snapshot()
+
+			// Drain towards a smaller state that still holds traffic.
+			for i := 0; ; i++ {
+				n.Step()
+				l := loadOf(n)
+				if l.queued == 0 && l.inFlight < big.inFlight/2 && (!tc.retx || l.retx < big.retx) {
+					break
+				}
+				if i == 2000 {
+					t.Fatalf("network never shrank below its peak load %+v (now %+v)", big, l)
+				}
+			}
+			small := loadOf(n)
+			if small.inFlight == 0 || big.queued == 0 || (tc.retx && big.retx == 0) {
+				t.Fatalf("case exercises nothing: peak %+v, snapshot state %+v", big, small)
+			}
+
+			fresh := n.Snapshot()
+			recycled := n.SnapshotInto(bigSnap)
+			if recycled != bigSnap {
+				t.Error("SnapshotInto did not reuse same-shape storage")
+			}
+			wantCanon := n.AppendCanonical(nil)
+			wantHash := n.StateHash()
+			wantStats := n.Stats().Summary()
+			want := trajectory(n, 200)
+			for _, snap := range []struct {
+				name string
+				s    *noc.Snapshot
+			}{{"fresh", fresh}, {"recycled", recycled}} {
+				n.Restore(snap.s)
+				if got := n.AppendCanonical(nil); !bytes.Equal(got, wantCanon) {
+					t.Errorf("%s: canonical bytes differ from the state snapshotted", snap.name)
+				}
+				if got := n.StateHash(); got != wantHash {
+					t.Errorf("%s: state hash %016x, want %016x", snap.name, got, wantHash)
+				}
+				if got := n.Stats().Summary(); got != wantStats {
+					t.Errorf("%s: statistics differ:\n--- want ---\n%s--- got ---\n%s", snap.name, wantStats, got)
+				}
+				if got := trajectory(n, 200); got != want {
+					t.Errorf("%s: continuation diverged:\n--- want ---\n%s--- got ---\n%s", snap.name, want, got)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotIntoIgnoresOtherShapes offers SnapshotInto storage taken
+// from networks of another node count and another VC and class count:
+// it must allocate afresh and leave the offered snapshot intact — never
+// panic, never half-overwrite it — and Restore must refuse a snapshot
+// of the wrong shape outright.
+func TestSnapshotIntoIgnoresOtherShapes(t *testing.T) {
+	src := traffic.NewSynthetic(16, 0.1, traffic.Uniform(16), traffic.FixedSize(3), 9)
+	src.StopAt(80)
+	donor := newFaultNet(t, 4, 4, noc.RetxConfig{Timeout: 200, MaxRetries: 2}, 1, src)
+	defer donor.Close()
+	donor.Run(60)
+	offered := donor.Snapshot()
+	donorCanon := donor.AppendCanonical(nil)
+	donor.Run(40)
+
+	slim := router.DefaultConfig()
+	slim.FaultTolerant = true
+	slim.VCs, slim.Classes = 2, 1
+	for _, tc := range []struct {
+		name string
+		cfg  noc.Config
+	}{
+		{"fewer-nodes", noc.Config{Width: 2, Height: 2, Router: donor.Router(0).Config(), Workers: 1}},
+		{"fewer-vcs", noc.Config{Width: 4, Height: 4, Router: slim, Workers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := tc.cfg.Width * tc.cfg.Height
+			tr := traffic.NewSynthetic(nodes, 0.1, traffic.Uniform(nodes), traffic.FixedSize(2), 3)
+			n := noc.MustNew(tc.cfg, tr)
+			defer n.Close()
+			n.Run(40)
+			canon := n.AppendCanonical(nil)
+			got := n.SnapshotInto(offered)
+			if got == offered {
+				t.Fatal("SnapshotInto reused storage of another shape")
+			}
+			n.Run(30)
+			n.Restore(got)
+			if !bytes.Equal(n.AppendCanonical(nil), canon) {
+				t.Error("the freshly allocated snapshot does not restore the state it was taken in")
+			}
+			donor.Restore(offered)
+			if !bytes.Equal(donor.AppendCanonical(nil), donorCanon) {
+				t.Error("the offered snapshot was modified although its shape did not fit")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Restore accepted a snapshot of another shape")
+				}
+			}()
+			n.Restore(offered)
+		})
+	}
+}
+
+// TestStatsPointerSurvivesRestore holds the collector Stats returned
+// across a Restore: it must be the network's collector still, reading
+// the restored values, not a stale object frozen at pre-restore ones.
+func TestStatsPointerSurvivesRestore(t *testing.T) {
+	src := traffic.NewSynthetic(16, 0.1, traffic.Uniform(16), traffic.FixedSize(2), 13)
+	n := newFaultNet(t, 4, 4, noc.RetxConfig{}, 1, src)
+	defer n.Close()
+	held := n.Stats()
+	n.Run(60)
+	snap := n.Snapshot()
+	want := held.Summary()
+	n.Run(60)
+	if held.Summary() == want {
+		t.Fatal("statistics did not move after the snapshot; case exercises nothing")
+	}
+	n.Restore(snap)
+	if n.Stats() != held {
+		t.Error("Restore replaced the network's collector")
+	}
+	if got := held.Summary(); got != want {
+		t.Errorf("held collector reads stale statistics after Restore:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	n.Run(10)
+	if held.Created() != n.Stats().Created() || held.Created() == 0 {
+		t.Error("held collector no longer follows the network")
 	}
 }
 

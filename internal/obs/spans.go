@@ -39,8 +39,8 @@ type SpanConfig struct {
 type HopSpan struct {
 	// Router is the node id; InPort and VC the input VC the packet
 	// occupied; Out and DownVC the output port and downstream VC it won.
-	Router     int
-	InPort, VC int
+	Router      int
+	InPort, VC  int
 	Out, DownVC int
 
 	// Arrive is the cycle the head's route was computed; VACycle the
@@ -57,10 +57,10 @@ type HopSpan struct {
 	// unit, stage-1 arbiter borrows and the cycles stalled waiting for a
 	// lender, grants issued by the SA bypass default winner, and flits
 	// detoured through the secondary crossbar path.
-	Duplicate     bool
-	Borrows       int
-	BorrowStalls  int
-	BypassGrants  int
+	Duplicate      bool
+	Borrows        int
+	BorrowStalls   int
+	BypassGrants   int
 	SecondaryFlits int
 
 	sawVA, sawSA bool
@@ -142,14 +142,14 @@ type SpanSet struct {
 
 // span is the mutable build-time form of PacketSpan.
 type span struct {
-	src           int
-	hops          []*HopSpan
-	orphan        bool
-	complete      bool
-	ejected       sim.Cycle
-	latency       sim.Cycle
-	offered       sim.Cycle
-	offerMatched  bool
+	src          int
+	hops         []*HopSpan
+	orphan       bool
+	complete     bool
+	ejected      sim.Cycle
+	latency      sim.Cycle
+	offered      sim.Cycle
+	offerMatched bool
 }
 
 type vcKey struct {
@@ -180,14 +180,14 @@ func BuildSpans(events []Event, cfg SpanConfig) SpanSet {
 	})
 
 	var (
-		set      SpanSet
-		open     = map[vcKey]*HopSpan{}
-		owner    = map[vcKey]*span{}
-		pending  = map[vcKey][]pendingHop{}
-		ejectQ   = map[int32][]*span{}
-		offers   = map[[2]int32][]sim.Cycle{}
-		spans    []*span
-		done     []*span
+		set     SpanSet
+		open    = map[vcKey]*HopSpan{}
+		owner   = map[vcKey]*span{}
+		pending = map[vcKey][]pendingHop{}
+		ejectQ  = map[int32][]*span{}
+		offers  = map[[2]int32][]sim.Cycle{}
+		spans   []*span
+		done    []*span
 	)
 
 	for _, e := range evs {

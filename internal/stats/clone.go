@@ -3,17 +3,24 @@ package stats
 // Clone returns an independent copy of the histogram. The bounds slice
 // is shared (it is read-only by contract); the counts buffer is shared
 // copy-on-write — both histograms are marked shared and the next write
-// to either copies first — so cloning is O(1), which the model
+// to either copies what exists of it first (512 bytes while the
+// histogram is still short) — so cloning is O(1), which the model
 // checker's snapshot-per-state exploration depends on. Clone of a nil
 // histogram returns nil, matching the collector's lazy histogram
 // allocation.
-func (h *Histogram) Clone() *Histogram {
+func (h *Histogram) Clone() *Histogram { return h.cloneInto(nil) }
+
+// cloneInto is Clone writing into dst's storage when dst is non-nil.
+func (h *Histogram) cloneInto(dst *Histogram) *Histogram {
 	if h == nil {
 		return nil
 	}
+	if dst == nil {
+		dst = new(Histogram)
+	}
 	h.shared = true
-	c := *h
-	return &c
+	*dst = *h
+	return dst
 }
 
 // Clone returns an independent deep copy of the collector, for
@@ -24,11 +31,22 @@ func (c *Collector) Clone() *Collector {
 	if c == nil {
 		return nil
 	}
-	cp := *c
-	cp.lat = c.lat.Clone()
-	cp.net = c.net.Clone()
-	for i := range c.classLat {
-		cp.classLat[i] = c.classLat[i].Clone()
+	cp := new(Collector)
+	cp.CopyFrom(c)
+	return cp
+}
+
+// CopyFrom overwrites c with an independent copy of src, as Clone
+// would produce, but in c's own storage: the collector and the
+// histogram structs it already holds are reused, so a pointer to c
+// obtained earlier reads the copied values. Snapshot recycling and
+// Network.Restore depend on it allocating nothing in the steady state.
+func (c *Collector) CopyFrom(src *Collector) {
+	lat, net, classLat := c.lat, c.net, c.classLat
+	*c = *src
+	c.lat = src.lat.cloneInto(lat)
+	c.net = src.net.cloneInto(net)
+	for i := range classLat {
+		c.classLat[i] = src.classLat[i].cloneInto(classLat[i])
 	}
-	return &cp
 }

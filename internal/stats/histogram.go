@@ -21,7 +21,12 @@ import (
 // (8 per octave, ≤ ~9% relative width) above it.
 type Histogram struct {
 	bounds []sim.Cycle // ascending inclusive upper bounds; shared, read-only
-	counts []uint64    // len(bounds)+1; the last bucket is overflow
+	// counts is indexed by bucket; bucket len(bounds) is overflow. It is
+	// small-first: nil until the first observation, shortBuckets long
+	// while every value has landed below that, and the full
+	// len(bounds)+1 from the first value that does not. Buckets past
+	// len(counts) read as zero.
+	counts []uint64
 	total  uint64
 	sum    uint64 // sum of observed values, in cycles
 	min    sim.Cycle
@@ -31,10 +36,28 @@ type Histogram struct {
 	shared bool
 }
 
-// own unshares the counts buffer before a write.
-func (h *Histogram) own() {
-	if h.shared {
-		h.counts = append([]uint64(nil), h.counts...)
+// shortBuckets is the length counts starts at. Model-check and
+// low-load latencies (a few tens of cycles) never leave it, so the
+// histograms a snapshot clones and a restore copies on write are 512
+// bytes, not the full 33 KB layout.
+const shortBuckets = 64
+
+// own makes counts privately owned and long enough to index bucket i,
+// before a write. It grows in two steps only — short, then straight to
+// the full layout — so a histogram's lifetime allocation is one full
+// array plus at most one short one however its values climb.
+func (h *Histogram) own(i int) {
+	n := len(h.counts)
+	if i >= n {
+		n = len(h.bounds) + 1
+		if i < shortBuckets && shortBuckets < n {
+			n = shortBuckets
+		}
+	}
+	if h.shared || n != len(h.counts) {
+		c := make([]uint64, n)
+		copy(c, h.counts)
+		h.counts = c
 		h.shared = false
 	}
 }
@@ -69,13 +92,16 @@ func NewHistogram(bounds []sim.Cycle) *Histogram {
 	if bounds == nil {
 		bounds = latencyBounds
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	return &Histogram{bounds: bounds}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v sim.Cycle) {
-	h.own()
-	h.counts[h.bucket(v)]++
+	i := h.bucket(v)
+	if h.shared || i >= len(h.counts) {
+		h.own(i)
+	}
+	h.counts[i]++
 	if h.total == 0 || v < h.min {
 		h.min = v
 	}
@@ -172,8 +198,8 @@ func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil || o.total == 0 {
 		return nil
 	}
-	if len(h.counts) != len(o.counts) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d buckets", len(h.counts), len(o.counts))
+	if len(h.bounds) != len(o.bounds) {
+		return fmt.Errorf("stats: merging histograms with %d vs %d buckets", len(h.bounds)+1, len(o.bounds)+1)
 	}
 	// Same backing array (the common shared-default-bounds case) needs no
 	// element scan; otherwise every bound must match.
@@ -185,7 +211,7 @@ func (h *Histogram) Merge(o *Histogram) error {
 			}
 		}
 	}
-	h.own()
+	h.own(len(o.counts) - 1)
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}

@@ -178,14 +178,17 @@ func (v *VC) Pop() *flit.Flit {
 // hold it across a Push/Pop.
 func (v *VC) Flits() []*flit.Flit { return v.buf }
 
-// SetFlits replaces the buffer contents with fs (front first), for
-// checkpoint/restore. It panics when fs exceeds the buffer depth. The
-// slice is copied; the caller keeps ownership of fs.
-func (v *VC) SetFlits(fs []*flit.Flit) {
+// SetFlits replaces the buffer contents with clone(f) for each f of fs
+// (front first), for checkpoint/restore. It panics when fs exceeds the
+// buffer depth. The caller keeps ownership of fs and its flits.
+func (v *VC) SetFlits(fs []*flit.Flit, clone func(*flit.Flit) *flit.Flit) {
 	if len(fs) > v.depth {
 		panic(fmt.Sprintf("vc: restoring %d flits into depth-%d VC %d", len(fs), v.depth, v.Index))
 	}
-	v.buf = append(v.buf[:0], fs...)
+	v.buf = v.buf[:0]
+	for _, f := range fs {
+		v.buf = append(v.buf, clone(f))
+	}
 }
 
 // ResetPacketState clears the allocation fields after a tail flit departs,
