@@ -36,9 +36,16 @@ func (n *Network) SetLinkFault(id int, p topology.Port, value bool) error {
 	if nb < 0 {
 		return fmt.Errorf("noc: router %d has no %v link in a %dx%d %s", id, p, w, h, n.topo.Kind())
 	}
+	if n.linkDead[id][p] == value {
+		return nil // already so: nothing to rebuild
+	}
+	if err := n.faultRoutable(value); err != nil {
+		return err
+	}
 	n.linkDead[id][p] = value
 	n.linkDead[nb][p.Opposite()] = value
-	return n.rebuildRoutes()
+	n.rebuildRoutes()
+	return nil
 }
 
 // SetRouterFault kills (value true) or repairs (value false) router id
@@ -49,8 +56,33 @@ func (n *Network) SetRouterFault(id int, value bool) error {
 	if id < 0 || id >= n.topo.Nodes() {
 		return fmt.Errorf("noc: router %d outside %dx%d %s", id, w, h, n.topo.Kind())
 	}
+	if n.routerDead[id] == value {
+		return nil // already so: nothing to rebuild
+	}
+	if err := n.faultRoutable(value); err != nil {
+		return err
+	}
 	n.routerDead[id] = value
-	return n.rebuildRoutes()
+	n.rebuildRoutes()
+	return nil
+}
+
+// faultRoutable reports, before any state is touched, why a kill cannot
+// be routed around: the two-layer tables need numLayers VCs in every
+// message class. Repairs always pass — faults already present were
+// checked when they were set.
+func (n *Network) faultRoutable(kill bool) error {
+	if !kill {
+		return nil
+	}
+	for cls := 0; cls < n.cfg.Router.Classes; cls++ {
+		lo, hi := n.cfg.Router.ClassRange(cls)
+		if hi-lo < numLayers {
+			return fmt.Errorf("noc: fault-aware routing needs >= %d VCs per message class (class %d has %d): raise VCs or lower Classes",
+				numLayers, cls, hi-lo)
+		}
+	}
+	return nil
 }
 
 // LinkFaulty reports whether the link leaving router id through port p
@@ -100,26 +132,16 @@ func (n *Network) anyNetworkFault() bool {
 // reverts to its baseline route computation (built-in XY on a mesh or
 // cmesh, the dateline torusRoute on a torus), keeping the fault-free
 // simulation bit-identical to the pre-fault-model baseline.
-func (n *Network) rebuildRoutes() error {
-	if !n.anyNetworkFault() {
-		n.routes = nil
-		for _, r := range n.routers {
-			r.SetRouteFn(n.baseRoute)
-		}
-		return nil
+func (n *Network) rebuildRoutes() {
+	n.routes = nil
+	route := n.baseRoute
+	if n.anyNetworkFault() {
+		n.routes = n.routeBuilder.build(n.topo, n.linkDead, n.routerDead)
+		route = n.routeFor
 	}
-	for cls := 0; cls < n.cfg.Router.Classes; cls++ {
-		lo, hi := n.cfg.Router.ClassRange(cls)
-		if hi-lo < numLayers {
-			return fmt.Errorf("noc: fault-aware routing needs >= %d VCs per message class (class %d has %d): raise VCs or lower Classes",
-				numLayers, cls, hi-lo)
-		}
-	}
-	n.routes = buildRoutes(n.topo, n.linkDead, n.routerDead)
 	for _, r := range n.routers {
-		r.SetRouteFn(n.routeFor)
+		r.SetRouteFn(route)
 	}
-	return nil
 }
 
 // routeFor is the core.RouteFn installed on every router while network

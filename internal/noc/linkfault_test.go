@@ -179,6 +179,88 @@ func TestSetFaultValidation(t *testing.T) {
 	}
 }
 
+// TestSetFaultErrorLeavesStateUntouched pins that a kill the network
+// cannot route around (one VC per message class, so no room for the two
+// routing layers) is refused before anything is written: the link and
+// router still report alive and the state hash has not moved. (A torus
+// needs the same two VCs per class for its dateline and refuses this
+// configuration at construction, so mesh and cmesh are the families
+// that can reach the error.)
+func TestSetFaultErrorLeavesStateUntouched(t *testing.T) {
+	rc := router.DefaultConfig()
+	rc.VCs = 2 // two classes -> one VC each
+	if _, err := noc.New(noc.Config{Width: 4, Height: 4, Topo: "torus", Router: rc}, nil); err == nil {
+		t.Error("torus built with one VC per class: add it to the families below")
+	}
+	for _, topo := range []string{"mesh", "cmesh"} {
+		n := noc.MustNew(noc.Config{Width: 4, Height: 4, Topo: topo, Conc: 2, Router: rc}, nil)
+		before := n.StateHash()
+		if err := n.SetLinkFault(5, topology.East, true); err == nil {
+			t.Errorf("%s: link kill accepted with one VC per class", topo)
+		}
+		if err := n.SetRouterFault(10, true); err == nil {
+			t.Errorf("%s: router kill accepted with one VC per class", topo)
+		}
+		if n.LinkFaulty(5, topology.East) || n.LinkFaulty(6, topology.West) {
+			t.Errorf("%s: rejected link kill left the link marked dead", topo)
+		}
+		if n.RouterFaulty(10) {
+			t.Errorf("%s: rejected router kill left the router marked dead", topo)
+		}
+		if after := n.StateHash(); after != before {
+			t.Errorf("%s: rejected kills moved the state hash %#x -> %#x", topo, before, after)
+		}
+		// Repairs change nothing here and need no layers: still accepted.
+		if err := n.SetLinkFault(5, topology.East, false); err != nil {
+			t.Errorf("%s: repair of a live link: %v", topo, err)
+		}
+		n.Close()
+	}
+}
+
+// TestRedundantFaultCallsChangeNothing pins that killing what is already
+// dead, or repairing what is alive, returns before any rebuild: no
+// allocation, and a run peppered with such calls every cycle ends in
+// the same state, with the same deliveries, as one without them.
+func TestRedundantFaultCallsChangeNothing(t *testing.T) {
+	const stop = 400
+	run := func(redundant bool) (uint64, uint64) {
+		src := traffic.NewSynthetic(16, 0.04, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 41)
+		src.StopAt(stop)
+		n := newFaultNet(t, 4, 4, noc.RetxConfig{Timeout: 250, MaxRetries: 5}, 1, src)
+		defer n.Close()
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(n.SetLinkFault(5, topology.East, true))
+		must(n.SetRouterFault(15, true))
+		again := func() {
+			must(n.SetLinkFault(5, topology.East, true))
+			must(n.SetLinkFault(6, topology.West, true)) // the same link, named from its other end
+			must(n.SetRouterFault(15, true))
+			must(n.SetLinkFault(9, topology.South, false))
+			must(n.SetRouterFault(0, false))
+		}
+		if redundant {
+			if got := testing.AllocsPerRun(10, again); got != 0 {
+				t.Errorf("redundant fault calls allocate %.0f times, want 0 (no rebuild)", got)
+			}
+			n.AddHook(func(sim.Cycle) { again() })
+		}
+		n.Run(stop)
+		if !n.Drain(stop + 60000) {
+			t.Fatalf("did not drain: %d in flight", n.Stats().InFlight())
+		}
+		return n.StateHash(), n.Stats().Ejected()
+	}
+	hash, ejected := run(false)
+	if h, e := run(true); h != hash || e != ejected {
+		t.Errorf("redundant fault calls changed the run: hash %#x -> %#x, ejected %d -> %d", hash, h, ejected, e)
+	}
+}
+
 // checkFullDelivery asserts the end-to-end reliability contract after a
 // drained run: every unique offered packet was delivered exactly once,
 // and every extra copy created by retransmission is accounted for as a

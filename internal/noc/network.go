@@ -235,6 +235,8 @@ type Network struct {
 	//noc:committed
 	//noc:derived recomputed on restore: rebuildRoutes reconstructs it from linkDead/routerDead, which the snapshot covers
 	routes *routeTable
+	//noc:derived scratch of rebuildRoutes, overwritten by every build and never read between them; no simulated state
+	routeBuilder routeBuilder
 
 	// Per-(node, output port, downstream VC) wormhole link state.
 	// midFlight marks a packet whose head crossed the link while it was

@@ -367,11 +367,7 @@ func (n *Network) Restore(s *Snapshot) {
 		// fault sets. rebuildRoutes reinstalls the topology's baseline
 		// RouteFn (nil for mesh/cmesh, the dateline torusRoute for a
 		// torus) when the restored state is fault free.
-		if err := n.rebuildRoutes(); err != nil {
-			// The snapshot came from a network that already routed this
-			// fault set, so rebuilding it cannot fail.
-			panic(err)
-		}
+		n.rebuildRoutes()
 	}
 }
 
