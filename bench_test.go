@@ -158,7 +158,7 @@ func benchNetwork(b *testing.B, ft bool, faults bool) {
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = ft
 	// Workers pinned to 1: these benchmarks track the serial per-step cost
-	// across revisions; parallel scaling is BenchmarkStep's job.
+	// across revisions; parallel scaling is internal/noc's BenchmarkStep.
 	src := traffic.NewSynthetic(64, 0.02, traffic.Uniform(64), traffic.Bimodal(1, 5, 0.6), 1)
 	n := noc.MustNew(noc.Config{Width: 8, Height: 8, Router: rc, Warmup: 0, Workers: 1}, src)
 	defer n.Close()
@@ -204,32 +204,6 @@ func benchNetworkObs(b *testing.B, trace bool, faults bool) {
 func BenchmarkNetworkStep_ObsCounters8x8(b *testing.B)    { benchNetworkObs(b, false, false) }
 func BenchmarkNetworkStep_ObsTrace8x8(b *testing.B)       { benchNetworkObs(b, true, false) }
 func BenchmarkNetworkStep_ObsTraceFaulty8x8(b *testing.B) { benchNetworkObs(b, true, true) }
-
-// BenchmarkStep measures the parallel scaling of the two-phase network
-// step: the same offered load at 1, 2, 4 and 8 compute-phase workers on
-// 4×4 and 8×8 meshes. The results are bit-identical at every worker
-// count (see internal/noc's conformance suite); only the wall clock
-// moves. Speedup over workers=1 is bounded by GOMAXPROCS — on a
-// single-core runner all counts perform alike.
-func BenchmarkStep(b *testing.B) {
-	for _, m := range []struct{ w, h int }{{4, 4}, {8, 8}} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("mesh=%dx%d/workers=%d", m.w, m.h, workers), func(b *testing.B) {
-				rc := router.DefaultConfig()
-				rc.FaultTolerant = true
-				nodes := m.w * m.h
-				src := traffic.NewSynthetic(nodes, 0.02, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), 1)
-				n := noc.MustNew(noc.Config{Width: m.w, Height: m.h, Router: rc, Workers: workers}, src)
-				defer n.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n.Step()
-				}
-				b.ReportMetric(float64(n.Stats().Ejected()), "pkts_delivered")
-			})
-		}
-	}
-}
 
 func BenchmarkFaultCampaignProposed(b *testing.B) {
 	rc := router.DefaultConfig()

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -80,5 +82,47 @@ func TestRetxTimeoutRejectsNegative(t *testing.T) {
 	err := fs.Parse([]string{"-retx-timeout", "-5"})
 	if err == nil || !strings.Contains(err.Error(), "invalid value") {
 		t.Fatalf("parsing -retx-timeout -5: want invalid-value error, got %v", err)
+	}
+}
+
+// TestCommandFlagValidation drives the commands themselves with flag
+// values that used to end in a goroutine trace (MustNew on a bad grid,
+// a trace naming nodes the grid lacks, a nil tracer, makeslice on a
+// negative trial count) or in silence (NaN statistics, an unknown suite
+// running nothing): each must come back as a one-line error.
+func TestCommandFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	// One packet between opposite corners of an 8x8 grid.
+	recorded := filepath.Join(dir, "8x8.csv")
+	if err := os.WriteFile(recorded, []byte("5,0,63,0,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		run     func([]string) error
+		args    []string
+		wantErr string
+	}{
+		{"record width 1", runRecord, []string{"-o", out, "-width", "1"}, "invalid 1x8 dimensions"},
+		{"replay width 0", runReplay, []string{"-i", recorded, "-width", "0"}, "invalid mesh 0x8"},
+		{"replay on a smaller grid", runReplay, []string{"-i", recorded, "-width", "4", "-height", "4"},
+			"outside the 4x4 mesh"},
+		{"trace events 0", runTrace, []string{"-o", out, "-events", "0"}, "-events must be >= 1"},
+		{"spans events 0", runSpans, []string{"-events", "0"}, "-events must be >= 1"},
+		{"campaign negative trials", runCampaign, []string{"-trials", "-5"}, "-trials must be >= 1"},
+		{"campaign zero trials", runCampaign, []string{"-trials", "0"}, "-trials must be >= 1"},
+		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(tc.args)
+			if err == nil {
+				t.Fatalf("want error containing %q, got nil", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("error %q is not a one-line message containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"gonoc/internal/obs"
 	"gonoc/internal/sim"
-	"gonoc/internal/topology"
 	"gonoc/internal/watchdog"
 )
 
@@ -31,13 +30,10 @@ func runFlightrec(args []string) error {
 	if *replay != "" {
 		return replayFlightDumps(*replay)
 	}
-	o := obs.New(1) // counters + flight recorder; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
-	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
+	o, err := sf.observer(recorders{flight: true, flightEvents: *events})
 	if err != nil {
 		return err
 	}
-	o.Flight = obs.NewFlightRecorder(topo.Nodes(), *events)
 	n, err := sf.build(o)
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
-	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/topology"
 )
@@ -29,14 +28,10 @@ func runHeatmap(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters + windows; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
-	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
+	o, err := sf.observer(recorders{windows: true, bucketCycles: sim.Cycle(*bucket), buckets: *windows})
 	if err != nil {
 		return err
 	}
-	rc := router.DefaultConfig()
-	o.Windows = obs.NewWindows(topo.Nodes(), rc.Ports, rc.VCs, sim.Cycle(*bucket), *windows)
 	n, err := sf.build(o)
 	if err != nil {
 		return err

@@ -15,7 +15,6 @@
 //	noctool flightrec         Simulate with the anomaly-triggered flight recorder
 //	noctool trace             Simulate and write a cycle-accurate event trace
 //	noctool ablation          Design-choice sweeps
-//	noctool bench             Step-loop scaling benchmark (BENCH_scaling.json)
 //	noctool record / replay   Record and replay offered-traffic traces
 //
 // The global -pprof flag (before the command) serves net/http/pprof for
@@ -34,7 +33,6 @@ import (
 	"gonoc/internal/fault"
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
-	"gonoc/internal/perf"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/telemetry"
@@ -98,8 +96,6 @@ func main() {
 		err = runTrace(args)
 	case "ablation":
 		err = runAblation(args)
-	case "bench":
-		err = runBench(args)
 	case "record":
 		err = runRecord(args)
 	case "replay":
@@ -146,9 +142,6 @@ commands:
   trace      run a simulation and write a cycle-accurate event trace
              (-format chrome opens in chrome://tracing or ui.perfetto.dev)
   ablation   design-choice sweeps (bypass rotation, VC count, secondary path)
-  bench      measure step-loop throughput and steady-state allocations
-             across mesh sizes, worker counts and topologies; -o writes
-             the BENCH_scaling.json snapshot (see BENCHMARKS.md)
   record     record a workload's offered packets to a trace file
   replay     replay a recorded trace (optionally with faults)
   check      exhaustively model-check a small mesh: prove deadlock
@@ -222,6 +215,9 @@ func runCampaign(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be >= 1, got %d", *trials)
+	}
 	var onTrial func(design string, done, total int)
 	if *telemetryAddr != "" {
 		srv := telemetry.NewServer(nil)
@@ -274,6 +270,9 @@ func runLatency(args []string) error {
 	measure := fs.Uint64("measure", 25000, "measured cycles after warmup")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *suite != "splash2" && *suite != "parsec" && *suite != "both" {
+		return fmt.Errorf("unknown suite %q (want splash2, parsec or both)", *suite)
 	}
 	cfg := experiments.DefaultLatencyConfig()
 	cfg.Seed = *seed
@@ -421,6 +420,67 @@ func (sf *simFlags) build(o *obs.Observer) (*noc.Network, error) {
 	return n, nil
 }
 
+// recorders selects what observer attaches beside the counter registry.
+type recorders struct {
+	windows      bool
+	bucketCycles sim.Cycle // windows: <= 0 selects the default
+	buckets      int       // windows: < 2 selects the default
+	flight       bool
+	flightEvents int // flight: <= 0 selects the default
+}
+
+// observer returns the observer of the counters-only commands: the
+// counter registry and no trace ring, plus the windowed utilization ring
+// and/or the flight recorder sized for the flag group's grid.
+func (sf *simFlags) observer(rec recorders) (*obs.Observer, error) {
+	o := obs.New(0)
+	if !rec.windows && !rec.flight {
+		return o, nil
+	}
+	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
+	if err != nil {
+		return nil, err
+	}
+	if rec.windows {
+		rc := router.DefaultConfig()
+		o.Windows = obs.NewWindows(topo.Nodes(), rc.Ports, rc.VCs, rec.bucketCycles, rec.buckets)
+	}
+	if rec.flight {
+		o.Flight = obs.NewFlightRecorder(topo.Nodes(), rec.flightEvents)
+	}
+	return o, nil
+}
+
+// runTraced builds the network with an events-deep trace ring and runs
+// it for -cycles, tracing only the measured window: the -warmup cycles
+// run with the tracer paused (warmup packets are excluded from the
+// latency statistics anyway). lost says what the output will lack when
+// the warmup swallows the whole run. The caller closes the network.
+func (sf *simFlags) runTraced(cmd string, events int, lost string) (*noc.Network, *obs.Observer, error) {
+	if events < 1 {
+		return nil, nil, fmt.Errorf("-events must be >= 1, got %d", events)
+	}
+	o := obs.New(events)
+	n, err := sf.build(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	warm := sim.Cycle(*sf.warmup)
+	total := sim.Cycle(*sf.cycles)
+	if warm >= total {
+		fmt.Fprintf(os.Stderr, "noctool %s: warmup (%d) covers the whole run (%d cycles); "+
+			"%s — lower -warmup or raise -cycles\n", cmd, warm, total, lost)
+		warm = total
+	}
+	if warm > 0 {
+		o.Tracer.SetEnabled(false)
+		n.Run(warm)
+		o.Tracer.SetEnabled(true)
+	}
+	n.Run(total - warm)
+	return n, o, nil
+}
+
 func runSim(args []string) error { return runSimReady(args, nil) }
 
 // runSimReady is runSim with a test hook: when -telemetry is set, onReady
@@ -434,19 +494,14 @@ func runSimReady(args []string, onReady func(net.Addr)) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// With telemetry on, the run is instrumented (counters plus the
-	// windowed link-utilization ring backing /heatmap — the trace ring
-	// stays minimal and disabled).
+	// With telemetry on, the run is instrumented: counters plus the
+	// windowed link-utilization ring backing /heatmap.
 	var o *obs.Observer
 	if *telemetryAddr != "" {
-		o = obs.New(1)
-		o.Tracer.SetEnabled(false)
-		topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
-		if err != nil {
+		var err error
+		if o, err = sf.observer(recorders{windows: true}); err != nil {
 			return err
 		}
-		rc := router.DefaultConfig()
-		o.Windows = obs.NewWindows(topo.Nodes(), rc.Ports, rc.VCs, obs.DefaultBucketCycles, obs.DefaultWindowBucket)
 	}
 	n, err := sf.build(o)
 	if err != nil {
@@ -523,14 +578,10 @@ func serveSim(args []string, onReady func(net.Addr), stop <-chan struct{}) error
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters + windows; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
-	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
+	o, err := sf.observer(recorders{windows: true})
 	if err != nil {
 		return err
 	}
-	rc := router.DefaultConfig()
-	o.Windows = obs.NewWindows(topo.Nodes(), rc.Ports, rc.VCs, obs.DefaultBucketCycles, obs.DefaultWindowBucket)
 	n, err := sf.build(o)
 	if err != nil {
 		return err
@@ -586,27 +637,11 @@ func runSpans(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(*events)
-	n, err := sf.build(o)
+	n, _, err := sf.runTraced("spans", *events, "no spans will be complete")
 	if err != nil {
 		return err
 	}
 	defer n.Close()
-	// Trace only the measured window, like runTrace: spans of warmup
-	// packets would be excluded from latency stats anyway.
-	warm := sim.Cycle(*sf.warmup)
-	total := sim.Cycle(*sf.cycles)
-	if warm >= total {
-		fmt.Fprintf(os.Stderr, "noctool spans: warmup (%d) covers the whole run (%d cycles); "+
-			"no spans will be complete — lower -warmup or raise -cycles\n", warm, total)
-		warm = total
-	}
-	if warm > 0 {
-		o.Tracer.SetEnabled(false)
-		n.Run(warm)
-		o.Tracer.SetEnabled(true)
-	}
-	n.Run(total - warm)
 	fmt.Print(obs.FormatSpans(n.Spans(), *top))
 	return nil
 }
@@ -619,8 +654,10 @@ func runMetrics(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters only; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
+	o, err := sf.observer(recorders{})
+	if err != nil {
+		return err
+	}
 	n, err := sf.build(o)
 	if err != nil {
 		return err
@@ -652,26 +689,11 @@ func runTrace(args []string) error {
 	if *format != "chrome" && *format != "jsonl" {
 		return fmt.Errorf("unknown format %q (want chrome or jsonl)", *format)
 	}
-	o := obs.New(*events)
-	n, err := sf.build(o)
+	n, o, err := sf.runTraced("trace", *events, "pipeline events will be missing")
 	if err != nil {
 		return err
 	}
 	defer n.Close()
-	// Trace only the measured window: warmup cycles run untraced.
-	warm := sim.Cycle(*sf.warmup)
-	total := sim.Cycle(*sf.cycles)
-	if warm >= total {
-		fmt.Fprintf(os.Stderr, "noctool trace: warmup (%d) covers the whole run (%d cycles); "+
-			"pipeline events will be missing — lower -warmup or raise -cycles\n", warm, total)
-		warm = total
-	}
-	if warm > 0 {
-		o.Tracer.SetEnabled(false)
-		n.Run(warm)
-		o.Tracer.SetEnabled(true)
-	}
-	n.Run(total - warm)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -718,7 +740,10 @@ func runRecord(args []string) error {
 	}
 	src := workloads.NewCoherence(prof, tp, *seed)
 	rec := tracefile.NewRecorder(src)
-	n := noc.MustNew(noc.Config{Width: *width, Height: *height, Topo: *topoFlag, Conc: *conc, Router: rc}, rec)
+	n, err := noc.New(noc.Config{Width: *width, Height: *height, Topo: *topoFlag, Conc: *conc, Router: rc}, rec)
+	if err != nil {
+		return err
+	}
 	defer n.Close()
 	n.Run(sim.Cycle(*cycles))
 	f, err := os.Create(*out)
@@ -754,9 +779,24 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
+	// A trace recorded on a larger grid names nodes this one lacks;
+	// replaying one would index past the mesh inside a worker goroutine.
+	tp, err := topology.New("mesh", *width, *height, 0)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.Src >= tp.Nodes() || e.Dst >= tp.Nodes() {
+			return fmt.Errorf("%s: packet %d->%d at cycle %d is outside the %dx%d mesh "+
+				"(-width/-height must match the recording)", *in, e.Src, e.Dst, e.Cycle, *width, *height)
+		}
+	}
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
-	n := noc.MustNew(noc.Config{Width: *width, Height: *height, Router: rc}, traffic.NewTrace(entries))
+	n, err := noc.New(noc.Config{Width: *width, Height: *height, Router: rc}, traffic.NewTrace(entries))
+	if err != nil {
+		return err
+	}
 	defer n.Close()
 	if *faultMean > 0 {
 		fault.NewInjector(n, sim.Cycle(*faultMean), *seed, true)
@@ -775,36 +815,6 @@ func runReplay(args []string) error {
 	st := n.Stats()
 	fmt.Printf("replayed %d packets, avg latency %.2f cycles (p95 %.0f)\n",
 		st.Ejected(), st.AvgLatency(), st.Percentile(95))
-	return nil
-}
-
-// runBench measures the step-loop scaling trajectory and optionally
-// writes the snapshot CI compares against (BENCH_scaling.json).
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	out := fs.String("o", "", "write the snapshot JSON here (e.g. BENCH_scaling.json); empty prints only")
-	quick := fs.Bool("quick", false, "run the short CI smoke trajectory instead of the full curve")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cases := perf.DefaultTrajectory()
-	if *quick {
-		cases = perf.QuickTrajectory()
-	}
-	fmt.Printf("%-18s %12s %16s %10s %10s\n", "case", "steps/s", "router-cyc/s", "allocs/op", "B/op")
-	snap, err := perf.Collect(cases, func(p perf.Point) {
-		fmt.Printf("%-18s %12.1f %16.0f %10.2f %10.1f\n",
-			p.Key(), p.StepsPerSec, p.RouterCyclesPerSec, p.AllocsPerStep, p.BytesPerStep)
-	})
-	if err != nil {
-		return err
-	}
-	if *out != "" {
-		if err := perf.WriteFile(*out, snap); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d points to %s\n", len(snap.Points), *out)
-	}
 	return nil
 }
 

@@ -13,8 +13,8 @@
 // The implementation lives under internal/, layered from primitives up
 // to experiments. Foundations:
 //
-//   - sim — the cycle kernel: the Cycle type, Ticker interface and the
-//     Kernel that advances registered components in deterministic order.
+//   - sim — the Cycle timestamp type; noc.Network.Step is what advances
+//     simulated time.
 //   - rng — splittable xoshiro256** streams; every random decision in
 //     the repository flows from an explicit seed.
 //   - flit — packets, flits and message classes (request/response), with
@@ -61,8 +61,6 @@
 //     -inject flag, and Monte-Carlo faults-to-failure campaigns.
 //   - watchdog — online detection: localizes stuck VCs to a suspected
 //     pipeline stage, the NoCAlert role of the paper's reference [18].
-//   - ecc — a SEC-DED Hamming codec modelling Vicis-style datapath
-//     protection for the comparison designs.
 //
 // Measurement and analysis:
 //

@@ -140,9 +140,6 @@ func (b *Bypassed) Usable() bool { return !b.Arb.Faulty() || !b.bypassFaulty }
 // InBypass reports whether grants are currently served by the bypass path.
 func (b *Bypassed) InBypass() bool { return b.Arb.Faulty() && !b.bypassFaulty }
 
-// DefaultWinner returns the input currently named by the bypass register.
-func (b *Bypassed) DefaultWinner() int { return b.defaultWinner }
-
 // BypassState returns the bypass register state: the current default
 // winner and the number of bypass grants since it last rotated. Paired
 // with SetBypassState for checkpoint/restore.
@@ -180,89 +177,4 @@ func (b *Bypassed) Grant(requests []bool) (winner int, ok bool) {
 		b.defaultWinner = (b.defaultWinner + 1) % b.Arb.Inputs()
 	}
 	return w, true
-}
-
-// Matrix is an n-input matrix arbiter: a triangular matrix of priority
-// bits in which w[i][j] set means input i beats input j. After a grant
-// the winner moves to lowest priority (least-recently-served policy),
-// giving stronger fairness than round-robin under asymmetric request
-// patterns. Matrix arbiters are the other standard NoC arbiter (Dally &
-// Towles §18.5); gonoc's allocators default to round-robin, and this
-// implementation exists for arbitration-policy experiments.
-type Matrix struct {
-	n      int
-	w      [][]bool // w[i][j], i < j: true ⇒ i beats j
-	faulty bool
-}
-
-// NewMatrix returns an n-input matrix arbiter with initial priority
-// 0 > 1 > ... > n-1. It panics if n < 1.
-func NewMatrix(n int) *Matrix {
-	if n < 1 {
-		panic(fmt.Sprintf("arbiter: invalid width %d", n))
-	}
-	m := &Matrix{n: n, w: make([][]bool, n)}
-	for i := range m.w {
-		m.w[i] = make([]bool, n)
-		for j := i + 1; j < n; j++ {
-			m.w[i][j] = true
-		}
-	}
-	return m
-}
-
-// Inputs returns the arbiter width.
-func (m *Matrix) Inputs() int { return m.n }
-
-// SetFaulty marks the arbiter permanently faulty.
-func (m *Matrix) SetFaulty(f bool) { m.faulty = f }
-
-// Faulty reports whether the arbiter is marked faulty.
-func (m *Matrix) Faulty() bool { return m.faulty }
-
-// beats reports whether input i currently has priority over input j.
-func (m *Matrix) beats(i, j int) bool {
-	if i < j {
-		return m.w[i][j]
-	}
-	return !m.w[j][i]
-}
-
-// Grant arbitrates among requests: the winner is the requesting input
-// that beats every other requesting input. A successful grant demotes
-// the winner below all other inputs.
-func (m *Matrix) Grant(requests []bool) (winner int, ok bool) {
-	if len(requests) != m.n {
-		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), m.n))
-	}
-	if m.faulty {
-		return -1, false
-	}
-	for i := 0; i < m.n; i++ {
-		if !requests[i] {
-			continue
-		}
-		wins := true
-		for j := 0; j < m.n && wins; j++ {
-			if j != i && requests[j] && !m.beats(i, j) {
-				wins = false
-			}
-		}
-		if !wins {
-			continue
-		}
-		// Demote the winner below everyone.
-		for j := 0; j < m.n; j++ {
-			if j == i {
-				continue
-			}
-			if i < j {
-				m.w[i][j] = false
-			} else {
-				m.w[j][i] = true
-			}
-		}
-		return i, true
-	}
-	return -1, false
 }

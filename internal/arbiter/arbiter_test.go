@@ -207,93 +207,3 @@ func TestNewBypassedPanics(t *testing.T) {
 	}()
 	NewBypassed(4, 0)
 }
-
-func TestMatrixSingleRequester(t *testing.T) {
-	m := NewMatrix(4)
-	w, ok := m.Grant([]bool{false, false, true, false})
-	if !ok || w != 2 {
-		t.Fatalf("Grant = (%d, %v)", w, ok)
-	}
-	if _, ok := m.Grant([]bool{false, false, false, false}); ok {
-		t.Fatal("granted with no requests")
-	}
-}
-
-func TestMatrixLeastRecentlyServed(t *testing.T) {
-	m := NewMatrix(3)
-	all := []bool{true, true, true}
-	var order []int
-	for i := 0; i < 6; i++ {
-		w, ok := m.Grant(all)
-		if !ok {
-			t.Fatal("grant failed")
-		}
-		order = append(order, w)
-	}
-	// LRS over persistent requesters cycles through all inputs.
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grant order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestMatrixFairnessAsymmetric(t *testing.T) {
-	// Input 2 requests every cycle, inputs 0 and 1 alternate; nobody may
-	// be starved and the always-on requester must not dominate unfairly.
-	m := NewMatrix(3)
-	wins := map[int]int{}
-	for c := 0; c < 300; c++ {
-		req := []bool{c%2 == 0, c%2 == 1, true}
-		if w, ok := m.Grant(req); ok {
-			wins[w]++
-		}
-	}
-	if wins[2] < 100 || wins[2] > 200 {
-		t.Fatalf("always-on requester won %d of 300", wins[2])
-	}
-	if wins[0] == 0 || wins[1] == 0 {
-		t.Fatalf("starvation: %v", wins)
-	}
-}
-
-func TestMatrixExactlyOneWinnerProperty(t *testing.T) {
-	m := NewMatrix(8)
-	f := func(mask uint8) bool {
-		req := make([]bool, 8)
-		any := false
-		for i := range req {
-			req[i] = mask&(1<<i) != 0
-			any = any || req[i]
-		}
-		w, ok := m.Grant(req)
-		if !any {
-			return !ok
-		}
-		return ok && req[w]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMatrixFaulty(t *testing.T) {
-	m := NewMatrix(2)
-	m.SetFaulty(true)
-	if !m.Faulty() {
-		t.Fatal("Faulty() false")
-	}
-	if _, ok := m.Grant([]bool{true, true}); ok {
-		t.Fatal("faulty matrix granted")
-	}
-}
-
-func TestNewMatrixPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMatrix(0) did not panic")
-		}
-	}()
-	NewMatrix(0)
-}

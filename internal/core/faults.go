@@ -16,8 +16,6 @@ const (
 	StageVA
 	StageSA
 	StageXB
-	// NumStages is the number of pipeline stages.
-	NumStages
 )
 
 // String implements fmt.Stringer.

@@ -41,7 +41,6 @@ var (
 // Baseline is the unprotected P×P crossbar: one pi:1 output multiplexer
 // per output port, a single path to each output.
 type Baseline struct {
-	p      int
 	faulty []bool // output mux Mk
 	inUse  []int  // input currently driving mux k this cycle, or -1
 }
@@ -51,13 +50,10 @@ func NewBaseline(p int) *Baseline {
 	if p < 2 {
 		panic(fmt.Sprintf("crossbar: invalid radix %d", p))
 	}
-	x := &Baseline{p: p, faulty: make([]bool, p), inUse: make([]int, p)}
+	x := &Baseline{faulty: make([]bool, p), inUse: make([]int, p)}
 	x.BeginCycle()
 	return x
 }
-
-// Ports returns the crossbar radix.
-func (x *Baseline) Ports() int { return x.p }
 
 // SetMuxFaulty marks output mux out permanently faulty.
 func (x *Baseline) SetMuxFaulty(out int, f bool) { x.faulty[out] = f }
@@ -115,9 +111,6 @@ func NewProtected(p int) *Protected {
 	x.BeginCycle()
 	return x
 }
-
-// Ports returns the crossbar radix.
-func (x *Protected) Ports() int { return x.p }
 
 // SecondaryOf returns the index of the pi:1 mux providing output out's
 // secondary path.

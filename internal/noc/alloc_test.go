@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonoc/internal/flit"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
@@ -14,7 +15,9 @@ import (
 // finished segmenting packets, while flits are still crossing the
 // network. Past that point the only work left is the steady-state hot
 // path — compute, local commit, link commit — which must not allocate.
-func steadyNetwork(t testing.TB, topo string, w, h, workers int) *Network {
+// With observed set, counters, the windowed utilization ring and the
+// flight recorder are all armed.
+func steadyNetwork(t testing.TB, topo string, w, h, workers int, observed bool) *Network {
 	t.Helper()
 	nodes := w * h
 	const stop = 400
@@ -22,6 +25,12 @@ func steadyNetwork(t testing.TB, topo string, w, h, workers int) *Network {
 	src.StopAt(stop)
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
+	if observed {
+		o := obs.New(0)
+		o.Windows = obs.NewWindows(nodes, rc.Ports, rc.VCs, obs.DefaultBucketCycles, obs.DefaultWindowBucket)
+		o.Flight = obs.NewFlightRecorder(nodes, obs.DefaultFlightEvents)
+		rc.Obs = o
+	}
 	n, err := New(Config{
 		Width: w, Height: h, Topo: topo,
 		Router: rc, Warmup: 50, Workers: workers,
@@ -50,7 +59,9 @@ func steadyNetwork(t testing.TB, topo string, w, h, workers int) *Network {
 
 // TestStepZeroAllocSteadyState pins the tentpole memory contract: once a
 // network is past its injection transient, Step allocates nothing — on a
-// 64x64 mesh and on the torus and cmesh families — so stepping large
+// 64x64 mesh, on the torus and cmesh families, with every observability
+// surface armed (handles are pre-bound and the rings pre-allocated) and
+// with the compute phase sharded across workers — so stepping large
 // meshes for millions of cycles puts no pressure on the garbage
 // collector. Any new per-tick allocation in the compute or commit path
 // fails this test.
@@ -58,15 +69,19 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	cases := []struct {
 		name, topo string
 		w, h       int
+		workers    int
+		observed   bool
 	}{
-		{"mesh-64x64", "", 64, 64},
-		{"torus-32x32", "torus", 32, 32},
-		{"cmesh-32x32", "cmesh", 32, 32},
+		{"mesh-64x64", "", 64, 64, 1, false},
+		{"torus-32x32", "torus", 32, 32, 1, false},
+		{"cmesh-32x32", "cmesh", 32, 32, 1, false},
+		{"mesh-16x16-obs-flight", "", 16, 16, 1, true},
+		{"torus-32x32-w4", "torus", 32, 32, 4, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			n := steadyNetwork(t, tc.topo, tc.w, tc.h, 1)
+			n := steadyNetwork(t, tc.topo, tc.w, tc.h, tc.workers, tc.observed)
 			defer n.Close()
 			if allocs := testing.AllocsPerRun(20, func() { n.Step() }); allocs != 0 {
 				t.Fatalf("steady-state Step allocates %.1f objects/op, want 0", allocs)

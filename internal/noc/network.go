@@ -30,8 +30,8 @@
 // # Memory discipline
 //
 // The steady-state Step path allocates nothing (pinned by
-// TestStepZeroAllocSteadyState and the benchmark smoke test; see
-// DESIGN.md). All per-cycle traffic flows through preallocated storage:
+// TestStepZeroAllocSteadyState; see DESIGN.md). All per-cycle traffic
+// flows through preallocated storage:
 // the inter-node latches are fixed-capacity buckets carved from
 // contiguous arenas, router output buffers are drained by handing the
 // caller the filled slice and retaining the backing array, and neighbour
@@ -905,8 +905,8 @@ func (n *Network) Drain(limit sim.Cycle) bool {
 // queues and finished streaming its active packets into the network.
 // Once the traffic source stops offering, an idle injection side means
 // flit segmentation — the one allocation left on the step path — is
-// over; the perf harness and the zero-alloc regression test use it to
-// find the steady-state measurement window.
+// over; the zero-alloc regression tests use it to find the steady-state
+// measurement window.
 func (n *Network) InjectionIdle() bool {
 	for _, ni := range n.nis {
 		if ni.QueuedPackets() > 0 || ni.Sending() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"gonoc/internal/sim"
 )
@@ -177,11 +178,13 @@ type Event struct {
 // most recent window — the part that explains the state the simulation
 // ended in. Emit is safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	total   uint64
-	enabled bool
+	// paused is read before mu is taken, so a paused tracer costs its
+	// emitters one atomic load and no lock traffic.
+	paused atomic.Bool
+	mu     sync.Mutex
+	ring   []Event
+	next   int
+	total  uint64
 }
 
 // NewTracer returns a tracer retaining the last capacity events
@@ -190,16 +193,15 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{ring: make([]Event, 0, capacity), enabled: true}
+	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
 // Emit appends an event to the ring.
 func (t *Tracer) Emit(e Event) {
-	t.mu.Lock()
-	if !t.enabled {
-		t.mu.Unlock()
+	if t.paused.Load() {
 		return
 	}
+	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
 	} else {
@@ -211,12 +213,9 @@ func (t *Tracer) Emit(e Event) {
 }
 
 // SetEnabled pauses (false) or resumes (true) event capture, so a warmup
-// window can be excluded from a trace.
-func (t *Tracer) SetEnabled(on bool) {
-	t.mu.Lock()
-	t.enabled = on
-	t.mu.Unlock()
-}
+// window can be excluded from a trace. It takes effect for emits that
+// start after it returns; call it between steps.
+func (t *Tracer) SetEnabled(on bool) { t.paused.Store(!on) }
 
 // Total returns how many events were emitted over the tracer's lifetime,
 // including any that have been overwritten.

@@ -61,9 +61,6 @@ func NewWindows(nodes, ports, vcs int, bucketCycles sim.Cycle, buckets int) *Win
 	}
 }
 
-// BucketCycles returns the bucket width in cycles.
-func (w *Windows) BucketCycles() sim.Cycle { return w.bucketCycles }
-
 // AddUtil records one flit carried by node's output link out on VC
 // vcIdx. Safe from the parallel compute/commit phases.
 func (w *Windows) AddUtil(node, out, vcIdx int) {

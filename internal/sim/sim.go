@@ -1,101 +1,13 @@
-// Package sim provides the cycle-driven simulation kernel.
+// Package sim defines the simulation clock.
 //
-// gonoc models hardware the way a synchronous RTL simulator does: the whole
-// system advances in lock-step cycles. Components implement Ticker and are
-// registered with a Kernel in evaluation order. Within one cycle every
-// component's Tick runs exactly once; components are responsible for
-// evaluating their internal pipeline stages in reverse order (see
-// internal/router) so that state written this cycle is observed next cycle.
-//
-// The kernel itself is single-threaded: determinism is a hard
-// requirement for reproducible experiments, and Tick runs in
-// registration order on the caller's goroutine. Parallelism lives in
-// two places above the kernel, both preserving bit-exact determinism:
-// internal/noc shards each cycle's compute phase across worker
-// goroutines behind a two-phase (compute, then commit) step, and
-// internal/sweep runs independent simulations concurrently.
+// gonoc models hardware the way a synchronous RTL simulator does: the
+// whole system advances in lock-step cycles, and every timestamp in the
+// repo is a Cycle. What steps the network is noc.Network.Step (with Run
+// and Drain on top of it): a two-phase cycle — compute, then commit —
+// whose compute phase may be sharded across worker goroutines with
+// bit-identical results. internal/sweep runs independent simulations
+// concurrently above that.
 package sim
-
-import "fmt"
 
 // Cycle is a simulation timestamp in clock cycles.
 type Cycle uint64
-
-// Ticker is a synchronous component evaluated once per cycle.
-type Ticker interface {
-	// Tick advances the component through cycle c.
-	Tick(c Cycle)
-}
-
-// TickFunc adapts a function to the Ticker interface.
-type TickFunc func(c Cycle)
-
-// Tick implements Ticker.
-func (f TickFunc) Tick(c Cycle) { f(c) }
-
-// Kernel drives a set of Tickers through simulated time.
-type Kernel struct {
-	now     Cycle
-	tickers []Ticker
-	names   []string
-}
-
-// NewKernel returns an empty kernel at cycle 0.
-func NewKernel() *Kernel { return &Kernel{} }
-
-// Register appends a component to the evaluation order. Components are
-// ticked in registration order every cycle; name is used in diagnostics.
-func (k *Kernel) Register(name string, t Ticker) {
-	if t == nil {
-		panic("sim: Register called with nil Ticker")
-	}
-	k.tickers = append(k.tickers, t)
-	k.names = append(k.names, name)
-}
-
-// Now returns the current cycle (the number of completed Step calls).
-func (k *Kernel) Now() Cycle { return k.now }
-
-// Step advances simulated time by one cycle, ticking every registered
-// component once in registration order.
-func (k *Kernel) Step() {
-	c := k.now
-	for _, t := range k.tickers {
-		t.Tick(c)
-	}
-	k.now++
-}
-
-// Run advances n cycles.
-func (k *Kernel) Run(n Cycle) {
-	for i := Cycle(0); i < n; i++ {
-		k.Step()
-	}
-}
-
-// RunUntil steps until done returns true or the cycle limit is reached. It
-// returns the cycle at which done first held and true, or the limit and
-// false if the limit was hit. done is evaluated before each step, so
-// RunUntil on an already-satisfied predicate performs no work.
-func (k *Kernel) RunUntil(done func() bool, limit Cycle) (Cycle, bool) {
-	for k.now < limit {
-		if done() {
-			return k.now, true
-		}
-		k.Step()
-	}
-	return k.now, done()
-}
-
-// Components returns the names of registered components in tick order,
-// for diagnostics.
-func (k *Kernel) Components() []string {
-	out := make([]string, len(k.names))
-	copy(out, k.names)
-	return out
-}
-
-// String implements fmt.Stringer.
-func (k *Kernel) String() string {
-	return fmt.Sprintf("sim.Kernel{cycle=%d, components=%d}", k.now, len(k.tickers))
-}

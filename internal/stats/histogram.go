@@ -82,12 +82,8 @@ var latencyBounds = func() []sim.Cycle {
 	return b
 }()
 
-// DefaultLatencyBounds returns the shared default bucket upper bounds.
-// The slice is read-only and must not be modified.
-func DefaultLatencyBounds() []sim.Cycle { return latencyBounds }
-
 // NewHistogram returns an empty histogram over bounds; nil bounds selects
-// DefaultLatencyBounds. bounds must be ascending.
+// the shared default latency bounds. bounds must be ascending.
 func NewHistogram(bounds []sim.Cycle) *Histogram {
 	if bounds == nil {
 		bounds = latencyBounds

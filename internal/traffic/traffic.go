@@ -141,7 +141,6 @@ type Synthetic struct {
 	rate    float64 // packets per node per cycle
 	dest    DestFn
 	size    SizeFn
-	class   flit.Class
 	burst   float64 // probability a packet is followed by a burst packet
 	stopAt  sim.Cycle
 	streams []*rng.Stream
@@ -170,9 +169,6 @@ func NewSynthetic(nodes int, rate float64, dest DestFn, size SizeFn, seed uint64
 	return s
 }
 
-// SetClass sets the message class of generated packets (default Request).
-func (s *Synthetic) SetClass(c flit.Class) { s.class = c }
-
 // SetBurstiness makes each packet trigger a follow-up packet next cycle
 // with probability p, modelling bursty application phases.
 func (s *Synthetic) SetBurstiness(p float64) { s.burst = p }
@@ -194,7 +190,7 @@ func (s *Synthetic) Offered(node int, c sim.Cycle) []*flit.Packet {
 	s.inBurst[node] = s.burst > 0 && r.Bernoulli(s.burst)
 	return []*flit.Packet{{
 		Dst:   s.dest(node, r),
-		Class: s.class,
+		Class: flit.Request,
 		Size:  s.size(r),
 	}}
 }
