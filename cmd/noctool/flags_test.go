@@ -98,6 +98,18 @@ func TestCommandFlagValidation(t *testing.T) {
 	if err := os.WriteFile(recorded, []byte("5,0,63,0,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Traces tracefile.Read used to load as valid (or, the last, to die
+	// segmenting): a sixth field, junk after the fifth, a 2e8-flit packet.
+	badTrace := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	sixth := badTrace("sixth.csv", "1,0,1,0,1,zzz\n")
+	trailing := badTrace("trailing.csv", "5,2,1,0,1 trailing\n")
+	huge := badTrace("huge.csv", "1,0,1,0,200000000\n")
 	cases := []struct {
 		name    string
 		run     func([]string) error
@@ -113,6 +125,14 @@ func TestCommandFlagValidation(t *testing.T) {
 		{"campaign negative trials", runCampaign, []string{"-trials", "-5"}, "-trials must be >= 1"},
 		{"campaign zero trials", runCampaign, []string{"-trials", "0"}, "-trials must be >= 1"},
 		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},
+		{"sim inject VC past the port's", runSim, []string{"-inject", "0:va1:n:9"}, "VC index 9 outside the port's 4 VCs"},
+		{"sim baseline inject rcdup", runSim, []string{"-baseline", "-inject", "0:rcdup:e"}, "no correction circuitry"},
+		{"sim baseline inject xbsec", runSim, []string{"-baseline", "-inject", "0:xbsec:e"}, "no correction circuitry"},
+		{"sim inject port past the router's", runSim, []string{"-inject", "0:rc:7"}, "port 7 outside the router's 5 ports"},
+		{"campaign inject VC past the port's", runCampaign, []string{"-inject", "0:va1:n:9"}, "VC index 9 outside the port's 4 VCs"},
+		{"replay sixth field", runReplay, []string{"-i", sixth}, "line 1: want cycle,src,dst,class,size, got 6 fields"},
+		{"replay trailing junk", runReplay, []string{"-i", trailing}, "line 1: "},
+		{"replay oversized packet", runReplay, []string{"-i", huge}, "packet size 200000000 above the 1024-flit limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -254,8 +254,9 @@ func TestSABypassTransfersIntoDefaultWinner(t *testing.T) {
 	if b.r.Counters.SATransfers != 1 {
 		t.Errorf("SATransfers = %d, want 1", b.r.Counters.SATransfers)
 	}
-	// Credits must be returned for the ORIGINAL VC (CreditHome), so the
-	// upstream's bookkeeping stays consistent.
+	// Credits must be returned for the ORIGINAL VC (the router adopts
+	// the packet where it sits instead of moving it), so the upstream's
+	// bookkeeping stays consistent.
 	for _, c := range b.credits {
 		if c.In == topology.West && c.VC != 1 {
 			t.Fatalf("credit returned for VC %d, want 1 (origin)", c.VC)

@@ -144,7 +144,7 @@ func (r *Router) drainStage() {
 			f := q.Pop()
 			r.outCredits = append(r.outCredits, router.Credit{
 				In:     topology.Port(p),
-				VC:     q.CreditHome,
+				VC:     q.Index,
 				VCFree: f.Kind.IsTail(),
 			})
 			if f.Kind.IsTail() {
@@ -549,7 +549,7 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		r.outFlits = append(r.outFlits, router.OutFlit{Out: g.outPort, DownVC: q.OutVC, F: f})
 		r.outCredits = append(r.outCredits, router.Credit{
 			In:     g.inPort,
-			VC:     q.CreditHome,
+			VC:     q.Index,
 			VCFree: f.Kind.IsTail(),
 		})
 		if f.Kind.IsTail() {

@@ -27,19 +27,18 @@ import (
 
 // vcState is the saved form of one input VC.
 type vcState struct {
-	flits      []*flit.Flit
-	g          vc.GState
-	r          topology.Port
-	outVC      int
-	r2         topology.Port
-	vf         bool
-	id         int
-	sp         topology.Port
-	fsp        bool
-	detour     bool
-	creditHome int
-	dvcLo      int
-	dvcHi      int
+	flits  []*flit.Flit
+	g      vc.GState
+	r      topology.Port
+	outVC  int
+	r2     topology.Port
+	vf     bool
+	id     int
+	sp     topology.Port
+	fsp    bool
+	detour bool
+	dvcLo  int
+	dvcHi  int
 }
 
 // RouterState is a deep copy of a Router's mutable architectural state
@@ -193,7 +192,6 @@ func saveVC(s *vcState, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) {
 	s.g, s.r, s.outVC = v.G, v.R, v.OutVC
 	s.r2, s.vf, s.id, s.sp, s.fsp = v.R2, v.VF, v.ID, v.SP, v.FSP
 	s.detour = v.Detour
-	s.creditHome = v.CreditHome
 	s.dvcLo, s.dvcHi = v.DvcLo, v.DvcHi
 }
 
@@ -253,7 +251,6 @@ func restoreVC(v *vc.VC, s *vcState, cloneFlit func(*flit.Flit) *flit.Flit) {
 	v.G, v.R, v.OutVC = s.g, s.r, s.outVC
 	v.R2, v.VF, v.ID, v.SP, v.FSP = s.r2, s.vf, s.id, s.sp, s.fsp
 	v.Detour = s.detour
-	v.CreditHome = s.creditHome
 	v.DvcLo, v.DvcHi = s.dvcLo, s.dvcHi
 }
 
@@ -309,7 +306,6 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			b = appB(b, ivc.FSP)
 			// Detour is observational only (stall attribution) and is
 			// excluded like the counters: it never feeds arbitration.
-			b = appI(b, ivc.CreditHome)
 			b = appI(b, ivc.DvcLo)
 			b = appI(b, ivc.DvcHi)
 			fs := ivc.Flits()

@@ -102,12 +102,14 @@ func ScenariosFromSpecs(list string) ([]Scenario, error) {
 // happens here, against the actual link table: an out-of-grid router
 // fails on any family, a link spec pointing off the mesh edge fails on
 // a mesh/cmesh, and the same spec on a torus validates because the edge
-// router's port carries a wrap link there.
+// router's port carries a wrap link there. In-router sites are checked
+// against the scenarios' router configuration (fault.Site.Check).
 func ValidateScenarios(cfg LinkFaultConfig, scenarios []Scenario) error {
 	topo, err := topology.New(cfg.Topo, cfg.Width, cfg.Height, cfg.Conc)
 	if err != nil {
 		return err
 	}
+	rc := scenarioRouter()
 	for _, sc := range scenarios {
 		ids, sites, err := fault.ParseInjections(strings.Join(sc.Specs, ","))
 		if err != nil {
@@ -117,6 +119,9 @@ func ValidateScenarios(cfg LinkFaultConfig, scenarios []Scenario) error {
 			if id < 0 || id >= topo.Nodes() {
 				return fmt.Errorf("experiments: scenario %q: router %d outside the %dx%d %s",
 					sc.Name, id, cfg.Width, cfg.Height, topo.Kind())
+			}
+			if err := sites[i].Check(rc); err != nil {
+				return fmt.Errorf("experiments: scenario %q: %w", sc.Name, err)
 			}
 			if sites[i].Kind == fault.LinkDead {
 				if _, ok := topo.Neighbor(id, sites[i].Port); !ok {
@@ -147,16 +152,22 @@ type LinkFaultPoint struct {
 	AvgLatency, P99 float64
 }
 
-// runScenario simulates one scenario to drain.
-func runScenario(sc Scenario, cfg LinkFaultConfig) LinkFaultPoint {
+// scenarioRouter is the router every scenario runs on: the paper's
+// protected router.
+func scenarioRouter() router.Config {
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
+	return rc
+}
+
+// runScenario simulates one scenario to drain.
+func runScenario(sc Scenario, cfg LinkFaultConfig) LinkFaultPoint {
 	nodes := cfg.Width * cfg.Height
 	src := traffic.NewSynthetic(nodes, cfg.Rate, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), cfg.Seed)
 	src.StopAt(cfg.Warmup + cfg.Measure)
 	n := noc.MustNew(noc.Config{
 		Width: cfg.Width, Height: cfg.Height, Topo: cfg.Topo, Conc: cfg.Conc,
-		Router: rc, Warmup: cfg.Warmup, Workers: 1, Retx: cfg.Retx,
+		Router: scenarioRouter(), Warmup: cfg.Warmup, Workers: 1, Retx: cfg.Retx,
 	}, src)
 	defer n.Close()
 	ids, sites, err := fault.ParseInjections(strings.Join(sc.Specs, ","))

@@ -106,35 +106,19 @@ func CampaignTable(trials int, seed uint64, workers int) []ftrouters.CampaignRes
 // callback may be invoked concurrently from the sweep workers; the
 // results are identical with or without it.
 func CampaignTableObserved(trials int, seed uint64, workers int, onTrial func(design string, done, total int)) []ftrouters.CampaignResult {
-	observe := func(design string) func(done, total int) {
-		if onTrial == nil {
-			return nil
-		}
-		return func(done, total int) { onTrial(design, done, total) }
+	cfg := router.DefaultConfig()
+	cfg.FaultTolerant = true
+	designs := []ftrouters.Design{
+		ftrouters.NewBulletProof(), ftrouters.NewVicis(), ftrouters.NewRoCo(),
+		fault.Proposed(cfg, fault.UniversePaper),
 	}
-	return sweep.Run(4, workers, func(i int) ftrouters.CampaignResult {
-		switch i {
-		case 0:
-			return ftrouters.FaultsToFailureObserved(ftrouters.NewBulletProof(), trials, seed, observe("BulletProof"))
-		case 1:
-			return ftrouters.FaultsToFailureObserved(ftrouters.NewVicis(), trials, seed, observe("Vicis"))
-		case 2:
-			return ftrouters.FaultsToFailureObserved(ftrouters.NewRoCo(), trials, seed, observe("RoCo"))
-		default:
-			cfg := router.DefaultConfig()
-			cfg.FaultTolerant = true
-			proposed := fault.FaultsToFailureObserved(cfg, trials, seed, fault.UniversePaper, observe("Proposed Router"))
-			return ftrouters.CampaignResult{
-				Design: "Proposed Router",
-				Trials: proposed.Trials,
-				Mean:   proposed.Mean,
-				Min:    proposed.Min,
-				Max:    proposed.Max,
-				P50:    proposed.P50,
-				P95:    proposed.P95,
-				P99:    proposed.P99,
-			}
+	return sweep.Run(len(designs), workers, func(i int) ftrouters.CampaignResult {
+		d := designs[i]
+		var observe func(done, total int)
+		if onTrial != nil {
+			observe = func(done, total int) { onTrial(d.Name(), done, total) }
 		}
+		return ftrouters.FaultsToFailureObserved(d, trials, seed, observe)
 	})
 }
 

@@ -1,30 +1,15 @@
 package fault
 
 import (
-	"math"
-
 	"gonoc/internal/core"
-	"gonoc/internal/rng"
+	"gonoc/internal/ftrouters"
 	"gonoc/internal/router"
-	"gonoc/internal/stats"
 	"gonoc/internal/topology"
 )
 
-// CampaignResult summarizes a Monte-Carlo faults-to-failure campaign.
-type CampaignResult struct {
-	// Trials is the number of independent fault sequences evaluated.
-	Trials int
-	// Mean is the average number of faults injected before the router
-	// first became non-functional (the fault that kills it included).
-	Mean float64
-	// Min and Max are the observed extremes.
-	Min, Max int
-	// StdDev is the sample standard deviation.
-	StdDev float64
-	// P50, P95 and P99 are nearest-rank percentiles of the per-trial
-	// fault counts.
-	P50, P95, P99 int
-}
+// CampaignResult summarizes a Monte-Carlo faults-to-failure campaign: the
+// one result type of the one trial loop, ftrouters.FaultsToFailureObserved.
+type CampaignResult = ftrouters.CampaignResult
 
 // Universe selects which fault sites a campaign draws from.
 type Universe int
@@ -59,11 +44,37 @@ func SitesIn(cfg router.Config, u Universe) []Site {
 	return out
 }
 
-// FaultsToFailure runs a Monte-Carlo campaign: in each trial a fresh
-// router accumulates uniformly ordered random faults until Functional()
-// first reports failure; the number of faults injected (inclusive) is the
-// trial's outcome. This is the experimental methodology BulletProof and
-// Vicis used for their Table III numbers, applied to our router.
+// Proposed presents the paper's router, as cfg describes it, to the
+// shared campaign loop as an ftrouters.Design named "Proposed Router": an
+// instance is a live core.Router (the centre of a 3x3 mesh) and site i is
+// the i-th entry of SitesIn(cfg, u).
+func Proposed(cfg router.Config, u Universe) ftrouters.Design {
+	return proposed{cfg: cfg, sites: SitesIn(cfg, u)}
+}
+
+type proposed struct {
+	cfg   router.Config
+	sites []Site
+}
+
+func (p proposed) Name() string  { return "Proposed Router" }
+func (p proposed) NumSites() int { return len(p.sites) }
+
+func (p proposed) NewInstance() ftrouters.Instance {
+	return proposedInstance{r: core.MustNew(4, topology.NewMesh(3, 3), p.cfg), sites: p.sites}
+}
+
+type proposedInstance struct {
+	r     *core.Router
+	sites []Site
+}
+
+func (pi proposedInstance) Inject(site int)  { Apply(pi.r, pi.sites[site], true) }
+func (pi proposedInstance) Functional() bool { return pi.r.Functional() }
+
+// FaultsToFailure runs the faults-to-failure campaign of
+// ftrouters.FaultsToFailure on the router cfg describes, drawing faults
+// from the sites of universe u.
 func FaultsToFailure(cfg router.Config, trials int, seed uint64, u Universe) CampaignResult {
 	return FaultsToFailureObserved(cfg, trials, seed, u, nil)
 }
@@ -74,45 +85,7 @@ func FaultsToFailure(cfg router.Config, trials int, seed uint64, u Universe) Cam
 // does not influence the result — both entry points are deterministic in
 // (cfg, trials, seed, u).
 func FaultsToFailureObserved(cfg router.Config, trials int, seed uint64, u Universe, onTrial func(done, total int)) CampaignResult {
-	mesh := topology.NewMesh(3, 3)
-	sites := SitesIn(cfg, u)
-	r := rng.New(seed)
-	res := CampaignResult{Trials: trials, Min: math.MaxInt}
-	counts := make([]int, 0, trials)
-	var sum, sumSq float64
-	for trial := 0; trial < trials; trial++ {
-		rt := core.MustNew(4, mesh, cfg)
-		order := r.Perm(len(sites))
-		count := 0
-		for _, idx := range order {
-			Apply(rt, sites[idx], true)
-			count++
-			if !rt.Functional() {
-				break
-			}
-		}
-		sum += float64(count)
-		sumSq += float64(count) * float64(count)
-		counts = append(counts, count)
-		if count < res.Min {
-			res.Min = count
-		}
-		if count > res.Max {
-			res.Max = count
-		}
-		if onTrial != nil {
-			onTrial(trial+1, trials)
-		}
-	}
-	res.Mean = sum / float64(trials)
-	varr := sumSq/float64(trials) - res.Mean*res.Mean
-	if varr > 0 {
-		res.StdDev = math.Sqrt(varr)
-	}
-	res.P50 = stats.IntPercentile(counts, 50)
-	res.P95 = stats.IntPercentile(counts, 95)
-	res.P99 = stats.IntPercentile(counts, 99)
-	return res
+	return ftrouters.FaultsToFailureObserved(Proposed(cfg, u), trials, seed, onTrial)
 }
 
 // TheoreticalBounds returns the paper's analytical (min, max) number of

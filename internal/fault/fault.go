@@ -119,6 +119,29 @@ func (s Site) String() string {
 	}
 }
 
+// Check reports why a router of configuration cfg has no site s, or nil
+// when it has one: the port must be one of the router's, the VC index of
+// a per-VC kind one of the port's, and a correction-circuitry kind needs
+// the protected router. Apply panics on a site that fails this, so every
+// path from user input (-inject specs) goes through Check first. The
+// network-level kinds always pass; SetLinkFault and SetRouterFault check
+// those against the link table.
+func (s Site) Check(cfg router.Config) error {
+	switch {
+	case s.Kind.Network():
+		return nil
+	case s.Kind < 0 || s.Kind >= numKinds:
+		return fmt.Errorf("fault: unknown kind %v", s.Kind)
+	case s.Port < 0 || int(s.Port) >= cfg.Ports:
+		return fmt.Errorf("fault: %v: port %d outside the router's %d ports", s.Kind, int(s.Port), cfg.Ports)
+	case perVC(s.Kind) && (s.Index < 0 || s.Index >= cfg.VCs):
+		return fmt.Errorf("fault: %v: VC index %d outside the port's %d VCs", s, s.Index, cfg.VCs)
+	case s.Kind.Correction() && !cfg.FaultTolerant:
+		return fmt.Errorf("fault: %v: the baseline router has no correction circuitry (needs the protected router)", s)
+	}
+	return nil
+}
+
 // Sites enumerates every fault site of a router with configuration cfg.
 // For the paper's protected 5-port, 4-VC router this yields 75 sites; the
 // baseline router (FaultTolerant false) has the 55 non-correction sites.

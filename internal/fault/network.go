@@ -11,7 +11,8 @@ import (
 // the network's link/router fault state — which activates fault-aware
 // routing and, for packets already heading into the failure, produces
 // link drops the NI retransmission layer recovers — and every in-router
-// kind falls through to Apply on the target router.
+// kind falls through to Apply on the target router, once Site.Check has
+// established that the router has such a site.
 func ApplyNetwork(n *noc.Network, routerID int, s Site, value bool) error {
 	topo := n.Topo()
 	if routerID < 0 || routerID >= topo.Nodes() {
@@ -24,7 +25,11 @@ func ApplyNetwork(n *noc.Network, routerID int, s Site, value bool) error {
 	case RouterDead:
 		return n.SetRouterFault(routerID, value)
 	default:
-		Apply(n.Router(routerID), s, value)
+		r := n.Router(routerID)
+		if err := s.Check(r.Config()); err != nil {
+			return err
+		}
+		Apply(r, s, value)
 		return nil
 	}
 }

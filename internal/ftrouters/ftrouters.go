@@ -21,14 +21,13 @@ import (
 	"gonoc/internal/stats"
 )
 
-// Design describes one fault-tolerant router design for campaign and SPF
-// purposes.
+// Design describes one fault-tolerant router design for campaign
+// purposes. The proposed router itself is one too (internal/fault wraps a
+// live core.Router), so every design runs through the one trial loop
+// below.
 type Design interface {
 	// Name returns the design's name as used in Table III.
 	Name() string
-	// AreaOverhead returns the fractional area cost of the design's
-	// protection (Table III's area column).
-	AreaOverhead() float64
 	// NumSites returns the number of distinct injectable fault sites.
 	NumSites() int
 	// NewInstance returns a fresh, fault-free instance.
@@ -46,18 +45,28 @@ type Instance interface {
 // CampaignResult summarizes a Monte-Carlo faults-to-failure campaign over
 // a Design.
 type CampaignResult struct {
+	// Design is the design's Name.
 	Design string
+	// Trials is the number of independent fault sequences evaluated.
 	Trials int
-	Mean   float64
-	Min    int
-	Max    int
+	// Mean is the average number of faults injected before the design
+	// first became non-functional (the fault that kills it included).
+	Mean float64
+	// Min and Max are the observed extremes.
+	Min, Max int
+	// StdDev is the population standard deviation of the per-trial
+	// fault counts.
+	StdDev float64
 	// P50, P95 and P99 are nearest-rank percentiles of the per-trial
 	// fault counts.
 	P50, P95, P99 int
 }
 
-// FaultsToFailure injects uniformly ordered random faults into fresh
-// instances until failure, over the given number of trials.
+// FaultsToFailure runs a Monte-Carlo campaign: in each trial a fresh
+// instance accumulates uniformly ordered random faults until Functional
+// first reports failure; the number of faults injected (inclusive) is the
+// trial's outcome. This is the experimental methodology BulletProof and
+// Vicis used for their Table III numbers.
 func FaultsToFailure(d Design, trials int, seed uint64) CampaignResult {
 	return FaultsToFailureObserved(d, trials, seed, nil)
 }
@@ -65,12 +74,12 @@ func FaultsToFailure(d Design, trials int, seed uint64) CampaignResult {
 // FaultsToFailureObserved is FaultsToFailure with a per-trial progress
 // callback (nil to disable): onTrial(done, total) runs after each trial,
 // for live campaign telemetry. The callback does not influence the
-// result.
+// result — both entry points are deterministic in (d, trials, seed).
 func FaultsToFailureObserved(d Design, trials int, seed uint64, onTrial func(done, total int)) CampaignResult {
 	r := rng.New(seed)
 	res := CampaignResult{Design: d.Name(), Trials: trials, Min: math.MaxInt}
 	counts := make([]int, 0, trials)
-	sum := 0
+	var sum, sumSq float64
 	for t := 0; t < trials; t++ {
 		inst := d.NewInstance()
 		order := r.Perm(d.NumSites())
@@ -82,7 +91,8 @@ func FaultsToFailureObserved(d Design, trials int, seed uint64, onTrial func(don
 				break
 			}
 		}
-		sum += count
+		sum += float64(count)
+		sumSq += float64(count) * float64(count)
 		counts = append(counts, count)
 		if count < res.Min {
 			res.Min = count
@@ -94,7 +104,10 @@ func FaultsToFailureObserved(d Design, trials int, seed uint64, onTrial func(don
 			onTrial(t+1, trials)
 		}
 	}
-	res.Mean = float64(sum) / float64(trials)
+	res.Mean = sum / float64(trials)
+	if variance := sumSq/float64(trials) - res.Mean*res.Mean; variance > 0 {
+		res.StdDev = math.Sqrt(variance)
+	}
 	res.P50 = stats.IntPercentile(counts, 50)
 	res.P95 = stats.IntPercentile(counts, 95)
 	res.P99 = stats.IntPercentile(counts, 99)
@@ -119,9 +132,6 @@ func NewBulletProof() *BulletProof { return &BulletProof{Groups: 3} }
 
 // Name implements Design.
 func (b *BulletProof) Name() string { return "BulletProof" }
-
-// AreaOverhead implements Design (Table III: 52%).
-func (b *BulletProof) AreaOverhead() float64 { return 0.52 }
 
 // NumSites implements Design: two copies per group.
 func (b *BulletProof) NumSites() int { return 2 * b.Groups }
@@ -168,9 +178,6 @@ func NewVicis() *Vicis { return &Vicis{ECCUnits: 30, XBMuxes: 5} }
 
 // Name implements Design.
 func (v *Vicis) Name() string { return "Vicis" }
-
-// AreaOverhead implements Design (Table III: 42%).
-func (v *Vicis) AreaOverhead() float64 { return 0.42 }
 
 // NumSites implements Design: two per ECC unit (datapath + its check
 // bits), the crossbar muxes and the bypass bus.
@@ -239,10 +246,6 @@ func NewRoCo() *RoCo { return &RoCo{TolerantPerHalf: 2, FragilePerHalf: 1} }
 
 // Name implements Design.
 func (rc *RoCo) Name() string { return "RoCo" }
-
-// AreaOverhead implements Design. The paper lists N/A; it uses 0 to bound
-// SPF from above (SPF < 5.5).
-func (rc *RoCo) AreaOverhead() float64 { return 0 }
 
 // NumSites implements Design.
 func (rc *RoCo) NumSites() int { return 2 * (2*rc.TolerantPerHalf + rc.FragilePerHalf) }

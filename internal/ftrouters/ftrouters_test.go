@@ -144,6 +144,16 @@ func TestCampaignDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("campaign not deterministic")
 	}
+	// Pinned to the seeded result from before the proposed router's loop
+	// was merged into this one.
+	if math.Abs(a.StdDev-3.969110227746261) > 1e-9 {
+		t.Errorf("StdDev = %v, want 3.969110227746261", a.StdDev)
+	}
+	a.StdDev = 0
+	want := CampaignResult{Design: "Vicis", Trials: 500, Mean: 9.358, Min: 2, Max: 22, P50: 9, P95: 16, P99: 20}
+	if a != want {
+		t.Errorf("seeded campaign moved:\n got %+v\nwant %+v", a, want)
+	}
 }
 
 // TestCampaignPercentilesAndProgress checks the percentile fields are

@@ -12,7 +12,7 @@ import (
 
 // Network-level faults (dead links and dead routers) and the end-to-end
 // retransmission layer that recovers from them. All the state mutated
-// here lives in the serial phases of Step (hooks, offer, commit), so
+// here lives in the serial phases of Step (hooks, offer, local commit), so
 // recovery is bit-exact for every Workers setting.
 
 // SetLinkFault kills (value true) or repairs (value false) the
@@ -145,7 +145,8 @@ func (n *Network) rebuildRoutes() {
 }
 
 // routeFor is the core.RouteFn installed on every router while network
-// faults are present: a table lookup keyed by (node, input port, layer),
+// faults are present (rebuildRoutes installs it only together with a
+// live table): a table lookup keyed by (node, input port, layer),
 // returning the output port and the downstream VC layer range.
 func (n *Network) routeFor(cur int, in topology.Port, vcIdx int, dst int) (topology.Port, int, int, bool) {
 	cfg := n.cfg.Router
@@ -153,18 +154,12 @@ func (n *Network) routeFor(cur int, in topology.Port, vcIdx int, dst int) (topol
 	if cur == dst {
 		return topology.Local, lo, hi, true
 	}
-	t := n.routes
-	if t == nil {
-		// Raced with a repair in a hook; cannot happen mid-phase, but
-		// fall back to the baseline route rather than panic.
-		return n.topo.Route(cur, dst), lo, hi, true
-	}
 	half := (hi - lo) / numLayers
 	layer := 0
 	if in != topology.Local && vcIdx >= lo+half {
 		layer = 1
 	}
-	e := t.lookup(dst, cur, in, layer)
+	e := n.routes.lookup(dst, cur, in, layer)
 	if e.out < 0 {
 		return topology.Local, 0, 0, false
 	}
@@ -174,24 +169,50 @@ func (n *Network) routeFor(cur int, in topology.Port, vcIdx int, dst int) (topol
 	return topology.Port(e.out), lo + half, hi, true
 }
 
-// deadLink reports whether the link leaving id through out carries
-// nothing this cycle. The routes-nil fast path keeps the fault-free
-// commit loop at one pointer test per flit.
-func (n *Network) deadLink(id int, out topology.Port) bool {
-	if n.routes == nil {
-		return false
-	}
-	return n.LinkFaulty(id, out)
-}
-
-// dropAtLink discards one flit at a dead link, synthesizing the upstream
-// credit the neighbor would have returned so the sender's flow control
+// discardAtLink decides whether the flit router id staged through network
+// port of.Out dies at that link, and if so discards it: a head meeting a
+// dead link takes its whole packet with it (recorded as one drop), while
+// a packet whose head crossed while the link was alive — midFlight —
+// completes gracefully, so the fault takes effect at packet granularity.
+// Each discarded flit synthesizes the credit the neighbour would have
+// returned, into the sender's own latch, so the sender's flow control
 // (and the network-wide credit-conservation invariant) stays exact.
+// Everything read and written here is indexed by the sender, which is why
+// this runs from the serial local commit and not from the receiver's
+// pull; credits are applied commutatively, so their order in the latch
+// is free.
 //
 //noc:commit-only
-func (n *Network) dropAtLink(id int, of router.OutFlit, _ sim.Cycle) {
+func (n *Network) discardAtLink(id int, of router.OutFlit, c sim.Cycle) bool {
+	link := id*n.ports + int(of.Out)
+	bit := uint64(1) << uint(of.DownVC)
+	switch {
+	case n.linkDrop[link]&bit != 0:
+		// Rest of a packet whose head was already discarded at this
+		// link: keep dropping (even if the link was repaired mid-packet —
+		// the neighbour never saw the head).
+		if of.F.Kind.IsTail() {
+			n.linkDrop[link] &^= bit
+		}
+	case n.routes != nil && n.midFlight[link]&bit == 0 && n.LinkFaulty(id, of.Out):
+		// routes is nil exactly while no link or router is dead, which
+		// keeps the fault-free commit at one load and one pointer test
+		// per flit.
+		if of.F.Kind.IsHead() {
+			n.stats.RecordDrop(of.F.Pkt)
+			if on := n.obsNodes[id]; on != nil {
+				on.LinkDrop(c, int(of.Out), of.F.Pkt.Dst)
+			}
+		}
+		if !of.F.Kind.IsTail() {
+			n.linkDrop[link] |= bit
+		}
+	default:
+		return false
+	}
 	n.inCredits[id] = append(n.inCredits[id],
 		core.CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
+	return true
 }
 
 // dropIfUnreachable drops a freshly offered packet whose destination no

@@ -17,15 +17,16 @@
 // independent and the phase shards over a persistent worker pool
 // (Config.Workers). The commit phase then applies all cross-node
 // effects. Local effects (ejections, statistics, closed-loop traffic
-// replies) commit serially in canonical node order; link transfers
-// commit pull-side — each destination node gathers the flits and credits
-// its neighbours staged for it — which makes every latch single-writer,
-// so in the fault-free steady state the link commit also shards over the
-// pool. Serial and parallel execution run the identical code in the
-// identical order, so results are bit-exact for any worker count: the
-// same flit arrival cycles, the same statistics, and the same
-// observability event multiset (see obs.SortEvents for the canonical
-// event order used when comparing traces).
+// replies, and the discard of flits that meet a dead link) commit
+// serially in canonical node order; link transfers commit pull-side —
+// each destination node gathers the flits and credits its neighbours
+// staged for it — which makes every latch single-writer, so the link
+// commit also shards over the pool, network faults or not. Serial and
+// parallel execution run the identical code in the identical order, so
+// results are bit-exact for any worker count: the same flit arrival
+// cycles, the same statistics, and the same observability event multiset
+// (see obs.SortEvents for the canonical event order used when comparing
+// traces).
 //
 // # Memory discipline
 //
@@ -238,19 +239,15 @@ type Network struct {
 	//noc:derived scratch of rebuildRoutes, overwritten by every build and never read between them; no simulated state
 	routeBuilder routeBuilder
 
-	// Per-(node, output port, downstream VC) wormhole link state.
-	// midFlight marks a packet whose head crossed the link while it was
-	// alive (such packets complete gracefully if the link then dies);
-	// linkDrop marks a packet being discarded at a dead link, from its
-	// dropped head until its tail. linkDropsActive counts the set
-	// linkDrop bits: while any packet is mid-discard the link commit
-	// must stay serial, because discarding synthesizes credits for
-	// other nodes' latches.
-	midFlight [][][]bool //noc:committed
-	linkDrop  [][][]bool //noc:committed
-	//noc:committed
-	//noc:derived excluded from the canonical encoding: it is the count of set linkDrop bits, which are encoded
-	linkDropsActive int
+	// Per-link wormhole state: one mask word per (node, output port),
+	// indexed id*ports+p like nbr, bit v standing for downstream VC v
+	// (router.Config.Validate caps VCs at 64). midFlight marks a packet
+	// whose head crossed the link while it was alive (such packets
+	// complete gracefully if the link then dies); linkDrop marks a packet
+	// being discarded at a dead link, from its dropped head until its
+	// tail.
+	midFlight []uint64 //noc:committed
+	linkDrop  []uint64 //noc:committed
 
 	// End-to-end retransmission state: per-source sequence numbers,
 	// retransmission buffers, and per-sink duplicate-suppression windows
@@ -369,7 +366,6 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		workers = nodes
 	}
 	ports := cfg.Router.Ports
-	vcs := cfg.Router.VCs
 	n := &Network{
 		cfg:     cfg,
 		topo:    topo,
@@ -403,34 +399,24 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	}
 	n.routers = make([]*core.Router, nodes)
 	n.nis = make([]*NI, nodes)
-	n.linkFlits = make([][]uint64, nodes)
+	n.linkFlits = makeGrid[uint64](nodes, ports)
 	n.obsNodes = make([]*obs.NodeObs, nodes)
 	// Latch bucket capacities cover the steady-state per-cycle maxima:
 	// one flit per input port; per upstream link up to one credit per VC
 	// plus the ejection and drop-synthesized credits; up to one local
 	// credit per VC from the drain and crossbar stages each.
 	n.inFlits = makeBuckets[router.InFlit](nodes, ports)
-	n.inCredits = makeBuckets[core.CreditIn](nodes, (ports-1)*vcs+ports+2)
-	n.inNICredits = makeBuckets[router.Credit](nodes, 2*vcs)
+	n.inCredits = makeBuckets[core.CreditIn](nodes, (ports-1)*cfg.Router.VCs+ports+2)
+	n.inNICredits = makeBuckets[router.Credit](nodes, 2*cfg.Router.VCs)
 	n.stagedFlits = make([][]router.OutFlit, nodes)
 	n.stagedCredits = make([][]router.Credit, nodes)
-	n.linkDead = make([][]bool, nodes)
+	n.linkDead = makeGrid[bool](nodes, ports)
 	n.routerDead = make([]bool, nodes)
-	n.midFlight = make([][][]bool, nodes)
-	n.linkDrop = make([][][]bool, nodes)
+	n.midFlight = make([]uint64, nodes*ports)
+	n.linkDrop = make([]uint64, nodes*ports)
 	n.seqNext = make([]uint64, nodes)
 	n.retx = make([][]retxEntry, nodes)
 	n.delivered = make([]map[int]*seqWindow, nodes)
-	for i := range n.linkFlits {
-		n.linkFlits[i] = make([]uint64, ports)
-		n.linkDead[i] = make([]bool, ports)
-		n.midFlight[i] = make([][]bool, ports)
-		n.linkDrop[i] = make([][]bool, ports)
-		for p := range n.midFlight[i] {
-			n.midFlight[i][p] = make([]bool, vcs)
-			n.linkDrop[i][p] = make([]bool, vcs)
-		}
-	}
 	for id := 0; id < nodes; id++ {
 		r, err := core.New(id, topo, cfg.Router)
 		if err != nil {
@@ -576,12 +562,12 @@ func (n *Network) Workers() int { return n.workers }
 //     worker pool when Workers > 1.
 //  3. Local commit: per-node effects that touch shared state — packet
 //     ejections (statistics, closed-loop traffic replies), drops of
-//     unreachable packets — applied serially in canonical node order.
+//     unreachable packets, flits discarded at a dead link — applied
+//     serially in canonical node order.
 //  4. Link commit: each destination node pulls the flits and credits
 //     its neighbours staged for it into its inbound latches for
-//     delivery next cycle. Every latch has a single writer, so in the
-//     fault-free steady state this phase also shards over the pool;
-//     with a network fault active it runs the same code serially.
+//     delivery next cycle. Every latch has a single writer, so this
+//     phase also shards over the pool when Workers > 1.
 //
 // Because every phase runs the same code in the same order regardless of
 // sharding, the simulation is bit-exact identical for every worker
@@ -664,20 +650,19 @@ func (n *Network) computeNode(id int, c sim.Cycle) {
 
 // commit applies the compute phase's staged outputs: first the serial
 // local commit (ejections, drops, statistics — everything that touches
-// shared state, in canonical node order), then the link commit. The link
-// commit shards over the worker pool whenever no network fault can make
-// a node write outside its own latches: any live routing table or
-// in-progress packet discard forces the serial path, which runs the
-// identical per-node code in the identical order.
+// shared state, in canonical node order), then the link commit, which
+// writes nothing outside the pulling node's own latches and its inbound
+// links' state and so shards over the worker pool like the compute
+// phase.
 //
 //noc:commit-only
 func (n *Network) commit(c sim.Cycle) {
 	n.commitLocal(c)
-	if n.workers > 1 && n.routes == nil && n.linkDropsActive == 0 {
+	if n.workers > 1 {
 		n.runPhase(phaseCommitLinks, c)
 	} else {
 		for id := range n.routers {
-			n.commitLinksNode(id, c)
+			n.commitLinksNode(id)
 		}
 	}
 }
@@ -689,7 +674,10 @@ func (n *Network) commit(c sim.Cycle) {
 // through closed-loop traffic replies), and the ejection credit. It also
 // validates that no router emitted traffic through a port with no link,
 // the invariant the link commit's pull loops rely on to see every staged
-// flit.
+// flit. It leaves in stagedFlits[id] exactly the flits that cross a
+// link: the ones that die at a dead link are discarded here
+// (discardAtLink), where writing the sender's own credit latch is
+// single-writer by construction.
 //
 //noc:commit-only
 func (n *Network) commitLocal(c sim.Cycle) {
@@ -702,10 +690,14 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				on.DropUnreachable(c, pkt.Dst)
 			}
 		}
+		crossing := n.stagedFlits[id][:0]
 		for _, of := range n.stagedFlits[id] {
 			if of.Out != localPort {
 				if n.neighbor(id, of.Out) < 0 {
 					panic(fmt.Sprintf("noc: router %d emitted flit through edge port %v", id, of.Out))
+				}
+				if !n.discardAtLink(id, of, c) {
+					crossing = append(crossing, of)
 				}
 				continue
 			}
@@ -731,6 +723,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 			n.inCredits[id] = append(n.inCredits[id],
 				core.CreditIn{Out: localPort, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 		}
+		n.stagedFlits[id] = crossing
 		for _, cr := range n.stagedCredits[id] {
 			if cr.In != localPort {
 				if n.neighbor(id, cr.In) < 0 {
@@ -747,17 +740,14 @@ func (n *Network) commitLocal(c sim.Cycle) {
 // arriving at u this cycle: it pulls from each neighbour v's staged
 // outputs the flits that left v toward u (updating v's per-link wormhole
 // and utilization state) and the credits v returned to u. The link
-// (v, port) feeding u is crossed by no other node's traffic, so distinct
-// destination nodes touch disjoint state and the phase shards over the
-// worker pool — except when a network fault is active, because the
-// dead-link paths below synthesize credits into the sender's latch
-// (dropAtLink), which may belong to another shard; commit detects that
-// and runs this same code serially instead, keeping serial and parallel
-// runs bit-exact by construction.
+// (v, port) feeding u is crossed by no other node's traffic, and the
+// local commit has already taken out every flit that dies at a dead
+// link, so distinct destination nodes touch disjoint state and the phase
+// shards over the worker pool.
 //
 //noc:commit-only
 //noc:hot-path
-func (n *Network) commitLinksNode(u int, c sim.Cycle) {
+func (n *Network) commitLinksNode(u int) {
 	for p := topology.Port(1); int(p) < n.ports; p++ {
 		v := n.neighbor(u, p)
 		if v < 0 {
@@ -767,47 +757,17 @@ func (n *Network) commitLinksNode(u int, c sim.Cycle) {
 			continue
 		}
 		q := p.Opposite() // v's output port facing u
-		mf := n.midFlight[v][q]
-		ld := n.linkDrop[v][q]
+		mf := &n.midFlight[v*n.ports+int(q)]
 		for _, of := range n.stagedFlits[v] {
 			if of.Out != q {
 				continue
 			}
 			dvc := of.DownVC
-			if ld[dvc] {
-				// Rest of a packet whose head was already discarded at
-				// this link: keep dropping (even if the link was repaired
-				// mid-packet — the neighbour never saw the head).
-				n.dropAtLink(v, of, c)
-				if of.F.Kind.IsTail() {
-					ld[dvc] = false
-					n.linkDropsActive--
-				}
-				continue
-			}
-			if n.deadLink(v, q) && !mf[dvc] {
-				// The head meets a dead link: discard the whole packet.
-				// (A packet whose head crossed while the link was alive —
-				// midFlight — completes gracefully instead; the fault
-				// takes effect at packet granularity.)
-				if of.F.Kind.IsHead() {
-					n.stats.RecordDrop(of.F.Pkt)
-					if on := n.obsNodes[v]; on != nil {
-						on.LinkDrop(c, int(q), of.F.Pkt.Dst)
-					}
-				}
-				n.dropAtLink(v, of, c)
-				if !of.F.Kind.IsTail() {
-					ld[dvc] = true
-					n.linkDropsActive++
-				}
-				continue
-			}
 			if of.F.Kind.IsHead() {
-				mf[dvc] = true
+				*mf |= 1 << uint(dvc)
 			}
 			if of.F.Kind.IsTail() {
-				mf[dvc] = false
+				*mf &^= 1 << uint(dvc)
 			}
 			n.linkFlits[v][q]++
 			if on := n.obsNodes[v]; on != nil {
@@ -852,7 +812,7 @@ func (n *Network) startPool() {
 					}
 				case phaseCommitLinks:
 					for id := lo; id < hi; id++ {
-						n.commitLinksNode(id, j.cycle)
+						n.commitLinksNode(id)
 					}
 				}
 				p.wg.Done()
@@ -893,12 +853,12 @@ func (n *Network) Run(cycles sim.Cycle) {
 // cycle limit is reached. It returns true when the network drained.
 func (n *Network) Drain(limit sim.Cycle) bool {
 	for n.cycle < limit {
-		if n.stats.InFlight() == 0 && n.pendingRetx() == 0 {
+		if n.stats.InFlight() == 0 && n.PendingRetx() == 0 {
 			return true
 		}
 		n.Step()
 	}
-	return n.stats.InFlight() == 0 && n.pendingRetx() == 0
+	return n.stats.InFlight() == 0 && n.PendingRetx() == 0
 }
 
 // InjectionIdle reports whether every NI has drained its injection
@@ -916,9 +876,9 @@ func (n *Network) InjectionIdle() bool {
 	return true
 }
 
-// pendingRetx counts unacknowledged packets still tracked by some
-// source's retransmission buffer.
-func (n *Network) pendingRetx() int {
+// PendingRetx returns the number of unacknowledged packets tracked by
+// source retransmission buffers across the network.
+func (n *Network) PendingRetx() int {
 	if n.retxCfg.Timeout == 0 {
 		return 0
 	}

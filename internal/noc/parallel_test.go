@@ -352,6 +352,124 @@ func TestSerialParallelConformance(t *testing.T) {
 	}
 }
 
+// flapRun is one run of the link-flap conformance workload: the state
+// hash at every cycle boundary, the end-of-run observables, and the first
+// snapshot taken inside a dead-link discard.
+type flapRun struct {
+	outcome
+	hashes []uint64
+	snap   *noc.Snapshot
+	snapAt int // index into hashes of the boundary snap was taken at
+}
+
+// runLinkFlap steps an 8x8 network under four-flit uniform traffic while
+// a hook kills four links at cycles 50, 150, ... and repairs them 50
+// cycles later, so heads meet dead links with their bodies still behind
+// them and the fault tables come and go. Every cycle it checks credit
+// conservation and, when ref is non-nil, that the state hash equals
+// ref's; at the boundary ref took its mid-discard snapshot the network is
+// overwritten from that snapshot and must carry on along the same
+// trajectory.
+func runLinkFlap(t *testing.T, topo string, workers int, ref *flapRun) *flapRun {
+	t.Helper()
+	const (
+		stop     = 300 // traffic generation horizon
+		flapStop = 400 // the last repair lands here, then the network heals for good
+	)
+	links := [][2]int{{27, int(topology.East)}, {36, int(topology.North)}, {18, int(topology.South)}, {45, int(topology.West)}}
+	if topo == "torus" {
+		// Column 7's East links and row 7's South links are wraps.
+		links = [][2]int{{27, int(topology.East)}, {7, int(topology.East)}, {36, int(topology.North)}, {60, int(topology.South)}}
+	}
+	o := obs.New(1 << 16)
+	rc := router.DefaultConfig()
+	rc.FaultTolerant = true
+	rc.Obs = o
+	src := traffic.NewSynthetic(64, 0.02, traffic.Uniform(64), traffic.FixedSize(4), 2014)
+	src.StopAt(stop)
+	n, err := noc.New(noc.Config{
+		Width: 8, Height: 8, Topo: topo, Router: rc, Workers: workers,
+		Retx: noc.RetxConfig{Timeout: 150, MaxRetries: 6},
+	}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.AddHook(func(c sim.Cycle) {
+		if c == 0 || c > flapStop || c%50 != 0 {
+			return
+		}
+		for _, lk := range links {
+			if err := n.SetLinkFault(lk[0], topology.Port(lk[1]), c%100 == 50); err != nil {
+				t.Errorf("cycle %d: %v", c, err)
+			}
+		}
+	})
+
+	run := &flapRun{}
+	for limit := stop + 60000; ; {
+		i := len(run.hashes)
+		if ref != nil && i == ref.snapAt {
+			n.Restore(ref.snap)
+		}
+		h := n.StateHash()
+		if ref != nil && (i >= len(ref.hashes) || h != ref.hashes[i]) {
+			t.Fatalf("workers=%d: cycle %d: state hash %016x diverged from the serial run", workers, n.Now(), h)
+		}
+		run.hashes = append(run.hashes, h)
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("workers=%d: cycle %d: %v", workers, n.Now(), err)
+		}
+		if run.snap == nil && n.MidDiscard() {
+			run.snap, run.snapAt = n.Snapshot(), i
+		}
+		if n.Now() >= stop && n.Stats().InFlight() == 0 && n.PendingRetx() == 0 {
+			break
+		}
+		if int(n.Now()) >= limit {
+			t.Fatalf("workers=%d: did not drain: %d in flight", workers, n.Stats().InFlight())
+		}
+		n.Step()
+	}
+	if ref != nil && len(run.hashes) != len(ref.hashes) {
+		t.Fatalf("workers=%d: drained after %d cycles, serial run after %d", workers, len(run.hashes), len(ref.hashes))
+	}
+	checkFullDelivery(t, n, fmt.Sprintf("%s link flap, workers=%d", topo, workers))
+	if d := o.Tracer.Dropped(); d != 0 {
+		t.Fatalf("trace ring wrapped (%d dropped); grow the capacity", d)
+	}
+	run.outcome = outcome{
+		summary: n.Stats().Summary(),
+		events:  o.Tracer.CanonicalEvents(),
+		heat:    n.Heatmap(),
+		cycle:   n.Now(),
+	}
+	return run
+}
+
+// TestLinkFlapParallelConformance pins the one link-commit regime: with
+// links dying and healing under multi-flit traffic — fault tables live,
+// packets caught mid-discard — every worker count walks the serial run's
+// trajectory cycle for cycle (StateHash, credit conservation), emits the
+// same canonical events and delivers everything; and a snapshot taken
+// while a discard is in progress restores, at every worker count, onto
+// that same trajectory. Dead-link discards happen in the serial local
+// commit, so nothing here may depend on how the link commit is sharded.
+func TestLinkFlapParallelConformance(t *testing.T) {
+	for _, topo := range []string{"mesh", "torus"} {
+		topo := topo
+		t.Run(topo, func(t *testing.T) {
+			ref := runLinkFlap(t, topo, 1, nil)
+			if ref.snap == nil {
+				t.Fatal("workload caught no packet mid-discard: the test would prove nothing")
+			}
+			for _, w := range []int{2, 3, 8} { // 3 does not divide 64: uneven shards
+				diffOutcomes(t, topo+" link flap", w, ref.outcome, runLinkFlap(t, topo, w, ref).outcome)
+			}
+		})
+	}
+}
+
 // TestGoldenDeterminism guards the commit phase against map-iteration or
 // scheduling nondeterminism: three repeated runs of one seeded, faulted,
 // parallel configuration must produce byte-identical statistics and

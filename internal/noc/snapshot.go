@@ -66,11 +66,10 @@ type Snapshot struct {
 
 	linkFlits [][]uint64
 
-	linkDead        [][]bool
-	routerDead      []bool
-	midFlight       [][][]bool
-	linkDrop        [][][]bool
-	linkDropsActive int
+	linkDead   [][]bool
+	routerDead []bool
+	midFlight  []uint64
+	linkDrop   []uint64
 
 	seqNext   []uint64
 	retx      [][]retxEntry
@@ -167,8 +166,9 @@ func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
 	cl := n.cl.reset()
 	s.cycle = n.cycle
 	s.nextID = n.nextID
-	s.linkDropsActive = n.linkDropsActive
 	copy(s.routerDead, n.routerDead)
+	copy(s.midFlight, n.midFlight)
+	copy(s.linkDrop, n.linkDrop)
 	copy(s.seqNext, n.seqNext)
 	s.stats.CopyFrom(n.stats)
 	for id := range n.routers {
@@ -185,10 +185,6 @@ func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
 
 		copy(s.linkFlits[id], n.linkFlits[id])
 		copy(s.linkDead[id], n.linkDead[id])
-		for p := range s.midFlight[id] {
-			copy(s.midFlight[id][p], n.midFlight[id][p])
-			copy(s.linkDrop[id][p], n.linkDrop[id][p])
-		}
 		s.retx[id] = append(s.retx[id][:0], n.retx[id]...)
 		s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
 	}
@@ -213,8 +209,8 @@ func newSnapshot(sh snapShape) *Snapshot {
 
 		linkDead:   makeGrid[bool](sh.nodes, sh.ports),
 		routerDead: make([]bool, sh.nodes),
-		midFlight:  make([][][]bool, sh.nodes),
-		linkDrop:   make([][][]bool, sh.nodes),
+		midFlight:  make([]uint64, sh.nodes*sh.ports),
+		linkDrop:   make([]uint64, sh.nodes*sh.ports),
 
 		seqNext:   make([]uint64, sh.nodes),
 		retx:      make([][]retxEntry, sh.nodes),
@@ -222,15 +218,11 @@ func newSnapshot(sh snapShape) *Snapshot {
 
 		stats: new(stats.Collector),
 	}
-	mid := makeGrid[bool](sh.nodes*sh.ports, sh.vcs)
-	drop := makeGrid[bool](sh.nodes*sh.ports, sh.vcs)
 	queues := make([][]*flit.Packet, sh.nodes*sh.classes)
 	active := make([][]*flit.Flit, sh.nodes*sh.vcs)
 	busy := makeGrid[bool](sh.nodes, sh.vcs)
 	credits := makeGrid[int](sh.nodes, sh.vcs)
 	for id := range s.nis {
-		s.midFlight[id] = mid[id*sh.ports : (id+1)*sh.ports]
-		s.linkDrop[id] = drop[id*sh.ports : (id+1)*sh.ports]
 		s.nis[id] = niState{
 			queues:  queues[id*sh.classes : (id+1)*sh.classes],
 			active:  active[id*sh.vcs : (id+1)*sh.vcs],
@@ -309,30 +301,17 @@ func (n *Network) Restore(s *Snapshot) {
 	// the snapshot's fault sets differ from the network's current ones.
 	// The model checker restores thousands of same-fault-set snapshots
 	// per scenario; skipping the rebuild there is a large win.
-	faultsChanged := false
-	for id := range n.routerDead {
-		if n.routerDead[id] != s.routerDead[id] {
-			faultsChanged = true
-			break
-		}
-	}
-	if !faultsChanged {
-	links:
-		for id := range n.linkDead {
-			for p := range n.linkDead[id] {
-				if n.linkDead[id][p] != s.linkDead[id][p] {
-					faultsChanged = true
-					break links
-				}
-			}
-		}
+	faultsChanged := !slices.Equal(n.routerDead, s.routerDead)
+	for id := 0; id < len(n.linkDead) && !faultsChanged; id++ {
+		faultsChanged = !slices.Equal(n.linkDead[id], s.linkDead[id])
 	}
 
 	cl := n.cl.reset()
 	n.cycle = s.cycle
 	n.nextID = s.nextID
-	n.linkDropsActive = s.linkDropsActive
 	copy(n.routerDead, s.routerDead)
+	copy(n.midFlight, s.midFlight)
+	copy(n.linkDrop, s.linkDrop)
 	copy(n.seqNext, s.seqNext)
 	n.stats.CopyFrom(s.stats)
 
@@ -350,10 +329,6 @@ func (n *Network) Restore(s *Snapshot) {
 
 		copy(n.linkFlits[id], s.linkFlits[id])
 		copy(n.linkDead[id], s.linkDead[id])
-		for p := range n.midFlight[id] {
-			copy(n.midFlight[id][p], s.midFlight[id][p])
-			copy(n.linkDrop[id][p], s.linkDrop[id][p])
-		}
 		n.retx[id] = append(n.retx[id][:0], s.retx[id]...)
 		n.delivered[id] = copyWindows(n.delivered[id], s.delivered[id])
 
@@ -407,10 +382,6 @@ func restoreNI(ni *NI, s *niState, cl *cloner) {
 	}
 }
 
-// PendingRetx returns the number of unacknowledged packets tracked by
-// source retransmission buffers across the network.
-func (n *Network) PendingRetx() int { return n.pendingRetx() }
-
 // AppendCanonical appends a canonical encoding of the network's
 // behaviour-relevant state to b and returns the extended slice. Two
 // network states with equal canonical encodings (under the same
@@ -445,9 +416,8 @@ func (n *Network) AppendCanonical(b []byte) []byte {
 
 		b = appendBools(b, n.linkDead[id])
 		b = appB(b, n.routerDead[id])
-		for p := range n.midFlight[id] {
-			b = appendBools(b, n.midFlight[id][p])
-			b = appendBools(b, n.linkDrop[id][p])
+		for link := id * n.ports; link < (id+1)*n.ports; link++ {
+			b = appU(appU(b, n.midFlight[link]), n.linkDrop[link])
 		}
 
 		b = appU(b, n.seqNext[id])

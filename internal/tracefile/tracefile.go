@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gonoc/internal/flit"
@@ -54,7 +55,14 @@ func Write(w io.Writer, entries []traffic.TraceEntry) error {
 	return bw.Flush()
 }
 
-// Read parses a trace from r. Blank lines and '#' comments are ignored.
+// MaxSize is the largest packet, in flits, Read accepts. A record is a
+// dozen bytes but replaying it segments Size flits at once, so without a
+// bound a one-line file can ask for any amount of memory; every workload
+// gonoc records stays under ten flits.
+const MaxSize = 1024
+
+// Read parses a trace from r. Blank lines and '#' comments are ignored;
+// every other line must be exactly five comma-separated integers.
 func Read(r io.Reader) ([]traffic.TraceEntry, error) {
 	var out []traffic.TraceEntry
 	sc := bufio.NewScanner(r)
@@ -65,13 +73,26 @@ func Read(r io.Reader) ([]traffic.TraceEntry, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		var cyc uint64
-		var src, dst, cls, size int
-		if _, err := fmt.Sscanf(text, "%d,%d,%d,%d,%d", &cyc, &src, &dst, &cls, &size); err != nil {
-			return nil, fmt.Errorf("tracefile: line %d: %v", line, err)
+		fields := strings.Split(text, ",")
+		if len(fields) != 5 {
+			return nil, fmt.Errorf("tracefile: line %d: want cycle,src,dst,class,size, got %d fields in %q", line, len(fields), text)
 		}
+		cyc, err := strconv.ParseUint(strings.TrimSpace(fields[0]), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("tracefile: line %d: bad cycle: %v", line, err)
+		}
+		var v [4]int // src, dst, class, size
+		for i := range v {
+			if v[i], err = strconv.Atoi(strings.TrimSpace(fields[i+1])); err != nil {
+				return nil, fmt.Errorf("tracefile: line %d: %v", line, err)
+			}
+		}
+		src, dst, cls, size := v[0], v[1], v[2], v[3]
 		if size < 1 || src < 0 || dst < 0 || cls < 0 || cls >= flit.NumClasses {
 			return nil, fmt.Errorf("tracefile: line %d: invalid record %q", line, text)
+		}
+		if size > MaxSize {
+			return nil, fmt.Errorf("tracefile: line %d: packet size %d above the %d-flit limit", line, size, MaxSize)
 		}
 		out = append(out, traffic.TraceEntry{
 			Cycle: sim.Cycle(cyc),

@@ -48,13 +48,25 @@ func TestReadIgnoresCommentsAndBlanks(t *testing.T) {
 func TestReadRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"not,a,trace",
-		"1,0,1,0,0",  // size 0
-		"1,0,1,9,1",  // bad class
-		"1,-1,1,0,1", // negative src
+		"1,0,1,0,0",                    // size 0
+		"1,0,1,9,1",                    // bad class
+		"1,-1,1,0,1",                   // negative src
+		"1,0,1,0,1,zzz",                // a sixth field
+		"5,2,1,0,1 trailing",           // junk after the fifth integer
+		"1,0,1,0,200000000",            // a packet no replay could segment
+		"1,0,1,0",                      // truncated row
+		"-1,0,1,0,1",                   // negative cycle
+		"1,0,1,0,99999999999999999999", // size overflows int
 	} {
-		if _, err := Read(strings.NewReader(bad)); err == nil {
+		_, err := Read(strings.NewReader("# gonoc-trace v1\n" + bad + "\n"))
+		if err == nil {
 			t.Errorf("accepted malformed line %q", bad)
+		} else if !strings.HasPrefix(err.Error(), "tracefile: line 2: ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("line %q: error %q is not a one-line \"tracefile: line 2: ...\" message", bad, err)
 		}
+	}
+	if got, err := Read(strings.NewReader(" 7, 1, 2, 0, 1024 \n")); err != nil || len(got) != 1 || got[0].Size != MaxSize {
+		t.Errorf("Read of a spaced record at the size limit = (%v, %v)", got, err)
 	}
 }
 

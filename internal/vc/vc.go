@@ -103,13 +103,6 @@ type VC struct {
 	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because it never feeds arbitration
 	Detour bool
 
-	// CreditHome is the VC index the upstream router believes these flits
-	// occupy. It equals Index normally and diverges only after an SA-stage
-	// transfer (Section V-C1): credits and the tail's VC-free signal must
-	// be returned for the VC the upstream allocated, not the one the flits
-	// were moved into.
-	CreditHome int
-
 	// DvcLo and DvcHi restrict VC allocation to the downstream VC range
 	// [DvcLo, DvcHi), set by fault-aware routing to pin the packet to a
 	// deadlock-free routing layer. Both zero (the reset state) means no
@@ -127,7 +120,7 @@ func NewVC(index, depth int) *VC {
 	// depth, and growing it lazily would put first-fill allocations on
 	// the steady-state tick path.
 	return &VC{Index: index, depth: depth, buf: make([]*flit.Flit, 0, depth),
-		OutVC: None, ID: None, CreditHome: index}
+		OutVC: None, ID: None}
 }
 
 // Depth returns the buffer capacity in flits.
@@ -202,7 +195,6 @@ func (v *VC) ResetPacketState() {
 	v.FSP = false
 	v.SP = topology.Local
 	v.Detour = false
-	v.CreditHome = v.Index
 	v.DvcLo, v.DvcHi = 0, 0
 }
 
@@ -264,27 +256,4 @@ func (ip *InputPort) FindLender(requester int, arbFaulty func(vcIdx int) bool) i
 		}
 	}
 	return None
-}
-
-// Transfer moves all flits and the packet state fields from VC src to VC
-// dst within this port — the read/write operation Section V-C1 uses to
-// feed the bypass path's default winner. dst must be empty and idle, src
-// non-empty. The paper notes flits and state move in parallel, costing one
-// cycle; the caller models that latency.
-func (ip *InputPort) Transfer(src, dst int) {
-	s, d := ip.VCs[src], ip.VCs[dst]
-	if !d.Empty() || d.G != Idle {
-		panic(fmt.Sprintf("vc: transfer into non-empty/busy VC %d (G=%v len=%d)", dst, d.G, d.Len()))
-	}
-	if s.Empty() {
-		panic(fmt.Sprintf("vc: transfer from empty VC %d", src))
-	}
-	d.buf = append(d.buf, s.buf...)
-	s.buf = s.buf[:0]
-	d.G, d.R, d.OutVC = s.G, s.R, s.OutVC
-	d.SP, d.FSP = s.SP, s.FSP
-	d.Detour = s.Detour
-	d.CreditHome = s.CreditHome
-	d.DvcLo, d.DvcHi = s.DvcLo, s.DvcHi
-	s.ResetPacketState()
 }

@@ -88,9 +88,8 @@ func TestResetPacketState(t *testing.T) {
 	v.OutVC = 3
 	v.FSP = true
 	v.SP = topology.South
-	v.CreditHome = 0
 	v.ResetPacketState()
-	if v.G != Idle || v.OutVC != None || v.FSP || v.CreditHome != 2 {
+	if v.G != Idle || v.OutVC != None || v.FSP {
 		t.Fatalf("reset left state %+v", v)
 	}
 }
@@ -145,58 +144,6 @@ func TestFindLenderExcludesSelf(t *testing.T) {
 	if l := ip.FindLender(0, nil); l != None {
 		t.Fatalf("lender = %d; requester must not lend to itself", l)
 	}
-}
-
-func TestTransferMovesFlitsAndState(t *testing.T) {
-	ip := NewInputPort(topology.East, 4, 4)
-	src, dst := ip.VCs[1], ip.VCs[2]
-	fs := mkFlits(3)
-	for _, f := range fs {
-		src.Push(f)
-	}
-	src.G = Active
-	src.R = topology.South
-	src.OutVC = 1
-	src.FSP = true
-	src.SP = topology.East
-
-	ip.Transfer(1, 2)
-
-	if dst.Len() != 3 || dst.Front() != fs[0] {
-		t.Fatalf("flits not moved: len=%d", dst.Len())
-	}
-	if dst.G != Active || dst.R != topology.South || dst.OutVC != 1 || !dst.FSP {
-		t.Fatalf("state not moved: %+v", dst)
-	}
-	if dst.CreditHome != 1 {
-		t.Fatalf("CreditHome = %d, want 1 (origin VC)", dst.CreditHome)
-	}
-	if !src.Empty() || src.G != Idle || src.OutVC != None {
-		t.Fatalf("source not reset: %+v", src)
-	}
-}
-
-func TestTransferIntoBusyPanics(t *testing.T) {
-	ip := NewInputPort(topology.East, 2, 4)
-	ip.VCs[0].Push(mkFlits(1)[0])
-	ip.VCs[0].G = Active
-	ip.VCs[1].G = Routing
-	defer func() {
-		if recover() == nil {
-			t.Fatal("transfer into busy VC did not panic")
-		}
-	}()
-	ip.Transfer(0, 1)
-}
-
-func TestTransferFromEmptyPanics(t *testing.T) {
-	ip := NewInputPort(topology.East, 2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("transfer from empty VC did not panic")
-		}
-	}()
-	ip.Transfer(0, 1)
 }
 
 func TestNewInputPortPanics(t *testing.T) {
