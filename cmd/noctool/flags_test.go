@@ -89,7 +89,9 @@ func TestRetxTimeoutRejectsNegative(t *testing.T) {
 // values that used to end in a goroutine trace (MustNew on a bad grid,
 // a trace naming nodes the grid lacks, a nil tracer, makeslice on a
 // negative trial count) or in silence (NaN statistics, an unknown suite
-// running nothing): each must come back as a one-line error.
+// running nothing, an all-zero statistics table from a run with no
+// measured window, a "faulty" latency half with no injector): each must
+// come back as a one-line error.
 func TestCommandFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
@@ -125,6 +127,13 @@ func TestCommandFlagValidation(t *testing.T) {
 		{"campaign negative trials", runCampaign, []string{"-trials", "-5"}, "-trials must be >= 1"},
 		{"campaign zero trials", runCampaign, []string{"-trials", "0"}, "-trials must be >= 1"},
 		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},
+		{"latency no measured window", runLatency, []string{"-suite", "splash2", "-measure", "0"}, "-measure must be >= 1"},
+		{"latency no faults in the faulty half", runLatency, []string{"-suite", "splash2", "-fault-mean", "0"}, "-fault-mean must be >= 1"},
+		{"sim warmup covers the run", runSim, []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
+		{"sim warmup equals the run", runSim, []string{"-cycles", "500", "-warmup", "500"}, "-cycles (500) must exceed -warmup (500)"},
+		{"metrics warmup covers the run", runMetrics, []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
+		{"serve warmup covers the run", func(args []string) error { return serveSim(args, nil, nil) },
+			[]string{"-addr", "127.0.0.1:0", "-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
 		{"sim inject VC past the port's", runSim, []string{"-inject", "0:va1:n:9"}, "VC index 9 outside the port's 4 VCs"},
 		{"sim baseline inject rcdup", runSim, []string{"-baseline", "-inject", "0:rcdup:e"}, "no correction circuitry"},
 		{"sim baseline inject xbsec", runSim, []string{"-baseline", "-inject", "0:xbsec:e"}, "no correction circuitry"},

@@ -266,13 +266,22 @@ func runLatency(args []string) error {
 	fs := flag.NewFlagSet("latency", flag.ContinueOnError)
 	suite := fs.String("suite", "both", "splash2, parsec or both")
 	seed := fs.Uint64("seed", 2014, "random seed")
-	faultMean := fs.Uint64("fault-mean", 20000, "mean cycles between faults per (router, stage)")
-	measure := fs.Uint64("measure", 25000, "measured cycles after warmup")
+	faultMean := fs.Uint64("fault-mean", 20000, "mean cycles between faults per (router, stage), >= 1")
+	measure := fs.Uint64("measure", 25000, "measured cycles after warmup, >= 1")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *suite != "splash2" && *suite != "parsec" && *suite != "both" {
 		return fmt.Errorf("unknown suite %q (want splash2, parsec or both)", *suite)
+	}
+	// A window of no cycles measures nothing and an injector with no mean
+	// injects nothing: both would print a table of zeros — a figure that
+	// says the mechanisms cost nothing — as if it were a result.
+	if *measure < 1 {
+		return fmt.Errorf("-measure must be >= 1, got %d", *measure)
+	}
+	if *faultMean < 1 {
+		return fmt.Errorf("-fault-mean must be >= 1, got %d (the study compares against a fault-injected run)", *faultMean)
 	}
 	cfg := experiments.DefaultLatencyConfig()
 	cfg.Seed = *seed
@@ -351,6 +360,16 @@ func (sf *simFlags) validate() error {
 	}
 	if *sf.rate < 0 || *sf.rate > 1 {
 		return fmt.Errorf("-rate must be in [0, 1], got %g", *sf.rate)
+	}
+	return nil
+}
+
+// requireMeasuredWindow rejects a run whose warmup leaves no cycle to
+// measure, for the commands that print latency and throughput: they
+// would report zeros as if they were results.
+func (sf *simFlags) requireMeasuredWindow() error {
+	if *sf.cycles <= *sf.warmup {
+		return fmt.Errorf("-cycles (%d) must exceed -warmup (%d): no cycle would be measured", *sf.cycles, *sf.warmup)
 	}
 	return nil
 }
@@ -494,6 +513,9 @@ func runSimReady(args []string, onReady func(net.Addr)) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := sf.requireMeasuredWindow(); err != nil {
+		return err
+	}
 	// With telemetry on, the run is instrumented: counters plus the
 	// windowed link-utilization ring backing /heatmap.
 	var o *obs.Observer
@@ -578,6 +600,11 @@ func serveSim(args []string, onReady func(net.Addr), stop <-chan struct{}) error
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *sf.cycles != 0 { // 0 runs until stopped
+		if err := sf.requireMeasuredWindow(); err != nil {
+			return err
+		}
+	}
 	o, err := sf.observer(recorders{windows: true})
 	if err != nil {
 		return err
@@ -652,6 +679,9 @@ func runMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
 	sf := addSimFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := sf.requireMeasuredWindow(); err != nil {
 		return err
 	}
 	o, err := sf.observer(recorders{})

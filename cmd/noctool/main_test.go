@@ -253,7 +253,7 @@ func TestServeBindFailureIsSynchronous(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	err = serveSim([]string{"-addr", ln.Addr().String(), "-cycles", "10"}, nil, make(chan struct{}))
+	err = serveSim([]string{"-addr", ln.Addr().String(), "-cycles", "10", "-warmup", "0"}, nil, make(chan struct{}))
 	if err == nil {
 		t.Fatal("serve bound an already-used address without error")
 	}

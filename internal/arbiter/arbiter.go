@@ -8,13 +8,27 @@
 // (a permanently faulty arbiter grants nothing) and, for the first switch
 // allocation stage, a bypass path that names a rotating "default winner"
 // without arbitration (Section V-C, Figure 5).
+//
+// A request set is a machine word: bit i set means input i requests. The
+// router's stages build request words straight from their occupancy masks
+// and call GrantWord / GrantWords; Grant and Peek take the same set as a
+// []bool and pack it first. All of them arbitrate through one scan
+// (RoundRobin.arbitrate), so there is a single statement of the grant
+// order.
 package arbiter
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// RoundRobin is an n-input round-robin arbiter. Each Grant scans requests
-// starting one past the previous winner, so every persistent requester is
-// served within n grants (starvation freedom).
+// wordBits is the capacity of one request word.
+const wordBits = 64
+
+// RoundRobin is an n-input round-robin arbiter. Each grant goes to the
+// first requester at or after one past the previous winner, wrapping
+// around, so every persistent requester is served within n grants
+// (starvation freedom).
 //
 // A faulty arbiter grants nothing: the paper's fault model makes a broken
 // arbiter unusable rather than byzantine (detection hardware is assumed to
@@ -43,28 +57,124 @@ func (a *RoundRobin) SetFaulty(f bool) { a.faulty = f }
 // Faulty reports whether the arbiter is marked faulty.
 func (a *RoundRobin) Faulty() bool { return a.faulty }
 
+// arbitrate is the arbiter's one scan: the first requesting input at or
+// after prio, else (wrapping around) the first requesting input, returned
+// as the word and bit that hold it; when grant is set, a winner also
+// advances the priority pointer just past itself. The request set is
+// held width bits to a word, input k*width+i being bit i of req[k]; bits
+// at or above width must be clear. ok is false when the arbiter is faulty
+// or no input is requesting. It panics when the words do not cover
+// exactly Inputs() inputs or the winner is not an input.
+func (a *RoundRobin) arbitrate(req []uint64, width int, grant bool) (word, bit int, ok bool) {
+	if width < 1 || width > wordBits || len(req)*width < a.n || (len(req)-1)*width >= a.n {
+		panic(fmt.Sprintf("arbiter: %d request words of %d bits for %d-input arbiter", len(req), width, a.n))
+	}
+	if a.faulty {
+		return -1, -1, false
+	}
+	word = -1
+	for k, base := 0, 0; k < len(req); k, base = k+1, base+width {
+		w := req[k]
+		if w == 0 {
+			continue
+		}
+		// from is where prio falls in this word: at or below bit 0 once
+		// the scan has reached prio's word, at or above width before it.
+		if from := a.prio - base; from < width {
+			if from > 0 {
+				w = w >> uint(from) << uint(from)
+			}
+			if w != 0 {
+				word, bit = k, bits.TrailingZeros64(w)
+				break
+			}
+			w = req[k]
+		}
+		if word < 0 {
+			word, bit = k, bits.TrailingZeros64(w) // the wrap-around candidate
+		}
+	}
+	if word < 0 {
+		return -1, -1, false
+	}
+	next := word*width + bit + 1
+	if bit >= width || next > a.n {
+		panic(fmt.Sprintf("arbiter: request bit %d of %d-bit word %d: not an input of %d-input arbiter", bit, width, word, a.n))
+	}
+	if grant {
+		if next == a.n {
+			next = 0
+		}
+		a.prio = next
+	}
+	return word, bit, true
+}
+
+// GrantWords arbitrates among the inputs whose bits are set in req, a
+// request set held width bits to a word: input k*width+i is bit i of
+// req[k], so a (ports x VCs)-input arbiter takes one word per port
+// whatever the product is, and the winner comes back as (word, bit) —
+// the port and the VC. len(req) must be the number of width-bit words
+// that cover Inputs(). ok is false when the arbiter is faulty or no input
+// is requesting. A successful grant advances the priority pointer just
+// past the winner.
+func (a *RoundRobin) GrantWords(req []uint64, width int) (word, bit int, ok bool) {
+	return a.arbitrate(req, width, true)
+}
+
+// GrantWord is GrantWords for an arbiter of at most 64 inputs, whose
+// request set is the single word req.
+func (a *RoundRobin) GrantWord(req uint64) (winner int, ok bool) {
+	one := [1]uint64{req}
+	_, winner, ok = a.arbitrate(one[:], a.n, true)
+	return winner, ok
+}
+
+// packBuf is the stack storage Grant and Peek pack their request words
+// into: enough for 256 inputs, beyond which pack allocates.
+type packBuf [4]uint64
+
+// pack converts a request vector (len must equal Inputs) to request
+// words: one word of Inputs() bits when that fits, otherwise 64-bit words
+// with a ragged last one.
+func (a *RoundRobin) pack(requests []bool, buf *packBuf) (req []uint64, width int) {
+	if len(requests) != a.n {
+		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), a.n))
+	}
+	if k := (a.n + wordBits - 1) / wordBits; k <= len(buf) {
+		req = buf[:k]
+	} else {
+		req = make([]uint64, k)
+	}
+	for i, r := range requests {
+		if r {
+			req[i/wordBits] |= 1 << (uint(i) % wordBits)
+		}
+	}
+	return req, min(a.n, wordBits)
+}
+
+// flat returns the input held in bit `bit` of width-bit request word
+// `word`, -1 when there is none.
+func flat(word, bit, width int, ok bool) int {
+	if !ok {
+		return -1
+	}
+	return word*width + bit
+}
+
 // Grant arbitrates among the requests (len must equal Inputs) and returns
 // the granted input. ok is false when the arbiter is faulty or no input is
 // requesting. A successful grant advances the priority pointer just past
 // the winner.
 func (a *RoundRobin) Grant(requests []bool) (winner int, ok bool) {
-	if len(requests) != a.n {
-		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), a.n))
-	}
-	if a.faulty {
-		return -1, false
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.prio + i) % a.n
-		if requests[idx] {
-			a.prio = (idx + 1) % a.n
-			return idx, true
-		}
-	}
-	return -1, false
+	var buf packBuf
+	req, width := a.pack(requests, &buf)
+	word, bit, ok := a.GrantWords(req, width)
+	return flat(word, bit, width, ok), ok
 }
 
-// Prio returns the index the next Grant scans first. Together with
+// Prio returns the index the next grant scans first. Together with
 // SetPrio it lets checkpoint/restore and the model checker capture the
 // arbiter's full mutable state (the priority pointer is the only state
 // besides the fault flag).
@@ -81,19 +191,10 @@ func (a *RoundRobin) SetPrio(p int) {
 
 // Peek is Grant without the priority update, for lookahead logic and tests.
 func (a *RoundRobin) Peek(requests []bool) (winner int, ok bool) {
-	if len(requests) != a.n {
-		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), a.n))
-	}
-	if a.faulty {
-		return -1, false
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.prio + i) % a.n
-		if requests[idx] {
-			return idx, true
-		}
-	}
-	return -1, false
+	var buf packBuf
+	req, width := a.pack(requests, &buf)
+	word, bit, ok := a.arbitrate(req, width, false)
+	return flat(word, bit, width, ok), ok
 }
 
 // Bypassed is the protected first-stage switch arbiter of Figure 5: a
@@ -107,12 +208,15 @@ func (a *RoundRobin) Peek(requests []bool) (winner int, ok bool) {
 // arbiter and its bypass faulty, switch allocation at this input port is
 // impossible and the router has failed.
 type Bypassed struct {
-	Arb *RoundRobin
+	// Arb is the arbiter the bypass path stands in for, held by value so
+	// a router can keep its Bypassed arbiters in one flat slice.
+	Arb RoundRobin
 	// defaultWinner is the register driving the bypass mux.
 	defaultWinner int
 	// rotatePeriod is how many bypass grants occur before the default
 	// winner advances; the paper only requires that "every input VC [be]
 	// default winner at different points of time".
+	//noc:derived immutable configuration, fixed at construction
 	rotatePeriod int
 	grants       int
 	bypassFaulty bool
@@ -124,7 +228,7 @@ func NewBypassed(n, rotatePeriod int) *Bypassed {
 	if rotatePeriod < 1 {
 		panic(fmt.Sprintf("arbiter: invalid rotate period %d", rotatePeriod))
 	}
-	return &Bypassed{Arb: NewRoundRobin(n), rotatePeriod: rotatePeriod}
+	return &Bypassed{Arb: *NewRoundRobin(n), rotatePeriod: rotatePeriod}
 }
 
 // SetBypassFaulty marks the bypass path (mux + register) faulty.
@@ -167,6 +271,21 @@ func (b *Bypassed) Grant(requests []bool) (winner int, ok bool) {
 	if !b.Arb.Faulty() {
 		return b.Arb.Grant(requests)
 	}
+	return b.bypass()
+}
+
+// GrantWord is Grant over a request word (see RoundRobin.GrantWord); in
+// bypass operation the word is ignored just as the vector is.
+func (b *Bypassed) GrantWord(req uint64) (winner int, ok bool) {
+	if !b.Arb.Faulty() {
+		return b.Arb.GrantWord(req)
+	}
+	return b.bypass()
+}
+
+// bypass serves one grant from the bypass path: the default winner, which
+// rotates on every rotatePeriod-th grant.
+func (b *Bypassed) bypass() (winner int, ok bool) {
 	if b.bypassFaulty {
 		return -1, false
 	}
@@ -174,7 +293,10 @@ func (b *Bypassed) Grant(requests []bool) (winner int, ok bool) {
 	b.grants++
 	if b.grants >= b.rotatePeriod {
 		b.grants = 0
-		b.defaultWinner = (b.defaultWinner + 1) % b.Arb.Inputs()
+		b.defaultWinner++
+		if b.defaultWinner == b.Arb.Inputs() {
+			b.defaultWinner = 0
+		}
 	}
 	return w, true
 }

@@ -95,25 +95,33 @@ func (f *feeder) tick() {
 }
 
 // BenchmarkTick times one Router.Tick (plus the feeder's share) at the
-// four occupancies the step loop meets: an empty router, one VC of one
-// port streaming (what a router on a low-load path looks like), every VC
-// of every port streaming, and an empty router kept awake by a port in
-// SA bypass mode. The first two are where occupancy masks pay.
+// occupancies the step loop meets: an empty router, one VC of one port
+// streaming (what a router on a low-load path looks like), every VC of
+// every port streaming — at the default 4 VCs and at 16, where the VA
+// stage-2 request set (80 inputs) spans more than one word — and an
+// empty router kept awake by a port in SA bypass mode. The first two are
+// where occupancy masks pay, the loaded ones where request words do.
 func BenchmarkTick(b *testing.B) {
 	none := func(p, v int) bool { return false }
+	all := func(p, v int) bool { return true }
 	for _, bc := range []struct {
 		name   string
 		fed    func(p, v int) bool
 		bypass bool
+		vcs    int // 0 = the default
 	}{
-		{"idle", none, false},
-		{"sparse-1vc", func(p, v int) bool { return p == int(topology.West) && v == 1 }, false},
-		{"loaded", func(p, v int) bool { return true }, false},
-		{"bypass-idle", none, true},
+		{"idle", none, false, 0},
+		{"sparse-1vc", func(p, v int) bool { return p == int(topology.West) && v == 1 }, false, 0},
+		{"loaded", all, false, 0},
+		{"loaded-16vc", all, false, 16},
+		{"bypass-idle", none, true, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := router.DefaultConfig()
 			cfg.FaultTolerant = true
+			if bc.vcs > 0 {
+				cfg.VCs = bc.vcs
+			}
 			f := newFeeder(cfg, bc.fed)
 			if bc.bypass {
 				f.r.SetSA1Fault(topology.East, true)

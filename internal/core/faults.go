@@ -53,7 +53,7 @@ func (r *Router) SetVA2Fault(out topology.Port, dvc int, f bool) {
 
 // SetSA1Fault marks input port p's stage-1 SA arbiter faulty.
 func (r *Router) SetSA1Fault(p topology.Port, f bool) {
-	arb := r.sa.Stage1(int(p)).Arb
+	arb := &r.sa.Stage1(int(p)).Arb
 	if arb.Faulty() != f {
 		if f {
 			r.sa1Faults++

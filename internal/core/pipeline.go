@@ -45,51 +45,62 @@ func (r *Router) rcStage(cy sim.Cycle) {
 			continue
 		}
 		ip := r.in[p]
-		for i := 0; i < r.cfg.VCs; i++ {
-			idx := (r.rcScan[p] + i) % r.cfg.VCs
-			if m&(1<<uint(idx)) == 0 {
-				continue
-			}
-			q := ip.VCs[idx]
-			if q.G != vc.Routing || !headReady(q) {
-				continue
-			}
-			out, ok, unreachable := r.computeRoute(cy, p, q)
-			if unreachable {
-				// Network faults cut every remaining path to the
-				// destination: discard the packet. The drain stage frees
-				// the buffered flits one per cycle, returning credits
-				// upstream, until the tail releases the VC.
-				q.G = vc.Dropping
-				r.dropping++
-				r.droppedPkts = append(r.droppedPkts, q.Front().Pkt)
-				r.rcScan[p] = (idx + 1) % r.cfg.VCs
-				break
-			}
-			if !ok {
-				// No fault-free RC copy: the packet is stuck. The router
-				// is no longer Functional(); leave the VC in Routing.
-				break
-			}
-			q.R = out
-			q.FSP = false
-			if r.cfg.FaultTolerant && !r.primaryPathUsable(out) {
-				if r.secondaryPathUsable(out) {
-					q.FSP = true
-					q.SP = topology.Port(r.xbProt.SecondaryOf(int(out)))
+		// Visit the occupied VCs from rcScan[p] upward, then the ones
+		// below it: the order (rcScan[p]+i) mod VCs takes them in.
+		below := m & (1<<uint(r.rcScan[p]) - 1)
+	scan:
+		for _, part := range [2]uint64{m &^ below, below} {
+			for ; part != 0; part &= part - 1 {
+				idx := bits.TrailingZeros64(part)
+				q := ip.VCs[idx]
+				if q.G != vc.Routing || !headReady(q) {
+					continue
 				}
-				// If neither path works the packet waits; Functional()
-				// reports the router failed.
+				out, ok, unreachable := r.computeRoute(cy, p, q)
+				if unreachable {
+					// Network faults cut every remaining path to the
+					// destination: discard the packet. The drain stage frees
+					// the buffered flits one per cycle, returning credits
+					// upstream, until the tail releases the VC.
+					q.G = vc.Dropping
+					r.dropping++
+					r.droppedPkts = append(r.droppedPkts, q.Front().Pkt)
+					r.rcScan[p] = r.vcAfter(idx)
+					break scan
+				}
+				if !ok {
+					// No fault-free RC copy: the packet is stuck. The router
+					// is no longer Functional(); leave the VC in Routing.
+					break scan
+				}
+				q.R = out
+				q.FSP = false
+				if r.cfg.FaultTolerant && !r.primaryPathUsable(out) {
+					if r.secondaryPathUsable(out) {
+						q.FSP = true
+						q.SP = topology.Port(r.xbProt.SecondaryOf(int(out)))
+					}
+					// If neither path works the packet waits; Functional()
+					// reports the router failed.
+				}
+				q.G = vc.VCAlloc
+				if o := r.obs; o != nil {
+					o.RCCompute(cy, p, idx, int(out), r.rc[p].Faulty(0))
+					r.noteAdvance(p, idx)
+				}
+				r.rcScan[p] = r.vcAfter(idx)
+				break scan // one RC per port per cycle
 			}
-			q.G = vc.VCAlloc
-			if o := r.obs; o != nil {
-				o.RCCompute(cy, p, idx, int(out), r.rc[p].Faulty(0))
-				r.noteAdvance(p, idx)
-			}
-			r.rcScan[p] = (idx + 1) % r.cfg.VCs
-			break // one RC per port per cycle
 		}
 	}
+}
+
+// vcAfter returns the VC index that follows v in round-robin order.
+func (r *Router) vcAfter(v int) int {
+	if v+1 == r.cfg.VCs {
+		return 0
+	}
+	return v + 1
 }
 
 // computeRoute runs the port's RC unit, tracking duplicate use. With a
@@ -184,18 +195,13 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 // vaStage runs the two-stage separable virtual-channel allocator,
 // including the protected router's arbiter borrowing.
 func (r *Router) vaStage(cy sim.Cycle) {
+	P, V := r.cfg.Ports, r.cfg.VCs
 	// Stage 1: each input VC in VCAlloc picks one candidate downstream VC.
-	requests := 0
-	for p := 0; p < r.cfg.Ports; p++ {
-		m := r.occ[p]
-		if m == 0 {
-			continue
-		}
+	requested := false
+	for p := 0; p < P; p++ {
 		ip := r.in[p]
-		for v := 0; v < r.cfg.VCs; v++ {
-			if m&(1<<uint(v)) == 0 {
-				continue
-			}
+		for m := r.occ[p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
 			q := ip.VCs[v]
 			if q.G != vc.VCAlloc {
 				continue
@@ -236,21 +242,18 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				// VC layer; allocate only inside it.
 				lo, hi = q.DvcLo, q.DvcHi
 			}
-			reqs := r.reqBuf[:r.cfg.VCs]
-			for i := range reqs {
-				reqs[i] = false
-			}
-			any := false
+			// The request word: the free downstream VCs of the range.
+			var free uint64
 			for dvc := lo; dvc < hi; dvc++ {
 				if !r.outVCBusy[out][dvc] {
-					reqs[dvc] = true
-					any = true
+					free |= 1 << uint(dvc)
 				}
 			}
-			if any {
-				if dvc, ok := r.va.Stage1(p, arbVC).Grant(reqs); ok {
-					r.va2req[out][dvc] = append(r.va2req[out][dvc], p*r.cfg.VCs+v)
-					requests++
+			if free != 0 {
+				if dvc, ok := r.va.Stage1(p, arbVC).GrantWord(free); ok {
+					r.va2req[(out*V+dvc)*P+p] |= 1 << uint(v)
+					r.va2any[out] |= 1 << uint(dvc)
+					requested = true
 				}
 			}
 			if arbVC != v {
@@ -262,39 +265,36 @@ func (r *Router) vaStage(cy sim.Cycle) {
 	}
 
 	// Stage 2: one arbiter per downstream VC resolves conflicts, consuming
-	// (and emptying) the request lists stage 1 filled.
-	if requests == 0 {
+	// (and clearing) the request words stage 1 filled.
+	if !requested {
 		return
 	}
-	for out := 0; out < r.cfg.Ports; out++ {
-		for dvc := 0; dvc < r.cfg.VCs; dvc++ {
-			cands := r.va2req[out][dvc]
-			if len(cands) == 0 {
-				continue
-			}
-			r.va2req[out][dvc] = cands[:0]
+	for out := 0; out < P; out++ {
+		any := r.va2any[out]
+		r.va2any[out] = 0
+		for ; any != 0; any &= any - 1 {
+			dvc := bits.TrailingZeros64(any)
+			reqs := r.va2req[(out*V+dvc)*P:][:P]
 			arb := r.va.Stage2(out, dvc)
 			if arb.Faulty() {
 				// Section V-B3: the requesters lose this downstream VC
 				// and re-arbitrate for a different one next cycle.
-				r.Counters.VA2Retries += uint64(len(cands))
+				cands := 0
+				for _, w := range reqs {
+					cands += bits.OnesCount64(w)
+				}
+				clear(reqs)
+				r.Counters.VA2Retries += uint64(cands)
 				if o := r.obs; o != nil {
-					o.VARetry(cy, out, dvc, len(cands))
+					o.VARetry(cy, out, dvc, cands)
 				}
 				continue
 			}
-			reqs := r.reqBuf[:r.cfg.Ports*r.cfg.VCs]
-			for i := range reqs {
-				reqs[i] = false
-			}
-			for _, c := range cands {
-				reqs[c] = true
-			}
-			w, ok := arb.Grant(reqs)
+			wp, wv, ok := arb.GrantWords(reqs, V)
+			clear(reqs)
 			if !ok {
 				continue
 			}
-			wp, wv := w/r.cfg.VCs, w%r.cfg.VCs
 			q := r.in[wp].VCs[wv]
 			q.G = vc.Active
 			q.OutVC = dvc
@@ -341,14 +341,12 @@ func (r *Router) effectiveRequestPort(q *vc.VC) (topology.Port, bool) {
 // saStage runs the two-stage separable switch allocator with the
 // protected router's bypass path and VC transfer.
 func (r *Router) saStage(cy sim.Cycle) {
-	winners := r.saWinners
-	for i := range winners {
-		winners[i] = saWinner{vcIdx: -1}
-	}
-
 	// Stage 1: pick one VC per input port. An empty port has nothing to
 	// request — unless it is in bypass mode, whose default winner and
-	// adoption age advance on empty cycles too.
+	// adoption age advance on empty cycles too. Each winner is recorded in
+	// saWinners[p] and as bit p of sa2req[its request port], so stage 2
+	// finds its request words built and reads only the entries of this
+	// cycle's winners.
 	won := false
 	for p := 0; p < r.cfg.Ports; p++ {
 		m := r.occ[p]
@@ -357,15 +355,17 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		ip := r.in[p]
-		ready := r.reqBuf[:r.cfg.VCs]
-		for v := 0; v < r.cfg.VCs; v++ {
-			ready[v] = m&(1<<uint(v)) != 0 && r.saReady(ip.VCs[v])
+		var ready uint64
+		for ; m != 0; m &= m - 1 {
+			if v := bits.TrailingZeros64(m); r.saReady(ip.VCs[v]) {
+				ready |= 1 << uint(v)
+			}
 		}
 		var w int
 		var ok, bypassed bool
 		switch {
 		case !b.Arb.Faulty():
-			w, ok = b.Arb.Grant(ready)
+			w, ok = b.Arb.GrantWord(ready)
 		case !r.cfg.FaultTolerant:
 			continue // baseline: the port is dead
 		case b.BypassFaulty():
@@ -386,7 +386,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 				}
 			}
 			if a := r.saAdopted[p]; a >= 0 {
-				if !ready[a] {
+				if ready&(1<<uint(a)) == 0 {
 					continue // waiting (e.g., on credits)
 				}
 				w, ok, bypassed = a, true, true
@@ -396,8 +396,8 @@ func (r *Router) saStage(cy sim.Cycle) {
 				}
 				break
 			}
-			w, ok = b.Grant(ready)
-			if ok && !ready[w] {
+			w, ok = b.GrantWord(ready)
+			if ok && ready&(1<<uint(w)) == 0 {
 				// The default winner cannot send. If it is idle and
 				// empty, transfer a sibling's flits and state into it;
 				// the transfer itself consumes this cycle.
@@ -420,33 +420,27 @@ func (r *Router) saStage(cy sim.Cycle) {
 		if !pathOK {
 			continue
 		}
-		winners[p] = saWinner{vcIdx: w, reqPort: reqPort, outPort: q.R, secondary: q.FSP, bypass: bypassed}
+		r.saWinners[p] = saWinner{vcIdx: w, outPort: q.R, secondary: q.FSP, bypass: bypassed}
+		r.sa2req[reqPort] |= 1 << uint(p)
 		won = true
 	}
 
-	// Stage 2: one arbiter per output port resolves input-port conflicts.
+	// Stage 2: one arbiter per output port resolves input-port conflicts,
+	// consuming (and clearing) the request words stage 1 built.
 	if !won {
 		return
 	}
-	reqs := r.reqBuf[:r.cfg.Ports]
 	for out := 0; out < r.cfg.Ports; out++ {
-		arb := r.sa.Stage2(out)
-		if arb.Faulty() {
+		req := r.sa2req[out]
+		if req == 0 {
 			continue
 		}
-		any := false
-		for p := 0; p < r.cfg.Ports; p++ {
-			reqs[p] = winners[p].vcIdx >= 0 && int(winners[p].reqPort) == out
-			any = any || reqs[p]
-		}
-		if !any {
-			continue
-		}
-		wp, ok := arb.Grant(reqs)
+		r.sa2req[out] = 0
+		wp, ok := r.sa.Stage2(out).GrantWord(req)
 		if !ok {
 			continue
 		}
-		win := winners[wp]
+		win := r.saWinners[wp]
 		q := r.in[wp].VCs[win.vcIdx]
 		r.creditSpend(win.outPort, q.OutVC)
 		r.grants = append(r.grants, grant{
@@ -475,10 +469,8 @@ func (r *Router) tryTransfer(cy sim.Cycle, ip *vc.InputPort, port, dst int) {
 		return // default winner holds a packet that is simply not ready
 	}
 	cand := -1
-	for v := 0; v < r.cfg.VCs; v++ {
-		if v == dst {
-			continue
-		}
+	for m := r.occ[port]; m != 0; m &= m - 1 { // dst is Idle: not in the mask
+		v := bits.TrailingZeros64(m)
 		s := ip.VCs[v]
 		if s.G != vc.Active || s.Empty() {
 			continue

@@ -72,10 +72,9 @@ type grant struct {
 
 // saWinner is one input port's stage-1 switch-allocation winner, held in
 // the router's reusable per-port scratch buffer (saWinners) between the
-// two allocator stages. vcIdx is -1 when the port won nothing.
+// two allocator stages.
 type saWinner struct {
 	vcIdx     int
-	reqPort   topology.Port
 	outPort   topology.Port
 	secondary bool
 	bypass    bool
@@ -179,18 +178,28 @@ type Router struct {
 	//noc:derived recomputed from the SA stage-1 fault bits by RestoreState
 	sa1Faults int
 
-	// va2req collects stage-2 VA requests: va2req[outPort][dvc] lists
-	// flat input-VC indices (p*V + v). Reused across cycles: stage 1
-	// fills a list and stage 2 truncates it as it consumes it, so every
-	// list is empty outside vaStage.
-	//noc:derived per-cycle scratch, empty outside vaStage
-	va2req [][][]int
-	//noc:derived per-cycle scratch, rebuilt from empty every Tick
-	reqBuf []bool // scratch request vector, len = Ports*VCs
-	// saWinners is the switch allocator's per-port scratch buffer,
-	// reused every cycle so the steady-state Tick allocates nothing.
-	//noc:derived per-cycle scratch, rebuilt from empty every Tick
+	// va2req collects stage-2 VA requests as request words, one per input
+	// port: the Ports words from (outPort*VCs+dvc)*Ports on are the
+	// request set of downstream VC (outPort, dvc), bit v of word p being
+	// input VC (p, v). A word per input port, like occ, is what lets the
+	// (Ports·VCs)-input arbiter take any Ports·VCs. va2any[outPort] has
+	// bit dvc set while (outPort, dvc) holds a request. Stage 1 sets bits
+	// and stage 2 clears them as it consumes them, so both are zero
+	// outside vaStage.
+	//noc:derived per-cycle scratch, zero outside vaStage
+	va2req []uint64
+	//noc:derived per-cycle scratch, zero outside vaStage
+	va2any []uint64
+	// saWinners is the switch allocator's per-port scratch buffer: stage
+	// 1 writes the entries of the ports that won and stage 2 reads only
+	// those, so it is never reset. sa2req[reqPort] is stage 2's request
+	// word, bit p set when input port p's winner requests that output;
+	// stage 2 clears the words it consumes, so all are zero outside
+	// saStage.
+	//noc:derived per-cycle scratch, written before it is read every Tick
 	saWinners []saWinner
+	//noc:derived per-cycle scratch, zero outside saStage
+	sa2req []uint64
 
 	// routeFn, when non-nil, replaces the RC units' XY computation with a
 	// network-level fault-aware function (see RouteFn).
@@ -237,7 +246,6 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	for i := range r.saAdopted {
 		r.saAdopted[i] = -1
 	}
-	r.va2req = make([][][]int, cfg.Ports)
 	for p := 0; p < cfg.Ports; p++ {
 		r.in[p] = vc.NewInputPort(topology.Port(p), cfg.VCs, cfg.Depth)
 		r.rc[p] = router.NewRCUnit(topo, cfg.FaultTolerant)
@@ -245,13 +253,6 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 		r.credits[p] = make([]int, cfg.VCs)
 		for v := range r.credits[p] {
 			r.credits[p][v] = cfg.Depth
-		}
-		r.va2req[p] = make([][]int, cfg.VCs)
-		for v := range r.va2req[p] {
-			// Worst case every input VC requests the same (out, dvc);
-			// full capacity up front keeps the steady-state tick
-			// allocation-free.
-			r.va2req[p][v] = make([]int, 0, cfg.Ports*cfg.VCs)
 		}
 	}
 	r.va = router.NewVAlloc(cfg)
@@ -261,8 +262,10 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	} else {
 		r.xbBase = crossbar.NewBaseline(cfg.Ports)
 	}
-	r.reqBuf = make([]bool, cfg.Ports*cfg.VCs)
+	r.va2req = make([]uint64, cfg.Ports*cfg.VCs*cfg.Ports)
+	r.va2any = make([]uint64, cfg.Ports)
 	r.saWinners = make([]saWinner, cfg.Ports)
+	r.sa2req = make([]uint64, cfg.Ports)
 	// Pre-size the per-cycle staging latches to their flow-control bounds
 	// (one flit per port per cycle; credits bounded by total VCs plus the
 	// VC-free piggyback) so the steady-state tick never grows them.
@@ -501,10 +504,10 @@ func (r *Router) rebuildOccupancy() {
 // CheckOccupancy recounts the derived occupancy state from the VCs and
 // arbiters and returns an error describing the first disagreement with
 // what the pipeline maintains incrementally. It must be called between
-// Ticks, where the stage-2 VA request lists must also be empty. It is
-// the runtime half of the //noc:derived markers on those fields, run
-// every cycle under the nocassert build tag (so it allocates nothing on
-// the passing path).
+// Ticks, where the allocators' stage-2 request words must also be zero.
+// It is the runtime half of the //noc:derived markers on those fields,
+// run every cycle under the nocassert build tag (so it allocates nothing
+// on the passing path).
 func (r *Router) CheckOccupancy() error {
 	occupied, dropping, sa1Faults, stale := r.recount(false)
 	if stale >= 0 {
@@ -515,11 +518,16 @@ func (r *Router) CheckOccupancy() error {
 		return fmt.Errorf("occupied/dropping/sa1Faults = %d/%d/%d, VCs and arbiters say %d/%d/%d",
 			r.occupied, r.dropping, r.sa1Faults, occupied, dropping, sa1Faults)
 	}
-	for out := range r.va2req {
-		for dvc, cands := range r.va2req[out] {
-			if len(cands) != 0 {
-				return fmt.Errorf("VA stage-2 request list (%v, vc%d) holds %d stale requests", topology.Port(out), dvc, len(cands))
-			}
+	for i, w := range r.va2req {
+		if w != 0 {
+			dvcFlat := i / r.cfg.Ports
+			return fmt.Errorf("VA stage-2 request word (%v, vc%d) holds stale requests %#x of input port %v",
+				topology.Port(dvcFlat/r.cfg.VCs), dvcFlat%r.cfg.VCs, w, topology.Port(i%r.cfg.Ports))
+		}
+	}
+	for out := range r.va2any {
+		if r.va2any[out] != 0 || r.sa2req[out] != 0 {
+			return fmt.Errorf("output %v holds stale stage-2 request marks: VA %#x, SA %#x", topology.Port(out), r.va2any[out], r.sa2req[out])
 		}
 	}
 	return nil

@@ -3,7 +3,9 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gonoc/internal/ftrouters"
@@ -60,6 +62,64 @@ func TestRunAppDeterministic(t *testing.T) {
 	b := RunApp(app, fastCfg())
 	if a != b {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunSuiteWorkerInvariant pins the suite's unit of work: a suite is
+// one flat list of simulations, so its points do not depend on
+// LatencyConfig.Workers (1, 2, an odd 3 against four jobs, 0 = all
+// cores) and never more than Workers simulations are in flight — no
+// nested fan-out under the sweep. RunApp is the two-job case of the same
+// function, returns the suite's point, and runs its pair back to back at
+// every Workers: its host time must not hang on a second core being free.
+func TestRunSuiteWorkerInvariant(t *testing.T) {
+	apps := workloads.SPLASH2()[:2]
+	cfg := fastCfg()
+	cfg.Warmup, cfg.Measure, cfg.FaultMean = 300, 1200, 600
+	cfg.Workers = 1
+	want := RunSuite("mini", apps, cfg)
+	for _, p := range want.Points {
+		if p.Faults == 0 || !(p.FaultFree > 0) || p.Faulty == p.FaultFree {
+			t.Fatalf("degenerate point %+v: the invariant would compare nothing", p)
+		}
+	}
+	for _, workers := range []int{2, 3, 0} {
+		cfg.Workers = workers
+		var inFlight, peak, runs atomic.Int32
+		counting := func(app workloads.App, c LatencyConfig, faulty bool) latencyRun {
+			now := inFlight.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			defer inFlight.Add(-1)
+			runs.Add(1)
+			return simulate(app, c, faulty)
+		}
+		points := runApps(apps, cfg, counting)
+		if !reflect.DeepEqual(points, want.Points) {
+			t.Errorf("Workers=%d: points %+v, Workers=1 gave %+v", workers, points, want.Points)
+		}
+		limit := workers
+		if limit == 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		if got := int(peak.Load()); got > limit || runs.Load() != int32(2*len(apps)) {
+			t.Errorf("Workers=%d: %d simulations in flight at once over %d runs, want at most %d over %d",
+				workers, got, runs.Load(), limit, 2*len(apps))
+		}
+		if got := RunSuite("mini", apps, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers=%d: RunSuite %+v, Workers=1 gave %+v", workers, got, want)
+		}
+		for i, app := range apps {
+			if got := RunApp(app, cfg); got != want.Points[i] {
+				t.Errorf("Workers=%d: RunApp(%s) = %+v, the suite's point is %+v", workers, app.Name, got, want.Points[i])
+			}
+			peak.Store(0)
+			runs.Store(0)
+			if got := runApp(app, cfg, counting); got != want.Points[i] || peak.Load() != 1 || runs.Load() != 2 {
+				t.Errorf("Workers=%d: runApp(%s) = %+v with %d simulations in flight at once over %d runs, want %+v with 1 over 2",
+					workers, app.Name, got, peak.Load(), runs.Load(), want.Points[i])
+			}
+		}
 	}
 }
 

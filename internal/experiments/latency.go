@@ -33,7 +33,11 @@ type LatencyConfig struct {
 	FaultMean sim.Cycle
 	// Seed derives all randomness.
 	Seed uint64
-	// Workers bounds parallelism across applications (0 = all cores).
+	// Workers bounds the simulations in flight across a suite (0 = all
+	// cores). Every application is two simulations, fault free and fault
+	// injected, and each is a job of its own, so a suite keeps Workers
+	// cores busy to the end and never runs more than Workers networks at
+	// once. RunApp alone ignores it: one application is one job.
 	Workers int
 	// StepWorkers shards each network's compute phase (noc.Config.Workers:
 	// 0 = all cores, 1 = serial). Results are identical at any value; with
@@ -49,8 +53,8 @@ func DefaultLatencyConfig() LatencyConfig {
 		Measure:   25000,
 		FaultMean: 20000,
 		Seed:      2014, // the paper's year; any seed works
-		// The suite already runs one app per core; serial stepping inside
-		// each network avoids oversubscription.
+		// The suite already runs one simulation per core; serial stepping
+		// inside each network avoids oversubscription.
 		StepWorkers: 1,
 	}
 }
@@ -90,50 +94,89 @@ type SuiteResult struct {
 	OverallDeltaPct float64
 }
 
-// RunApp simulates one application fault-free and fault-injected on the
-// protected-router network and returns its latency pair.
-func RunApp(app workloads.App, cfg LatencyConfig) LatencyPoint {
-	run := func(faulty bool) (float64, Quantiles, int) {
-		rc := router.DefaultConfig()
-		rc.FaultTolerant = true
-		mesh := topology.NewMesh(cfg.Width, cfg.Height)
-		tr := workloads.NewCoherence(app, mesh, cfg.Seed)
-		n := noc.MustNew(noc.Config{
-			Width: cfg.Width, Height: cfg.Height, Router: rc, Warmup: cfg.Warmup,
-			Workers: cfg.StepWorkers,
-		}, tr)
-		defer n.Close()
-		var inj *fault.Injector
-		if faulty {
-			inj = fault.NewInjector(n, cfg.FaultMean, cfg.Seed^0x9e3779b9, true)
-		}
-		n.Run(cfg.Warmup + cfg.Measure)
-		nFaults := 0
-		if inj != nil {
-			nFaults = len(inj.Injected())
-		}
-		st := n.Stats()
-		q := Quantiles{P50: st.Percentile(50), P95: st.Percentile(95), P99: st.Percentile(99)}
-		return st.AvgLatency(), q, nFaults
-	}
-	clean, cleanQ, _ := run(false)
-	dirty, dirtyQ, nFaults := run(true)
-	pt := LatencyPoint{
-		App: app.Name, FaultFree: clean, Faulty: dirty,
-		FaultFreeQ: cleanQ, FaultyQ: dirtyQ, Faults: nFaults,
-	}
-	if clean > 0 {
-		pt.DeltaPct = (dirty - clean) / clean * 100
-	}
-	return pt
+// latencyRun is the outcome of one simulation of a Figure 7/8 bar pair.
+type latencyRun struct {
+	avg    float64
+	q      Quantiles
+	faults int // faults present at the end of the run
 }
 
-// RunSuite runs every application of a suite (in parallel) and aggregates
-// the figure.
-func RunSuite(suite string, apps []workloads.App, cfg LatencyConfig) SuiteResult {
-	points := sweep.Map(apps, cfg.Workers, func(a workloads.App) LatencyPoint {
-		return RunApp(a, cfg)
+// simulate runs app once on the protected-router network, fault free or
+// under the fault injector. It is deterministic on cfg.Seed alone.
+func simulate(app workloads.App, cfg LatencyConfig, faulty bool) latencyRun {
+	rc := router.DefaultConfig()
+	rc.FaultTolerant = true
+	mesh := topology.NewMesh(cfg.Width, cfg.Height)
+	tr := workloads.NewCoherence(app, mesh, cfg.Seed)
+	n := noc.MustNew(noc.Config{
+		Width: cfg.Width, Height: cfg.Height, Router: rc, Warmup: cfg.Warmup,
+		Workers: cfg.StepWorkers,
+	}, tr)
+	defer n.Close()
+	var inj *fault.Injector
+	if faulty {
+		inj = fault.NewInjector(n, cfg.FaultMean, cfg.Seed^0x9e3779b9, true)
+	}
+	n.Run(cfg.Warmup + cfg.Measure)
+	st := n.Stats()
+	run := latencyRun{
+		avg: st.AvgLatency(),
+		q:   Quantiles{P50: st.Percentile(50), P95: st.Percentile(95), P99: st.Percentile(99)},
+	}
+	if inj != nil {
+		run.faults = len(inj.Injected())
+	}
+	return run
+}
+
+// runApps produces every application's bar pair. The unit of work is one
+// simulation, not one application: the 2·len(apps) runs — application i
+// fault free is job 2i, fault injected job 2i+1 — go to a single
+// sweep.Run, so cfg.Workers bounds the simulations in flight whatever the
+// number of applications, and the results are paired by index. sim is
+// simulate; a test passes a wrapper that counts the runs in flight.
+func runApps(apps []workloads.App, cfg LatencyConfig, sim func(workloads.App, LatencyConfig, bool) latencyRun) []LatencyPoint {
+	runs := sweep.Run(2*len(apps), cfg.Workers, func(i int) latencyRun {
+		return sim(apps[i/2], cfg, i%2 == 1)
 	})
+	points := make([]LatencyPoint, len(apps))
+	for i, app := range apps {
+		clean, dirty := runs[2*i], runs[2*i+1]
+		pt := LatencyPoint{
+			App: app.Name, FaultFree: clean.avg, Faulty: dirty.avg,
+			FaultFreeQ: clean.q, FaultyQ: dirty.q, Faults: dirty.faults,
+		}
+		if clean.avg > 0 {
+			pt.DeltaPct = (dirty.avg - clean.avg) / clean.avg * 100
+		}
+		points[i] = pt
+	}
+	return points
+}
+
+// RunApp simulates one application fault-free and fault-injected on the
+// protected-router network and returns its latency pair. It is the
+// one-application case of runApps, with the pair run back to back
+// whatever cfg.Workers says: callers loop over, fan out over and time
+// RunApp as one job, and a pair run side by side is only as fast as the
+// second core is free at that moment (measured on a two-core box: 21%
+// slower beside a half-busy neighbour, where the back-to-back pair does
+// not move). Parallelism belongs to RunSuite, which has 2·len(apps) jobs
+// to balance.
+func RunApp(app workloads.App, cfg LatencyConfig) LatencyPoint {
+	return runApp(app, cfg, simulate)
+}
+
+// runApp is RunApp with the simulation passed in, as for runApps.
+func runApp(app workloads.App, cfg LatencyConfig, sim func(workloads.App, LatencyConfig, bool) latencyRun) LatencyPoint {
+	cfg.Workers = 1
+	return runApps([]workloads.App{app}, cfg, sim)[0]
+}
+
+// RunSuite runs every application of a suite, cfg.Workers simulations at
+// a time, and aggregates the figure.
+func RunSuite(suite string, apps []workloads.App, cfg LatencyConfig) SuiteResult {
+	points := runApps(apps, cfg, simulate)
 	res := SuiteResult{Suite: suite, Points: points}
 	var clean, dirty float64
 	for _, p := range points {

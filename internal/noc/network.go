@@ -225,6 +225,14 @@ type Network struct {
 	// that router's next Tick.
 	stagedFlits   [][]router.OutFlit //noc:derived per-cycle scratch, consumed by commit before the step boundary
 	stagedCredits [][]router.Credit  //noc:derived per-cycle scratch, consumed by commit before the step boundary
+	// linkTraffic[id] has bit p set when node id staged something that
+	// crosses the link at its port p this cycle — a flit that survived
+	// the local commit, or a credit for the neighbour there. The local
+	// commit writes every entry before the link commit reads any, and a
+	// neighbour's pull tests its one bit of this dense array instead of
+	// walking the node's staged flits and credits for the ones on its
+	// link (router.Config.Validate caps Ports at 64).
+	linkTraffic []uint64 //noc:derived per-cycle scratch, written by commitLocal before commitLinksNode reads it
 
 	// Network-level fault state. linkDead is the explicit per-(node,
 	// port) dead-link set (kept symmetric: both endpoints of a link are
@@ -410,6 +418,7 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	n.inNICredits = makeBuckets[router.Credit](nodes, 2*cfg.Router.VCs)
 	n.stagedFlits = make([][]router.OutFlit, nodes)
 	n.stagedCredits = make([][]router.Credit, nodes)
+	n.linkTraffic = make([]uint64, nodes)
 	n.linkDead = makeGrid[bool](nodes, ports)
 	n.routerDead = make([]bool, nodes)
 	n.midFlight = make([]uint64, nodes*ports)
@@ -677,7 +686,8 @@ func (n *Network) commit(c sim.Cycle) {
 // flit. It leaves in stagedFlits[id] exactly the flits that cross a
 // link: the ones that die at a dead link are discarded here
 // (discardAtLink), where writing the sender's own credit latch is
-// single-writer by construction.
+// single-writer by construction. linkTraffic[id] marks the ports through
+// which a flit or credit of the node is left for a neighbour to pull.
 //
 //noc:commit-only
 func (n *Network) commitLocal(c sim.Cycle) {
@@ -690,6 +700,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				on.DropUnreachable(c, pkt.Dst)
 			}
 		}
+		var links uint64
 		crossing := n.stagedFlits[id][:0]
 		for _, of := range n.stagedFlits[id] {
 			if of.Out != localPort {
@@ -698,6 +709,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				}
 				if !n.discardAtLink(id, of, c) {
 					crossing = append(crossing, of)
+					links |= 1 << uint(of.Out)
 				}
 				continue
 			}
@@ -729,10 +741,12 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				if n.neighbor(id, cr.In) < 0 {
 					panic(fmt.Sprintf("noc: router %d emitted credit through edge port %v", id, cr.In))
 				}
+				links |= 1 << uint(cr.In)
 				continue
 			}
 			n.inNICredits[id] = append(n.inNICredits[id], cr)
 		}
+		n.linkTraffic[id] = links
 	}
 }
 
@@ -753,10 +767,10 @@ func (n *Network) commitLinksNode(u int) {
 		if v < 0 {
 			continue
 		}
-		if len(n.stagedFlits[v]) == 0 && len(n.stagedCredits[v]) == 0 {
+		q := p.Opposite() // v's output port facing u
+		if n.linkTraffic[v]>>uint(q)&1 == 0 {
 			continue
 		}
-		q := p.Opposite() // v's output port facing u
 		mf := &n.midFlight[v*n.ports+int(q)]
 		for _, of := range n.stagedFlits[v] {
 			if of.Out != q {

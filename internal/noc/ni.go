@@ -130,8 +130,15 @@ func (ni *NI) creditSpend(v int) {
 	}
 }
 
-// tick allocates VCs to queued packets and sends at most one flit.
+// tick allocates VCs to queued packets and sends at most one flit. An NI
+// with nothing queued and no packet mid-injection has neither to do.
 func (ni *NI) tick(cy sim.Cycle) {
+	if ni.activeVCs == 0 && ni.QueuedPackets() == 0 {
+		if ni.obs != nil {
+			ni.obs.NIQueueDepth(0)
+		}
+		return
+	}
 	// Allocate a free local VC to the head packet of each class queue.
 	for cls := range ni.queues {
 		if len(ni.queues[cls]) == 0 {
@@ -157,11 +164,16 @@ func (ni *NI) tick(cy sim.Cycle) {
 	}
 
 	// Send one flit from one active VC (the local link carries one flit
-	// per cycle), rotating the starting VC for fairness.
-	for i := 0; i < ni.cfg.VCs; i++ {
-		v := (ni.sendScan + i) % ni.cfg.VCs
+	// per cycle), rotating the starting VC for fairness: VCs sendScan and
+	// up first, then the ones below it.
+	for i, v := 0, ni.sendScan; i < ni.cfg.VCs; i++ {
+		next := v + 1
+		if next == ni.cfg.VCs {
+			next = 0
+		}
 		fl := ni.active[v]
 		if len(fl) == 0 || ni.credits[v] == 0 {
+			v = next
 			continue
 		}
 		f := fl[0]
@@ -177,7 +189,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 		} else {
 			ni.active[v] = fl[1:]
 		}
-		ni.sendScan = (v + 1) % ni.cfg.VCs
+		ni.sendScan = next
 		break
 	}
 }

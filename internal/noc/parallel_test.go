@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gonoc/internal/core"
 	"gonoc/internal/fault"
 	"gonoc/internal/flit"
 	"gonoc/internal/noc"
@@ -55,6 +56,18 @@ type outcome struct {
 	events  []obs.Event
 	heat    string
 	cycle   sim.Cycle
+	// loaded and drained are the StateHash at the generation horizon,
+	// packets in flight, and after Drain.
+	loaded, drained uint64
+	// mech sums the routers' fault-tolerance mechanism counters.
+	mech core.Counters
+}
+
+// golden pins a case to values computed by another commit's simulator,
+// so the case guards that commit's trajectory, not just self-agreement.
+type golden struct {
+	loaded, drained uint64
+	summary         string
 }
 
 // timedFault is a fault injection spec applied at a specific cycle.
@@ -69,12 +82,15 @@ type confCase struct {
 	topo        string // topology kind ("" = mesh)
 	conc        int    // cmesh concentration (0 = 1)
 	baseline    bool   // unprotected router instead of the FT design
+	vcs         int    // VCs per port (0 = the default 4)
+	classes     int    // message classes (0 = the default)
 	makeTraffic func() noc.Traffic
 	faults      []string     // injection specs applied before cycle 0
 	midFaults   []timedFault // injection specs applied mid-run via a hook
 	retx        noc.RetxConfig
 	faultMean   sim.Cycle // random safe-only injector mean (0 = none)
 	cycles      sim.Cycle
+	golden      *golden // expected hashes and summary, when pinned
 }
 
 // stopAt is the generation horizon shared by the synthetic workloads so
@@ -86,6 +102,35 @@ func uniformTraffic(seed uint64) func() noc.Traffic {
 		src := traffic.NewSynthetic(16, 0.06, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), seed)
 		src.StopAt(stopAt)
 		return src
+	}
+}
+
+// bothClasses moves every third packet of a source into the response
+// class, so both halves of a two-class VC range carry traffic.
+type bothClasses struct {
+	noc.Traffic
+	offered int
+}
+
+func (b *bothClasses) Offered(node int, c sim.Cycle) []*flit.Packet {
+	ps := b.Traffic.Offered(node, c)
+	for _, p := range ps {
+		if b.offered++; b.offered%3 == 0 {
+			p.Class = flit.Response
+		}
+	}
+	return ps
+}
+
+// saturatingTraffic offers a 4x4 mesh about twice the uniform load it can
+// carry, in both message classes, so every VC of every port fills and the
+// NI queues grow until the horizon (half the usual one: the backlog takes
+// four times as long to drain as it took to build).
+func saturatingTraffic(seed uint64) func() noc.Traffic {
+	return func() noc.Traffic {
+		src := traffic.NewSynthetic(16, 0.4, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), seed)
+		src.StopAt(stopAt / 2)
+		return &bothClasses{Traffic: src}
 	}
 }
 
@@ -228,6 +273,9 @@ func runCase(t *testing.T, cc confCase, workers int) outcome {
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = !cc.baseline
 	rc.Obs = o
+	if cc.vcs > 0 {
+		rc.VCs, rc.Classes = cc.vcs, cc.classes
+	}
 	rec := &recorder{inner: cc.makeTraffic()}
 	n, err := noc.New(noc.Config{
 		Width: 4, Height: 4, Topo: cc.topo, Conc: cc.conc,
@@ -264,6 +312,7 @@ func runCase(t *testing.T, cc confCase, workers int) outcome {
 		fault.NewInjector(n, cc.faultMean, 999, true)
 	}
 	n.Run(cc.cycles)
+	loaded := n.StateHash()
 	if !n.Drain(cc.cycles + 50000) {
 		t.Fatalf("%s (workers=%d): did not drain, %d in flight",
 			cc.name, workers, n.Stats().InFlight())
@@ -279,6 +328,16 @@ func runCase(t *testing.T, cc confCase, workers int) outcome {
 		events:  o.Tracer.CanonicalEvents(),
 		heat:    n.Heatmap(),
 		cycle:   n.Now(),
+		loaded:  loaded,
+		drained: n.StateHash(),
+	}
+	for id := 0; id < n.Topo().Nodes(); id++ {
+		c := n.Router(id).Counters
+		out.mech.VA1Borrows += c.VA1Borrows
+		out.mech.VA2Retries += c.VA2Retries
+		out.mech.SABypassGrants += c.SABypassGrants
+		out.mech.SATransfers += c.SATransfers
+		out.mech.XBSecondary += c.XBSecondary
 	}
 	for _, p := range rec.pkts {
 		out.packets = append(out.packets, pktRecord{
@@ -294,6 +353,10 @@ func diffOutcomes(t *testing.T, name string, workers int, ref, got outcome) {
 	t.Helper()
 	if ref.cycle != got.cycle {
 		t.Errorf("%s: final cycle %d (workers=1) vs %d (workers=%d)", name, ref.cycle, got.cycle, workers)
+	}
+	if ref.loaded != got.loaded || ref.drained != got.drained {
+		t.Errorf("%s (workers=%d): StateHash loaded/drained %#016x/%#016x vs reference %#016x/%#016x",
+			name, workers, got.loaded, got.drained, ref.loaded, ref.drained)
 	}
 	if len(ref.packets) != len(got.packets) {
 		t.Fatalf("%s: %d packets (workers=1) vs %d (workers=%d)",
@@ -474,6 +537,15 @@ func TestLinkFlapParallelConformance(t *testing.T) {
 // scheduling nondeterminism: three repeated runs of one seeded, faulted,
 // parallel configuration must produce byte-identical statistics and
 // identical canonical event streams.
+//
+// The two wide-vc rows pin a router whose Ports·VCs (80) exceeds one
+// request word, which no other network test reaches: saturated, so VA
+// stage 2 arbitrates across several words every cycle, and the second
+// with one fault of each arbitrated kind planted mid-run so borrow,
+// retry, bypass with adoption and the secondary path all run on request
+// words. Their hashes and summaries were computed by the last commit
+// whose allocators scanned []bool request vectors (6158a9d); Workers 1
+// and 3 must both reproduce them.
 func TestGoldenDeterminism(t *testing.T) {
 	cases := []confCase{
 		{
@@ -507,21 +579,79 @@ func TestGoldenDeterminism(t *testing.T) {
 			faults:      []string{"5:sa1:e", "10:xb:w"},
 			cycles:      stopAt,
 		},
+		{
+			name:        "golden-wide-vc",
+			vcs:         16,
+			classes:     2,
+			makeTraffic: saturatingTraffic(2014),
+			cycles:      stopAt / 2,
+			golden: &golden{
+				loaded: 0x0b35c06ac3f36fca, drained: 0x35367175299dc5c1,
+				summary: "created 6341 ejected 6341 measured 5691 in-flight 0\n" +
+					"latency avg 261.382885257424 net 78.47847478474785 min 7 max 810\n" +
+					"latency p50 216 p95 606 p99 659\n" +
+					"hist count 5691 sum 1487530 netsum 446621\n" +
+					"flits 15055 hopsum 15055\n" +
+					"class 0 n 3794 latsum 1.360393e+06\n" +
+					"class 1 n 1897 latsum 127137\n",
+			},
+		},
+		{
+			name:        "golden-wide-vc-midrun-faults",
+			vcs:         16,
+			classes:     2,
+			makeTraffic: saturatingTraffic(2014),
+			midFaults: []timedFault{
+				{at: 150, spec: "5:va1:e:3"},
+				{at: 250, spec: "6:va2:s:2"},
+				{at: 350, spec: "9:sa1:w"},
+				{at: 450, spec: "10:sa2:n"},
+				{at: 550, spec: "5:xb:e"},
+			},
+			cycles: stopAt / 2,
+			golden: &golden{
+				loaded: 0xd2f8c41893272237, drained: 0x94f972fbe3d661f7,
+				summary: "created 6341 ejected 6341 measured 5691 in-flight 0\n" +
+					"latency avg 320.762959058162 net 83.60499033561764 min 7 max 1146\n" +
+					"latency p50 243 p95 873 p99 1062\n" +
+					"hist count 5691 sum 1825462 netsum 475796\n" +
+					"flits 15055 hopsum 15055\n" +
+					"class 0 n 3794 latsum 1.650951e+06\n" +
+					"class 1 n 1897 latsum 174511\n",
+			},
+		},
 	}
 	for _, cc := range cases {
 		cc := cc
 		t.Run(cc.name, func(t *testing.T) {
-			run := func() outcome { return runCase(t, cc, 4) }
-			ref := run()
+			workers := []int{4, 4, 4}
+			if cc.golden != nil {
+				workers = []int{1, 3}
+			}
+			ref := runCase(t, cc, workers[0])
 			if ref.summary == "" {
 				t.Fatal("empty summary")
 			}
-			for rep := 0; rep < 2; rep++ {
-				got := run()
+			for rep, w := range workers[1:] {
+				got := runCase(t, cc, w)
 				if got.summary != ref.summary {
 					t.Fatalf("run %d summary diverged:\n%s\nvs\n%s", rep+2, ref.summary, got.summary)
 				}
-				diffOutcomes(t, cc.name, 4, ref, got)
+				diffOutcomes(t, cc.name, w, ref, got)
+			}
+			g := cc.golden
+			if g == nil {
+				return
+			}
+			if ref.loaded != g.loaded || ref.drained != g.drained || ref.summary != g.summary {
+				t.Errorf("trajectory left the pinned one: StateHash loaded/drained %#016x/%#016x, want %#016x/%#016x; summary\n%swant\n%s",
+					ref.loaded, ref.drained, g.loaded, g.drained, ref.summary, g.summary)
+			}
+			if len(cc.midFaults) > 0 {
+				m := ref.mech
+				if m.VA1Borrows == 0 || m.VA2Retries == 0 || m.SABypassGrants == 0 || m.SATransfers == 0 || m.XBSecondary == 0 {
+					t.Errorf("a planted fault's mechanism never ran: %+v", m)
+				}
 			}
 		})
 	}

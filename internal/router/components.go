@@ -65,51 +65,47 @@ func (u *RCUnit) Compute(cur, dst int) (topology.Port, bool) {
 // Stage 2: one (pi·v):1 arbiter per downstream VC of each output port.
 type VAlloc struct {
 	cfg Config
-	// stage1 is indexed [inPort][inVC]; each arbitrates over the v
-	// downstream VCs of the routed output port.
-	stage1 [][]*arbiter.RoundRobin
-	// stage1Faulty marks an input VC's whole arbiter set faulty.
-	stage1Faulty [][]bool
-	// stage2 is indexed [outPort][downVC]; each arbitrates over the pi·v
-	// input VCs.
-	stage2 [][]*arbiter.RoundRobin
+	// arbs holds every arbiter by value, flat index port*VCs+vc: the
+	// stage-1 arbiter of input VC (p, v) — over the v downstream VCs of
+	// the routed output port — at p*VCs+v, and the stage-2 arbiter of
+	// downstream VC (out, dvc) — over the pi·v input VCs — Ports*VCs
+	// further on.
+	arbs []arbiter.RoundRobin
+	// stage1Faulty marks an input VC's whole arbiter set faulty, same
+	// flat index.
+	stage1Faulty []bool
 }
 
 // NewVAlloc builds the allocator arbiters for cfg.
 func NewVAlloc(cfg Config) *VAlloc {
-	va := &VAlloc{cfg: cfg}
-	va.stage1 = make([][]*arbiter.RoundRobin, cfg.Ports)
-	va.stage1Faulty = make([][]bool, cfg.Ports)
-	va.stage2 = make([][]*arbiter.RoundRobin, cfg.Ports)
-	for p := 0; p < cfg.Ports; p++ {
-		va.stage1[p] = make([]*arbiter.RoundRobin, cfg.VCs)
-		va.stage1Faulty[p] = make([]bool, cfg.VCs)
-		va.stage2[p] = make([]*arbiter.RoundRobin, cfg.VCs)
-		for v := 0; v < cfg.VCs; v++ {
-			va.stage1[p][v] = arbiter.NewRoundRobin(cfg.VCs)
-			va.stage2[p][v] = arbiter.NewRoundRobin(cfg.Ports * cfg.VCs)
-		}
+	n := cfg.Ports * cfg.VCs
+	va := &VAlloc{cfg: cfg, arbs: make([]arbiter.RoundRobin, 2*n), stage1Faulty: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		va.arbs[i] = *arbiter.NewRoundRobin(cfg.VCs)
+		va.arbs[n+i] = *arbiter.NewRoundRobin(n)
 	}
 	return va
 }
 
 // Stage1 returns input VC (p, v)'s first-stage arbiter.
-func (va *VAlloc) Stage1(p, v int) *arbiter.RoundRobin { return va.stage1[p][v] }
+func (va *VAlloc) Stage1(p, v int) *arbiter.RoundRobin { return &va.arbs[p*va.cfg.VCs+v] }
 
 // SetStage1Faulty marks input VC (p, v)'s arbiter set faulty.
-func (va *VAlloc) SetStage1Faulty(p, v int, f bool) { va.stage1Faulty[p][v] = f }
+func (va *VAlloc) SetStage1Faulty(p, v int, f bool) { va.stage1Faulty[p*va.cfg.VCs+v] = f }
 
 // Stage1Faulty reports whether input VC (p, v)'s arbiter set is faulty.
-func (va *VAlloc) Stage1Faulty(p, v int) bool { return va.stage1Faulty[p][v] }
+func (va *VAlloc) Stage1Faulty(p, v int) bool { return va.stage1Faulty[p*va.cfg.VCs+v] }
 
 // Stage2 returns the second-stage arbiter of downstream VC (outPort, dvc).
-func (va *VAlloc) Stage2(outPort, dvc int) *arbiter.RoundRobin { return va.stage2[outPort][dvc] }
+func (va *VAlloc) Stage2(outPort, dvc int) *arbiter.RoundRobin {
+	return &va.arbs[(va.cfg.Ports+outPort)*va.cfg.VCs+dvc]
+}
 
 // PortStage1Dead reports whether every VC arbiter set of input port p is
 // faulty — the VA-stage failure condition of Section VIII-B.
 func (va *VAlloc) PortStage1Dead(p int) bool {
 	for v := 0; v < va.cfg.VCs; v++ {
-		if !va.stage1Faulty[p][v] {
+		if !va.Stage1Faulty(p, v) {
 			return false
 		}
 	}
@@ -122,7 +118,7 @@ func (va *VAlloc) PortStage1Dead(p int) bool {
 func (va *VAlloc) ClassStage2Dead(p, cls int) bool {
 	lo, hi := va.cfg.ClassRange(cls)
 	for dvc := lo; dvc < hi; dvc++ {
-		if !va.stage2[p][dvc].Faulty() {
+		if !va.Stage2(p, dvc).Faulty() {
 			return false
 		}
 	}
@@ -131,30 +127,31 @@ func (va *VAlloc) ClassStage2Dead(p, cls int) bool {
 
 // SAlloc holds the two-stage separable switch allocator (Figure 3b):
 // stage 1 is one v:1 arbiter per input port (wrapped with the protected
-// router's bypass path), stage 2 one pi:1 arbiter per output port.
+// router's bypass path), stage 2 one pi:1 arbiter per output port. Both
+// are held by value, indexed by port.
 type SAlloc struct {
 	cfg    Config
-	stage1 []*arbiter.Bypassed
-	stage2 []*arbiter.RoundRobin
+	stage1 []arbiter.Bypassed
+	stage2 []arbiter.RoundRobin
 }
 
 // NewSAlloc builds the switch allocator arbiters for cfg.
 func NewSAlloc(cfg Config) *SAlloc {
 	sa := &SAlloc{cfg: cfg}
-	sa.stage1 = make([]*arbiter.Bypassed, cfg.Ports)
-	sa.stage2 = make([]*arbiter.RoundRobin, cfg.Ports)
+	sa.stage1 = make([]arbiter.Bypassed, cfg.Ports)
+	sa.stage2 = make([]arbiter.RoundRobin, cfg.Ports)
 	for p := 0; p < cfg.Ports; p++ {
-		sa.stage1[p] = arbiter.NewBypassed(cfg.VCs, cfg.BypassRotatePeriod)
-		sa.stage2[p] = arbiter.NewRoundRobin(cfg.Ports)
+		sa.stage1[p] = *arbiter.NewBypassed(cfg.VCs, cfg.BypassRotatePeriod)
+		sa.stage2[p] = *arbiter.NewRoundRobin(cfg.Ports)
 	}
 	return sa
 }
 
 // Stage1 returns input port p's first-stage arbiter (with bypass).
-func (sa *SAlloc) Stage1(p int) *arbiter.Bypassed { return sa.stage1[p] }
+func (sa *SAlloc) Stage1(p int) *arbiter.Bypassed { return &sa.stage1[p] }
 
 // Stage2 returns output port p's second-stage arbiter.
-func (sa *SAlloc) Stage2(p int) *arbiter.RoundRobin { return sa.stage2[p] }
+func (sa *SAlloc) Stage2(p int) *arbiter.RoundRobin { return &sa.stage2[p] }
 
 // String implements fmt.Stringer.
 func (va *VAlloc) String() string {

@@ -43,8 +43,13 @@ type Config struct {
 }
 
 // maxVCs is the largest VC count per input port: the core router keeps
-// one occupancy bit per VC in a single 64-bit word per port.
-const maxVCs = 64
+// one occupancy bit per VC in a single 64-bit word per port. maxPorts is
+// the largest port count: an output port's switch-allocation request set
+// is one bit per input port in a single word.
+const (
+	maxVCs   = 64
+	maxPorts = 64
+)
 
 // DefaultConfig returns the paper's 5×5, 4-VC, depth-4 configuration.
 func DefaultConfig() Config {
@@ -56,6 +61,9 @@ func DefaultConfig() Config {
 func (c *Config) Validate() error {
 	if c.Ports < 3 {
 		return fmt.Errorf("router: need at least 3 ports, got %d", c.Ports)
+	}
+	if c.Ports > maxPorts {
+		return fmt.Errorf("router: at most %d ports (one request word), got %d", maxPorts, c.Ports)
 	}
 	if c.VCs < 1 {
 		return fmt.Errorf("router: need at least 1 VC, got %d", c.VCs)

@@ -23,6 +23,8 @@ func TestConfigValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"too few ports", func(c *Config) { c.Ports = 2 }, false},
+		{"most ports one request word holds", func(c *Config) { c.Ports = maxPorts }, true},
+		{"more ports than one request word holds", func(c *Config) { c.Ports = 65 }, false},
 		{"no VCs", func(c *Config) { c.VCs = 0 }, false},
 		{"most VCs one mask word holds", func(c *Config) { c.VCs = maxVCs }, true},
 		{"more VCs than one mask word holds", func(c *Config) { c.VCs = 65; c.Classes = 1 }, false},
