@@ -60,6 +60,14 @@ func newFeeder(cfg router.Config, fed func(p, v int) bool) *feeder {
 }
 
 func (f *feeder) tick() {
+	f.offer()
+	f.r.Tick(f.cycle)
+	f.cycle++
+	f.collect()
+}
+
+// offer latches this cycle's flit of every fed port that can send one.
+func (f *feeder) offer() {
 	for p, row := range f.feeds {
 		for k := 0; k < len(row); k++ {
 			v := (f.next[p] + k) % f.vcs
@@ -80,8 +88,11 @@ func (f *feeder) tick() {
 			break
 		}
 	}
-	f.r.Tick(f.cycle)
-	f.cycle++
+}
+
+// collect hands every output flit's credit straight back and takes the
+// credits the router returned upstream.
+func (f *feeder) collect() {
 	for _, of := range f.r.TakeOutFlits() {
 		f.r.AcceptCredit(CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 	}

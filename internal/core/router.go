@@ -220,13 +220,14 @@ type Router struct {
 	//noc:derived immutable wiring, bound at network construction; observational only
 	obs *obs.RouterObs
 
-	// stallSkip marks, per flat input-VC index p*VCs+v, that the VC
-	// advanced this cycle and must be skipped by the end-of-tick stall
-	// scan. Bits are set only on the obs-enabled path (inside existing
-	// nil-guarded blocks) and cleared by the scan itself, so the
-	// disabled hot path never touches it.
+	// advanced[p] has bit v set when input VC (p, v) advanced this cycle
+	// and must be skipped by the end-of-tick stall scan: one word per
+	// input port, like occ. Bits are set only on the obs-enabled path
+	// (inside existing nil-guarded blocks) and cleared by the scan itself;
+	// the words are allocated only when obs is bound, so a lights-off
+	// router carries a nil slice.
 	//noc:derived per-cycle scratch, cleared by the end-of-tick stall scan; observational only
-	stallSkip []bool
+	advanced []uint64
 }
 
 // New returns a router with the given id in topo, configured by cfg.
@@ -274,8 +275,9 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	r.outFlits = make([]router.OutFlit, 0, cfg.Ports)
 	r.outCredits = make([]router.Credit, 0, cfg.Ports*cfg.VCs+cfg.Ports)
 	r.droppedPkts = make([]*flit.Packet, 0, cfg.Ports)
-	r.stallSkip = make([]bool, cfg.Ports*cfg.VCs)
-	r.obs = obs.BindRouter(cfg.Obs, id, cfg.Ports, cfg.VCs)
+	if r.obs = obs.BindRouter(cfg.Obs, id, cfg.Ports, cfg.VCs); r.obs != nil {
+		r.advanced = make([]uint64, cfg.Ports)
+	}
 	return r, nil
 }
 

@@ -366,6 +366,11 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		}
 	}
 	nodes := topo.Nodes()
+	if o := cfg.Router.Obs; o != nil {
+		if err := o.CheckShape(nodes, cfg.Router.Ports, cfg.Router.VCs); err != nil {
+			return nil, fmt.Errorf("noc: %dx%d %s: %w", cfg.Width, cfg.Height, topo.Kind(), err)
+		}
+	}
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -432,7 +437,7 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 			return nil, err
 		}
 		n.routers[id] = r
-		n.obsNodes[id] = obs.BindNode(cfg.Router.Obs, id, ports)
+		n.obsNodes[id] = obs.BindNode(cfg.Router.Obs, id, ports, cfg.Router.VCs)
 		node := id
 		n.nis[id] = newNI(id, r, n.obsNodes[id], func(p *flit.Packet, c sim.Cycle) {
 			if n.retxCfg.Timeout > 0 {

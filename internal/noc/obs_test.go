@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 
 	"gonoc/internal/obs"
@@ -136,6 +137,73 @@ func TestObsDisabledNetworkRuns(t *testing.T) {
 	}
 	if n.Stats().Ejected() == 0 {
 		t.Fatal("disabled-obs network delivered nothing")
+	}
+}
+
+// TestNewRejectsMismatchedObserver pins the geometry check: a window ring
+// or flight recorder sized for another network used to run — node 5's
+// window cells aliasing the next bucket's node 1 — until an index ran off
+// the ring thousands of cycles later, and an undersized recorder funnelled
+// every unsized router into its one global lane. New must refuse them
+// with one line naming both shapes.
+func TestNewRejectsMismatchedObserver(t *testing.T) {
+	cases := []struct {
+		name    string
+		windows func() *obs.Windows
+		flight  func() *obs.FlightRecorder
+		wantErr []string // substrings of the error; nil: New must succeed
+	}{
+		{name: "matching",
+			windows: func() *obs.Windows { return obs.NewWindows(16, 5, 4, 256, 4) },
+			flight:  func() *obs.FlightRecorder { return obs.NewFlightRecorder(16, 8) }},
+		{name: "windows too small",
+			windows: func() *obs.Windows { return obs.NewWindows(4, 5, 4, 256, 4) },
+			wantErr: []string{"Windows sized for 4 nodes, 5 ports, 4 VCs", "network of 16 nodes, 5 ports, 4 VCs"}},
+		{name: "windows too large",
+			windows: func() *obs.Windows { return obs.NewWindows(64, 5, 4, 256, 4) },
+			wantErr: []string{"Windows sized for 64 nodes", "network of 16 nodes"}},
+		{name: "windows wrong VCs",
+			windows: func() *obs.Windows { return obs.NewWindows(16, 5, 2, 256, 4) },
+			wantErr: []string{"16 nodes, 5 ports, 2 VCs", "16 nodes, 5 ports, 4 VCs"}},
+		{name: "flight too small",
+			flight:  func() *obs.FlightRecorder { return obs.NewFlightRecorder(4, 8) },
+			wantErr: []string{"FlightRecorder sized for 4 nodes", "network of 16 nodes"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New(0)
+			if tc.windows != nil {
+				o.Windows = tc.windows()
+			}
+			if tc.flight != nil {
+				o.Flight = tc.flight()
+			}
+			src := traffic.NewSynthetic(16, 0.05, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 9)
+			n, err := New(obsCfg(o), src)
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("New refused a matching observer: %v", err)
+				}
+				defer n.Close()
+				n.Run(2000)
+				if n.Stats().Ejected() == 0 {
+					t.Fatal("matching observer: nothing delivered")
+				}
+				return
+			}
+			if err == nil {
+				n.Close()
+				t.Fatal("New accepted the observer")
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Errorf("error spans lines: %q", err)
+			}
+			for _, want := range tc.wantErr {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@
 package noc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -123,6 +125,79 @@ func TestStallObsWorkersInvariant(t *testing.T) {
 		if ref.summary != got.summary {
 			t.Errorf("workers=%d: stats summary diverged:\n%s\nvs\n%s", w, ref.summary, got.summary)
 		}
+	}
+}
+
+// obsDigest folds every observed artefact of a run — the full metrics
+// snapshot, the retained windows and the flight dump — into one FNV-1a
+// value.
+func obsDigest(out obsOutcome) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	flag := func(b bool) {
+		if b {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	put(uint64(len(out.samples)))
+	for _, s := range out.samples {
+		put(uint64(s.Key.Kind))
+		put(uint64(int64(s.Key.Router)))
+		put(uint64(int64(s.Key.Port)))
+		put(uint64(int64(s.Key.VC)))
+		put(uint64(s.Value))
+		flag(s.IsGauge)
+	}
+	w := out.window
+	put(uint64(w.Nodes))
+	put(uint64(w.Ports))
+	put(uint64(w.VCs))
+	put(uint64(w.BucketCycles))
+	put(uint64(len(w.Buckets)))
+	for _, b := range w.Buckets {
+		put(uint64(b.Start))
+		put(uint64(b.Cycles))
+		flag(b.Partial)
+		for _, c := range b.Util {
+			put(uint64(c))
+		}
+		for _, c := range b.Stall {
+			put(uint64(c))
+		}
+	}
+	put(uint64(out.dump.Cycle))
+	h.Write([]byte(out.dump.Reason))
+	put(uint64(len(out.dump.Events)))
+	for _, e := range out.dump.Events {
+		put(uint64(e.Cycle))
+		put(uint64(e.Kind))
+		put(uint64(int64(e.Router)))
+		put(uint64(int64(e.Port)))
+		put(uint64(int64(e.VC)))
+		put(uint64(int64(e.Arg)))
+		put(uint64(int64(e.Arg2)))
+		h.Write([]byte(e.Detail))
+		put(uint64(len(e.Detail)))
+	}
+	return h.Sum64()
+}
+
+// TestStallObsGoldenDigest pins what the faulted 4×4 case observes, not
+// just that worker counts agree on it: the digest was recorded at
+// 6a72585, the last commit whose stall scan walked every VC, whose
+// counters sat one to a map entry and whose flight lanes stored whole
+// Events. A change to how observations are collected must leave it
+// alone; a change to what is observed moves it on purpose.
+func TestStallObsGoldenDigest(t *testing.T) {
+	const want = 0x5ec9c01f5efd814e
+	if got := obsDigest(runObsCase(t, "mesh", 0, 1, true)); got != want {
+		t.Fatalf("observed-artefact digest %#x, want %#x", got, uint64(want))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -33,20 +34,59 @@ const (
 // shared by concurrently stepping networks (unlike the mutex-guarded
 // Tracer) — give each simulation its own.
 //
-// Trigger and Dumps must also run from a serial phase (a cycle hook,
-// post-step code, or the nocassert failure path), where no writer is
-// active.
+// Record, Trigger and Dumps must also run from a serial phase (a cycle
+// hook, post-step code, or the nocassert failure path), where no writer
+// is active; the compute phase writes through the lanes the RouterObs
+// and NodeObs handles hold.
 type FlightRecorder struct {
-	nodes   int
 	perLane int
+	lanes   []flightLane // one per node, rings carved from one slab
 
-	ring  []Event  // nodes+1 lanes of perLane slots
-	next  []int32  // per-lane write cursor
-	count []int32  // per-lane filled slots (≤ perLane)
-	total []uint64 // per-lane lifetime emit count
+	// global is the lane of events whose Router names no node. They are
+	// kept whole: a node lane implies its slots' router, nothing implies
+	// theirs.
+	global      []Event
+	globalNext  int
+	globalTotal uint64
+
+	// details interns the Detail strings of node-lane events, so a slot
+	// holds a 16-bit handle instead of a string header. Only the fault
+	// layer's serial-phase events carry one.
+	details   []string
+	detailIdx map[string]uint16
 
 	mu    sync.Mutex
 	dumps []Dump
+}
+
+// flightSlot is a node lane's stored event: 24 bytes and pointer-free,
+// so a lane's ring is half the size of the Events it stands for and the
+// garbage collector never scans it. The router is the lane's.
+type flightSlot struct {
+	cycle  sim.Cycle
+	arg    int32
+	arg2   int32
+	detail uint16 // 1-based index into FlightRecorder.details; 0 is none
+	kind   EventKind
+	port   int8
+	vc     int8
+}
+
+// flightLane is one node's ring with its cursor beside it, so a store
+// touches the header's cache line and the slot's and nothing else.
+type flightLane struct {
+	next  int32  // slot the next event lands in
+	total uint64 // lifetime stores; min(total, len(ring)) slots are filled
+	ring  []flightSlot
+}
+
+// put stores s, overwriting the oldest slot when the ring is full.
+func (l *flightLane) put(s flightSlot) {
+	l.ring[l.next] = s
+	if l.next++; int(l.next) == len(l.ring) {
+		l.next = 0
+	}
+	l.total++
 }
 
 // NewFlightRecorder returns a recorder for a nodes-router network
@@ -59,38 +99,70 @@ func NewFlightRecorder(nodes, perLane int) *FlightRecorder {
 	if perLane <= 0 {
 		perLane = DefaultFlightEvents
 	}
-	lanes := nodes + 1
-	return &FlightRecorder{
-		nodes: nodes, perLane: perLane,
-		ring:  make([]Event, lanes*perLane),
-		next:  make([]int32, lanes),
-		count: make([]int32, lanes),
-		total: make([]uint64, lanes),
+	f := &FlightRecorder{
+		perLane:   perLane,
+		lanes:     make([]flightLane, nodes),
+		global:    make([]Event, 0, perLane),
+		detailIdx: map[string]uint16{},
 	}
+	slab := make([]flightSlot, nodes*perLane)
+	for i := range f.lanes {
+		f.lanes[i].ring = slab[i*perLane : (i+1)*perLane : (i+1)*perLane]
+	}
+	return f
+}
+
+// lane returns node id's lane, or nil when the recorder was sized for
+// fewer nodes (noc.New rejects such a recorder; a handle bound past it
+// by hand records no flight events).
+func (f *FlightRecorder) lane(id int32) *flightLane {
+	if id < 0 || int(id) >= len(f.lanes) {
+		return nil
+	}
+	return &f.lanes[id]
+}
+
+// intern returns detail's handle, 0 for the empty string — and for a new
+// string once all 65,535 handles are taken, which degrades that event's
+// Detail to empty rather than growing without bound.
+func (f *FlightRecorder) intern(detail string) uint16 {
+	if detail == "" {
+		return 0
+	}
+	h, ok := f.detailIdx[detail]
+	if !ok && len(f.details) < math.MaxUint16 {
+		f.details = append(f.details, detail)
+		h = uint16(len(f.details))
+		f.detailIdx[detail] = h
+	}
+	return h
 }
 
 // Record stores e in its router's lane, overwriting the oldest event
-// when full. It never allocates.
+// when full. It allocates only to intern a Detail it has not seen.
 func (f *FlightRecorder) Record(e Event) {
-	lane := int(e.Router)
-	if lane < 0 || lane >= f.nodes {
-		lane = f.nodes // network-global lane
+	if l := f.lane(e.Router); l != nil {
+		l.put(flightSlot{
+			cycle: e.Cycle, arg: e.Arg, arg2: e.Arg2, detail: f.intern(e.Detail),
+			kind: e.Kind, port: e.Port, vc: e.VC,
+		})
+		return
 	}
-	i := f.next[lane]
-	f.ring[lane*f.perLane+int(i)] = e
-	f.next[lane] = (i + 1) % int32(f.perLane)
-	if f.count[lane] < int32(f.perLane) {
-		f.count[lane]++
+	if len(f.global) < f.perLane {
+		f.global = append(f.global, e)
+	} else {
+		f.global[f.globalNext] = e
 	}
-	f.total[lane]++
+	f.globalNext = (f.globalNext + 1) % f.perLane
+	f.globalTotal++
 }
 
 // Total returns how many events were recorded over the lifetime,
 // including overwritten ones. Serial-phase only, like Trigger.
 func (f *FlightRecorder) Total() uint64 {
-	var n uint64
-	for _, t := range f.total {
-		n += t
+	n := f.globalTotal
+	for i := range f.lanes {
+		n += f.lanes[i].total
 	}
 	return n
 }
@@ -112,21 +184,26 @@ type Dump struct {
 // maxFlightDumps) and returns it. It must run from a serial phase —
 // no compute-phase writer may be active.
 func (f *FlightRecorder) Trigger(cy sim.Cycle, reason string) Dump {
-	var total int32
-	for _, c := range f.count {
-		total += c
+	total := len(f.global)
+	for i := range f.lanes {
+		total += int(min(f.lanes[i].total, uint64(f.perLane)))
 	}
 	d := Dump{Cycle: cy, Reason: reason, Events: make([]Event, 0, total)}
-	for lane := range f.count {
-		base, n := lane*f.perLane, int(f.count[lane])
-		start := 0
-		if n == f.perLane {
-			start = int(f.next[lane])
-		}
-		for i := 0; i < n; i++ {
-			d.Events = append(d.Events, f.ring[base+(start+i)%f.perLane])
+	for id := range f.lanes {
+		l := &f.lanes[id]
+		n := int(min(l.total, uint64(f.perLane)))
+		for _, s := range l.ring[:n] {
+			e := Event{
+				Cycle: s.cycle, Kind: s.kind, Router: int32(id),
+				Port: s.port, VC: s.vc, Arg: s.arg, Arg2: s.arg2,
+			}
+			if s.detail != 0 {
+				e.Detail = f.details[s.detail-1]
+			}
+			d.Events = append(d.Events, e)
 		}
 	}
+	d.Events = append(d.Events, f.global...)
 	SortEvents(d.Events)
 	f.mu.Lock()
 	if len(f.dumps) < maxFlightDumps {

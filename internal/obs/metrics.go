@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -220,15 +221,19 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Metrics is the registry: a lazily populated map from Key to counter or
-// gauge. Handle resolution (Counter/Gauge) takes a lock and may allocate;
-// instrumented hot paths therefore resolve their handles once at
-// attach time (see RouterObs / NodeObs) and only touch atomics per event.
-// A nil *Metrics is never dereferenced by the instrumentation layer: the
-// simulator holds a nil Observer when observability is off, making the
-// disabled path a single pointer test.
+// Metrics is the registry. The series a bound router and node own — the
+// bulk of any registry: 158 per node at the default 5 ports and 4 VCs —
+// live in one contiguous counter block per router (see block) that the
+// RouterObs / NodeObs handles index directly; everything else (the fault
+// kinds, network-global series, ad-hoc keys) sits in a lazily populated
+// map. Handle resolution (Counter/Gauge) takes a lock and may allocate;
+// instrumented hot paths never call it, they hold their block and only
+// touch atomics per event. A nil *Metrics is never dereferenced by the
+// instrumentation layer: the simulator holds a nil Observer when
+// observability is off, making the disabled path a single pointer test.
 type Metrics struct {
 	mu       sync.Mutex
+	blocks   []*block // indexed by router id; nil where nothing is bound
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 }
@@ -241,10 +246,174 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Counter returns the counter at k, creating it if needed.
+// The block layout. A router's block holds, port by port, the port's
+// per-port counters followed by its per-VC stall counters, then the
+// node-scalar counters:
+//
+//	port p:  [p*stride, p*stride+numPortSlots)        one per portKinds entry
+//	         then vcs groups of NumStallKinds          (p, v, StallKind)
+//	node:    [ports*stride, ports*stride+len(nodeKinds))
+//
+// with stride = numPortSlots + vcs*NumStallKinds. Port-major keeps what
+// one flit touches on its way through an input port (rc, va, sa) and out
+// of an output port (xb, link) on two cache lines. The queue-depth gauge
+// sits beside the counters in the block struct.
+const (
+	slotRCComputes = iota
+	slotRCDuplicateUses
+	slotVAAllocs
+	slotVA1Borrows
+	slotVA1BorrowStalls
+	slotVA2Retries
+	slotSAGrants
+	slotSABypassGrants
+	slotSATransfers
+	slotReroutes
+	slotFlitsRouted
+	slotXBSecondary
+	slotLinkFlits
+	slotLinkDrops
+	numPortSlots
+)
+
+const (
+	slotNIFlitsSent = iota
+	slotNIPacketsOffered
+	slotNIPacketsEjected
+	slotDropsUnreachable
+	slotNIRetransmits
+	slotNIRetxTimeouts
+	slotNIDupsSuppressed
+	numNodeSlots
+)
+
+// portKinds and nodeKinds name the Kind stored at each slot.
+var (
+	portKinds = [numPortSlots]Kind{
+		KRCComputes, KRCDuplicateUses, KVAAllocs, KVA1Borrows, KVA1BorrowStalls,
+		KVA2Retries, KSAGrants, KSABypassGrants, KSATransfers, KReroutes,
+		KFlitsRouted, KXBSecondary, KLinkFlits, KLinkDrops,
+	}
+	nodeKinds = [numNodeSlots]Kind{
+		KNIFlitsSent, KNIPacketsOffered, KNIPacketsEjected, KDropsUnreachable,
+		KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed,
+	}
+)
+
+// dimension says which Key dimensions a block-resident Kind carries.
+type dimension uint8
+
+const (
+	dimNone  dimension = iota // not in any block: the registry's map holds it
+	dimPort                   // (port, NoVC)
+	dimStall                  // (port, vc)
+	dimNode                   // (NoPort, NoVC)
+	dimGauge                  // (NoPort, NoVC), the queue-depth gauge
+)
+
+// kindDim and kindSlot give every Kind's dimension and its slot within
+// it, derived once from portKinds and nodeKinds.
+var kindDim, kindSlot = func() (d [NumKinds]dimension, s [NumKinds]int) {
+	for slot, k := range portKinds {
+		d[k], s[k] = dimPort, slot
+	}
+	for slot, k := range nodeKinds {
+		d[k], s[k] = dimNode, slot
+	}
+	for k := 0; k < NumStallKinds; k++ {
+		d[StallKind(k).Kind()], s[StallKind(k).Kind()] = dimStall, k
+	}
+	d[KNIQueueDepth] = dimGauge
+	return d, s
+}()
+
+// nodeSide reports whether BindNode owns the block series of kind k (the
+// link and NI stages); BindRouter owns the rest.
+func nodeSide(k Kind) bool { return k.Stage() == StageLink || k.Stage() == StageNI }
+
+// block is one router's counters: every series BindRouter and BindNode
+// own for it, contiguous, in the layout above. Counters stay atomic —
+// concurrently stepping networks bound to one registry sum into the same
+// block, and a live scrape reads it mid-step.
+type block struct {
+	ports, vcs, stride int
+	// routerBound and nodeBound record which handle kinds were bound, so
+	// Snapshot lists only the series a binding created, zero rows included.
+	routerBound, nodeBound bool
+	c                      []Counter
+	queue                  Gauge
+}
+
+func newBlock(ports, vcs int) *block {
+	stride := numPortSlots + vcs*NumStallKinds
+	return &block{ports: ports, vcs: vcs, stride: stride, c: make([]Counter, ports*stride+numNodeSlots)}
+}
+
+// index returns the position in b.c of counter key k, ok=false when k
+// lies outside the block's layout (or is the gauge).
+func (b *block) index(k Key) (i int, ok bool) {
+	if int(k.Kind) >= NumKinds {
+		return 0, false
+	}
+	port, v := int(k.Port), int(k.VC)
+	inPort := port >= 0 && port < b.ports
+	switch kindDim[k.Kind] {
+	case dimPort:
+		return port*b.stride + kindSlot[k.Kind], inPort && k.VC == NoVC
+	case dimStall:
+		return port*b.stride + numPortSlots + v*NumStallKinds + kindSlot[k.Kind], inPort && v >= 0 && v < b.vcs
+	case dimNode:
+		return b.ports*b.stride + kindSlot[k.Kind], k.Port == NoPort && k.VC == NoVC
+	}
+	return 0, false
+}
+
+// bind returns router's block, creating it on first use, and marks the
+// router or node side bound. A second network bound to the same registry
+// gets the same block; binding one router in two shapes is a caller bug
+// (Observer.CheckShape reports it as an error beforehand).
+func (m *Metrics) bind(router, ports, vcs int, node bool) *block {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.blocks) <= router {
+		m.blocks = append(m.blocks, nil)
+	}
+	b := m.blocks[router]
+	if b == nil {
+		b = newBlock(ports, vcs)
+		m.blocks[router] = b
+	} else if b.ports != ports || b.vcs != vcs {
+		panic(fmt.Sprintf("obs: router %d bound with %d ports, %d VCs to a registry that holds it with %d ports, %d VCs",
+			router, ports, vcs, b.ports, b.vcs))
+	}
+	if node {
+		b.nodeBound = true
+	} else {
+		b.routerBound = true
+	}
+	return b
+}
+
+// blockOf returns the block holding router's series, or nil. The caller
+// holds m.mu.
+func (m *Metrics) blockOf(router int32) *block {
+	if router < 0 || int(router) >= len(m.blocks) {
+		return nil
+	}
+	return m.blocks[router]
+}
+
+// Counter returns the counter at k, creating it if needed. A key inside
+// a bound router's block resolves to the block's counter; resolve such
+// keys after binding.
 func (m *Metrics) Counter(k Key) *Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if b := m.blockOf(k.Router); b != nil {
+		if i, ok := b.index(k); ok {
+			return &b.c[i]
+		}
+	}
 	c := m.counters[k]
 	if c == nil {
 		c = &Counter{}
@@ -257,6 +426,9 @@ func (m *Metrics) Counter(k Key) *Counter {
 func (m *Metrics) Gauge(k Key) *Gauge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if b := m.blockOf(k.Router); b != nil && k.Kind == KNIQueueDepth && k.Port == NoPort && k.VC == NoVC {
+		return &b.queue
+	}
 	g := m.gauges[k]
 	if g == nil {
 		g = &Gauge{}
@@ -275,32 +447,91 @@ type Sample struct {
 	IsGauge bool
 }
 
+// keyLess is the registry's series order: (router, kind, port, VC).
+func keyLess(a, b Key) bool {
+	if a.Router != b.Router {
+		return a.Router < b.Router
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Port != b.Port {
+		return a.Port < b.Port
+	}
+	return a.VC < b.VC
+}
+
+// each calls fn for every series b holds for router, in keyLess order.
+func (b *block) each(router int32, fn func(Sample)) {
+	for k := Kind(0); k < numKinds; k++ {
+		bound := b.routerBound
+		if nodeSide(k) {
+			bound = b.nodeBound
+		}
+		if !bound {
+			continue
+		}
+		key := Key{Kind: k, Router: router, Port: NoPort, VC: NoVC}
+		counter := func() {
+			i, _ := b.index(key)
+			fn(Sample{Key: key, Value: int64(b.c[i].Value())})
+		}
+		switch kindDim[k] {
+		case dimGauge:
+			fn(Sample{Key: key, Value: b.queue.Value(), IsGauge: true})
+		case dimNode:
+			counter()
+		case dimPort:
+			for p := 0; p < b.ports; p++ {
+				key.Port = int8(p)
+				counter()
+			}
+		case dimStall:
+			for p := 0; p < b.ports; p++ {
+				for v := 0; v < b.vcs; v++ {
+					key.Port, key.VC = int8(p), int8(v)
+					counter()
+				}
+			}
+		}
+	}
+}
+
 // Snapshot returns every registered series, sorted by (router, kind,
 // port, VC) for stable output.
 func (m *Metrics) Snapshot() []Sample {
 	m.mu.Lock()
-	out := make([]Sample, 0, len(m.counters)+len(m.gauges))
+	defer m.mu.Unlock()
+	loose := make([]Sample, 0, len(m.counters)+len(m.gauges))
 	for k, c := range m.counters {
-		out = append(out, Sample{Key: k, Value: int64(c.Value())})
+		loose = append(loose, Sample{Key: k, Value: int64(c.Value())})
 	}
 	for k, g := range m.gauges {
-		out = append(out, Sample{Key: k, Value: g.Value(), IsGauge: true})
+		loose = append(loose, Sample{Key: k, Value: g.Value(), IsGauge: true})
 	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Router != b.Router {
-			return a.Router < b.Router
+	sort.Slice(loose, func(i, j int) bool { return keyLess(loose[i].Key, loose[j].Key) })
+
+	// The blocks enumerate in series order already; the few map-held
+	// series merge into that stream.
+	n := len(loose)
+	for _, b := range m.blocks {
+		if b != nil {
+			n += len(b.c) + 1
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+	}
+	out := make([]Sample, 0, n)
+	for id, b := range m.blocks {
+		if b == nil {
+			continue
 		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.VC < b.VC
-	})
-	return out
+		b.each(int32(id), func(s Sample) {
+			for len(loose) > 0 && keyLess(loose[0].Key, s.Key) {
+				out, loose = append(out, loose[0]), loose[1:]
+			}
+			out = append(out, s)
+		})
+	}
+	return append(out, loose...)
 }
 
 // RouterTotals is one router's counters summed over ports and VCs.
@@ -316,13 +547,27 @@ type RouterTotals struct {
 func (m *Metrics) PerRouter() []RouterTotals {
 	m.mu.Lock()
 	acc := map[int32]*RouterTotals{}
-	for k, c := range m.counters {
-		t := acc[k.Router]
+	row := func(router int32) *RouterTotals {
+		t := acc[router]
 		if t == nil {
-			t = &RouterTotals{Router: int(k.Router)}
-			acc[k.Router] = t
+			t = &RouterTotals{Router: int(router)}
+			acc[router] = t
 		}
-		t.Total[k.Kind] += c.Value()
+		return t
+	}
+	for id, b := range m.blocks {
+		if b == nil {
+			continue
+		}
+		t := row(int32(id))
+		b.each(int32(id), func(s Sample) {
+			if !s.IsGauge {
+				t.Total[s.Key.Kind] += uint64(s.Value)
+			}
+		})
+	}
+	for k, c := range m.counters {
+		row(k.Router).Total[k.Kind] += c.Value()
 	}
 	m.mu.Unlock()
 	out := make([]RouterTotals, 0, len(acc))

@@ -40,7 +40,7 @@ func TestDisabledObserverIsNoOp(t *testing.T) {
 	if BindRouter(nil, 0, 5, 4) != nil {
 		t.Fatal("BindRouter(nil) != nil")
 	}
-	if BindNode(nil, 0, 5) != nil {
+	if BindNode(nil, 0, 5, 4) != nil {
 		t.Fatal("BindNode(nil) != nil")
 	}
 	var o *Observer
@@ -48,7 +48,7 @@ func TestDisabledObserverIsNoOp(t *testing.T) {
 	// And an Observer with both surfaces nil must also be inert.
 	empty := &Observer{}
 	empty.RecordFault(KFaultsInjected, EvFaultInject, 10, 1, 2, 0, 0, "SA1 arbiter")
-	if n := BindNode(empty, 1, 5); n == nil {
+	if n := BindNode(empty, 1, 5, 4); n == nil {
 		t.Fatal("BindNode with metrics-less observer returned nil")
 	} else {
 		n.LinkFlit(2, 0) // nil counter handles must be tolerated

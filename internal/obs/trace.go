@@ -169,7 +169,9 @@ type Event struct {
 	// Arg and Arg2 carry per-Kind detail (see the Kind docs).
 	Arg  int32
 	Arg2 int32
-	// Detail is an optional human-readable note (fault site names).
+	// Detail is an optional human-readable note (fault site names). Only
+	// serial-phase emitters may set one: FlightRecorder.Record interns it
+	// in a table no lock guards.
 	Detail string
 }
 
