@@ -85,11 +85,12 @@ func runCheck(args []string) error {
 		return err
 	}
 	fmt.Print(modelcheck.FormatResults(results))
-	states, proved := 0, 0
+	states, proved, peakBytes := 0, 0, 0
 	var exploring time.Duration
 	for _, r := range results {
 		states += r.States
 		exploring += r.Elapsed
+		peakBytes = max(peakBytes, r.PeakFrontierBytes)
 		switch r.Verdict {
 		case modelcheck.Proved:
 			proved++
@@ -103,8 +104,8 @@ func runCheck(args []string) error {
 	if kind == "" {
 		kind = "mesh"
 	}
-	fmt.Printf("\nPROVED %d/%d scenarios (%d states total, %.0f states/s) in %v: deadlock freedom and full delivery on the %dx%d %s, fault free and under every single link/router fault\n",
-		proved, len(results), states, float64(states)/exploring.Seconds(), time.Since(start).Round(time.Millisecond), *w, *h, kind)
+	fmt.Printf("\nPROVED %d/%d scenarios (%d states total, %.0f states/s, peak frontier %s) in %v: deadlock freedom and full delivery on the %dx%d %s, fault free and under every single link/router fault\n",
+		proved, len(results), states, float64(states)/exploring.Seconds(), modelcheck.FormatBytes(peakBytes), time.Since(start).Round(time.Millisecond), *w, *h, kind)
 	return crossvalIfAsked(*crossval, *trials, *mcSeed)
 }
 

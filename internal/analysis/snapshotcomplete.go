@@ -22,8 +22,8 @@ import (
 // The analyzer diffs field sets against the triple's bodies using
 // go/types:
 //
-//   - Contract structs (core.Router, noc.Network, noc.NI, and the
-//     RouterState/vcState/Snapshot/niState mirrors) must have every field
+//   - Contract structs (core.Router, noc.Network, noc.NI, and the saved
+//     forms core.RouterState and noc.Snapshot) must have every field
 //     referenced by each of their save, restore and — for the live
 //     structs — canonical-encoding functions, or carry an explicit
 //     "//noc:derived <reason>" marker stating why the field sits outside
@@ -38,10 +38,14 @@ import (
 //     functions (that is how the core triple reaches them), or be marked
 //     //noc:derived.
 //
-// The mirror-struct checks are the tripwire the acceptance contract
-// names: deleting a single field assignment from SaveStateInto/
-// RestoreState makes that RouterState field unreferenced in its role and
-// fails the build.
+// Deleting a live field's line from a save or restore function makes
+// that field unreferenced in its role and fails the build. The saved
+// forms are sequential records, not field-for-field mirrors, so the
+// other half — "save wrote it, restore never read it" — is not visible
+// to a field diff: RestoreState and Restore check at run time that they
+// consumed the record to its last value, and FuzzSnapshotMatchesReference
+// (internal/noc) holds both against the field-by-field code they
+// replaced.
 //
 // The save functions fill caller-supplied storage when offered some and
 // allocate only otherwise (SaveStateInto, SnapshotInto). A reference
@@ -93,10 +97,6 @@ var snapContracts = map[string]struct {
 				{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
 				{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
 			}},
-			{typeName: "vcState", roles: []snapRole{
-				{name: "save", funcs: []string{"saveVC"}},
-				{name: "restore", funcs: []string{"restoreVC"}},
-			}},
 		},
 		externs: []snapExtern{
 			{pkgPath: "gonoc/internal/vc", typeName: "VC", roles: []snapRole{
@@ -109,7 +109,7 @@ var snapContracts = map[string]struct {
 	"gonoc/internal/noc": {
 		owners: []snapOwner{
 			{typeName: "Network", roles: []snapRole{
-				{name: "save", funcs: []string{"SnapshotInto", "saveNI"}},
+				{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
 				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
 				{name: "canonical", funcs: []string{"AppendCanonical", "appendCanonicalNI", "appendCanonicalWindows"}},
 			}},
@@ -119,12 +119,8 @@ var snapContracts = map[string]struct {
 				{name: "canonical", funcs: []string{"appendCanonicalNI"}},
 			}},
 			{typeName: "Snapshot", roles: []snapRole{
-				{name: "save", funcs: []string{"SnapshotInto", "saveNI"}},
+				{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
 				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
-			}},
-			{typeName: "niState", roles: []snapRole{
-				{name: "save", funcs: []string{"saveNI"}},
-				{name: "restore", funcs: []string{"restoreNI"}},
 			}},
 		},
 	},

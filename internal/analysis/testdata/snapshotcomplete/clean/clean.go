@@ -15,29 +15,21 @@ type RouterState struct {
 	flags   []bool
 }
 
-type vcState struct {
-	g int
-}
-
 func (r *Router) SaveStateInto() *RouterState {
 	return &RouterState{
-		covered: r.covered,
+		covered: saveVC(r.covered),
 		flags:   append([]bool(nil), r.flags...),
 	}
 }
 
-func saveVC(g int) vcState {
-	return vcState{g: g}
-}
+func saveVC(g int) int { return g }
 
 func (r *Router) RestoreState(s *RouterState) {
-	r.covered = s.covered
+	r.covered = restoreVC(s.covered)
 	copy(r.flags, s.flags)
 }
 
-func restoreVC(s *vcState) {
-	_ = s.g
-}
+func restoreVC(g int) int { return g }
 
 func (r *Router) AppendCanonical(b []byte) []byte {
 	b = append(b, byte(r.covered))

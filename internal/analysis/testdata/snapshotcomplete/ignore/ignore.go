@@ -13,21 +13,17 @@ type RouterState struct {
 	covered int
 }
 
-type vcState struct {
-	g int
-}
-
 func (r *Router) SaveStateInto() *RouterState {
 	return &RouterState{covered: r.covered}
 }
 
-func saveVC(g int) vcState { return vcState{g: g} }
+func saveVC(g int) int { return g }
 
 func (r *Router) RestoreState(s *RouterState) {
 	r.covered = s.covered
 }
 
-func restoreVC(s *vcState) { _ = s.g }
+func restoreVC(g int) int { return g }
 
 func (r *Router) AppendCanonical(b []byte) []byte {
 	return append(b, byte(r.covered))

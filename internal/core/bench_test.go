@@ -152,3 +152,45 @@ func BenchmarkTick(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRouterState times SaveState, SaveStateInto recycled storage
+// and RestoreState on a router with every VC of every port streaming —
+// the worst case for the record, every VC has an entry — and on an empty
+// one, where none has. The clone allocates, as the benchmark ledger's
+// core.state_save_ns / core.state_restore_ns clone does.
+func BenchmarkRouterState(b *testing.B) {
+	clone := func(f *flit.Flit) *flit.Flit { c := *f; return &c }
+	for _, tc := range []struct {
+		name string
+		fed  func(p, v int) bool
+	}{
+		{"loaded", func(p, v int) bool { return true }},
+		{"idle", func(p, v int) bool { return false }},
+	} {
+		cfg := router.DefaultConfig()
+		cfg.FaultTolerant = true
+		f := newFeeder(cfg, tc.fed)
+		for i := 0; i < 200; i++ {
+			f.tick()
+		}
+		st := f.r.SaveState(clone)
+		b.Run(tc.name+"/save-fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st = f.r.SaveState(clone)
+			}
+		})
+		b.Run(tc.name+"/save-recycled", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st = f.r.SaveStateInto(st, clone)
+			}
+		})
+		b.Run(tc.name+"/restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.r.RestoreState(st, clone)
+			}
+		})
+	}
+}

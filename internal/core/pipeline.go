@@ -532,7 +532,6 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		if g.secondary {
 			r.Counters.XBSecondary++
 		}
-		f.Hops++
 		r.Counters.FlitsRouted++
 		if o := r.obs; o != nil {
 			o.XBTraverse(cy, int(g.inPort), g.inVC, int(g.outPort), g.secondary)

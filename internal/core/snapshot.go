@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"unsafe"
 
 	"gonoc/internal/flit"
 	"gonoc/internal/topology"
@@ -25,218 +28,267 @@ import (
 // bypass registers, the RC scan and bypass-adoption pointers, fault
 // flags, and the counters.
 
-// vcState is the saved form of one input VC.
-type vcState struct {
-	flits  []*flit.Flit
-	g      vc.GState
-	r      topology.Port
-	outVC  int
-	r2     topology.Port
-	vf     bool
-	id     int
-	sp     topology.Port
-	fsp    bool
-	detour bool
-	dvcLo  int
-	dvcHi  int
-}
-
 // RouterState is a deep copy of a Router's mutable architectural state
-// at a network step boundary. It is produced by SaveState and consumed
-// by RestoreState; the flit pointers it holds are clones produced by
-// the caller's cloneFlit function, never aliases of live router state.
+// at a network step boundary, produced by SaveState and consumed by
+// RestoreState. It is one sequential record plus the buffered flits:
+// three objects however many ports and VCs the router has, where the
+// field-by-field layout it replaced was ten (snapshot_ref_test.go keeps
+// that one as the test oracle). The zero RouterState is empty storage
+// SaveStateInto fills for any router.
+//
+// rec is written and read front to back, in this order:
+//
+//	len(grants), then inPort, inVC, outPort, secondary per grant
+//	per port:  rcScan, saAdopted, saAdoptAge, SA stage-1 priority,
+//	           bypass default winner, bypass grants since rotation,
+//	           SA stage-2 priority, port flags (the seven fault bits)
+//	  per VC:  credits, VA stage-1 priority, VA stage-2 priority,
+//	           VC flags (outVCBusy, the two VA fault bits, entry follows)
+//	           and, only for a VC that is not in its reset state
+//	           (vc.VC.IsReset), its entry: G, R, OutVC, R2, ID, SP,
+//	           VF|FSP|Detour, DvcLo, DvcHi, number of buffered flits
+//
+// Every value is a port, a VC index, an arbiter priority (below
+// Ports*VCs), a credit count (at most Depth) or a rotation counter (at
+// most BypassRotatePeriod), so the record is []int16 and put panics on a
+// value that does not fit instead of truncating it: router.Config caps
+// ports and VCs at 64, and a buffer depth or rotate period of 32768 is a
+// configuration no experiment in this repository comes within two orders
+// of magnitude of. The flits of the VCs that have an entry sit in flits,
+// in record order. RestoreState resets a live VC that has no entry —
+// what ResetPacketState and ClearBorrow do — and checks at the end that
+// it consumed the record and the flits exactly.
 type RouterState struct {
-	vcs       [][]vcState
-	outVCBusy [][]bool
-	credits   [][]int
-	grants    []grant
-	rcScan    []int
-	saAdopted []int
-	saAdopt   []int
+	// ports, vcs, depth and protected are the configuration of the
+	// router the record was saved from, the only ones it restores into.
+	ports, vcs, depth int32
+	protected         bool
 
-	va1Prio []int // per (port, VC), indexed p*VCs+v, as va2Prio and the two va*Faulty
-	va2Prio []int
-	sa1Prio []int
-	sa1DW   []int // bypass default-winner register, per port
-	sa1Rot  []int // bypass grants-since-rotation counter, per port
-	sa2Prio []int
-
-	rcFaulty     [][2]bool
-	va1Faulty    []bool
-	va2Faulty    []bool
-	sa1ArbFault  []bool
-	sa1BypFault  []bool
-	sa2Faulty    []bool
-	xbMuxFaulty  []bool
-	xbSecFaulty  []bool
-	xbSecPresent bool
-
+	rec      []int16
+	flits    []flit.Flit
 	counters Counters
 }
 
+// fits reports whether s is empty storage or was saved from a router of
+// r's configuration.
+func (s *RouterState) fits(r *Router) bool {
+	return s.ports == 0 || s.ports == int32(r.cfg.Ports) && s.vcs == int32(r.cfg.VCs) &&
+		s.depth == int32(r.cfg.Depth) && s.protected == r.cfg.FaultTolerant
+}
+
+// Bytes returns the heap bytes the state's two buffers retain, for the
+// model checker's frontier accounting.
+func (s *RouterState) Bytes() int {
+	return cap(s.rec)*int(unsafe.Sizeof(int16(0))) + cap(s.flits)*int(unsafe.Sizeof(flit.Flit{}))
+}
+
+// Flag bits of the record's per-port and per-VC flag values.
+const (
+	portSA1Arb = 1 << iota
+	portSA1Byp
+	portSA2
+	portRC0
+	portRC1
+	portXBMux
+	portXBSec
+)
+
+const (
+	vcOutBusy = 1 << iota
+	vcVA1Faulty
+	vcVA2Faulty
+	vcHasEntry
+)
+
+const (
+	vcVF = 1 << iota
+	vcFSP
+	vcDetour
+)
+
+// vcEntryLen is the number of record values in one VC entry.
+const vcEntryLen = 10
+
+// put appends v to a record.
+func put(rec []int16, v int) []int16 {
+	if int(int16(v)) != v {
+		panic(fmt.Sprintf("core: SaveState: %d does not fit a saved router record (16-bit values)", v))
+	}
+	return append(rec, int16(v))
+}
+
+func bit(b bool, mask int) int {
+	if b {
+		return mask
+	}
+	return 0
+}
+
 // SaveState deep-copies the router's mutable state. cloneFlit maps each
-// buffered flit to the copy stored in the snapshot; the caller supplies
-// it so packet identity can be preserved across routers (the network
-// snapshot passes a memoizing cloner that maps every *flit.Packet to a
-// single clone). cloneFlit must not return its argument: flits are
-// mutated in place by the pipeline (Hops), so aliasing would let
-// post-snapshot execution corrupt the snapshot.
+// buffered flit to the copy the state keeps (by value: *cloneFlit(f));
+// the caller supplies it so packet identity can be preserved across
+// routers (the network snapshot maps every *flit.Packet to one clone).
+// The copy's Pkt must not be the live packet: NI.tick and NI.consume
+// stamp Packet.InjectedAt and EjectedAt in place, so a shared packet
+// would let post-snapshot execution rewrite the snapshot. The flit
+// itself is never written after flit.Segment built it.
 func (r *Router) SaveState(cloneFlit func(*flit.Flit) *flit.Flit) *RouterState {
 	return r.SaveStateInto(nil, cloneFlit)
 }
 
 // SaveStateInto is SaveState writing into old's storage: every field of
 // old is overwritten and old is returned, so saving into a state the
-// caller no longer needs allocates nothing beyond cloneFlit's copies.
+// caller no longer needs allocates nothing beyond what cloneFlit does.
 // The caller must own old outright — nothing may still expect to
-// restore from it. A nil old, or one saved from a router with a
-// different port or VC count, is left untouched and a fresh state is
-// returned instead.
+// restore from it. The zero RouterState is storage for any router. A
+// nil old, or one saved from a router of another configuration (port or
+// VC count, buffer depth, protection), is left untouched and a fresh
+// state is returned instead.
 func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *flit.Flit) *RouterState {
 	P, V := r.cfg.Ports, r.cfg.VCs
 	s := old
-	if s == nil || len(s.vcs) != P || len(s.va1Prio) != P*V {
-		s = newRouterState(P, V)
+	if s == nil || !s.fits(r) {
+		s = new(RouterState)
 	}
-	s.grants = append(s.grants[:0], r.grants...)
-	copy(s.rcScan, r.rcScan)
-	copy(s.saAdopted, r.saAdopted)
-	copy(s.saAdopt, r.saAdoptAge)
-	s.xbSecPresent = r.xbProt != nil
+	s.ports, s.vcs, s.depth = int32(P), int32(V), int32(r.cfg.Depth)
+	s.protected = r.cfg.FaultTolerant
 	s.counters = r.Counters
-	for p := 0; p < P; p++ {
-		copy(s.outVCBusy[p], r.outVCBusy[p])
-		copy(s.credits[p], r.credits[p])
-		for v := 0; v < V; v++ {
-			saveVC(&s.vcs[p][v], r.in[p].VCs[v], cloneFlit)
-			s.va1Prio[p*V+v] = r.va.Stage1(p, v).Prio()
-			s.va2Prio[p*V+v] = r.va.Stage2(p, v).Prio()
-			s.va1Faulty[p*V+v] = r.va.Stage1Faulty(p, v)
-			s.va2Faulty[p*V+v] = r.va.Stage2(p, v).Faulty()
+	if s.rec == nil {
+		// Empty storage: size both buffers for this state, so a fresh
+		// save allocates each once. A VC that lends its arbiters while
+		// Idle has an entry occupied does not count; append covers it.
+		s.rec = make([]int16, 0, 1+4*len(r.grants)+P*(8+4*V)+vcEntryLen*r.occupied)
+		if n := r.bufferedFlits(); n > 0 {
+			s.flits = make([]flit.Flit, 0, n)
 		}
+	}
+	rec, fl := s.rec[:0], s.flits[:0]
+
+	rec = put(rec, len(r.grants))
+	for _, g := range r.grants {
+		rec = put(put(put(put(rec, int(g.inPort)), g.inVC), int(g.outPort)), bit(g.secondary, 1))
+	}
+	for p := 0; p < P; p++ {
 		b := r.sa.Stage1(p)
-		s.sa1Prio[p] = b.Arb.Prio()
-		s.sa1DW[p], s.sa1Rot[p] = b.BypassState()
-		s.sa1ArbFault[p] = b.Arb.Faulty()
-		s.sa1BypFault[p] = b.BypassFaulty()
-		s.sa2Prio[p] = r.sa.Stage2(p).Prio()
-		s.sa2Faulty[p] = r.sa.Stage2(p).Faulty()
-		s.rcFaulty[p][0] = r.rc[p].Faulty(0)
-		s.rcFaulty[p][1] = r.cfg.FaultTolerant && r.rc[p].Faulty(1)
+		dw, rot := b.BypassState()
+		flags := bit(b.Arb.Faulty(), portSA1Arb) | bit(b.BypassFaulty(), portSA1Byp) |
+			bit(r.sa.Stage2(p).Faulty(), portSA2) | bit(r.rc[p].Faulty(0), portRC0) |
+			bit(r.cfg.FaultTolerant && r.rc[p].Faulty(1), portRC1)
 		if r.xbProt != nil {
-			s.xbMuxFaulty[p] = r.xbProt.MuxFaulty(p)
-			s.xbSecFaulty[p] = r.xbProt.SecondaryFaulty(p)
+			flags |= bit(r.xbProt.MuxFaulty(p), portXBMux) | bit(r.xbProt.SecondaryFaulty(p), portXBSec)
 		} else {
-			s.xbMuxFaulty[p] = r.xbBase.MuxFaulty(p)
-			s.xbSecFaulty[p] = false
+			flags |= bit(r.xbBase.MuxFaulty(p), portXBMux)
+		}
+		rec = put(put(put(rec, r.rcScan[p]), r.saAdopted[p]), r.saAdoptAge[p])
+		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa.Stage2(p).Prio())
+		rec = put(rec, flags)
+		vcs, credits, busy := r.in[p].VCs, r.credits[p], r.outVCBusy[p]
+		for v := 0; v < V; v++ {
+			q := vcs[v]
+			entry := !q.IsReset()
+			rec = put(put(put(rec, credits[v]), r.va.Stage1(p, v).Prio()), r.va.Stage2(p, v).Prio())
+			rec = put(rec, bit(busy[v], vcOutBusy)|bit(r.va.Stage1Faulty(p, v), vcVA1Faulty)|
+				bit(r.va.Stage2(p, v).Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
+			if entry {
+				rec, fl = saveVC(rec, fl, q, cloneFlit)
+			}
 		}
 	}
+	s.rec, s.flits = rec, fl
 	return s
 }
 
-// newRouterState allocates the storage of a P-port, V-VC router state,
-// carving the fixed-length slices out of one backing array per element
-// type. It sets no values: SaveStateInto writes every field of a fresh
-// state and of a recycled one through the same assignments.
-func newRouterState(P, V int) *RouterState {
-	ints := make([]int, 7*P+3*P*V)
-	bools := make([]bool, 5*P+3*P*V)
-	takeInts := func(n int) []int {
-		out := ints[:n:n]
-		ints = ints[n:]
-		return out
-	}
-	takeBools := func(n int) []bool {
-		out := bools[:n:n]
-		bools = bools[n:]
-		return out
-	}
-	s := &RouterState{
-		vcs:       make([][]vcState, P),
-		outVCBusy: make([][]bool, P),
-		credits:   make([][]int, P),
-		rcScan:    takeInts(P),
-		saAdopted: takeInts(P),
-		saAdopt:   takeInts(P),
-
-		va1Prio: takeInts(P * V),
-		va2Prio: takeInts(P * V),
-		sa1Prio: takeInts(P),
-		sa1DW:   takeInts(P),
-		sa1Rot:  takeInts(P),
-		sa2Prio: takeInts(P),
-
-		rcFaulty:    make([][2]bool, P),
-		va1Faulty:   takeBools(P * V),
-		va2Faulty:   takeBools(P * V),
-		sa1ArbFault: takeBools(P),
-		sa1BypFault: takeBools(P),
-		sa2Faulty:   takeBools(P),
-		xbMuxFaulty: takeBools(P),
-		xbSecFaulty: takeBools(P),
-	}
-	vcs := make([]vcState, P*V)
-	for p := 0; p < P; p++ {
-		s.vcs[p] = vcs[p*V : (p+1)*V : (p+1)*V]
-		s.outVCBusy[p] = takeBools(V)
-		s.credits[p] = takeInts(V)
-	}
-	return s
-}
-
-func saveVC(s *vcState, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) {
-	s.flits = s.flits[:0]
+// saveVC appends the entry of one input VC that is not in its reset
+// state, and the clones of its buffered flits.
+func saveVC(rec []int16, fl []flit.Flit, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) ([]int16, []flit.Flit) {
+	rec = put(put(put(rec, int(v.G)), int(v.R)), v.OutVC)
+	rec = put(put(put(rec, int(v.R2)), v.ID), int(v.SP))
+	rec = put(rec, bit(v.VF, vcVF)|bit(v.FSP, vcFSP)|bit(v.Detour, vcDetour))
+	rec = put(put(put(rec, v.DvcLo), v.DvcHi), v.Len())
 	for _, f := range v.Flits() {
-		s.flits = append(s.flits, cloneFlit(f))
+		fl = append(fl, *cloneFlit(f))
 	}
-	s.g, s.r, s.outVC = v.G, v.R, v.OutVC
-	s.r2, s.vf, s.id, s.sp, s.fsp = v.R2, v.VF, v.ID, v.SP, v.FSP
-	s.detour = v.Detour
-	s.dvcLo, s.dvcHi = v.DvcLo, v.DvcHi
+	return rec, fl
+}
+
+// bufferedFlits returns the number of flits the input VCs hold: what one
+// SaveState clones.
+func (r *Router) bufferedFlits() int {
+	n := 0
+	for p, m := range r.occ {
+		for ; m != 0; m &= m - 1 {
+			n += r.in[p].VCs[bits.TrailingZeros64(m)].Len()
+		}
+	}
+	return n
 }
 
 // RestoreState rewinds the router to a state saved by SaveState.
-// cloneFlit maps each snapshot flit to a fresh copy installed in the
-// router, so the snapshot itself stays pristine and can be restored
-// from again. The router's I/O latches are cleared — the caller must
-// restore at a network step boundary, where they are empty anyway.
+// cloneFlit maps each saved flit to a fresh copy installed in the
+// router, so the state itself stays pristine and can be restored from
+// again. It panics before touching the router when the state was saved
+// from a router of another configuration. The router's I/O latches are
+// cleared — the caller must restore at a network step boundary, where
+// they are empty anyway.
 func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.Flit) {
-	if s.xbSecPresent != (r.xbProt != nil) {
-		panic("core: RestoreState: snapshot crossbar protection does not match the router's configuration")
+	if s.ports == 0 || !s.fits(r) {
+		panic(fmt.Sprintf("core: RestoreState: state of a %d-port %d-VC depth-%d router (protected %v) restored into a %d-port %d-VC depth-%d one (protected %v)",
+			s.ports, s.vcs, s.depth, s.protected, r.cfg.Ports, r.cfg.VCs, r.cfg.Depth, r.cfg.FaultTolerant))
 	}
 	P, V := r.cfg.Ports, r.cfg.VCs
+	rec, fl := s.rec, s.flits
+	r.grants = r.grants[:0]
+	i := 1
+	for n := int(rec[0]); n > 0; i, n = i+4, n-1 {
+		r.grants = append(r.grants, grant{inPort: topology.Port(rec[i]), inVC: int(rec[i+1]),
+			outPort: topology.Port(rec[i+2]), secondary: rec[i+3] != 0})
+	}
 	for p := 0; p < P; p++ {
-		copy(r.outVCBusy[p], s.outVCBusy[p])
-		copy(r.credits[p], s.credits[p])
-		for v := 0; v < V; v++ {
-			restoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit)
-			r.va.Stage1(p, v).SetPrio(s.va1Prio[p*V+v])
-			r.va.Stage2(p, v).SetPrio(s.va2Prio[p*V+v])
-			r.va.SetStage1Faulty(p, v, s.va1Faulty[p*V+v])
-			r.va.Stage2(p, v).SetFaulty(s.va2Faulty[p*V+v])
-		}
 		b := r.sa.Stage1(p)
-		b.Arb.SetPrio(s.sa1Prio[p])
-		b.SetBypassState(s.sa1DW[p], s.sa1Rot[p])
-		b.Arb.SetFaulty(s.sa1ArbFault[p])
-		b.SetBypassFaulty(s.sa1BypFault[p])
-		r.sa.Stage2(p).SetPrio(s.sa2Prio[p])
-		r.sa.Stage2(p).SetFaulty(s.sa2Faulty[p])
-		r.rc[p].SetFaulty(0, s.rcFaulty[p][0])
+		port := rec[i : i+8 : i+8]
+		i += 8
+		r.rcScan[p], r.saAdopted[p], r.saAdoptAge[p] = int(port[0]), int(port[1]), int(port[2])
+		b.Arb.SetPrio(int(port[3]))
+		b.SetBypassState(int(port[4]), int(port[5]))
+		r.sa.Stage2(p).SetPrio(int(port[6]))
+		flags := port[7]
+		b.Arb.SetFaulty(flags&portSA1Arb != 0)
+		b.SetBypassFaulty(flags&portSA1Byp != 0)
+		r.sa.Stage2(p).SetFaulty(flags&portSA2 != 0)
+		r.rc[p].SetFaulty(0, flags&portRC0 != 0)
 		if r.cfg.FaultTolerant {
-			r.rc[p].SetFaulty(1, s.rcFaulty[p][1])
+			r.rc[p].SetFaulty(1, flags&portRC1 != 0)
 		}
 		if r.xbProt != nil {
-			r.xbProt.SetMuxFaulty(p, s.xbMuxFaulty[p])
-			r.xbProt.SetSecondaryFaulty(p, s.xbSecFaulty[p])
+			r.xbProt.SetMuxFaulty(p, flags&portXBMux != 0)
+			r.xbProt.SetSecondaryFaulty(p, flags&portXBSec != 0)
 		} else {
-			r.xbBase.SetMuxFaulty(p, s.xbMuxFaulty[p])
+			r.xbBase.SetMuxFaulty(p, flags&portXBMux != 0)
+		}
+		vcs, credits, busy := r.in[p].VCs, r.credits[p], r.outVCBusy[p]
+		for v := 0; v < V; v++ {
+			slot := rec[i : i+4 : i+4]
+			i += 4
+			flags := slot[3]
+			credits[v] = int(slot[0])
+			r.va.Stage1(p, v).SetPrio(int(slot[1]))
+			r.va.Stage2(p, v).SetPrio(int(slot[2]))
+			busy[v] = flags&vcOutBusy != 0
+			r.va.SetStage1Faulty(p, v, flags&vcVA1Faulty != 0)
+			r.va.Stage2(p, v).SetFaulty(flags&vcVA2Faulty != 0)
+			if q := vcs[v]; flags&vcHasEntry != 0 {
+				fl = restoreVC(q, rec[i:i+vcEntryLen], fl, cloneFlit)
+				i += vcEntryLen
+			} else {
+				q.Clear()
+				q.ResetPacketState()
+				q.ClearBorrow()
+			}
 		}
 	}
-	r.grants = append(r.grants[:0], s.grants...)
-	copy(r.rcScan, s.rcScan)
-	copy(r.saAdopted, s.saAdopted)
-	copy(r.saAdoptAge, s.saAdopt)
+	if i != len(rec) || len(fl) != 0 {
+		panic(fmt.Sprintf("core: RestoreState: read %d of %d record values, %d flits left over: save and restore disagree on the record layout", i, len(rec), len(fl)))
+	}
 	r.Counters = s.counters
 	r.rebuildOccupancy()
 	r.inFlits = r.inFlits[:0]
@@ -246,12 +298,20 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 	r.droppedPkts = r.droppedPkts[:0]
 }
 
-func restoreVC(v *vc.VC, s *vcState, cloneFlit func(*flit.Flit) *flit.Flit) {
-	v.SetFlits(s.flits, cloneFlit)
-	v.G, v.R, v.OutVC = s.g, s.r, s.outVC
-	v.R2, v.VF, v.ID, v.SP, v.FSP = s.r2, s.vf, s.id, s.sp, s.fsp
-	v.Detour = s.detour
-	v.DvcLo, v.DvcHi = s.dvcLo, s.dvcHi
+// restoreVC overwrites one input VC from its entry and its flits at the
+// front of fl, and returns the flits that follow.
+func restoreVC(v *vc.VC, entry []int16, fl []flit.Flit, cloneFlit func(*flit.Flit) *flit.Flit) []flit.Flit {
+	_ = entry[vcEntryLen-1]
+	v.G, v.R, v.OutVC = vc.GState(entry[0]), topology.Port(entry[1]), int(entry[2])
+	v.R2, v.ID, v.SP = topology.Port(entry[3]), int(entry[4]), topology.Port(entry[5])
+	v.VF, v.FSP, v.Detour = entry[6]&vcVF != 0, entry[6]&vcFSP != 0, entry[6]&vcDetour != 0
+	v.DvcLo, v.DvcHi = int(entry[7]), int(entry[8])
+	n := int(entry[9])
+	v.Clear()
+	for i := range fl[:n] {
+		v.Push(cloneFlit(&fl[i]))
+	}
+	return fl[n:]
 }
 
 // Canonical-encoding helpers. Signed varints keep the encoding compact
@@ -270,7 +330,7 @@ func appB(b []byte, v bool) []byte {
 // AppendCanonicalFlit appends a behaviour-relevant encoding of one flit:
 // kind, flit sequence number, and the packet's logical identity
 // (source, destination, class, size, end-to-end sequence number).
-// Simulation-bookkeeping fields — packet ID, timestamps, hop count — are
+// Simulation-bookkeeping fields — packet ID and timestamps — are
 // deliberately excluded: two states that differ only in those fields
 // behave identically forever, and folding them together is what makes
 // exhaustive exploration terminate.

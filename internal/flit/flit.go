@@ -120,8 +120,6 @@ type Flit struct {
 	Kind Kind
 	// Seq is the flit's position within the packet, 0-based.
 	Seq int
-	// Hops counts router traversals, for sanity checks and statistics.
-	Hops int
 }
 
 // String implements fmt.Stringer.

@@ -46,16 +46,20 @@ func (r Result) StatesPerSec() float64 {
 	return float64(r.States) / r.Elapsed.Seconds()
 }
 
+// FormatBytes renders a heap size the way the results table does: in
+// MB with one decimal.
+func FormatBytes(n int) string { return fmt.Sprintf("%.1fMB", float64(n)/(1<<20)) }
+
 // FormatResults renders a sweep outcome as a one-line-per-scenario
-// table — graph size, peak frontier (what bounds memory), wall-clock
-// time and states/s (what bounds patience) — plus, for a failed
-// scenario, the full counterexample report.
+// table — graph size, peak frontier in snapshots and in bytes (what
+// bounds memory), wall-clock time and states/s (what bounds patience) —
+// plus, for a failed scenario, the full counterexample report.
 func FormatResults(results []Result) string {
 	var b strings.Builder
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-28s %-9s %8d states %9d transitions  depth %-4d frontier %-6d %8s %7.0f states/s  %s\n",
+		fmt.Fprintf(&b, "%-28s %-9s %8d states %9d transitions  depth %-4d frontier %-6d %8s %8s %7.0f states/s  %s\n",
 			r.Scenario.Name, r.Verdict, r.States, r.Transitions, r.Deepest, r.PeakFrontier,
-			r.Elapsed.Round(1000000), r.StatesPerSec(), r.Detail)
+			FormatBytes(r.PeakFrontierBytes), r.Elapsed.Round(1000000), r.StatesPerSec(), r.Detail)
 	}
 	for _, r := range results {
 		if len(r.Counterexample) > 0 {

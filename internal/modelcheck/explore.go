@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"gonoc/internal/flit"
 	"gonoc/internal/noc"
@@ -124,8 +125,12 @@ type Result struct {
 	Deepest int
 	// PeakFrontier is the largest number of discovered-but-unexpanded
 	// states held at once: each holds a network snapshot, so this is
-	// what bounds the exploration's memory.
-	PeakFrontier int
+	// what bounds the exploration's memory. PeakFrontierBytes is the
+	// most heap those entries retained at once — noc.Snapshot.Bytes of
+	// each plus its shadow buffer — and about what the exploration
+	// holds on to: expanded entries wait on a free list to be refilled.
+	PeakFrontier      int
+	PeakFrontierBytes int
 	// Counterexample is the choice sequence from the initial state to
 	// the violating state (plus, for livelocks, one full cycle); empty
 	// unless the verdict is Deadlocked or Livelocked. Replay it with
@@ -277,35 +282,37 @@ func (m *machine) key(buf []byte) []byte {
 	return buf
 }
 
-// shadow is the explorer-side state saved beside each network snapshot.
-type shadow struct {
-	injected     []uint8
-	delivered    []uint64
-	minInjectSrc int
-	sabotaged    bool
-}
+// shadow is the explorer-side state saved beside each network snapshot,
+// in one buffer: the injection cursor with the sabotage flag in its top
+// bit, the injection count of every source, then the delivery keys.
+type shadow []uint64
 
-// saveShadow captures the explorer-side state into old's storage (the
-// zero shadow allocates).
+const shadowSabotaged = 1 << 63
+
+// saveShadow captures the explorer-side state into old's storage (a nil
+// shadow allocates).
 func (m *machine) saveShadow(old shadow) shadow {
-	s := shadow{
-		injected:     append(old.injected[:0], m.injected...),
-		delivered:    old.delivered[:0],
-		minInjectSrc: m.minInjectSrc,
-		sabotaged:    m.sabotaged,
+	s := append(old[:0], uint64(m.minInjectSrc))
+	if m.sabotaged {
+		s[0] |= shadowSabotaged
+	}
+	for _, c := range m.injected {
+		s = append(s, uint64(c))
 	}
 	for k := range m.led.delivered {
-		s.delivered = append(s.delivered, k)
+		s = append(s, k)
 	}
 	return s
 }
 
 func (m *machine) restoreShadow(s shadow) {
-	copy(m.injected, s.injected)
-	m.minInjectSrc = s.minInjectSrc
-	m.sabotaged = s.sabotaged
+	m.minInjectSrc = int(s[0] &^ shadowSabotaged)
+	m.sabotaged = s[0]&shadowSabotaged != 0
+	for i := range m.injected {
+		m.injected[i] = uint8(s[1+i])
+	}
 	clear(m.led.delivered)
-	for _, k := range s.delivered {
+	for _, k := range s[1+len(m.injected):] {
 		m.led.delivered[k] = true
 	}
 }
@@ -327,12 +334,18 @@ type state struct {
 }
 
 // held is a discovered state awaiting expansion, and the storage of an
-// expanded one awaiting reuse.
+// expanded one awaiting reuse: the network snapshot and the shadow
+// buffer, four heap objects short of the snapshot's own.
 type held struct {
-	id    int32
 	snap  *noc.Snapshot
 	shad  shadow
+	id    int32
 	depth int
+}
+
+// bytes is the heap the entry retains.
+func (h *held) bytes() int {
+	return int(unsafe.Sizeof(*h)) + h.snap.Bytes() + cap(h.shad)*8
 }
 
 // Explore exhaustively enumerates the scenario's reachable state space
@@ -367,6 +380,7 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 	// go to free, and the next new state is saved into them: snapshot
 	// storage is allocated PeakFrontier times, not once per state.
 	var frontier, free []held
+	var frontierBytes int
 	var keyBuf []byte
 
 	// discover records the machine's current state, reached from parent
@@ -385,8 +399,11 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		if k := len(free) - 1; k >= 0 {
 			h, free = free[k], free[:k]
 		}
-		frontier = append(frontier, held{id: id, snap: m.n.SnapshotInto(h.snap), shad: m.saveShadow(h.shad), depth: depth})
+		h = held{id: id, snap: m.n.SnapshotInto(h.snap), shad: m.saveShadow(h.shad), depth: depth}
+		frontier = append(frontier, h)
+		frontierBytes += h.bytes()
 		res.PeakFrontier = max(res.PeakFrontier, len(frontier))
+		res.PeakFrontierBytes = max(res.PeakFrontierBytes, frontierBytes)
 		return id
 	}
 
@@ -415,6 +432,7 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 		cur := frontier[0]
 		frontier[0] = held{}
 		frontier = frontier[1:]
+		frontierBytes -= cur.bytes()
 		if cur.depth >= opt.MaxDepth {
 			return finish(Exhausted, fmt.Sprintf("depth bound %d reached at %d states", opt.MaxDepth, res.States))
 		}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"runtime"
 	"testing"
 
 	"gonoc/internal/flit"
@@ -129,12 +130,15 @@ func countClones(n *Network) (flits, pkts int) {
 
 // TestModelCheckTransitionAllocs pins the memory contract of the model
 // checker's inner loop — restore a held snapshot, step, save the new
-// state into recycled storage — on a loaded 2x2 network. Restore and
-// SnapshotInto each allocate exactly one object per flit and per packet
-// they clone (a few hundred bytes here) and nothing else: no slices, no
-// maps, no collector. The step in between allocates only the
-// copy-on-write of the short histogram arrays an ejection touches. The
-// parent of this contract allocated about 48 KB per transition.
+// state into recycled storage — on a loaded 2x2 network. A recycled
+// SnapshotInto allocates nothing at all: flit and packet clones land in
+// buffers the snapshot owns. Restore allocates the live flits and the
+// live packets, one block of each, and nothing else: no slices, no maps,
+// no collector. The step in between allocates only the copy-on-write of
+// the short histogram arrays an ejection touches. When each clone was a
+// heap object of its own this was 18 objects per Restore and 18 per
+// SnapshotInto here; before snapshots were recycled, about 48 KB per
+// transition.
 func TestModelCheckTransitionAllocs(t *testing.T) {
 	src := traffic.NewSynthetic(4, 0.4, traffic.Uniform(4), traffic.Bimodal(1, 5, 0.6), 17)
 	src.StopAt(100)
@@ -156,16 +160,16 @@ func TestModelCheckTransitionAllocs(t *testing.T) {
 	if flits < 4 || pkts < 2 {
 		t.Fatalf("only %d flits of %d packets in flight; nothing loaded to measure", flits, pkts)
 	}
-	clones := float64(flits + pkts)
-	t.Logf("%d flits of %d packets held: %d objects per Restore and per recycled SnapshotInto", flits, pkts, flits+pkts)
+	t.Logf("%d flits of %d packets held", flits, pkts)
 
 	snap := n.Snapshot()
 	spare := n.Snapshot()
-	if got := testing.AllocsPerRun(50, func() { n.Restore(snap) }); got != clones {
-		t.Errorf("Restore allocates %.0f objects, want the %d flit + %d packet clones alone", got, flits, pkts)
+	const blocks = 2 // the live flits, the live packets
+	if got := testing.AllocsPerRun(50, func() { n.Restore(snap) }); got != blocks {
+		t.Errorf("Restore allocates %.0f objects, want %d: one block of live flits, one of live packets", got, blocks)
 	}
-	if got := testing.AllocsPerRun(50, func() { spare = n.SnapshotInto(spare) }); got != clones {
-		t.Errorf("SnapshotInto recycled storage allocates %.0f objects, want the %d flit + %d packet clones alone", got, flits, pkts)
+	if got := testing.AllocsPerRun(50, func() { spare = n.SnapshotInto(spare) }); got != 0 {
+		t.Errorf("SnapshotInto recycled storage allocates %.0f objects, want none", got)
 	}
 	// lat, net and one class histogram per ejecting class, each at most
 	// once per restore.
@@ -174,8 +178,54 @@ func TestModelCheckTransitionAllocs(t *testing.T) {
 		n.Restore(snap)
 		n.Step()
 	})
-	if got < clones || got > clones+histograms {
-		t.Errorf("Restore+Step allocates %.0f objects, want %.0f clones plus at most %d histogram copies", got, clones, histograms)
+	if got < blocks || got > blocks+histograms {
+		t.Errorf("Restore+Step allocates %.0f objects, want the %d clone blocks plus at most %d histogram copies", got, blocks, histograms)
+	}
+}
+
+// TestFreshSnapshotIsAHandfulOfObjects pins the layout of a snapshot the
+// model checker's frontier holds, on its own 2x2 configuration (2 VCs,
+// one class, depth 2, the ring scenario's four single-flit packets) at
+// every step boundary from injection to drain: at most 16 heap objects
+// and 4 KB, where the object-graph layout was about 130 and 17 KB. Bytes
+// must also be an honest account: within a size-class rounding of what
+// the allocator handed out for the snapshot.
+func TestFreshSnapshotIsAHandfulOfObjects(t *testing.T) {
+	rc := router.DefaultConfig()
+	rc.FaultTolerant = true
+	rc.VCs, rc.Classes, rc.Depth = 2, 1, 2
+	n, err := New(Config{Width: 2, Height: 2, Router: rc, Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i := 0; i < 4; i++ {
+		n.Inject(i, &flit.Packet{Dst: (i + 1) % 4, Size: 1})
+	}
+	const maxObjects, maxBytes = 16, 4 << 10
+	var keep *Snapshot
+	for boundary := 0; n.stats.InFlight() > 0; boundary++ {
+		if boundary == 100 {
+			t.Fatal("the ring did not drain")
+		}
+		if got := testing.AllocsPerRun(10, func() { keep = n.Snapshot() }); got > maxObjects {
+			t.Errorf("boundary %d: a fresh Snapshot is %.0f objects, want <= %d", boundary, got, maxObjects)
+		}
+		// The least of three: the runtime allocates now and then too.
+		heap := maxBytes * 2
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			keep = n.Snapshot()
+			runtime.ReadMemStats(&after)
+			heap = min(heap, int(after.TotalAlloc-before.TotalAlloc))
+		}
+		if b := keep.Bytes(); b > maxBytes || heap > maxBytes {
+			t.Errorf("boundary %d: a fresh Snapshot retains %d bytes by its own account and %d by the allocator's, want <= %d", boundary, b, heap, maxBytes)
+		} else if heap < b || heap > b+b/4 {
+			t.Errorf("boundary %d: Bytes reports %d, the allocator handed out %d", boundary, b, heap)
+		}
+		n.Step()
 	}
 }
 

@@ -266,9 +266,9 @@ type Network struct {
 	//noc:derived immutable configuration, resolved from cfg.Retx at construction
 	retxCfg RetxConfig
 
-	// cl is the flit/packet cloner Snapshot and Restore share, reset at
-	// the start of each.
-	cl *cloner //noc:derived snapshot/restore scratch, empty of meaning between calls
+	// io is the scratch Snapshot and Restore share, nil until the first
+	// of either.
+	io *snapIO //noc:derived snapshot/restore scratch, empty of meaning between calls
 	// canonSrcs and canonSeen are AppendCanonical's buffers for sorting
 	// the duplicate-suppression windows' map keys.
 	canonSrcs []int    //noc:derived canonical-encoding scratch, empty of meaning between calls
@@ -385,7 +385,6 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		ports:   ports,
 		traffic: traffic,
 		stats:   stats.NewCollector(cfg.Warmup),
-		cl:      newCloner(),
 		workers: workers,
 		retxCfg: cfg.Retx.withDefaults(),
 	}

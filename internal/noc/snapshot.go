@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"unsafe"
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
+	"gonoc/internal/topology"
 )
 
 // Canonical-encoding helpers, mirroring internal/core's.
@@ -38,18 +40,21 @@ func appB(b []byte, v bool) []byte {
 // inbound latches (inFlits/inCredits/inNICredits), which the snapshot
 // captures.
 //
-// Both directions are on the model checker's per-transition path, so
-// both overwrite storage in place: SnapshotInto fills a snapshot the
-// caller is finished with, Restore fills the network's own slices, maps
-// and collector, and what either allocates in the steady state is the
-// flit and packet clones alone (TestModelCheckTransitionAllocs).
+// Both directions are on the model checker's per-transition path, and a
+// frontier of held snapshots is what bounds how far a proof reaches, so
+// a snapshot is a handful of flat buffers, not an object graph:
+// SnapshotInto refills the buffers of a snapshot the caller is finished
+// with and allocates nothing, Restore walks them front to back into the
+// network's own slices, maps and collector and allocates the live flits
+// and packets alone, one block of each (TestModelCheckTransitionAllocs).
 
 // Snapshot is a deep, self-contained copy of a Network's mutable state.
-// It holds no aliases into the live network: packets and flits are
-// cloned with identity preserved (all flits of one packet share one
-// cloned *Packet), so a snapshot can be restored any number of times.
+// It holds no aliases into the live network: packets are cloned, once
+// each, into pkts, and every saved flit names its packet by index there
+// (the flits of one packet restore to one *Packet again), so a snapshot
+// can be restored any number of times.
 type Snapshot struct {
-	// shape is the dimensions of the network the snapshot was taken
+	// shape is the configuration of the network the snapshot was taken
 	// from: the only networks Restore accepts it on, and the only ones
 	// SnapshotInto reuses its storage for.
 	shape snapShape
@@ -57,92 +62,167 @@ type Snapshot struct {
 	cycle  sim.Cycle
 	nextID uint64
 
-	routers []*core.RouterState
-	nis     []niState
+	// routers holds the router states by value; the flits in them point
+	// into pkts.
+	routers []core.RouterState
 
-	inFlits     [][]router.InFlit
-	inCredits   [][]core.CreditIn
-	inNICredits [][]router.Credit
+	// net is everything narrow outside the routers, one sequential
+	// record written node by node and read back in the same order:
+	//
+	//	the pkts index of each flit the router state holds, in its order
+	//	routerDead, then the NI: activeVCs, sendScan, vcBusy and credits
+	//	  per VC, per class the queue length and the queued packets'
+	//	  pkts indices, per VC the in-progress packet's remaining flits
+	//	the inbound latches: flits (port, VC, flit), credits and NI
+	//	  credits (port, VC, VCFree), each behind its length
+	//	the length of the node's retransmission buffer (entries in retx)
+	//
+	// with a flit outside a router as kind, seq, pkts index. flits
+	// counts the flits in net and in routers together.
+	net   []int32
+	flits int
 
-	linkFlits [][]uint64
+	// words holds the wide per-node values: linkFlits, midFlight and
+	// linkDrop per link, then seqNext and the linkDead mask per node.
+	words []uint64
 
-	linkDead   [][]bool
-	routerDead []bool
-	midFlight  []uint64
-	linkDrop   []uint64
-
-	seqNext   []uint64
-	retx      [][]retxEntry
+	pkts []flit.Packet
+	retx []retxEntry
+	// delivered is nil while no node has a duplicate-suppression window
+	// (always, without retransmission).
 	delivered []map[int]*seqWindow
 
-	stats *stats.Collector
+	stats stats.Checkpoint
 }
 
-// snapShape is what every slice length in a Snapshot derives from.
-type snapShape struct{ nodes, ports, vcs, classes int }
-
-func (n *Network) shape() snapShape {
-	return snapShape{nodes: len(n.routers), ports: n.ports, vcs: n.cfg.Router.VCs, classes: n.cfg.Router.Classes}
+// snapShape is what a Snapshot's layout and its router states' derive
+// from, plus the topology family: a snapshot restores only into a
+// network that agrees on all of it.
+type snapShape struct {
+	nodes, ports, vcs, classes, depth int
+	protected                         bool
+	topo                              string
 }
 
-// niState is the saved form of one network interface.
-type niState struct {
-	queues    [][]*flit.Packet
-	active    [][]*flit.Flit
-	activeVCs int
-	vcBusy    []bool
-	credits   []int
-	sendScan  int
-}
-
-// cloner deep-copies flits and packets with identity preservation: every
-// distinct live *Packet maps to exactly one clone, so the flits of a
-// packet split between an NI and router buffers still share their
-// packet after a round trip. A network owns one and resets it for each
-// Snapshot or Restore, so neither rebuilds the maps.
-type cloner struct {
-	pkts  map[*flit.Packet]*flit.Packet
-	flits map[*flit.Flit]*flit.Flit
-	// flitFn is the flit method bound once, for core's SaveStateInto
-	// and RestoreState.
-	flitFn func(*flit.Flit) *flit.Flit
-}
-
-func newCloner() *cloner {
-	c := &cloner{pkts: map[*flit.Packet]*flit.Packet{}, flits: map[*flit.Flit]*flit.Flit{}}
-	c.flitFn = c.flit
-	return c
-}
-
-func (c *cloner) reset() *cloner {
-	clear(c.pkts)
-	clear(c.flits)
-	return c
-}
-
-func (c *cloner) pkt(p *flit.Packet) *flit.Packet {
-	if p == nil {
-		return nil
+// Bytes returns the heap bytes the snapshot retains: the struct and the
+// capacity of every buffer it owns. The duplicate-suppression windows of
+// a retransmission-armed network are maps and are not counted.
+func (s *Snapshot) Bytes() int {
+	b := int(unsafe.Sizeof(*s)) + cap(s.routers)*int(unsafe.Sizeof(core.RouterState{})) +
+		cap(s.net)*4 + cap(s.words)*8 + cap(s.pkts)*int(unsafe.Sizeof(flit.Packet{})) +
+		cap(s.retx)*int(unsafe.Sizeof(retxEntry{})) + cap(s.delivered)*8
+	for i := range s.routers {
+		b += s.routers[i].Bytes()
 	}
-	if cp, ok := c.pkts[p]; ok {
-		return cp
-	}
-	cp := *p
-	c.pkts[p] = &cp
-	return &cp
+	return b
 }
 
-func (c *cloner) flit(f *flit.Flit) *flit.Flit {
-	if f == nil {
-		return nil
+// snapIO is the scratch Snapshot and Restore share: the cursor state of
+// the one in progress and the two flit functions handed to core, bound
+// once. A network allocates it on its first Snapshot or Restore.
+type snapIO struct {
+	// shape is the network's, s the snapshot being written or read.
+	shape snapShape
+	s     *Snapshot
+
+	// Saving: pktIdx maps each live packet to its clone's index in
+	// s.pkts, so the flits of a packet split between an NI and router
+	// buffers still share their packet after a round trip; last caches
+	// the latest lookup (a packet's flits mostly sit together). tmp is
+	// the flit saveFlit returns. moved is set when s.pkts had to be
+	// reallocated, which strands the pointers already handed to router
+	// states.
+	pktIdx   map[*flit.Packet]int32
+	last     *flit.Packet
+	lastIdx  int32
+	tmp      flit.Flit
+	moved    bool
+	saveFlit func(*flit.Flit) *flit.Flit
+
+	// Restoring: pkts and flits are the live clones, one block each, at
+	// is the read position in s.net and used counts the flits handed out.
+	pkts        []flit.Packet
+	flits       []flit.Flit
+	at, used    int
+	restoreFlit func(*flit.Flit) *flit.Flit
+}
+
+func (n *Network) snapIO() *snapIO {
+	if n.io == nil {
+		rc := n.cfg.Router
+		n.io = &snapIO{pktIdx: map[*flit.Packet]int32{}, shape: snapShape{
+			nodes: len(n.routers), ports: n.ports, vcs: rc.VCs, classes: rc.Classes,
+			depth: rc.Depth, protected: rc.FaultTolerant, topo: n.topo.Kind()}}
+		n.io.saveFlit, n.io.restoreFlit = n.io.savedFlit, n.io.liveFlit
 	}
-	if cf, ok := c.flits[f]; ok {
-		return cf
+	return n.io
+}
+
+// pkt returns the index in s.pkts of p's clone, cloning it on first
+// sight.
+func (io *snapIO) pkt(p *flit.Packet) int32 {
+	if p == io.last {
+		return io.lastIdx
 	}
-	cf := *f
-	cf.Pkt = c.pkt(f.Pkt)
-	c.flits[f] = &cf
-	return &cf
+	idx, ok := io.pktIdx[p]
+	if !ok {
+		s := io.s
+		io.moved = io.moved || len(s.pkts) == cap(s.pkts)
+		idx = int32(len(s.pkts))
+		s.pkts = append(s.pkts, *p)
+		io.pktIdx[p] = idx
+	}
+	io.last, io.lastIdx = p, idx
+	return idx
+}
+
+// putFlit appends a flit outside a router to the record.
+func (io *snapIO) putFlit(f *flit.Flit) {
+	io.s.net = append(io.s.net, int32(f.Kind), int32(f.Seq), io.pkt(f.Pkt))
+	io.s.flits++
+}
+
+// savedFlit is core.SaveStateInto's cloneFlit: the router state keeps
+// the returned flit by value, and the record keeps its packet's index
+// for Restore.
+func (io *snapIO) savedFlit(f *flit.Flit) *flit.Flit {
+	idx := io.pkt(f.Pkt)
+	io.s.net = append(io.s.net, idx)
+	io.s.flits++
+	io.tmp = flit.Flit{Pkt: &io.s.pkts[idx], Kind: f.Kind, Seq: f.Seq}
+	return &io.tmp
+}
+
+// get reads the next record value.
+func (io *snapIO) get() int {
+	v := io.s.net[io.at]
+	io.at++
+	return int(v)
+}
+
+// live returns the next live flit, of the given kind and position in
+// live packet idx.
+func (io *snapIO) live(kind flit.Kind, seq, idx int) *flit.Flit {
+	f := &io.flits[io.used]
+	io.used++
+	*f = flit.Flit{Pkt: &io.pkts[idx], Kind: kind, Seq: seq}
+	return f
+}
+
+// getFlit reads a flit putFlit wrote.
+func (io *snapIO) getFlit() *flit.Flit {
+	return io.live(flit.Kind(io.get()), io.get(), io.get())
+}
+
+// liveFlit is core.RestoreState's cloneFlit: the saved flits arrive in
+// the order savedFlit cloned them, which is the order of their packet
+// indices in the record.
+func (io *snapIO) liveFlit(f *flit.Flit) *flit.Flit {
+	idx := io.get()
+	if f.Pkt != &io.s.pkts[idx] {
+		panic("noc: Restore: router state and network record disagree on the order of the saved flits")
+	}
+	return io.live(f.Kind, f.Seq, idx)
 }
 
 // Snapshot captures the network's complete mutable state. The receiver
@@ -152,85 +232,111 @@ func (n *Network) Snapshot() *Snapshot { return n.SnapshotInto(nil) }
 // SnapshotInto is Snapshot writing into old's storage: every field of
 // old is overwritten and old is returned, so a caller that takes many
 // snapshots and is finished with some — the model checker, once a
-// frontier state is fully expanded — pays for the flit and packet
-// clones only. The caller must own old outright: whatever it held is
-// gone. Restore never consumes a snapshot, so handing storage back is
-// always the caller's decision. A nil old, or one taken from a network
-// of another shape (node, port, VC or class count), is left untouched
-// and a fresh snapshot is returned instead.
+// frontier state is fully expanded — allocates nothing for the next
+// one. The caller must own old outright: whatever it held is gone.
+// Restore never consumes a snapshot, so handing storage back is always
+// the caller's decision. A nil old, or one taken from a network of
+// another shape (node, port, VC or class count, buffer depth, router
+// protection, topology family), is left untouched and a fresh snapshot
+// is returned instead.
 func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
+	io := n.snapIO()
 	s := old
-	if sh := n.shape(); s == nil || s.shape != sh {
-		s = newSnapshot(sh)
-	}
-	cl := n.cl.reset()
-	s.cycle = n.cycle
-	s.nextID = n.nextID
-	copy(s.routerDead, n.routerDead)
-	copy(s.midFlight, n.midFlight)
-	copy(s.linkDrop, n.linkDrop)
-	copy(s.seqNext, n.seqNext)
-	s.stats.CopyFrom(n.stats)
-	for id := range n.routers {
-		s.routers[id] = n.routers[id].SaveStateInto(s.routers[id], cl.flitFn)
-		saveNI(&s.nis[id], n.nis[id], cl)
-
-		fl := s.inFlits[id][:0]
-		for _, w := range n.inFlits[id] {
-			fl = append(fl, router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)})
+	if sh := io.shape; s == nil || s.shape != sh {
+		// A fresh snapshot's buffers are sized from the load, so filling
+		// them allocates each once; the packet count is exact unless a
+		// test harness put packets in behind the collector's back.
+		inFlight := int(n.stats.InFlight())
+		s = &Snapshot{
+			shape:   sh,
+			routers: make([]core.RouterState, sh.nodes),
+			net:     make([]int32, 0, sh.nodes*(7+3*sh.vcs+sh.classes)+8*inFlight),
+			words:   make([]uint64, sh.nodes*(3*sh.ports+2)),
+			pkts:    make([]flit.Packet, 0, inFlight),
 		}
-		s.inFlits[id] = fl
-		s.inCredits[id] = append(s.inCredits[id][:0], n.inCredits[id]...)
-		s.inNICredits[id] = append(s.inNICredits[id][:0], n.inNICredits[id]...)
-
-		copy(s.linkFlits[id], n.linkFlits[id])
-		copy(s.linkDead[id], n.linkDead[id])
-		s.retx[id] = append(s.retx[id][:0], n.retx[id]...)
-		s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
 	}
+	// The router states point into pkts, so a pass that had to grow it
+	// is repeated: the second finds the capacity the first one built.
+	io.s = s
+	for {
+		io.moved = false
+		n.fill(s, io)
+		if !io.moved {
+			break
+		}
+	}
+	// The memo must not keep live packets reachable between snapshots.
+	io.s, io.last = nil, nil
+	clear(io.pktIdx)
 	return s
 }
 
-// newSnapshot allocates the storage of a snapshot of the given shape.
-// It sets no values: SnapshotInto writes every field of a fresh
-// snapshot and of a recycled one through the same assignments.
-func newSnapshot(sh snapShape) *Snapshot {
-	s := &Snapshot{
-		shape: sh,
+// fill writes every field of s from the network. It empties the packet
+// memo first: a pass that was repeated, or one a panic cut short, left
+// entries behind.
+func (n *Network) fill(s *Snapshot, io *snapIO) {
+	clear(io.pktIdx)
+	io.last = nil
+	s.net, s.pkts, s.retx, s.flits = s.net[:0], s.pkts[:0], s.retx[:0], 0
+	s.cycle = n.cycle
+	s.nextID = n.nextID
+	n.stats.SaveTo(&s.stats)
 
-		routers: make([]*core.RouterState, sh.nodes),
-		nis:     make([]niState, sh.nodes),
+	links := len(n.midFlight)
+	copy(s.words[links:], n.midFlight)
+	copy(s.words[2*links:], n.linkDrop)
+	copy(s.words[3*links:], n.seqNext)
+	deadMasks := s.words[3*links+len(n.seqNext):]
+	for id, r := range n.routers {
+		// Empty or of this shape, so filled in place: snapShape covers
+		// what core checks.
+		r.SaveStateInto(&s.routers[id], io.saveFlit)
+		s.net = append(s.net, int32(bit(n.routerDead[id])))
+		saveNI(s, n.nis[id], io)
 
-		inFlits:     make([][]router.InFlit, sh.nodes),
-		inCredits:   make([][]core.CreditIn, sh.nodes),
-		inNICredits: make([][]router.Credit, sh.nodes),
+		s.net = append(s.net, int32(len(n.inFlits[id])))
+		for _, w := range n.inFlits[id] {
+			s.net = append(s.net, int32(w.In), int32(w.VC))
+			io.putFlit(w.F)
+		}
+		s.net = append(s.net, int32(len(n.inCredits[id])))
+		for _, c := range n.inCredits[id] {
+			s.net = append(s.net, int32(c.Out), int32(c.VC), int32(bit(c.VCFree)))
+		}
+		s.net = append(s.net, int32(len(n.inNICredits[id])))
+		for _, c := range n.inNICredits[id] {
+			s.net = append(s.net, int32(c.In), int32(c.VC), int32(bit(c.VCFree)))
+		}
 
-		linkFlits: makeGrid[uint64](sh.nodes, sh.ports),
-
-		linkDead:   makeGrid[bool](sh.nodes, sh.ports),
-		routerDead: make([]bool, sh.nodes),
-		midFlight:  make([]uint64, sh.nodes*sh.ports),
-		linkDrop:   make([]uint64, sh.nodes*sh.ports),
-
-		seqNext:   make([]uint64, sh.nodes),
-		retx:      make([][]retxEntry, sh.nodes),
-		delivered: make([]map[int]*seqWindow, sh.nodes),
-
-		stats: new(stats.Collector),
-	}
-	queues := make([][]*flit.Packet, sh.nodes*sh.classes)
-	active := make([][]*flit.Flit, sh.nodes*sh.vcs)
-	busy := makeGrid[bool](sh.nodes, sh.vcs)
-	credits := makeGrid[int](sh.nodes, sh.vcs)
-	for id := range s.nis {
-		s.nis[id] = niState{
-			queues:  queues[id*sh.classes : (id+1)*sh.classes],
-			active:  active[id*sh.vcs : (id+1)*sh.vcs],
-			vcBusy:  busy[id],
-			credits: credits[id],
+		copy(s.words[id*n.ports:], n.linkFlits[id])
+		deadMasks[id] = deadMask(n.linkDead[id])
+		s.net = append(s.net, int32(len(n.retx[id])))
+		s.retx = append(s.retx, n.retx[id]...)
+		if s.delivered == nil && len(n.delivered[id]) > 0 {
+			s.delivered = make([]map[int]*seqWindow, len(n.routers))
+		}
+		if s.delivered != nil {
+			s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
 		}
 	}
-	return s
+}
+
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// deadMask packs one node's linkDead row into a word, bit p for port p
+// (router.Config.Validate caps Ports at 64).
+func deadMask(dead []bool) (m uint64) {
+	for p, d := range dead {
+		if d {
+			m |= 1 << uint(p)
+		}
+	}
+	return m
 }
 
 // makeGrid returns rows fixed-length rows of per elements carved from
@@ -263,80 +369,111 @@ func copyWindows(dst, src map[int]*seqWindow) map[int]*seqWindow {
 	return out
 }
 
-func saveNI(s *niState, ni *NI, cl *cloner) {
-	s.activeVCs = ni.activeVCs
-	s.sendScan = ni.sendScan
-	copy(s.vcBusy, ni.vcBusy)
-	copy(s.credits, ni.credits)
-	for cls, q := range ni.queues {
-		qs := s.queues[cls][:0]
-		for _, p := range q {
-			qs = append(qs, cl.pkt(p))
-		}
-		s.queues[cls] = qs
+func saveNI(s *Snapshot, ni *NI, io *snapIO) {
+	s.net = append(s.net, int32(ni.activeVCs), int32(ni.sendScan))
+	for v, busy := range ni.vcBusy {
+		s.net = append(s.net, int32(bit(busy)), int32(ni.credits[v]))
 	}
-	for v, fl := range ni.active {
-		fs := s.active[v][:0]
-		for _, f := range fl {
-			fs = append(fs, cl.flit(f))
+	for _, q := range ni.queues {
+		s.net = append(s.net, int32(len(q)))
+		for _, p := range q {
+			s.net = append(s.net, io.pkt(p))
 		}
-		s.active[v] = fs
+	}
+	for _, fl := range ni.active {
+		s.net = append(s.net, int32(len(fl)))
+		for _, f := range fl {
+			io.putFlit(f)
+		}
 	}
 }
 
 // Restore rewinds the network to a state captured by Snapshot. The
 // snapshot is re-cloned, not consumed: the same snapshot can be
 // restored again. Restore must be called at a step boundary, on a
-// network of the snapshot's shape and configuration (it panics on a
-// shape mismatch). The network's own storage is overwritten in place —
-// in particular the collector Stats returns stays the same object and
-// reads the restored values. Fault-aware routing tables are rebuilt
-// from the restored link/router fault sets.
+// network of the snapshot's shape; on any other it panics, naming both,
+// before it has changed anything. The network's own storage is
+// overwritten in place — in particular the collector Stats returns
+// stays the same object and reads the restored values. The live flits
+// and packets are allocated anew, one block of each: a delivered
+// *flit.Packet is handed to the traffic generator (OnEject), which may
+// keep it, so Restore must not recycle them. Fault-aware routing tables
+// are rebuilt from the restored link/router fault sets.
 func (n *Network) Restore(s *Snapshot) {
-	if s.shape != n.shape() {
-		panic(fmt.Sprintf("noc: Restore: snapshot of a %+v network restored into a %+v one", s.shape, n.shape()))
+	io := n.snapIO()
+	if s.shape != io.shape {
+		panic(fmt.Sprintf("noc: Restore: snapshot of a %+v network restored into a %+v one", s.shape, io.shape))
 	}
+	io.s = s
+	io.pkts = slices.Clone(s.pkts)
+	io.flits = make([]flit.Flit, s.flits)
+	io.at, io.used = 0, 0
+
+	n.cycle = s.cycle
+	n.nextID = s.nextID
+	n.stats.RestoreFrom(&s.stats)
+	links := len(n.midFlight)
+	copy(n.midFlight, s.words[links:])
+	copy(n.linkDrop, s.words[2*links:])
+	copy(n.seqNext, s.words[3*links:])
+	deadMasks := s.words[3*links+len(n.seqNext):]
+
 	// The fault-aware routing tables are a pure function of the link and
 	// router fault sets, so the rebuild at the end is only needed when
 	// the snapshot's fault sets differ from the network's current ones.
 	// The model checker restores thousands of same-fault-set snapshots
 	// per scenario; skipping the rebuild there is a large win.
-	faultsChanged := !slices.Equal(n.routerDead, s.routerDead)
-	for id := 0; id < len(n.linkDead) && !faultsChanged; id++ {
-		faultsChanged = !slices.Equal(n.linkDead[id], s.linkDead[id])
-	}
-
-	cl := n.cl.reset()
-	n.cycle = s.cycle
-	n.nextID = s.nextID
-	copy(n.routerDead, s.routerDead)
-	copy(n.midFlight, s.midFlight)
-	copy(n.linkDrop, s.linkDrop)
-	copy(n.seqNext, s.seqNext)
-	n.stats.CopyFrom(s.stats)
-
-	for id := range n.routers {
-		n.routers[id].RestoreState(s.routers[id], cl.flitFn)
-		restoreNI(n.nis[id], &s.nis[id], cl)
+	faultsChanged := false
+	retxAt := 0
+	for id, r := range n.routers {
+		r.RestoreState(&s.routers[id], io.restoreFlit)
+		if dead := io.get() != 0; dead != n.routerDead[id] {
+			n.routerDead[id], faultsChanged = dead, true
+		}
+		restoreNI(n.nis[id], io)
 
 		n.inFlits[id] = n.inFlits[id][:0]
-		for _, w := range s.inFlits[id] {
+		for k := io.get(); k > 0; k-- {
 			n.inFlits[id] = append(n.inFlits[id],
-				router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)})
+				router.InFlit{In: topology.Port(io.get()), VC: io.get(), F: io.getFlit()})
 		}
-		n.inCredits[id] = append(n.inCredits[id][:0], s.inCredits[id]...)
-		n.inNICredits[id] = append(n.inNICredits[id][:0], s.inNICredits[id]...)
+		n.inCredits[id] = n.inCredits[id][:0]
+		for k := io.get(); k > 0; k-- {
+			n.inCredits[id] = append(n.inCredits[id],
+				core.CreditIn{Out: topology.Port(io.get()), VC: io.get(), VCFree: io.get() != 0})
+		}
+		n.inNICredits[id] = n.inNICredits[id][:0]
+		for k := io.get(); k > 0; k-- {
+			n.inNICredits[id] = append(n.inNICredits[id],
+				router.Credit{In: topology.Port(io.get()), VC: io.get(), VCFree: io.get() != 0})
+		}
 
-		copy(n.linkFlits[id], s.linkFlits[id])
-		copy(n.linkDead[id], s.linkDead[id])
-		n.retx[id] = append(n.retx[id][:0], s.retx[id]...)
-		n.delivered[id] = copyWindows(n.delivered[id], s.delivered[id])
+		copy(n.linkFlits[id], s.words[id*n.ports:])
+		if m := deadMasks[id]; m != deadMask(n.linkDead[id]) {
+			faultsChanged = true
+			for p := range n.linkDead[id] {
+				n.linkDead[id][p] = m>>uint(p)&1 != 0
+			}
+		}
+		k := io.get()
+		n.retx[id] = append(n.retx[id][:0], s.retx[retxAt:retxAt+k]...)
+		retxAt += k
+		var windows map[int]*seqWindow
+		if s.delivered != nil {
+			windows = s.delivered[id]
+		}
+		n.delivered[id] = copyWindows(n.delivered[id], windows)
 
 		// Staged compute outputs alias router buffers that RestoreState
 		// just reset; drop the stale views.
 		n.stagedFlits[id] = nil
 		n.stagedCredits[id] = nil
 	}
+	if io.at != len(s.net) || io.used != s.flits || retxAt != len(s.retx) {
+		panic(fmt.Sprintf("noc: Restore: read %d of %d record values, %d of %d flits and %d of %d retransmission entries: save and restore disagree on the record layout",
+			io.at, len(s.net), io.used, s.flits, retxAt, len(s.retx)))
+	}
+	io.s, io.pkts, io.flits = nil, nil, nil
 	if faultsChanged {
 		// Rebuild (or drop) the fault-aware tables from the restored
 		// fault sets. rebuildRoutes reinstalls the topology's baseline
@@ -351,31 +488,34 @@ func (n *Network) Restore(s *Snapshot) {
 // entries replaced by flit.Segment's), so the backing arrays restore
 // refills are kept whole in queueBuf/activeBuf and the live slices
 // re-pointed at them.
-func restoreNI(ni *NI, s *niState, cl *cloner) {
-	ni.activeVCs = s.activeVCs
-	ni.sendScan = s.sendScan
-	copy(ni.vcBusy, s.vcBusy)
-	copy(ni.credits, s.credits)
+func restoreNI(ni *NI, io *snapIO) {
+	ni.activeVCs = io.get()
+	ni.sendScan = io.get()
+	for v := range ni.vcBusy {
+		ni.vcBusy[v] = io.get() != 0
+		ni.credits[v] = io.get()
+	}
 	if ni.queueBuf == nil {
 		ni.queueBuf = make([][]*flit.Packet, len(ni.queues))
 		ni.activeBuf = make([][]*flit.Flit, len(ni.active))
 	}
 	for cls := range ni.queues {
 		q := ni.queueBuf[cls][:0]
-		for _, p := range s.queues[cls] {
-			q = append(q, cl.pkt(p))
+		for k := io.get(); k > 0; k-- {
+			q = append(q, &io.pkts[io.get()])
 		}
 		ni.queueBuf[cls] = q
 		ni.queues[cls] = q
 	}
 	for v := range ni.active {
-		if len(s.active[v]) == 0 {
+		k := io.get()
+		if k == 0 {
 			ni.active[v] = nil
 			continue
 		}
 		fs := ni.activeBuf[v][:0]
-		for _, f := range s.active[v] {
-			fs = append(fs, cl.flit(f))
+		for ; k > 0; k-- {
+			fs = append(fs, io.getFlit())
 		}
 		ni.activeBuf[v] = fs
 		ni.active[v] = fs

@@ -1,5 +1,7 @@
 package stats
 
+import "gonoc/internal/flit"
+
 // Clone returns an independent copy of the histogram. The bounds slice
 // is shared (it is read-only by contract); the counts buffer is shared
 // copy-on-write — both histograms are marked shared and the next write
@@ -48,5 +50,49 @@ func (c *Collector) CopyFrom(src *Collector) {
 	c.net = src.net.cloneInto(net)
 	for i := range classLat {
 		c.classLat[i] = src.classLat[i].cloneInto(classLat[i])
+	}
+}
+
+// Checkpoint is a collector's state held by value — the scalar fields
+// and the four histogram structs in one block — so a network snapshot
+// embeds it and saving into it allocates nothing, not even the first
+// time. The histograms' counts stay shared copy-on-write, as with Clone.
+// The zero Checkpoint restores the zero Collector.
+type Checkpoint struct {
+	c Collector // its histogram pointers are nil; hists holds the values
+	// hists is lat, net, then classLat; meaningful only when has is set
+	// (a collector allocates its histograms together or not at all).
+	hists [2 + flit.NumClasses]Histogram
+	has   bool
+}
+
+// SaveTo overwrites cp with the collector's state.
+func (c *Collector) SaveTo(cp *Checkpoint) {
+	cp.c = *c
+	cp.c.lat, cp.c.net, cp.c.classLat = nil, nil, [flit.NumClasses]*Histogram{}
+	if cp.has = c.lat != nil; !cp.has {
+		return
+	}
+	c.lat.cloneInto(&cp.hists[0])
+	c.net.cloneInto(&cp.hists[1])
+	for i, h := range c.classLat {
+		h.cloneInto(&cp.hists[2+i])
+	}
+}
+
+// RestoreFrom overwrites c with the state cp holds, in c's own storage
+// like CopyFrom: the collector and the histogram structs it already
+// holds are reused, so a pointer to c obtained earlier reads the
+// restored values and a restore allocates nothing in the steady state.
+func (c *Collector) RestoreFrom(cp *Checkpoint) {
+	lat, net, classLat := c.lat, c.net, c.classLat
+	*c = cp.c
+	if !cp.has {
+		return
+	}
+	c.lat = cp.hists[0].cloneInto(lat)
+	c.net = cp.hists[1].cloneInto(net)
+	for i := range classLat {
+		c.classLat[i] = cp.hists[2+i].cloneInto(classLat[i])
 	}
 }

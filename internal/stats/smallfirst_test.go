@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gonoc/internal/flit"
 	"gonoc/internal/rng"
 	"gonoc/internal/sim"
 )
@@ -207,5 +208,55 @@ func TestHistogramMergeLayoutMismatchWhileShort(t *testing.T) {
 				t.Errorf("%s: a refused merge changed the receiver (count %d)", tc.name, dst.Count())
 			}
 		}
+	}
+}
+
+// TestCheckpointRoundTrip holds Collector.SaveTo/RestoreFrom to what
+// Clone/CopyFrom do: a checkpoint restores the statistics it was taken
+// at whatever the collector recorded since — into the collector it came
+// from (whose histogram structs are reused: no allocation) and into a
+// fresh one — it survives being restored from twice, and a checkpoint of
+// a collector that has not recorded anything restores an empty one.
+func TestCheckpointRoundTrip(t *testing.T) {
+	eject := func(c *Collector, lat sim.Cycle, class flit.Class) {
+		p := &flit.Packet{Size: 2, Class: class, CreatedAt: 10, InjectedAt: 12, EjectedAt: 10 + lat}
+		c.RecordCreation(p)
+		c.RecordEjection(p)
+	}
+	c := NewCollector(0)
+	var empty, cp Checkpoint
+	c.SaveTo(&empty)
+	for i := 0; i < 20; i++ {
+		eject(c, sim.Cycle(5+i), flit.Class(i%2))
+	}
+	want := c.Clone()
+	c.SaveTo(&cp)
+	eject(c, 300, flit.Response) // past shortBuckets: the live histograms grow, the checkpoint must not
+	if reflect.DeepEqual(c.Snapshot(), want.Snapshot()) {
+		t.Fatal("recording after the checkpoint changed nothing; case exercises nothing")
+	}
+
+	fresh := NewCollector(7)
+	for round := 0; round < 2; round++ {
+		if got := testing.AllocsPerRun(5, func() { c.RestoreFrom(&cp) }); got != 0 {
+			t.Errorf("round %d: restoring into the collector the checkpoint came from allocates %.0f objects", round, got)
+		}
+		fresh.RestoreFrom(&cp)
+		for name, got := range map[string]*Collector{"same collector": c, "fresh collector": fresh} {
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || got.Summary() != want.Summary() {
+				t.Errorf("round %d, %s: restored statistics differ from those checkpointed:\n%s\n%s", round, name, got.Summary(), want.Summary())
+			}
+		}
+		eject(c, 400, flit.Request)
+		eject(fresh, 2, flit.Request)
+	}
+
+	c.RestoreFrom(&empty)
+	if !reflect.DeepEqual(c.Snapshot(), NewCollector(0).Snapshot()) {
+		t.Errorf("the checkpoint of an unused collector restored %s", c.Summary())
+	}
+	eject(c, 9, flit.Request)
+	if c.Ejected() != 1 {
+		t.Errorf("a collector restored to empty recorded %d ejections of 1", c.Ejected())
 	}
 }

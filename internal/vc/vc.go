@@ -171,18 +171,9 @@ func (v *VC) Pop() *flit.Flit {
 // hold it across a Push/Pop.
 func (v *VC) Flits() []*flit.Flit { return v.buf }
 
-// SetFlits replaces the buffer contents with clone(f) for each f of fs
-// (front first), for checkpoint/restore. It panics when fs exceeds the
-// buffer depth. The caller keeps ownership of fs and its flits.
-func (v *VC) SetFlits(fs []*flit.Flit, clone func(*flit.Flit) *flit.Flit) {
-	if len(fs) > v.depth {
-		panic(fmt.Sprintf("vc: restoring %d flits into depth-%d VC %d", len(fs), v.depth, v.Index))
-	}
-	v.buf = v.buf[:0]
-	for _, f := range fs {
-		v.buf = append(v.buf, clone(f))
-	}
-}
+// Clear empties the buffer, for checkpoint/restore: RestoreState refills
+// it with Push, front first.
+func (v *VC) Clear() { v.buf = v.buf[:0] }
 
 // ResetPacketState clears the allocation fields after a tail flit departs,
 // returning the VC to Idle. Buffered flits (of a next packet, under
@@ -204,6 +195,16 @@ func (v *VC) ClearBorrow() {
 	v.R2 = topology.Local
 	v.VF = false
 	v.ID = None
+}
+
+// IsReset reports whether the VC is in the state NewVC builds and
+// Clear, ResetPacketState and ClearBorrow together return it to: empty,
+// Idle, every field at its sentinel. A saved router state leaves such
+// VCs out and restore resets the live VC instead.
+func (v *VC) IsReset() bool {
+	return len(v.buf) == 0 && v.G == Idle && v.R == topology.Local && v.OutVC == None &&
+		v.R2 == topology.Local && !v.VF && v.ID == None && v.SP == topology.Local && !v.FSP &&
+		!v.Detour && v.DvcLo == 0 && v.DvcHi == 0
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,7 @@
 package vc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,48 @@ func TestStrings(t *testing.T) {
 	for _, g := range []GState{Idle, Routing, VCAlloc, Active, GState(9)} {
 		if g.String() == "" {
 			t.Fatal("empty GState string")
+		}
+	}
+}
+
+// TestIsResetFollowsEveryField pins IsReset to the fields it must cover:
+// a fresh VC is in its reset state, writing any one field (or buffering
+// a flit) takes it out, and Clear, ResetPacketState and ClearBorrow
+// together bring it back. A VC field added without a line in IsReset
+// would let a saved router state leave a non-reset VC out.
+func TestIsResetFollowsEveryField(t *testing.T) {
+	writes := map[string]func(*VC){
+		"buf":    func(v *VC) { v.Push(&flit.Flit{Pkt: &flit.Packet{Size: 1}, Kind: flit.HeadTail}) },
+		"G":      func(v *VC) { v.G = Routing },
+		"R":      func(v *VC) { v.R = topology.East },
+		"OutVC":  func(v *VC) { v.OutVC = 0 },
+		"R2":     func(v *VC) { v.R2 = topology.South },
+		"VF":     func(v *VC) { v.VF = true },
+		"ID":     func(v *VC) { v.ID = 0 },
+		"SP":     func(v *VC) { v.SP = topology.West },
+		"FSP":    func(v *VC) { v.FSP = true },
+		"Detour": func(v *VC) { v.Detour = true },
+		"DvcLo":  func(v *VC) { v.DvcLo = 1 },
+		"DvcHi":  func(v *VC) { v.DvcHi = 1 },
+	}
+	// Index, depth: fixed at construction.
+	if fields := reflect.TypeOf(VC{}).NumField(); fields != len(writes)+2 {
+		t.Fatalf("VC has %d fields, the test writes %d: cover the new one here and in IsReset", fields, len(writes))
+	}
+	for name, write := range writes {
+		v := NewVC(1, 2)
+		if !v.IsReset() {
+			t.Fatal("a new VC is not in its reset state")
+		}
+		write(v)
+		if v.IsReset() {
+			t.Errorf("IsReset ignores %s", name)
+		}
+		v.Clear()
+		v.ResetPacketState()
+		v.ClearBorrow()
+		if !v.IsReset() {
+			t.Errorf("Clear, ResetPacketState and ClearBorrow leave %s set: %+v", name, v)
 		}
 	}
 }
