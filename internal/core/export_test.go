@@ -11,7 +11,7 @@ import (
 // packet holds before it is dropped or released: tests reach vc.Dropping
 // through routing and vc.Idle through the tail flit.
 func (r *Router) setVCState(p topology.Port, v int, g vc.GState, out topology.Port) {
-	q := r.in[p].VCs[v]
+	q := r.inVC(int(p), v)
 	if q.G == vc.Idle {
 		r.vcOccupy(p, v)
 	}

@@ -12,24 +12,29 @@ import (
 
 // acceptInputs applies the latched credits and buffers the latched flits.
 func (r *Router) acceptInputs() {
+	if len(r.inCredits) == 0 && len(r.inFlits) == 0 {
+		return // an idle tick reads nothing past the struct's first lines
+	}
+	V := r.cfg.VCs
 	for _, c := range r.inCredits {
-		r.creditReturn(c.Out, c.VC)
-		if c.VCFree {
-			r.outVCBusy[c.Out][c.VC] = false
+		r.creditReturn(topology.Port(c.out), int(c.vc))
+		if c.free {
+			r.outVCBusy[int(c.out)*V+int(c.vc)] = false
 		}
 	}
 	r.inCredits = r.inCredits[:0]
 
 	for _, inf := range r.inFlits {
-		q := r.in[inf.In].VCs[inf.VC]
-		if inf.F.Kind.IsHead() {
+		p, v := int(inf.in), int(inf.vc)
+		q := &r.vcs[p*V+v]
+		if inf.f.Kind.IsHead() {
 			if q.G != vc.Idle {
-				panic(fmt.Sprintf("core: router %d head flit into busy VC %v/%d (G=%v)", r.ID, inf.In, inf.VC, q.G))
+				panic(fmt.Sprintf("core: router %d head flit into busy VC %v/%d (G=%v)", r.ID, topology.Port(p), v, q.G))
 			}
 			q.G = vc.Routing
-			r.vcOccupy(inf.In, inf.VC)
+			r.vcOccupy(topology.Port(p), v)
 		}
-		q.Push(inf.F)
+		q.Push(inf.f)
 	}
 	r.inFlits = r.inFlits[:0]
 }
@@ -44,7 +49,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 		if m == 0 {
 			continue
 		}
-		ip := r.in[p]
+		vcs := r.portVCs(p)
 		// Visit the occupied VCs from rcScan[p] upward, then the ones
 		// below it: the order (rcScan[p]+i) mod VCs takes them in.
 		below := m & (1<<uint(r.rcScan[p]) - 1)
@@ -52,7 +57,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 		for _, part := range [2]uint64{m &^ below, below} {
 			for ; part != 0; part &= part - 1 {
 				idx := bits.TrailingZeros64(part)
-				q := ip.VCs[idx]
+				q := &vcs[idx]
 				if q.G != vc.Routing || !headReady(q) {
 					continue
 				}
@@ -145,10 +150,11 @@ func (r *Router) drainStage() {
 	if r.dropping == 0 {
 		return
 	}
-	for p, ip := range r.in {
-		for m := r.occ[p]; m != 0; m &= m - 1 {
+	for p, m := range r.occ {
+		vcs := r.portVCs(p)
+		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			q := ip.VCs[v]
+			q := &vcs[v]
 			if q.G != vc.Dropping || q.Empty() {
 				continue
 			}
@@ -199,10 +205,10 @@ func (r *Router) vaStage(cy sim.Cycle) {
 	// Stage 1: each input VC in VCAlloc picks one candidate downstream VC.
 	requested := false
 	for p := 0; p < P; p++ {
-		ip := r.in[p]
+		vcs := r.portVCs(p)
 		for m := r.occ[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			q := ip.VCs[v]
+			q := &vcs[v]
 			if q.G != vc.VCAlloc {
 				continue
 			}
@@ -212,7 +218,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 					continue // baseline: the VC is dead
 				}
 				//nocvet:ignore hotpathalloc the closure captures only loop-local state and never escapes FindLender: stack-allocated
-				lender := ip.FindLender(v, func(i int) bool { return r.va.Stage1Faulty(p, i) })
+				lender := r.in[p].FindLender(v, func(i int) bool { return r.va.Stage1Faulty(p, i) })
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
@@ -224,7 +230,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				}
 				// Deposit the borrow request in the lender's state fields
 				// (Figure 4); the allocation below acts for the borrower.
-				lq := ip.VCs[lender]
+				lq := &vcs[lender]
 				lq.R2 = q.R
 				lq.ID = v
 				lq.VF = true
@@ -244,8 +250,9 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			}
 			// The request word: the free downstream VCs of the range.
 			var free uint64
+			busy := r.outVCBusy[out*V : (out+1)*V]
 			for dvc := lo; dvc < hi; dvc++ {
-				if !r.outVCBusy[out][dvc] {
+				if !busy[dvc] {
 					free |= 1 << uint(dvc)
 				}
 			}
@@ -259,7 +266,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			if arbVC != v {
 				// The VA unit resets R2/ID/VF once the borrowed arbiters
 				// have served the borrower (Section V-B2).
-				ip.VCs[arbVC].ClearBorrow()
+				vcs[arbVC].ClearBorrow()
 			}
 		}
 	}
@@ -295,10 +302,10 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			if !ok {
 				continue
 			}
-			q := r.in[wp].VCs[wv]
+			q := r.inVC(wp, wv)
 			q.G = vc.Active
 			q.OutVC = dvc
-			r.outVCBusy[out][dvc] = true
+			r.outVCBusy[out*V+dvc] = true
 			if o := r.obs; o != nil {
 				o.VAAlloc(cy, wp, wv, out, dvc)
 				r.noteAdvance(wp, wv)
@@ -317,7 +324,7 @@ func (r *Router) saReady(q *vc.VC) bool {
 	if _, ok := r.effectiveRequestPort(q); !ok {
 		return false
 	}
-	return r.credits[q.R][q.OutVC] > 0
+	return r.credits[int(q.R)*r.cfg.VCs+q.OutVC] > 0
 }
 
 // effectiveRequestPort returns the output port whose SA stage-2 arbiter
@@ -354,10 +361,10 @@ func (r *Router) saStage(cy sim.Cycle) {
 		if m == 0 && !b.Arb.Faulty() {
 			continue
 		}
-		ip := r.in[p]
+		vcs := r.portVCs(p)
 		var ready uint64
 		for ; m != 0; m &= m - 1 {
-			if v := bits.TrailingZeros64(m); r.saReady(ip.VCs[v]) {
+			if v := bits.TrailingZeros64(m); r.saReady(&vcs[v]) {
 				ready |= 1 << uint(v)
 			}
 		}
@@ -381,7 +388,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			// sibling it transitively depends on).
 			if a := r.saAdopted[p]; a >= 0 {
 				r.saAdoptAge[p]++
-				if ip.VCs[a].G != vc.Active || r.saAdoptAge[p] >= r.cfg.BypassRotatePeriod {
+				if vcs[a].G != vc.Active || r.saAdoptAge[p] >= r.cfg.BypassRotatePeriod {
 					r.saAdopted[p] = -1
 				}
 			}
@@ -401,7 +408,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 				// The default winner cannot send. If it is idle and
 				// empty, transfer a sibling's flits and state into it;
 				// the transfer itself consumes this cycle.
-				r.tryTransfer(cy, ip, p, w)
+				r.tryTransfer(cy, p, w)
 				continue
 			}
 			if ok {
@@ -415,7 +422,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 		if !ok {
 			continue
 		}
-		q := ip.VCs[w]
+		q := &vcs[w]
 		reqPort, pathOK := r.effectiveRequestPort(q)
 		if !pathOK {
 			continue
@@ -441,7 +448,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		win := r.saWinners[wp]
-		q := r.in[wp].VCs[win.vcIdx]
+		q := r.inVC(wp, win.vcIdx)
 		r.creditSpend(win.outPort, q.OutVC)
 		r.grants = append(r.grants, grant{
 			inPort:    topology.Port(wp),
@@ -463,15 +470,16 @@ func (r *Router) saStage(cy sim.Cycle) {
 // adoption: from the next cycle the moved packet is served as the default
 // winner, while flow control keeps the packet's original VC identity so
 // the upstream router's per-VC credits and allocation state stay exact.
-func (r *Router) tryTransfer(cy sim.Cycle, ip *vc.InputPort, port, dst int) {
-	d := ip.VCs[dst]
+func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
+	vcs := r.portVCs(port)
+	d := &vcs[dst]
 	if d.G != vc.Idle || !d.Empty() {
 		return // default winner holds a packet that is simply not ready
 	}
 	cand := -1
 	for m := r.occ[port]; m != 0; m &= m - 1 { // dst is Idle: not in the mask
 		v := bits.TrailingZeros64(m)
-		s := ip.VCs[v]
+		s := &vcs[v]
 		if s.G != vc.Active || s.Empty() {
 			continue
 		}
@@ -506,7 +514,7 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		r.xbBase.BeginCycle()
 	}
 	for _, g := range r.grants {
-		q := r.in[g.inPort].VCs[g.inVC]
+		q := r.inVC(int(g.inPort), g.inVC)
 		var err error
 		if r.cfg.FaultTolerant {
 			err = r.xbProt.Traverse(int(g.inPort), int(g.outPort), g.secondary)

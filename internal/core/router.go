@@ -109,39 +109,90 @@ type Counters struct {
 	Reroutes uint64
 }
 
+// inFlit and creditIn are the router's latched inputs: what router.InFlit
+// and CreditIn carry, narrow (router.Config caps ports and VCs at 64). A
+// latch holds a cycle's worth of them per router, so their width is most
+// of what the latches cost.
+type inFlit struct {
+	f      *flit.Flit
+	in, vc uint8
+}
+
+type creditIn struct {
+	out, vc uint8
+	free    bool
+}
+
 // Router is a P-port, V-VC, 4-stage pipelined wormhole router with
 // credit-based flow control. It implements both the baseline and the
 // paper's fault-tolerant design, selected by Config.FaultTolerant.
+//
+// A router is one block: the fields a quiescent tick reads (the latches,
+// the grant list, the occupancy totals) come first so an idle router
+// costs the few lines they share, and the headers an active tick starts
+// from follow them. Its VCs are held by value in one slab with their
+// buffers in one arena (vc.NewPorts), the per-(port, VC) output-side
+// bookkeeping is flat, indexed p*VCs+v like the slab, and the RC units
+// and allocators are values, so a tick reaches any VC, credit or arbiter
+// through one slice header instead of a chain of pointers.
 type Router struct {
-	// ID is the router's node id in the mesh.
-	//noc:derived immutable identity, fixed at construction
-	ID int
+	// The I/O latches are empty at the step boundary where snapshots are
+	// taken; RestoreState clears them rather than restoring contents.
+	inFlits    []inFlit         //noc:derived I/O latch, empty at the step boundary
+	inCredits  []creditIn       //noc:derived I/O latch, empty at the step boundary
+	outFlits   []router.OutFlit //noc:derived I/O latch, empty at the step boundary
+	outCredits []router.Credit  //noc:derived I/O latch, empty at the step boundary
 
-	cfg router.Config
-	//noc:derived immutable configuration, fixed at construction
-	topo topology.Topology
-
-	in []*vc.InputPort
-	rc []*router.RCUnit
-	va *router.VAlloc
-	sa *router.SAlloc
-
-	xbBase *crossbar.Baseline
-	xbProt *crossbar.Protected
-
-	// Output-side bookkeeping: this router as upstream of each output
-	// port's downstream buffers.
-	outVCBusy [][]bool
-	credits   [][]int
+	// occupied counts the set bits of occ.
+	//noc:derived recomputed from the VC G states by RestoreState
+	occupied int
+	// sa1Faults counts the input ports whose SA stage-1 arbiter is faulty.
+	//noc:derived recomputed from the SA stage-1 fault bits by RestoreState
+	sa1Faults int
 
 	grants []grant
 
-	// The I/O latches are empty at the step boundary where snapshots are
-	// taken; RestoreState clears them rather than restoring contents.
-	inFlits    []router.InFlit  //noc:derived I/O latch, empty at the step boundary
-	inCredits  []CreditIn       //noc:derived I/O latch, empty at the step boundary
-	outFlits   []router.OutFlit //noc:derived I/O latch, empty at the step boundary
-	outCredits []router.Credit  //noc:derived I/O latch, empty at the step boundary
+	cfg router.Config
+
+	// vcs is the slab of input VCs, VC v of port p at p*VCs+v; the pipeline
+	// stages index it directly. in (below) holds the ports by value, their
+	// VCs pointing into the slab — the view InputVC and FindLender use.
+	vcs []vc.VC
+
+	// Output-side bookkeeping: this router as upstream of each output
+	// port's downstream buffers, downstream VC v of output p at p*VCs+v.
+	credits   []int
+	outVCBusy []bool
+
+	// Occupancy state, derived from the VCs' G fields and the SA stage-1
+	// fault bits so the stages visit only VCs that hold a packet and Tick
+	// can return early on a quiescent router. It is maintained where a VC
+	// leaves or re-enters Idle (vcOccupy, vcRelease), where one starts
+	// Dropping (rcStage) and in SetSA1Fault; CheckOccupancy recomputes it.
+	//
+	// occ[p] has bit v set iff VC (p, v) is not vc.Idle (router.Config
+	// caps VCs at 64 so a port fits one word). occupied and sa1Faults sit
+	// at the top of the struct with the latches.
+	//noc:derived recomputed from the VC G states by RestoreState
+	occ []uint64
+	// dropping counts the VCs in vc.Dropping.
+	//noc:derived recomputed from the VC G states by RestoreState
+	dropping int
+
+	// ID is the router's node id in the mesh.
+	//noc:derived immutable identity, fixed at construction
+	ID int
+	//noc:derived immutable configuration, fixed at construction
+	topo topology.Topology
+
+	//noc:derived immutable wiring: a view of vcs, fixed at construction
+	in []vc.InputPort
+	rc []router.RCUnit
+	va router.VAlloc
+	sa router.SAlloc
+
+	xbBase *crossbar.Baseline
+	xbProt *crossbar.Protected
 
 	// rcScan is the per-port round-robin pointer for the (single) RC unit
 	// serving at most one VC per cycle.
@@ -157,26 +208,6 @@ type Router struct {
 	saAdopted []int
 	// saAdoptAge counts cycles since the adoption, for rotation expiry.
 	saAdoptAge []int
-
-	// Occupancy state, derived from the VCs' G fields and the SA stage-1
-	// fault bits so the stages visit only VCs that hold a packet and Tick
-	// can return early on a quiescent router. It is maintained where a VC
-	// leaves or re-enters Idle (vcOccupy, vcRelease), where one starts
-	// Dropping (rcStage) and in SetSA1Fault; CheckOccupancy recomputes it.
-	//
-	// occ[p] has bit v set iff in[p].VCs[v].G != vc.Idle (router.Config
-	// caps VCs at 64 so a port fits one word).
-	//noc:derived recomputed from the VC G states by RestoreState
-	occ []uint64
-	// occupied counts the set bits of occ.
-	//noc:derived recomputed from the VC G states by RestoreState
-	occupied int
-	// dropping counts the VCs in vc.Dropping.
-	//noc:derived recomputed from the VC G states by RestoreState
-	dropping int
-	// sa1Faults counts the input ports whose SA stage-1 arbiter is faulty.
-	//noc:derived recomputed from the SA stage-1 fault bits by RestoreState
-	sa1Faults int
 
 	// va2req collects stage-2 VA requests as request words, one per input
 	// port: the Ports words from (outPort*VCs+dvc)*Ports on are the
@@ -235,48 +266,53 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	P, V := cfg.Ports, cfg.VCs
 	r := &Router{ID: id, cfg: cfg, topo: topo}
-	r.in = make([]*vc.InputPort, cfg.Ports)
-	r.rc = make([]*router.RCUnit, cfg.Ports)
-	r.outVCBusy = make([][]bool, cfg.Ports)
-	r.credits = make([][]int, cfg.Ports)
-	r.rcScan = make([]int, cfg.Ports)
-	r.saAdopted = make([]int, cfg.Ports)
-	r.saAdoptAge = make([]int, cfg.Ports)
-	r.occ = make([]uint64, cfg.Ports)
+	r.vcs, r.in = vc.NewPorts(P, V, cfg.Depth)
+	r.rc = make([]router.RCUnit, P)
+	for p := range r.rc {
+		r.rc[p] = *router.NewRCUnit(topo, cfg.FaultTolerant)
+	}
+	r.outVCBusy = make([]bool, P*V)
+	r.credits = make([]int, P*V)
+	for i := range r.credits {
+		r.credits[i] = cfg.Depth
+	}
+	ints := make([]int, 3*P)
+	r.rcScan, r.saAdopted, r.saAdoptAge = ints[:P:P], ints[P:2*P:2*P], ints[2*P:]
 	for i := range r.saAdopted {
 		r.saAdopted[i] = -1
 	}
-	for p := 0; p < cfg.Ports; p++ {
-		r.in[p] = vc.NewInputPort(topology.Port(p), cfg.VCs, cfg.Depth)
-		r.rc[p] = router.NewRCUnit(topo, cfg.FaultTolerant)
-		r.outVCBusy[p] = make([]bool, cfg.VCs)
-		r.credits[p] = make([]int, cfg.VCs)
-		for v := range r.credits[p] {
-			r.credits[p][v] = cfg.Depth
-		}
-	}
-	r.va = router.NewVAlloc(cfg)
-	r.sa = router.NewSAlloc(cfg)
+	r.va = *router.NewVAlloc(cfg)
+	r.sa = *router.NewSAlloc(cfg)
 	if cfg.FaultTolerant {
-		r.xbProt = crossbar.NewProtected(cfg.Ports)
+		r.xbProt = crossbar.NewProtected(P)
 	} else {
-		r.xbBase = crossbar.NewBaseline(cfg.Ports)
+		r.xbBase = crossbar.NewBaseline(P)
 	}
-	r.va2req = make([]uint64, cfg.Ports*cfg.VCs*cfg.Ports)
-	r.va2any = make([]uint64, cfg.Ports)
-	r.saWinners = make([]saWinner, cfg.Ports)
-	r.sa2req = make([]uint64, cfg.Ports)
+	// The mask and request words: occ, va2any and sa2req one per port,
+	// va2req P per downstream VC, and the stall scan's advanced marks one
+	// per port when observability is bound.
+	nw := (3 + P*V) * P
+	if cfg.Obs != nil {
+		nw += P
+	}
+	words := make([]uint64, nw)
+	r.occ, words = words[:P:P], words[P:]
+	r.va2any, words = words[:P:P], words[P:]
+	r.sa2req, words = words[:P:P], words[P:]
+	r.va2req, words = words[:P*V*P:P*V*P], words[P*V*P:]
+	r.saWinners = make([]saWinner, P)
 	// Pre-size the per-cycle staging latches to their flow-control bounds
 	// (one flit per port per cycle; credits bounded by total VCs plus the
 	// VC-free piggyback) so the steady-state tick never grows them.
-	r.inFlits = make([]router.InFlit, 0, cfg.Ports)
-	r.inCredits = make([]CreditIn, 0, cfg.Ports*cfg.VCs+cfg.Ports)
-	r.outFlits = make([]router.OutFlit, 0, cfg.Ports)
-	r.outCredits = make([]router.Credit, 0, cfg.Ports*cfg.VCs+cfg.Ports)
-	r.droppedPkts = make([]*flit.Packet, 0, cfg.Ports)
-	if r.obs = obs.BindRouter(cfg.Obs, id, cfg.Ports, cfg.VCs); r.obs != nil {
-		r.advanced = make([]uint64, cfg.Ports)
+	r.inFlits = make([]inFlit, 0, P)
+	r.inCredits = make([]creditIn, 0, P*V+P)
+	r.outFlits = make([]router.OutFlit, 0, P)
+	r.outCredits = make([]router.Credit, 0, P*V+P)
+	r.droppedPkts = make([]*flit.Packet, 0, P)
+	if r.obs = obs.BindRouter(cfg.Obs, id, P, V); r.obs != nil {
+		r.advanced = words
 	}
 	return r, nil
 }
@@ -304,11 +340,36 @@ func (r *Router) FaultTolerant() bool { return r.cfg.FaultTolerant }
 func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return r.in[p].VCs[v] }
 
 // AcceptFlit delivers a flit to input port latch; it is buffered at the
-// start of the next Tick.
-func (r *Router) AcceptFlit(f router.InFlit) { r.inFlits = append(r.inFlits, f) }
+// start of the next Tick. It panics on a port or VC the router lacks.
+func (r *Router) AcceptFlit(f router.InFlit) {
+	if uint(f.In) >= uint(r.cfg.Ports) || uint(f.VC) >= uint(r.cfg.VCs) {
+		panic(vcError{r.ID, "flit into a missing VC", f.In, f.VC})
+	}
+	r.inFlits = append(r.inFlits, inFlit{f: f.F, in: uint8(f.In), vc: uint8(f.VC)})
+}
 
-// AcceptCredit delivers a credit to the output-side latch.
-func (r *Router) AcceptCredit(c CreditIn) { r.inCredits = append(r.inCredits, c) }
+// AcceptCredit delivers a credit to the output-side latch. It panics on a
+// port or VC the router lacks.
+func (r *Router) AcceptCredit(c CreditIn) {
+	if uint(c.Out) >= uint(r.cfg.Ports) || uint(c.VC) >= uint(r.cfg.VCs) {
+		panic(vcError{r.ID, "credit for a missing VC", c.Out, c.VC})
+	}
+	r.inCredits = append(r.inCredits, creditIn{out: uint8(c.Out), vc: uint8(c.VC), free: c.VCFree})
+}
+
+// vcError is what the latch entry points and the credit accessors panic
+// with. A value, not a formatted string, so that the functions raising
+// it stay small enough to inline; the message is built when it is read.
+type vcError struct {
+	router int
+	what   string
+	port   topology.Port
+	vc     int
+}
+
+func (e vcError) Error() string {
+	return fmt.Sprintf("core: router %d %s on %v/vc%d", e.router, e.what, e.port, e.vc)
+}
 
 // SetRouteFn installs (or with nil, removes) a network-level fault-aware
 // routing function that overrides the RC units' XY computation.
@@ -350,9 +411,10 @@ func (r *Router) TakeOutCredits() []router.Credit {
 // decide whether a new packet can be injected.
 func (r *Router) FreeOutVCs(p topology.Port, cls int) int {
 	lo, hi := r.cfg.ClassRange(cls)
+	busy := r.outVCBusy[int(p)*r.cfg.VCs:]
 	n := 0
 	for v := lo; v < hi; v++ {
-		if !r.outVCBusy[p][v] {
+		if !busy[v] {
 			n++
 		}
 	}
@@ -404,9 +466,18 @@ func headReady(v *vc.VC) bool {
 	return f != nil && f.Kind.IsHead()
 }
 
+// inVC returns input VC (p, v) from the slab.
+func (r *Router) inVC(p, v int) *vc.VC { return &r.vcs[p*r.cfg.VCs+v] }
+
+// portVCs returns input port p's VCs, a window of the slab.
+func (r *Router) portVCs(p int) []vc.VC {
+	V := r.cfg.VCs
+	return r.vcs[p*V : (p+1)*V : (p+1)*V]
+}
+
 // Credits returns the router's current credit count for downstream VC
 // (p, v) — exposed for the network-level credit-conservation checker.
-func (r *Router) Credits(p topology.Port, v int) int { return r.credits[p][v] }
+func (r *Router) Credits(p topology.Port, v int) int { return r.credits[int(p)*r.cfg.VCs+v] }
 
 // creditReturn is the audited entry point for adding a downstream credit
 // on (p, v): a credit arriving from the neighbour, or one refunded when a
@@ -416,9 +487,10 @@ func (r *Router) Credits(p topology.Port, v int) int { return r.credits[p][v] }
 //
 //noc:credit-accessor
 func (r *Router) creditReturn(p topology.Port, v int) {
-	r.credits[p][v]++
-	if r.credits[p][v] > r.cfg.Depth {
-		panic(fmt.Sprintf("core: router %d credit overflow on %v/vc%d", r.ID, p, v))
+	c := &r.credits[int(p)*r.cfg.VCs+v]
+	*c++
+	if *c > r.cfg.Depth {
+		panic(vcError{r.ID, "credit overflow", p, v})
 	}
 }
 
@@ -427,9 +499,10 @@ func (r *Router) creditReturn(p topology.Port, v int) {
 //
 //noc:credit-accessor
 func (r *Router) creditSpend(p topology.Port, v int) {
-	r.credits[p][v]--
-	if r.credits[p][v] < 0 {
-		panic(fmt.Sprintf("core: router %d negative credit on %v/vc%d", r.ID, p, v))
+	c := &r.credits[int(p)*r.cfg.VCs+v]
+	*c--
+	if *c < 0 {
+		panic(vcError{r.ID, "negative credit", p, v})
 	}
 }
 
@@ -440,7 +513,7 @@ func (r *Router) creditSpend(p topology.Port, v int) {
 func (r *Router) PendingGrants(p topology.Port, v int) int {
 	n := 0
 	for _, g := range r.grants {
-		if g.outPort == p && r.in[g.inPort].VCs[g.inVC].OutVC == v {
+		if g.outPort == p && r.inVC(int(g.inPort), g.inVC).OutVC == v {
 			n++
 		}
 	}
@@ -462,7 +535,9 @@ func (r *Router) vcRelease(p topology.Port, v int) {
 // portOccupancy recounts input port p's occupancy mask and its number of
 // Dropping VCs from the VCs themselves.
 func (r *Router) portOccupancy(p int) (mask uint64, dropping int) {
-	for v, q := range r.in[p].VCs {
+	vcs := r.portVCs(p)
+	for v := range vcs {
+		q := &vcs[v]
 		if q.G == vc.Idle {
 			continue
 		}
@@ -480,7 +555,7 @@ func (r *Router) portOccupancy(p int) (mask uint64, dropping int) {
 // first port whose maintained mask disagreed, -1 when none did.
 func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) {
 	stale = -1
-	for p := range r.in {
+	for p := range r.occ {
 		m, d := r.portOccupancy(p)
 		if m != r.occ[p] && stale < 0 {
 			stale = p

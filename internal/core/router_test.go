@@ -280,3 +280,50 @@ func TestContentionSharedOutputSerializes(t *testing.T) {
 		t.Fatal("two packets allocated the same downstream VC")
 	}
 }
+
+// TestNewRouterIsOneBlock pins the router's layout as a count of the
+// objects core.New allocates for the paper's protected 5-port, 4-VC
+// router: 32, where the pointer-graph layout (one heap object per VC,
+// per VC buffer, per input port, per RC unit, per credit and busy row)
+// allocated 99, 93 of them retained per node of a network. A change that
+// puts a per-port or per-VC object back on the heap fails here.
+func TestNewRouterIsOneBlock(t *testing.T) {
+	mesh := topology.NewMesh(8, 8)
+	cfg := router.DefaultConfig()
+	cfg.FaultTolerant = true
+	const maxObjects = 32
+	if got := testing.AllocsPerRun(50, func() { MustNew(9, mesh, cfg) }); got > maxObjects {
+		t.Errorf("core.New allocates %.0f objects, want <= %d", got, maxObjects)
+	}
+	// The slab and the port view are the same VCs.
+	r := MustNew(9, mesh, cfg)
+	for p := 0; p < cfg.Ports; p++ {
+		for v := 0; v < cfg.VCs; v++ {
+			if r.InputVC(topology.Port(p), v) != &r.vcs[p*cfg.VCs+v] {
+				t.Fatalf("InputVC(%d, %d) is not slab entry %d", p, v, p*cfg.VCs+v)
+			}
+		}
+	}
+}
+
+// TestAcceptRefusesMissingVCs pins the range check of the latch entry
+// points: the VC slab is flat, so a VC index past the port's VCs would
+// otherwise land on the next port's VC instead of failing.
+func TestAcceptRefusesMissingVCs(t *testing.T) {
+	b := newBench(t, ftCfg())
+	for name, accept := range map[string]func(){
+		"flit VC":     func() { b.inject(topology.North, 4, &flit.Flit{}) },
+		"flit port":   func() { b.inject(topology.Port(5), 0, &flit.Flit{}) },
+		"credit VC":   func() { b.r.AcceptCredit(CreditIn{Out: topology.East, VC: -1}) },
+		"credit port": func() { b.r.AcceptCredit(CreditIn{Out: topology.Port(7), VC: 0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s out of range was accepted", name)
+				}
+			}()
+			accept()
+		}()
+	}
+}

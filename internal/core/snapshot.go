@@ -182,9 +182,9 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 		rec = put(put(put(rec, r.rcScan[p]), r.saAdopted[p]), r.saAdoptAge[p])
 		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa.Stage2(p).Prio())
 		rec = put(rec, flags)
-		vcs, credits, busy := r.in[p].VCs, r.credits[p], r.outVCBusy[p]
+		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outVCBusy[p*V:(p+1)*V]
 		for v := 0; v < V; v++ {
-			q := vcs[v]
+			q := &vcs[v]
 			entry := !q.IsReset()
 			rec = put(put(put(rec, credits[v]), r.va.Stage1(p, v).Prio()), r.va.Stage2(p, v).Prio())
 			rec = put(rec, bit(busy[v], vcOutBusy)|bit(r.va.Stage1Faulty(p, v), vcVA1Faulty)|
@@ -217,7 +217,7 @@ func (r *Router) bufferedFlits() int {
 	n := 0
 	for p, m := range r.occ {
 		for ; m != 0; m &= m - 1 {
-			n += r.in[p].VCs[bits.TrailingZeros64(m)].Len()
+			n += r.inVC(p, bits.TrailingZeros64(m)).Len()
 		}
 	}
 	return n
@@ -265,7 +265,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 		} else {
 			r.xbBase.SetMuxFaulty(p, flags&portXBMux != 0)
 		}
-		vcs, credits, busy := r.in[p].VCs, r.credits[p], r.outVCBusy[p]
+		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outVCBusy[p*V:(p+1)*V]
 		for v := 0; v < V; v++ {
 			slot := rec[i : i+4 : i+4]
 			i += 4
@@ -276,7 +276,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 			busy[v] = flags&vcOutBusy != 0
 			r.va.SetStage1Faulty(p, v, flags&vcVA1Faulty != 0)
 			r.va.Stage2(p, v).SetFaulty(flags&vcVA2Faulty != 0)
-			if q := vcs[v]; flags&vcHasEntry != 0 {
+			if q := &vcs[v]; flags&vcHasEntry != 0 {
 				fl = restoreVC(q, rec[i:i+vcEntryLen], fl, cloneFlit)
 				i += vcEntryLen
 			} else {
@@ -355,7 +355,7 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 	P, V := r.cfg.Ports, r.cfg.VCs
 	for p := 0; p < P; p++ {
 		for v := 0; v < V; v++ {
-			ivc := r.in[p].VCs[v]
+			ivc := &r.vcs[p*V+v]
 			b = append(b, byte(ivc.G))
 			b = appI(b, int(ivc.R))
 			b = appI(b, ivc.OutVC)
@@ -373,8 +373,8 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			for _, f := range fs {
 				b = AppendCanonicalFlit(b, f)
 			}
-			b = appB(b, r.outVCBusy[p][v])
-			b = appI(b, r.credits[p][v])
+			b = appB(b, r.outVCBusy[p*V+v])
+			b = appI(b, r.credits[p*V+v])
 			b = appI(b, r.va.Stage1(p, v).Prio())
 			b = appI(b, r.va.Stage2(p, v).Prio())
 			b = appB(b, r.va.Stage1Faulty(p, v))

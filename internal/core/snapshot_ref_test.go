@@ -89,8 +89,8 @@ func (r *Router) refSaveStateInto(old *refRouterState, cloneFlit func(*flit.Flit
 	s.xbSecPresent = r.xbProt != nil
 	s.counters = r.Counters
 	for p := 0; p < P; p++ {
-		copy(s.outVCBusy[p], r.outVCBusy[p])
-		copy(s.credits[p], r.credits[p])
+		copy(s.outVCBusy[p], r.outVCBusy[p*V:])
+		copy(s.credits[p], r.credits[p*V:])
 		for v := 0; v < V; v++ {
 			refSaveVC(&s.vcs[p][v], r.in[p].VCs[v], cloneFlit)
 			s.va1Prio[p*V+v] = r.va.Stage1(p, v).Prio()
@@ -186,8 +186,8 @@ func (r *Router) refRestoreState(s *refRouterState, cloneFlit func(*flit.Flit) *
 	}
 	P, V := r.cfg.Ports, r.cfg.VCs
 	for p := 0; p < P; p++ {
-		copy(r.outVCBusy[p], s.outVCBusy[p])
-		copy(r.credits[p], s.credits[p])
+		copy(r.outVCBusy[p*V:], s.outVCBusy[p])
+		copy(r.credits[p*V:], s.credits[p])
 		for v := 0; v < V; v++ {
 			refRestoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit)
 			r.va.Stage1(p, v).SetPrio(s.va1Prio[p*V+v])

@@ -41,12 +41,14 @@ func (r *Router) stallScan(cy sim.Cycle) {
 	if o == nil {
 		return
 	}
-	for p, ip := range r.in {
-		m := r.occ[p] &^ r.advanced[p]
+	V := r.cfg.VCs
+	for p, occ := range r.occ {
+		m := occ &^ r.advanced[p]
 		r.advanced[p] = 0
+		vcs := r.portVCs(p)
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			q := ip.VCs[v]
+			q := &vcs[v]
 			switch q.G {
 			case vc.Dropping:
 				// Draining a packet discarded by network faults; every
@@ -73,7 +75,7 @@ func (r *Router) stallScan(cy sim.Cycle) {
 				}
 				free := false
 				for dvc := lo; dvc < hi; dvc++ {
-					if !r.outVCBusy[out][dvc] {
+					if !r.outVCBusy[out*V+dvc] {
 						free = true
 						break
 					}
@@ -97,7 +99,7 @@ func (r *Router) stallScan(cy sim.Cycle) {
 					o.Stall(obs.StallRouteBlocked, p, v)
 				case q.Detour || q.FSP:
 					o.Stall(obs.StallRouteBlocked, p, v)
-				case r.credits[q.R][q.OutVC] == 0:
+				case r.credits[int(q.R)*V+q.OutVC] == 0:
 					o.Stall(obs.StallCreditStarved, p, v)
 				default:
 					o.Stall(obs.StallArbLost, p, v)

@@ -57,7 +57,7 @@ func refStallScan(r *Router) []stallReport {
 				}
 				free := false
 				for dvc := lo; dvc < hi; dvc++ {
-					if !r.outVCBusy[out][dvc] {
+					if !r.outVCBusy[out*V+dvc] {
 						free = true
 						break
 					}
@@ -79,7 +79,7 @@ func refStallScan(r *Router) []stallReport {
 					stall(obs.StallRouteBlocked, p, v)
 				case q.Detour || q.FSP:
 					stall(obs.StallRouteBlocked, p, v)
-				case r.credits[q.R][q.OutVC] == 0:
+				case r.credits[int(q.R)*V+q.OutVC] == 0:
 					stall(obs.StallCreditStarved, p, v)
 				default:
 					stall(obs.StallArbLost, p, v)

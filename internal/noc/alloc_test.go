@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -122,7 +123,7 @@ func countClones(n *Network) (flits, pkts int) {
 			}
 		}
 		for _, w := range n.inFlits[id] {
-			add(w.F)
+			add(w.f)
 		}
 	}
 	return flits, len(seen)
@@ -229,10 +230,48 @@ func TestFreshSnapshotIsAHandfulOfObjects(t *testing.T) {
 	}
 }
 
-// benchStep measures steady-state step throughput with live traffic.
-func benchStep(b *testing.B, topo string, w, h, workers int) {
+// TestNewIsUnderTenKilobytesARouter pins what a node of a 64x64 protected
+// mesh retains once built — router, NI, and its share of the network's
+// latches, link registers and tables — at most 10,000 bytes and 30 heap
+// objects (9,516 and 28 when the block layout landed). The pointer-graph
+// router with 24-byte latch entries retained 11,307 bytes in 93 objects,
+// and mesh64_lowload's live heap is almost all of this times 4,096.
+func TestNewIsUnderTenKilobytesARouter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 64x64 network three times")
+	}
+	rc := router.DefaultConfig()
+	rc.FaultTolerant = true
+	const side, maxBytes, maxObjects = 64, 10000, 30
+	nodes := side * side
+	bytes, objects := math.MaxInt, math.MaxInt
+	// The least of three: the runtime allocates now and then too.
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		n, err := New(Config{Width: side, Height: side, Router: rc, Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(n)
+		bytes = min(bytes, int(after.HeapAlloc-before.HeapAlloc)/nodes)
+		objects = min(objects, int(after.HeapObjects-before.HeapObjects)/nodes)
+	}
+	t.Logf("%d bytes and %d objects retained per node", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("a 64x64 node retains %d bytes in %d objects, want <= %d bytes and %d objects", bytes, objects, maxBytes, maxObjects)
+	}
+}
+
+// benchStep measures steady-state step throughput with live traffic at
+// the given injection rate; rate 0 measures the floor every cycle pays
+// with nothing in flight.
+func benchStep(b *testing.B, topo string, w, h, workers int, rate float64) {
 	nodes := w * h
-	src := traffic.NewSynthetic(nodes, 0.02, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), 7)
+	src := traffic.NewSynthetic(nodes, rate, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), 7)
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
 	n, err := New(Config{Width: w, Height: h, Topo: topo, Router: rc, Workers: workers}, src)
@@ -246,6 +285,7 @@ func benchStep(b *testing.B, topo string, w, h, workers int) {
 	for i := 0; i < b.N; i++ {
 		n.Step()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/router")
 }
 
 func BenchmarkStep(b *testing.B) {
@@ -253,20 +293,23 @@ func BenchmarkStep(b *testing.B) {
 		name, topo string
 		w, h       int
 		workers    int
+		rate       float64
 	}{
-		{"mesh-8x8-w1", "", 8, 8, 1},
-		{"mesh-16x16-w1", "", 16, 16, 1},
-		{"mesh-32x32-w1", "", 32, 32, 1},
-		{"mesh-64x64-w1", "", 64, 64, 1},
-		{"mesh-64x64-w2", "", 64, 64, 2},
-		{"mesh-64x64-w4", "", 64, 64, 4},
-		{"mesh-64x64-w8", "", 64, 64, 8},
-		{"torus-32x32-w1", "torus", 32, 32, 1},
-		{"torus-32x32-w4", "torus", 32, 32, 4},
-		{"cmesh-32x32-w4", "cmesh", 32, 32, 4},
+		{"mesh-8x8-w1", "", 8, 8, 1, 0.02},
+		{"mesh-16x16-w1", "", 16, 16, 1, 0.02},
+		{"mesh-32x32-w1", "", 32, 32, 1, 0.02},
+		{"mesh-64x64-w1", "", 64, 64, 1, 0.02},
+		{"mesh-64x64-w2", "", 64, 64, 2, 0.02},
+		{"mesh-64x64-w4", "", 64, 64, 4, 0.02},
+		{"mesh-64x64-w8", "", 64, 64, 8, 0.02},
+		// The idle floor, beside the benchmark's noc.step_idle_ns_per_router.
+		{"mesh-64x64-idle-w1", "", 64, 64, 1, 0},
+		{"torus-32x32-w1", "torus", 32, 32, 1, 0.02},
+		{"torus-32x32-w4", "torus", 32, 32, 4, 0.02},
+		{"cmesh-32x32-w4", "cmesh", 32, 32, 4, 0.02},
 	}
 	for _, tc := range cases {
 		tc := tc
-		b.Run(tc.name, func(b *testing.B) { benchStep(b, tc.topo, tc.w, tc.h, tc.workers) })
+		b.Run(tc.name, func(b *testing.B) { benchStep(b, tc.topo, tc.w, tc.h, tc.workers, tc.rate) })
 	}
 }

@@ -32,7 +32,16 @@ const assertEnabled = true
 //   - every virtual channel's state-machine consistency (checkVCState);
 //   - every router's derived occupancy state (masks, occupied/dropping/
 //     SA1-fault counts) against a recount from its VCs and arbiters
-//     (core.Router.CheckOccupancy).
+//     (core.Router.CheckOccupancy);
+//   - the link registers and the inbound masks are empty: the link commit
+//     pulled everything the local commit filed;
+//   - every NI's maintained queued-packet count against a recount of its
+//     queues (QueuedPackets).
+//
+// The third thing the link registers rely on — at most one crossing flit
+// per (node, output port) per cycle — is checked where a second one
+// would be lost, as the local commit files it (crossLink), in every
+// build.
 //
 // A violation panics with the cycle and location: these are simulator
 // bugs, never workload conditions, so failing loudly at the first bad
@@ -44,6 +53,18 @@ func (n *Network) assertPostStep() {
 	for id, r := range n.routers {
 		if err := r.CheckOccupancy(); err != nil {
 			n.assertFail(fmt.Sprintf("nocassert: cycle %d: router %d: %v", n.cycle, id, err))
+		}
+		if m := n.inbound[id]; m != 0 {
+			n.assertFail(fmt.Sprintf("nocassert: cycle %d: node %d inbound mask %#x left after the link commit", n.cycle, id, m))
+		}
+		for p := 0; p < n.ports; p++ {
+			if f, c := n.flitReg[id*n.ports+p], n.creditReg[id*n.ports+p]; f != (inFlit{}) || c != (creditRun{}) {
+				n.assertFail(fmt.Sprintf("nocassert: cycle %d: node %d port %v link registers not emptied: flit %+v, credits %+v",
+					n.cycle, id, topology.Port(p), f, c))
+			}
+		}
+		if ni := n.nis[id]; ni.queued != ni.QueuedPackets() {
+			n.assertFail(fmt.Sprintf("nocassert: cycle %d: NI %d counts %d queued packets, its queues hold %d", n.cycle, id, ni.queued, ni.QueuedPackets()))
 		}
 		cfg := r.Config()
 		for p := 0; p < cfg.Ports; p++ {

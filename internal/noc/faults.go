@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 
-	"gonoc/internal/core"
 	"gonoc/internal/flit"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
@@ -211,7 +210,7 @@ func (n *Network) discardAtLink(id int, of router.OutFlit, c sim.Cycle) bool {
 		return false
 	}
 	n.inCredits[id] = append(n.inCredits[id],
-		core.CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
+		credit{port: uint8(of.Out), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
 	return true
 }
 

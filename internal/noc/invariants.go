@@ -39,13 +39,13 @@ func (n *Network) CheckInvariants() error {
 				occ := n.routers[nb].InputVC(in, v).Len()
 				wireFlits := 0
 				for _, w := range n.inFlits[nb] {
-					if w.In == in && w.VC == v {
+					if topology.Port(w.in) == in && int(w.vc) == v {
 						wireFlits++
 					}
 				}
 				wireCredits := 0
 				for _, w := range n.inCredits[id] {
-					if w.Out == port && w.VC == v {
+					if topology.Port(w.port) == port && int(w.vc) == v {
 						wireCredits++
 					}
 				}

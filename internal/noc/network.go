@@ -18,10 +18,12 @@
 // (Config.Workers). The commit phase then applies all cross-node
 // effects. Local effects (ejections, statistics, closed-loop traffic
 // replies, and the discard of flits that meet a dead link) commit
-// serially in canonical node order; link transfers commit pull-side —
-// each destination node gathers the flits and credits its neighbours
-// staged for it — which makes every latch single-writer, so the link
-// commit also shards over the pool, network faults or not. Serial and
+// serially in canonical node order, which also files every flit and
+// credit that crosses a link into the receiving node's link registers;
+// link transfers then commit pull-side — each destination node moves
+// what its registers hold into its latches — which makes every latch
+// single-writer, so the link commit also shards over the pool, network
+// faults or not. Serial and
 // parallel execution run the identical code in the identical order, so
 // results are bit-exact for any worker count: the same flit arrival
 // cycles, the same statistics, and the same observability event multiset
@@ -42,6 +44,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -214,25 +217,33 @@ type Network struct {
 	// exactly one writer per phase — the destination's compute worker
 	// drains it, the destination's commit worker fills it — and each is
 	// a fixed-capacity arena bucket (makeBuckets), so steady-state
-	// appends never allocate.
-	inFlits     [][]router.InFlit
-	inCredits   [][]core.CreditIn
-	inNICredits [][]router.Credit
+	// appends never allocate. Entries are the narrow inFlit and credit.
+	inFlits     [][]inFlit
+	inCredits   [][]credit
+	inNICredits [][]credit
 
 	// Staged per-node outputs of the compute phase, consumed by the
-	// commit phase. Each entry aliases the producing router's reusable
+	// local commit. Each entry aliases the producing router's reusable
 	// output buffer: valid from the end of the node's compute until
 	// that router's next Tick.
 	stagedFlits   [][]router.OutFlit //noc:derived per-cycle scratch, consumed by commit before the step boundary
 	stagedCredits [][]router.Credit  //noc:derived per-cycle scratch, consumed by commit before the step boundary
-	// linkTraffic[id] has bit p set when node id staged something that
-	// crosses the link at its port p this cycle — a flit that survived
-	// the local commit, or a credit for the neighbour there. The local
-	// commit writes every entry before the link commit reads any, and a
-	// neighbour's pull tests its one bit of this dense array instead of
-	// walking the node's staged flits and credits for the ones on its
-	// link (router.Config.Validate caps Ports at 64).
-	linkTraffic []uint64 //noc:derived per-cycle scratch, written by commitLocal before commitLinksNode reads it
+
+	// The link registers: what crosses each link this cycle, filed by the
+	// serial local commit and pulled by the receiving node's link commit.
+	// Both are indexed u*ports+p by the receiving node u and its input
+	// port p. flitReg holds the one flit a link carries per cycle (a
+	// router sends at most one flit through an output port per cycle;
+	// commitLocal panics on a second), creditReg the credits, in the
+	// order the sender staged them (creditRun). inbound[u] has bit p set
+	// when either of u's registers at port p holds something, so the
+	// pull of a node nothing crosses into is one load of this dense
+	// array (router.Config.Validate caps Ports at 64). The local commit
+	// writes them and the link commit empties them, so all three are
+	// empty at the step boundary (assertPostStep checks it).
+	flitReg   []inFlit    //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
+	creditReg []creditRun //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
+	inbound   []uint64    //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
 
 	// Network-level fault state. linkDead is the explicit per-(node,
 	// port) dead-link set (kept symmetric: both endpoints of a link are
@@ -279,6 +290,54 @@ type Network struct {
 	// phase and released by Close.
 	workers int       //noc:derived immutable execution-engine configuration, not simulated state
 	pool    *stepPool //noc:derived execution-engine plumbing, not simulated state
+}
+
+// inFlit and credit are the network's latched link traffic: what
+// router.InFlit, core.CreditIn and router.Credit carry, narrow
+// (router.Config caps ports and VCs at 64). The latches hold a cycle's
+// traffic for every node, so the entry width is most of what they cost.
+type inFlit struct {
+	f      *flit.Flit
+	in, vc uint8
+}
+
+type credit struct {
+	port, vc uint8
+	free     bool
+}
+
+// creditRun is the link register of the credits crossing one link in one
+// cycle, which rebuilds them in the order the sender staged them. A
+// router stages the credits of an input port as its drain stage's, one
+// per Dropping VC in ascending VC order, then at most one from its
+// crossbar stage (one switch-allocation grant per input port). So the
+// credits are an ascending run, held as a mask of VCs plus a mask of
+// their VC-free flags, and at most one credit below the run's top,
+// held apart in last. add files a credit and panics on anything that is
+// not of that form; commitLinksNode replays the run in ascending order,
+// then last. The zero value is the empty register.
+type creditRun struct {
+	vcs, free uint64
+	// last is one more than the VC of the credit held apart, 0 for none.
+	last     uint8
+	lastFree bool
+}
+
+// add files the next staged credit, for VC v.
+func (c *creditRun) add(v int, free bool) {
+	bit := uint64(1) << uint(v)
+	if c.last == 0 && c.vcs>>uint(v) == 0 {
+		// Above every VC of the run: it extends the run.
+		c.vcs |= bit
+		if free {
+			c.free |= bit
+		}
+		return
+	}
+	if c.last != 0 {
+		panic(fmt.Sprintf("noc: credit for vc%d staged after %#x and vc%d on one link in one cycle: more than the drain run and one crossbar credit", v, c.vcs, c.last-1))
+	}
+	c.last, c.lastFree = uint8(v)+1, free
 }
 
 // retxEntry is one unacknowledged packet in a source's retransmission
@@ -417,12 +476,14 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	// one flit per input port; per upstream link up to one credit per VC
 	// plus the ejection and drop-synthesized credits; up to one local
 	// credit per VC from the drain and crossbar stages each.
-	n.inFlits = makeBuckets[router.InFlit](nodes, ports)
-	n.inCredits = makeBuckets[core.CreditIn](nodes, (ports-1)*cfg.Router.VCs+ports+2)
-	n.inNICredits = makeBuckets[router.Credit](nodes, 2*cfg.Router.VCs)
+	n.inFlits = makeBuckets[inFlit](nodes, ports)
+	n.inCredits = makeBuckets[credit](nodes, (ports-1)*cfg.Router.VCs+ports+2)
+	n.inNICredits = makeBuckets[credit](nodes, 2*cfg.Router.VCs)
 	n.stagedFlits = make([][]router.OutFlit, nodes)
 	n.stagedCredits = make([][]router.Credit, nodes)
-	n.linkTraffic = make([]uint64, nodes)
+	n.flitReg = make([]inFlit, nodes*ports)
+	n.creditReg = make([]creditRun, nodes*ports)
+	n.inbound = make([]uint64, nodes)
 	n.linkDead = makeGrid[bool](nodes, ports)
 	n.routerDead = make([]bool, nodes)
 	n.midFlight = make([]uint64, nodes*ports)
@@ -575,19 +636,34 @@ func (n *Network) Workers() int { return n.workers }
 //     worker pool when Workers > 1.
 //  3. Local commit: per-node effects that touch shared state — packet
 //     ejections (statistics, closed-loop traffic replies), drops of
-//     unreachable packets, flits discarded at a dead link — applied
-//     serially in canonical node order.
-//  4. Link commit: each destination node pulls the flits and credits
-//     its neighbours staged for it into its inbound latches for
-//     delivery next cycle. Every latch has a single writer, so this
-//     phase also shards over the pool when Workers > 1.
+//     unreachable packets, flits discarded at a dead link, the state of
+//     every link a flit crosses — applied serially in canonical node
+//     order, filing what crosses a link into the receiver's link
+//     registers.
+//  4. Link commit: each destination node pulls what its link registers
+//     hold into its inbound latches for delivery next cycle. Every
+//     latch has a single writer, so this phase also shards over the
+//     pool when Workers > 1.
 //
 // Because every phase runs the same code in the same order regardless of
 // sharding, the simulation is bit-exact identical for every worker
 // count.
 func (n *Network) Step() {
 	c := n.cycle
+	n.generate(c)
+	n.compute(c)
+	n.commit(c)
+	if assertEnabled {
+		n.assertPostStep()
+	}
+	n.cycle++
+}
 
+// generate is Step's serial pre-phase: cycle hooks, the
+// retransmission-timer scan and traffic generation, in node order.
+//
+//noc:commit-only
+func (n *Network) generate(c sim.Cycle) {
 	for _, h := range n.hooks {
 		h(c)
 	}
@@ -599,7 +675,11 @@ func (n *Network) Step() {
 			}
 		}
 	}
+}
 
+// compute is Step's compute phase: computeNode for every node, sharded
+// over the worker pool when Workers > 1.
+func (n *Network) compute(c sim.Cycle) {
 	if n.workers == 1 {
 		for id := range n.routers {
 			n.computeNode(id, c)
@@ -607,12 +687,6 @@ func (n *Network) Step() {
 	} else {
 		n.runPhase(phaseCompute, c)
 	}
-
-	n.commit(c)
-	if assertEnabled {
-		n.assertPostStep()
-	}
-	n.cycle++
 }
 
 // runPhase dispatches one parallel phase to the worker pool and waits
@@ -640,21 +714,21 @@ func (n *Network) runPhase(phase stepPhase, c sim.Cycle) {
 //noc:compute-phase
 //noc:hot-path
 func (n *Network) computeNode(id int, c sim.Cycle) {
-	r := n.routers[id]
+	r, ni := n.routers[id], n.nis[id]
 	for _, w := range n.inFlits[id] {
-		r.AcceptFlit(w)
+		r.AcceptFlit(router.InFlit{In: topology.Port(w.in), VC: int(w.vc), F: w.f})
 	}
 	n.inFlits[id] = n.inFlits[id][:0]
 	for _, cr := range n.inCredits[id] {
-		r.AcceptCredit(cr)
+		r.AcceptCredit(core.CreditIn{Out: topology.Port(cr.port), VC: int(cr.vc), VCFree: cr.free})
 	}
 	n.inCredits[id] = n.inCredits[id][:0]
 	for _, cr := range n.inNICredits[id] {
-		n.nis[id].acceptCredit(cr)
+		ni.acceptCredit(router.Credit{In: topology.Port(cr.port), VC: int(cr.vc), VCFree: cr.free})
 	}
 	n.inNICredits[id] = n.inNICredits[id][:0]
 
-	n.nis[id].tick(c)
+	ni.tick(c)
 	r.Tick(c)
 
 	n.stagedFlits[id] = r.TakeOutFlits()
@@ -662,11 +736,11 @@ func (n *Network) computeNode(id int, c sim.Cycle) {
 }
 
 // commit applies the compute phase's staged outputs: first the serial
-// local commit (ejections, drops, statistics — everything that touches
-// shared state, in canonical node order), then the link commit, which
-// writes nothing outside the pulling node's own latches and its inbound
-// links' state and so shards over the worker pool like the compute
-// phase.
+// local commit (ejections, drops, statistics, link state — everything
+// that touches shared state, in canonical node order), then the link
+// commit, which writes nothing outside the pulling node's own latches
+// and link registers and so shards over the worker pool like the
+// compute phase.
 //
 //noc:commit-only
 func (n *Network) commit(c sim.Cycle) {
@@ -685,35 +759,40 @@ func (n *Network) commit(c sim.Cycle) {
 // unreachable, and flits arriving at their destination's local port —
 // statistics, the ejection into the NI (which can re-enter the network
 // through closed-loop traffic replies), and the ejection credit. It also
-// validates that no router emitted traffic through a port with no link,
-// the invariant the link commit's pull loops rely on to see every staged
-// flit. It leaves in stagedFlits[id] exactly the flits that cross a
-// link: the ones that die at a dead link are discarded here
-// (discardAtLink), where writing the sender's own credit latch is
-// single-writer by construction. linkTraffic[id] marks the ports through
-// which a flit or credit of the node is left for a neighbour to pull.
+// validates that no router emitted traffic through a port with no link.
+// Flits that die at a dead link are discarded here (discardAtLink), where
+// writing the sender's own credit latch is single-writer by construction.
+// Every other flit and credit bound for a neighbour is filed into the
+// receiver's link registers, and the flit's link state — wormhole mask
+// and utilization — is updated here, by the sender, so the receiver's
+// pull reads its own registers and nothing of the sender's.
 //
 //noc:commit-only
 func (n *Network) commitLocal(c sim.Cycle) {
+	// Only fault-aware tables declare a packet unreachable, and they
+	// exist exactly while routes is set: without them TakeDropped would
+	// return nothing, so an idle node's router is not touched here.
+	dropping := n.routes != nil
 	for id := range n.routers {
-		for _, pkt := range n.routers[id].TakeDropped() {
-			// Routing declared the destination unreachable; the router
-			// drains the buffered flits itself.
-			n.stats.RecordDrop(pkt)
-			if on := n.obsNodes[id]; on != nil {
-				on.DropUnreachable(c, pkt.Dst)
+		if dropping {
+			for _, pkt := range n.routers[id].TakeDropped() {
+				// Routing declared the destination unreachable; the router
+				// drains the buffered flits itself.
+				n.stats.RecordDrop(pkt)
+				if on := n.obsNodes[id]; on != nil {
+					on.DropUnreachable(c, pkt.Dst)
+				}
 			}
 		}
-		var links uint64
-		crossing := n.stagedFlits[id][:0]
 		for _, of := range n.stagedFlits[id] {
 			if of.Out != localPort {
-				if n.neighbor(id, of.Out) < 0 {
+				link := id*n.ports + int(of.Out)
+				u := int(n.nbr[link])
+				if u < 0 {
 					panic(fmt.Sprintf("noc: router %d emitted flit through edge port %v", id, of.Out))
 				}
 				if !n.discardAtLink(id, of, c) {
-					crossing = append(crossing, of)
-					links |= 1 << uint(of.Out)
+					n.crossLink(id, link, u, of)
 				}
 				continue
 			}
@@ -737,70 +816,85 @@ func (n *Network) commitLocal(c sim.Cycle) {
 			}
 			// Ejection credit back to this router's local output.
 			n.inCredits[id] = append(n.inCredits[id],
-				core.CreditIn{Out: localPort, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
+				credit{port: uint8(localPort), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
 		}
-		n.stagedFlits[id] = crossing
 		for _, cr := range n.stagedCredits[id] {
-			if cr.In != localPort {
-				if n.neighbor(id, cr.In) < 0 {
-					panic(fmt.Sprintf("noc: router %d emitted credit through edge port %v", id, cr.In))
-				}
-				links |= 1 << uint(cr.In)
+			if cr.In == localPort {
+				n.inNICredits[id] = append(n.inNICredits[id],
+					credit{port: uint8(localPort), vc: uint8(cr.VC), free: cr.VCFree})
 				continue
 			}
-			n.inNICredits[id] = append(n.inNICredits[id], cr)
+			u := int(n.nbr[id*n.ports+int(cr.In)])
+			if u < 0 {
+				panic(fmt.Sprintf("noc: router %d emitted credit through edge port %v", id, cr.In))
+			}
+			p := cr.In.Opposite()
+			n.creditReg[u*n.ports+int(p)].add(cr.VC, cr.VCFree)
+			n.inbound[u] |= 1 << uint(p)
 		}
-		n.linkTraffic[id] = links
 	}
 }
 
+// crossLink files flit of, which router id sends across link (id's index
+// id*ports+of.Out) to node u, into u's flit register, and updates the
+// link's wormhole mask and utilization: a head marks the downstream VC
+// mid-packet (so the packet completes if the link then dies), a tail
+// clears it.
+//
+//noc:commit-only
+func (n *Network) crossLink(id, link, u int, of router.OutFlit) {
+	bit := uint64(1) << uint(of.DownVC)
+	if of.F.Kind.IsHead() {
+		n.midFlight[link] |= bit
+	}
+	if of.F.Kind.IsTail() {
+		n.midFlight[link] &^= bit
+	}
+	n.linkFlits[id][of.Out]++
+	if on := n.obsNodes[id]; on != nil {
+		on.LinkFlit(int(of.Out), of.DownVC)
+	}
+	p := of.Out.Opposite()
+	reg := &n.flitReg[u*n.ports+int(p)]
+	if reg.f != nil {
+		panic(fmt.Sprintf("noc: router %d sent two flits through port %v in one cycle", id, of.Out))
+	}
+	*reg = inFlit{f: of.F, in: uint8(p), vc: uint8(of.DownVC)}
+	n.inbound[u] |= 1 << uint(p)
+}
+
 // commitLinksNode applies, for destination node u, every link transfer
-// arriving at u this cycle: it pulls from each neighbour v's staged
-// outputs the flits that left v toward u (updating v's per-link wormhole
-// and utilization state) and the credits v returned to u. The link
-// (v, port) feeding u is crossed by no other node's traffic, and the
-// local commit has already taken out every flit that dies at a dead
-// link, so distinct destination nodes touch disjoint state and the phase
-// shards over the worker pool.
+// arriving at u this cycle: for each port inbound[u] marks, the flit and
+// then the credits the local commit filed in u's link registers, in
+// ascending port order. It reads and empties only u's registers and
+// writes only u's latches, so distinct destination nodes touch disjoint
+// state and the phase shards over the worker pool; a node nothing
+// crosses into costs one load.
 //
 //noc:commit-only
 //noc:hot-path
 func (n *Network) commitLinksNode(u int) {
-	for p := topology.Port(1); int(p) < n.ports; p++ {
-		v := n.neighbor(u, p)
-		if v < 0 {
-			continue
+	m := n.inbound[u]
+	if m == 0 {
+		return
+	}
+	n.inbound[u] = 0
+	row := u * n.ports
+	for ; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		if f := &n.flitReg[row+p]; f.f != nil {
+			n.inFlits[u] = append(n.inFlits[u], *f)
+			*f = inFlit{}
 		}
-		q := p.Opposite() // v's output port facing u
-		if n.linkTraffic[v]>>uint(q)&1 == 0 {
-			continue
+		cr := &n.creditReg[row+p]
+		for vcs := cr.vcs; vcs != 0; vcs &= vcs - 1 {
+			v := bits.TrailingZeros64(vcs)
+			n.inCredits[u] = append(n.inCredits[u], credit{port: uint8(p), vc: uint8(v), free: cr.free>>uint(v)&1 != 0})
 		}
-		mf := &n.midFlight[v*n.ports+int(q)]
-		for _, of := range n.stagedFlits[v] {
-			if of.Out != q {
-				continue
-			}
-			dvc := of.DownVC
-			if of.F.Kind.IsHead() {
-				*mf |= 1 << uint(dvc)
-			}
-			if of.F.Kind.IsTail() {
-				*mf &^= 1 << uint(dvc)
-			}
-			n.linkFlits[v][q]++
-			if on := n.obsNodes[v]; on != nil {
-				on.LinkFlit(int(q), dvc)
-			}
-			n.inFlits[u] = append(n.inFlits[u],
-				router.InFlit{In: p, VC: dvc, F: of.F})
+		if cr.last != 0 {
+			n.inCredits[u] = append(n.inCredits[u], credit{port: uint8(p), vc: cr.last - 1, free: cr.lastFree})
 		}
-		for _, cr := range n.stagedCredits[v] {
-			if cr.In != q {
-				continue
-			}
-			n.inCredits[u] = append(n.inCredits[u],
-				core.CreditIn{Out: p, VC: cr.VC, VCFree: cr.VCFree})
-		}
+		*cr = creditRun{}
 	}
 }
 
@@ -881,13 +975,16 @@ func (n *Network) Drain(limit sim.Cycle) bool {
 
 // InjectionIdle reports whether every NI has drained its injection
 // queues and finished streaming its active packets into the network.
-// Once the traffic source stops offering, an idle injection side means
-// flit segmentation — the one allocation left on the step path — is
-// over; the zero-alloc regression tests use it to find the steady-state
+// Two allocators are left on the step path, both per packet: the
+// traffic source building what it offers (traffic.Synthetic.Offered
+// allocates the packet and the slice it returns it in), and flit
+// segmentation when the NI starts injecting the packet. Once the source
+// stops offering, an idle injection side means both are over; the
+// zero-alloc regression tests use it to find the steady-state
 // measurement window.
 func (n *Network) InjectionIdle() bool {
 	for _, ni := range n.nis {
-		if ni.QueuedPackets() > 0 || ni.Sending() {
+		if ni.queued > 0 || ni.Sending() {
 			return false
 		}
 	}

@@ -15,6 +15,17 @@ import (
 // cycle into the router. On the ejection side it consumes flits arriving
 // at the local output port instantly and returns credits.
 type NI struct {
+	// queued counts the packets in queues and activeVCs the non-empty
+	// entries of active. With obs they are all an idle tick reads, so
+	// they come first: an idle NI costs one line.
+	//noc:derived recounted from queues by restoreNI; excluded from the canonical encoding because the queues it counts are encoded
+	queued int
+	//noc:derived excluded from the canonical encoding: it is the count of non-empty active entries, which are encoded
+	activeVCs int
+	// obs is the node's observability handle (nil when disabled).
+	//noc:derived immutable wiring, bound at construction; observational only
+	obs *obs.NodeObs
+
 	node int           //noc:derived immutable identity, fixed at construction
 	r    routerCore    //noc:derived immutable wiring, fixed at construction
 	cfg  router.Config //noc:derived immutable configuration, fixed at construction
@@ -22,12 +33,9 @@ type NI struct {
 	// queues holds packets waiting for a VC, one queue per message class.
 	queues [][]*flit.Packet
 	// active holds, per allocated local VC, the packet's remaining
-	// flits (empty when the VC is idle); activeVCs counts the non-empty
-	// entries. A dense slice instead of a map keeps the per-cycle send
-	// scan allocation-free.
+	// flits (empty when the VC is idle). A dense slice instead of a map
+	// keeps the per-cycle send scan allocation-free.
 	active [][]*flit.Flit
-	//noc:derived excluded from the canonical encoding: it is the count of non-empty active entries, which are encoded
-	activeVCs int
 	// vcBusy and credits track the router's local input VCs.
 	vcBusy  []bool
 	credits []int
@@ -43,10 +51,6 @@ type NI struct {
 	// order, so we only track the count per packet.
 	//noc:derived immutable wiring, fixed at construction
 	onEject func(*flit.Packet, sim.Cycle)
-
-	// obs is the node's observability handle (nil when disabled).
-	//noc:derived immutable wiring, bound at construction; observational only
-	obs *obs.NodeObs
 }
 
 // routerCore is the router interface the NI depends on (satisfied by
@@ -84,9 +88,12 @@ func (ni *NI) Offer(p *flit.Packet) {
 		cls = ni.cfg.Classes - 1
 	}
 	ni.queues[cls] = append(ni.queues[cls], p)
+	ni.queued++
 }
 
-// QueuedPackets returns the number of packets waiting for a VC.
+// QueuedPackets returns the number of packets waiting for a VC, counted
+// from the queues themselves (the nocassert layer holds the NI's
+// maintained count to it).
 func (ni *NI) QueuedPackets() int {
 	n := 0
 	for _, q := range ni.queues {
@@ -133,7 +140,7 @@ func (ni *NI) creditSpend(v int) {
 // tick allocates VCs to queued packets and sends at most one flit. An NI
 // with nothing queued and no packet mid-injection has neither to do.
 func (ni *NI) tick(cy sim.Cycle) {
-	if ni.activeVCs == 0 && ni.QueuedPackets() == 0 {
+	if ni.activeVCs == 0 && ni.queued == 0 {
 		if ni.obs != nil {
 			ni.obs.NIQueueDepth(0)
 		}
@@ -151,6 +158,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 			}
 			p := ni.queues[cls][0]
 			ni.queues[cls] = ni.queues[cls][1:]
+			ni.queued--
 			p.InjectedAt = cy
 			ni.vcBusy[v] = true
 			//nocvet:ignore hotpathalloc segmentation allocates per injected packet, not per steady-state cycle; the zero-alloc contract pins the post-transient loop
@@ -160,7 +168,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 		}
 	}
 	if ni.obs != nil {
-		ni.obs.NIQueueDepth(ni.QueuedPackets())
+		ni.obs.NIQueueDepth(ni.queued)
 	}
 
 	// Send one flit from one active VC (the local link carries one flit

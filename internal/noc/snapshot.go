@@ -9,10 +9,8 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
-	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
-	"gonoc/internal/topology"
 )
 
 // Canonical-encoding helpers, mirroring internal/core's.
@@ -214,6 +212,11 @@ func (io *snapIO) getFlit() *flit.Flit {
 	return io.live(flit.Kind(io.get()), io.get(), io.get())
 }
 
+// getCredit reads a latched credit: port, VC, VC-free flag.
+func (io *snapIO) getCredit() credit {
+	return credit{port: uint8(io.get()), vc: uint8(io.get()), free: io.get() != 0}
+}
+
 // liveFlit is core.RestoreState's cloneFlit: the saved flits arrive in
 // the order savedFlit cloned them, which is the order of their packet
 // indices in the record.
@@ -296,16 +299,16 @@ func (n *Network) fill(s *Snapshot, io *snapIO) {
 
 		s.net = append(s.net, int32(len(n.inFlits[id])))
 		for _, w := range n.inFlits[id] {
-			s.net = append(s.net, int32(w.In), int32(w.VC))
-			io.putFlit(w.F)
+			s.net = append(s.net, int32(w.in), int32(w.vc))
+			io.putFlit(w.f)
 		}
 		s.net = append(s.net, int32(len(n.inCredits[id])))
 		for _, c := range n.inCredits[id] {
-			s.net = append(s.net, int32(c.Out), int32(c.VC), int32(bit(c.VCFree)))
+			s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
 		}
 		s.net = append(s.net, int32(len(n.inNICredits[id])))
 		for _, c := range n.inNICredits[id] {
-			s.net = append(s.net, int32(c.In), int32(c.VC), int32(bit(c.VCFree)))
+			s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
 		}
 
 		copy(s.words[id*n.ports:], n.linkFlits[id])
@@ -432,20 +435,20 @@ func (n *Network) Restore(s *Snapshot) {
 		}
 		restoreNI(n.nis[id], io)
 
+		// The operands below are read in the lexical order of each
+		// composite literal, which is the order fill wrote them in.
 		n.inFlits[id] = n.inFlits[id][:0]
 		for k := io.get(); k > 0; k-- {
 			n.inFlits[id] = append(n.inFlits[id],
-				router.InFlit{In: topology.Port(io.get()), VC: io.get(), F: io.getFlit()})
+				inFlit{in: uint8(io.get()), vc: uint8(io.get()), f: io.getFlit()})
 		}
 		n.inCredits[id] = n.inCredits[id][:0]
 		for k := io.get(); k > 0; k-- {
-			n.inCredits[id] = append(n.inCredits[id],
-				core.CreditIn{Out: topology.Port(io.get()), VC: io.get(), VCFree: io.get() != 0})
+			n.inCredits[id] = append(n.inCredits[id], io.getCredit())
 		}
 		n.inNICredits[id] = n.inNICredits[id][:0]
 		for k := io.get(); k > 0; k-- {
-			n.inNICredits[id] = append(n.inNICredits[id],
-				router.Credit{In: topology.Port(io.get()), VC: io.get(), VCFree: io.get() != 0})
+			n.inNICredits[id] = append(n.inNICredits[id], io.getCredit())
 		}
 
 		copy(n.linkFlits[id], s.words[id*n.ports:])
@@ -499,6 +502,7 @@ func restoreNI(ni *NI, io *snapIO) {
 		ni.queueBuf = make([][]*flit.Packet, len(ni.queues))
 		ni.activeBuf = make([][]*flit.Flit, len(ni.active))
 	}
+	ni.queued = 0
 	for cls := range ni.queues {
 		q := ni.queueBuf[cls][:0]
 		for k := io.get(); k > 0; k-- {
@@ -506,6 +510,7 @@ func restoreNI(ni *NI, io *snapIO) {
 		}
 		ni.queueBuf[cls] = q
 		ni.queues[cls] = q
+		ni.queued += len(q)
 	}
 	for v := range ni.active {
 		k := io.get()
@@ -537,22 +542,12 @@ func (n *Network) AppendCanonical(b []byte) []byte {
 
 		b = appI(b, len(n.inFlits[id]))
 		for _, w := range n.inFlits[id] {
-			b = appI(b, int(w.In))
-			b = appI(b, w.VC)
-			b = core.AppendCanonicalFlit(b, w.F)
+			b = appI(b, int(w.in))
+			b = appI(b, int(w.vc))
+			b = core.AppendCanonicalFlit(b, w.f)
 		}
-		b = appI(b, len(n.inCredits[id]))
-		for _, cr := range n.inCredits[id] {
-			b = appI(b, int(cr.Out))
-			b = appI(b, cr.VC)
-			b = appB(b, cr.VCFree)
-		}
-		b = appI(b, len(n.inNICredits[id]))
-		for _, cr := range n.inNICredits[id] {
-			b = appI(b, int(cr.In))
-			b = appI(b, cr.VC)
-			b = appB(b, cr.VCFree)
-		}
+		b = appendCanonicalCredits(b, n.inCredits[id])
+		b = appendCanonicalCredits(b, n.inNICredits[id])
 
 		b = appendBools(b, n.linkDead[id])
 		b = appB(b, n.routerDead[id])
@@ -624,6 +619,18 @@ func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte 
 		for _, s := range seen {
 			b = appU(b, s)
 		}
+	}
+	return b
+}
+
+// appendCanonicalCredits appends a credit latch: its length, then port,
+// VC and VC-free flag per credit, in latch order.
+func appendCanonicalCredits(b []byte, cs []credit) []byte {
+	b = appI(b, len(cs))
+	for _, cr := range cs {
+		b = appI(b, int(cr.port))
+		b = appI(b, int(cr.vc))
+		b = appB(b, cr.free)
 	}
 	return b
 }

@@ -6,7 +6,6 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
-	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
 )
@@ -33,9 +32,9 @@ type refSnap struct {
 	routers []*core.RouterState
 	nis     []refNIState
 
-	inFlits     [][]router.InFlit
-	inCredits   [][]core.CreditIn
-	inNICredits [][]router.Credit
+	inFlits     [][]inFlit
+	inCredits   [][]credit
+	inNICredits [][]credit
 
 	linkFlits [][]uint64
 
@@ -134,7 +133,7 @@ func (n *Network) refSnapshotInto(old *refSnap) *refSnap {
 
 		fl := s.inFlits[id][:0]
 		for _, w := range n.inFlits[id] {
-			fl = append(fl, router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)})
+			fl = append(fl, inFlit{in: w.in, vc: w.vc, f: cl.flit(w.f)})
 		}
 		s.inFlits[id] = fl
 		s.inCredits[id] = append(s.inCredits[id][:0], n.inCredits[id]...)
@@ -158,9 +157,9 @@ func newRefSnapshot(sh refShape) *refSnap {
 		routers: make([]*core.RouterState, sh.nodes),
 		nis:     make([]refNIState, sh.nodes),
 
-		inFlits:     make([][]router.InFlit, sh.nodes),
-		inCredits:   make([][]core.CreditIn, sh.nodes),
-		inNICredits: make([][]router.Credit, sh.nodes),
+		inFlits:     make([][]inFlit, sh.nodes),
+		inCredits:   make([][]credit, sh.nodes),
+		inNICredits: make([][]credit, sh.nodes),
 
 		linkFlits: makeGrid[uint64](sh.nodes, sh.ports),
 
@@ -242,7 +241,7 @@ func (n *Network) refRestore(s *refSnap) {
 		n.inFlits[id] = n.inFlits[id][:0]
 		for _, w := range s.inFlits[id] {
 			n.inFlits[id] = append(n.inFlits[id],
-				router.InFlit{In: w.In, VC: w.VC, F: cl.flit(w.F)})
+				inFlit{in: w.in, vc: w.vc, f: cl.flit(w.f)})
 		}
 		n.inCredits[id] = append(n.inCredits[id][:0], s.inCredits[id]...)
 		n.inNICredits[id] = append(n.inNICredits[id][:0], s.inNICredits[id]...)
@@ -280,6 +279,7 @@ func refRestoreNI(ni *NI, s *refNIState, cl *refCloner) {
 		ni.queueBuf = make([][]*flit.Packet, len(ni.queues))
 		ni.activeBuf = make([][]*flit.Flit, len(ni.active))
 	}
+	ni.queued = 0
 	for cls := range ni.queues {
 		q := ni.queueBuf[cls][:0]
 		for _, p := range s.queues[cls] {
@@ -287,6 +287,7 @@ func refRestoreNI(ni *NI, s *refNIState, cl *refCloner) {
 		}
 		ni.queueBuf[cls] = q
 		ni.queues[cls] = q
+		ni.queued += len(q)
 	}
 	for v := range ni.active {
 		if len(s.active[v]) == 0 {

@@ -38,20 +38,26 @@ func (p Port) String() string {
 	}
 }
 
+// opposites is Opposite's table; Local's entry is never returned.
+var opposites = [NumPorts]Port{North: South, East: West, South: North, West: East}
+
 // Opposite returns the port on the neighbouring router that faces back at
 // p: a flit leaving through East arrives on the neighbour's West port.
-// It panics for Local, which has no peer router.
+// It panics for Local, which has no peer router. It is a table lookup
+// small enough to inline: the link commit and the routing-table builder
+// call it per link.
 func (p Port) Opposite() Port {
-	switch p {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
+	if uint(p-North) >= uint(NumPorts-North) {
+		noOpposite(p)
 	}
+	return opposites[p]
+}
+
+// noOpposite is Opposite's panic, kept out of line so the formatting
+// does not count against Opposite's inlining budget.
+//
+//go:noinline
+func noOpposite(p Port) {
 	panic(fmt.Sprintf("topology: port %v has no opposite", p))
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -66,12 +67,17 @@ func TestOpposite(t *testing.T) {
 			t.Errorf("%v.Opposite() = %v", p, p.Opposite())
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Local.Opposite() did not panic")
-		}
-	}()
-	_ = Local.Opposite()
+	for _, p := range []Port{Local, NumPorts, -1} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("topology: port %v has no opposite", p)
+				if got := recover(); got != want {
+					t.Errorf("%v.Opposite() panicked with %v, want %q", p, got, want)
+				}
+			}()
+			_ = p.Opposite()
+		}()
+	}
 }
 
 func TestNeighborOppositeSymmetry(t *testing.T) {

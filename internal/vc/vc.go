@@ -68,33 +68,24 @@ func (g GState) String() string {
 // None is the sentinel for "no VC" in ID/OutVC fields.
 const None = -1
 
-// VC is a single virtual channel: a flit FIFO plus state fields.
+// VC is a single virtual channel: a flit FIFO plus state fields. The
+// one-byte fields sit together so a VC is twelve words, not sixteen: a
+// router holds its VCs by value in one slab (NewPorts), where the padding
+// would be a quarter of the slab.
 type VC struct {
 	// Index is this VC's position within its input port.
 	//noc:derived immutable slot identity, fixed at construction
 	Index int
 
-	buf   []*flit.Flit
-	depth int
+	// buf is the FIFO; its capacity is the buffer depth.
+	buf []*flit.Flit
 
 	// G is the pipeline state.
 	G GState
-	// R is the routing computation result ('R' field).
-	R topology.Port
-	// OutVC is the allocated downstream VC ('O' field), or None.
-	OutVC int
-
-	// R2 holds a borrowing VC's routing result (protected router only).
-	R2 topology.Port
 	// VF is set while this VC's arbiters serve another VC.
 	VF bool
-	// ID names the VC borrowing the arbiters, or None.
-	ID int
-	// SP is the output port to request in SA when FSP is set.
-	SP topology.Port
 	// FSP indicates the crossbar secondary path must be used.
 	FSP bool
-
 	// Detour is set when fault-aware routing sent this packet off the
 	// baseline XY path at this hop. It is observational only — the
 	// stall scan attributes the packet's waits to the fault
@@ -102,6 +93,18 @@ type VC struct {
 	// arbitration.
 	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because it never feeds arbitration
 	Detour bool
+
+	// R is the routing computation result ('R' field).
+	R topology.Port
+	// OutVC is the allocated downstream VC ('O' field), or None.
+	OutVC int
+
+	// R2 holds a borrowing VC's routing result (protected router only).
+	R2 topology.Port
+	// ID names the VC borrowing the arbiters, or None.
+	ID int
+	// SP is the output port to request in SA when FSP is set.
+	SP topology.Port
 
 	// DvcLo and DvcHi restrict VC allocation to the downstream VC range
 	// [DvcLo, DvcHi), set by fault-aware routing to pin the packet to a
@@ -119,18 +122,24 @@ func NewVC(index, depth int) *VC {
 	// The buffer is fully pre-allocated: credit flow control bounds it at
 	// depth, and growing it lazily would put first-fill allocations on
 	// the steady-state tick path.
-	return &VC{Index: index, depth: depth, buf: make([]*flit.Flit, 0, depth),
-		OutVC: None, ID: None}
+	v := &VC{}
+	v.init(index, make([]*flit.Flit, 0, depth))
+	return v
+}
+
+// init puts v in its reset state over buf, whose capacity is the depth.
+func (v *VC) init(index int, buf []*flit.Flit) {
+	*v = VC{Index: index, buf: buf, OutVC: None, ID: None}
 }
 
 // Depth returns the buffer capacity in flits.
-func (v *VC) Depth() int { return v.depth }
+func (v *VC) Depth() int { return cap(v.buf) }
 
 // Len returns the number of buffered flits.
 func (v *VC) Len() int { return len(v.buf) }
 
 // Free returns the remaining buffer space in flits.
-func (v *VC) Free() int { return v.depth - len(v.buf) }
+func (v *VC) Free() int { return cap(v.buf) - len(v.buf) }
 
 // Empty reports whether the buffer holds no flits.
 func (v *VC) Empty() bool { return len(v.buf) == 0 }
@@ -139,7 +148,7 @@ func (v *VC) Empty() bool { return len(v.buf) == 0 }
 // must make overflow impossible, so an overflow is a simulator bug.
 func (v *VC) Push(f *flit.Flit) {
 	if v.Free() == 0 {
-		panic(fmt.Sprintf("vc: overflow on VC %d (depth %d); flow-control bug", v.Index, v.depth))
+		panic(fmt.Sprintf("vc: overflow on VC %d (depth %d); flow-control bug", v.Index, cap(v.buf)))
 	}
 	v.buf = append(v.buf, f)
 }
@@ -223,14 +232,38 @@ type InputPort struct {
 // NewInputPort returns an input port with nvc virtual channels of the
 // given depth.
 func NewInputPort(p topology.Port, nvc, depth int) *InputPort {
+	_, in := NewPorts(1, nvc, depth)
+	in[0].Port = p
+	return &in[0]
+}
+
+// NewPorts returns the input ports of a router: ports ports of nvc
+// virtual channels of the given depth, built as one block. The VCs are
+// held by value in one slab, port p's VC v at p*nvc+v; their buffers are
+// carved from one arena; and each port's VCs slice points into the slab,
+// so the slab and InputPort.VCs are two views of the same VCs. Port p of
+// the result is topology.Port(p). Four allocations, however many ports
+// and VCs. It panics if nvc < 1 or depth < 1.
+func NewPorts(ports, nvc, depth int) (vcs []VC, in []InputPort) {
 	if nvc < 1 {
 		panic(fmt.Sprintf("vc: invalid VC count %d", nvc))
 	}
-	ip := &InputPort{Port: p, VCs: make([]*VC, nvc)}
-	for i := range ip.VCs {
-		ip.VCs[i] = NewVC(i, depth)
+	if depth < 1 {
+		panic(fmt.Sprintf("vc: invalid depth %d", depth))
 	}
-	return ip
+	vcs = make([]VC, ports*nvc)
+	bufs := make([]*flit.Flit, ports*nvc*depth)
+	ptrs := make([]*VC, ports*nvc)
+	in = make([]InputPort, ports)
+	for i := range vcs {
+		// A three-index slice pins the capacity, which is the depth.
+		vcs[i].init(i%nvc, bufs[i*depth:i*depth:(i+1)*depth])
+		ptrs[i] = &vcs[i]
+	}
+	for p := range in {
+		in[p] = InputPort{Port: topology.Port(p), VCs: ptrs[p*nvc : (p+1)*nvc : (p+1)*nvc]}
+	}
+	return vcs, in
 }
 
 // FindLender scans the port's other VCs for one whose arbiters can be

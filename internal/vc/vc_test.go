@@ -156,6 +156,46 @@ func TestNewInputPortPanics(t *testing.T) {
 	NewInputPort(topology.Local, 0, 4)
 }
 
+// TestNewPortsIsOneBlock pins the router block's layout: the slab and the
+// ports' VCs are the same VCs, port-major; every buffer has exactly the
+// depth as capacity, so a full VC refuses the next push instead of
+// spilling into its neighbour's buffer; and the whole block is four
+// allocations however many ports and VCs it holds.
+func TestNewPortsIsOneBlock(t *testing.T) {
+	const ports, nvc, depth = 5, 4, 3
+	vcs, in := NewPorts(ports, nvc, depth)
+	if len(vcs) != ports*nvc || len(in) != ports {
+		t.Fatalf("got %d VCs in %d ports", len(vcs), len(in))
+	}
+	for p := range in {
+		if in[p].Port != topology.Port(p) || len(in[p].VCs) != nvc {
+			t.Fatalf("port %d: %v with %d VCs", p, in[p].Port, len(in[p].VCs))
+		}
+		for v, q := range in[p].VCs {
+			if q != &vcs[p*nvc+v] || q.Index != v || q.Depth() != depth || !q.IsReset() {
+				t.Fatalf("port %d VC %d: not slab entry %d in its reset state (index %d, depth %d)", p, v, p*nvc+v, q.Index, q.Depth())
+			}
+		}
+	}
+	for i := 0; i < depth; i++ {
+		vcs[0].Push(&flit.Flit{Pkt: &flit.Packet{Size: 1}, Seq: i})
+	}
+	if vcs[1].Len() != 0 || vcs[0].Free() != 0 {
+		t.Fatalf("filling VC 0 left VC 1 with %d flits and VC 0 with %d free slots", vcs[1].Len(), vcs[0].Free())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a push past the depth did not panic")
+			}
+		}()
+		vcs[0].Push(&flit.Flit{Pkt: &flit.Packet{Size: 1}})
+	}()
+	if got := testing.AllocsPerRun(20, func() { NewPorts(ports, nvc, depth) }); got != 4 {
+		t.Errorf("NewPorts allocates %.0f objects, want 4", got)
+	}
+}
+
 // Property: any sequence of pushes and pops preserves FIFO order and never
 // loses or duplicates flits.
 func TestFIFOProperty(t *testing.T) {
@@ -217,8 +257,8 @@ func TestIsResetFollowsEveryField(t *testing.T) {
 		"DvcLo":  func(v *VC) { v.DvcLo = 1 },
 		"DvcHi":  func(v *VC) { v.DvcHi = 1 },
 	}
-	// Index, depth: fixed at construction.
-	if fields := reflect.TypeOf(VC{}).NumField(); fields != len(writes)+2 {
+	// Index: fixed at construction.
+	if fields := reflect.TypeOf(VC{}).NumField(); fields != len(writes)+1 {
 		t.Fatalf("VC has %d fields, the test writes %d: cover the new one here and in IsReset", fields, len(writes))
 	}
 	for name, write := range writes {
