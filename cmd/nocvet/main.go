@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/nocvet [-tags taglist] [-run name,name] [-json] [-sarif] [-o file] [packages]
+//	go run ./cmd/nocvet [-tags taglist] [-run name,name] [-json] [-o file] [packages]
 //
 // With no packages it analyzes ./.... By default it prints one line per
 // finding
@@ -11,17 +11,16 @@
 //
 // and exits 2 when any finding (or type error) survives, so CI can gate
 // on it exactly like go vet. -json emits a machine-readable report
-// instead ({"findings": [...], "count": N}); -sarif emits SARIF 2.1.0
-// for code-scanning consumers. -o writes the report to a file while the
-// human-readable lines still go to stdout, which is what the CI
-// annotation step uses. Type errors are reported as findings of the
-// pseudo-analyzer "typecheck".
+// instead ({"findings": [...], "count": N}). -o writes that report to a
+// file while the human-readable lines still go to stdout, which is what
+// the CI annotation step uses. Type errors are reported as findings of
+// the pseudo-analyzer "typecheck".
 //
 // Findings are suppressed in place with "//nocvet:ignore <analyzer>
 // <reason>" on the offending line or the line above it; a directive that
 // suppresses nothing is itself a finding (pseudo-analyzer "nocvet"), so
 // the -fix for a stale waiver is simply deleting the line the finding
-// points at.
+// points at. So is a //noc: marker the marker grammar rejects.
 //
 // The analyzers and the rules they enforce are documented in
 // internal/analysis and in DESIGN.md's "Machine-checked invariants"
@@ -43,10 +42,9 @@ func main() {
 	tags := flag.String("tags", "", "build tags for package loading (comma-separated)")
 	runOnly := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of plain lines")
-	sarifOut := flag.Bool("sarif", false, "emit the report as SARIF 2.1.0 instead of plain lines")
-	outFile := flag.String("o", "", "also write the report to this file (plain lines still go to stdout)")
+	outFile := flag.String("o", "", "also write the JSON report to this file (plain lines still go to stdout)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: nocvet [-tags taglist] [-run name,name] [-json] [-sarif] [-o file] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: nocvet [-tags taglist] [-run name,name] [-json] [-o file] [packages]")
 		fmt.Fprintln(os.Stderr, "analyzers:")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
@@ -60,25 +58,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	var report []byte
 	switch {
-	case *jsonOut:
-		report = jsonReport(diags)
-	case *sarifOut:
-		report = sarifReport(diags)
-	}
-	if *outFile != "" {
-		if report == nil {
-			report = jsonReport(diags)
-		}
-		if err := os.WriteFile(*outFile, report, 0o644); err != nil {
+	case *outFile != "":
+		if err := os.WriteFile(*outFile, jsonReport(diags), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "nocvet: %v\n", err)
 			os.Exit(1)
 		}
 		printPlain(os.Stdout, diags)
-	} else if report != nil {
-		os.Stdout.Write(report)
-	} else {
+	case *jsonOut:
+		os.Stdout.Write(jsonReport(diags))
+	default:
 		printPlain(os.Stdout, diags)
 	}
 	if len(diags) > 0 {
@@ -170,66 +159,4 @@ func jsonReport(diags []analysis.Diagnostic) []byte {
 		"count":    len(findings),
 	}, "", "  ")
 	return append(out, '\n')
-}
-
-// sarifReport renders a minimal SARIF 2.1.0 document: one run, one rule
-// per analyzer, one result per finding.
-func sarifReport(diags []analysis.Diagnostic) []byte {
-	ruleSet := map[string]bool{}
-	var rules []map[string]any
-	addRule := func(name, doc string) {
-		if !ruleSet[name] {
-			ruleSet[name] = true
-			rules = append(rules, map[string]any{
-				"id":               name,
-				"shortDescription": map[string]any{"text": doc},
-			})
-		}
-	}
-	for _, a := range analysis.All() {
-		addRule(a.Name, a.Doc)
-	}
-	addRule("typecheck", "the package must type-check")
-	addRule("nocvet", "suppression directives must be well-formed and live")
-
-	results := make([]map[string]any, 0, len(diags))
-	for _, d := range diags {
-		addRule(d.Analyzer, "")
-		loc := map[string]any{
-			"physicalLocation": map[string]any{
-				"artifactLocation": map[string]any{"uri": d.Pos.Filename},
-				"region": map[string]any{
-					"startLine":   max(d.Pos.Line, 1),
-					"startColumn": max(d.Pos.Column, 1),
-				},
-			},
-		}
-		results = append(results, map[string]any{
-			"ruleId":    d.Analyzer,
-			"level":     "error",
-			"message":   map[string]any{"text": d.Message},
-			"locations": []any{loc},
-		})
-	}
-	doc := map[string]any{
-		"$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-		"version": "2.1.0",
-		"runs": []any{map[string]any{
-			"tool": map[string]any{"driver": map[string]any{
-				"name":           "nocvet",
-				"informationUri": "https://example.invalid/gonoc/nocvet",
-				"rules":          rules,
-			}},
-			"results": results,
-		}},
-	}
-	out, _ := json.MarshalIndent(doc, "", "  ")
-	return append(out, '\n')
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

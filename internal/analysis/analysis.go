@@ -20,6 +20,22 @@
 // dependencies exported, and an optional Finish hook runs once after
 // every package for whole-program checks (counter parity).
 //
+// Each package's structure — its functions and their //noc: markers,
+// its marked struct fields, its static call graph — is computed once
+// (index.go) and shared by every pass; the //noc: grammar itself is a
+// table (markers.go), and a directive it rejects is a finding.
+//
+// # Drivers
+//
+// RunSuite is the driver: cmd/nocvet runs it over the whole module.
+// RunAnalyzers runs a set of analyzers over one package without the
+// suite-wide passes, which is what the fixture tests need: each fixture
+// exercises some analyzers, and a fixture's //nocvet:ignore naming an
+// analyzer outside that set must not be reported stale. The ignore
+// fixture's directive naming creditflow on a line no analyzer flags
+// shows why — RunSuite reports it, and its want comments would not
+// match.
+//
 // # Suppression
 //
 // A finding can be waived in place with
@@ -83,6 +99,7 @@ type Pass struct {
 	// to later packages' passes and to Finish hooks. Never nil.
 	Facts *Facts
 
+	index   *pkgIndex
 	ignores *ignoreSet
 	report  func(Diagnostic)
 }
@@ -239,10 +256,12 @@ func (s *ignoreSet) waive(analyzer, file string, line int) bool {
 	return false
 }
 
-// runOn executes the analyzers over one package, dropping suppressed
-// findings (which marks the covering directives used) and appending the
-// package's malformed directives. The result is unsorted.
+// runOn indexes one package and executes the analyzers over it,
+// dropping suppressed findings (which marks the covering directives
+// used) and appending the package's malformed //nocvet:ignore and //noc:
+// directives. The result is unsorted.
 func runOn(pkg *Package, analyzers []*Analyzer, facts *Facts, ignores *ignoreSet) ([]Diagnostic, error) {
+	ix := newIndex(pkg)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -253,6 +272,7 @@ func runOn(pkg *Package, analyzers []*Analyzer, facts *Facts, ignores *ignoreSet
 			PkgPath:   pkg.PkgPath,
 			TypesInfo: pkg.TypesInfo,
 			Facts:     facts,
+			index:     ix,
 			ignores:   ignores,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
@@ -266,7 +286,7 @@ func runOn(pkg *Package, analyzers []*Analyzer, facts *Facts, ignores *ignoreSet
 			kept = append(kept, d)
 		}
 	}
-	return append(kept, ignores.malformed...), nil
+	return append(append(kept, ignores.malformed...), ix.malformed...), nil
 }
 
 // RunAnalyzers executes the analyzers over a single package and returns

@@ -21,6 +21,18 @@ var moduleRootOnce = sync.OnceValues(func() (string, error) {
 	return ModuleRoot()
 })
 
+// fixtureExports lists export data once per test process: the module's
+// own packages plus the handful of standard-library packages fixtures
+// import.
+var fixtureExports = sync.OnceValues(func() (map[string]string, error) {
+	root, err := moduleRootOnce()
+	if err != nil {
+		return nil, err
+	}
+	_, exports, err := listExports(root, "./...", "time", "math/rand", "sort", "fmt", "os")
+	return exports, err
+})
+
 // loadTestFixture loads testdata/<fixture> as a package with the given
 // import path, failing the test on load or type errors.
 func loadTestFixture(t *testing.T, fixture, pkgPath string) *Package {
@@ -29,8 +41,12 @@ func loadTestFixture(t *testing.T, fixture, pkgPath string) *Package {
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
+	exports, err := fixtureExports()
+	if err != nil {
+		t.Fatalf("listing export data: %v", err)
+	}
 	dir := filepath.Join(root, "internal", "analysis", "testdata", fixture)
-	pkg, err := LoadFixture(root, dir, pkgPath)
+	pkg, err := LoadFixture(exports, dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -154,4 +170,14 @@ func TestCreditFlowFixtures(t *testing.T) {
 // covered lines — and a directive missing its reason is itself reported.
 func TestIgnoreSuppressesNamedAnalyzerOnly(t *testing.T) {
 	runFixture(t, "ignore", "gonoc/internal/core", All()...)
+}
+
+// TestMarkerGrammarFixtures: a misspelled, decorated or misplaced //noc:
+// marker is a finding of its own (pseudo-analyzer nocvet) rather than a
+// proof silently switched off — with the whole suite running, and with
+// no analyzer selected at all.
+func TestMarkerGrammarFixtures(t *testing.T) {
+	runFixture(t, "markers/flagged", "gonoc/internal/core", All()...)
+	runFixture(t, "markers/flagged", "gonoc/internal/core")
+	runFixture(t, "markers/clean", "gonoc/internal/core", All()...)
 }

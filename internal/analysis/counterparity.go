@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -109,35 +110,17 @@ func enumConsts(pkg *types.Package, typeName string) []*types.Const {
 	}
 	// scope.Names() is sorted by name; re-sort by declared value so the
 	// positional names array lines up.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, _ := constant.Int64Val(constant.ToInt(out[j-1].Val()))
-			b, _ := constant.Int64Val(constant.ToInt(out[j].Val()))
-			if a <= b {
-				break
-			}
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return constant.Compare(out[i].Val(), token.LSS, out[j].Val())
+	})
 	return out
 }
 
-// methodDecl finds the declaration of receiverType.name in the
+// methodDecl finds the declaration of the method "Type.Name" in the
 // package's production files.
-func methodDecl(pass *Pass, receiverType, name string) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != name {
-				continue
-			}
-			if recvTypeName(fd) == receiverType {
-				return fd
-			}
-		}
+func methodDecl(pass *Pass, method string) *ast.FuncDecl {
+	if fns := pass.index.lookup(method); len(fns) > 0 {
+		return fns[0].decl
 	}
 	return nil
 }
@@ -183,14 +166,14 @@ func checkObsDecls(pass *Pass) {
 	var kindNames []string
 
 	if haveNumKinds {
-		if fd := methodDecl(pass, "Kind", "String"); fd != nil {
+		if fd := methodDecl(pass, "Kind.String"); fd != nil {
 			names, pos := namesArray(pass, fd)
 			kindNames = names
 			if int64(len(names)) != numKinds {
 				pass.Reportf(pos, "Kind String() names array has %d entries but numKinds is %d: every counter needs a stable exported name", len(names), numKinds)
 			}
 		}
-		if fd := methodDecl(pass, "Kind", "Stage"); fd != nil {
+		if fd := methodDecl(pass, "Kind.Stage"); fd != nil {
 			covered := map[*types.Const]bool{}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				cc, ok := n.(*ast.CaseClause)
@@ -223,7 +206,7 @@ func checkObsDecls(pass *Pass) {
 	}
 
 	if numStall, ok := lookupConstValue(pass.Pkg, "numStallKinds"); ok {
-		if fd := methodDecl(pass, "StallKind", "String"); fd != nil {
+		if fd := methodDecl(pass, "StallKind.String"); fd != nil {
 			names, pos := namesArray(pass, fd)
 			if int64(len(names)) != numStall {
 				pass.Reportf(pos, "StallKind String() names array has %d entries but numStallKinds is %d: every stall cause needs a stable exported name", len(names), numStall)
@@ -267,10 +250,7 @@ func checkObsDecls(pass *Pass) {
 // full counter space via the exported size constants.
 func checkTelemetryExport(pass *Pass) {
 	want := map[string]bool{"NumKinds": false, "NumStallKinds": false}
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
+	for _, f := range pass.index.prodFiles {
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -298,10 +278,7 @@ func checkTelemetryExport(pass *Pass) {
 // Stage pretty-printers and the declarations themselves, which name
 // every constant by construction.
 func recordKindUses(pass *Pass) {
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
+	for _, f := range pass.index.prodFiles {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil &&
 				(fd.Name.Name == "String" || fd.Name.Name == "Stage") &&
@@ -339,30 +316,19 @@ func finishCounterParity(facts *Facts, report func(Diagnostic)) {
 			return
 		}
 	}
-	for _, key := range facts.Keys("par.kind:") {
-		name := strings.TrimPrefix(key, "par.kind:")
-		if facts.Has("par.used:" + name) {
-			continue
+	for _, decl := range []struct{ prefix, message string }{
+		{"par.kind:", "obs counter %s is declared and named but never incremented or bound anywhere in the tree: wire it into the instrumentation or delete it"},
+		{"par.stall:", "obs stall cause %s is declared and named but never attributed anywhere in the tree: wire it into the stall-attribution path or delete it"},
+	} {
+		for _, key := range facts.Keys(decl.prefix) {
+			name := strings.TrimPrefix(key, decl.prefix)
+			// A KStall* kind is reached through StallKind.Kind().
+			if facts.Has("par.used:"+name) || (strings.HasPrefix(name, "KStall") && facts.Has("par.used:"+name[1:])) {
+				continue
+			}
+			pos, _ := facts.Get(key)
+			report(Diagnostic{Pos: decodePos(pos), Message: fmt.Sprintf(decl.message, name)})
 		}
-		if strings.HasPrefix(name, "KStall") && facts.Has("par.used:"+strings.TrimPrefix(name, "K")) {
-			continue // reached through StallKind.Kind()
-		}
-		pos, _ := facts.Get(key)
-		report(Diagnostic{
-			Pos:     decodePos(pos),
-			Message: fmt.Sprintf("obs counter %s is declared and named but never incremented or bound anywhere in the tree: wire it into the instrumentation or delete it", name),
-		})
-	}
-	for _, key := range facts.Keys("par.stall:") {
-		name := strings.TrimPrefix(key, "par.stall:")
-		if facts.Has("par.used:" + name) {
-			continue
-		}
-		pos, _ := facts.Get(key)
-		report(Diagnostic{
-			Pos:     decodePos(pos),
-			Message: fmt.Sprintf("obs stall cause %s is declared and named but never attributed anywhere in the tree: wire it into the stall-attribution path or delete it", name),
-		})
 	}
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -35,40 +34,39 @@ func runCreditFlow(pass *Pass) error {
 	if !inSimScope(pass) {
 		return nil
 	}
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
+	// A mutation reports the outermost field on the target's path with
+	// "credit" in its name (case-insensitive): r.credits[p][v] and
+	// ni.credits[v] both match. Local variables are exempt — credit
+	// counters live in router and NI state, and locals named over
+	// credits are tallies, not the counters themselves.
+	mutate := func(pos token.Pos, op token.Token, target ast.Expr) {
+		fields, _ := lvalue(pass.TypesInfo, target)
+		for _, f := range fields {
+			if strings.Contains(strings.ToLower(f.v.Name()), "credit") {
+				pass.Reportf(pos, "direct %s of credit counter %s outside a %s function: route credit changes through the audited accessors so conservation stays checkable", opWord(op), f.v.Name(), MarkerCreditAccessor)
+				return
+			}
+		}
+	}
+	for _, fn := range pass.index.funcs {
+		if !fn.prod || fn.markers.has(MarkerCreditAccessor) {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || funcHasMarker(fd, MarkerCreditAccessor) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncLit:
-					// Function literals do not inherit the accessor
-					// marker; they are part of the enclosing function's
-					// body and checked with it.
-					return true
-				case *ast.IncDecStmt:
-					if v := creditTarget(pass.TypesInfo, n.X); v != nil {
-						pass.Reportf(n.Pos(), "direct %s of credit counter %s outside a %s function: route credit changes through the audited accessors so conservation stays checkable", opWord(n.Tok), v.Name(), MarkerCreditAccessor)
-					}
-				case *ast.AssignStmt:
-					if n.Tok != token.ADD_ASSIGN && n.Tok != token.SUB_ASSIGN {
-						return true
-					}
+		// Function literals do not inherit the accessor marker; they are
+		// part of the enclosing function's body and checked with it.
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IncDecStmt:
+				mutate(n.Pos(), n.Tok, n.X)
+			case *ast.AssignStmt:
+				if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
 					for _, lhs := range n.Lhs {
-						if v := creditTarget(pass.TypesInfo, lhs); v != nil {
-							pass.Reportf(n.Pos(), "direct %s of credit counter %s outside a %s function: route credit changes through the audited accessors so conservation stays checkable", opWord(n.Tok), v.Name(), MarkerCreditAccessor)
-						}
+						mutate(n.Pos(), n.Tok, lhs)
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -80,42 +78,6 @@ func opWord(tok token.Token) string {
 		return "increment"
 	case token.DEC:
 		return "decrement"
-	case token.ADD_ASSIGN:
-		return "+="
-	case token.SUB_ASSIGN:
-		return "-="
 	}
-	return tok.String()
-}
-
-// creditTarget resolves an assignment target to the credit-counter
-// field it mutates, or nil. A target counts when a field on its
-// selector/index path has "credit" in its name (case-insensitive):
-// r.credits[p][v] and ni.credits[v] both match. Local variables are
-// exempt — credit counters live in router and NI state, and locals
-// named over credits are tallies, not the counters themselves.
-func creditTarget(info *types.Info, expr ast.Expr) *types.Var {
-	for {
-		switch e := expr.(type) {
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok && isCreditName(v.Name()) {
-					return v
-				}
-			}
-			expr = e.X
-		default:
-			return nil
-		}
-	}
-}
-
-func isCreditName(name string) bool {
-	return strings.Contains(strings.ToLower(name), "credit")
+	return tok.String() // += or -=
 }

@@ -68,29 +68,23 @@ func runDeterminism(pass *Pass) error {
 	}
 
 	inNoc := basePkgPath(pass.PkgPath) == nocPackage
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			pooled := inNoc && funcHasMarker(fd, MarkerWorkerPool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					if !pooled {
-						pass.Reportf(n.Pos(), "go statement outside the sanctioned worker pool: simulation code must not spawn goroutines (mark the compute pool with %s in internal/noc)", MarkerWorkerPool)
-					}
-				case *ast.SelectStmt:
-					if !pooled {
-						pass.Reportf(n.Pos(), "select statement outside the sanctioned worker pool: channel races break bit-exact stepping (mark the compute pool with %s in internal/noc)", MarkerWorkerPool)
-					}
-				case *ast.RangeStmt:
-					checkMapRange(pass, n)
+	for _, fn := range pass.index.funcs {
+		pooled := inNoc && fn.markers.has(MarkerWorkerPool)
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !pooled {
+					pass.Reportf(n.Pos(), "go statement outside the sanctioned worker pool: simulation code must not spawn goroutines (mark the compute pool with %s in internal/noc)", MarkerWorkerPool)
 				}
-				return true
-			})
-		}
+			case *ast.SelectStmt:
+				if !pooled {
+					pass.Reportf(n.Pos(), "select statement outside the sanctioned worker pool: channel races break bit-exact stepping (mark the compute pool with %s in internal/noc)", MarkerWorkerPool)
+				}
+			case *ast.RangeStmt:
+				checkMapRange(pass, n)
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -107,64 +101,29 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		return
 	}
 	// Findings anchor at the range statement — the loop is what a
-	// //nocvet:ignore directive suppresses — one per written variable.
+	// //nocvet:ignore directive suppresses — one per written variable
+	// declared outside the loop (and its header).
 	reported := map[string]bool{}
-	report := func(what string) {
-		if !reported[what] {
-			reported[what] = true
-			pass.Reportf(rng.Pos(), "map iteration writes to %s declared outside the loop: iteration order is nondeterministic — sort the keys and range over the slice instead", what)
+	write := func(target ast.Expr) {
+		_, root := lvalue(pass.TypesInfo, target)
+		v, ok := pass.TypesInfo.ObjectOf(root).(*types.Var)
+		if !ok || (v.Pos() >= rng.Pos() && v.Pos() < rng.End()) || reported[v.Name()] {
+			return
 		}
+		reported[v.Name()] = true
+		pass.Reportf(rng.Pos(), "map iteration writes to %s declared outside the loop: iteration order is nondeterministic — sort the keys and range over the slice instead", v.Name())
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if v := nonLocalWriteTarget(pass, rng, lhs); v != nil {
-					report(v.Name())
-				}
+				write(lhs)
 			}
 		case *ast.IncDecStmt:
-			if v := nonLocalWriteTarget(pass, rng, n.X); v != nil {
-				report(v.Name())
-			}
+			write(n.X)
 		case *ast.SendStmt:
-			if v := nonLocalWriteTarget(pass, rng, n.Chan); v != nil {
-				report(v.Name())
-			}
+			write(n.Chan)
 		}
 		return true
 	})
-}
-
-// nonLocalWriteTarget resolves the root identifier of an assignment
-// target and returns its variable object when that variable is declared
-// outside the range statement (a non-local write), or nil.
-func nonLocalWriteTarget(pass *Pass, rng *ast.RangeStmt, expr ast.Expr) *types.Var {
-	for {
-		switch e := expr.(type) {
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.Ident:
-			obj, ok := pass.TypesInfo.Uses[e]
-			if !ok {
-				obj = pass.TypesInfo.Defs[e]
-			}
-			v, ok := obj.(*types.Var)
-			if !ok {
-				return nil
-			}
-			if v.Pos() >= rng.Pos() && v.Pos() < rng.End() {
-				return nil // declared inside the loop (or its header)
-			}
-			return v
-		default:
-			return nil
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -59,20 +58,6 @@ type allocOffense struct {
 	detail string
 }
 
-// allocEdge is one static in-package call.
-type allocEdge struct {
-	callee *types.Func
-	pos    token.Pos
-}
-
-// allocFuncInfo accumulates one function's own offenses and call edges.
-type allocFuncInfo struct {
-	decl *ast.FuncDecl
-	name string
-	own  []allocOffense
-	out  []allocEdge
-}
-
 // allocStdlibDeny lists stdlib packages whose entry points allocate as a
 // matter of course. Calls into any other non-gonoc package are assumed
 // allocation-free (sync, sync/atomic, math, math/bits, ...).
@@ -91,40 +76,24 @@ func runHotPathAlloc(pass *Pass) error {
 		return nil
 	}
 
-	infos := map[*types.Func]*allocFuncInfo{}
-	var order []*types.Func // declaration order, for deterministic facts
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
+	// The production functions' own offenses; the call edges between
+	// them are the index's, minus calls in closures and panic arguments.
+	var prod []*funcInfo
+	own := map[*funcInfo][]allocOffense{}
+	for _, fn := range pass.index.funcs {
+		if fn.prod {
+			prod = append(prod, fn)
+			own[fn] = scanAllocBody(pass, fn)
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			info := &allocFuncInfo{decl: fd, name: fd.Name.Name}
-			if fd.Recv != nil {
-				info.name = recvTypeName(fd) + "." + fd.Name.Name
-			}
-			infos[obj] = info
-			order = append(order, obj)
-		}
-	}
-	for obj, info := range infos {
-		scanAllocBody(pass, obj, info, infos)
 	}
 
 	// Transitive summaries: a function is clean iff its own body and
 	// every in-package callee is clean. Cycles resolve optimistically —
 	// the offense, if any, is attributed to the function that owns it.
-	memo := map[*types.Func]*allocOffense{}
-	state := map[*types.Func]int{} // 0 new, 1 visiting, 2 done
-	var summarize func(fn *types.Func) *allocOffense
-	summarize = func(fn *types.Func) *allocOffense {
+	memo := map[*funcInfo]*allocOffense{}
+	state := map[*funcInfo]int{} // 0 new, 1 visiting, 2 done
+	var summarize func(fn *funcInfo) *allocOffense
+	summarize = func(fn *funcInfo) *allocOffense {
 		if state[fn] == 2 {
 			return memo[fn]
 		}
@@ -132,16 +101,18 @@ func runHotPathAlloc(pass *Pass) error {
 			return nil
 		}
 		state[fn] = 1
-		info := infos[fn]
 		var verdict *allocOffense
-		if len(info.own) > 0 {
-			verdict = &info.own[0]
+		if len(own[fn]) > 0 {
+			verdict = &own[fn][0]
 		} else {
-			for _, e := range info.out {
-				if sub := summarize(e.callee); sub != nil {
-					verdict = &allocOffense{pos: e.pos, detail: fmt.Sprintf(
+			for _, c := range fn.calls {
+				if c.inLitOrPanic {
+					continue
+				}
+				if sub := summarize(c.callee); sub != nil {
+					verdict = &allocOffense{pos: c.pos, detail: fmt.Sprintf(
 						"call to %s which is not allocation-free (%s: %s)",
-						infos[e.callee].name, pass.Fset.Position(sub.pos), sub.detail)}
+						c.callee.name, pass.Fset.Position(sub.pos), sub.detail)}
 					break
 				}
 			}
@@ -150,53 +121,25 @@ func runHotPathAlloc(pass *Pass) error {
 		memo[fn] = verdict
 		return verdict
 	}
-	for _, fn := range order {
+	var roots []*funcInfo
+	for _, fn := range prod {
 		if v := summarize(fn); v != nil {
 			pos := pass.Fset.Position(v.pos)
-			pass.Facts.Set("alloc:"+fn.FullName(), fmt.Sprintf("%s: %s", pos, v.detail))
+			pass.Facts.Set("alloc:"+fn.obj.FullName(), fmt.Sprintf("%s: %s", pos, v.detail))
 		} else {
-			pass.Facts.Set("alloc:"+fn.FullName(), "clean")
+			pass.Facts.Set("alloc:"+fn.obj.FullName(), "clean")
+		}
+		if fn.markers.has(MarkerHotPath) {
+			roots = append(roots, fn)
 		}
 	}
 
-	// Report: walk reachability from each marked root and surface every
-	// reached function's own offenses, each exactly once.
-	roots := markedFuncs(pass, MarkerHotPath)
-	var rootOrder []*types.Func
-	for fn := range roots {
-		if _, ok := infos[fn]; ok {
-			rootOrder = append(rootOrder, fn)
-		}
-	}
-	sort.Slice(rootOrder, func(i, j int) bool { return rootOrder[i].Pos() < rootOrder[j].Pos() })
-	reported := map[*types.Func]bool{}
-	type reachedFunc struct {
-		fn   *types.Func
-		root *types.Func
-	}
-	var reached []reachedFunc
-	for _, root := range rootOrder {
-		stack := []*types.Func{root}
-		for len(stack) > 0 {
-			fn := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if reported[fn] {
-				continue
-			}
-			reported[fn] = true
-			reached = append(reached, reachedFunc{fn, root})
-			for _, e := range infos[fn].out {
-				stack = append(stack, e.callee)
-			}
-		}
-	}
-	sort.Slice(reached, func(i, j int) bool { return reached[i].fn.Pos() < reached[j].fn.Pos() })
-	for _, r := range reached {
-		info := infos[r.fn]
-		for _, o := range info.own {
-			where := info.name
+	// Report every reached function's own offenses, each exactly once.
+	for _, r := range pass.index.reach(roots, false) {
+		for _, o := range own[r.fn] {
+			where := r.fn.name
 			if r.fn != r.root {
-				where = fmt.Sprintf("%s, reachable from //noc:hot-path root %s", info.name, infos[r.root].name)
+				where = fmt.Sprintf("%s, reachable from //noc:hot-path root %s", r.fn.name, r.root.name)
 			}
 			pass.Reportf(o.pos, "%s (in %s)", o.detail, where)
 		}
@@ -204,41 +147,24 @@ func runHotPathAlloc(pass *Pass) error {
 	return nil
 }
 
-// recvTypeName extracts the receiver's type name for display.
-func recvTypeName(fd *ast.FuncDecl) string {
-	t := fd.Recv.List[0].Type
-	for {
-		switch e := t.(type) {
-		case *ast.StarExpr:
-			t = e.X
-		case *ast.IndexExpr:
-			t = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// scanAllocBody walks one function body collecting allocation offenses
-// and static call edges. Offenses covered by a //nocvet:ignore directive
-// are consumed here — before they reach summaries — so a waived
-// construct is excused in every caller, not just at its own line.
-func scanAllocBody(pass *Pass, fn *types.Func, info *allocFuncInfo, infos map[*types.Func]*allocFuncInfo) {
-	res := fn.Type().(*types.Signature).Results()
+// scanAllocBody walks one function body collecting its allocation
+// offenses. Offenses covered by a //nocvet:ignore directive are consumed
+// here — before they reach summaries — so a waived construct is excused
+// in every caller, not just at its own line.
+func scanAllocBody(pass *Pass, fn *funcInfo) []allocOffense {
+	var own []allocOffense
+	res := fn.obj.Type().(*types.Signature).Results()
 	offend := func(pos token.Pos, format string, args ...any) {
-		if pass.Waived(pos) {
-			return
+		if !pass.Waived(pos) {
+			own = append(own, allocOffense{pos: pos, detail: fmt.Sprintf(format, args...)})
 		}
-		info.own = append(info.own, allocOffense{pos: pos, detail: fmt.Sprintf(format, args...)})
 	}
 	selfAppendOK := map[*ast.CallExpr]bool{}
 
-	ast.Inspect(info.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			return scanAllocCall(pass, n, info, infos, offend, selfAppendOK)
+			return scanAllocCall(pass, n, offend, selfAppendOK)
 		case *ast.FuncLit:
 			offend(n.Pos(), "function literal allocates a closure")
 			return false
@@ -276,6 +202,7 @@ func scanAllocBody(pass *Pass, fn *types.Func, info *allocFuncInfo, infos map[*t
 		}
 		return true
 	})
+	return own
 }
 
 // scanAllocAssign handles the two assignment-specific checks: blessing
@@ -305,9 +232,7 @@ func scanAllocAssign(pass *Pass, n *ast.AssignStmt, offend func(token.Pos, strin
 // scanAllocCall classifies one call expression. The return value is the
 // "descend into children" answer for ast.Inspect: panic arguments are
 // exempt and not descended into.
-func scanAllocCall(pass *Pass, call *ast.CallExpr, info *allocFuncInfo, infos map[*types.Func]*allocFuncInfo,
-	offend func(token.Pos, string, ...any), selfAppendOK map[*ast.CallExpr]bool) bool {
-
+func scanAllocCall(pass *Pass, call *ast.CallExpr, offend func(token.Pos, string, ...any), selfAppendOK map[*ast.CallExpr]bool) bool {
 	tv, ok := pass.TypesInfo.Types[call.Fun]
 	if ok && tv.IsType() { // conversion
 		to := pass.TypesInfo.TypeOf(call.Fun)
@@ -360,9 +285,7 @@ func scanAllocCall(pass *Pass, call *ast.CallExpr, info *allocFuncInfo, infos ma
 	case callee.Pkg() == nil:
 		// universe-scope (error.Error on unnamed types etc.): ignore
 	case callee.Pkg() == pass.Pkg:
-		if _, ok := infos[callee]; ok {
-			info.out = append(info.out, allocEdge{callee: callee, pos: call.Pos()})
-		}
+		// an in-package call: a call-graph edge, followed by summaries
 	case strings.HasPrefix(callee.Pkg().Path(), "gonoc/"):
 		if v, ok := pass.Facts.Get("alloc:" + callee.FullName()); ok {
 			if v != "clean" {
@@ -417,9 +340,6 @@ func checkBoxing(pass *Pass, expr ast.Expr, target types.Type, verb string, offe
 	if et == nil || types.IsInterface(et.Underlying()) {
 		return
 	}
-	if et == types.Typ[types.UntypedNil] {
-		return
-	}
 	if b, ok := et.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
 		return
 	}
@@ -438,10 +358,7 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 
 // builtinName unwraps the identifier naming a builtin in call position.
 func builtinName(fun ast.Expr) string {
-	if p, ok := fun.(*ast.ParenExpr); ok {
-		return builtinName(p.X)
-	}
-	if id, ok := fun.(*ast.Ident); ok {
+	if id, ok := ast.Unparen(fun).(*ast.Ident); ok {
 		return id.Name
 	}
 	return ""

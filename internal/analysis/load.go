@@ -117,14 +117,12 @@ func Load(dir, tags string, patterns ...string) ([]*Package, error) {
 	isTarget := map[string]bool{}
 	extra := []string{}
 	seen := map[string]bool{}
-	nTargets := 0
 	for _, p := range targets {
 		if p.Standard || p.Dir == "" || len(p.GoFiles)+len(p.TestGoFiles)+len(p.XTestGoFiles) == 0 {
 			continue
 		}
 		isTarget[p.ImportPath] = true
 		seen[p.ImportPath] = true
-		nTargets++
 		for _, imps := range [][]string{p.TestImports, p.XTestImports} {
 			for _, imp := range imps {
 				if !seen[imp] {
@@ -134,33 +132,16 @@ func Load(dir, tags string, patterns ...string) ([]*Package, error) {
 			}
 		}
 	}
-	if nTargets == 0 {
+	if len(isTarget) == 0 {
 		return nil, fmt.Errorf("no Go packages matched %v", patterns)
 	}
 	// -deps emits dependencies before dependents, which is exactly the
 	// order source checking needs.
-	exportArgs := append([]string{"-export", "-deps"}, tagArgs...)
-	exportArgs = append(exportArgs, patterns...)
-	exportArgs = append(exportArgs, extra...)
-	deps, err := goList(dir, exportArgs...)
+	deps, exports, err := listExports(dir, append(append(tagArgs, patterns...), extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	for _, p := range deps {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	ld := &loader{
-		fset:    token.NewFileSet(),
-		exports: exports,
-		module:  map[string]*types.Package{},
-	}
-	ld.imp = &overrideImporter{
-		base:     importer.ForCompiler(ld.fset, "gc", ld.lookup),
-		override: ld.module,
-	}
+	ld := newLoader(exports)
 
 	// Pass 1: source-check every in-module package (production files
 	// only) in dependency order, so all cross-package references share
@@ -173,7 +154,7 @@ func Load(dir, tags string, patterns ...string) ([]*Package, error) {
 		}
 		modPkgs = append(modPkgs, p)
 		imports[p.ImportPath] = p.Imports
-		pkg, err := ld.check(p.ImportPath, p.Dir, p.GoFiles)
+		pkg, err := ld.check(ld.imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
@@ -190,7 +171,7 @@ func Load(dir, tags string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		files := append(append([]string{}, p.GoFiles...), p.TestGoFiles...)
-		pkg, err := ld.check(p.ImportPath, p.Dir, files)
+		pkg, err := ld.check(ld.imp, p.ImportPath, p.Dir, files)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
@@ -203,18 +184,17 @@ func Load(dir, tags string, patterns ...string) ([]*Package, error) {
 		// re-check that reverse closure against the test-augmented
 		// package so every path agrees on its identity.
 		variant := map[string]*types.Package{p.ImportPath: pkg.Types}
+		vimp := &overrideImporter{base: ld.imp, override: variant}
 		for _, q := range modPkgs {
 			if q.ImportPath != p.ImportPath && transitivelyImports(imports, q.ImportPath, p.ImportPath) {
-				vimp := &overrideImporter{base: ld.imp, override: variant}
-				vpkg, err := ld.checkWith(vimp, q.ImportPath, q.Dir, q.GoFiles)
+				vpkg, err := ld.check(vimp, q.ImportPath, q.Dir, q.GoFiles)
 				if err != nil {
 					return nil, fmt.Errorf("%s [%s.test]: %v", q.ImportPath, p.ImportPath, err)
 				}
 				variant[q.ImportPath] = vpkg.Types
 			}
 		}
-		vimp := &overrideImporter{base: ld.imp, override: variant}
-		xpkg, err := ld.checkWith(vimp, p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
+		xpkg, err := ld.check(vimp, p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("%s [test]: %v", p.ImportPath, err)
 		}
@@ -243,6 +223,23 @@ func transitivelyImports(imports map[string][]string, from, target string) bool 
 	return walk(from)
 }
 
+// listExports runs `go list -export -deps` over args in dir, returning
+// the listed packages, dependencies first, and the export-data file of
+// each package that has one, by import path.
+func listExports(dir string, args ...string) ([]*listPackage, map[string]string, error) {
+	deps, err := goList(dir, append([]string{"-export", "-deps"}, args...)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports := map[string]string{}
+	for _, p := range deps {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return deps, exports, nil
+}
+
 // loader shares one FileSet and importer across packages. In-module
 // packages are resolved from module (filled as source checking
 // proceeds, in dependency order); everything else comes from compiled
@@ -252,6 +249,13 @@ type loader struct {
 	exports map[string]string
 	module  map[string]*types.Package
 	imp     types.Importer
+}
+
+// newLoader returns a loader importing from the given export data.
+func newLoader(exports map[string]string) *loader {
+	ld := &loader{fset: token.NewFileSet(), exports: exports, module: map[string]*types.Package{}}
+	ld.imp = &overrideImporter{base: importer.ForCompiler(ld.fset, "gc", ld.lookup), override: ld.module}
+	return ld
 }
 
 // lookup feeds the gc importer the export-data file recorded by go list.
@@ -277,15 +281,9 @@ func (o *overrideImporter) Import(path string) (*types.Package, error) {
 	return o.base.Import(path)
 }
 
-// check parses and type-checks one package's files against the shared
-// importer.
-func (ld *loader) check(pkgPath, dir string, fileNames []string) (*Package, error) {
-	return ld.checkWith(ld.imp, pkgPath, dir, fileNames)
-}
-
-// checkWith parses and type-checks one package's files, resolving
-// imports through imp (used for test-variant re-checks).
-func (ld *loader) checkWith(imp types.Importer, pkgPath, dir string, fileNames []string) (*Package, error) {
+// check parses and type-checks one package's files, resolving imports
+// through imp: the shared importer, or a test variant's.
+func (ld *loader) check(imp types.Importer, pkgPath, dir string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -322,22 +320,10 @@ func (ld *loader) checkWith(imp types.Importer, pkgPath, dir string, fileNames [
 // LoadFixture parses and type-checks a single directory of Go files as a
 // package with the given (possibly fake) import path — the analysistest
 // harness uses this to place fixture packages inside the scopes the
-// analyzers guard. Imports resolve against the module's build cache, so
-// fixtures may import both standard-library and gonoc packages.
-func LoadFixture(moduleRoot, dir, pkgPath string) (*Package, error) {
-	// One export run covers the module's own packages plus the handful
-	// of standard-library packages fixtures use.
-	deps, err := goList(moduleRoot, "-export", "-deps", "./...",
-		"time", "math/rand", "sort", "fmt", "os")
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	for _, p := range deps {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
+// analyzers guard. Imports resolve against exports, the export data of
+// listExports, so fixtures may import every package it lists: one
+// listing of the module's packages serves every fixture.
+func LoadFixture(exports map[string]string, dir, pkgPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -351,7 +337,6 @@ func LoadFixture(moduleRoot, dir, pkgPath string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	ld := &loader{fset: token.NewFileSet(), exports: exports}
-	ld.imp = importer.ForCompiler(ld.fset, "gc", ld.lookup)
-	return ld.check(pkgPath, dir, names)
+	ld := newLoader(exports)
+	return ld.check(ld.imp, pkgPath, dir, names)
 }

@@ -1,8 +1,7 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/types"
+	"fmt"
 	"strings"
 )
 
@@ -40,89 +39,65 @@ const (
 	MarkerDerived = "//noc:derived"
 )
 
-// hasMarker reports whether the comment group contains the marker on a
-// line of its own.
-func hasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == marker {
-			return true
-		}
-	}
-	return false
+// What a marker sits on.
+const (
+	onFunc  = "function declaration"
+	onField = "struct field"
+)
+
+// markerGrammar is the //noc: grammar, DESIGN.md §6's marker table as
+// data: each marker, what it sits on, and whether it carries a reason.
+// Only a comment line beginning with "//noc:" is a directive; one the
+// grammar rejects is reported (pseudo-analyzer "nocvet") and ignored, so
+// a misspelled or misplaced marker cannot silently turn a proof off.
+var markerGrammar = []struct {
+	marker string
+	on     string
+	reason bool
+}{
+	{MarkerWorkerPool, onFunc, false},
+	{MarkerComputePhase, onFunc, false},
+	{MarkerCommitOnly, onFunc, false},
+	{MarkerCommitted, onField, false},
+	{MarkerCreditAccessor, onFunc, false},
+	{MarkerHotPath, onFunc, false},
+	{MarkerDerived, onField, true},
 }
 
-// markerReason extracts a reason-carrying marker from the comment group:
-// a line of the form "<marker> <reason>" (or a bare "<marker>", which is
-// malformed for markers requiring a reason). found reports the marker's
-// presence; reason is the trailing text, possibly empty.
-func markerReason(doc *ast.CommentGroup, marker string) (reason string, found bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == marker {
-			return "", true
-		}
-		if strings.HasPrefix(text, marker+" ") {
-			return strings.TrimSpace(strings.TrimPrefix(text, marker)), true
-		}
-	}
-	return "", false
+// markerSet maps each marker on a declaration to its reason ("" for
+// none); the first occurrence wins.
+type markerSet map[string]string
+
+func (m markerSet) has(marker string) bool {
+	_, ok := m[marker]
+	return ok
 }
 
-// funcHasMarker reports whether the function declaration carries the
-// marker in its doc comment.
-func funcHasMarker(decl *ast.FuncDecl, marker string) bool {
-	return hasMarker(decl.Doc, marker)
-}
-
-// markedFuncs returns the package's function objects whose declarations
-// carry the marker.
-func markedFuncs(pass *Pass, marker string) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !funcHasMarker(fd, marker) {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				out[obj] = true
-			}
+// parseMarker reads one comment line as a //noc: directive sitting on a
+// declaration of kind on ("" for anything else). It returns the marker
+// and its reason, or — for a directive the grammar rejects — the
+// problem; a line that is no directive yields three empty strings.
+func parseMarker(text, on string) (marker, reason, problem string) {
+	text = strings.TrimSpace(text)
+	if !strings.HasPrefix(text, "//noc:") {
+		return "", "", ""
+	}
+	marker = strings.Fields(text)[0]
+	reason = strings.TrimSpace(text[len(marker):])
+	var known []string
+	for _, rule := range markerGrammar {
+		switch {
+		case rule.marker != marker:
+			known = append(known, rule.marker)
+		case rule.on != on:
+			return "", "", fmt.Sprintf("%s marks a %s: here it marks nothing", marker, rule.on)
+		case reason != "" && !rule.reason:
+			return "", "", fmt.Sprintf("%s takes no reason: a marker with trailing text is ignored — move the text to a comment line of its own", marker)
+		default:
+			return marker, reason, ""
 		}
 	}
-	return out
-}
-
-// markedFields returns the package's struct-field objects whose
-// declarations carry the marker (in the field's doc comment or trailing
-// line comment).
-func markedFields(pass *Pass, marker string) map[*types.Var]bool {
-	out := map[*types.Var]bool{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !hasMarker(field.Doc, marker) && !hasMarker(field.Comment, marker) {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-						out[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
+	return "", "", fmt.Sprintf("unknown marker %s: a misspelled marker turns its check off — the markers are %s", marker, strings.Join(known, ", "))
 }
 
 // simPackages are the packages making up the simulated hardware model:
@@ -130,15 +105,15 @@ func markedFields(pass *Pass, marker string) map[*types.Var]bool {
 // compute phase, so the determinism, obsguard and creditflow analyzers
 // scope to this set. internal/stats rides along because the collectors
 // feed the bit-exact conformance comparisons.
-var simPackages = []string{
-	"gonoc/internal/core",
-	"gonoc/internal/noc",
-	"gonoc/internal/vc",
-	"gonoc/internal/arbiter",
-	"gonoc/internal/crossbar",
-	"gonoc/internal/router",
-	"gonoc/internal/ftrouters",
-	"gonoc/internal/stats",
+var simPackages = map[string]bool{
+	"gonoc/internal/core":      true,
+	"gonoc/internal/noc":       true,
+	"gonoc/internal/vc":        true,
+	"gonoc/internal/arbiter":   true,
+	"gonoc/internal/crossbar":  true,
+	"gonoc/internal/router":    true,
+	"gonoc/internal/ftrouters": true,
+	"gonoc/internal/stats":     true,
 }
 
 // nocPackage is the one package whose marked worker pool may use
@@ -154,11 +129,5 @@ func basePkgPath(path string) string {
 // inSimScope reports whether the pass's package is one of the simulation
 // packages (or one of their test packages).
 func inSimScope(pass *Pass) bool {
-	p := basePkgPath(pass.PkgPath)
-	for _, s := range simPackages {
-		if p == s {
-			return true
-		}
-	}
-	return false
+	return simPackages[basePkgPath(pass.PkgPath)]
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ObsGuard enforces the zero-overhead-when-nil observability contract
@@ -54,14 +53,9 @@ func runObsGuard(pass *Pass) error {
 		return nil
 	}
 	g := &obsGuard{pass: pass}
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				g.stmts(fd.Body.List, map[string]bool{})
-			}
+	for _, fn := range pass.index.funcs {
+		if fn.prod {
+			g.stmts(fn.decl.Body.List, map[string]bool{})
 		}
 	}
 	return nil
@@ -148,28 +142,15 @@ func (g *obsGuard) stmt(s ast.Stmt, env map[string]bool) {
 		}
 		for _, e := range s.Lhs {
 			g.exprs(e, env)
-			invalidate(env, e)
+			g.invalidate(env, e)
 		}
 	case *ast.IncDecStmt:
 		g.exprs(s.X, env)
-		invalidate(env, s.X)
-	case *ast.ExprStmt:
-		g.exprs(s.X, env)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			g.exprs(e, env)
-		}
-	case *ast.DeferStmt:
-		g.exprs(s.Call, env)
-	case *ast.GoStmt:
-		g.exprs(s.Call, env)
-	case *ast.SendStmt:
-		g.exprs(s.Chan, env)
-		g.exprs(s.Value, env)
+		g.invalidate(env, s.X)
+	case *ast.ExprStmt, *ast.ReturnStmt, *ast.DeferStmt, *ast.GoStmt, *ast.SendStmt, *ast.DeclStmt:
+		g.exprs(s, env)
 	case *ast.LabeledStmt:
 		g.stmt(s.Stmt, env)
-	case *ast.DeclStmt:
-		g.exprs(s, env)
 	case *ast.SelectStmt:
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
@@ -326,34 +307,14 @@ func union(a, b map[string]bool) map[string]bool {
 
 // invalidate drops facts about the assigned expression's root identifier:
 // reassignment may make a previously-checked handle nil again.
-func invalidate(env map[string]bool, target ast.Expr) {
-	root := rootIdent(target)
-	if root == "" {
+func (g *obsGuard) invalidate(env map[string]bool, target ast.Expr) {
+	_, root := lvalue(g.pass.TypesInfo, target)
+	if root == nil {
 		return
 	}
 	for k := range env {
-		if k == root || hasRoot(k, root) {
+		if k == root.Name || hasRoot(k, root.Name) {
 			delete(env, k)
-		}
-	}
-}
-
-// rootIdent returns the base identifier name of an assignment target.
-func rootIdent(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
 		}
 	}
 }

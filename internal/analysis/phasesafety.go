@@ -2,8 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
-	"sort"
+	"go/token"
 )
 
 // PhaseSafety enforces the two-phase tick discipline that makes parallel
@@ -36,136 +35,45 @@ var PhaseSafety = &Analyzer{
 }
 
 func runPhaseSafety(pass *Pass) error {
-	roots := markedFuncs(pass, MarkerComputePhase)
-	if len(roots) == 0 {
-		return nil
+	var roots []*funcInfo
+	for _, fn := range pass.index.funcs {
+		if fn.markers.has(MarkerComputePhase) {
+			roots = append(roots, fn)
+		}
 	}
-	commitOnly := markedFuncs(pass, MarkerCommitOnly)
-	committed := markedFields(pass, MarkerCommitted)
-
-	// Map every function object to its declaration, and build the static
-	// intra-package call graph.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					decls[obj] = fd
-				}
+	// A write reports the outermost committed field on the target's
+	// path: `n.seqNext[node]++` writes field seqNext.
+	write := func(pos token.Pos, target ast.Expr) {
+		fields, _ := lvalue(pass.TypesInfo, target)
+		for _, f := range fields {
+			if pass.index.fieldMarks[f.v].has(MarkerCommitted) {
+				pass.Reportf(pos, "compute-phase code writes committed field %s: committed state may only change in the commit phase", f.v.Name())
+				return
 			}
 		}
 	}
-	callees := map[*types.Func][]*types.Func{}
-	for obj, fd := range decls {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := staticCallee(pass.TypesInfo, call); callee != nil {
-				if _, inPkg := decls[callee]; inPkg {
-					callees[obj] = append(callees[obj], callee)
-				}
-			}
-			return true
-		})
-	}
-
-	// Reachability from the compute roots.
-	reachable := map[*types.Func]bool{}
-	var walk func(fn *types.Func)
-	walk = func(fn *types.Func) {
-		if reachable[fn] {
-			return
-		}
-		reachable[fn] = true
-		for _, c := range callees[fn] {
-			walk(c)
-		}
-	}
-	for fn := range roots {
-		walk(fn)
-	}
-
-	// Deterministic reporting order: visit declarations in file order.
-	var ordered []*types.Func
-	for fn := range reachable {
-		if _, ok := decls[fn]; ok {
-			ordered = append(ordered, fn)
-		}
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Pos() < ordered[j].Pos() })
-
-	for _, fn := range ordered {
-		if commitOnly[fn] {
+	for _, r := range pass.index.reach(roots, true) {
+		if r.fn.markers.has(MarkerCommitOnly) {
 			// The offending call edge is reported at the caller; flagging
 			// the commit-only function's own body would be noise.
 			continue
 		}
-		fd := decls[fn]
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+		for _, c := range r.fn.calls {
+			if c.callee.markers.has(MarkerCommitOnly) {
+				pass.Reportf(c.pos, "compute-phase code calls commit-only %s: cross-node effects must wait for the commit phase (reachable from a %s root)", c.callee.obj.Name(), MarkerComputePhase)
+			}
+		}
+		ast.Inspect(r.fn.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				if callee := staticCallee(pass.TypesInfo, n); callee != nil && commitOnly[callee] {
-					pass.Reportf(n.Pos(), "compute-phase code calls commit-only %s: cross-node effects must wait for the commit phase (reachable from a %s root)", callee.Name(), MarkerComputePhase)
-				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if fld := committedFieldWrite(pass.TypesInfo, committed, lhs); fld != nil {
-						pass.Reportf(n.Pos(), "compute-phase code writes committed field %s: committed state may only change in the commit phase", fld.Name())
-					}
+					write(n.Pos(), lhs)
 				}
 			case *ast.IncDecStmt:
-				if fld := committedFieldWrite(pass.TypesInfo, committed, n.X); fld != nil {
-					pass.Reportf(n.Pos(), "compute-phase code writes committed field %s: committed state may only change in the commit phase", fld.Name())
-				}
+				write(n.Pos(), n.X)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// staticCallee resolves a call expression to the function or method
-// object it statically invokes, or nil for dynamic calls, conversions
-// and builtins.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[fun.Sel] // package-qualified call
-		}
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-// committedFieldWrite resolves an assignment target and returns the
-// committed field it writes, or nil. The selector chain's outermost
-// field decides: `n.seqNext[node]++` writes field seqNext.
-func committedFieldWrite(info *types.Info, committed map[*types.Var]bool, expr ast.Expr) *types.Var {
-	for {
-		switch e := expr.(type) {
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok && committed[v] {
-					return v
-				}
-			}
-			expr = e.X
-		default:
-			return nil
-		}
-	}
 }

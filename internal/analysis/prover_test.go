@@ -6,7 +6,11 @@ package analysis
 // seven-analyzer suite over every fixture and over this package itself.
 
 import (
+	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -104,9 +108,17 @@ func TestCounterParityFinishGated(t *testing.T) {
 }
 
 // TestSuiteOverFixtures runs all seven analyzers together over every
-// fixture package: foreign analyzers may report on each other's
-// fixtures, but none may error or panic.
+// fixture package and compares every finding — foreign analyzers'
+// findings on each other's fixtures included — with
+// testdata/suite.golden: one line per finding, giving the fixture, the
+// file's base name, line, column, analyzer and message, with the module
+// root written as $ROOT (hotpathalloc messages embed absolute
+// positions).
 func TestSuiteOverFixtures(t *testing.T) {
+	root, err := moduleRootOnce()
+	if err != nil {
+		t.Fatalf("module root: %v", err)
+	}
 	cases := []struct{ fixture, pkgPath string }{
 		{"determinism/flagged", "gonoc/internal/core"},
 		{"determinism/clean", "gonoc/internal/core"},
@@ -131,12 +143,51 @@ func TestSuiteOverFixtures(t *testing.T) {
 		{"ignore", "gonoc/internal/core"},
 		{"unusedignore", "gonoc/internal/core"},
 	}
+	var got strings.Builder
 	for _, c := range cases {
 		pkg := loadTestFixture(t, c.fixture, c.pkgPath)
-		if _, err := RunAnalyzers(pkg, All()); err != nil {
-			t.Errorf("%s: suite errored: %v", c.fixture, err)
+		diags, err := RunAnalyzers(pkg, All())
+		if err != nil {
+			t.Fatalf("%s: suite errored: %v", c.fixture, err)
+		}
+		for _, d := range diags {
+			fmt.Fprintf(&got, "%s: %s:%d:%d: [%s] %s\n", c.fixture, filepath.Base(d.Pos.Filename),
+				d.Pos.Line, d.Pos.Column, d.Analyzer, strings.ReplaceAll(d.Message, root, "$ROOT"))
 		}
 	}
+	want, err := os.ReadFile(filepath.Join("testdata", "suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("suite findings differ from testdata/suite.golden:\n%s", lineDiff(string(want), got.String()))
+	}
+}
+
+// lineDiff lists the lines only want has (-) and only got has (+), or
+// reports that the two differ in order alone.
+func lineDiff(want, got string) string {
+	count := map[string]int{}
+	for _, l := range strings.Split(want, "\n") {
+		count[l]++
+	}
+	for _, l := range strings.Split(got, "\n") {
+		count[l]--
+	}
+	var out []string
+	for l, n := range count {
+		for ; n > 0; n-- {
+			out = append(out, "- "+l)
+		}
+		for ; n < 0; n++ {
+			out = append(out, "+ "+l)
+		}
+	}
+	if len(out) == 0 {
+		return "same lines in a different order"
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
 }
 
 // TestSuiteSelfCheck loads internal/analysis itself and runs the full

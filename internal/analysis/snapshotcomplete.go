@@ -65,15 +65,10 @@ type snapRole struct {
 	funcs []string
 }
 
-// snapOwner is one contract struct checked against its roles.
-type snapOwner struct {
-	typeName string
-	roles    []snapRole
-}
-
-// snapExtern is a struct in an imported package whose exported fields
-// this package's triple serializes.
-type snapExtern struct {
+// snapContract is one struct checked against its roles. With pkgPath
+// set it is a struct of an imported package whose exported fields this
+// package's triple serializes.
+type snapContract struct {
 	pkgPath  string
 	typeName string
 	roles    []snapRole
@@ -82,47 +77,38 @@ type snapExtern struct {
 // snapContracts maps a package to its snapshot contracts. The function
 // names are the triple as implemented; renaming one is a contract change
 // and must be mirrored here.
-var snapContracts = map[string]struct {
-	owners  []snapOwner
-	externs []snapExtern
-}{
+var snapContracts = map[string][]snapContract{
 	"gonoc/internal/core": {
-		owners: []snapOwner{
-			{typeName: "Router", roles: []snapRole{
-				{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
-				{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
-				{name: "canonical", funcs: []string{"AppendCanonical"}},
-			}},
-			{typeName: "RouterState", roles: []snapRole{
-				{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
-				{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
-			}},
-		},
-		externs: []snapExtern{
-			{pkgPath: "gonoc/internal/vc", typeName: "VC", roles: []snapRole{
-				{name: "save", funcs: []string{"saveVC"}},
-				{name: "restore", funcs: []string{"restoreVC"}},
-				{name: "canonical", funcs: []string{"AppendCanonical"}},
-			}},
-		},
+		{typeName: "Router", roles: []snapRole{
+			{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
+			{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
+			{name: "canonical", funcs: []string{"AppendCanonical"}},
+		}},
+		{typeName: "RouterState", roles: []snapRole{
+			{name: "save", funcs: []string{"SaveStateInto", "saveVC"}},
+			{name: "restore", funcs: []string{"RestoreState", "restoreVC"}},
+		}},
+		{pkgPath: "gonoc/internal/vc", typeName: "VC", roles: []snapRole{
+			{name: "save", funcs: []string{"saveVC"}},
+			{name: "restore", funcs: []string{"restoreVC"}},
+			{name: "canonical", funcs: []string{"AppendCanonical"}},
+		}},
 	},
 	"gonoc/internal/noc": {
-		owners: []snapOwner{
-			{typeName: "Network", roles: []snapRole{
-				{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
-				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
-				{name: "canonical", funcs: []string{"AppendCanonical", "appendCanonicalNI", "appendCanonicalWindows"}},
-			}},
-			{typeName: "NI", roles: []snapRole{
-				{name: "save", funcs: []string{"saveNI"}},
-				{name: "restore", funcs: []string{"restoreNI"}},
-				{name: "canonical", funcs: []string{"appendCanonicalNI"}},
-			}},
-			{typeName: "Snapshot", roles: []snapRole{
-				{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
-				{name: "restore", funcs: []string{"Restore", "restoreNI"}},
-			}},
-		},
+		{typeName: "Network", roles: []snapRole{
+			{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
+			{name: "restore", funcs: []string{"Restore", "restoreNI"}},
+			{name: "canonical", funcs: []string{"AppendCanonical", "appendCanonicalNI", "appendCanonicalWindows"}},
+		}},
+		{typeName: "NI", roles: []snapRole{
+			{name: "save", funcs: []string{"saveNI"}},
+			{name: "restore", funcs: []string{"restoreNI"}},
+			{name: "canonical", funcs: []string{"appendCanonicalNI"}},
+		}},
+		{typeName: "Snapshot", roles: []snapRole{
+			{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
+			{name: "restore", funcs: []string{"Restore", "restoreNI"}},
+		}},
 	},
 }
 
@@ -139,113 +125,56 @@ func runSnapshotComplete(pass *Pass) error {
 		return nil
 	}
 	base := basePkgPath(pass.PkgPath)
-	derived := collectDerived(pass)
+	collectDerived(pass, base)
 	pass.Facts.Set("snap.analyzed:"+base, "")
 
-	if contract, ok := snapContracts[base]; ok {
-		decls := snapFuncDecls(pass)
-		for _, owner := range contract.owners {
-			st, pos := lookupStruct(pass.Pkg, pass.Files, owner.typeName)
-			if st == nil {
-				continue // fixture subset: struct not modeled
-			}
-			checkOwner(pass, owner, st, pos, decls, func(f *types.Var) (string, bool) {
-				r, ok := derived[f]
-				return r, ok
-			}, owner.typeName, false)
-		}
-		for _, ext := range contract.externs {
-			if !pass.Facts.Has("snap.analyzed:" + ext.pkgPath) {
+	for _, c := range snapContracts[base] {
+		pkg, qual, display := pass.Pkg, base+"."+c.typeName, c.typeName
+		if c.pkgPath != "" {
+			if !pass.Facts.Has("snap.analyzed:" + c.pkgPath) {
 				continue // dependency not in this run: derived facts unavailable
 			}
-			imp := importedPackage(pass.Pkg, ext.pkgPath)
-			if imp == nil {
+			if pkg = importedPackage(pass.Pkg, c.pkgPath); pkg == nil {
 				continue
 			}
-			obj, _ := imp.Scope().Lookup(ext.typeName).(*types.TypeName)
-			if obj == nil {
-				continue
-			}
-			st, _ := obj.Type().Underlying().(*types.Struct)
-			if st == nil {
-				continue
-			}
-			qual := ext.pkgPath + "." + ext.typeName
-			checkOwner(pass, snapOwner{typeName: qual, roles: ext.roles}, st, obj.Pos(), decls,
-				func(f *types.Var) (string, bool) {
-					return pass.Facts.Get("snap.derived:" + qual + "." + f.Name())
-				}, qual, true)
+			qual = c.pkgPath + "." + c.typeName
+			display = qual
 		}
+		st, pos := lookupStruct(pkg, c.typeName)
+		if st == nil {
+			continue // fixture subset: struct not modeled
+		}
+		checkContract(pass, c, st, pos, qual, display)
 	}
-
 	if structs, ok := accessorStructs[base]; ok {
-		checkAccessors(pass, structs, derived)
+		checkAccessors(pass, base, structs)
 	}
 	return nil
 }
 
-// collectDerived gathers the package's //noc:derived fields, reporting
-// reason-less markers, and exports each as a fact keyed by its qualified
-// name so dependent packages' passes can consult it.
-func collectDerived(pass *Pass) map[*types.Var]string {
-	out := map[*types.Var]string{}
-	base := basePkgPath(pass.PkgPath)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				reason, found := markerReason(field.Doc, MarkerDerived)
-				if !found {
-					reason, found = markerReason(field.Comment, MarkerDerived)
-				}
-				if !found {
-					continue
-				}
-				if reason == "" {
-					pass.Reportf(field.Pos(), "%s requires a reason: \"%s <why this field sits outside the snapshot triple>\"", MarkerDerived, MarkerDerived)
-					continue
-				}
-				for _, name := range field.Names {
-					if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-						out[obj] = reason
-						pass.Facts.Set("snap.derived:"+base+"."+ts.Name.Name+"."+name.Name, reason)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// snapFuncDecls indexes the package's production function declarations
-// by name (methods and plain functions alike — the triple's names are
-// unique within their packages).
-func snapFuncDecls(pass *Pass) map[string][]*ast.FuncDecl {
-	out := map[string][]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+// collectDerived reports reason-less //noc:derived markers and exports
+// every reasoned one as a fact keyed by the field's qualified name
+// ("snap.derived:<pkg>.<Type>.<field>"), which this package's contract
+// checks and dependent packages' passes consult.
+func collectDerived(pass *Pass, base string) {
+	for _, fi := range pass.index.fields {
+		reason, ok := fi.markers[MarkerDerived]
+		if !ok || fi.owner == "" {
 			continue
 		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				out[fd.Name.Name] = append(out[fd.Name.Name], fd)
-			}
+		if reason == "" {
+			pass.Reportf(fi.field.Pos(), "%s requires a reason: \"%s <why this field sits outside the snapshot triple>\"", MarkerDerived, MarkerDerived)
+			continue
+		}
+		for _, name := range fi.field.Names {
+			pass.Facts.Set("snap.derived:"+base+"."+fi.owner+"."+name.Name, reason)
 		}
 	}
-	return out
 }
 
 // lookupStruct finds a named struct type in the package and returns its
 // field set and declaration position.
-func lookupStruct(pkg *types.Package, files []*ast.File, name string) (*types.Struct, token.Pos) {
+func lookupStruct(pkg *types.Package, name string) (*types.Struct, token.Pos) {
 	obj, _ := pkg.Scope().Lookup(name).(*types.TypeName)
 	if obj == nil {
 		return nil, token.NoPos
@@ -276,41 +205,32 @@ func importedPackage(pkg *types.Package, path string) *types.Package {
 	return find(pkg)
 }
 
-// checkOwner verifies one contract struct against its roles: every field
-// must be referenced by each role's functions or be derived. For extern
-// structs only exported fields are checked (unexported ones are reached
-// through accessors and checked by the accessor-completeness pass in
-// their own package).
-func checkOwner(pass *Pass, owner snapOwner, st *types.Struct, structPos token.Pos,
-	decls map[string][]*ast.FuncDecl, derivedReason func(*types.Var) (string, bool),
-	display string, exportedOnly bool) {
-
+// checkContract verifies one contract struct, qualified name qual,
+// against its roles: every field must be referenced by each role's
+// functions or be derived. For a struct of another package only the
+// exported fields are checked (unexported ones are reached through
+// accessors and checked by the accessor-completeness pass in their own
+// package).
+func checkContract(pass *Pass, c snapContract, st *types.Struct, structPos token.Pos, qual, display string) {
 	fieldSet := map[*types.Var]bool{}
 	for i := 0; i < st.NumFields(); i++ {
 		fieldSet[st.Field(i)] = true
 	}
-	for _, role := range owner.roles {
+	for _, role := range c.roles {
 		covered := map[*types.Var]bool{}
 		freshOnly := map[*types.Var]bool{}
 		for _, name := range role.funcs {
-			fds, ok := decls[name]
-			if !ok {
+			fns := pass.index.lookup(name)
+			if len(fns) == 0 {
 				pass.Reportf(structPos, "snapshot contract for %s: %s function %s not found in this package — the triple and the contract table (internal/analysis/snapshotcomplete.go) must stay in sync", display, role.name, name)
-				continue
 			}
-			for _, fd := range fds {
-				collectFieldRefs(pass.TypesInfo, fd, st, fieldSet, covered, freshOnly)
+			for _, fn := range fns {
+				collectFieldRefs(pass.TypesInfo, fn.decl, st, fieldSet, covered, freshOnly)
 			}
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if exportedOnly && !f.Exported() {
-				continue
-			}
-			if covered[f] {
-				continue
-			}
-			if _, ok := derivedReason(f); ok {
+			if (c.pkgPath != "" && !f.Exported()) || covered[f] || pass.Facts.Has("snap.derived:"+qual+"."+f.Name()) {
 				continue
 			}
 			pos := f.Pos()
@@ -401,151 +321,112 @@ func allocatesFresh(info *types.Info, body *ast.BlockStmt, st *types.Struct) boo
 // classified syntactically: assignment/inc-dec targets and keyed
 // composite-literal entries are writes, every other resolved reference
 // is a read.
-func checkAccessors(pass *Pass, structNames []string, derived map[*types.Var]string) {
-	fieldSet := map[*types.Var]string{} // field -> owning struct name
-	type fieldRec struct {
-		v     *types.Var
-		owner string
-	}
-	var ordered []fieldRec
+func checkAccessors(pass *Pass, base string, structNames []string) {
+	owner := map[*types.Var]string{} // field -> owning struct name
+	var ordered []*types.Var
 	for _, name := range structNames {
-		st, _ := lookupStruct(pass.Pkg, pass.Files, name)
+		st, _ := lookupStruct(pass.Pkg, name)
 		if st == nil {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if f.Exported() {
-				continue
+			if f := st.Field(i); !f.Exported() {
+				owner[f] = name
+				ordered = append(ordered, f)
 			}
-			fieldSet[f] = name
-			ordered = append(ordered, fieldRec{f, name})
 		}
 	}
-	if len(fieldSet) == 0 {
+	if len(ordered) == 0 {
 		return
 	}
 
+	info := pass.TypesInfo
 	reads := map[*types.Var]bool{}
 	writes := map[*types.Var]bool{}
 	writeNodes := map[ast.Node]bool{} // exact nodes consumed as write targets
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+	// write records the tracked field an assignment target writes — the
+	// outermost field on its path (x.f[i] = v writes f) — and reports it.
+	write := func(target ast.Expr) *types.Var {
+		fields, root := lvalue(info, target)
+		var v *types.Var
+		var node ast.Node
+		if len(fields) > 0 {
+			v, node = fields[0].v, fields[0].sel
+		} else if rv, ok := info.Uses[root].(*types.Var); ok && rv.IsField() {
+			v, node = rv, root
+		}
+		if owner[v] == "" {
+			return nil
+		}
+		writes[v] = true
+		writeNodes[node] = true
+		return v
+	}
+	for _, fn := range pass.index.funcs {
+		if !fn.prod || !fn.decl.Name.IsExported() {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !fd.Name.IsExported() {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if v, node := fieldWriteTarget(pass.TypesInfo, lhs); v != nil && fieldSet[v] != "" {
-							writes[v] = true
-							writeNodes[node] = true
-							if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-								reads[v] = true // compound assignment reads too
-							}
-						}
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if v := write(lhs); v != nil && n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+						reads[v] = true // compound assignment reads too
 					}
-				case *ast.IncDecStmt:
-					if v, node := fieldWriteTarget(pass.TypesInfo, n.X); v != nil && fieldSet[v] != "" {
+				}
+			case *ast.IncDecStmt:
+				if v := write(n.X); v != nil {
+					reads[v] = true
+				}
+			case *ast.KeyValueExpr: // a composite-literal entry
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := info.Uses[id].(*types.Var); ok && owner[v] != "" {
 						writes[v] = true
-						reads[v] = true
-						writeNodes[node] = true
-					}
-				case *ast.CompositeLit:
-					for _, elt := range n.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						id, ok := kv.Key.(*ast.Ident)
-						if !ok {
-							continue
-						}
-						if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && fieldSet[v] != "" {
-							writes[v] = true
-							writeNodes[id] = true
-						}
+						writeNodes[id] = true
 					}
 				}
+			}
+			return true
+		})
+		// Second sweep: everything resolved to a tracked field that was
+		// not consumed as a write target counts as a read.
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			if writeNodes[n] {
 				return true
-			})
-			// Second sweep: everything resolved to a tracked field that
-			// was not consumed as a write target counts as a read.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					if writeNodes[n] {
-						return true
-					}
-					if v, ok := pass.TypesInfo.Uses[n].(*types.Var); ok && fieldSet[v] != "" {
+			}
+			switch n := n.(type) {
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && owner[v] != "" {
+					reads[v] = true
+				}
+			case *ast.SelectorExpr:
+				if sel, ok := info.Selections[n]; ok && sel.Kind() == types.FieldVal {
+					if v := sel.Obj().(*types.Var); owner[v] != "" {
 						reads[v] = true
 					}
-				case *ast.SelectorExpr:
-					if writeNodes[n] {
-						return true
-					}
-					if sel, ok := pass.TypesInfo.Selections[n]; ok && sel.Kind() == types.FieldVal {
-						if v, ok := sel.Obj().(*types.Var); ok && fieldSet[v] != "" && !writeNodes[n] {
-							reads[v] = true
-						}
-					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].v.Pos() < ordered[j].v.Pos() })
-	for _, rec := range ordered {
-		if _, ok := derived[rec.v]; ok {
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Pos() < ordered[j].Pos() })
+	for _, v := range ordered {
+		if pass.Facts.Has("snap.derived:" + base + "." + owner[v] + "." + v.Name()) {
 			continue
 		}
 		var missing string
 		switch {
-		case !reads[rec.v] && !writes[rec.v]:
+		case !reads[v] && !writes[v]:
 			missing = "read or written"
-		case !reads[rec.v]:
+		case !reads[v]:
 			missing = "read"
-		case !writes[rec.v]:
+		case !writes[v]:
 			missing = "written"
 		default:
 			continue
 		}
-		pass.Reportf(rec.v.Pos(), "unexported field %s of %s.%s is never %s by an exported function: the snapshot triple can only reach it through accessors — add one or mark it %s <reason>",
-			rec.v.Name(), basePkgPath(pass.PkgPath), rec.owner, missing, MarkerDerived)
-	}
-}
-
-// fieldWriteTarget resolves an assignment target to the outermost struct
-// field it writes and the AST node naming it: x.f[i] = v writes f.
-func fieldWriteTarget(info *types.Info, expr ast.Expr) (*types.Var, ast.Node) {
-	for {
-		switch e := expr.(type) {
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok {
-					return v, ast.Node(e)
-				}
-			}
-			expr = e.X
-		case *ast.Ident:
-			if v, ok := info.Uses[e].(*types.Var); ok && v.IsField() {
-				return v, ast.Node(e)
-			}
-			return nil, nil
-		default:
-			return nil, nil
-		}
+		pass.Reportf(v.Pos(), "unexported field %s of %s.%s is never %s by an exported function: the snapshot triple can only reach it through accessors — add one or mark it %s <reason>",
+			v.Name(), base, owner[v], missing, MarkerDerived)
 	}
 }
