@@ -11,6 +11,7 @@ import (
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
 	"gonoc/internal/sim"
+	"gonoc/internal/telemetry"
 	"gonoc/internal/topology"
 )
 
@@ -42,54 +43,10 @@ func runHeatmap(args []string) error {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(heatmapDoc(n, snap, *top))
+		return enc.Encode(telemetry.NewHeatmap(n.Now(), snap, *top))
 	}
 	fmt.Print(formatHeatmap(n, snap, *top))
 	return nil
-}
-
-// heatmapJSON mirrors telemetry's /heatmap document so the offline
-// command and the live endpoint stay interchangeable inputs for the
-// same tooling.
-type heatmapJSON struct {
-	Cycle        uint64            `json:"cycle"`
-	BucketCycles uint64            `json:"bucket_cycles"`
-	Buckets      int               `json:"buckets"`
-	WindowCycles uint64            `json:"window_cycles"`
-	StallKinds   []string          `json:"stall_kinds"`
-	Links        []heatmapLinkJSON `json:"links"`
-}
-
-type heatmapLinkJSON struct {
-	Node   int      `json:"node"`
-	Port   int      `json:"port"`
-	Flits  uint64   `json:"flits"`
-	PerVC  []uint64 `json:"per_vc"`
-	Stalls []uint64 `json:"stalls"`
-}
-
-func heatmapDoc(n *noc.Network, snap obs.WindowSnapshot, top int) heatmapJSON {
-	doc := heatmapJSON{
-		Cycle:        uint64(n.Now()),
-		BucketCycles: uint64(snap.BucketCycles),
-		Buckets:      len(snap.Buckets),
-		WindowCycles: uint64(snap.Cycles()),
-		StallKinds:   make([]string, obs.NumStallKinds),
-	}
-	for k := 0; k < obs.NumStallKinds; k++ {
-		doc.StallKinds[k] = obs.StallKind(k).String()
-	}
-	totals := snap.LinkTotals()
-	if top > 0 {
-		totals = snap.TopLinks(top)
-	}
-	for _, lt := range totals {
-		doc.Links = append(doc.Links, heatmapLinkJSON{
-			Node: lt.Node, Port: lt.Port, Flits: lt.Flits,
-			PerVC: lt.PerVC, Stalls: lt.Stalls[:],
-		})
-	}
-	return doc
 }
 
 // stallTotal sums a link's stall mix.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gonoc/internal/obs"
+	"gonoc/internal/telemetry"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -77,7 +78,7 @@ func TestRunHeatmapFaultedBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heatmap -json: %v", err)
 	}
-	var doc heatmapJSON
+	var doc telemetry.Heatmap
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("heatmap -json not valid JSON: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestRunHeatmapFaultFreeHasNoRouteStalls(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heatmap: %v", err)
 	}
-	var doc heatmapJSON
+	var doc telemetry.Heatmap
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatal(err)
 	}

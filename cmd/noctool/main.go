@@ -470,7 +470,7 @@ func (sf *simFlags) observer(rec recorders) (*obs.Observer, error) {
 	return o, nil
 }
 
-// runTraced builds the network with an events-deep trace ring and runs
+// runTraced builds the network with an events-deep trace and runs
 // it for -cycles, tracing only the measured window: the -warmup cycles
 // run with the tracer paused (warmup packets are excluded from the
 // latency statistics anyway). lost says what the output will lack when
@@ -659,7 +659,7 @@ func serveSim(args []string, onReady func(net.Addr), stop <-chan struct{}) error
 func runSpans(args []string) error {
 	fs := flag.NewFlagSet("spans", flag.ContinueOnError)
 	sf := addSimFlags(fs)
-	events := fs.Int("events", 1<<20, "trace ring capacity; spans are built from retained events")
+	events := fs.Int("events", 1<<20, "trace capacity, split evenly into one ring per router; spans are built from retained events")
 	top := fs.Int("top", 5, "how many of the slowest packets to detail")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -712,7 +712,7 @@ func runTrace(args []string) error {
 	sf := addSimFlags(fs)
 	out := fs.String("o", "trace.json", "output file")
 	format := fs.String("format", "chrome", "chrome (trace_event JSON) or jsonl (JSON Lines)")
-	events := fs.Int("events", 1<<20, "trace ring capacity; the most recent events are retained")
+	events := fs.Int("events", 1<<20, "trace capacity, split evenly into one ring per router: each router's most recent events are retained")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

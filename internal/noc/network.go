@@ -26,9 +26,9 @@
 // faults or not. Serial and
 // parallel execution run the identical code in the identical order, so
 // results are bit-exact for any worker count: the same flit arrival
-// cycles, the same statistics, and the same observability event multiset
-// (see obs.SortEvents for the canonical event order used when comparing
-// traces).
+// cycles, the same statistics, and the same observability events in the
+// same order (obs.Tracer.Events merges the per-router event rings by
+// cycle and router, which no worker interleaving can permute).
 //
 // # Memory discipline
 //
@@ -426,7 +426,7 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	}
 	nodes := topo.Nodes()
 	if o := cfg.Router.Obs; o != nil {
-		if err := o.CheckShape(nodes, cfg.Router.Ports, cfg.Router.VCs); err != nil {
+		if err := o.Attach(nodes, cfg.Router.Ports, cfg.Router.VCs); err != nil {
 			return nil, fmt.Errorf("noc: %dx%d %s: %w", cfg.Width, cfg.Height, topo.Kind(), err)
 		}
 	}

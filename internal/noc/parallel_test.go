@@ -2,8 +2,8 @@
 //
 // The contract under test: a simulation is bit-exact identical for every
 // Config.Workers value — same per-packet timestamps, same statistics
-// collector output, same observability event stream after canonical
-// sorting. The suite runs identical seeded workloads (open-loop
+// collector output, same observability event stream as the tracer reads
+// it out, unsorted. The suite runs identical seeded workloads (open-loop
 // synthetic, trace replay; baseline and fault-tolerant routers; static
 // and randomly injected faults) at Workers=1 and Workers=N and compares
 // everything observable.
@@ -325,7 +325,7 @@ func runCase(t *testing.T, cc confCase, workers int) outcome {
 	}
 	out := outcome{
 		summary: n.Stats().Summary(),
-		events:  o.Tracer.CanonicalEvents(),
+		events:  o.Tracer.Events(),
 		heat:    n.Heatmap(),
 		cycle:   n.Now(),
 		loaded:  loaded,
@@ -381,7 +381,7 @@ func diffOutcomes(t *testing.T, name string, workers int, ref, got outcome) {
 	}
 	for i := range ref.events {
 		if ref.events[i] != got.events[i] {
-			t.Fatalf("%s (workers=%d): canonical event %d diverged:\n  serial:   %+v\n  parallel: %+v",
+			t.Fatalf("%s (workers=%d): event %d diverged:\n  serial:   %+v\n  parallel: %+v",
 				name, workers, i, ref.events[i], got.events[i])
 		}
 	}
@@ -503,7 +503,7 @@ func runLinkFlap(t *testing.T, topo string, workers int, ref *flapRun) *flapRun 
 	}
 	run.outcome = outcome{
 		summary: n.Stats().Summary(),
-		events:  o.Tracer.CanonicalEvents(),
+		events:  o.Tracer.Events(),
 		heat:    n.Heatmap(),
 		cycle:   n.Now(),
 	}
@@ -514,7 +514,7 @@ func runLinkFlap(t *testing.T, topo string, workers int, ref *flapRun) *flapRun 
 // links dying and healing under multi-flit traffic — fault tables live,
 // packets caught mid-discard — every worker count walks the serial run's
 // trajectory cycle for cycle (StateHash, credit conservation), emits the
-// same canonical events and delivers everything; and a snapshot taken
+// same events and delivers everything; and a snapshot taken
 // while a discard is in progress restores, at every worker count, onto
 // that same trajectory. Dead-link discards happen in the serial local
 // commit, so nothing here may depend on how the link commit is sharded.
@@ -536,7 +536,7 @@ func TestLinkFlapParallelConformance(t *testing.T) {
 // TestGoldenDeterminism guards the commit phase against map-iteration or
 // scheduling nondeterminism: three repeated runs of one seeded, faulted,
 // parallel configuration must produce byte-identical statistics and
-// identical canonical event streams.
+// identical event streams.
 //
 // The two wide-vc rows pin a router whose Ports·VCs (80) exceeds one
 // request word, which no other network test reaches: saturated, so VA

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -9,6 +11,38 @@ import (
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
 )
+
+// spanDigest folds every field of a span set — per packet and per hop,
+// the derived phase durations included — into one FNV-1a value.
+func spanDigest(set obs.SpanSet) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	put(int64(len(set.Packets)), int64(set.Incomplete), int64(set.Orphans), int64(set.Dropped))
+	for _, p := range set.Packets {
+		put(int64(p.Src), int64(p.Dst), int64(p.Offered), int64(p.Injected), int64(p.Ejected),
+			int64(p.Latency), int64(len(p.Hops)))
+		for i := range p.Hops {
+			hp := &p.Hops[i]
+			put(int64(hp.Router), int64(hp.InPort), int64(hp.VC), int64(hp.Out), int64(hp.DownVC),
+				int64(hp.Flits), int64(hp.Grants), int64(hp.Borrows), int64(hp.BorrowStalls),
+				int64(hp.BypassGrants), int64(hp.SecondaryFlits),
+				int64(hp.Arrive), int64(hp.VACycle), int64(hp.SACycle), int64(hp.Depart),
+				int64(hp.VAWait()), int64(hp.SAWait()), int64(hp.Serialize()))
+			if hp.Duplicate {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	}
+	return h.Sum64()
+}
 
 // TestSpansSinglePacket runs one packet corner to corner and checks the
 // reconstructed span against ground truth: the XY route, the hop count,
@@ -95,6 +129,34 @@ func TestSpansWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestSpansWrappedTrace runs a trace small enough that the busy routers'
+// rings wrap while quiet ones keep older history: spans are built over
+// the cycles every ring holds in full, so no chain joins hops of two
+// packets — no packet's in-network time or source queueing exceeds the
+// latency its NI reported.
+func TestSpansWrappedTrace(t *testing.T) {
+	o := obs.New(16 * 512)
+	src := traffic.NewSynthetic(16, 0.05, traffic.Hotspot(16, []int{5}, 0.5), traffic.Bimodal(1, 5, 0.6), 3)
+	src.StopAt(3000)
+	n := MustNew(obsCfg(o), src)
+	defer n.Close()
+	n.Run(3000)
+	n.Drain(4000)
+	if o.Tracer.Dropped() == 0 {
+		t.Fatal("trace did not wrap: the test would prove nothing")
+	}
+	set := n.Spans()
+	if len(set.Packets) == 0 {
+		t.Fatal("no packets reconstructed")
+	}
+	for _, p := range set.Packets {
+		if p.NetworkLatency() > p.Latency || p.SourceQueue() > p.Latency {
+			t.Fatalf("packet %d->%d: network %d + queueing %d cycles against a latency of %d: hops of different packets joined",
+				p.Src, p.Dst, p.NetworkLatency(), p.SourceQueue(), p.Latency)
+		}
+	}
+}
+
 // TestSpansUnderFaults exercises reconstruction while the fault-tolerance
 // mechanisms are engaged, so spans carry borrow/bypass/secondary markers.
 func TestSpansUnderFaults(t *testing.T) {
@@ -111,6 +173,10 @@ func TestSpansUnderFaults(t *testing.T) {
 	set := n.Spans()
 	if len(set.Packets) == 0 {
 		t.Fatal("no packets reconstructed under faults")
+	}
+	// Recorded at d927909, when one global ring held the trace.
+	if got, want := spanDigest(set), uint64(0x50b6d7350394d14b); got != want {
+		t.Errorf("span digest %#x, want %#x", got, want)
 	}
 	var stalls, bypass int
 	for _, p := range set.Packets {

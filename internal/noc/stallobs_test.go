@@ -5,9 +5,11 @@
 package noc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gonoc/internal/obs"
@@ -188,16 +190,37 @@ func obsDigest(out obsOutcome) uint64 {
 	return h.Sum64()
 }
 
+// canonicalCmp is the all-field order flight dumps were sorted in before
+// the event store read out in merge order: cycle, router, kind, port,
+// VC, args, detail.
+func canonicalCmp(a, b obs.Event) int {
+	return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Router, b.Router),
+		cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Port, b.Port), cmp.Compare(a.VC, b.VC),
+		cmp.Compare(a.Arg, b.Arg), cmp.Compare(a.Arg2, b.Arg2), cmp.Compare(a.Detail, b.Detail))
+}
+
 // TestStallObsGoldenDigest pins what the faulted 4×4 case observes, not
-// just that worker counts agree on it: the digest was recorded at
-// 6a72585, the last commit whose stall scan walked every VC, whose
-// counters sat one to a map entry and whose flight lanes stored whole
-// Events. A change to how observations are collected must leave it
-// alone; a change to what is observed moves it on purpose.
+// just that worker counts agree on it. The canonical digest, over the
+// dump sorted by every field, was recorded at 6a72585, the last commit
+// whose stall scan walked every VC, whose counters sat one to a map entry
+// and whose flight lanes stored whole Events; the merged digest is the
+// dump as Trigger returns it, recorded when the tracer and the flight
+// recorder became one store. A change to how observations are collected
+// must leave both alone; a change to what is observed moves them on
+// purpose.
 func TestStallObsGoldenDigest(t *testing.T) {
-	const want = 0x5ec9c01f5efd814e
-	if got := obsDigest(runObsCase(t, "mesh", 0, 1, true)); got != want {
-		t.Fatalf("observed-artefact digest %#x, want %#x", got, uint64(want))
+	const (
+		canonical = 0x5ec9c01f5efd814e
+		merged    = 0xb7caddd6da3f41c6
+	)
+	out := runObsCase(t, "mesh", 0, 1, true)
+	if got := obsDigest(out); got != merged {
+		t.Errorf("observed-artefact digest %#x, want %#x", got, uint64(merged))
+	}
+	out.dump.Events = slices.Clone(out.dump.Events)
+	slices.SortFunc(out.dump.Events, canonicalCmp)
+	if got := obsDigest(out); got != canonical {
+		t.Errorf("observed-artefact digest over the canonically sorted dump %#x, want %#x", got, uint64(canonical))
 	}
 }
 
@@ -246,15 +269,18 @@ func TestHeatmapWindowsTopologiesWorkers(t *testing.T) {
 
 // TestSpansTopologiesWorkers extends hop-span reconstruction coverage to
 // the torus and cmesh families: every packet reconstructs losslessly,
-// hop chains are contiguous, and the sets are worker-invariant.
+// hop chains are contiguous, the sets are worker-invariant, and they are
+// the sets the global event ring reconstructed (digests recorded at
+// d927909, before the tracer became per-router lanes).
 func TestSpansTopologiesWorkers(t *testing.T) {
 	cases := []struct {
-		name string
-		topo string
-		conc int
+		name   string
+		topo   string
+		conc   int
+		digest uint64
 	}{
-		{name: "torus", topo: "torus"},
-		{name: "cmesh", topo: "cmesh", conc: 2},
+		{name: "torus", topo: "torus", digest: 0xee960b87128037c4},
+		{name: "cmesh", topo: "cmesh", conc: 2, digest: 0xfbb8447142c9d42c},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -262,6 +288,9 @@ func TestSpansTopologiesWorkers(t *testing.T) {
 			ref := runObsCase(t, tc.topo, tc.conc, 1, false)
 			if len(ref.spans.Packets) == 0 {
 				t.Fatal("no packets reconstructed")
+			}
+			if got := spanDigest(ref.spans); got != tc.digest {
+				t.Errorf("span digest %#x, want %#x", got, tc.digest)
 			}
 			if ref.spans.Orphans != 0 || ref.spans.Dropped != 0 || ref.spans.Incomplete != 0 {
 				t.Fatalf("lossy reconstruction: %d orphans, %d dropped, %d incomplete",

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,10 +27,8 @@ func TestFlightRecorderRingAndTrigger(t *testing.T) {
 	if len(d.Events) != 6 {
 		t.Fatalf("dump has %d events, want 6 (4 retained + 1 + 1)", len(d.Events))
 	}
-	for i := 1; i < len(d.Events); i++ {
-		if CanonicalLess(d.Events[i], d.Events[i-1]) {
-			t.Fatalf("dump events not in canonical order at %d: %+v", i, d.Events)
-		}
+	if !slices.IsSortedFunc(d.Events, mergeCmp) {
+		t.Fatalf("dump events not in merge order: %+v", d.Events)
 	}
 	// Node 0's lane kept cycles 3..6, dropping 0..2.
 	oldest := uint64ToCycle(99)

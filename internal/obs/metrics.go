@@ -371,7 +371,7 @@ func (b *block) index(k Key) (i int, ok bool) {
 // bind returns router's block, creating it on first use, and marks the
 // router or node side bound. A second network bound to the same registry
 // gets the same block; binding one router in two shapes is a caller bug
-// (Observer.CheckShape reports it as an error beforehand).
+// (Observer.Attach reports it as an error beforehand).
 func (m *Metrics) bind(router, ports, vcs int, node bool) *block {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a metrics registry
 // of monotonic counters and gauges keyed by (router, port, VC, kind), and
-// a ring-buffered cycle-accurate event tracer with JSON Lines and Chrome
-// trace_event sinks.
+// a cycle-accurate event tracer with JSON Lines and Chrome trace_event
+// sinks.
 //
 // # Why it exists
 //
@@ -19,23 +19,26 @@
 // simulator profile is indistinguishable from an uninstrumented build
 // (bench_test.go keeps the comparison honest). When enabled, components
 // resolve their node's lane once at attach time (RouterObs, NodeObs): the
-// node's contiguous counter block in the registry, its flight-recorder
-// ring and its cells of the current window bucket. Per-event work is then
+// node's contiguous counter block in the registry, its tracer and flight
+// rings and its cells of the current window bucket. Per-event work is then
 // an indexed atomic add or two plus, when recording, one 24-byte ring
 // store — nothing is looked up, and nothing outside the lane is touched.
 //
 // # Data flow
 //
 //	core.Router ──RouterObs──▶ Metrics (counters/gauges)
-//	noc.Network/NI ──NodeObs──▶   │             │
-//	fault.Injector ──Observer──▶  │          Tracer (ring buffer)
-//	watchdog.Monitor ─Observer─▶  │             │
-//	                              ▼             ▼
-//	              noctool metrics table   trace.json (Chrome) / JSONL
+//	noc.Network/NI ──NodeObs──▶   │        Tracer / FlightRecorder
+//	fault.Injector ──Observer──▶  │      (one event ring per router)
+//	watchdog.Monitor ─Observer─▶  │                 │ merge
+//	                              ▼                 ▼
+//	              noctool metrics table   trace.json (Chrome) / JSONL,
+//	                                      hop spans, flight dumps
 //
-// The Tracer retains the most recent window of events (ring buffer), so
-// arbitrarily long campaigns stay bounded in memory while the tail — the
-// part that explains how the simulation ended — is always available.
+// The Tracer and the FlightRecorder are one event store, a fixed ring per
+// router: long campaigns stay bounded in memory and keep each router's
+// most recent events (⌈capacity/nodes⌉ of them, not the global last
+// capacity). Both read out through one merge, stably by (cycle, router),
+// which keeps each router's emission order at any worker count.
 package obs
 
 import (
@@ -69,19 +72,22 @@ func New(traceCapacity int) *Observer {
 	return o
 }
 
-// CheckShape reports whether every attached surface was sized for a
-// network of nodes routers with the given port and VC counts. The
-// window ring and the flight recorder index their storage by node, port
-// and VC without further checks, so a network must not bind to surfaces
-// of another geometry; nor may a registry already holding one of its
-// routers' blocks in a different shape.
-func (o *Observer) CheckShape(nodes, ports, vcs int) error {
+// Attach readies the observer for a network of nodes routers with the
+// given port and VC counts before any handle binds (noc.New calls it):
+// it refuses surfaces sized for another geometry — the window ring and
+// the event stores index their storage by node, port and VC unchecked,
+// and a registry may hold a router's block in one shape only — then
+// sizes the tracer's per-router rings.
+func (o *Observer) Attach(nodes, ports, vcs int) error {
 	if w := o.Windows; w != nil && (w.nodes != nodes || w.ports != ports || w.vcs != vcs) {
 		return fmt.Errorf("obs: Windows sized for %d nodes, %d ports, %d VCs attached to a network of %d nodes, %d ports, %d VCs",
 			w.nodes, w.ports, w.vcs, nodes, ports, vcs)
 	}
 	if f := o.Flight; f != nil && len(f.lanes) != nodes {
 		return fmt.Errorf("obs: FlightRecorder sized for %d nodes attached to a network of %d nodes", len(f.lanes), nodes)
+	}
+	if t := o.Tracer; t != nil && t.lanes != nil && len(t.lanes) != nodes {
+		return fmt.Errorf("obs: Tracer sized for %d nodes attached to a network of %d nodes", len(t.lanes), nodes)
 	}
 	if m := o.Metrics; m != nil {
 		m.mu.Lock()
@@ -92,6 +98,9 @@ func (o *Observer) CheckShape(nodes, ports, vcs int) error {
 					id, b.ports, b.vcs, ports, vcs)
 			}
 		}
+	}
+	if t := o.Tracer; t != nil && t.lanes == nil {
+		t.size(nodes, (t.globalCap+nodes-1)/nodes)
 	}
 	return nil
 }
@@ -123,16 +132,16 @@ func (o *Observer) RecordFault(kind Kind, ev EventKind, cy sim.Cycle, routerID, 
 
 // lane is one node's slice of every collection surface, resolved once at
 // bind time so an instrumentation site touches nothing else: the node's
-// counter block, its flight-recorder lane, its window cells and the
-// tracer. RouterObs and NodeObs of one node are two views of the same
+// counter block, its tracer and flight-recorder rings and its window
+// cells. RouterObs and NodeObs of one node are two views of the same
 // lane storage.
 type lane struct {
-	id     int32
 	vcs    int
 	stride int       // counters per port in c (see the block layout)
 	c      []Counter // the node's counter block
-	tr     *Tracer
-	fl     *flightLane
+	tr     *Tracer   // whose pause switch gates tl
+	tl     *eventLane
+	fl     *eventLane
 	win    *windowLane
 }
 
@@ -146,7 +155,10 @@ func bindLane(o *Observer, id, ports, vcs int, node bool) (lane, *block) {
 	} else {
 		b = newBlock(ports, vcs)
 	}
-	l := lane{id: int32(id), vcs: vcs, stride: b.stride, c: b.c, tr: o.Tracer}
+	l := lane{vcs: vcs, stride: b.stride, c: b.c}
+	if t := o.Tracer; t != nil {
+		l.tr, l.tl = t, t.lane(int32(id))
+	}
 	if o.Flight != nil {
 		l.fl = o.Flight.lane(int32(id))
 	}
@@ -167,15 +179,16 @@ func (l *lane) stall(p, v int, k StallKind) *Counter {
 // node returns the node-scalar counter at slot.
 func (l *lane) node(slot int) *Counter { return &l.c[len(l.c)-numNodeSlots+slot] }
 
-// emit records one event of the lane's node in the tracer and the
-// flight lane, whichever are attached. The events built here never carry
-// a Detail.
+// emit records one event of the lane's node in its tracer and flight
+// rings, whichever are attached. The events built here never carry a
+// Detail.
 func (l *lane) emit(cy sim.Cycle, kind EventKind, port, vcIdx int8, arg, arg2 int32) {
-	if t := l.tr; t != nil && !t.paused.Load() {
-		t.Emit(Event{Cycle: cy, Kind: kind, Router: l.id, Port: port, VC: vcIdx, Arg: arg, Arg2: arg2})
+	s := eventSlot{cycle: cy, arg: arg, arg2: arg2, kind: kind, port: port, vc: vcIdx}
+	if t := l.tl; t != nil && !l.tr.paused.Load() {
+		t.put(s)
 	}
 	if f := l.fl; f != nil {
-		f.put(flightSlot{cycle: cy, arg: arg, arg2: arg2, kind: kind, port: port, vc: vcIdx})
+		f.put(s)
 	}
 }
 

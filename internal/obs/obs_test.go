@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +73,9 @@ func TestDisabledAllocationFree(t *testing.T) {
 
 func TestRouterObsCountsAndTraces(t *testing.T) {
 	o := New(64)
+	if err := o.Attach(8, 5, 4); err != nil {
+		t.Fatal(err)
+	}
 	r := BindRouter(o, 7, 5, 4)
 	r.RCCompute(5, 1, 0, 2, true)
 	r.VAAlloc(6, 1, 0, 2, 3)
@@ -210,56 +215,131 @@ func TestFormatPerRouter(t *testing.T) {
 // uint64ToCycle documents the int→Cycle conversion in ring tests.
 func uint64ToCycle(i int) sim.Cycle { return sim.Cycle(i) }
 
-func TestSortEventsCanonicalOrder(t *testing.T) {
-	// A scrambled multiset of events differing in exactly one field per
-	// adjacent canonical pair, including duplicates.
-	evs := []Event{
-		{Cycle: 7, Router: 0, Kind: EvFaultInject},
-		{Cycle: 3, Router: 2, Kind: EvFaultInject, Port: 1},
-		{Cycle: 3, Router: 1, Kind: EvFaultInject},
-		{Cycle: 3, Router: 2, Kind: EvFaultInject, Port: 1, VC: 2},
-		{Cycle: 3, Router: 2, Kind: EvFaultInject, Port: 1, VC: 2, Arg: 5},
-		{Cycle: 3, Router: 2, Kind: EvFaultInject, Port: 1, VC: 2, Arg: 5, Arg2: 1},
-		{Cycle: 3, Router: 2, Kind: EvFaultInject, Port: 1, VC: 2, Arg: 5, Arg2: 1, Detail: "x"},
-		{Cycle: 3, Router: 1, Kind: EvFaultInject},
+// TestEventsMergeOrder pins the one read-out order of the event store,
+// through both surfaces: each lane oldest first — a wrapped lane from its
+// oldest surviving slot — stably by (cycle, router), so a global-lane
+// event sorts by its router like any other and a router's same-cycle
+// events keep the order it emitted them in (Router.Tick's XB, SA, VA,
+// RC), which a kind-first sort would reverse.
+func TestEventsMergeOrder(t *testing.T) {
+	var emitted []Event
+	for c := 1; c <= 6; c++ { // six events into router 1's four slots
+		emitted = append(emitted, Event{Cycle: uint64ToCycle(c), Kind: EvNIOffer, Router: 1, Arg: int32(c)})
 	}
-	SortEvents(evs)
-	for i := 1; i < len(evs); i++ {
-		if CanonicalLess(evs[i], evs[i-1]) {
-			t.Fatalf("events %d and %d out of canonical order: %+v > %+v", i-1, i, evs[i-1], evs[i])
-		}
+	for _, k := range []EventKind{EvXBTraverse, EvSAGrant, EvVAAlloc, EvRCCompute} {
+		emitted = append(emitted, Event{Cycle: 5, Kind: k, Router: 0})
 	}
-	if evs[len(evs)-1].Cycle != 7 {
-		t.Fatalf("cycle is not the primary key: %+v", evs)
+	emitted = append(emitted, Event{Cycle: 4, Kind: EvFaultDetect, Router: -1, Detail: "monitor"})
+	want := []Event{
+		{Cycle: 3, Kind: EvNIOffer, Router: 1, Arg: 3},
+		{Cycle: 4, Kind: EvFaultDetect, Router: -1, Detail: "monitor"},
+		{Cycle: 4, Kind: EvNIOffer, Router: 1, Arg: 4},
+		{Cycle: 5, Kind: EvXBTraverse, Router: 0},
+		{Cycle: 5, Kind: EvSAGrant, Router: 0},
+		{Cycle: 5, Kind: EvVAAlloc, Router: 0},
+		{Cycle: 5, Kind: EvRCCompute, Router: 0},
+		{Cycle: 5, Kind: EvNIOffer, Router: 1, Arg: 5},
+		{Cycle: 6, Kind: EvNIOffer, Router: 1, Arg: 6},
 	}
-	if evs[0] != evs[1] || evs[0].Router != 1 {
-		t.Fatalf("duplicate events must sort adjacently: %+v", evs[:2])
+
+	tr := NewTracer(8)
+	if err := (&Observer{Tracer: tr}).Attach(2, 5, 4); err != nil { // four slots per router
+		t.Fatal(err)
+	}
+	f := NewFlightRecorder(2, 4)
+	for _, e := range emitted {
+		tr.Emit(e)
+		f.Record(e)
+	}
+	if got := tr.Events(); !slices.Equal(got, want) {
+		t.Fatalf("Tracer.Events:\n got %+v\nwant %+v", got, want)
+	}
+	if got := f.Trigger(7, "merge order").Events; !slices.Equal(got, want) {
+		t.Fatalf("Dump.Events:\n got %+v\nwant %+v", got, want)
+	}
+	if tr.Total() != 11 || tr.Dropped() != 2 {
+		t.Fatalf("total/dropped = %d/%d, want 11/2", tr.Total(), tr.Dropped())
 	}
 }
 
-func TestCanonicalEventsPermutationInvariant(t *testing.T) {
-	// Two tracers receive the same multiset in different emission orders
-	// (a serial run vs a worker interleaving); the canonical views agree.
-	base := []Event{
-		{Cycle: 1, Router: 4, Kind: EvFaultInject, Port: 2},
-		{Cycle: 1, Router: 0, Kind: EvFaultInject},
-		{Cycle: 2, Router: 3, Kind: EvFaultDetect, Arg: 9},
-		{Cycle: 1, Router: 0, Kind: EvFaultInject}, // duplicate
+// TestTracerLaneRetention: once attached, a tracer keeps each router's
+// last ⌈capacity/nodes⌉ events, so a hot router wraps while a cold one
+// keeps everything; Dropped counts only the overwritten slots; a handle
+// bound past the sized range records nothing; and a tracer sized for one
+// network refuses another.
+func TestTracerLaneRetention(t *testing.T) {
+	o := &Observer{Tracer: NewTracer(10)}
+	if err := o.Attach(4, 5, 4); err != nil { // three slots per router
+		t.Fatal(err)
 	}
-	a, b := NewTracer(16), NewTracer(16)
-	for _, e := range base {
-		a.Emit(e)
+	hot, cold, past := BindRouter(o, 0, 5, 4), BindRouter(o, 1, 5, 4), BindRouter(o, 4, 5, 4)
+	for c := 0; c < 7; c++ {
+		hot.XBTraverse(uint64ToCycle(c), 1, 0, 2, false)
 	}
-	for i := len(base) - 1; i >= 0; i-- {
-		b.Emit(base[i])
+	cold.XBTraverse(2, 1, 0, 2, false)
+	cold.XBTraverse(3, 1, 0, 2, false)
+	past.XBTraverse(4, 1, 0, 2, false)
+
+	kept := map[int32][]sim.Cycle{}
+	for _, e := range o.Tracer.Events() {
+		kept[e.Router] = append(kept[e.Router], e.Cycle)
 	}
-	ca, cb := a.CanonicalEvents(), b.CanonicalEvents()
-	if len(ca) != len(cb) {
-		t.Fatalf("lengths differ: %d vs %d", len(ca), len(cb))
+	if !slices.Equal(kept[0], []sim.Cycle{4, 5, 6}) || !slices.Equal(kept[1], []sim.Cycle{2, 3}) || len(kept) != 2 {
+		t.Fatalf("retained %v, want router 0's last three (4 5 6), router 1's two, nothing else", kept)
 	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("event %d differs after canonical sort: %+v vs %+v", i, ca[i], cb[i])
+	if o.Tracer.Total() != 9 || o.Tracer.Dropped() != 4 {
+		t.Fatalf("total/dropped = %d/%d, want 9/4", o.Tracer.Total(), o.Tracer.Dropped())
+	}
+	if err := o.Attach(8, 5, 4); err == nil || !strings.Contains(err.Error(), "Tracer sized for 4 nodes") {
+		t.Fatalf("attaching a 4-node tracer to 8 nodes: %v", err)
+	}
+}
+
+// TestArgLabelsAgree formats the same events through the Chrome writer
+// and the dump replay: both label Arg and Arg2 from the one per-kind
+// table, stage numbers included.
+func TestArgLabelsAgree(t *testing.T) {
+	evs := []Event{
+		{Cycle: 3, Kind: EvFaultDetect, Router: 1, Port: 2, VC: 0, Arg: int32(StageVA)},
+		{Cycle: 4, Kind: EvVAAlloc, Router: 1, Port: 2, VC: 0, Arg: 3, Arg2: 1},
+	}
+	tr := NewTracer(8)
+	for _, e := range evs {
+		tr.Emit(e)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	chrome := map[string]map[string]any{}
+	for _, e := range doc.TraceEvents {
+		chrome[e.Name] = e.Args
+	}
+	replay := strings.Split(FormatDump(Dump{Reason: "labels", Events: evs}), "\n")
+	for i, e := range evs {
+		args := chrome[e.Kind.String()]
+		for _, label := range []string{e.Kind.argName(), e.Kind.arg2Name()} {
+			if label == "" {
+				continue
+			}
+			v, ok := args[label]
+			if want := fmt.Sprintf("%s=%v", label, v); !ok || !strings.Contains(replay[2+2*i], want) {
+				t.Errorf("%v: Chrome args %v, replay line %q: want both to carry %q", e.Kind, args, replay[2+2*i], want)
+			}
+		}
+	}
+	for _, want := range []string{"stage=VA", "dvc=1"} {
+		if !strings.Contains(strings.Join(replay, "\n"), want) {
+			t.Errorf("replay lacks %q:\n%s", want, strings.Join(replay, "\n"))
 		}
 	}
 }

@@ -181,10 +181,9 @@ func TestBoundNetworkLeavesMapEmpty(t *testing.T) {
 	}
 }
 
-// TestFlightDetailRoundTrip sends an event carrying a Detail through a
-// node lane — where it is stored as a handle into the side table — and
-// through the global lane, then through Trigger, WriteDumps and
-// ReadDumps.
+// TestFlightDetailRoundTrip sends events carrying a Detail through a
+// node lane and through the global lane — both store it as a handle into
+// the side table — then through Trigger, WriteDumps and ReadDumps.
 func TestFlightDetailRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(4, 8)
 	in := []Event{
@@ -196,8 +195,8 @@ func TestFlightDetailRoundTrip(t *testing.T) {
 	for _, e := range in {
 		f.Record(e)
 	}
-	if len(f.details) != 1 {
-		t.Fatalf("side table holds %d strings, want 1 (one distinct node-lane detail)", len(f.details))
+	if len(f.details) != 2 {
+		t.Fatalf("side table holds %d strings, want 2 (one per distinct detail)", len(f.details))
 	}
 	d := f.Trigger(8, "detail round trip")
 	var buf bytes.Buffer
@@ -208,8 +207,7 @@ func TestFlightDetailRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]Event(nil), in...)
-	SortEvents(want)
+	want := in // already in merge order
 	if len(back) != 1 || len(back[0].Events) != len(want) {
 		t.Fatalf("read back %+v, want one dump of %d events", back, len(want))
 	}

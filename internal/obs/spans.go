@@ -20,7 +20,7 @@ import (
 // downstream VC resolves which packet is which.
 //
 // Spans are derived data: they are only as complete as the trace window.
-// When the tracer's ring wrapped, chains whose head events were
+// When a router's ring wrapped, chains whose head events were
 // overwritten are reported as orphans and chains still in flight at the
 // end of the window as incomplete.
 
@@ -164,21 +164,13 @@ type pendingHop struct {
 	ready sim.Cycle
 }
 
-// BuildSpans reconstructs packet spans from a trace window. Events may
-// be passed in raw emission order from any worker count: the builder
-// first orders them by (cycle, router) with a stable sort, which
-// restores each router's causal intra-cycle order while making the
-// result independent of goroutine scheduling.
-func BuildSpans(events []Event, cfg SpanConfig) SpanSet {
-	evs := make([]Event, len(events))
-	copy(evs, events)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Cycle != evs[j].Cycle {
-			return evs[i].Cycle < evs[j].Cycle
-		}
-		return evs[i].Router < evs[j].Router
-	})
-
+// BuildSpans reconstructs packet spans from a trace window in merge
+// order (Tracer.Events): by (cycle, router), each router's events in its
+// causal intra-cycle order. That order is the same at any worker count,
+// and so is the result. The window must cover the same cycles on every
+// router — Network.Spans cuts a wrapped trace to one — or hops of
+// different packets may join across the gap.
+func BuildSpans(evs []Event, cfg SpanConfig) SpanSet {
 	var (
 		set     SpanSet
 		open    = map[vcKey]*HopSpan{}

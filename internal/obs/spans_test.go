@@ -83,23 +83,24 @@ func TestBuildSpansTwoHopPacket(t *testing.T) {
 	}
 }
 
-// TestBuildSpansUnsortedInput feeds the same events with the two routers'
-// streams concatenated out of order: the builder's stable (cycle, router)
-// sort must reconstruct the identical span.
+// TestBuildSpansUnsortedInput emits the same events with the two routers'
+// streams concatenated out of order, as two workers might: the tracer's
+// merge must hand the builder the order that reconstructs the identical
+// span.
 func TestBuildSpansUnsortedInput(t *testing.T) {
 	evs := twoHopEvents()
-	var shuffled []Event
-	for _, e := range evs {
-		if e.Router == 1 {
-			shuffled = append(shuffled, e)
+	tr := NewTracer(64)
+	if err := (&Observer{Tracer: tr}).Attach(2, 5, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int32{1, 0} {
+		for _, e := range evs {
+			if e.Router == r {
+				tr.Emit(e)
+			}
 		}
 	}
-	for _, e := range evs {
-		if e.Router == 0 {
-			shuffled = append(shuffled, e)
-		}
-	}
-	set := BuildSpans(shuffled, lineCfg())
+	set := BuildSpans(tr.Events(), lineCfg())
 	if len(set.Packets) != 1 || len(set.Packets[0].Hops) != 2 {
 		t.Fatalf("unsorted input not reconstructed: %+v", set)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"gonoc/internal/sim"
@@ -126,7 +125,7 @@ func (k EventKind) instant() bool { return k >= EvFaultInject }
 func (k EventKind) argName() string {
 	switch k {
 	case EvRCCompute, EvRCDuplicate, EvVAAlloc, EvSAGrant, EvSABypass,
-		EvXBTraverse, EvXBSecondary:
+		EvXBTraverse, EvXBSecondary, EvReroute:
 		return "out"
 	case EvVABorrow:
 		return "lender"
@@ -142,14 +141,34 @@ func (k EventKind) argName() string {
 		return "duration"
 	case EvFaultDetect:
 		return "stage"
-	case EvReroute:
-		return "out"
 	case EvLinkDrop, EvDropUnreachable, EvNIRetransmit:
 		return "dst"
 	case EvNIDupSuppressed:
 		return "src"
 	}
 	return ""
+}
+
+// arg2Name returns the args key for Arg2, or "" when unused.
+func (k EventKind) arg2Name() string {
+	switch k {
+	case EvVAAlloc:
+		return "dvc"
+	case EvSATransfer:
+		return "adopted"
+	case EvNIRetransmit:
+		return "retry"
+	}
+	return ""
+}
+
+// argValue renders Arg under its argName: a stage name where Arg is a
+// pipeline stage, the integer otherwise.
+func (k EventKind) argValue(arg int32) any {
+	if k == EvFaultDetect {
+		return Stage(arg).String()
+	}
+	return arg
 }
 
 // Event is one cycle-stamped occurrence inside a router, NI or the fault
@@ -170,48 +189,39 @@ type Event struct {
 	Arg  int32
 	Arg2 int32
 	// Detail is an optional human-readable note (fault site names). Only
-	// serial-phase emitters may set one: FlightRecorder.Record interns it
-	// in a table no lock guards.
+	// serial-phase emitters may set one: the event store interns it in a
+	// table no lock guards.
 	Detail string
 }
 
-// Tracer is a fixed-capacity ring buffer of Events. When full, the
-// oldest events are overwritten, so a long campaign always retains the
-// most recent window — the part that explains the state the simulation
-// ended in. Emit is safe for concurrent use.
+// Tracer is the FlightRecorder's event store with a pause switch.
+// Observer.Attach (noc.New calls it) carves a ring of ⌈capacity/nodes⌉
+// slots per router, and one for events whose router names no node — the
+// ring every event goes to, capacity deep, before a network attaches. A
+// wrapping trace thus keeps each router's most recent events. Emit runs
+// from a serial phase; the compute phase writes through the handles.
 type Tracer struct {
-	// paused is read before mu is taken, so a paused tracer costs its
-	// emitters one atomic load and no lock traffic.
+	// paused is read by every emitter, so a paused tracer costs one
+	// atomic load.
 	paused atomic.Bool
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	total  uint64
+	eventStore
 }
 
-// NewTracer returns a tracer retaining the last capacity events
-// (minimum 1).
+// NewTracer returns a tracer retaining capacity events (minimum 1): the
+// last capacity globally until a network attaches, the last
+// ⌈capacity/nodes⌉ of each router after.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+	return &Tracer{eventStore: eventStore{globalCap: capacity}}
 }
 
-// Emit appends an event to the ring.
+// Emit records an event unless capture is paused.
 func (t *Tracer) Emit(e Event) {
-	if t.paused.Load() {
-		return
+	if !t.paused.Load() {
+		t.record(e)
 	}
-	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[t.next] = e
-	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.total++
-	t.mu.Unlock()
 }
 
 // SetEnabled pauses (false) or resumes (true) event capture, so a warmup
@@ -219,36 +229,16 @@ func (t *Tracer) Emit(e Event) {
 // start after it returns; call it between steps.
 func (t *Tracer) SetEnabled(on bool) { t.paused.Store(!on) }
 
-// Total returns how many events were emitted over the tracer's lifetime,
-// including any that have been overwritten.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped returns how many events were overwritten by ring wrap-around.
 func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(len(t.ring))
+	total, retained := t.count()
+	return total - uint64(retained)
 }
 
-// Events returns the retained events in emission order.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	if len(t.ring) < cap(t.ring) {
-		// Ring not yet full: t.ring[:t.next] is everything.
-		out = out[:len(t.ring)]
-	}
-	return out
-}
+// Events returns the retained events in merge order: stably by (cycle,
+// router), each router's events in the order it emitted them — the same
+// order at any worker count.
+func (t *Tracer) Events() []Event { return t.events() }
 
 // jsonlEvent is the JSON Lines wire form of an Event. Port and VC are
 // always present — 0 is a meaningful value (the Local port, VC 0) and
@@ -354,19 +344,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			args["vc"] = e.VC
 		}
 		if n := e.Kind.argName(); n != "" {
-			if e.Kind == EvFaultDetect {
-				args[n] = Stage(e.Arg).String()
-			} else {
-				args[n] = e.Arg
-			}
+			args[n] = e.Kind.argValue(e.Arg)
 		}
-		switch e.Kind {
-		case EvVAAlloc:
-			args["dvc"] = e.Arg2
-		case EvSATransfer:
-			args["adopted"] = e.Arg2
-		case EvNIRetransmit:
-			args["retry"] = e.Arg2
+		if n := e.Kind.arg2Name(); n != "" {
+			args[n] = e.Arg2
 		}
 		if e.Detail != "" {
 			args["site"] = e.Detail

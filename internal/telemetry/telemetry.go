@@ -139,21 +139,20 @@ type Heatmap struct {
 	Links      []HeatmapLink `json:"links"`
 }
 
-// heatmap reduces the current window ring to the /heatmap document.
-// top > 0 keeps only the top links by flit count.
-func (s *Server) heatmap(top int) Heatmap {
-	doc := Heatmap{Cycle: s.cycle.Load(), StallKinds: make([]string, obs.NumStallKinds)}
-	for k := 0; k < obs.NumStallKinds; k++ {
+// NewHeatmap reduces a window snapshot taken at cycle to the /heatmap
+// document, the one `noctool heatmap -json` prints too. top > 0 keeps
+// only the top links by flit count.
+func NewHeatmap(cycle sim.Cycle, snap obs.WindowSnapshot, top int) Heatmap {
+	doc := Heatmap{
+		Cycle:        uint64(cycle),
+		BucketCycles: uint64(snap.BucketCycles),
+		Buckets:      len(snap.Buckets),
+		WindowCycles: uint64(snap.Cycles()),
+		StallKinds:   make([]string, obs.NumStallKinds),
+	}
+	for k := range doc.StallKinds {
 		doc.StallKinds[k] = obs.StallKind(k).String()
 	}
-	w := s.windows.Load()
-	if w == nil {
-		return doc
-	}
-	snap := w.Snapshot()
-	doc.BucketCycles = uint64(snap.BucketCycles)
-	doc.Buckets = len(snap.Buckets)
-	doc.WindowCycles = uint64(snap.Cycles())
 	totals := snap.LinkTotals()
 	if top > 0 {
 		totals = snap.TopLinks(top)
@@ -166,6 +165,16 @@ func (s *Server) heatmap(top int) Heatmap {
 		})
 	}
 	return doc
+}
+
+// heatmap reduces the current window ring to the /heatmap document, an
+// empty one when no ring is attached.
+func (s *Server) heatmap(top int) Heatmap {
+	var snap obs.WindowSnapshot
+	if w := s.windows.Load(); w != nil {
+		snap = w.Snapshot()
+	}
+	return NewHeatmap(sim.Cycle(s.cycle.Load()), snap, top)
 }
 
 // Handler returns the HTTP handler: GET /metrics (Prometheus text

@@ -2,6 +2,8 @@ package tracefile
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,4 +155,42 @@ func TestReplayAgainstDifferentConfig(t *testing.T) {
 	if n2.Stats().AvgLatency() <= clean {
 		t.Fatalf("faulted replay latency %v not above clean %v", n2.Stats().AvgLatency(), clean)
 	}
+}
+
+// FuzzTraceFileRead feeds Read arbitrary bytes: it must never panic,
+// every entry it accepts must be within the bounds it enforces, and
+// writing the accepted entries back must read back as the same entries in
+// Write's (cycle, src) order.
+func FuzzTraceFileRead(f *testing.F) {
+	f.Add([]byte(header + "\n"))
+	f.Add([]byte("1,0,1,0,1\n3,-1,2,0,1\n"))
+	f.Add([]byte("18446744073709551615,2,0,1,1024\n"))
+	f.Add([]byte("1,0,1,0\n"))
+	f.Add([]byte(header + "\r\n9,2,0,1,2\r\n5,1,2,0,3\r\n5,0,3,0,1\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, e := range entries {
+			if e.Size < 1 || e.Size > MaxSize || e.Src < 0 || e.Dst < 0 || int(e.Class) >= flit.NumClasses {
+				t.Fatalf("entry %d out of bounds: %+v", i, e)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, entries); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read rejects what Write wrote: %v", err)
+		}
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, func(a, b traffic.TraceEntry) int {
+			return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Src, b.Src))
+		})
+		if !slices.Equal(back, want) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", back, want)
+		}
+	})
 }
