@@ -105,6 +105,26 @@ func (f *feeder) collect() {
 	}
 }
 
+// collectHeld is collect with every downstream credit held back
+// len(held)-1 cycles, which is what starves the router of credits:
+// held[i] are the credits to hand back i cycles on.
+func (f *feeder) collectHeld(held [][]CreditIn) {
+	d := len(held) - 1
+	if d == 0 {
+		f.collect()
+		return
+	}
+	for _, of := range f.r.TakeOutFlits() {
+		held[d] = append(held[d], CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
+	}
+	f.collect() // no out flits left: the upstream credits alone
+	for _, c := range held[0] {
+		f.r.AcceptCredit(c)
+	}
+	copy(held, held[1:])
+	held[d] = nil
+}
+
 // BenchmarkTick times one Router.Tick (plus the feeder's share) at the
 // occupancies the step loop meets: an empty router, one VC of one port
 // streaming (what a router on a low-load path looks like), every VC of

@@ -72,6 +72,7 @@ func (r *Router) SetSA1BypassFault(p topology.Port, f bool) {
 // SetSA2Fault marks output port out's stage-2 SA arbiter faulty.
 func (r *Router) SetSA2Fault(out topology.Port, f bool) {
 	r.sa.Stage2(int(out)).SetFaulty(f)
+	r.pathOK = r.pathWord()
 }
 
 // SetXBFault marks output port out's primary crossbar multiplexer faulty.
@@ -81,6 +82,7 @@ func (r *Router) SetXBFault(out topology.Port, f bool) {
 	} else {
 		r.xbBase.SetMuxFaulty(int(out), f)
 	}
+	r.pathOK = r.pathWord()
 }
 
 // SetXBSecondaryFault marks output port out's secondary crossbar path

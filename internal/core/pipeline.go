@@ -19,7 +19,7 @@ func (r *Router) acceptInputs() {
 	for _, c := range r.inCredits {
 		r.creditReturn(topology.Port(c.out), int(c.vc))
 		if c.free {
-			r.outVCBusy[int(c.out)*V+int(c.vc)] = false
+			r.outBusy[c.out] &^= 1 << c.vc
 		}
 	}
 	r.inCredits = r.inCredits[:0]
@@ -43,14 +43,13 @@ func (r *Router) acceptInputs() {
 // port (each port has a single RC unit). In the protected router the
 // duplicate unit covers a faulty primary, and the SP/FSP fields are set
 // when the computed output port's regular path is unusable (Section V-D).
+// It visits only the ports and VCs in vc.Routing (rcPorts, rcWait).
 func (r *Router) rcStage(cy sim.Cycle) {
-	for p := 0; p < r.cfg.Ports; p++ {
-		m := r.occ[p]
-		if m == 0 {
-			continue
-		}
+	for ports := r.rcPorts; ports != 0; ports &= ports - 1 {
+		p := bits.TrailingZeros64(ports)
+		m := r.rcWait[p]
 		vcs := r.portVCs(p)
-		// Visit the occupied VCs from rcScan[p] upward, then the ones
+		// Visit the routing VCs from rcScan[p] upward, then the ones
 		// below it: the order (rcScan[p]+i) mod VCs takes them in.
 		below := m & (1<<uint(r.rcScan[p]) - 1)
 	scan:
@@ -58,7 +57,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 			for ; part != 0; part &= part - 1 {
 				idx := bits.TrailingZeros64(part)
 				q := &vcs[idx]
-				if q.G != vc.Routing || !headReady(q) {
+				if !headReady(q) {
 					continue
 				}
 				out, ok, unreachable := r.computeRoute(cy, p, q)
@@ -68,6 +67,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 					// the buffered flits one per cycle, returning credits
 					// upstream, until the tail releases the VC.
 					q.G = vc.Dropping
+					r.rcDone(p, idx)
 					r.dropping++
 					r.droppedPkts = append(r.droppedPkts, q.Front().Pkt)
 					r.rcScan[p] = r.vcAfter(idx)
@@ -80,7 +80,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				}
 				q.R = out
 				q.FSP = false
-				if r.cfg.FaultTolerant && !r.primaryPathUsable(out) {
+				if r.cfg.FaultTolerant && !r.primaryOK(out) {
 					if r.secondaryPathUsable(out) {
 						q.FSP = true
 						q.SP = topology.Port(r.xbProt.SecondaryOf(int(out)))
@@ -89,6 +89,9 @@ func (r *Router) rcStage(cy sim.Cycle) {
 					// reports the router failed.
 				}
 				q.G = vc.VCAlloc
+				r.rcDone(p, idx)
+				r.vaWait[p] |= 1 << uint(idx)
+				r.vaPorts |= 1 << uint(p)
 				if o := r.obs; o != nil {
 					o.RCCompute(cy, p, idx, int(out), r.rc[p].Faulty(0))
 					r.noteAdvance(p, idx)
@@ -175,7 +178,8 @@ func (r *Router) drainStage() {
 
 // primaryPathUsable reports whether output port out's regular path — its
 // SA stage-2 arbiter plus its primary crossbar multiplexer — is fault
-// free.
+// free. It probes the fault bits; the stages read its cached form,
+// primaryOK.
 func (r *Router) primaryPathUsable(out topology.Port) bool {
 	if r.sa.Stage2(int(out)).Faulty() {
 		return false
@@ -185,6 +189,9 @@ func (r *Router) primaryPathUsable(out topology.Port) bool {
 	}
 	return !r.xbBase.MuxFaulty(int(out))
 }
+
+// primaryOK is primaryPathUsable read from the path word.
+func (r *Router) primaryOK(out topology.Port) bool { return r.pathOK>>uint(out)&1 != 0 }
 
 // secondaryPathUsable reports whether output out can be reached through
 // the protected crossbar's secondary path: the neighbouring mux, the
@@ -198,20 +205,32 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 	return r.xbProt.SecondaryUsable(int(out)) && !r.sa.Stage2(sec).Faulty()
 }
 
+// freeDownVCs returns the request word of input VC v (q): the downstream
+// VCs of its routed output it may allocate — its class's, or the layer
+// fault-aware routing pinned it to — less the allocated ones. VA stage 1
+// arbitrates over it and the stall scan calls a VC with none
+// credit-starved.
+func (r *Router) freeDownVCs(q *vc.VC, v int) uint64 {
+	want := r.classWord[v]
+	if q.DvcLo < q.DvcHi {
+		want = spanWord(q.DvcLo, q.DvcHi)
+	}
+	return want &^ r.outBusy[q.R]
+}
+
 // vaStage runs the two-stage separable virtual-channel allocator,
 // including the protected router's arbiter borrowing.
 func (r *Router) vaStage(cy sim.Cycle) {
 	P, V := r.cfg.Ports, r.cfg.VCs
-	// Stage 1: each input VC in VCAlloc picks one candidate downstream VC.
+	// Stage 1: each input VC in VCAlloc (vaPorts, vaWait) picks one
+	// candidate downstream VC.
 	requested := false
-	for p := 0; p < P; p++ {
+	for ports := r.vaPorts; ports != 0; ports &= ports - 1 {
+		p := bits.TrailingZeros64(ports)
 		vcs := r.portVCs(p)
-		for m := r.occ[p]; m != 0; m &= m - 1 {
+		for m := r.vaWait[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
 			q := &vcs[v]
-			if q.G != vc.VCAlloc {
-				continue
-			}
 			arbVC := v
 			if r.va.Stage1Faulty(p, v) {
 				if !r.cfg.FaultTolerant {
@@ -240,23 +259,8 @@ func (r *Router) vaStage(cy sim.Cycle) {
 					o.VABorrow(cy, p, v, lender)
 				}
 			}
-			out := int(q.R)
-			cls := r.cfg.ClassOf(v)
-			lo, hi := r.cfg.ClassRange(cls)
-			if q.DvcLo < q.DvcHi {
-				// Fault-aware routing pinned the packet to a downstream
-				// VC layer; allocate only inside it.
-				lo, hi = q.DvcLo, q.DvcHi
-			}
-			// The request word: the free downstream VCs of the range.
-			var free uint64
-			busy := r.outVCBusy[out*V : (out+1)*V]
-			for dvc := lo; dvc < hi; dvc++ {
-				if !busy[dvc] {
-					free |= 1 << uint(dvc)
-				}
-			}
-			if free != 0 {
+			if free := r.freeDownVCs(q, v); free != 0 {
+				out := int(q.R)
 				if dvc, ok := r.va.Stage1(p, arbVC).GrantWord(free); ok {
 					r.va2req[(out*V+dvc)*P+p] |= 1 << uint(v)
 					r.va2any[out] |= 1 << uint(dvc)
@@ -305,7 +309,8 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			q := r.inVC(wp, wv)
 			q.G = vc.Active
 			q.OutVC = dvc
-			r.outVCBusy[out*V+dvc] = true
+			r.vaDone(wp, wv)
+			r.outBusy[out] |= 1 << uint(dvc)
 			if o := r.obs; o != nil {
 				o.VAAlloc(cy, wp, wv, out, dvc)
 				r.noteAdvance(wp, wv)
@@ -333,7 +338,7 @@ func (r *Router) saReady(q *vc.VC) bool {
 // SP/FSP so mid-packet faults are also rerouted). ok is false when no
 // usable path remains.
 func (r *Router) effectiveRequestPort(q *vc.VC) (topology.Port, bool) {
-	if r.primaryPathUsable(q.R) {
+	if r.primaryOK(q.R) {
 		q.FSP = false
 		return q.R, true
 	}
@@ -345,18 +350,23 @@ func (r *Router) effectiveRequestPort(q *vc.VC) (topology.Port, bool) {
 	return topology.Local, false
 }
 
+// saCands returns the VCs of input port p that switch allocation looks
+// at: the occupied ones that are past VC allocation (Active, or Dropping,
+// which saReady refuses).
+func (r *Router) saCands(p int) uint64 { return r.occ[p] &^ r.rcWait[p] &^ r.vaWait[p] }
+
 // saStage runs the two-stage separable switch allocator with the
 // protected router's bypass path and VC transfer.
 func (r *Router) saStage(cy sim.Cycle) {
-	// Stage 1: pick one VC per input port. An empty port has nothing to
-	// request — unless it is in bypass mode, whose default winner and
-	// adoption age advance on empty cycles too. Each winner is recorded in
-	// saWinners[p] and as bit p of sa2req[its request port], so stage 2
-	// finds its request words built and reads only the entries of this
-	// cycle's winners.
+	// Stage 1: pick one VC per input port. A port with no VC past VC
+	// allocation has nothing to request — unless it is in bypass mode,
+	// whose default winner and adoption age advance on empty cycles too.
+	// Each winner is recorded in saWinners[p] and as bit p of
+	// sa2req[its request port], so stage 2 finds its request words built
+	// and reads only the entries of this cycle's winners.
 	won := false
 	for p := 0; p < r.cfg.Ports; p++ {
-		m := r.occ[p]
+		m := r.saCands(p)
 		b := r.sa.Stage1(p)
 		if m == 0 && !b.Arb.Faulty() {
 			continue
@@ -477,7 +487,7 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 		return // default winner holds a packet that is simply not ready
 	}
 	cand := -1
-	for m := r.occ[port]; m != 0; m &= m - 1 { // dst is Idle: not in the mask
+	for m := r.saCands(port); m != 0; m &= m - 1 { // dst is Idle: not in the mask
 		v := bits.TrailingZeros64(m)
 		s := &vcs[v]
 		if s.G != vc.Active || s.Empty() {

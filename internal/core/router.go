@@ -160,9 +160,11 @@ type Router struct {
 	vcs []vc.VC
 
 	// Output-side bookkeeping: this router as upstream of each output
-	// port's downstream buffers, downstream VC v of output p at p*VCs+v.
-	credits   []int
-	outVCBusy []bool
+	// port's downstream buffers. credits holds downstream VC v of output p
+	// at p*VCs+v; outBusy[p] has bit v set while that VC is allocated (VA
+	// stage 2 sets it, its VC-free credit clears it).
+	credits []int
+	outBusy []uint64
 
 	// Occupancy state, derived from the VCs' G fields and the SA stage-1
 	// fault bits so the stages visit only VCs that hold a packet and Tick
@@ -178,6 +180,33 @@ type Router struct {
 	// dropping counts the VCs in vc.Dropping.
 	//noc:derived recomputed from the VC G states by RestoreState
 	dropping int
+
+	// Stage words, derived from the G fields like occ so that RC and VA
+	// stage 1 visit only the VCs in their own state and SA stage 1 skips
+	// them: rcWait[p] has bit v set iff VC (p, v) is in vc.Routing,
+	// vaWait[p] iff it is in vc.VCAlloc, and bit p of rcPorts (vaPorts) is
+	// set iff rcWait[p] (vaWait[p]) is non-zero. They move at the G
+	// transitions into and out of those two states: Idle→Routing in
+	// acceptInputs, Routing→VCAlloc and Routing→Dropping in rcStage,
+	// VCAlloc→Active in VA stage 2.
+	//noc:derived recomputed from the VC G states by RestoreState
+	rcWait []uint64
+	//noc:derived recomputed from the VC G states by RestoreState
+	vaWait []uint64
+	//noc:derived recomputed from the VC G states by RestoreState
+	rcPorts uint64
+	//noc:derived recomputed from the VC G states by RestoreState
+	vaPorts uint64
+	// pathOK has bit out set iff output out's regular path is usable
+	// (primaryPathUsable), so RC and SA test one bit per VC instead of
+	// probing the SA stage-2 arbiter and the crossbar multiplexer. The two
+	// setters of those fault bits and RestoreState recompute it.
+	//noc:derived recomputed from the SA stage-2 and crossbar fault bits by RestoreState
+	pathOK uint64
+	// classWord[v] has the downstream VCs of input VC v's message class
+	// set: what VA stage 1 requests from when routing pinned no VC layer.
+	//noc:derived immutable configuration, fixed at construction
+	classWord []uint64
 
 	// ID is the router's node id in the mesh.
 	//noc:derived immutable identity, fixed at construction
@@ -273,7 +302,19 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	for p := range r.rc {
 		r.rc[p] = *router.NewRCUnit(topo, cfg.FaultTolerant)
 	}
-	r.outVCBusy = make([]bool, P*V)
+	// The busy and class words, and the stall scan's advance marks one per
+	// port when observability is bound, share one small allocation: carved
+	// from the words block below they would push it past its 1 KiB size
+	// class at the paper's 5 ports and 4 VCs.
+	nb := P + V
+	if cfg.Obs != nil {
+		nb += P
+	}
+	busy := make([]uint64, nb)
+	r.outBusy, r.classWord, busy = busy[:P:P], busy[P:P+V:P+V], busy[P+V:]
+	for v := range r.classWord {
+		r.classWord[v] = spanWord(cfg.ClassRange(cfg.ClassOf(v)))
+	}
 	r.credits = make([]int, P*V)
 	for i := range r.credits {
 		r.credits[i] = cfg.Depth
@@ -290,18 +331,16 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	} else {
 		r.xbBase = crossbar.NewBaseline(P)
 	}
-	// The mask and request words: occ, va2any and sa2req one per port,
-	// va2req P per downstream VC, and the stall scan's advanced marks one
-	// per port when observability is bound.
-	nw := (3 + P*V) * P
-	if cfg.Obs != nil {
-		nw += P
-	}
-	words := make([]uint64, nw)
+	r.pathOK = r.pathWord()
+	// The mask and request words: occ, rcWait, vaWait, va2any and sa2req
+	// one per port, and va2req P per downstream VC.
+	words := make([]uint64, (5+P*V)*P)
 	r.occ, words = words[:P:P], words[P:]
+	r.rcWait, words = words[:P:P], words[P:]
+	r.vaWait, words = words[:P:P], words[P:]
 	r.va2any, words = words[:P:P], words[P:]
 	r.sa2req, words = words[:P:P], words[P:]
-	r.va2req, words = words[:P*V*P:P*V*P], words[P*V*P:]
+	r.va2req = words
 	r.saWinners = make([]saWinner, P)
 	// Pre-size the per-cycle staging latches to their flow-control bounds
 	// (one flit per port per cycle; credits bounded by total VCs plus the
@@ -312,7 +351,7 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	r.outCredits = make([]router.Credit, 0, P*V+P)
 	r.droppedPkts = make([]*flit.Packet, 0, P)
 	if r.obs = obs.BindRouter(cfg.Obs, id, P, V); r.obs != nil {
-		r.advanced = words
+		r.advanced = busy
 	}
 	return r, nil
 }
@@ -335,8 +374,9 @@ func (r *Router) FaultTolerant() bool { return r.cfg.FaultTolerant }
 
 // InputVC exposes input VC (p, v) for inspection by tests, the NI and the
 // invariant checkers. The returned VC is read-only outside this package:
-// the pipeline finds work through occupancy state derived from the G
-// field, so a G written through this pointer never reaches the stages.
+// the pipeline finds work through state derived from the G field — the
+// occupancy mask occ and the stage words rcWait and vaWait — so a G
+// written through this pointer never reaches the stages.
 func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return r.in[p].VCs[v] }
 
 // AcceptFlit delivers a flit to input port latch; it is buffered at the
@@ -410,15 +450,12 @@ func (r *Router) TakeOutCredits() []router.Credit {
 // downstream VCs are currently unallocated — used by the local NI to
 // decide whether a new packet can be injected.
 func (r *Router) FreeOutVCs(p topology.Port, cls int) int {
-	lo, hi := r.cfg.ClassRange(cls)
-	busy := r.outVCBusy[int(p)*r.cfg.VCs:]
-	n := 0
-	for v := lo; v < hi; v++ {
-		if !busy[v] {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(spanWord(r.cfg.ClassRange(cls)) &^ r.outBusy[p])
+}
+
+// spanWord returns the word with bits [lo, hi) set: a range of VCs.
+func spanWord(lo, hi int) uint64 {
+	return (1<<uint(hi) - 1) &^ (1<<uint(lo) - 1)
 }
 
 // Tick advances the router one cycle. Stages run in reverse pipeline
@@ -520,10 +557,12 @@ func (r *Router) PendingGrants(p topology.Port, v int) int {
 	return n
 }
 
-// vcOccupy records that input VC (p, v) left Idle.
+// vcOccupy records that input VC (p, v) left Idle for Routing.
 func (r *Router) vcOccupy(p topology.Port, v int) {
 	r.occ[p] |= 1 << uint(v)
 	r.occupied++
+	r.rcWait[p] |= 1 << uint(v)
+	r.rcPorts |= 1 << uint(p)
 }
 
 // vcRelease records that input VC (p, v) returned to Idle.
@@ -532,39 +571,87 @@ func (r *Router) vcRelease(p topology.Port, v int) {
 	r.occupied--
 }
 
-// portOccupancy recounts input port p's occupancy mask and its number of
-// Dropping VCs from the VCs themselves.
-func (r *Router) portOccupancy(p int) (mask uint64, dropping int) {
+// rcDone records that input VC (p, v) left Routing.
+func (r *Router) rcDone(p, v int) {
+	if r.rcWait[p] &^= 1 << uint(v); r.rcWait[p] == 0 {
+		r.rcPorts &^= 1 << uint(p)
+	}
+}
+
+// vaDone records that input VC (p, v) left VCAlloc.
+func (r *Router) vaDone(p, v int) {
+	if r.vaWait[p] &^= 1 << uint(v); r.vaWait[p] == 0 {
+		r.vaPorts &^= 1 << uint(p)
+	}
+}
+
+// portCount is one input port's occupancy state recounted from its VCs:
+// its occ, rcWait and vaWait words and its number of Dropping VCs.
+type portCount struct {
+	occ, rc, va uint64
+	dropping    int
+}
+
+// portOccupancy recounts input port p's occupancy state from the VCs
+// themselves.
+func (r *Router) portOccupancy(p int) (c portCount) {
 	vcs := r.portVCs(p)
 	for v := range vcs {
-		q := &vcs[v]
-		if q.G == vc.Idle {
+		bit := uint64(1) << uint(v)
+		switch vcs[v].G {
+		case vc.Idle:
 			continue
+		case vc.Routing:
+			c.rc |= bit
+		case vc.VCAlloc:
+			c.va |= bit
+		case vc.Dropping:
+			c.dropping++
 		}
-		mask |= 1 << uint(v)
-		if q.G == vc.Dropping {
-			dropping++
+		c.occ |= bit
+	}
+	return c
+}
+
+// portsOf returns the port mask of words: bit p set iff words[p] != 0.
+func portsOf(words []uint64) uint64 {
+	var m uint64
+	for p, w := range words {
+		if w != 0 {
+			m |= 1 << uint(p)
 		}
 	}
-	return mask, dropping
+	return m
+}
+
+// pathWord derives pathOK from the fault bits.
+func (r *Router) pathWord() uint64 {
+	var m uint64
+	for out := 0; out < r.cfg.Ports; out++ {
+		if r.primaryPathUsable(topology.Port(out)) {
+			m |= 1 << uint(out)
+		}
+	}
+	return m
 }
 
 // recount derives the occupancy state from the VCs and the SA stage-1
-// arbiters: the three totals and, per port, the mask, which it writes to
-// r.occ when store is set and otherwise compares with it. stale is the
-// first port whose maintained mask disagreed, -1 when none did.
+// arbiters: the three totals and, per port, the occ, rcWait and vaWait
+// words, which it writes to the router when store is set and otherwise
+// compares with it. stale is the first port whose maintained words
+// disagreed, -1 when none did.
 func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) {
 	stale = -1
 	for p := range r.occ {
-		m, d := r.portOccupancy(p)
-		if m != r.occ[p] && stale < 0 {
+		c := r.portOccupancy(p)
+		if stale < 0 && (c.occ != r.occ[p] || c.rc != r.rcWait[p] || c.va != r.vaWait[p]) {
 			stale = p
 		}
 		if store {
-			r.occ[p] = m
+			r.occ[p], r.rcWait[p], r.vaWait[p] = c.occ, c.rc, c.va
 		}
-		occupied += bits.OnesCount64(m)
-		dropping += d
+		occupied += bits.OnesCount64(c.occ)
+		dropping += c.dropping
 		if r.sa.Stage1(p).Arb.Faulty() {
 			sa1Faults++
 		}
@@ -572,28 +659,45 @@ func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) 
 	return occupied, dropping, sa1Faults, stale
 }
 
-// rebuildOccupancy recomputes the derived occupancy state from the VCs
-// and the SA stage-1 arbiters.
+// rebuildOccupancy recomputes the derived occupancy state — the totals,
+// the occupancy and stage words, their port masks and the path word —
+// from the VCs and the fault bits.
 func (r *Router) rebuildOccupancy() {
 	r.occupied, r.dropping, r.sa1Faults, _ = r.recount(true)
+	r.rcPorts, r.vaPorts = portsOf(r.rcWait), portsOf(r.vaWait)
+	r.pathOK = r.pathWord()
 }
 
 // CheckOccupancy recounts the derived occupancy state from the VCs and
 // arbiters and returns an error describing the first disagreement with
-// what the pipeline maintains incrementally. It must be called between
-// Ticks, where the allocators' stage-2 request words must also be zero.
-// It is the runtime half of the //noc:derived markers on those fields,
-// run every cycle under the nocassert build tag (so it allocates nothing
-// on the passing path).
+// what the pipeline maintains incrementally: the occupancy and stage
+// words, the totals, the port masks and the path word; the busy words
+// must mark no VC the port lacks. It must be called between Ticks, where
+// the allocators' stage-2 request words must also be zero. It is the
+// runtime half of the //noc:derived markers on those fields, run every
+// cycle under the nocassert build tag (so it allocates nothing on the
+// passing path).
 func (r *Router) CheckOccupancy() error {
 	occupied, dropping, sa1Faults, stale := r.recount(false)
 	if stale >= 0 {
-		m, _ := r.portOccupancy(stale)
-		return fmt.Errorf("port %v occupancy mask %#x, VCs say %#x", topology.Port(stale), r.occ[stale], m)
+		c := r.portOccupancy(stale)
+		return fmt.Errorf("port %v occ/rcWait/vaWait = %#x/%#x/%#x, VCs say %#x/%#x/%#x", topology.Port(stale),
+			r.occ[stale], r.rcWait[stale], r.vaWait[stale], c.occ, c.rc, c.va)
 	}
 	if occupied != r.occupied || dropping != r.dropping || sa1Faults != r.sa1Faults {
 		return fmt.Errorf("occupied/dropping/sa1Faults = %d/%d/%d, VCs and arbiters say %d/%d/%d",
 			r.occupied, r.dropping, r.sa1Faults, occupied, dropping, sa1Faults)
+	}
+	if rc, va := portsOf(r.rcWait), portsOf(r.vaWait); rc != r.rcPorts || va != r.vaPorts {
+		return fmt.Errorf("rcPorts/vaPorts = %#x/%#x, stage words say %#x/%#x", r.rcPorts, r.vaPorts, rc, va)
+	}
+	if m := r.pathWord(); m != r.pathOK {
+		return fmt.Errorf("pathOK = %#x, fault bits say %#x", r.pathOK, m)
+	}
+	for out, w := range r.outBusy {
+		if extra := w &^ spanWord(0, r.cfg.VCs); extra != 0 {
+			return fmt.Errorf("output %v busy word %#x marks downstream VCs %#x the port lacks", topology.Port(out), w, extra)
+		}
 	}
 	for i, w := range r.va2req {
 		if w != 0 {

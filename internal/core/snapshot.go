@@ -43,7 +43,7 @@ import (
 //	           bypass default winner, bypass grants since rotation,
 //	           SA stage-2 priority, port flags (the seven fault bits)
 //	  per VC:  credits, VA stage-1 priority, VA stage-2 priority,
-//	           VC flags (outVCBusy, the two VA fault bits, entry follows)
+//	           VC flags (the outBusy bit, the two VA fault bits, entry follows)
 //	           and, only for a VC that is not in its reset state
 //	           (vc.VC.IsReset), its entry: G, R, OutVC, R2, ID, SP,
 //	           VF|FSP|Detour, DvcLo, DvcHi, number of buffered flits
@@ -182,12 +182,12 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 		rec = put(put(put(rec, r.rcScan[p]), r.saAdopted[p]), r.saAdoptAge[p])
 		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa.Stage2(p).Prio())
 		rec = put(rec, flags)
-		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outVCBusy[p*V:(p+1)*V]
+		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outBusy[p]
 		for v := 0; v < V; v++ {
 			q := &vcs[v]
 			entry := !q.IsReset()
 			rec = put(put(put(rec, credits[v]), r.va.Stage1(p, v).Prio()), r.va.Stage2(p, v).Prio())
-			rec = put(rec, bit(busy[v], vcOutBusy)|bit(r.va.Stage1Faulty(p, v), vcVA1Faulty)|
+			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(r.va.Stage1Faulty(p, v), vcVA1Faulty)|
 				bit(r.va.Stage2(p, v).Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
 			if entry {
 				rec, fl = saveVC(rec, fl, q, cloneFlit)
@@ -265,7 +265,8 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 		} else {
 			r.xbBase.SetMuxFaulty(p, flags&portXBMux != 0)
 		}
-		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outVCBusy[p*V:(p+1)*V]
+		vcs, credits := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V]
+		var busy uint64
 		for v := 0; v < V; v++ {
 			slot := rec[i : i+4 : i+4]
 			i += 4
@@ -273,7 +274,9 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 			credits[v] = int(slot[0])
 			r.va.Stage1(p, v).SetPrio(int(slot[1]))
 			r.va.Stage2(p, v).SetPrio(int(slot[2]))
-			busy[v] = flags&vcOutBusy != 0
+			if flags&vcOutBusy != 0 {
+				busy |= 1 << uint(v)
+			}
 			r.va.SetStage1Faulty(p, v, flags&vcVA1Faulty != 0)
 			r.va.Stage2(p, v).SetFaulty(flags&vcVA2Faulty != 0)
 			if q := &vcs[v]; flags&vcHasEntry != 0 {
@@ -285,6 +288,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 				q.ClearBorrow()
 			}
 		}
+		r.outBusy[p] = busy
 	}
 	if i != len(rec) || len(fl) != 0 {
 		panic(fmt.Sprintf("core: RestoreState: read %d of %d record values, %d flits left over: save and restore disagree on the record layout", i, len(rec), len(fl)))
@@ -373,7 +377,7 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			for _, f := range fs {
 				b = AppendCanonicalFlit(b, f)
 			}
-			b = appB(b, r.outVCBusy[p*V+v])
+			b = appB(b, r.outBusy[p]>>uint(v)&1 != 0)
 			b = appI(b, r.credits[p*V+v])
 			b = appI(b, r.va.Stage1(p, v).Prio())
 			b = appI(b, r.va.Stage2(p, v).Prio())

@@ -14,8 +14,9 @@ import (
 )
 
 // This file keeps the field-by-field save/restore that the sequential
-// record of snapshot.go replaced, verbatim but for the ref prefix and
-// the VC buffer refill (vc.SetFlits became Clear + Push): one slice per
+// record of snapshot.go replaced, verbatim but for the ref prefix, the
+// VC buffer refill (vc.SetFlits became Clear + Push) and the busy bits
+// (the router's []bool became one word per output port): one slice per
 // saved field, one vcState per input VC, flits held by pointer. It is
 // the oracle of TestRouterStateMatchesReference. (internal/noc keeps the
 // old network snapshot the same way and fuzzes the two layouts against
@@ -89,7 +90,9 @@ func (r *Router) refSaveStateInto(old *refRouterState, cloneFlit func(*flit.Flit
 	s.xbSecPresent = r.xbProt != nil
 	s.counters = r.Counters
 	for p := 0; p < P; p++ {
-		copy(s.outVCBusy[p], r.outVCBusy[p*V:])
+		for v := range s.outVCBusy[p] {
+			s.outVCBusy[p][v] = r.outBusy[p]>>uint(v)&1 != 0
+		}
 		copy(s.credits[p], r.credits[p*V:])
 		for v := 0; v < V; v++ {
 			refSaveVC(&s.vcs[p][v], r.in[p].VCs[v], cloneFlit)
@@ -186,7 +189,12 @@ func (r *Router) refRestoreState(s *refRouterState, cloneFlit func(*flit.Flit) *
 	}
 	P, V := r.cfg.Ports, r.cfg.VCs
 	for p := 0; p < P; p++ {
-		copy(r.outVCBusy[p*V:], s.outVCBusy[p])
+		r.outBusy[p] = 0
+		for v, busy := range s.outVCBusy[p] {
+			if busy {
+				r.outBusy[p] |= 1 << uint(v)
+			}
+		}
 		copy(r.credits[p*V:], s.credits[p])
 		for v := 0; v < V; v++ {
 			refRestoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit)

@@ -68,22 +68,10 @@ func (r *Router) stallScan(cy sim.Cycle) {
 					o.Stall(obs.StallArbLost, p, v)
 				}
 			case vc.VCAlloc:
-				out := int(q.R)
-				lo, hi := r.cfg.ClassRange(r.cfg.ClassOf(v))
-				if q.DvcLo < q.DvcHi {
-					lo, hi = q.DvcLo, q.DvcHi
-				}
-				free := false
-				for dvc := lo; dvc < hi; dvc++ {
-					if !r.outVCBusy[out*V+dvc] {
-						free = true
-						break
-					}
-				}
 				switch {
 				case q.Detour || q.FSP:
 					o.Stall(obs.StallRouteBlocked, p, v)
-				case !free:
+				case r.freeDownVCs(q, v) == 0:
 					// Every eligible downstream VC is allocated: the wait
 					// is downstream occupancy, not this router's arbiters.
 					o.Stall(obs.StallCreditStarved, p, v)
@@ -95,7 +83,7 @@ func (r *Router) stallScan(cy sim.Cycle) {
 					continue // body flits still on the wire
 				}
 				switch {
-				case !r.primaryPathUsable(q.R) && !r.secondaryPathUsable(q.R):
+				case !r.primaryOK(q.R) && !r.secondaryPathUsable(q.R):
 					o.Stall(obs.StallRouteBlocked, p, v)
 				case q.Detour || q.FSP:
 					o.Stall(obs.StallRouteBlocked, p, v)

@@ -19,8 +19,10 @@ type stallReport struct {
 }
 
 // refStallScan is the stall classifier the mask-driven scan replaced,
-// kept verbatim as the reference oracle: it walks every VC of every
-// port, skips the ones marked advanced, and switches on the VC's state.
+// kept verbatim as the reference oracle but for the busy bits (the
+// router's []bool became one word per output port): it walks every VC
+// of every port, skips the ones marked advanced, and switches on the
+// VC's state.
 // It returns the classes instead of recording them and leaves the
 // advance marks for the production scan to consume.
 func refStallScan(r *Router) []stallReport {
@@ -57,7 +59,7 @@ func refStallScan(r *Router) []stallReport {
 				}
 				free := false
 				for dvc := lo; dvc < hi; dvc++ {
-					if !r.outVCBusy[out*V+dvc] {
+					if r.outBusy[out]>>uint(dvc)&1 == 0 {
 						free = true
 						break
 					}
@@ -206,24 +208,7 @@ func TestStallScanMatchesReference(t *testing.T) {
 			twin, twinObs := build()
 			cfg := f.r.Config()
 
-			// held[i] are the downstream credits to hand back i cycles on.
 			held := make([][]CreditIn, tc.creditDelay+1)
-			collect := func(f *feeder) {
-				if tc.creditDelay == 0 {
-					f.collect()
-					return
-				}
-				for _, of := range f.r.TakeOutFlits() {
-					held[tc.creditDelay] = append(held[tc.creditDelay],
-						CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
-				}
-				f.collect() // no out flits left: the upstream credits alone
-				for _, c := range held[0] {
-					f.r.AcceptCredit(c)
-				}
-				copy(held, held[1:])
-				held[tc.creditDelay] = nil
-			}
 
 			var seen [obs.NumStallKinds]uint64
 			prev := stallCounts(o.Metrics, f.r.ID, cfg)
@@ -231,7 +216,7 @@ func TestStallScanMatchesReference(t *testing.T) {
 				f.offer()
 				want := tickWithRef(f.r, f.cycle)
 				f.cycle++
-				collect(f)
+				f.collectHeld(held)
 
 				now := stallCounts(o.Metrics, f.r.ID, cfg)
 				var got []stallReport

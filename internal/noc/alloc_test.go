@@ -297,6 +297,9 @@ func BenchmarkStep(b *testing.B) {
 	}{
 		{"mesh-8x8-w1", "", 8, 8, 1, 0.02},
 		{"mesh-16x16-w1", "", 16, 16, 1, 0.02},
+		// Near saturation, the load sweep's busiest point: most occupied
+		// VCs are past VC allocation, where the stage words pay.
+		{"mesh-16x16-sat-w1", "", 16, 16, 1, 0.03},
 		{"mesh-32x32-w1", "", 32, 32, 1, 0.02},
 		{"mesh-64x64-w1", "", 64, 64, 1, 0.02},
 		{"mesh-64x64-w2", "", 64, 64, 2, 0.02},

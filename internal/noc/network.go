@@ -706,7 +706,8 @@ func (n *Network) runPhase(phase stepPhase, c sim.Cycle) {
 // latched flits and credits, tick the NI (which streams at most one flit
 // into the router's local port) and tick the router. Everything touched
 // here is either owned by node id or safe for concurrent use (obs
-// counters are atomic, the tracer is locked), so computeNode runs
+// counters are atomic; trace events go to the node's own lane, written
+// only by the worker that owns the node), so computeNode runs
 // concurrently for distinct nodes. The phasesafety analyzer (see
 // internal/analysis) checks that nothing reachable from here calls a
 // //noc:commit-only function or writes a //noc:committed field.

@@ -22,6 +22,11 @@ type jobPanic struct {
 	value any
 }
 
+// panicRecorded, when non-nil, is called once Run has recorded the
+// first job panic, before the panicking worker moves on: a test hook
+// that lets a test hold the other jobs until dispatch must stop.
+var panicRecorded func()
+
 // Run executes job(0..n-1) on up to workers goroutines and returns the
 // results in index order. workers <= 0 selects GOMAXPROCS. Jobs must be
 // independent; each should derive any randomness from its index so the
@@ -63,10 +68,14 @@ func Run[T any](n, workers int, job func(i int) T) []T {
 					defer func() {
 						if r := recover(); r != nil {
 							mu.Lock()
-							if failed == nil {
+							first := failed == nil
+							if first {
 								failed = &jobPanic{job: i, value: r}
 							}
 							mu.Unlock()
+							if first && panicRecorded != nil {
+								panicRecorded()
+							}
 						}
 					}()
 					results[i] = job(i)

@@ -142,21 +142,31 @@ func TestRunPanicPropagation(t *testing.T) {
 }
 
 // TestRunPanicStopsDispatch: after a panic is captured, workers stop
-// claiming new jobs rather than burning through the remaining queue.
+// claiming new jobs rather than burning through the remaining queue. Job
+// 0 panics and every other job waits until Run has recorded that panic,
+// so however the workers are scheduled each of them runs at most the
+// one job it held when dispatch stopped: exactly one job at one worker,
+// at most one per worker at two.
 func TestRunPanicStopsDispatch(t *testing.T) {
-	var ran atomic.Int32
-	func() {
-		defer func() { recover() }()
-		Run(1000, 2, func(i int) int {
-			ran.Add(1)
-			if i == 0 {
-				panic("first job dies")
-			}
-			return i
-		})
-	}()
-	if n := ran.Load(); n == 1000 {
-		t.Error("all jobs ran after the panic; dispatch did not stop")
+	defer func() { panicRecorded = nil }()
+	for _, workers := range []int{1, 2} {
+		recorded := make(chan struct{})
+		panicRecorded = func() { close(recorded) }
+		var ran atomic.Int32
+		func() {
+			defer func() { recover() }()
+			Run(1000, workers, func(i int) int {
+				ran.Add(1)
+				if i == 0 {
+					panic("first job dies")
+				}
+				<-recorded
+				return i
+			})
+		}()
+		if n := ran.Load(); n < 1 || int(n) > workers || workers == 1 && n != 1 {
+			t.Errorf("%d workers: %d jobs ran around a panic, want 1..%d: dispatch did not stop", workers, n, workers)
+		}
 	}
 }
 
