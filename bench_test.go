@@ -1,21 +1,16 @@
-// Benchmarks regenerating every table and figure of the paper, plus
-// microbenchmarks of the simulator core. Each experiment benchmark
-// reports the paper's headline quantity as a custom metric, so
+// Benchmarks of the paper's simulated experiments, plus microbenchmarks
+// of the simulator core. Each experiment benchmark reports the paper's
+// headline quantity as a custom metric:
 //
-//	go test -bench=. -benchmem
+//	BenchmarkCampaign_FaultsToFailure — Monte-Carlo fault campaigns
+//	BenchmarkFig7_SPLASH2             — Figure 7 (overall ≈ +10%)
+//	BenchmarkFig8_PARSEC              — Figure 8 (overall ≈ +13%)
+//	BenchmarkAblation_*               — design-choice sweeps (DESIGN.md)
+//	BenchmarkDegradationCurve         — latency vs accumulated faults
 //
-// reproduces the full evaluation in one run:
-//
-//	BenchmarkTableI_BaselineFIT      — Table I   (total_FIT ≈ 2822)
-//	BenchmarkTableII_CorrectionFIT   — Table II  (total_FIT = 646)
-//	BenchmarkMTTF_Improvement        — Eq. 4–7   (improvement ≈ 6.2×)
-//	BenchmarkTableIII_SPF            — Table III (proposed SPF ≈ 11.4)
-//	BenchmarkSPF_VCSweep             — Section VIII-E corollary
-//	BenchmarkCampaign_FaultsToFailure— Monte-Carlo fault campaigns
-//	BenchmarkAreaPower_Overhead      — Section VI-A (31% / 30%)
-//	BenchmarkCriticalPath            — Section VI-B (0/20/10/25%)
-//	BenchmarkFig7_SPLASH2            — Figure 7 (overall ≈ +10%)
-//	BenchmarkFig8_PARSEC             — Figure 8 (overall ≈ +13%)
+// The analytic results (Tables I–III, Eq. 4–7, Sections VI-A/VI-B) are
+// not benchmarks: `noctool paper` prints them, and EXPERIMENTS.md holds
+// that output as a block cmd/noctool's tests regenerate and compare.
 package gonoc
 
 import (
@@ -23,83 +18,19 @@ import (
 	"strings"
 	"testing"
 
-	"gonoc/internal/area"
-	"gonoc/internal/core"
 	"gonoc/internal/experiments"
 	"gonoc/internal/fault"
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
-	"gonoc/internal/reliability"
 	"gonoc/internal/router"
 	"gonoc/internal/traffic"
 )
 
-// --- Experiment benchmarks (one per table / figure) ---
-
-func BenchmarkTableI_BaselineFIT(b *testing.B) {
-	lib := reliability.DefaultFITLibrary()
-	spec := reliability.PaperSpec()
-	var s reliability.StageFIT
-	for i := 0; i < b.N; i++ {
-		s = reliability.BaselineStageFIT(lib, spec)
-	}
-	b.ReportMetric(s.RC, "RC_FIT")
-	b.ReportMetric(s.VA, "VA_FIT")
-	b.ReportMetric(s.SA, "SA_FIT")
-	b.ReportMetric(s.XB, "XB_FIT")
-	b.ReportMetric(s.Total(), "total_FIT")
-}
-
-func BenchmarkTableII_CorrectionFIT(b *testing.B) {
-	lib := reliability.DefaultFITLibrary()
-	spec := reliability.PaperSpec()
-	var s reliability.StageFIT
-	for i := 0; i < b.N; i++ {
-		s = reliability.CorrectionStageFIT(lib, spec)
-	}
-	b.ReportMetric(s.RC, "RC_FIT")
-	b.ReportMetric(s.VA, "VA_FIT")
-	b.ReportMetric(s.SA, "SA_FIT")
-	b.ReportMetric(s.XB, "XB_FIT")
-	b.ReportMetric(s.Total(), "total_FIT")
-}
-
-func BenchmarkMTTF_Improvement(b *testing.B) {
-	lib := reliability.DefaultFITLibrary()
-	spec := reliability.PaperSpec()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		imp = reliability.Improvement(lib, spec)
-	}
-	b.ReportMetric(reliability.MTTFBaseline(lib, spec), "MTTF_baseline_h")
-	b.ReportMetric(reliability.MTTFProtected(lib, spec), "MTTF_protected_h")
-	b.ReportMetric(imp, "improvement_x")
-}
-
-func BenchmarkTableIII_SPF(b *testing.B) {
-	var rows []reliability.SPFResult
-	for i := 0; i < b.N; i++ {
-		rows = experiments.SPFTable()
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.SPF, metricName(r.Design)+"_SPF")
-	}
-}
+// --- Experiment benchmarks ---
 
 // metricName makes a design or app name usable as a benchmark metric
 // unit (no whitespace allowed).
 func metricName(s string) string { return strings.ReplaceAll(s, " ", "_") }
-
-func BenchmarkSPF_VCSweep(b *testing.B) {
-	vcs := []int{2, 4, 8}
-	var rows []reliability.SPFResult
-	for i := 0; i < b.N; i++ {
-		rows = experiments.SPFVCSweep(vcs)
-	}
-	b.ReportMetric(rows[0].SPF, "SPF_2VC")
-	b.ReportMetric(rows[1].SPF, "SPF_4VC")
-	b.ReportMetric(rows[2].SPF, "SPF_8VC")
-}
 
 func BenchmarkCampaign_FaultsToFailure(b *testing.B) {
 	const trials = 2000
@@ -111,27 +42,6 @@ func BenchmarkCampaign_FaultsToFailure(b *testing.B) {
 			}
 		}
 	}
-}
-
-func BenchmarkAreaPower_Overhead(b *testing.B) {
-	var rep experiments.AreaReport
-	for i := 0; i < b.N; i++ {
-		rep = experiments.Area()
-	}
-	b.ReportMetric(rep.AreaOverhead*100, "area_pct")
-	b.ReportMetric(rep.PowerOverhead*100, "power_pct")
-}
-
-func BenchmarkCriticalPath(b *testing.B) {
-	var prot area.StageBreakdown
-	cp := area.DefaultCritPath()
-	for i := 0; i < b.N; i++ {
-		prot = cp.ProtectedPs()
-	}
-	b.ReportMetric(cp.Overhead(core.StageVA)*100, "VA_pct")
-	b.ReportMetric(cp.Overhead(core.StageSA)*100, "SA_pct")
-	b.ReportMetric(cp.Overhead(core.StageXB)*100, "XB_pct")
-	b.ReportMetric(prot.VA, "VA_protected_ps")
 }
 
 // figureBench runs a whole suite once per iteration; at default benchtime

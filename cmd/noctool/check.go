@@ -31,8 +31,11 @@ func runCheck(args []string) error {
 	sabotage := fs.Int("sabotage", -1, "arm the credit-loss sabotage transition at this node (expects a DEADLOCK verdict; checker self-test)")
 	crossval := fs.Bool("crossval", false, "also cross-check the faults-to-failure campaign against the exact combinatorial mean")
 	trials := fs.Int("trials", 4000, "campaign trials for -crossval")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if *crossval && *trials < 1 {
+		return fmt.Errorf("-trials must be >= 1, got %d", *trials)
 	}
 	retx := noc.RetxConfig{Timeout: sim.Cycle(*retxTimeout), MaxRetries: *retxRetries}
 	opt := modelcheck.Options{MaxStates: *maxStates, MaxDepth: *maxDepth, Budget: *budget}

@@ -43,6 +43,12 @@ func TestSimFlagValidation(t *testing.T) {
 		{"torus missing link still rejected", []string{"-topo", "torus", "-width", "4", "-height", "1", "-inject", "0:link:n"},
 			"has no N link"},
 		{"cmesh link fault ok", []string{"-topo", "cmesh", "-conc", "2", "-inject", "5:link:e"}, ""},
+		// The traffic patterns panic on grids they cannot serve, and the
+		// traffic is built before noc.New rejects the grid.
+		{"one-router mesh", []string{"-width", "1", "-height", "1"}, "a 1x1 mesh has one node"},
+		{"one-router cmesh", []string{"-topo", "cmesh", "-conc", "4", "-width", "1", "-height", "1"}, "a 1x1 cmesh has one node"},
+		{"transpose on a rectangle", []string{"-pattern", "transpose", "-width", "4", "-height", "2"},
+			"-pattern transpose needs a square grid, got 4x2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +58,7 @@ func TestSimFlagValidation(t *testing.T) {
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatalf("flag parse: %v", err)
 			}
-			n, err := sf.build(nil)
+			n, _, err := sf.build(nil)
 			if n != nil {
 				n.Close()
 			}
@@ -122,8 +128,8 @@ func TestCommandFlagValidation(t *testing.T) {
 		{"replay width 0", runReplay, []string{"-i", recorded, "-width", "0"}, "invalid mesh 0x8"},
 		{"replay on a smaller grid", runReplay, []string{"-i", recorded, "-width", "4", "-height", "4"},
 			"outside the 4x4 mesh"},
-		{"trace events 0", runTrace, []string{"-o", out, "-events", "0"}, "-events must be >= 1"},
-		{"spans events 0", runSpans, []string{"-events", "0"}, "-events must be >= 1"},
+		{"trace events 0", runView("trace"), []string{"-o", out, "-events", "0"}, "-events must be >= 1"},
+		{"spans events 0", runView("spans"), []string{"-events", "0"}, "-events must be >= 1"},
 		{"campaign negative trials", runCampaign, []string{"-trials", "-5"}, "-trials must be >= 1"},
 		{"campaign zero trials", runCampaign, []string{"-trials", "0"}, "-trials must be >= 1"},
 		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},
@@ -131,13 +137,21 @@ func TestCommandFlagValidation(t *testing.T) {
 		{"latency no faults in the faulty half", runLatency, []string{"-suite", "splash2", "-fault-mean", "0"}, "-fault-mean must be >= 1"},
 		{"sim warmup covers the run", runSim, []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
 		{"sim warmup equals the run", runSim, []string{"-cycles", "500", "-warmup", "500"}, "-cycles (500) must exceed -warmup (500)"},
-		{"metrics warmup covers the run", runMetrics, []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
-		{"serve warmup covers the run", func(args []string) error { return serveSim(args, nil, nil) },
-			[]string{"-addr", "127.0.0.1:0", "-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
+		{"metrics warmup covers the run", runView("metrics"), []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
+		{"serve warmup covers the run", runSim,
+			[]string{"-telemetry", "127.0.0.1:0", "-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
+		{"sim endless without telemetry", runSim, []string{"-cycles", "0"}, "-cycles 0 runs until interrupted and needs -telemetry"},
+		{"sim interval without telemetry", runSim, []string{"-interval", "256"}, "-interval needs -telemetry"},
+		{"observe no view", runObserve, nil, "want a view: metrics, spans, heatmap, flightrec, trace"},
+		{"observe unknown view", runObserve, []string{"serve"}, `unknown view "serve"`},
+		{"paper stray argument", runPaper, []string{"tables"}, `unexpected argument "tables"`},
 		{"sim inject VC past the port's", runSim, []string{"-inject", "0:va1:n:9"}, "VC index 9 outside the port's 4 VCs"},
 		{"sim baseline inject rcdup", runSim, []string{"-baseline", "-inject", "0:rcdup:e"}, "no correction circuitry"},
 		{"sim baseline inject xbsec", runSim, []string{"-baseline", "-inject", "0:xbsec:e"}, "no correction circuitry"},
 		{"sim inject port past the router's", runSim, []string{"-inject", "0:rc:7"}, "port 7 outside the router's 5 ports"},
+		{"campaign one-router grid", runCampaign, []string{"-inject", "0:router", "-width", "1", "-height", "1"}, "invalid 1x1 dimensions"},
+		{"campaign one-column grid", runCampaign, []string{"-inject", "0:router", "-width", "1", "-height", "2"}, "invalid 1x2 dimensions"},
+		{"check crossval negative trials", runCheck, []string{"-mc", "1", "-crossval", "-trials", "-5"}, "-trials must be >= 1"},
 		{"campaign inject VC past the port's", runCampaign, []string{"-inject", "0:va1:n:9"}, "VC index 9 outside the port's 4 VCs"},
 		{"replay sixth field", runReplay, []string{"-i", sixth}, "line 1: want cycle,src,dst,class,size, got 6 fields"},
 		{"replay trailing junk", runReplay, []string{"-i", trailing}, "line 1: "},

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,38 +16,27 @@ import (
 	"gonoc/internal/topology"
 )
 
-// runHeatmap runs a simulation with the windowed link-utilization ring
-// attached and renders the result: per-direction ASCII link heatmaps, a
-// top-N bottleneck report with each link's stall mix, or the raw JSON
-// document (-json), matching what a live run serves on /heatmap.
-func runHeatmap(args []string) error {
-	fs := flag.NewFlagSet("heatmap", flag.ContinueOnError)
-	sf := addSimFlags(fs)
+// heatmapView renders the windowed link-utilization ring: per-direction
+// ASCII link heatmaps and a top-N bottleneck report with each link's
+// stall mix, or the raw JSON document (-json), matching what a live run
+// serves on /heatmap.
+func heatmapView(fs *flag.FlagSet) func(*simFlags) (plan, error) {
 	bucket := fs.Uint64("bucket", uint64(obs.DefaultBucketCycles), "cycles per utilization window bucket")
 	windows := fs.Int("windows", obs.DefaultWindowBucket, "window buckets retained in the ring")
 	top := fs.Int("top", 10, "bottleneck links to report")
 	asJSON := fs.Bool("json", false, "emit the heatmap document as JSON instead of text")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(*simFlags) (plan, error) {
+		return plan{newObs: windowed(sim.Cycle(*bucket), *windows), print: func(n *noc.Network, o *obs.Observer) error {
+			snap := o.Windows.Snapshot()
+			if *asJSON {
+				enc := json.NewEncoder(os.Stdout)
+				enc.SetIndent("", "  ")
+				return enc.Encode(telemetry.NewHeatmap(n.Now(), snap, *top))
+			}
+			fmt.Print(formatHeatmap(n, snap, *top))
+			return nil
+		}}, nil
 	}
-	o, err := sf.observer(recorders{windows: true, bucketCycles: sim.Cycle(*bucket), buckets: *windows})
-	if err != nil {
-		return err
-	}
-	n, err := sf.build(o)
-	if err != nil {
-		return err
-	}
-	defer n.Close()
-	n.Run(sim.Cycle(*sf.cycles))
-	snap := o.Windows.Snapshot()
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(telemetry.NewHeatmap(n.Now(), snap, *top))
-	}
-	fmt.Print(formatHeatmap(n, snap, *top))
-	return nil
 }
 
 // stallTotal sums a link's stall mix.
@@ -73,33 +63,23 @@ func formatHeatmap(n *noc.Network, snap obs.WindowSnapshot, top int) string {
 
 	topo := n.Topo()
 	w, h := topo.Dims()
-	var max uint64
+	var peak uint64
 	flits := map[[2]int]uint64{}
 	for _, lt := range totals {
 		flits[[2]int{lt.Node, lt.Port}] = lt.Flits
-		if lt.Flits > max {
-			max = lt.Flits
-		}
+		peak = max(peak, lt.Flits)
 	}
 	for _, dir := range []topology.Port{topology.North, topology.East, topology.South, topology.West} {
-		fmt.Fprintf(&b, "\noutbound %v links (max %d flits)\n", dir, max)
+		fmt.Fprintf(&b, "\noutbound %v links (max %d flits)\n", dir, peak)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				id := topo.ID(topology.Coord{X: x, Y: y})
 				if _, ok := topo.Neighbor(id, dir); !ok {
 					b.WriteString("  ") // mesh edge: no link in this direction
-					continue
-				}
-				f := flits[[2]int{id, int(dir)}]
-				switch {
-				case max == 0 || f == 0:
+				} else if f := flits[[2]int{id, int(dir)}]; f == 0 {
 					b.WriteString(" .")
-				default:
-					v := f * 9 / max
-					if v == 0 {
-						v = 1
-					}
-					fmt.Fprintf(&b, " %d", v)
+				} else {
+					fmt.Fprintf(&b, " %d", max(f*9/peak, 1)) // 0-9 scale; any traffic shows as at least 1
 				}
 			}
 			b.WriteByte('\n')
@@ -109,8 +89,7 @@ func formatHeatmap(n *noc.Network, snap obs.WindowSnapshot, top int) string {
 	// Bottleneck ranking: stalled flit-cycles first — a saturated link
 	// and an idle one can carry the same flit count, but only the
 	// bottleneck makes traffic wait.
-	ranked := make([]obs.LinkTotal, len(totals))
-	copy(ranked, totals)
+	ranked := slices.Clone(totals)
 	sort.SliceStable(ranked, func(i, j int) bool {
 		si, sj := stallTotal(ranked[i]), stallTotal(ranked[j])
 		if si != sj {

@@ -13,16 +13,23 @@ import (
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
-// printed. The reader drains concurrently: heatmap JSON documents exceed
-// the pipe buffer, so reading after fn returns would deadlock.
+// printed.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected and
+// returns what it printed. The reader drains concurrently: heatmap JSON
+// documents exceed the pipe buffer, so reading after fn returns would
+// deadlock.
+func capture(t *testing.T, f **os.File, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		out, _ := io.ReadAll(r)
@@ -30,7 +37,7 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	}()
 	runErr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-done, runErr
 }
 
@@ -46,7 +53,7 @@ func TestRunHeatmapFaultedBottleneck(t *testing.T) {
 		"-rate", "0.01", "-inject", "27:link:e",
 	}
 	out, err := captureStdout(t, func() error {
-		return runHeatmap(append([]string{"-top", "8"}, scenario...))
+		return runView("heatmap")(append([]string{"-top", "8"}, scenario...))
 	})
 	if err != nil {
 		t.Fatalf("heatmap: %v", err)
@@ -73,7 +80,7 @@ func TestRunHeatmapFaultedBottleneck(t *testing.T) {
 	// JSON mode on the same scenario: the full document must show
 	// route-blocked stalls concentrated at the dead link's router.
 	out, err = captureStdout(t, func() error {
-		return runHeatmap(append([]string{"-top", "0", "-json"}, scenario...))
+		return runView("heatmap")(append([]string{"-top", "0", "-json"}, scenario...))
 	})
 	if err != nil {
 		t.Fatalf("heatmap -json: %v", err)
@@ -105,7 +112,7 @@ func TestRunHeatmapFaultedBottleneck(t *testing.T) {
 // space: with every link healthy, congestion is credit/arbitration only.
 func TestRunHeatmapFaultFreeHasNoRouteStalls(t *testing.T) {
 	out, err := captureStdout(t, func() error {
-		return runHeatmap([]string{
+		return runView("heatmap")([]string{
 			"-width", "4", "-height", "4", "-cycles", "5000", "-warmup", "0",
 			"-rate", "0.05", "-top", "0", "-json",
 		})
@@ -131,13 +138,13 @@ func TestRunHeatmapFaultFreeHasNoRouteStalls(t *testing.T) {
 	}
 }
 
-// TestRunFlightrecTripAndReplay drives the flightrec command end to end:
+// TestRunFlightrecTripAndReplay drives the flightrec view end to end:
 // a wedged baseline router trips the watchdog, the dump lands in the
 // JSON Lines file, and -replay formats it back without running anything.
 func TestRunFlightrecTripAndReplay(t *testing.T) {
 	dumpFile := filepath.Join(t.TempDir(), "flight.jsonl")
 	out, err := captureStdout(t, func() error {
-		return runFlightrec([]string{
+		return runView("flightrec")([]string{
 			"-width", "4", "-height", "4", "-cycles", "15000", "-warmup", "0",
 			"-rate", "0.01", "-baseline", "-inject", "9:va1:n:0",
 			"-watchdog", "200", "-o", dumpFile,
@@ -157,7 +164,7 @@ func TestRunFlightrecTripAndReplay(t *testing.T) {
 	}
 
 	replay, err := captureStdout(t, func() error {
-		return runFlightrec([]string{"-replay", dumpFile})
+		return runView("flightrec")([]string{"-replay", dumpFile})
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -174,7 +181,7 @@ func TestRunFlightrecTripAndReplay(t *testing.T) {
 func TestRunFlightrecFinalDump(t *testing.T) {
 	dumpFile := filepath.Join(t.TempDir(), "final.jsonl")
 	out, err := captureStdout(t, func() error {
-		return runFlightrec([]string{
+		return runView("flightrec")([]string{
 			"-width", "4", "-height", "4", "-cycles", "3000", "-warmup", "0",
 			"-rate", "0.02", "-watchdog", "0", "-final", "-o", dumpFile,
 		})

@@ -27,9 +27,14 @@ func TestFindApp(t *testing.T) {
 	}
 }
 
+// runView returns the entry point of `noctool observe <view>`.
+func runView(view string) func([]string) error {
+	return func(args []string) error { return runObserve(append([]string{view}, args...)) }
+}
+
 func TestRunSPFAndCampaign(t *testing.T) {
-	if err := runSPF(nil); err != nil {
-		t.Fatalf("spf: %v", err)
+	if err := runPaper(nil); err != nil {
+		t.Fatalf("paper: %v", err)
 	}
 	if err := runCampaign([]string{"-trials", "100"}); err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -72,7 +77,7 @@ func TestRunTraceChrome(t *testing.T) {
 		"-width", "4", "-height", "4", "-cycles", "4000", "-warmup", "500",
 		"-rate", "0.05", "-inject", "5:sa1:e,5:va1:n:0", "-o", out,
 	}
-	if err := runTrace(args); err != nil {
+	if err := runView("trace")(args); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -114,7 +119,7 @@ func TestRunTraceJSONL(t *testing.T) {
 		"-width", "4", "-height", "4", "-cycles", "2000", "-warmup", "0",
 		"-inject", "5:sa1:e", "-format", "jsonl", "-o", out, "-events", "5000",
 	}
-	if err := runTrace(args); err != nil {
+	if err := runView("trace")(args); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 	f, err := os.Open(out)
@@ -141,13 +146,13 @@ func TestRunTraceJSONL(t *testing.T) {
 
 func TestRunTraceErrors(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "t.json")
-	if err := runTrace([]string{"-format", "xml", "-o", out}); err == nil {
+	if err := runView("trace")([]string{"-format", "xml", "-o", out}); err == nil {
 		t.Error("trace accepted an unknown format")
 	}
-	if err := runTrace([]string{"-inject", "bogus", "-o", out}); err == nil {
+	if err := runView("trace")([]string{"-inject", "bogus", "-o", out}); err == nil {
 		t.Error("trace accepted a bad fault spec")
 	}
-	if err := runTrace([]string{"-width", "2", "-height", "2", "-inject", "9:sa1:e", "-o", out}); err == nil {
+	if err := runView("trace")([]string{"-width", "2", "-height", "2", "-inject", "9:sa1:e", "-o", out}); err == nil {
 		t.Error("trace accepted a fault spec outside the mesh")
 	}
 }
@@ -157,13 +162,14 @@ func TestRunMetricsSmoke(t *testing.T) {
 		"-width", "4", "-height", "4", "-cycles", "2000", "-warmup", "200",
 		"-inject", "5:sa1:e", "-fault-mean", "1500",
 	}
-	if err := runMetrics(args); err != nil {
+	if err := runView("metrics")(args); err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
 }
 
-// TestCritPathDiffersFromArea pins the fix for critpath printing the
-// identical report as area: critpath is now only the VI-B section.
+// TestCritPathDiffersFromArea pins the Section VI report `paper` prints:
+// the VI-B critical path alone is a proper suffix of the VI-A + VI-B
+// report, not a copy of it.
 func TestCritPathDiffersFromArea(t *testing.T) {
 	a := experiments.Area()
 	full, crit := experiments.FormatArea(a), experiments.FormatCritPath(a)
@@ -179,21 +185,23 @@ func TestCritPathDiffersFromArea(t *testing.T) {
 }
 
 // TestServeScrape is the live-telemetry acceptance check: while an
-// endless `noctool serve` run steps a faulty mesh, a scrape of /metrics
-// must return Prometheus text with latency histogram buckets and
-// per-router fault-tolerance counters; closing the stop channel must end
-// the run cleanly.
+// endless `noctool sim -telemetry` run steps a faulty mesh, a scrape of
+// /metrics must return Prometheus text with latency histogram buckets
+// and per-router fault-tolerance counters; closing the stop channel must
+// end the run cleanly.
 func TestServeScrape(t *testing.T) {
 	args := []string{
 		"-width", "4", "-height", "4", "-cycles", "0", "-warmup", "100",
 		"-rate", "0.05", "-inject", "5:sa1:e",
-		"-addr", "127.0.0.1:0", "-interval", "256",
+		"-telemetry", "127.0.0.1:0", "-interval", "256",
 	}
 	ready := make(chan net.Addr, 1)
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		errc <- serveSim(args, func(a net.Addr) { ready <- a }, stop)
+		shutdown, err := simulate(args, func(a net.Addr) { ready <- a }, stop)
+		shutdown()
+		errc <- err
 	}()
 	var addr net.Addr
 	select {
@@ -253,7 +261,7 @@ func TestServeBindFailureIsSynchronous(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	err = serveSim([]string{"-addr", ln.Addr().String(), "-cycles", "10", "-warmup", "0"}, nil, make(chan struct{}))
+	_, err = simulate([]string{"-telemetry", ln.Addr().String(), "-cycles", "10", "-warmup", "0"}, nil, make(chan struct{}))
 	if err == nil {
 		t.Fatal("serve bound an already-used address without error")
 	}
@@ -268,7 +276,9 @@ func TestSimTelemetryScrape(t *testing.T) {
 		"-width", "4", "-height", "4", "-cycles", "3000", "-warmup", "200",
 		"-rate", "0.05", "-inject", "5:sa1:e", "-telemetry", "127.0.0.1:0",
 	}
-	if err := runSimReady(args, func(a net.Addr) { addr = a }); err != nil {
+	shutdown, err := simulate(args, func(a net.Addr) { addr = a }, nil)
+	defer shutdown()
+	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if addr == nil {
@@ -325,7 +335,7 @@ func TestRunCampaignTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunSpansCommand checks the spans command prints the critical-path
+// TestRunSpansCommand checks the spans view prints the critical-path
 // breakdown and the slowest-packet details.
 func TestRunSpansCommand(t *testing.T) {
 	old := os.Stdout
@@ -334,7 +344,7 @@ func TestRunSpansCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := runSpans([]string{
+	runErr := runView("spans")([]string{
 		"-width", "4", "-height", "4", "-cycles", "4000", "-warmup", "500",
 		"-rate", "0.05", "-inject", "5:sa1:e", "-top", "3",
 	})

@@ -94,9 +94,11 @@
 //
 // # Entry points
 //
-//   - cmd/noctool — CLI: regenerates every table and figure, free-form
-//     simulation (sim), per-router counters (metrics), event tracing
-//     (trace), record/replay, ablations, and a -pprof profiling flag.
+//   - cmd/noctool — CLI: regenerates every table and figure (paper,
+//     campaign, latency), free-form simulation with live telemetry
+//     (sim), instrumented read-outs (observe metrics|spans|heatmap|
+//     flightrec|trace), record/replay, ablations, model checking
+//     (check), and a -pprof profiling flag.
 //   - examples/quickstart — minimal simulation of the 8×8 protected mesh
 //   - examples/faultcampaign — per-mechanism fault tolerance walkthrough
 //   - examples/reliability — the Section VII derivation step by step

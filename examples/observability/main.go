@@ -8,7 +8,7 @@
 // pipeline activity laid out as per-port timelines.
 //
 // For the same data live over HTTP while a long run steps, see
-// `noctool serve` (Prometheus /metrics + JSON /status).
+// `noctool sim -telemetry addr` (Prometheus /metrics + JSON /status).
 package main
 
 import (

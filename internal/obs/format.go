@@ -6,7 +6,7 @@ import (
 )
 
 // FormatPerRouter renders the per-router counter table printed by
-// `noctool metrics`: one row per router with the crossbar throughput and
+// `noctool observe metrics`: one row per router with the crossbar throughput and
 // every fault-tolerance mechanism activation, plus a totals row. cycles
 // scales the utilization column (crossbar flits per cycle); pass 0 to
 // omit it.

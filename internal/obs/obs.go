@@ -31,7 +31,7 @@
 //	fault.Injector ──Observer──▶  │      (one event ring per router)
 //	watchdog.Monitor ─Observer─▶  │                 │ merge
 //	                              ▼                 ▼
-//	              noctool metrics table   trace.json (Chrome) / JSONL,
+//	              observe metrics table   trace.json (Chrome) / JSONL,
 //	                                      hop spans, flight dumps
 //
 // The Tracer and the FlightRecorder are one event store, a fixed ring per
@@ -55,7 +55,7 @@ type Observer struct {
 	// Tracer captures cycle-stamped events, or nil.
 	Tracer *Tracer
 	// Windows accumulates windowed per-link utilization and stall-mix
-	// series (the /heatmap and noctool heatmap source), or nil.
+	// series (the /heatmap and noctool observe heatmap source), or nil.
 	Windows *Windows
 	// Flight is the always-on bounded flight recorder, dumped when a
 	// watchdog or nocassert anomaly trips, or nil.

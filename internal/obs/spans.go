@@ -326,7 +326,7 @@ func BuildSpans(evs []Event, cfg SpanConfig) SpanSet {
 }
 
 // FormatSpans renders a SpanSet as the critical-path breakdown printed
-// by `noctool spans`: where the cycles of a delivered packet go — per
+// by `noctool observe spans`: where the cycles of a delivered packet go — per
 // pipeline phase, with the share each fault-tolerance mechanism adds —
 // followed by the slowest packets hop by hop.
 func FormatSpans(set SpanSet, top int) string {

@@ -140,7 +140,7 @@ type Heatmap struct {
 }
 
 // NewHeatmap reduces a window snapshot taken at cycle to the /heatmap
-// document, the one `noctool heatmap -json` prints too. top > 0 keeps
+// document, the one `noctool observe heatmap -json` prints too. top > 0 keeps
 // only the top links by flit count.
 func NewHeatmap(cycle sim.Cycle, snap obs.WindowSnapshot, top int) Heatmap {
 	doc := Heatmap{
