@@ -28,11 +28,11 @@
 //     rotating default winner (Fig. 5).
 //   - vc — virtual-channel state machines carrying the paper's extra
 //     fields (R2, VF, ID for VA borrowing; Figs. 3d and 4).
-//   - crossbar — the baseline crossbar and the protected crossbar whose
-//     SP/FSP-directed secondary paths route around dead muxes (Fig. 6).
-//   - router — structural configuration: port/VC counts, RC unit pairs,
-//     allocator arrays, and the Config that assembles a core.Router
-//     (including the Obs hook, see below).
+//   - crossbar — the protected crossbar whose SP/FSP-directed secondary
+//     paths route around dead muxes (Fig. 6); the baseline router drives
+//     its primary paths only.
+//   - router — the Config that assembles a core.Router (port/VC counts,
+//     depth, classes, the Obs hook, see below) and the link messages.
 //
 // The router and network:
 //

@@ -117,7 +117,7 @@ var snapContracts = map[string][]snapContract{
 var accessorStructs = map[string][]string{
 	"gonoc/internal/vc":       {"VC"},
 	"gonoc/internal/arbiter":  {"RoundRobin", "Bypassed"},
-	"gonoc/internal/crossbar": {"Baseline", "Protected"},
+	"gonoc/internal/crossbar": {"Protected"},
 }
 
 func runSnapshotComplete(pass *Pass) error {

@@ -42,10 +42,20 @@ type RoundRobin struct {
 // NewRoundRobin returns an n-input arbiter. It panics if n < 1.
 func NewRoundRobin(n int) *RoundRobin {
 	if n < 1 {
-		panic(fmt.Sprintf("arbiter: invalid width %d", n))
+		panic(sizeError{"width", n})
 	}
 	return &RoundRobin{n: n}
 }
+
+// sizeError is what the constructors panic with: a value, not a formatted
+// string, so that they stay small enough to inline and an arbiter held by
+// value costs its holder no allocation.
+type sizeError struct {
+	what string
+	n    int
+}
+
+func (e sizeError) Error() string { return fmt.Sprintf("arbiter: invalid %s %d", e.what, e.n) }
 
 // Inputs returns the arbiter width.
 func (a *RoundRobin) Inputs() int { return a.n }
@@ -226,7 +236,7 @@ type Bypassed struct {
 // must be >= 1; it controls how often the default winner rotates.
 func NewBypassed(n, rotatePeriod int) *Bypassed {
 	if rotatePeriod < 1 {
-		panic(fmt.Sprintf("arbiter: invalid rotate period %d", rotatePeriod))
+		panic(sizeError{"rotate period", rotatePeriod})
 	}
 	return &Bypassed{Arb: *NewRoundRobin(n), rotatePeriod: rotatePeriod}
 }

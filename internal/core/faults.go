@@ -34,26 +34,38 @@ func (s StageID) String() string {
 	}
 }
 
+// setBit returns w with bit k set to f.
+func setBit(w uint64, k int, f bool) uint64 {
+	if f {
+		return w | 1<<uint(k)
+	}
+	return w &^ (1 << uint(k))
+}
+
 // SetRCFault marks RC copy copyIdx (0 = primary, 1 = duplicate) of input
-// port p faulty.
+// port p faulty. Marking the duplicate of the baseline router, which has
+// none, panics.
 func (r *Router) SetRCFault(p topology.Port, copyIdx int, f bool) {
-	r.rc[p].SetFaulty(copyIdx, f)
+	if copyIdx == 1 && !r.cfg.FaultTolerant {
+		panic("core: baseline RC unit has no duplicate copy")
+	}
+	r.rcFaulty[copyIdx] = setBit(r.rcFaulty[copyIdx], int(p), f)
 }
 
 // SetVA1Fault marks the stage-1 VA arbiter set of input VC (p, v) faulty.
 func (r *Router) SetVA1Fault(p topology.Port, v int, f bool) {
-	r.va.SetStage1Faulty(int(p), v, f)
+	r.va1Faulty[p] = setBit(r.va1Faulty[p], v, f)
 }
 
 // SetVA2Fault marks the stage-2 VA arbiter of downstream VC (out, dvc)
 // faulty.
 func (r *Router) SetVA2Fault(out topology.Port, dvc int, f bool) {
-	r.va.Stage2(int(out), dvc).SetFaulty(f)
+	r.va2[int(out)*r.cfg.VCs+dvc].SetFaulty(f)
 }
 
 // SetSA1Fault marks input port p's stage-1 SA arbiter faulty.
 func (r *Router) SetSA1Fault(p topology.Port, f bool) {
-	arb := &r.sa.Stage1(int(p)).Arb
+	arb := &r.sa1[p].Arb
 	if arb.Faulty() != f {
 		if f {
 			r.sa1Faults++
@@ -65,23 +77,17 @@ func (r *Router) SetSA1Fault(p topology.Port, f bool) {
 }
 
 // SetSA1BypassFault marks input port p's SA bypass path faulty.
-func (r *Router) SetSA1BypassFault(p topology.Port, f bool) {
-	r.sa.Stage1(int(p)).SetBypassFaulty(f)
-}
+func (r *Router) SetSA1BypassFault(p topology.Port, f bool) { r.sa1[p].SetBypassFaulty(f) }
 
 // SetSA2Fault marks output port out's stage-2 SA arbiter faulty.
 func (r *Router) SetSA2Fault(out topology.Port, f bool) {
-	r.sa.Stage2(int(out)).SetFaulty(f)
+	r.sa2[out].SetFaulty(f)
 	r.pathOK = r.pathWord()
 }
 
 // SetXBFault marks output port out's primary crossbar multiplexer faulty.
 func (r *Router) SetXBFault(out topology.Port, f bool) {
-	if r.cfg.FaultTolerant {
-		r.xbProt.SetMuxFaulty(int(out), f)
-	} else {
-		r.xbBase.SetMuxFaulty(int(out), f)
-	}
+	r.xb.SetMuxFaulty(int(out), f)
 	r.pathOK = r.pathWord()
 }
 
@@ -91,7 +97,7 @@ func (r *Router) SetXBSecondaryFault(out topology.Port, f bool) {
 	if !r.cfg.FaultTolerant {
 		panic("core: baseline crossbar has no secondary path")
 	}
-	r.xbProt.SetSecondaryFaulty(int(out), f)
+	r.xb.SetSecondaryFaulty(int(out), f)
 }
 
 // Functional reports whether the router can still perform every routing
@@ -107,30 +113,24 @@ func (r *Router) SetXBSecondaryFault(out topology.Port, f bool) {
 //
 // The baseline router fails on its first fault anywhere.
 func (r *Router) Functional() bool {
+	V := r.cfg.VCs
 	for p := 0; p < r.cfg.Ports; p++ {
-		if !r.rc[p].Usable() {
+		if !r.rcUsable(p) {
 			return false
 		}
-		if r.cfg.FaultTolerant {
-			if r.va.PortStage1Dead(p) {
+		if !r.cfg.FaultTolerant {
+			if r.va1Faulty[p] != 0 || r.sa1[p].Arb.Faulty() || r.sa2[p].Faulty() || r.xb.MuxFaulty(p) {
 				return false
 			}
-			if !r.sa.Stage1(p).Usable() {
-				return false
-			}
-		} else {
-			for v := 0; v < r.cfg.VCs; v++ {
-				if r.va.Stage1Faulty(p, v) || r.va.Stage2(p, v).Faulty() {
+			for _, a := range r.va2[p*V : (p+1)*V] {
+				if a.Faulty() {
 					return false
 				}
 			}
-			if r.sa.Stage1(p).Arb.Faulty() || r.sa.Stage2(p).Faulty() {
-				return false
-			}
-			if r.xbBase.MuxFaulty(p) {
-				return false
-			}
 			continue
+		}
+		if r.va1Faulty[p] == spanWord(0, V) || !r.sa1[p].Usable() {
+			return false
 		}
 		for cls := 0; cls < r.cfg.Classes; cls++ {
 			if r.classStage2Dead(p, cls) {
@@ -144,12 +144,22 @@ func (r *Router) Functional() bool {
 	return true
 }
 
+// rcUsable reports whether input port p can still perform routing
+// computation: its RC unit, or the protected router's duplicate, works.
+func (r *Router) rcUsable(p int) bool {
+	dead := r.rcFaulty[0]
+	if r.cfg.FaultTolerant {
+		dead &= r.rcFaulty[1]
+	}
+	return dead>>uint(p)&1 == 0
+}
+
 // classStage2Dead reports whether every stage-2 VA arbiter of class cls at
 // output port p is faulty.
 func (r *Router) classStage2Dead(p, cls int) bool {
 	lo, hi := r.cfg.ClassRange(cls)
-	for dvc := lo; dvc < hi; dvc++ {
-		if !r.va.Stage2(p, dvc).Faulty() {
+	for _, a := range r.va2[p*r.cfg.VCs+lo : p*r.cfg.VCs+hi] {
+		if !a.Faulty() {
 			return false
 		}
 	}
@@ -158,45 +168,34 @@ func (r *Router) classStage2Dead(p, cls int) bool {
 
 // RCFault reports whether RC copy copyIdx of input port p is faulty.
 func (r *Router) RCFault(p topology.Port, copyIdx int) bool {
-	return r.rc[p].Faulty(copyIdx)
+	return r.rcFaulty[copyIdx]>>uint(p)&1 != 0
 }
 
 // VA1Fault reports whether input VC (p, v)'s stage-1 arbiter set is
 // faulty.
 func (r *Router) VA1Fault(p topology.Port, v int) bool {
-	return r.va.Stage1Faulty(int(p), v)
+	return r.va1Faulty[p]>>uint(v)&1 != 0
 }
 
 // VA2Fault reports whether the stage-2 VA arbiter of (out, dvc) is
 // faulty.
 func (r *Router) VA2Fault(out topology.Port, dvc int) bool {
-	return r.va.Stage2(int(out), dvc).Faulty()
+	return r.va2[int(out)*r.cfg.VCs+dvc].Faulty()
 }
 
 // SA1Fault reports whether input port p's stage-1 SA arbiter is faulty.
-func (r *Router) SA1Fault(p topology.Port) bool {
-	return r.sa.Stage1(int(p)).Arb.Faulty()
-}
+func (r *Router) SA1Fault(p topology.Port) bool { return r.sa1[p].Arb.Faulty() }
 
 // SA1BypassFault reports whether input port p's bypass path is faulty.
-func (r *Router) SA1BypassFault(p topology.Port) bool {
-	return r.sa.Stage1(int(p)).BypassFaulty()
-}
+func (r *Router) SA1BypassFault(p topology.Port) bool { return r.sa1[p].BypassFaulty() }
 
 // SA2Fault reports whether output port out's stage-2 SA arbiter is
 // faulty.
-func (r *Router) SA2Fault(out topology.Port) bool {
-	return r.sa.Stage2(int(out)).Faulty()
-}
+func (r *Router) SA2Fault(out topology.Port) bool { return r.sa2[out].Faulty() }
 
 // XBFault reports whether output port out's primary crossbar mux is
 // faulty.
-func (r *Router) XBFault(out topology.Port) bool {
-	if r.cfg.FaultTolerant {
-		return r.xbProt.MuxFaulty(int(out))
-	}
-	return r.xbBase.MuxFaulty(int(out))
-}
+func (r *Router) XBFault(out topology.Port) bool { return r.xb.MuxFaulty(int(out)) }
 
 // XBSecondaryFault reports whether output out's secondary crossbar path
 // is faulty. It panics on the baseline router.
@@ -204,5 +203,5 @@ func (r *Router) XBSecondaryFault(out topology.Port) bool {
 	if !r.cfg.FaultTolerant {
 		panic("core: baseline crossbar has no secondary path")
 	}
-	return r.xbProt.SecondaryFaulty(int(out))
+	return r.xb.SecondaryFaulty(int(out))
 }

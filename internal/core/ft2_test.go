@@ -156,6 +156,34 @@ func TestMidPacketXBFaultRecovers(t *testing.T) {
 	}
 }
 
+// TestMidPacketXBFaultBaselineCancels is the baseline's side of the
+// grant/traverse race: it shares the protected router's crossbar but has
+// no secondary path, so a mux fault landing between a grant and its
+// traversal cancels the grant, refunds its credit, and nothing more
+// leaves through the dead port.
+func TestMidPacketXBFaultBaselineCancels(t *testing.T) {
+	b := newBench(t, baseCfg())
+	fs := flit.Segment(&flit.Packet{ID: 1, Src: 4, Dst: eastOf(b), Size: 4})
+	for i := 0; i < 3; i++ {
+		b.inject(topology.West, 0, fs[i])
+		b.step()
+	}
+	if len(b.r.grants) != 1 {
+		t.Fatalf("%d grants pending when the fault lands, want the head's", len(b.r.grants))
+	}
+	b.r.SetXBFault(topology.East, true)
+	b.inject(topology.West, 0, fs[3])
+	b.run(20)
+	if n := len(b.arrived[topology.East]); n != 0 || b.r.Counters.XBSecondary != 0 {
+		t.Fatalf("%d flits left the dead port, %d through a secondary path; want none", n, b.r.Counters.XBSecondary)
+	}
+	for v := 0; v < b.r.cfg.VCs; v++ {
+		if c := b.r.Credits(topology.East, v); c != b.r.cfg.Depth {
+			t.Errorf("East vc%d holds %d credits, want the cancelled grant's refunded: %d", v, c, b.r.cfg.Depth)
+		}
+	}
+}
+
 func TestMidPacketSecondaryFaultFallsBack(t *testing.T) {
 	// Start on the secondary path, then break it and repair the primary:
 	// the effective-request refresh must switch back.

@@ -208,6 +208,20 @@ func TestVA2AllFaultyFails(t *testing.T) {
 	if b.r.Functional() {
 		t.Fatal("router functional with every East VA2 arbiter faulty")
 	}
+	// One message class losing all its stage-2 arbiters is enough: class
+	// 0 owns downstream VCs 0 and 1 of the paper's 4 VCs in 2 classes.
+	cfg := ftCfg()
+	cfg.Classes = 2
+	b = newBench(t, cfg)
+	b.r.SetVA2Fault(topology.East, 0, true)
+	b.r.SetVA2Fault(topology.East, 2, true)
+	if !b.r.Functional() {
+		t.Fatal("router not functional with one VA2 arbiter of each class faulty")
+	}
+	b.r.SetVA2Fault(topology.East, 1, true)
+	if b.r.Functional() {
+		t.Fatal("router functional with class 0's East VA2 arbiters all faulty")
+	}
 }
 
 // --- SA stage 1 (Section V-C1) ---
@@ -419,6 +433,30 @@ func TestBaselineAnyFaultNotFunctional(t *testing.T) {
 		if b.r.Functional() {
 			t.Errorf("case %d: baseline functional after a fault", i)
 		}
+	}
+}
+
+// TestBaselineHasNoDuplicateSites: the baseline router shares the
+// protected router's crossbar, but its design has no duplicate RC unit
+// and no secondary crossbar paths, so naming one of those sites panics.
+func TestBaselineHasNoDuplicateSites(t *testing.T) {
+	b := newBench(t, baseCfg())
+	for name, site := range map[string]func(){
+		"SetRCFault copy 1":   func() { b.r.SetRCFault(topology.East, 1, true) },
+		"SetXBSecondaryFault": func() { b.r.SetXBSecondaryFault(topology.East, true) },
+		"XBSecondaryFault":    func() { b.r.XBSecondaryFault(topology.East) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("baseline %s did not panic", name)
+				}
+			}()
+			site()
+		}()
+	}
+	if !b.r.Functional() || b.r.RCFault(topology.East, 1) {
+		t.Fatal("a refused baseline fault site left a mark")
 	}
 }
 

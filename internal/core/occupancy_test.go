@@ -35,7 +35,7 @@ func TestEmptyRouterInBypassKeepsTicking(t *testing.T) {
 	b.run(n)
 	wantDW := (n / cfg.BypassRotatePeriod) % cfg.VCs
 	wantRot := n % cfg.BypassRotatePeriod
-	dw, rot := b.r.sa.Stage1(int(topology.West)).BypassState()
+	dw, rot := b.r.sa1[topology.West].BypassState()
 	if dw != wantDW || rot != wantRot {
 		t.Errorf("after %d empty cycles bypass state = (winner %d, %d grants), want (%d, %d)",
 			n, dw, rot, wantDW, wantRot)
@@ -52,7 +52,7 @@ func TestEmptyRouterInBypassKeepsTicking(t *testing.T) {
 		t.Error("repaired empty router is not quiescent again")
 	}
 	b.run(n)
-	if dw2, rot2 := b.r.sa.Stage1(int(topology.West)).BypassState(); dw2 != dw || rot2 != rot {
+	if dw2, rot2 := b.r.sa1[topology.West].BypassState(); dw2 != dw || rot2 != rot {
 		t.Errorf("bypass state moved to (%d, %d) with the arbiter repaired", dw2, rot2)
 	}
 }

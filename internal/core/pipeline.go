@@ -83,7 +83,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				if r.cfg.FaultTolerant && !r.primaryOK(out) {
 					if r.secondaryPathUsable(out) {
 						q.FSP = true
-						q.SP = topology.Port(r.xbProt.SecondaryOf(int(out)))
+						q.SP = topology.Port(r.xb.SecondaryOf(int(out)))
 					}
 					// If neither path works the packet waits; Functional()
 					// reports the router failed.
@@ -93,7 +93,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				r.vaWait[p] |= 1 << uint(idx)
 				r.vaPorts |= 1 << uint(p)
 				if o := r.obs; o != nil {
-					o.RCCompute(cy, p, idx, int(out), r.rc[p].Faulty(0))
+					o.RCCompute(cy, p, idx, int(out), r.rcFaulty[0]>>uint(p)&1 != 0)
 					r.noteAdvance(p, idx)
 				}
 				r.rcScan[p] = r.vcAfter(idx)
@@ -111,16 +111,16 @@ func (r *Router) vcAfter(v int) int {
 	return v + 1
 }
 
-// computeRoute runs the port's RC unit, tracking duplicate use. With a
-// fault-aware route function installed the unit computes that function
-// instead of XY (unreachable=true when no path to the destination
-// survives); without one the behavior is exactly the baseline XY lookup.
+// computeRoute runs the port's RC unit, tracking duplicate use; ok is
+// false when no fault-free copy remains. With a fault-aware route function
+// installed the unit computes that function instead of XY (unreachable=true
+// when no path to the destination survives); without one the behavior is
+// exactly the baseline XY lookup.
 func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port, ok, unreachable bool) {
-	u := r.rc[p]
-	if !u.Usable() {
+	if !r.rcUsable(p) {
 		return topology.Local, false, false
 	}
-	if u.Faulty(0) {
+	if r.rcFaulty[0]>>uint(p)&1 != 0 {
 		r.Counters.RCDuplicateUses++
 	}
 	dst := q.Front().Pkt.Dst
@@ -141,8 +141,8 @@ func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port,
 		}
 		return fout, true, false
 	}
-	out, ok = u.Compute(r.ID, dst)
-	return out, ok, false
+	//nocvet:ignore hotpathalloc topology Route implementations are pure coordinate arithmetic
+	return r.topo.Route(r.ID, dst), true, false
 }
 
 // drainStage discards one buffered flit per Dropping VC per cycle,
@@ -181,13 +181,7 @@ func (r *Router) drainStage() {
 // free. It probes the fault bits; the stages read its cached form,
 // primaryOK.
 func (r *Router) primaryPathUsable(out topology.Port) bool {
-	if r.sa.Stage2(int(out)).Faulty() {
-		return false
-	}
-	if r.cfg.FaultTolerant {
-		return r.xbProt.PrimaryUsable(int(out))
-	}
-	return !r.xbBase.MuxFaulty(int(out))
+	return !r.sa2[out].Faulty() && r.xb.PrimaryUsable(int(out))
 }
 
 // primaryOK is primaryPathUsable read from the path word.
@@ -201,8 +195,7 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 	if !r.cfg.FaultTolerant {
 		return false
 	}
-	sec := r.xbProt.SecondaryOf(int(out))
-	return r.xbProt.SecondaryUsable(int(out)) && !r.sa.Stage2(sec).Faulty()
+	return r.xb.SecondaryUsable(int(out)) && !r.sa2[r.xb.SecondaryOf(int(out))].Faulty()
 }
 
 // freeDownVCs returns the request word of input VC v (q): the downstream
@@ -232,12 +225,12 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			v := bits.TrailingZeros64(m)
 			q := &vcs[v]
 			arbVC := v
-			if r.va.Stage1Faulty(p, v) {
+			if r.va1Faulty[p]>>uint(v)&1 != 0 {
 				if !r.cfg.FaultTolerant {
 					continue // baseline: the VC is dead
 				}
 				//nocvet:ignore hotpathalloc the closure captures only loop-local state and never escapes FindLender: stack-allocated
-				lender := r.in[p].FindLender(v, func(i int) bool { return r.va.Stage1Faulty(p, i) })
+				lender := r.in[p].FindLender(v, func(i int) bool { return r.va1Faulty[p]>>uint(i)&1 != 0 })
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
@@ -261,7 +254,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			}
 			if free := r.freeDownVCs(q, v); free != 0 {
 				out := int(q.R)
-				if dvc, ok := r.va.Stage1(p, arbVC).GrantWord(free); ok {
+				if dvc, ok := r.va1[p*V+arbVC].GrantWord(free); ok {
 					r.va2req[(out*V+dvc)*P+p] |= 1 << uint(v)
 					r.va2any[out] |= 1 << uint(dvc)
 					requested = true
@@ -286,7 +279,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 		for ; any != 0; any &= any - 1 {
 			dvc := bits.TrailingZeros64(any)
 			reqs := r.va2req[(out*V+dvc)*P:][:P]
-			arb := r.va.Stage2(out, dvc)
+			arb := &r.va2[out*V+dvc]
 			if arb.Faulty() {
 				// Section V-B3: the requesters lose this downstream VC
 				// and re-arbitrate for a different one next cycle.
@@ -344,7 +337,7 @@ func (r *Router) effectiveRequestPort(q *vc.VC) (topology.Port, bool) {
 	}
 	if r.secondaryPathUsable(q.R) {
 		q.FSP = true
-		q.SP = topology.Port(r.xbProt.SecondaryOf(int(q.R)))
+		q.SP = topology.Port(r.xb.SecondaryOf(int(q.R)))
 		return q.SP, true
 	}
 	return topology.Local, false
@@ -367,7 +360,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 	won := false
 	for p := 0; p < r.cfg.Ports; p++ {
 		m := r.saCands(p)
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		if m == 0 && !b.Arb.Faulty() {
 			continue
 		}
@@ -453,7 +446,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		r.sa2req[out] = 0
-		wp, ok := r.sa.Stage2(out).GrantWord(req)
+		wp, ok := r.sa2[out].GrantWord(req)
 		if !ok {
 			continue
 		}
@@ -518,26 +511,17 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 // moves it through the crossbar (secondary path when directed) and emits
 // it plus the upstream credit.
 func (r *Router) xbStage(cy sim.Cycle) {
-	if r.cfg.FaultTolerant {
-		r.xbProt.BeginCycle()
-	} else {
-		r.xbBase.BeginCycle()
-	}
+	r.xb.BeginCycle()
 	for _, g := range r.grants {
 		q := r.inVC(int(g.inPort), g.inVC)
-		var err error
-		if r.cfg.FaultTolerant {
-			err = r.xbProt.Traverse(int(g.inPort), int(g.outPort), g.secondary)
-			if err != nil {
-				// A fault can appear between the grant (last cycle's SA)
-				// and the traversal; try the other path before giving up.
-				err = r.xbProt.Traverse(int(g.inPort), int(g.outPort), !g.secondary)
-				if err == nil {
-					g.secondary = !g.secondary
-				}
+		err := r.xb.Traverse(int(g.inPort), int(g.outPort), g.secondary)
+		if err != nil && r.cfg.FaultTolerant {
+			// A fault can appear between the grant (last cycle's SA) and
+			// the traversal; the protected router tries the other path
+			// before giving up. The baseline has only the primary.
+			if err = r.xb.Traverse(int(g.inPort), int(g.outPort), !g.secondary); err == nil {
+				g.secondary = !g.secondary
 			}
-		} else {
-			err = r.xbBase.Traverse(int(g.inPort), int(g.outPort))
 		}
 		if err != nil {
 			// No usable path remains this cycle: cancel the grant, refund

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"gonoc/internal/arbiter"
 	"gonoc/internal/crossbar"
 	"gonoc/internal/flit"
 	"gonoc/internal/obs"
@@ -132,9 +133,10 @@ type creditIn struct {
 // costs the few lines they share, and the headers an active tick starts
 // from follow them. Its VCs are held by value in one slab with their
 // buffers in one arena (vc.NewPorts), the per-(port, VC) output-side
-// bookkeeping is flat, indexed p*VCs+v like the slab, and the RC units
-// and allocators are values, so a tick reaches any VC, credit or arbiter
-// through one slice header instead of a chain of pointers.
+// bookkeeping is flat, indexed p*VCs+v like the slab, and the fault words,
+// arbiters and crossbar are fields of the router itself, so a tick reaches
+// any VC, credit or arbiter through one slice header instead of a chain of
+// pointers.
 type Router struct {
 	// The I/O latches are empty at the step boundary where snapshots are
 	// taken; RestoreState clears them rather than restoring contents.
@@ -216,12 +218,26 @@ type Router struct {
 
 	//noc:derived immutable wiring: a view of vcs, fixed at construction
 	in []vc.InputPort
-	rc []router.RCUnit
-	va router.VAlloc
-	sa router.SAlloc
 
-	xbBase *crossbar.Baseline
-	xbProt *crossbar.Protected
+	// The router's parts, in its own blocks. Bit p of rcFaulty[c] marks RC
+	// copy c of input port p faulty: copy 0 is the port's RC unit, copy 1
+	// the protected router's duplicate, switched in when the primary is
+	// faulty (Section V-A). Bit v of va1Faulty[p] marks input VC (p, v)'s
+	// VA stage-1 arbiter set faulty.
+	rcFaulty  [2]uint64
+	va1Faulty []uint64
+	// The allocators' arbiters (Figure 3a/3b), by value in one slab. VA
+	// stage 1: every input VC owns a set of po v:1 arbiters, one per output
+	// port, of which only the routed port's is exercised and a fault in any
+	// makes the set unusable, so va1[p*VCs+v] is input VC (p, v)'s one v:1
+	// arbiter. VA stage 2: va2[out*VCs+dvc] is downstream VC (out, dvc)'s
+	// (pi·v):1 arbiter. SA: sa1[p] is input port p's v:1 arbiter with the
+	// protected router's bypass path, sa2[out] output port out's pi:1 one.
+	va1, va2, sa2 []arbiter.RoundRobin
+	sa1           []arbiter.Bypassed
+	// xb is the crossbar, the protected one in both designs: the baseline
+	// only ever traverses the primary paths.
+	xb crossbar.Protected
 
 	// rcScan is the per-port round-robin pointer for the (single) RC unit
 	// serving at most one VC per cycle.
@@ -296,40 +312,43 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 		return nil, err
 	}
 	P, V := cfg.Ports, cfg.VCs
-	r := &Router{ID: id, cfg: cfg, topo: topo}
+	r := &Router{ID: id, cfg: cfg, topo: topo, xb: *crossbar.NewProtected(P)}
 	r.vcs, r.in = vc.NewPorts(P, V, cfg.Depth)
-	r.rc = make([]router.RCUnit, P)
-	for p := range r.rc {
-		r.rc[p] = *router.NewRCUnit(topo, cfg.FaultTolerant)
-	}
-	// The busy and class words, and the stall scan's advance marks one per
-	// port when observability is bound, share one small allocation: carved
-	// from the words block below they would push it past its 1 KiB size
-	// class at the paper's 5 ports and 4 VCs.
-	nb := P + V
+	// The busy, VA stage-1 fault and class words, and the stall scan's
+	// advance marks one per port when observability is bound, share one
+	// small allocation: carved from the words block below they would push
+	// it past its 1 KiB size class at the paper's 5 ports and 4 VCs.
+	nb := 2*P + V
 	if cfg.Obs != nil {
 		nb += P
 	}
 	busy := make([]uint64, nb)
-	r.outBusy, r.classWord, busy = busy[:P:P], busy[P:P+V:P+V], busy[P+V:]
+	r.outBusy, r.va1Faulty, busy = busy[:P:P], busy[P:2*P:2*P], busy[2*P:]
+	r.classWord, busy = busy[:V:V], busy[V:]
 	for v := range r.classWord {
 		r.classWord[v] = spanWord(cfg.ClassRange(cfg.ClassOf(v)))
 	}
-	r.credits = make([]int, P*V)
+	// The credit counts, then rcScan, saAdopted and saAdoptAge one per port.
+	ints := make([]int, P*V+3*P)
+	r.credits, ints = ints[:P*V:P*V], ints[P*V:]
 	for i := range r.credits {
 		r.credits[i] = cfg.Depth
 	}
-	ints := make([]int, 3*P)
 	r.rcScan, r.saAdopted, r.saAdoptAge = ints[:P:P], ints[P:2*P:2*P], ints[2*P:]
 	for i := range r.saAdopted {
 		r.saAdopted[i] = -1
 	}
-	r.va = *router.NewVAlloc(cfg)
-	r.sa = *router.NewSAlloc(cfg)
-	if cfg.FaultTolerant {
-		r.xbProt = crossbar.NewProtected(P)
-	} else {
-		r.xbBase = crossbar.NewBaseline(P)
+	va1, va2 := cfg.VA()
+	sa1, sa2 := cfg.SA()
+	arbs := make([]arbiter.RoundRobin, va1.Count+va2.Count+sa2.Count)
+	r.va1, arbs = arbs[:va1.Count:va1.Count], arbs[va1.Count:]
+	r.va2, r.sa2 = arbs[:va2.Count:va2.Count], arbs[va2.Count:]
+	for i := range r.va1 {
+		r.va1[i], r.va2[i] = *arbiter.NewRoundRobin(va1.Inputs), *arbiter.NewRoundRobin(va2.Inputs)
+	}
+	r.sa1 = make([]arbiter.Bypassed, sa1.Count)
+	for p := range r.sa1 {
+		r.sa1[p], r.sa2[p] = *arbiter.NewBypassed(sa1.Inputs, cfg.BypassRotatePeriod), *arbiter.NewRoundRobin(sa2.Inputs)
 	}
 	r.pathOK = r.pathWord()
 	// The mask and request words: occ, rcWait, vaWait, va2any and sa2req
@@ -447,8 +466,7 @@ func (r *Router) TakeOutCredits() []router.Credit {
 }
 
 // FreeOutVCs returns, for output port p and message class cls, how many
-// downstream VCs are currently unallocated — used by the local NI to
-// decide whether a new packet can be injected.
+// downstream VCs are currently unallocated, for inspection by tests.
 func (r *Router) FreeOutVCs(p topology.Port, cls int) int {
 	return bits.OnesCount64(spanWord(r.cfg.ClassRange(cls)) &^ r.outBusy[p])
 }
@@ -652,7 +670,7 @@ func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) 
 		}
 		occupied += bits.OnesCount64(c.occ)
 		dropping += c.dropping
-		if r.sa.Stage1(p).Arb.Faulty() {
+		if r.sa1[p].Arb.Faulty() {
 			sa1Faults++
 		}
 	}

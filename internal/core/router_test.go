@@ -283,15 +283,19 @@ func TestContentionSharedOutputSerializes(t *testing.T) {
 
 // TestNewRouterIsOneBlock pins the router's layout as a count of the
 // objects core.New allocates for the paper's protected 5-port, 4-VC
-// router: 32, where the pointer-graph layout (one heap object per VC,
-// per VC buffer, per input port, per RC unit, per credit and busy row)
-// allocated 99, 93 of them retained per node of a network. A change that
-// puts a per-port or per-VC object back on the heap fails here.
+// router: 17, every one retained, where the pointer-graph layout (one
+// heap object per VC, per VC buffer, per input port, per RC unit, per
+// credit and busy row) allocated 99, and the layout with the RC units,
+// allocators and crossbar as objects of their own 32. A change that puts
+// a per-port or per-VC object back on the heap fails here. It also pins
+// the arbiters' widths (Figure 3a/3b): VA stage 1 over a port's v
+// downstream VCs, VA stage 2 over the pi·v input VCs, SA stage 1 over an
+// input port's v VCs and SA stage 2 over the pi input ports.
 func TestNewRouterIsOneBlock(t *testing.T) {
 	mesh := topology.NewMesh(8, 8)
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
-	const maxObjects = 32
+	const maxObjects = 17
 	if got := testing.AllocsPerRun(50, func() { MustNew(9, mesh, cfg) }); got > maxObjects {
 		t.Errorf("core.New allocates %.0f objects, want <= %d", got, maxObjects)
 	}
@@ -301,6 +305,24 @@ func TestNewRouterIsOneBlock(t *testing.T) {
 		for v := 0; v < cfg.VCs; v++ {
 			if r.InputVC(topology.Port(p), v) != &r.vcs[p*cfg.VCs+v] {
 				t.Fatalf("InputVC(%d, %d) is not slab entry %d", p, v, p*cfg.VCs+v)
+			}
+		}
+	}
+	P, V := cfg.Ports, cfg.VCs
+	for _, arbs := range []struct {
+		name  string
+		width int
+		n     int
+		w     func(i int) int
+	}{
+		{"VA stage 1", V, P * V, func(i int) int { return r.va1[i].Inputs() }},
+		{"VA stage 2", P * V, P * V, func(i int) int { return r.va2[i].Inputs() }},
+		{"SA stage 1", V, P, func(i int) int { return r.sa1[i].Arb.Inputs() }},
+		{"SA stage 2", P, P, func(i int) int { return r.sa2[i].Inputs() }},
+	} {
+		for i := 0; i < arbs.n; i++ {
+			if got := arbs.w(i); got != arbs.width {
+				t.Errorf("%s arbiter %d has %d inputs, want %d", arbs.name, i, got, arbs.width)
 			}
 		}
 	}

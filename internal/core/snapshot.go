@@ -169,26 +169,24 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 		rec = put(put(put(put(rec, int(g.inPort)), g.inVC), int(g.outPort)), bit(g.secondary, 1))
 	}
 	for p := 0; p < P; p++ {
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		dw, rot := b.BypassState()
+		// The baseline's duplicate RC and secondary crossbar bits are
+		// never set.
 		flags := bit(b.Arb.Faulty(), portSA1Arb) | bit(b.BypassFaulty(), portSA1Byp) |
-			bit(r.sa.Stage2(p).Faulty(), portSA2) | bit(r.rc[p].Faulty(0), portRC0) |
-			bit(r.cfg.FaultTolerant && r.rc[p].Faulty(1), portRC1)
-		if r.xbProt != nil {
-			flags |= bit(r.xbProt.MuxFaulty(p), portXBMux) | bit(r.xbProt.SecondaryFaulty(p), portXBSec)
-		} else {
-			flags |= bit(r.xbBase.MuxFaulty(p), portXBMux)
-		}
+			bit(r.sa2[p].Faulty(), portSA2) | bit(r.rcFaulty[0]>>uint(p)&1 != 0, portRC0) |
+			bit(r.rcFaulty[1]>>uint(p)&1 != 0, portRC1) |
+			bit(r.xb.MuxFaulty(p), portXBMux) | bit(r.xb.SecondaryFaulty(p), portXBSec)
 		rec = put(put(put(rec, r.rcScan[p]), r.saAdopted[p]), r.saAdoptAge[p])
-		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa.Stage2(p).Prio())
+		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa2[p].Prio())
 		rec = put(rec, flags)
-		vcs, credits, busy := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outBusy[p]
+		vcs, credits, busy, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outBusy[p], r.va1[p*V:], r.va2[p*V:]
 		for v := 0; v < V; v++ {
 			q := &vcs[v]
 			entry := !q.IsReset()
-			rec = put(put(put(rec, credits[v]), r.va.Stage1(p, v).Prio()), r.va.Stage2(p, v).Prio())
-			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(r.va.Stage1Faulty(p, v), vcVA1Faulty)|
-				bit(r.va.Stage2(p, v).Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
+			rec = put(put(put(rec, credits[v]), va1[v].Prio()), va2[v].Prio())
+			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(r.va1Faulty[p]>>uint(v)&1 != 0, vcVA1Faulty)|
+				bit(va2[v].Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
 			if entry {
 				rec, fl = saveVC(rec, fl, q, cloneFlit)
 			}
@@ -244,41 +242,35 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 			outPort: topology.Port(rec[i+2]), secondary: rec[i+3] != 0})
 	}
 	for p := 0; p < P; p++ {
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		port := rec[i : i+8 : i+8]
 		i += 8
 		r.rcScan[p], r.saAdopted[p], r.saAdoptAge[p] = int(port[0]), int(port[1]), int(port[2])
 		b.Arb.SetPrio(int(port[3]))
 		b.SetBypassState(int(port[4]), int(port[5]))
-		r.sa.Stage2(p).SetPrio(int(port[6]))
+		r.sa2[p].SetPrio(int(port[6]))
 		flags := port[7]
 		b.Arb.SetFaulty(flags&portSA1Arb != 0)
 		b.SetBypassFaulty(flags&portSA1Byp != 0)
-		r.sa.Stage2(p).SetFaulty(flags&portSA2 != 0)
-		r.rc[p].SetFaulty(0, flags&portRC0 != 0)
-		if r.cfg.FaultTolerant {
-			r.rc[p].SetFaulty(1, flags&portRC1 != 0)
-		}
-		if r.xbProt != nil {
-			r.xbProt.SetMuxFaulty(p, flags&portXBMux != 0)
-			r.xbProt.SetSecondaryFaulty(p, flags&portXBSec != 0)
-		} else {
-			r.xbBase.SetMuxFaulty(p, flags&portXBMux != 0)
-		}
-		vcs, credits := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V]
+		r.sa2[p].SetFaulty(flags&portSA2 != 0)
+		r.rcFaulty[0] = setBit(r.rcFaulty[0], p, flags&portRC0 != 0)
+		r.rcFaulty[1] = setBit(r.rcFaulty[1], p, flags&portRC1 != 0)
+		r.xb.SetMuxFaulty(p, flags&portXBMux != 0)
+		r.xb.SetSecondaryFaulty(p, flags&portXBSec != 0)
+		vcs, credits, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.va1[p*V:], r.va2[p*V:]
 		var busy uint64
 		for v := 0; v < V; v++ {
 			slot := rec[i : i+4 : i+4]
 			i += 4
 			flags := slot[3]
 			credits[v] = int(slot[0])
-			r.va.Stage1(p, v).SetPrio(int(slot[1]))
-			r.va.Stage2(p, v).SetPrio(int(slot[2]))
+			va1[v].SetPrio(int(slot[1]))
+			va2[v].SetPrio(int(slot[2]))
 			if flags&vcOutBusy != 0 {
 				busy |= 1 << uint(v)
 			}
-			r.va.SetStage1Faulty(p, v, flags&vcVA1Faulty != 0)
-			r.va.Stage2(p, v).SetFaulty(flags&vcVA2Faulty != 0)
+			r.va1Faulty[p] = setBit(r.va1Faulty[p], v, flags&vcVA1Faulty != 0)
+			va2[v].SetFaulty(flags&vcVA2Faulty != 0)
 			if q := &vcs[v]; flags&vcHasEntry != 0 {
 				fl = restoreVC(q, rec[i:i+vcEntryLen], fl, cloneFlit)
 				i += vcEntryLen
@@ -379,29 +371,29 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			}
 			b = appB(b, r.outBusy[p]>>uint(v)&1 != 0)
 			b = appI(b, r.credits[p*V+v])
-			b = appI(b, r.va.Stage1(p, v).Prio())
-			b = appI(b, r.va.Stage2(p, v).Prio())
-			b = appB(b, r.va.Stage1Faulty(p, v))
-			b = appB(b, r.va.Stage2(p, v).Faulty())
+			b = appI(b, r.va1[p*V+v].Prio())
+			b = appI(b, r.va2[p*V+v].Prio())
+			b = appB(b, r.va1Faulty[p]>>uint(v)&1 != 0)
+			b = appB(b, r.va2[p*V+v].Faulty())
 		}
-		sa1 := r.sa.Stage1(p)
+		sa1 := &r.sa1[p]
 		b = appI(b, sa1.Arb.Prio())
 		dw, rot := sa1.BypassState()
 		b = appI(b, dw)
 		b = appI(b, rot)
 		b = appB(b, sa1.Arb.Faulty())
 		b = appB(b, sa1.BypassFaulty())
-		b = appI(b, r.sa.Stage2(p).Prio())
-		b = appB(b, r.sa.Stage2(p).Faulty())
-		b = appB(b, r.rc[p].Faulty(0))
+		b = appI(b, r.sa2[p].Prio())
+		b = appB(b, r.sa2[p].Faulty())
+		// The baseline has no duplicate RC unit or secondary paths: its
+		// encoding has no byte for them.
+		b = appB(b, r.rcFaulty[0]>>uint(p)&1 != 0)
 		if r.cfg.FaultTolerant {
-			b = appB(b, r.rc[p].Faulty(1))
+			b = appB(b, r.rcFaulty[1]>>uint(p)&1 != 0)
 		}
-		if r.xbProt != nil {
-			b = appB(b, r.xbProt.MuxFaulty(p))
-			b = appB(b, r.xbProt.SecondaryFaulty(p))
-		} else {
-			b = appB(b, r.xbBase.MuxFaulty(p))
+		b = appB(b, r.xb.MuxFaulty(p))
+		if r.cfg.FaultTolerant {
+			b = appB(b, r.xb.SecondaryFaulty(p))
 		}
 		b = appI(b, r.rcScan[p])
 		b = appI(b, r.saAdopted[p])

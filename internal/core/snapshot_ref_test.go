@@ -87,7 +87,7 @@ func (r *Router) refSaveStateInto(old *refRouterState, cloneFlit func(*flit.Flit
 	copy(s.rcScan, r.rcScan)
 	copy(s.saAdopted, r.saAdopted)
 	copy(s.saAdopt, r.saAdoptAge)
-	s.xbSecPresent = r.xbProt != nil
+	s.xbSecPresent = r.cfg.FaultTolerant
 	s.counters = r.Counters
 	for p := 0; p < P; p++ {
 		for v := range s.outVCBusy[p] {
@@ -96,25 +96,25 @@ func (r *Router) refSaveStateInto(old *refRouterState, cloneFlit func(*flit.Flit
 		copy(s.credits[p], r.credits[p*V:])
 		for v := 0; v < V; v++ {
 			refSaveVC(&s.vcs[p][v], r.in[p].VCs[v], cloneFlit)
-			s.va1Prio[p*V+v] = r.va.Stage1(p, v).Prio()
-			s.va2Prio[p*V+v] = r.va.Stage2(p, v).Prio()
-			s.va1Faulty[p*V+v] = r.va.Stage1Faulty(p, v)
-			s.va2Faulty[p*V+v] = r.va.Stage2(p, v).Faulty()
+			s.va1Prio[p*V+v] = r.va1[p*V+v].Prio()
+			s.va2Prio[p*V+v] = r.va2[p*V+v].Prio()
+			s.va1Faulty[p*V+v] = r.VA1Fault(topology.Port(p), v)
+			s.va2Faulty[p*V+v] = r.va2[p*V+v].Faulty()
 		}
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		s.sa1Prio[p] = b.Arb.Prio()
 		s.sa1DW[p], s.sa1Rot[p] = b.BypassState()
 		s.sa1ArbFault[p] = b.Arb.Faulty()
 		s.sa1BypFault[p] = b.BypassFaulty()
-		s.sa2Prio[p] = r.sa.Stage2(p).Prio()
-		s.sa2Faulty[p] = r.sa.Stage2(p).Faulty()
-		s.rcFaulty[p][0] = r.rc[p].Faulty(0)
-		s.rcFaulty[p][1] = r.cfg.FaultTolerant && r.rc[p].Faulty(1)
-		if r.xbProt != nil {
-			s.xbMuxFaulty[p] = r.xbProt.MuxFaulty(p)
-			s.xbSecFaulty[p] = r.xbProt.SecondaryFaulty(p)
+		s.sa2Prio[p] = r.sa2[p].Prio()
+		s.sa2Faulty[p] = r.sa2[p].Faulty()
+		s.rcFaulty[p][0] = r.RCFault(topology.Port(p), 0)
+		s.rcFaulty[p][1] = r.cfg.FaultTolerant && r.RCFault(topology.Port(p), 1)
+		if r.cfg.FaultTolerant {
+			s.xbMuxFaulty[p] = r.xb.MuxFaulty(p)
+			s.xbSecFaulty[p] = r.xb.SecondaryFaulty(p)
 		} else {
-			s.xbMuxFaulty[p] = r.xbBase.MuxFaulty(p)
+			s.xbMuxFaulty[p] = r.xb.MuxFaulty(p)
 			s.xbSecFaulty[p] = false
 		}
 	}
@@ -184,7 +184,7 @@ func refSaveVC(s *refVCState, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) {
 
 // refRestoreState is the old RestoreState.
 func (r *Router) refRestoreState(s *refRouterState, cloneFlit func(*flit.Flit) *flit.Flit) {
-	if s.xbSecPresent != (r.xbProt != nil) {
+	if s.xbSecPresent != r.cfg.FaultTolerant {
 		panic("core: RestoreState: snapshot crossbar protection does not match the router's configuration")
 	}
 	P, V := r.cfg.Ports, r.cfg.VCs
@@ -198,27 +198,27 @@ func (r *Router) refRestoreState(s *refRouterState, cloneFlit func(*flit.Flit) *
 		copy(r.credits[p*V:], s.credits[p])
 		for v := 0; v < V; v++ {
 			refRestoreVC(r.in[p].VCs[v], &s.vcs[p][v], cloneFlit)
-			r.va.Stage1(p, v).SetPrio(s.va1Prio[p*V+v])
-			r.va.Stage2(p, v).SetPrio(s.va2Prio[p*V+v])
-			r.va.SetStage1Faulty(p, v, s.va1Faulty[p*V+v])
-			r.va.Stage2(p, v).SetFaulty(s.va2Faulty[p*V+v])
+			r.va1[p*V+v].SetPrio(s.va1Prio[p*V+v])
+			r.va2[p*V+v].SetPrio(s.va2Prio[p*V+v])
+			r.SetVA1Fault(topology.Port(p), v, s.va1Faulty[p*V+v])
+			r.va2[p*V+v].SetFaulty(s.va2Faulty[p*V+v])
 		}
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		b.Arb.SetPrio(s.sa1Prio[p])
 		b.SetBypassState(s.sa1DW[p], s.sa1Rot[p])
 		b.Arb.SetFaulty(s.sa1ArbFault[p])
 		b.SetBypassFaulty(s.sa1BypFault[p])
-		r.sa.Stage2(p).SetPrio(s.sa2Prio[p])
-		r.sa.Stage2(p).SetFaulty(s.sa2Faulty[p])
-		r.rc[p].SetFaulty(0, s.rcFaulty[p][0])
+		r.sa2[p].SetPrio(s.sa2Prio[p])
+		r.sa2[p].SetFaulty(s.sa2Faulty[p])
+		r.SetRCFault(topology.Port(p), 0, s.rcFaulty[p][0])
 		if r.cfg.FaultTolerant {
-			r.rc[p].SetFaulty(1, s.rcFaulty[p][1])
+			r.SetRCFault(topology.Port(p), 1, s.rcFaulty[p][1])
 		}
-		if r.xbProt != nil {
-			r.xbProt.SetMuxFaulty(p, s.xbMuxFaulty[p])
-			r.xbProt.SetSecondaryFaulty(p, s.xbSecFaulty[p])
+		if r.cfg.FaultTolerant {
+			r.xb.SetMuxFaulty(p, s.xbMuxFaulty[p])
+			r.xb.SetSecondaryFaulty(p, s.xbSecFaulty[p])
 		} else {
-			r.xbBase.SetMuxFaulty(p, s.xbMuxFaulty[p])
+			r.xb.SetMuxFaulty(p, s.xbMuxFaulty[p])
 		}
 	}
 	r.grants = append(r.grants[:0], s.grants...)

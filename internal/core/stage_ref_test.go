@@ -80,14 +80,14 @@ func (r *Router) refRCStage(cy sim.Cycle) {
 				if r.cfg.FaultTolerant && !r.primaryPathUsable(out) {
 					if r.secondaryPathUsable(out) {
 						q.FSP = true
-						q.SP = topology.Port(r.xbProt.SecondaryOf(int(out)))
+						q.SP = topology.Port(r.xb.SecondaryOf(int(out)))
 					}
 					// If neither path works the packet waits; Functional()
 					// reports the router failed.
 				}
 				q.G = vc.VCAlloc
 				if o := r.obs; o != nil {
-					o.RCCompute(cy, p, idx, int(out), r.rc[p].Faulty(0))
+					o.RCCompute(cy, p, idx, int(out), r.RCFault(topology.Port(p), 0))
 					r.noteAdvance(p, idx)
 				}
 				r.rcScan[p] = r.vcAfter(idx)
@@ -111,11 +111,11 @@ func (r *Router) refVAStage(cy sim.Cycle) {
 				continue
 			}
 			arbVC := v
-			if r.va.Stage1Faulty(p, v) {
+			if r.VA1Fault(topology.Port(p), v) {
 				if !r.cfg.FaultTolerant {
 					continue // baseline: the VC is dead
 				}
-				lender := r.in[p].FindLender(v, func(i int) bool { return r.va.Stage1Faulty(p, i) })
+				lender := r.in[p].FindLender(v, func(i int) bool { return r.VA1Fault(topology.Port(p), i) })
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
@@ -154,7 +154,7 @@ func (r *Router) refVAStage(cy sim.Cycle) {
 				}
 			}
 			if free != 0 {
-				if dvc, ok := r.va.Stage1(p, arbVC).GrantWord(free); ok {
+				if dvc, ok := r.va1[p*V+arbVC].GrantWord(free); ok {
 					r.va2req[(out*V+dvc)*P+p] |= 1 << uint(v)
 					r.va2any[out] |= 1 << uint(dvc)
 					requested = true
@@ -179,7 +179,7 @@ func (r *Router) refVAStage(cy sim.Cycle) {
 		for ; any != 0; any &= any - 1 {
 			dvc := bits.TrailingZeros64(any)
 			reqs := r.va2req[(out*V+dvc)*P:][:P]
-			arb := r.va.Stage2(out, dvc)
+			arb := &r.va2[out*V+dvc]
 			if arb.Faulty() {
 				// Section V-B3: the requesters lose this downstream VC
 				// and re-arbitrate for a different one next cycle.
@@ -230,7 +230,7 @@ func (r *Router) refEffectiveRequestPort(q *vc.VC) (topology.Port, bool) {
 	}
 	if r.secondaryPathUsable(q.R) {
 		q.FSP = true
-		q.SP = topology.Port(r.xbProt.SecondaryOf(int(q.R)))
+		q.SP = topology.Port(r.xb.SecondaryOf(int(q.R)))
 		return q.SP, true
 	}
 	return topology.Local, false
@@ -247,7 +247,7 @@ func (r *Router) refSAStage(cy sim.Cycle) {
 	won := false
 	for p := 0; p < r.cfg.Ports; p++ {
 		m := r.occ[p]
-		b := r.sa.Stage1(p)
+		b := &r.sa1[p]
 		if m == 0 && !b.Arb.Faulty() {
 			continue
 		}
@@ -333,7 +333,7 @@ func (r *Router) refSAStage(cy sim.Cycle) {
 			continue
 		}
 		r.sa2req[out] = 0
-		wp, ok := r.sa.Stage2(out).GrantWord(req)
+		wp, ok := r.sa2[out].GrantWord(req)
 		if !ok {
 			continue
 		}

@@ -60,7 +60,7 @@ func (r *Router) stallScan(cy sim.Cycle) {
 				if !headReady(q) {
 					continue // head still on the wire — not this router's wait
 				}
-				if !r.rc[p].Usable() {
+				if !r.rcUsable(p) {
 					// No fault-free RC copy: routing itself is blocked.
 					o.Stall(obs.StallRouteBlocked, p, v)
 				} else {

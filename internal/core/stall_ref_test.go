@@ -46,7 +46,7 @@ func refStallScan(r *Router) []stallReport {
 				if !headReady(q) {
 					continue
 				}
-				if !r.rc[p].Usable() {
+				if !r.rcUsable(p) {
 					stall(obs.StallRouteBlocked, p, v)
 				} else {
 					stall(obs.StallArbLost, p, v)

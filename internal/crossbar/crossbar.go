@@ -1,6 +1,6 @@
-// Package crossbar models the router's switch stage: the baseline P×P
-// multiplexer crossbar (Figure 3c) and the paper's protected crossbar
-// (Figure 6), which adds a secondary path to every output port.
+// Package crossbar models the router's switch stage: the paper's
+// protected P×P multiplexer crossbar (Figure 6), which adds a secondary
+// path to every output port of the baseline crossbar (Figure 3c).
 //
 // In the baseline crossbar each output port k is driven by a single pi:1
 // multiplexer Mk; a permanent fault in Mk makes output k unreachable. The
@@ -15,6 +15,10 @@
 // M3..M5, five 2:1 output muxes — and it reproduces the paper's worked
 // example (out 3 reached through M2, D1 and P3) and its fault analysis
 // (M2 and M4 faulty is tolerable; any further mux fault causes failure).
+//
+// Fault free, the protected crossbar "behaves just like the baseline
+// crossbar", so one type serves both designs: the baseline router only
+// ever traverses the primary paths, where a faulty Mk is final.
 package crossbar
 
 import (
@@ -38,78 +42,38 @@ var (
 	ErrSecondaryFaulty = errors.New("crossbar: secondary path is faulty")
 )
 
-// Baseline is the unprotected P×P crossbar: one pi:1 output multiplexer
-// per output port, a single path to each output.
-type Baseline struct {
-	faulty []bool // output mux Mk
-	inUse  []int  // input currently driving mux k this cycle, or -1
-}
-
-// NewBaseline returns a P×P crossbar. It panics if p < 2.
-func NewBaseline(p int) *Baseline {
-	if p < 2 {
-		panic(fmt.Sprintf("crossbar: invalid radix %d", p))
-	}
-	x := &Baseline{faulty: make([]bool, p), inUse: make([]int, p)}
-	x.BeginCycle()
-	return x
-}
-
-// SetMuxFaulty marks output mux out permanently faulty.
-func (x *Baseline) SetMuxFaulty(out int, f bool) { x.faulty[out] = f }
-
-// MuxFaulty reports whether output mux out is faulty.
-func (x *Baseline) MuxFaulty(out int) bool { return x.faulty[out] }
-
-// Reachable reports whether output out can be reached at all.
-func (x *Baseline) Reachable(out int) bool { return !x.faulty[out] }
-
-// BeginCycle resets per-cycle mux usage. Call once per simulated cycle
-// before any Traverse.
-func (x *Baseline) BeginCycle() {
-	for i := range x.inUse {
-		x.inUse[i] = -1
-	}
-}
-
-// Traverse moves a flit from input port in to output port out. It returns
-// an error if the output mux is faulty or already carrying a flit this
-// cycle (an allocation bug).
-func (x *Baseline) Traverse(in, out int) error {
-	if x.faulty[out] {
-		return ErrMuxFaulty
-	}
-	if x.inUse[out] != -1 {
-		return ErrMuxInUse
-	}
-	x.inUse[out] = in
-	return nil
-}
+// maxRadix is the largest crossbar: its state is one bit per mux in a
+// word.
+const maxRadix = 64
 
 // Protected is the fault-tolerant crossbar of Figure 6. Fault sites are
 // the P primary output muxes Mk and the P secondary paths (the demux leg
-// plus output mux Pk serving each output).
+// plus output mux Pk serving each output). Its state is three words, bit k
+// of each describing mux or output k, so a router holds it by value.
 type Protected struct {
 	p         int
-	muxFaulty []bool // primary pi:1 mux Mk
-	secFaulty []bool // secondary path (demux leg + Pk) of output k
-	inUse     []int  // input driving pi:1 mux k this cycle, or -1
+	muxFaulty uint64 // primary pi:1 mux Mk
+	secFaulty uint64 // secondary path (demux leg + Pk) of output k
+	inUse     uint64 // pi:1 mux k carries a flit this cycle
+}
+
+// radixError is what NewProtected panics with: a value, so that the
+// constructor stays small enough to inline and a router's crossbar held
+// by value costs no allocation.
+type radixError int
+
+func (p radixError) Error() string {
+	return fmt.Sprintf("crossbar: protected crossbar needs radix 3..%d, got %d", maxRadix, int(p))
 }
 
 // NewProtected returns a protected P×P crossbar. It panics if p < 3,
-// since the secondary-path assignment needs at least three outputs.
+// since the secondary-path assignment needs at least three outputs, or if
+// p > 64.
 func NewProtected(p int) *Protected {
-	if p < 3 {
-		panic(fmt.Sprintf("crossbar: protected crossbar needs radix >= 3, got %d", p))
+	if p < 3 || p > maxRadix {
+		panic(radixError(p))
 	}
-	x := &Protected{
-		p:         p,
-		muxFaulty: make([]bool, p),
-		secFaulty: make([]bool, p),
-		inUse:     make([]int, p),
-	}
-	x.BeginCycle()
-	return x
+	return &Protected{p: p}
 }
 
 // SecondaryOf returns the index of the pi:1 mux providing output out's
@@ -125,26 +89,34 @@ func (x *Protected) SecondaryOf(out int) int {
 	}
 }
 
+// setBit returns w with bit k set to f.
+func setBit(w uint64, k int, f bool) uint64 {
+	if f {
+		return w | 1<<uint(k)
+	}
+	return w &^ (1 << uint(k))
+}
+
 // SetMuxFaulty marks primary mux M_out faulty.
-func (x *Protected) SetMuxFaulty(out int, f bool) { x.muxFaulty[out] = f }
+func (x *Protected) SetMuxFaulty(out int, f bool) { x.muxFaulty = setBit(x.muxFaulty, out, f) }
 
 // MuxFaulty reports whether primary mux M_out is faulty.
-func (x *Protected) MuxFaulty(out int) bool { return x.muxFaulty[out] }
+func (x *Protected) MuxFaulty(out int) bool { return x.muxFaulty>>uint(out)&1 != 0 }
 
 // SetSecondaryFaulty marks output out's secondary path (demux leg + Pk
 // mux) faulty.
-func (x *Protected) SetSecondaryFaulty(out int, f bool) { x.secFaulty[out] = f }
+func (x *Protected) SetSecondaryFaulty(out int, f bool) { x.secFaulty = setBit(x.secFaulty, out, f) }
 
 // SecondaryFaulty reports whether output out's secondary path is faulty.
-func (x *Protected) SecondaryFaulty(out int) bool { return x.secFaulty[out] }
+func (x *Protected) SecondaryFaulty(out int) bool { return x.secFaulty>>uint(out)&1 != 0 }
 
 // PrimaryUsable reports whether output out's regular path works.
-func (x *Protected) PrimaryUsable(out int) bool { return !x.muxFaulty[out] }
+func (x *Protected) PrimaryUsable(out int) bool { return !x.MuxFaulty(out) }
 
 // SecondaryUsable reports whether output out's secondary path works: the
 // neighbouring mux and the demux/Pk leg must both be fault-free.
 func (x *Protected) SecondaryUsable(out int) bool {
-	return !x.secFaulty[out] && !x.muxFaulty[x.SecondaryOf(out)]
+	return !x.SecondaryFaulty(out) && !x.MuxFaulty(x.SecondaryOf(out))
 }
 
 // Reachable reports whether output out can be reached through either path.
@@ -163,31 +135,29 @@ func (x *Protected) AllReachable() bool {
 	return true
 }
 
-// BeginCycle resets per-cycle mux usage.
-func (x *Protected) BeginCycle() {
-	for i := range x.inUse {
-		x.inUse[i] = -1
-	}
-}
+// BeginCycle resets per-cycle mux usage. Call once per simulated cycle
+// before any Traverse.
+func (x *Protected) BeginCycle() { x.inUse = 0 }
 
 // Traverse moves a flit from input port in to output port out, via the
 // secondary path when secondary is true. The pi:1 mux actually used is
 // M_out for the primary path and M_{secondary(out)} otherwise; each pi:1
-// mux carries at most one flit per cycle.
+// mux carries at most one flit per cycle, so a second traversal through
+// it is an allocation bug reported as ErrMuxInUse.
 func (x *Protected) Traverse(in, out int, secondary bool) error {
 	mux := out
 	if secondary {
-		if x.secFaulty[out] {
+		if x.SecondaryFaulty(out) {
 			return ErrSecondaryFaulty
 		}
 		mux = x.SecondaryOf(out)
 	}
-	if x.muxFaulty[mux] {
+	if x.MuxFaulty(mux) {
 		return ErrMuxFaulty
 	}
-	if x.inUse[mux] != -1 {
+	if x.inUse>>uint(mux)&1 != 0 {
 		return ErrMuxInUse
 	}
-	x.inUse[mux] = in
+	x.inUse |= 1 << uint(mux)
 	return nil
 }

@@ -1,36 +1,45 @@
 package crossbar
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
 
+// TestBaselineTraverse is the baseline router's use of the crossbar: the
+// primary paths only, one flit per output mux per cycle.
 func TestBaselineTraverse(t *testing.T) {
-	x := NewBaseline(5)
-	if err := x.Traverse(0, 3); err != nil {
+	x := NewProtected(5)
+	if err := x.Traverse(0, 3, false); err != nil {
 		t.Fatalf("traverse failed: %v", err)
 	}
 	// Same mux twice in one cycle is an allocation bug.
-	if err := x.Traverse(1, 3); err == nil {
-		t.Fatal("double use of mux not detected")
+	if err := x.Traverse(1, 3, false); !errors.Is(err, ErrMuxInUse) {
+		t.Fatalf("double use of mux: %v, want ErrMuxInUse", err)
 	}
 	x.BeginCycle()
-	if err := x.Traverse(1, 3); err != nil {
+	if err := x.Traverse(1, 3, false); err != nil {
 		t.Fatalf("traverse after BeginCycle failed: %v", err)
 	}
 }
 
+// TestBaselineFaultBlocksOutput: on the primary path, the only one the
+// baseline router drives, a faulty output mux blocks its output.
 func TestBaselineFaultBlocksOutput(t *testing.T) {
-	x := NewBaseline(5)
+	x := NewProtected(5)
 	x.SetMuxFaulty(2, true)
-	if x.Reachable(2) {
-		t.Fatal("faulty output reported reachable")
+	if x.PrimaryUsable(2) {
+		t.Fatal("faulty output's primary path reported usable")
 	}
-	if err := x.Traverse(0, 2); err == nil {
-		t.Fatal("traverse through faulty mux succeeded")
+	if err := x.Traverse(0, 2, false); !errors.Is(err, ErrMuxFaulty) {
+		t.Fatalf("traverse through faulty mux: %v, want ErrMuxFaulty", err)
 	}
-	if !x.Reachable(1) {
+	if !x.PrimaryUsable(1) || x.Traverse(0, 1, false) != nil {
 		t.Fatal("healthy output unreachable")
+	}
+	x.SetMuxFaulty(2, false)
+	if err := x.Traverse(0, 2, false); err != nil {
+		t.Fatalf("traverse after repair failed: %v", err)
 	}
 }
 
@@ -139,8 +148,8 @@ func TestFaultyPrimaryTraverseFails(t *testing.T) {
 
 func TestNewPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewBaseline(1) },
 		func() { NewProtected(2) },
+		func() { NewProtected(maxRadix + 1) },
 	} {
 		func() {
 			defer func() {
@@ -188,7 +197,7 @@ func TestSecondaryAssignmentProperty(t *testing.T) {
 // Property: any single mux fault leaves all outputs reachable (the paper's
 // single-fault tolerance claim for the XB stage).
 func TestSingleFaultToleranceProperty(t *testing.T) {
-	for p := 3; p <= 9; p++ {
+	for _, p := range []int{3, 4, 5, 6, 7, 8, 9, maxRadix} {
 		for m := 0; m < p; m++ {
 			x := NewProtected(p)
 			x.SetMuxFaulty(m, true)

@@ -7,19 +7,13 @@ import (
 	"gonoc/internal/noc"
 )
 
-// CheckMesh runs the standard verification sweep for a w x h mesh: the
-// ring scenario fault free, then under every single link fault and
-// every single router fault, each explored exhaustively under opt. It
-// stops at the first violation. This is what `noctool check` and the
-// CI tier run.
-func CheckMesh(w, h int, retx noc.RetxConfig, opt Options) ([]Result, error) {
-	return CheckTopo("", w, h, retx, opt)
-}
-
-// CheckTopo is CheckMesh on an explicit topology family; "torus" sweeps
-// every ring link including the wraps, proving the dateline-aware
-// detour tables deadlock free and fully delivering under every single
-// fault site.
+// CheckTopo runs the standard verification sweep for a w x h grid of
+// topology family topo ("" is the mesh): the ring scenario fault free,
+// then under every single link fault and every single router fault, each
+// explored exhaustively under opt. It stops at the first violation. On
+// the torus it sweeps every ring link including the wraps, proving the
+// dateline-aware detour tables deadlock free and fully delivering under
+// every single fault site. This is what `noctool check` runs.
 func CheckTopo(topo string, w, h int, retx noc.RetxConfig, opt Options) ([]Result, error) {
 	base := RingOn(topo, w, h)
 	base.Retx = retx

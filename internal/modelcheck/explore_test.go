@@ -74,7 +74,7 @@ func TestGoldenGraphTable(t *testing.T) {
 // requires a proof: every interleaving of the four injections with
 // ticking delivers all four packets and drains.
 func TestExploreRing2x2FaultFree(t *testing.T) {
-	res, err := Explore(Ring(2, 2), Options{})
+	res, err := Explore(RingOn("", 2, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExploreRing2x2SingleFaultSweep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("retransmission countdown state defeats cross-time merging; too slow under -race (the CI modelcheck tier runs it without the detector)")
 	}
-	base := Ring(2, 2)
+	base := RingOn("", 2, 2)
 	base.Retx = noc.RetxConfig{Timeout: 64, MaxRetries: 2}
 	sweep := SingleFaultSweep(base)
 	if testing.Short() {
@@ -163,7 +163,7 @@ func TestExploreRing2x2TorusSingleFaultSweep(t *testing.T) {
 // baseline router: the deadlock-freedom and delivery proofs must hold
 // with the FT mechanisms compiled out, not just worked around.
 func TestExploreRing2x2Baseline(t *testing.T) {
-	sc := Ring(2, 2)
+	sc := RingOn("", 2, 2)
 	sc.Name = "ring-2x2-baseline"
 	sc.FaultTolerant = false
 	res, err := Explore(sc, Options{})
@@ -191,7 +191,7 @@ func TestExploreRing2x3(t *testing.T) {
 	if raceEnabled {
 		t.Skip("65k-state bounded exploration is too slow under -race; the plain test run covers it")
 	}
-	res, err := Explore(Ring(2, 3), Options{MaxStates: 1 << 16})
+	res, err := Explore(RingOn("", 2, 3), Options{MaxStates: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +276,14 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 	}
 }
 
-// TestCheckMeshSweep drives the public sweep entry point the CLI and CI
-// use, on the smallest mesh. CheckMesh always runs all nine scenarios, so
+// TestCheckMeshSweep drives the public sweep entry point the CLI uses,
+// CheckTopo, on the smallest mesh. It always runs all nine scenarios, so
 // -short leaves the 2x2 proofs to the tests above.
 func TestCheckMeshSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("9 exhaustive scenarios; skipped in -short")
 	}
-	results, err := CheckMesh(2, 2, noc.RetxConfig{}, Options{})
+	results, err := CheckTopo("", 2, 2, noc.RetxConfig{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestMonteCarloRing3x3(t *testing.T) {
 	if testing.Short() {
 		walks = 24
 	}
-	res, err := MonteCarlo(Ring(3, 3), MCOptions{Walks: walks, Seed: 7})
+	res, err := MonteCarlo(RingOn("", 3, 3), MCOptions{Walks: walks, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestMonteCarloFindsSabotageDeadlock(t *testing.T) {
 // cap far below the space's size must yield EXHAUSTED, not a bogus
 // proof.
 func TestExploreBudgetExhaustion(t *testing.T) {
-	res, err := Explore(Ring(2, 2), Options{MaxStates: 8})
+	res, err := Explore(RingOn("", 2, 2), Options{MaxStates: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,17 +356,17 @@ func TestExploreBudgetExhaustion(t *testing.T) {
 // TestScenarioValidation rejects malformed scenarios instead of
 // exploring garbage.
 func TestScenarioValidation(t *testing.T) {
-	sc := Ring(2, 2)
+	sc := RingOn("", 2, 2)
 	sc.Packets[0].Dst = 99
 	if _, err := Explore(sc, Options{}); err == nil {
 		t.Error("out-of-range destination accepted")
 	}
-	sc = Ring(2, 2)
+	sc = RingOn("", 2, 2)
 	sc.Packets[0].Size = 0
 	if _, err := Explore(sc, Options{}); err == nil {
 		t.Error("zero-size packet accepted")
 	}
-	sc = Ring(2, 2)
+	sc = RingOn("", 2, 2)
 	sc.SabotageNode = 99
 	if _, err := Explore(sc, Options{}); err == nil {
 		t.Error("out-of-range sabotage node accepted")
@@ -380,7 +380,7 @@ func BenchmarkExplore(b *testing.B) {
 	b.ReportAllocs()
 	var states int
 	for i := 0; i < b.N; i++ {
-		res, err := Explore(Ring(2, 2), Options{})
+		res, err := Explore(RingOn("", 2, 2), Options{})
 		if err != nil || res.Verdict != Proved {
 			b.Fatalf("verdict %v, err %v", res.Verdict, err)
 		}

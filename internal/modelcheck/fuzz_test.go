@@ -22,7 +22,7 @@ func FuzzModelCheckConformance(f *testing.F) {
 	f.Add(uint64(7), uint8(40), uint8(8), uint8(5))
 	f.Add(uint64(999), uint8(10), uint8(5), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, steps, faultSel, sab uint8) {
-		base := Ring(2, 2)
+		base := RingOn("", 2, 2)
 		sweep := SingleFaultSweep(base)
 		sc := sweep[int(faultSel)%len(sweep)]
 		if sab&1 != 0 {

@@ -93,15 +93,10 @@ type Scenario struct {
 	SabotageNode int
 }
 
-// Ring returns the standard small-model scenario on a w x h mesh: every
-// node sends one single-flit packet to its successor in node order, the
-// densest all-nodes-active pattern with a small packet count.
-func Ring(w, h int) Scenario {
-	return RingOn("", w, h)
-}
-
-// RingOn is Ring on an explicit topology family ("" or "mesh", "torus",
-// "cmesh"), for sweeping the same traffic pattern across families.
+// RingOn returns the standard small-model scenario on a w x h grid of
+// topology family topo ("" or "mesh", "torus", "cmesh"): every node sends
+// one single-flit packet to its successor in node order, the densest
+// all-nodes-active pattern with a small packet count.
 func RingOn(topo string, w, h int) Scenario {
 	n := w * h
 	sc := Scenario{

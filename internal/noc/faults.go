@@ -279,7 +279,7 @@ func (n *Network) retxScan(c sim.Cycle) {
 				continue
 			}
 			e.retries++
-			e.interval *= sim.Cycle(n.retxCfg.Backoff)
+			e.interval *= retxBackoff
 			e.deadline = c + e.interval
 			n.retransmit(node, e, c)
 			kept = append(kept, e)

@@ -18,15 +18,36 @@ import (
 // where the in-flight terms count flits on the downstream wire and
 // credits on the upstream wire for that VC, and pendingGrants counts
 // switch-allocation winners whose credit is reserved but whose flit has
-// not yet traversed the crossbar. The same holds for the
-// NI-to-router local links. Any leak — a credit lost, double-returned or
-// misrouted, a flit accepted without a credit — breaks this equation, so
-// tests can call CheckInvariants at any cycle boundary to pin down
-// flow-control bugs the moment they happen.
+// not yet traversed the crossbar. The same holds for the two local links
+// of every node. The NI feeds the router's Local input port directly, so
+// no flit is ever on that wire:
+//
+//	credits_NI[v] + occupancy_R[Local][v] + latchedNICredits = Depth
+//
+// and the NI consumes an ejected flit the cycle it leaves the router:
+//
+//	credits_R[Local][v] + latchedEjectionCredits + pendingGrants_R[Local][v] = Depth
+//
+// Any leak — a credit lost, double-returned or misrouted, a flit accepted
+// without a credit — breaks one of these equations, so tests can call
+// CheckInvariants at any cycle boundary to pin down flow-control bugs the
+// moment they happen.
 func (n *Network) CheckInvariants() error {
 	depth := n.cfg.Router.Depth
 	for id, r := range n.routers {
 		cfg := r.Config()
+		for v := 0; v < cfg.VCs; v++ {
+			ni, occ, latched := n.nis[id].credits[v], r.InputVC(localPort, v).Len(), latchedCredits(n.inNICredits[id], localPort, v)
+			if total := ni + occ + latched; total != depth {
+				return fmt.Errorf("noc: credit leak on local link ni%d -> r%d.%v vc%d: NI credits %d + occupancy %d + latched NI credits %d = %d, want %d",
+					id, id, localPort, v, ni, occ, latched, total, depth)
+			}
+			credits, latched, pending := r.Credits(localPort, v), latchedCredits(n.inCredits[id], localPort, v), r.PendingGrants(localPort, v)
+			if total := credits + latched + pending; total != depth {
+				return fmt.Errorf("noc: credit leak on local link r%d.%v -> ni%d vc%d: credits %d + latched ejection credits %d + pending grants %d = %d, want %d",
+					id, localPort, id, v, credits, latched, pending, total, depth)
+			}
+		}
 		for p := 1; p < cfg.Ports; p++ { // inter-router ports: N, E, S, W
 			port := topology.Port(p)
 			nb := n.neighbor(id, port)
@@ -35,7 +56,7 @@ func (n *Network) CheckInvariants() error {
 			}
 			in := port.Opposite()
 			for v := 0; v < cfg.VCs; v++ {
-				credits := n.creditCount(id, port, v)
+				credits := r.Credits(port, v)
 				occ := n.routers[nb].InputVC(in, v).Len()
 				wireFlits := 0
 				for _, w := range n.inFlits[nb] {
@@ -43,12 +64,7 @@ func (n *Network) CheckInvariants() error {
 						wireFlits++
 					}
 				}
-				wireCredits := 0
-				for _, w := range n.inCredits[id] {
-					if topology.Port(w.port) == port && int(w.vc) == v {
-						wireCredits++
-					}
-				}
+				wireCredits := latchedCredits(n.inCredits[id], port, v)
 				pending := r.PendingGrants(port, v)
 				total := credits + occ + wireFlits + wireCredits + pending
 				if total != depth {
@@ -62,9 +78,13 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
-// creditCount reads the router's internal credit counter via the public
-// surface: FreeOutVCs covers allocation state, but for credits we track
-// through a dedicated accessor on the router.
-func (n *Network) creditCount(id int, p topology.Port, v int) int {
-	return n.routers[id].Credits(p, v)
+// latchedCredits counts the credits in latch cs for VC v of port p.
+func latchedCredits(cs []credit, p topology.Port, v int) int {
+	k := 0
+	for _, c := range cs {
+		if topology.Port(c.port) == p && int(c.vc) == v {
+			k++
+		}
+	}
+	return k
 }

@@ -104,19 +104,16 @@ type Config struct {
 
 // RetxConfig configures end-to-end packet retransmission at the network
 // interfaces: sources keep a bounded buffer of unacknowledged packets
-// and re-inject them on a cycle timeout with exponential backoff, and
-// sinks suppress the duplicate deliveries this can create. Combined with
-// fault-aware routing it delivers 100% of packets under any single link
-// or router fault.
+// and re-inject them on a cycle timeout that doubles after every
+// retransmission (retxBackoff), and sinks suppress the duplicate
+// deliveries this can create. Combined with fault-aware routing it
+// delivers 100% of packets under any single link or router fault.
 type RetxConfig struct {
 	// Timeout is the initial retransmission timeout in cycles, counted
 	// from the offer; 0 disables retransmission entirely. Set it above
 	// the worst-case delivery latency of the configuration or duplicates
 	// will be common (they are suppressed, but cost bandwidth).
 	Timeout sim.Cycle
-	// Backoff multiplies the timeout after every retransmission
-	// (exponential backoff); values below 1 default to 2.
-	Backoff int
 	// MaxRetries bounds the retransmissions per packet; 0 defaults to 8.
 	// A packet still undelivered after MaxRetries is abandoned (it has
 	// already been recorded as dropped when its last copy died).
@@ -131,9 +128,6 @@ type RetxConfig struct {
 func (rc RetxConfig) withDefaults() RetxConfig {
 	if rc.Timeout <= 0 {
 		return RetxConfig{}
-	}
-	if rc.Backoff < 1 {
-		rc.Backoff = 2
 	}
 	if rc.MaxRetries <= 0 {
 		rc.MaxRetries = 8
@@ -339,6 +333,10 @@ func (c *creditRun) add(v int, free bool) {
 	}
 	c.last, c.lastFree = uint8(v)+1, free
 }
+
+// retxBackoff multiplies a packet's retransmission timeout after every
+// retransmission: exponential backoff.
+const retxBackoff = 2
 
 // retxEntry is one unacknowledged packet in a source's retransmission
 // buffer: everything needed to clone it, plus the timer state.

@@ -296,6 +296,28 @@ func TestCreditConservationInvariant(t *testing.T) {
 	}
 }
 
+// TestCreditConservationCoversLocalLinks plants a leak on each direction
+// of a node's local link and requires CheckInvariants to name it: a credit
+// the NI lost, and an ejection credit latched twice.
+func TestCreditConservationCoversLocalLinks(t *testing.T) {
+	for name, leak := range map[string]func(n *Network){
+		"ni5 -> r5.L": func(n *Network) { n.nis[5].credits[1]-- },
+		"r5.L -> ni5": func(n *Network) { n.inCredits[5] = append(n.inCredits[5], credit{port: uint8(localPort), vc: 1}) },
+	} {
+		src := traffic.NewSynthetic(16, 0.08, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.5), 17)
+		n := MustNew(testCfg(4, 4, true), src)
+		n.Run(20)
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("before the leak: %v", err)
+		}
+		leak(n)
+		want := "local link " + name + " vc1"
+		if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("leak on %s: CheckInvariants = %v, want an error naming %q", name, err, want)
+		}
+	}
+}
+
 func TestOneRowMesh(t *testing.T) {
 	// Degenerate 8×1 mesh: only East/West links exist; routing and flow
 	// control must still work end to end.

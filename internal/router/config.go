@@ -1,10 +1,10 @@
-// Package router provides the structural building blocks of the NoC
-// router microarchitecture: configuration, the routing-computation units,
-// the allocator arbiter arrays with their fault flags, and the message
-// types exchanged between a router and its links.
+// Package router holds what a router shares with the rest of the network:
+// its configuration (Config) and the messages it exchanges with its links
+// (InFlit, OutFlit, Credit).
 //
-// The behavioural pipeline — how these blocks are exercised each cycle,
-// including the paper's fault-tolerance mechanisms — lives in
+// The router itself — its RC units, allocator arbiters and crossbar, and
+// the pipeline that exercises them each cycle with the paper's
+// fault-tolerance mechanisms — is one block, core.Router, in
 // internal/core.
 package router
 
@@ -97,4 +97,22 @@ func (c Config) ClassRange(cls int) (lo, hi int) {
 func (c Config) ClassOf(v int) int {
 	per := c.VCs / c.Classes
 	return v / per
+}
+
+// Arbiters is the shape of one allocator stage: Count arbiters of Inputs
+// request lines each.
+type Arbiters struct{ Count, Inputs int }
+
+// VA returns the VC allocator's two stages: one v:1 arbiter per input VC
+// picks a downstream VC, and one pv:1 arbiter per downstream VC picks
+// among the input VCs that asked for it.
+func (c Config) VA() (stage1, stage2 Arbiters) {
+	return Arbiters{c.Ports * c.VCs, c.VCs}, Arbiters{c.Ports * c.VCs, c.Ports * c.VCs}
+}
+
+// SA returns the switch allocator's two stages: one v:1 arbiter per input
+// port picks the VC that bids, and one p:1 arbiter per output port picks
+// among the input ports bidding for it.
+func (c Config) SA() (stage1, stage2 Arbiters) {
+	return Arbiters{c.Ports, c.VCs}, Arbiters{c.Ports, c.Ports}
 }

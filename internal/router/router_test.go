@@ -109,119 +109,6 @@ func TestClassRangePartitionProperty(t *testing.T) {
 	}
 }
 
-func TestRCUnitRedundancy(t *testing.T) {
-	mesh := topology.NewMesh(3, 3)
-	u := NewRCUnit(mesh, true)
-	if !u.Usable() {
-		t.Fatal("fresh unit unusable")
-	}
-	port, ok := u.Compute(4, 5)
-	if !ok || port != topology.East {
-		t.Fatalf("Compute = (%v, %v)", port, ok)
-	}
-	u.SetFaulty(0, true)
-	if !u.Usable() || u.Faulty(1) {
-		t.Fatal("duplicate should cover primary fault")
-	}
-	if port, ok = u.Compute(4, 5); !ok || port != topology.East {
-		t.Fatalf("duplicate Compute = (%v, %v)", port, ok)
-	}
-	u.SetFaulty(1, true)
-	if u.Usable() {
-		t.Fatal("usable with both copies faulty")
-	}
-	if _, ok = u.Compute(4, 5); ok {
-		t.Fatal("Compute succeeded with both copies faulty")
-	}
-	// Repair the primary: usable again.
-	u.SetFaulty(0, false)
-	if !u.Usable() {
-		t.Fatal("not usable after repair")
-	}
-}
-
-func TestRCUnitBaselineNoDuplicate(t *testing.T) {
-	mesh := topology.NewMesh(3, 3)
-	u := NewRCUnit(mesh, false)
-	u.SetFaulty(0, true)
-	if u.Usable() {
-		t.Fatal("baseline unit usable after its only copy failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("marking nonexistent duplicate did not panic")
-		}
-	}()
-	u.SetFaulty(1, true)
-}
-
-func TestVAllocStructure(t *testing.T) {
-	cfg := DefaultConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	va := NewVAlloc(cfg)
-	// Stage 1 arbiters arbitrate over the v downstream VCs.
-	if got := va.Stage1(0, 0).Inputs(); got != cfg.VCs {
-		t.Errorf("stage-1 width %d, want %d", got, cfg.VCs)
-	}
-	// Stage 2 arbiters arbitrate over all pi·v input VCs.
-	if got := va.Stage2(0, 0).Inputs(); got != cfg.Ports*cfg.VCs {
-		t.Errorf("stage-2 width %d, want %d", got, cfg.Ports*cfg.VCs)
-	}
-	if va.String() == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestVAllocPortStage1Dead(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Validate()
-	va := NewVAlloc(cfg)
-	for v := 0; v < cfg.VCs-1; v++ {
-		va.SetStage1Faulty(2, v, true)
-	}
-	if va.PortStage1Dead(2) {
-		t.Fatal("port dead with one arbiter set left")
-	}
-	va.SetStage1Faulty(2, cfg.VCs-1, true)
-	if !va.PortStage1Dead(2) {
-		t.Fatal("port not dead with all sets faulty")
-	}
-	if va.PortStage1Dead(1) {
-		t.Fatal("wrong port reported dead")
-	}
-}
-
-func TestVAllocClassStage2Dead(t *testing.T) {
-	cfg := DefaultConfig() // 2 classes over 4 VCs
-	cfg.Validate()
-	va := NewVAlloc(cfg)
-	va.Stage2(1, 0).SetFaulty(true)
-	if va.ClassStage2Dead(1, 0) {
-		t.Fatal("class dead with one of two arbiters faulty")
-	}
-	va.Stage2(1, 1).SetFaulty(true)
-	if !va.ClassStage2Dead(1, 0) {
-		t.Fatal("class 0 not dead with both its arbiters faulty")
-	}
-	if va.ClassStage2Dead(1, 1) {
-		t.Fatal("class 1 wrongly dead")
-	}
-}
-
-func TestSAllocStructure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Validate()
-	sa := NewSAlloc(cfg)
-	if got := sa.Stage1(0).Arb.Inputs(); got != cfg.VCs {
-		t.Errorf("stage-1 width %d, want %d", got, cfg.VCs)
-	}
-	if got := sa.Stage2(0).Inputs(); got != cfg.Ports {
-		t.Errorf("stage-2 width %d, want %d", got, cfg.Ports)
-	}
-}
-
 func TestMessageStrings(t *testing.T) {
 	of := OutFlit{Out: topology.East, DownVC: 2}
 	c := Credit{In: topology.West, VC: 1, VCFree: true}
