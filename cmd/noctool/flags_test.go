@@ -130,6 +130,18 @@ func TestCommandFlagValidation(t *testing.T) {
 			"outside the 4x4 mesh"},
 		{"trace events 0", runView("trace"), []string{"-o", out, "-events", "0"}, "-events must be >= 1"},
 		{"spans events 0", runView("spans"), []string{"-events", "0"}, "-events must be >= 1"},
+		{"trace events past 1 GiB", runView("trace"), []string{"-o", out, "-events", "100000000"},
+			"-events 100000000 asks for 2400000000 B of ring slots (100000000 events × 24 B), above the 1 GiB limit"},
+		{"spans events past 1 GiB", runView("spans"), []string{"-events", "100000000"}, "above the 1 GiB limit"},
+		{"heatmap one window", runView("heatmap"), []string{"-windows", "1"}, "-windows must be >= 2, got 1"},
+		{"heatmap negative windows", runView("heatmap"), []string{"-windows", "-1"}, "-windows must be >= 2, got -1"},
+		{"heatmap zero bucket", runView("heatmap"), []string{"-bucket", "0"}, "-bucket must be >= 1, got 0"},
+		{"heatmap windows past 1 GiB", runView("heatmap"), []string{"-windows", "100000000"},
+			"(100000000 windows × 64 nodes × 5 ports × (4 VCs + 4 stall kinds) × 4 B), above the 1 GiB limit"},
+		{"flightrec zero events", runView("flightrec"), []string{"-o", out, "-events", "0"}, "-events must be >= 1, got 0"},
+		{"flightrec negative events", runView("flightrec"), []string{"-o", out, "-events", "-1"}, "-events must be >= 1, got -1"},
+		{"flightrec events past 1 GiB", runView("flightrec"), []string{"-o", out, "-events", "100000000"},
+			"-events 100000000 asks for 153600000000 B of ring slots (64 nodes × 100000000 events × 24 B), above the 1 GiB limit"},
 		{"campaign negative trials", runCampaign, []string{"-trials", "-5"}, "-trials must be >= 1"},
 		{"campaign zero trials", runCampaign, []string{"-trials", "0"}, "-trials must be >= 1"},
 		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},

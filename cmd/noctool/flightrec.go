@@ -29,10 +29,15 @@ func flightrecView(fs *flag.FlagSet) func(*simFlags) (plan, error) {
 		}
 		var mon *watchdog.Monitor
 		return plan{
-			newObs: func(nodes int) *obs.Observer {
+			newObs: func(nodes int) (*obs.Observer, error) {
+				err := ringFlag("events", *events, 1, float64(nodes)*float64(*events)*float64(obs.EventSlotBytes),
+					fmt.Sprintf("%d nodes × %d events × %d B", nodes, *events, obs.EventSlotBytes))
+				if err != nil {
+					return nil, err
+				}
 				o := obs.New(0)
 				o.Flight = obs.NewFlightRecorder(nodes, *events)
-				return o
+				return o, nil
 			},
 			attach: func(n *noc.Network) {
 				if *threshold > 0 {

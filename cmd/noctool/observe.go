@@ -21,7 +21,7 @@ type view struct {
 
 // plan is what a view asks of the one observed run.
 type plan struct {
-	newObs func(nodes int) *obs.Observer               // the observer the view reads: counters, trace ring, windows or flight lanes
+	newObs func(nodes int) (*obs.Observer, error)      // the observer the view reads: counters, trace ring, windows or flight lanes
 	attach func(n *noc.Network)                        // if non-nil, runs on the built network before the first cycle
 	print  func(n *noc.Network, o *obs.Observer) error // runs after the last cycle; nil: the view needed no run
 }
@@ -106,12 +106,10 @@ func runObserve(args []string) error {
 }
 
 // traceEvents rejects a trace capacity that would leave a traced view
-// without a tracer.
+// without a tracer, or one past the ring limit.
 func traceEvents(events int) error {
-	if events < 1 {
-		return fmt.Errorf("-events must be >= 1, got %d", events)
-	}
-	return nil
+	return ringFlag("events", events, 1, float64(events)*float64(obs.EventSlotBytes),
+		fmt.Sprintf("%d events × %d B", events, obs.EventSlotBytes))
 }
 
 // metricsView prints the per-router observability counters.

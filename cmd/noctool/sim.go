@@ -113,7 +113,7 @@ var patterns = map[string]func(topology.Topology) traffic.DestFn{
 // attaches the random injector when -fault-mean is set. newObs, if
 // non-nil, makes the run's observer for the grid's node count; a nil
 // newObs builds an uninstrumented run and returns a nil observer.
-func (sf *simFlags) build(newObs func(nodes int) *obs.Observer) (*noc.Network, *obs.Observer, error) {
+func (sf *simFlags) build(newObs func(nodes int) (*obs.Observer, error)) (*noc.Network, *obs.Observer, error) {
 	if err := sf.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -133,7 +133,9 @@ func (sf *simFlags) build(newObs func(nodes int) *obs.Observer) (*noc.Network, *
 	}
 	var o *obs.Observer
 	if newObs != nil {
-		o = newObs(topo.Nodes())
+		if o, err = newObs(topo.Nodes()); err != nil {
+			return nil, nil, err
+		}
 	}
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = !*sf.baseline
@@ -174,18 +176,44 @@ func (sf *simFlags) build(newObs func(nodes int) *obs.Observer) (*noc.Network, *
 
 // traced makes an observer with the counter registry and an events-deep
 // trace ring split into one ring per router (0: no ring).
-func traced(events int) func(int) *obs.Observer {
-	return func(int) *obs.Observer { return obs.New(events) }
+func traced(events int) func(int) (*obs.Observer, error) {
+	return func(int) (*obs.Observer, error) { return obs.New(events), nil }
 }
 
 // windowed makes an observer with the counter registry and the windowed
-// link-utilization ring (bucket <= 0 and buckets < 2 select the defaults).
-func windowed(bucket sim.Cycle, buckets int) func(int) *obs.Observer {
-	return func(nodes int) *obs.Observer {
-		o, rc := obs.New(0), router.DefaultConfig()
+// link-utilization ring: buckets windows of bucket cycles each.
+func windowed(bucket sim.Cycle, buckets int) func(int) (*obs.Observer, error) {
+	return func(nodes int) (*obs.Observer, error) {
+		rc := router.DefaultConfig()
+		if bucket < 1 {
+			return nil, fmt.Errorf("-bucket must be >= 1, got %d", bucket)
+		}
+		err := ringFlag("windows", buckets, 2, float64(buckets)*float64(nodes*rc.Ports*(rc.VCs+obs.NumStallKinds)*4),
+			fmt.Sprintf("%d windows × %d nodes × %d ports × (%d VCs + %d stall kinds) × 4 B",
+				buckets, nodes, rc.Ports, rc.VCs, obs.NumStallKinds))
+		if err != nil {
+			return nil, err
+		}
+		o := obs.New(0)
 		o.Windows = obs.NewWindows(nodes, rc.Ports, rc.VCs, bucket, buckets)
-		return o
+		return o, nil
 	}
+}
+
+// maxRingBytes caps the memory one ring-size flag may ask for.
+const maxRingBytes = 1 << 30
+
+// ringFlag rejects a ring-size flag set below its minimum, or one whose
+// ring would take more than maxRingBytes. bytes is the ring's size and
+// formula how it was counted; the error names both.
+func ringFlag(name string, v, min int, bytes float64, formula string) error {
+	if v < min {
+		return fmt.Errorf("-%s must be >= %d, got %d", name, min, v)
+	}
+	if bytes > maxRingBytes {
+		return fmt.Errorf("-%s %d asks for %.0f B of ring slots (%s), above the 1 GiB limit", name, v, bytes, formula)
+	}
+	return nil
 }
 
 // runSim runs simulate until the run completes or the process is
@@ -229,9 +257,9 @@ func simulate(args []string, onReady func(net.Addr), stop <-chan struct{}) (shut
 	}
 	// With telemetry on, the run is instrumented: counters plus the
 	// windowed link-utilization ring backing /heatmap.
-	var newObs func(int) *obs.Observer
+	var newObs func(int) (*obs.Observer, error)
 	if *addr != "" {
-		newObs = windowed(0, 0)
+		newObs = windowed(obs.DefaultBucketCycles, obs.DefaultWindowBucket)
 	}
 	n, o, err := sf.build(newObs)
 	if err != nil {

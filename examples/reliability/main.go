@@ -23,12 +23,12 @@ func main() {
 
 	lib := reliability.DefaultFITLibrary()
 	fmt.Println("Step 2 — component FIT library (transistor count × FIT/FET)")
-	for _, c := range []reliability.Component{
+	for _, p := range []reliability.Part{
 		reliability.Comparator6, reliability.Arb4, reliability.Arb20,
 		reliability.Mux4x1, reliability.Mux5x1x32, reliability.DFFBit,
 	} {
 		fmt.Printf("  %-18s %5d FETs  →  %6.1f FIT\n",
-			c.String(), reliability.Transistors(c), lib.FIT(c))
+			p.String(), reliability.Transistors(p), lib.FIT(p))
 	}
 	fmt.Println()
 

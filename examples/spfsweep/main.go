@@ -9,6 +9,7 @@ import (
 
 	"gonoc/internal/experiments"
 	"gonoc/internal/fault"
+	"gonoc/internal/reliability"
 	"gonoc/internal/router"
 )
 
@@ -34,7 +35,7 @@ func main() {
 	// the two site universes differ (see internal/fault).
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
-	min, max := fault.TheoreticalBounds(cfg.Ports, cfg.VCs)
+	min, max := reliability.FaultBounds(cfg.Ports, cfg.VCs)
 	fmt.Printf("theoretical bounds (Section VIII-E): min %d, max %d, mean %.1f\n",
 		min, max, float64(min+max)/2)
 	full := fault.FaultsToFailure(cfg, trials, 2, fault.UniverseAll)

@@ -7,20 +7,19 @@
 // NoCAlert-style fault-detection layer [18] is included, and per-stage
 // critical-path increases of ≈0% (RC), 20% (VA), 10% (SA) and 25% (XB).
 //
-// We rebuild those numbers from a gate-equivalent (GE) inventory: every
-// component is assigned an area in NAND2-equivalents and a switching
-// activity factor, both calibrated to 45 nm-class values so that the
-// paper's evaluation point reproduces its overheads. Because the model is
-// structural (per component, per stage), it also extrapolates to other
-// radices, VC counts and flit widths.
+// We rebuild those numbers by pricing the router's parts list, the
+// reliability package's Baseline and Correction inventories (the same
+// parts Tables I–II price in FIT), in gate equivalents (GE): every part
+// kind is assigned an area in NAND2-equivalents, and registers a
+// switching-activity weight, both calibrated to 45 nm-class values so
+// that the paper's evaluation point reproduces its overheads. Because
+// the model is structural (per part, per stage), it also extrapolates to
+// other radices, VC counts and flit widths.
 package area
 
-import (
-	"gonoc/internal/core"
-	"gonoc/internal/reliability"
-)
+import "gonoc/internal/reliability"
 
-// Model holds the per-component area/power coefficients.
+// Model holds the per-part-kind area/power coefficients.
 type Model struct {
 	// NAND2Um2 converts gate equivalents to µm² (0.8 at 45 nm).
 	NAND2Um2 float64
@@ -63,130 +62,68 @@ func DefaultModel() *Model {
 	}
 }
 
-// StageBreakdown holds a per-pipeline-stage quantity (GE, µm² or power
-// units).
-type StageBreakdown struct {
-	RC, VA, SA, XB float64
-}
-
-// Total sums the four stages.
-func (s StageBreakdown) Total() float64 { return s.RC + s.VA + s.SA + s.XB }
-
-// Stage returns one stage's value by ID.
-func (s StageBreakdown) Stage(id core.StageID) float64 {
-	switch id {
-	case core.StageRC:
-		return s.RC
-	case core.StageVA:
-		return s.VA
-	case core.StageSA:
-		return s.SA
-	default:
-		return s.XB
+// GE returns part p's area in gate equivalents.
+func (m *Model) GE(p reliability.Part) float64 {
+	switch p.Kind {
+	case reliability.Comparator:
+		return m.ComparatorGE * float64(p.Width) / 6
+	case reliability.Arbiter:
+		return m.ArbGEPerInput * float64(p.Size)
+	case reliability.Mux:
+		return m.MuxGEPerBitLeg * float64(p.Width*(p.Size-1))
+	case reliability.Demux:
+		return m.DemuxGEPerBitLeg * float64(p.Width*(p.Size-1))
 	}
+	return m.DFFGE * float64(p.Width)
 }
 
-// comparator returns GE for a comparator sized for the mesh.
-func (m *Model) comparator(meshNodes int) float64 {
-	bits := 1
-	for (1 << bits) < meshNodes {
-		bits++
+// AreaGE prices inv's stages in gate equivalents.
+func (m *Model) AreaGE(inv reliability.Inventory) reliability.PerStage {
+	return inv.Price(func(it reliability.Item) float64 { return float64(it.N) * m.GE(it.Part) })
+}
+
+// PowerGE prices inv's stages in power units: area weighted by
+// switching activity, 1 for combinational parts and DFFActivity for
+// registers.
+func (m *Model) PowerGE(inv reliability.Inventory) reliability.PerStage {
+	return inv.Price(func(it reliability.Item) float64 {
+		ge := float64(it.N) * m.GE(it.Part)
+		if it.Part.Kind == reliability.Register {
+			ge *= m.DFFActivity
+		}
+		return ge
+	})
+}
+
+// overhead returns the correction circuitry's price over the baseline
+// pipeline's, plus detectionFrac of the baseline withDetection.
+func overhead(price func(reliability.Inventory) reliability.PerStage, spec reliability.RouterSpec, detectionFrac float64, withDetection bool) float64 {
+	base := price(reliability.Baseline(spec)).Total()
+	corr := price(reliability.Correction(spec)).Total()
+	if withDetection {
+		corr += detectionFrac * base
 	}
-	return m.ComparatorGE * float64(bits) / 6
-}
-
-func (m *Model) arb(n int) float64          { return m.ArbGEPerInput * float64(n) }
-func (m *Model) mux(n, width int) float64   { return m.MuxGEPerBitLeg * float64(width*(n-1)) }
-func (m *Model) demux(n, width int) float64 { return m.DemuxGEPerBitLeg * float64(width*(n-1)) }
-func (m *Model) dff(bits int) float64       { return m.DFFGE * float64(bits) }
-
-// BaselineAreaGE returns the baseline pipeline's per-stage area in gate
-// equivalents, using the same structural inventory as Table I.
-func (m *Model) BaselineAreaGE(spec reliability.RouterSpec) StageBreakdown {
-	p, v := spec.Ports, spec.VCs
-	cmp := m.comparator(spec.MeshNodes)
-	return StageBreakdown{
-		RC: float64(2*p) * cmp,
-		VA: float64(p*v*p)*m.arb(v) + float64(p*v)*m.arb(p*v),
-		SA: float64(p*p)*m.mux(v, 1) + float64(p)*m.arb(v) + float64(p)*m.arb(p),
-		XB: float64(p) * m.mux(p, spec.FlitBits),
-	}
-}
-
-// CorrectionAreaGE returns the correction circuitry's per-stage area in
-// gate equivalents, using the same structural inventory as Table II.
-func (m *Model) CorrectionAreaGE(spec reliability.RouterSpec) StageBreakdown {
-	p, v := spec.Ports, spec.VCs
-	cmp := m.comparator(spec.MeshNodes)
-	portBits := log2ceil(p)
-	vcBits := log2ceil(v)
-	return StageBreakdown{
-		RC: float64(2*p) * cmp,
-		VA: m.dff(p * v * (portBits + 1 + vcBits)),
-		SA: float64(p)*m.mux(2, 1) + m.dff(p*vcBits+p*v*(portBits+1)),
-		XB: float64(p)*m.mux(2, spec.FlitBits) +
-			float64(p-2)*m.demux(2, spec.FlitBits) +
-			m.demux(3, spec.FlitBits),
-	}
-}
-
-// baselinePower and correctionPower weight area by switching activity.
-func (m *Model) baselinePower(spec reliability.RouterSpec) StageBreakdown {
-	return m.BaselineAreaGE(spec) // all-combinational: activity 1
-}
-
-func (m *Model) correctionPower(spec reliability.RouterSpec) StageBreakdown {
-	p, v := spec.Ports, spec.VCs
-	cmp := m.comparator(spec.MeshNodes)
-	portBits := log2ceil(p)
-	vcBits := log2ceil(v)
-	a := m.DFFActivity
-	return StageBreakdown{
-		RC: float64(2*p) * cmp,
-		VA: m.dff(p*v*(portBits+1+vcBits)) * a,
-		SA: float64(p)*m.mux(2, 1) + m.dff(p*vcBits+p*v*(portBits+1))*a,
-		XB: float64(p)*m.mux(2, spec.FlitBits) +
-			float64(p-2)*m.demux(2, spec.FlitBits) +
-			m.demux(3, spec.FlitBits),
-	}
+	return corr / base
 }
 
 // AreaOverhead returns the protected router's fractional area overhead
 // over the baseline. With withDetection the NoCAlert-style detection
 // layer is included — the configuration the paper headline (31%) uses.
 func (m *Model) AreaOverhead(spec reliability.RouterSpec, withDetection bool) float64 {
-	base := m.BaselineAreaGE(spec).Total()
-	corr := m.CorrectionAreaGE(spec).Total()
-	if withDetection {
-		corr += m.DetectionAreaFrac * base
-	}
-	return corr / base
+	return overhead(m.AreaGE, spec, m.DetectionAreaFrac, withDetection)
 }
 
 // PowerOverhead returns the protected router's fractional average-power
 // overhead (dynamic + static) over the baseline; withDetection adds the
 // detection layer (paper headline: 30%).
 func (m *Model) PowerOverhead(spec reliability.RouterSpec, withDetection bool) float64 {
-	base := m.baselinePower(spec).Total()
-	corr := m.correctionPower(spec).Total()
-	if withDetection {
-		corr += m.DetectionPowerFrac * base
-	}
-	return corr / base
+	return overhead(m.PowerGE, spec, m.DetectionPowerFrac, withDetection)
 }
 
 // AreaUm2 converts a GE breakdown to µm².
-func (m *Model) AreaUm2(b StageBreakdown) StageBreakdown {
-	return StageBreakdown{
+func (m *Model) AreaUm2(b reliability.PerStage) reliability.PerStage {
+	return reliability.PerStage{
 		RC: b.RC * m.NAND2Um2, VA: b.VA * m.NAND2Um2,
 		SA: b.SA * m.NAND2Um2, XB: b.XB * m.NAND2Um2,
 	}
-}
-
-func log2ceil(n int) int {
-	b := 1
-	for (1 << b) < n {
-		b++
-	}
-	return b
 }

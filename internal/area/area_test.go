@@ -34,8 +34,8 @@ func TestPowerOverheadMatchesPaper(t *testing.T) {
 func TestStageBreakdownSane(t *testing.T) {
 	m := DefaultModel()
 	spec := reliability.PaperSpec()
-	base := m.BaselineAreaGE(spec)
-	corr := m.CorrectionAreaGE(spec)
+	base := m.AreaGE(reliability.Baseline(spec))
+	corr := m.AreaGE(reliability.Correction(spec))
 	for _, st := range []core.StageID{core.StageRC, core.StageVA, core.StageSA, core.StageXB} {
 		if base.Stage(st) <= 0 || corr.Stage(st) <= 0 {
 			t.Errorf("stage %v has non-positive area", st)
@@ -54,11 +54,11 @@ func TestAreaScalesWithStructure(t *testing.T) {
 	m := DefaultModel()
 	small := reliability.RouterSpec{Ports: 5, VCs: 2, MeshNodes: 64, FlitBits: 32}
 	big := reliability.RouterSpec{Ports: 5, VCs: 8, MeshNodes: 64, FlitBits: 32}
-	if m.BaselineAreaGE(small).Total() >= m.BaselineAreaGE(big).Total() {
+	if m.AreaGE(reliability.Baseline(small)).Total() >= m.AreaGE(reliability.Baseline(big)).Total() {
 		t.Error("baseline area did not grow with VCs")
 	}
 	wide := reliability.RouterSpec{Ports: 5, VCs: 4, MeshNodes: 64, FlitBits: 64}
-	if m.CorrectionAreaGE(reliability.PaperSpec()).XB >= m.CorrectionAreaGE(wide).XB {
+	if m.AreaGE(reliability.Correction(reliability.PaperSpec())).XB >= m.AreaGE(reliability.Correction(wide)).XB {
 		t.Error("XB correction area did not grow with flit width")
 	}
 }
@@ -106,7 +106,7 @@ func TestCriticalPathMatchesPaper(t *testing.T) {
 
 func TestAreaUm2Conversion(t *testing.T) {
 	m := DefaultModel()
-	ge := StageBreakdown{RC: 100, VA: 200, SA: 300, XB: 400}
+	ge := reliability.PerStage{RC: 100, VA: 200, SA: 300, XB: 400}
 	um := m.AreaUm2(ge)
 	near(t, "um2 total", um.Total(), 1000*m.NAND2Um2, 1e-9)
 }

@@ -1,6 +1,11 @@
 package area
 
-import "gonoc/internal/core"
+import (
+	"math"
+
+	"gonoc/internal/core"
+	"gonoc/internal/reliability"
+)
 
 // CritPath is the Section VI-B critical-path analysis: per-stage delays
 // of the baseline pipeline and the multiplicative impact of the
@@ -8,25 +13,25 @@ import "gonoc/internal/core"
 // targets to the zero-slack point.
 type CritPath struct {
 	// BaselinePs is each stage's critical path in picoseconds at 45 nm.
-	BaselinePs StageBreakdown
+	BaselinePs reliability.PerStage
 	// Factor is the protected/baseline delay ratio per stage. The paper
 	// reports ≈1.0 (RC, spatial redundancy off the critical path), 1.20
 	// (VA, the borrow scan and R2/VF/ID muxing), 1.10 (SA, the bypass
 	// 2:1 mux) and 1.25 (XB, the series demux + Pk mux).
-	Factor StageBreakdown
+	Factor reliability.PerStage
 }
 
 // DefaultCritPath returns the 45 nm-calibrated model.
 func DefaultCritPath() CritPath {
 	return CritPath{
-		BaselinePs: StageBreakdown{RC: 320, VA: 510, SA: 470, XB: 380},
-		Factor:     StageBreakdown{RC: 1.0, VA: 1.20, SA: 1.10, XB: 1.25},
+		BaselinePs: reliability.PerStage{RC: 320, VA: 510, SA: 470, XB: 380},
+		Factor:     reliability.PerStage{RC: 1.0, VA: 1.20, SA: 1.10, XB: 1.25},
 	}
 }
 
 // ProtectedPs returns the protected pipeline's per-stage critical paths.
-func (c CritPath) ProtectedPs() StageBreakdown {
-	return StageBreakdown{
+func (c CritPath) ProtectedPs() reliability.PerStage {
+	return reliability.PerStage{
 		RC: c.BaselinePs.RC * c.Factor.RC,
 		VA: c.BaselinePs.VA * c.Factor.VA,
 		SA: c.BaselinePs.SA * c.Factor.SA,
@@ -43,14 +48,8 @@ func (c CritPath) Overhead(id core.StageID) float64 {
 // the baseline and protected pipelines.
 func (c CritPath) ClockPeriodPs() (baseline, protected float64) {
 	b, p := c.BaselinePs, c.ProtectedPs()
-	maxOf := func(s StageBreakdown) float64 {
-		m := s.RC
-		for _, v := range []float64{s.VA, s.SA, s.XB} {
-			if v > m {
-				m = v
-			}
-		}
-		return m
+	maxOf := func(s reliability.PerStage) float64 {
+		return math.Max(math.Max(s.RC, s.VA), math.Max(s.SA, s.XB))
 	}
 	return maxOf(b), maxOf(p)
 }

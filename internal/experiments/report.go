@@ -17,9 +17,9 @@ import (
 // Equations 4–7.
 type ReliabilityReport struct {
 	// Baseline is Table I (FIT per baseline pipeline stage).
-	Baseline reliability.StageFIT
+	Baseline reliability.PerStage
 	// Correction is Table II (FIT of the correction circuitry).
-	Correction reliability.StageFIT
+	Correction reliability.PerStage
 	// MTTFBaselineHours is Equation 4.
 	MTTFBaselineHours float64
 	// MTTFProtectedHours is Equation 6 (the paper's Equation 5
@@ -37,8 +37,8 @@ func Reliability() ReliabilityReport {
 	lib := reliability.DefaultFITLibrary()
 	spec := reliability.PaperSpec()
 	return ReliabilityReport{
-		Baseline:                reliability.BaselineStageFIT(lib, spec),
-		Correction:              reliability.CorrectionStageFIT(lib, spec),
+		Baseline:                lib.StageFIT(reliability.Baseline(spec)),
+		Correction:              lib.StageFIT(reliability.Correction(spec)),
 		MTTFBaselineHours:       reliability.MTTFBaseline(lib, spec),
 		MTTFProtectedHours:      reliability.MTTFProtected(lib, spec),
 		MTTFProtectedExactHours: reliability.MTTFProtectedExact(lib, spec),

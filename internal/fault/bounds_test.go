@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonoc/internal/core"
+	"gonoc/internal/reliability"
 	"gonoc/internal/topology"
 )
 
@@ -73,7 +74,7 @@ func TestTwentyEighthFaultKills(t *testing.T) {
 // maximum of 27 tolerated faults.
 func TestCampaignNeverExceedsTheory(t *testing.T) {
 	res := FaultsToFailure(protCfg(), 2000, 77, UniversePaper)
-	_, maxFail := TheoreticalBounds(5, 4)
+	_, maxFail := reliability.FaultBounds(5, 4)
 	if res.Max > maxFail {
 		t.Fatalf("a trial needed %d faults to fail; theory caps at %d", res.Max, maxFail)
 	}

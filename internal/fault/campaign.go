@@ -87,16 +87,3 @@ func FaultsToFailure(cfg router.Config, trials int, seed uint64, u Universe) Cam
 func FaultsToFailureObserved(cfg router.Config, trials int, seed uint64, u Universe, onTrial func(done, total int)) CampaignResult {
 	return ftrouters.FaultsToFailureObserved(Proposed(cfg, u), trials, seed, onTrial)
 }
-
-// TheoreticalBounds returns the paper's analytical (min, max) number of
-// faults to cause failure for the protected router: min over stages of
-// the stage's minimum, and one plus the sum of tolerated faults. For the
-// 5-port, 4-VC router: (2, 28).
-func TheoreticalBounds(ports, vcs int) (min, max int) {
-	min = 2
-	if vcs < 2 {
-		min = 1
-	}
-	tolerated := ports + (vcs-1)*ports + ports + 2
-	return min, tolerated + 1
-}

@@ -134,17 +134,6 @@ func TestBaselineSingleFaultAlwaysFatal(t *testing.T) {
 	}
 }
 
-func TestTheoreticalBounds(t *testing.T) {
-	min, max := TheoreticalBounds(5, 4)
-	if min != 2 || max != 28 {
-		t.Fatalf("bounds (%d, %d), want (2, 28)", min, max)
-	}
-	min2, max2 := TheoreticalBounds(5, 2)
-	if min2 != 2 || max2 != 18 {
-		t.Fatalf("2-VC bounds (%d, %d), want (2, 18)", min2, max2)
-	}
-}
-
 func TestFaultsToFailureCampaign(t *testing.T) {
 	res := FaultsToFailure(protCfg(), 300, 42, UniversePaper)
 	if res.Trials != 300 {

@@ -6,6 +6,7 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/fault"
+	"gonoc/internal/reliability"
 	"gonoc/internal/rng"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
@@ -253,7 +254,7 @@ type CrossCheck struct {
 func CrossValidate(cfg router.Config, trials int, seed uint64, z float64) CrossCheck {
 	exact := ExactMeanFaultsToFailure(cfg)
 	camp := fault.FaultsToFailure(cfg, trials, seed, fault.UniversePaper)
-	lo, hi := fault.TheoreticalBounds(cfg.Ports, cfg.VCs)
+	lo, hi := reliability.FaultBounds(cfg.Ports, cfg.VCs)
 	cc := CrossCheck{
 		ExactMean: exact,
 		Campaign:  camp,

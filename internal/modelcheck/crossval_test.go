@@ -67,7 +67,7 @@ func TestExactMeanWithinTheory(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
 	exact := ExactMeanFaultsToFailure(cfg)
-	lo, hi := fault.TheoreticalBounds(cfg.Ports, cfg.VCs)
+	lo, hi := reliability.FaultBounds(cfg.Ports, cfg.VCs)
 	if exact < float64(lo) || exact > float64(hi) {
 		t.Errorf("exact mean %.3f outside theoretical bounds [%d, %d]", exact, lo, hi)
 	}

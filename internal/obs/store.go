@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"unsafe"
 
 	"gonoc/internal/sim"
 )
@@ -40,6 +41,10 @@ type eventSlot struct {
 	port   int8
 	vc     int8
 }
+
+// EventSlotBytes is the memory one retained event takes in a trace or
+// flight-recorder ring.
+const EventSlotBytes = int(unsafe.Sizeof(eventSlot{}))
 
 // eventLane is one ring with its cursor beside it, so a store touches the
 // header's cache line and the slot's and nothing else.

@@ -11,8 +11,8 @@ import (
 func Example() {
 	lib := reliability.DefaultFITLibrary()
 	spec := reliability.PaperSpec()
-	fmt.Printf("baseline FIT:  %.1f\n", reliability.BaselineStageFIT(lib, spec).Total())
-	fmt.Printf("correction FIT: %.1f\n", reliability.CorrectionStageFIT(lib, spec).Total())
+	fmt.Printf("baseline FIT:  %.1f\n", lib.StageFIT(reliability.Baseline(spec)).Total())
+	fmt.Printf("correction FIT: %.1f\n", lib.StageFIT(reliability.Correction(spec)).Total())
 	fmt.Printf("improvement:   %.2fx\n", reliability.Improvement(lib, spec))
 	// Output:
 	// baseline FIT:  2822.5

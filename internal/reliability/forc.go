@@ -1,9 +1,12 @@
 // Package reliability implements the paper's reliability methodology:
 // the FORC (Failure-in-time Of a Reference Circuit) TDDB model of Shin et
-// al. (Equations 2–3), a calibrated component FIT library, the
-// Sum-of-Failure-Rates composition (Tables I and II), MTTF analysis
-// (Equations 1 and 4–7) and the Silicon Protection Factor comparison
-// (Section VIII, Table III).
+// al. (Equations 2–3), the router's parts list and its Sum-of-Failure-
+// Rates pricing (Tables I and II), MTTF analysis (Equations 1 and 4–7)
+// and the Silicon Protection Factor comparison (Section VIII, Table III).
+//
+// Baseline and Correction are the one place the router's structure is
+// written: the FIT model here and package area's area and power model
+// price the same parts.
 package reliability
 
 import "math"
@@ -41,9 +44,7 @@ func DefaultTDDBParams() TDDBParams {
 		Y:           -66.8,    // eV·K
 		Z:           -8.37e-4, // eV/K
 	}
-	p.A = 1 // placeholder; calibrate below
-	p = p.Calibrate(0.1, 1.0, 300)
-	return p
+	return p.Calibrate(0.1, 1.0, 300)
 }
 
 // FORC returns the failures-in-time of the reference circuit (Equation 2)

@@ -7,7 +7,13 @@ package reliability
 // MTTFBaseline returns Equation 4: the MTTF in hours of the unprotected
 // pipeline, 10⁹ divided by the SOFR sum of Table I.
 func MTTFBaseline(lib *FITLibrary, spec RouterSpec) float64 {
-	return MTTFHours(BaselineStageFIT(lib, spec).Total())
+	return MTTFHours(lib.StageFIT(Baseline(spec)).Total())
+}
+
+// totalFIT returns the Table I and Table II totals: the baseline
+// pipeline's and the correction circuitry's failure rates.
+func totalFIT(lib *FITLibrary, spec RouterSpec) (baseline, correction float64) {
+	return lib.StageFIT(Baseline(spec)).Total(), lib.StageFIT(Correction(spec)).Total()
 }
 
 // ParallelMTTFPaper evaluates Equation 5 exactly as the paper prints and
@@ -36,17 +42,13 @@ func ParallelMTTFExact(fit1, fit2 float64) float64 {
 // circuitry (λ₂ = Table II total) as a two-component parallel system,
 // using the paper's Equation 5 arithmetic.
 func MTTFProtected(lib *FITLibrary, spec RouterSpec) float64 {
-	l1 := BaselineStageFIT(lib, spec).Total()
-	l2 := CorrectionStageFIT(lib, spec).Total()
-	return ParallelMTTFPaper(l1, l2)
+	return ParallelMTTFPaper(totalFIT(lib, spec))
 }
 
 // MTTFProtectedExact is MTTFProtected with the exact parallel-system
 // formula.
 func MTTFProtectedExact(lib *FITLibrary, spec RouterSpec) float64 {
-	l1 := BaselineStageFIT(lib, spec).Total()
-	l2 := CorrectionStageFIT(lib, spec).Total()
-	return ParallelMTTFExact(l1, l2)
+	return ParallelMTTFExact(totalFIT(lib, spec))
 }
 
 // Improvement returns Equation 7: MTTF_protected / MTTF_baseline (≈6 at

@@ -38,7 +38,7 @@ func TestFORCPhysicsTrends(t *testing.T) {
 func TestComponentFITsMatchPaper(t *testing.T) {
 	lib := DefaultFITLibrary()
 	cases := []struct {
-		c    Component
+		c    Part
 		want float64
 	}{
 		{Comparator6, 11.7},
@@ -60,7 +60,7 @@ func TestComponentFITsMatchPaper(t *testing.T) {
 
 func TestTableIBaselineStageFIT(t *testing.T) {
 	lib := DefaultFITLibrary()
-	s := BaselineStageFIT(lib, PaperSpec())
+	s := lib.StageFIT(Baseline(PaperSpec()))
 	near(t, "RC", s.RC, 117, 1e-9)
 	near(t, "VA", s.VA, 1478, 1e-9) // 100·7.4 + 20·36.9
 	near(t, "SA", s.SA, 203.5, 1e-9)
@@ -70,7 +70,7 @@ func TestTableIBaselineStageFIT(t *testing.T) {
 
 func TestTableIICorrectionStageFIT(t *testing.T) {
 	lib := DefaultFITLibrary()
-	s := CorrectionStageFIT(lib, PaperSpec())
+	s := lib.StageFIT(Correction(PaperSpec()))
 	near(t, "RC", s.RC, 117, 1e-9)
 	near(t, "VA", s.VA, 60, 1e-9)
 	near(t, "SA", s.SA, 53, 1e-9)
@@ -189,28 +189,68 @@ func TestNewSPFResult(t *testing.T) {
 }
 
 func TestGenericTransistorModels(t *testing.T) {
-	// The generic models must agree with the calibrated library at the
-	// canonical sizes.
-	if ArbTransistors(4) != Transistors(Arb4) || ArbTransistors(20) != Transistors(Arb20) {
-		t.Error("arbiter model disagrees with library")
+	// Off the calibrated sizes a part's FET count is the generic model.
+	cases := []struct {
+		p    Part
+		want int
+	}{
+		{comparator(8), 156}, // 19.5·8
+		{comparator(7), 137}, // 136.5, rounded
+		{arbiter(8), 148},    // 18.5·8
+		{arbiter(3), 56},     // 55.5, rounded
+		{mux(3, 32), 1024},   // 16·32·2
+		{demux(4, 8), 240},   // 10·8·3
+		{register(12), 60},   // 5·12
+		{arbiter(20), 369},   // calibrated, not 370
+		{comparator(6), 117}, // calibrated
 	}
-	if MuxTransistors(5, 32) != Transistors(Mux5x1x32) || MuxTransistors(2, 1) != Transistors(Mux2x1Ctl) {
-		t.Error("mux model disagrees with library")
-	}
-	if DemuxTransistors(2, 32) != Transistors(Demux2x32) || DemuxTransistors(3, 32) != Transistors(Demux3x32) {
-		t.Error("demux model disagrees with library")
-	}
-	if ComparatorTransistors(6) != Transistors(Comparator6) {
-		t.Error("comparator model disagrees with library")
+	for _, c := range cases {
+		if got := Transistors(c.p); got != c.want {
+			t.Errorf("%v: %d FETs, want %d", c.p, got, c.want)
+		}
 	}
 	// Monotonicity in size.
-	if ArbTransistors(8) <= ArbTransistors(4) || MuxTransistors(3, 32) <= MuxTransistors(2, 32) {
+	if Transistors(arbiter(8)) <= Transistors(Arb4) || Transistors(mux(3, 32)) <= Transistors(Mux2x1x32) {
 		t.Error("transistor models not monotone")
 	}
 }
 
-func TestSumFIT(t *testing.T) {
-	lib := DefaultFITLibrary()
-	inv := map[Component]int{Comparator6: 10}
-	near(t, "RC via SumFIT", lib.SumFIT(inv), 117, 1e-9)
+func TestPartNames(t *testing.T) {
+	for p, want := range map[Part]string{
+		Comparator6: "6-bit comparator", Arb20: "20:1 arbiter", Mux4x1: "4:1 mux",
+		Mux5x1x32: "32-bit 5:1 mux", Mux2x1Ctl: "2:1 mux", Demux3x32: "32-bit 1:3 demux",
+		DFFBit: "DFF bit", register(12): "12-bit register",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("%+v named %q, want %q", p, got, want)
+		}
+	}
+}
+
+func TestFaultBounds(t *testing.T) {
+	for _, c := range []struct{ ports, vcs, min, max int }{
+		{5, 4, 2, 28}, // Section VIII-E
+		{5, 2, 2, 18},
+		{5, 1, 1, 13}, // one VC: nothing to borrow, one VA fault kills a port
+	} {
+		min, max := FaultBounds(c.ports, c.vcs)
+		if min != c.min || max != c.max {
+			t.Errorf("FaultBounds(%d, %d) = (%d, %d), want (%d, %d)", c.ports, c.vcs, min, max, c.min, c.max)
+		}
+	}
+}
+
+func TestPerStageStage(t *testing.T) {
+	s := PerStage{RC: 1, VA: 2, SA: 3, XB: 4}
+	for id, want := range map[core.StageID]float64{core.StageRC: 1, core.StageVA: 2, core.StageSA: 3, core.StageXB: 4} {
+		if got := s.Stage(id); got != want {
+			t.Errorf("Stage(%v) = %v, want %v", id, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Stage of an unknown stage did not panic")
+		}
+	}()
+	s.Stage(core.StageXB + 1)
 }

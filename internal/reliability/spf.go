@@ -68,23 +68,29 @@ func (r SPFResult) String() string {
 		r.Design, r.AreaOverhead*100, r.MeanFaults, r.SPF)
 }
 
-// AnalyzeSPF performs the Section VIII-E calculation for the proposed
-// router: per-stage bounds are combined (min over stages for the floor,
-// sum of tolerated faults plus one for the ceiling), the mean is their
-// average, and SPF divides by the area factor. For the paper's 5-port,
-// 4-VC router at 31% overhead this yields mean 15 and SPF ≈ 11.4; with 2
-// VCs the mean drops to 10 (SPF ≈ 7).
-func AnalyzeSPF(ports, vcs int, areaOverhead float64) SPFResult {
+// FaultBounds returns the protected router's (min, max) faults to
+// failure: the smallest fault count that defeats any one stage, and one
+// more than the faults all stages tolerate together. For the paper's
+// 5-port, 4-VC router: (2, 28).
+func FaultBounds(ports, vcs int) (min, max int) {
 	bounds := StageBounds(ports, vcs)
-	minToFail := bounds[0].MinToFail
-	tolerated := 0
+	min = bounds[0].MinToFail
 	for _, b := range bounds {
-		if b.MinToFail < minToFail {
-			minToFail = b.MinToFail
+		if b.MinToFail < min {
+			min = b.MinToFail
 		}
-		tolerated += b.MaxTolerated
+		max += b.MaxTolerated
 	}
-	maxToFail := tolerated + 1
+	return min, max + 1
+}
+
+// AnalyzeSPF performs the Section VIII-E calculation for the proposed
+// router: the mean of FaultBounds' floor and ceiling, divided by the
+// area factor. For the paper's 5-port, 4-VC router at 31% overhead this
+// yields mean 15 and SPF ≈ 11.4; with 2 VCs the mean drops to 10 (SPF ≈
+// 7).
+func AnalyzeSPF(ports, vcs int, areaOverhead float64) SPFResult {
+	minToFail, maxToFail := FaultBounds(ports, vcs)
 	mean := float64(minToFail+maxToFail) / 2
 	return SPFResult{
 		Design:       "Proposed Router",

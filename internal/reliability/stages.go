@@ -1,13 +1,8 @@
 package reliability
 
-import (
-	"fmt"
-	"math"
+import "gonoc/internal/core"
 
-	"gonoc/internal/core"
-)
-
-// RouterSpec describes the router whose pipeline FIT is being analysed.
+// RouterSpec describes the router whose pipeline is being priced.
 type RouterSpec struct {
 	// Ports is the router radix (5 for a mesh).
 	Ports int
@@ -26,61 +21,6 @@ func PaperSpec() RouterSpec {
 	return RouterSpec{Ports: 5, VCs: 4, MeshNodes: 64, FlitBits: 32}
 }
 
-// The generic transistor-count models below extrapolate the calibrated
-// component library to arbitrary sizes. At the paper's canonical sizes
-// they reproduce the library exactly:
-//
-//	arbiter n:1       ≈ 18.5·n FETs      (74 @ 4:1, 93 @ 5:1, 369 @ 20:1)
-//	mux n:1, w bits   = 16·w·(n−1) FETs  (2048 @ 5:1×32, 48 @ 4:1×1)
-//	demux 1:n, w bits = 10·w·(n−1) FETs  (320 @ 1:2×32, 640 @ 1:3×32)
-//	comparator b bits ≈ 19.5·b FETs      (117 @ 6 bits)
-//	DFF               = 5 FETs per bit
-
-// ArbTransistors returns the FET count of an n:1 round-robin arbiter.
-func ArbTransistors(n int) int {
-	switch n {
-	case 4:
-		return Transistors(Arb4)
-	case 5:
-		return Transistors(Arb5)
-	case 20:
-		return Transistors(Arb20)
-	}
-	return int(math.Round(18.5 * float64(n)))
-}
-
-// MuxTransistors returns the FET count of an n:1 multiplexer of the given
-// bit width.
-func MuxTransistors(n, width int) int { return 16 * width * (n - 1) }
-
-// DemuxTransistors returns the FET count of a 1:n demultiplexer of the
-// given bit width.
-func DemuxTransistors(n, width int) int { return 10 * width * (n - 1) }
-
-// ComparatorTransistors returns the FET count of a b-bit comparator.
-func ComparatorTransistors(bits int) int {
-	if bits == 6 {
-		return Transistors(Comparator6)
-	}
-	return int(math.Round(19.5 * float64(bits)))
-}
-
-// DFFTransistors returns the FET count of a b-bit D flip-flop register.
-func DFFTransistors(bits int) int { return Transistors(DFFBit) * bits }
-
-// destBits returns the comparator width needed to compare destinations in
-// a mesh of n nodes.
-func destBits(n int) int {
-	b := 0
-	for (1 << b) < n {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // log2ceil returns ceil(log2(n)) with a minimum of 1 bit.
 func log2ceil(n int) int {
 	b := 1
@@ -90,75 +30,87 @@ func log2ceil(n int) int {
 	return b
 }
 
-// StageFIT holds per-pipeline-stage FIT rates (failures per 10⁹ hours).
-type StageFIT struct {
-	RC, VA, SA, XB float64
+// Item is N identical parts.
+type Item struct {
+	N    int
+	Part Part
 }
 
-// Total returns the SOFR sum across the four stages.
-func (s StageFIT) Total() float64 { return s.RC + s.VA + s.SA + s.XB }
-
-// Stage returns the FIT of one stage by ID.
-func (s StageFIT) Stage(id core.StageID) float64 {
-	switch id {
-	case core.StageRC:
-		return s.RC
-	case core.StageVA:
-		return s.VA
-	case core.StageSA:
-		return s.SA
-	case core.StageXB:
-		return s.XB
-	}
-	panic(fmt.Sprintf("reliability: unknown stage %v", id))
+// Inventory is a design's parts list, stage by stage.
+type Inventory struct {
+	RC, VA, SA, XB []Item
 }
 
-// BaselineStageFIT computes Table I: the FIT of each baseline pipeline
-// stage under the SOFR model.
+// Baseline returns the baseline pipeline's parts, the structure of
+// Table I:
 //
 //	RC: 2 comparators per input port
 //	VA: P·V·P stage-1 V:1 arbiters + P·V stage-2 (P·V):1 arbiters
 //	SA: P² V:1 control muxes + P stage-1 V:1 arbiters + P stage-2 P:1
 //	    arbiters
 //	XB: P flit-wide P:1 multiplexers
-func BaselineStageFIT(lib *FITLibrary, spec RouterSpec) StageFIT {
-	per := lib.PerFET()
-	fit := func(fets int) float64 { return float64(fets) * per }
+func Baseline(spec RouterSpec) Inventory {
 	p, v := spec.Ports, spec.VCs
-	cmp := ComparatorTransistors(destBits(spec.MeshNodes))
-	return StageFIT{
-		RC: fit(2 * p * cmp),
-		VA: fit(p*v*p*ArbTransistors(v)) + fit(p*v*ArbTransistors(p*v)),
-		SA: fit(p*p*MuxTransistors(v, 1)) + fit(p*ArbTransistors(v)) + fit(p*ArbTransistors(p)),
-		XB: fit(p * MuxTransistors(p, spec.FlitBits)),
+	return Inventory{
+		RC: []Item{{2 * p, comparator(log2ceil(spec.MeshNodes))}},
+		VA: []Item{{p * v * p, arbiter(v)}, {p * v, arbiter(p * v)}},
+		SA: []Item{{p * p, mux(v, 1)}, {p, arbiter(v)}, {p, arbiter(p)}},
+		XB: []Item{{p, mux(p, spec.FlitBits)}},
 	}
 }
 
-// CorrectionStageFIT computes Table II: the FIT of the correction
-// circuitry added to each stage.
+// Correction returns the parts the protected router adds to each
+// stage, the structure of Table II:
 //
 //	RC: a duplicate RC unit per port (2·P comparators)
 //	VA: per input VC, the R2 (log₂P bits), VF (1 bit) and ID (log₂V bits)
 //	    state fields
 //	SA: P bypass 2:1 muxes + P default-winner registers (log₂V bits) +
 //	    per input VC the SP (log₂P bits) and FSP (1 bit) fields
-//	XB: P flit-wide 2:1 output muxes + (P−3) 1:2 demuxes + one extra 1:2
-//	    and one 1:3 demux (for P = 5: three 1:2 and one 1:3, Figure 6)
-func CorrectionStageFIT(lib *FITLibrary, spec RouterSpec) StageFIT {
-	per := lib.PerFET()
-	fit := func(fets int) float64 { return float64(fets) * per }
-	p, v := spec.Ports, spec.VCs
-	cmp := ComparatorTransistors(destBits(spec.MeshNodes))
-	portBits := log2ceil(p)
-	vcBits := log2ceil(v)
-	vaBits := p * v * (portBits + 1 + vcBits)
-	saBits := p*vcBits + p*v*(portBits+1)
-	return StageFIT{
-		RC: fit(2 * p * cmp),
-		VA: fit(DFFTransistors(vaBits)),
-		SA: fit(p*MuxTransistors(2, 1)) + fit(DFFTransistors(saBits)),
-		XB: fit(p*MuxTransistors(2, spec.FlitBits)) +
-			fit((p-2)*DemuxTransistors(2, spec.FlitBits)) +
-			fit(DemuxTransistors(3, spec.FlitBits)),
+//	XB: P flit-wide 2:1 output muxes + (P−2) 1:2 demuxes + one 1:3
+//	    demux (for P = 5: three 1:2 and one 1:3, Figure 6)
+func Correction(spec RouterSpec) Inventory {
+	p, v, w := spec.Ports, spec.VCs, spec.FlitBits
+	portBits, vcBits := log2ceil(p), log2ceil(v)
+	return Inventory{
+		RC: []Item{{2 * p, comparator(log2ceil(spec.MeshNodes))}},
+		VA: []Item{{1, register(p * v * (portBits + 1 + vcBits))}},
+		SA: []Item{{p, mux(2, 1)}, {1, register(p*vcBits + p*v*(portBits+1))}},
+		XB: []Item{{p, mux(2, w)}, {p - 2, demux(2, w)}, {1, demux(3, w)}},
 	}
+}
+
+// PerStage holds one quantity per pipeline stage: FIT, gate
+// equivalents, power or picoseconds.
+type PerStage struct {
+	RC, VA, SA, XB float64
+}
+
+// Total returns the sum across the four stages (for FIT, the SOFR
+// total).
+func (s PerStage) Total() float64 { return s.RC + s.VA + s.SA + s.XB }
+
+// Stage returns one stage's value by ID. It panics for an unknown stage.
+func (s PerStage) Stage(id core.StageID) float64 {
+	return [...]float64{core.StageRC: s.RC, core.StageVA: s.VA, core.StageSA: s.SA, core.StageXB: s.XB}[id]
+}
+
+// Price returns each stage's cost: price summed over the stage's items
+// in inventory order.
+func (inv Inventory) Price(price func(Item) float64) PerStage {
+	sum := func(items []Item) (s float64) {
+		for _, it := range items {
+			s += price(it)
+		}
+		return s
+	}
+	return PerStage{RC: sum(inv.RC), VA: sum(inv.VA), SA: sum(inv.SA), XB: sum(inv.XB)}
+}
+
+// StageFIT prices inv in FIT under the SOFR model: an item's rate is
+// its total FET count times the per-FET rate. Baseline gives Table I,
+// Correction Table II.
+func (l *FITLibrary) StageFIT(inv Inventory) PerStage {
+	per := l.PerFET()
+	return inv.Price(func(it Item) float64 { return float64(it.N*Transistors(it.Part)) * per })
 }

@@ -19,6 +19,8 @@ import (
 // maxExactLatency cycles, so quantile extraction is exact there (the
 // common case for every workload in this repo), and log-linear buckets
 // (8 per octave, ≤ ~9% relative width) above it.
+//
+// A nil *Histogram reads as empty in Min, Max, Mean and Quantile.
 type Histogram struct {
 	bounds []sim.Cycle // ascending inclusive upper bounds; shared, read-only
 	// counts is indexed by bucket; bucket len(bounds) is overflow. It is
@@ -131,7 +133,7 @@ func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Min and Max return the observed extremes, or 0 with no observations.
 func (h *Histogram) Min() sim.Cycle {
-	if h.total == 0 {
+	if h == nil || h.total == 0 {
 		return 0
 	}
 	return h.min
@@ -139,7 +141,7 @@ func (h *Histogram) Min() sim.Cycle {
 
 // Max returns the largest observed value, or 0 with no observations.
 func (h *Histogram) Max() sim.Cycle {
-	if h.total == 0 {
+	if h == nil || h.total == 0 {
 		return 0
 	}
 	return h.max
@@ -148,7 +150,7 @@ func (h *Histogram) Max() sim.Cycle {
 // Mean returns the average observed value, or 0 with no observations
 // (never NaN — see the Collector warmup edge case).
 func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+	if h == nil || h.total == 0 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.total)
@@ -160,7 +162,7 @@ func (h *Histogram) Mean() float64 {
 // bucket's relative width above. The overflow bucket reports the exact
 // observed maximum. With no observations it returns 0.
 func (h *Histogram) Quantile(q float64) sim.Cycle {
-	if h.total == 0 {
+	if h == nil || h.total == 0 {
 		return 0
 	}
 	rank := uint64(math.Ceil(float64(h.total) * q / 100))

@@ -55,9 +55,8 @@ type Collector struct {
 	// Warmup is the cycle before which created packets are not measured.
 	Warmup sim.Cycle
 
-	created  uint64
-	ejected  uint64
-	measured uint64
+	created uint64
+	ejected uint64
 
 	// dropped counts packets discarded by the network (dead links,
 	// unreachable destinations); duplicates counts redundant deliveries
@@ -69,30 +68,22 @@ type Collector struct {
 	duplicates  uint64
 	retransmits uint64
 
-	latSum float64
-	netSum float64
-	hopSum float64
-	latMin sim.Cycle
-	latMax sim.Cycle
-	flits  uint64
+	// flits counts the measured packets' flits.
+	flits uint64
 
 	// lat and net hold the total (creation→ejection) and in-network
 	// (injection→ejection) latency distributions; classLat splits the
-	// total latency per message class.
+	// total latency per message class. Every latency statistic is read
+	// from them: their counts, integer sums and extremes.
 	lat      *Histogram
 	net      *Histogram
 	classLat [flit.NumClasses]*Histogram
-
-	byClass [flit.NumClasses]struct {
-		n      uint64
-		latSum float64
-	}
 }
 
 // NewCollector returns a collector measuring packets created at or after
 // warmup.
 func NewCollector(warmup sim.Cycle) *Collector {
-	return &Collector{Warmup: warmup, latMin: math.MaxUint64}
+	return &Collector{Warmup: warmup}
 }
 
 // ensureHists lazily allocates the histograms, so a zero-value Collector
@@ -134,22 +125,10 @@ func (c *Collector) RecordEjection(p *flit.Packet) {
 	}
 	c.ensureHists()
 	lat := p.Latency()
-	c.measured++
-	c.latSum += float64(lat)
-	c.netSum += float64(p.NetworkLatency())
-	c.hopSum += float64(p.Size)
 	c.flits += uint64(p.Size)
-	if lat < c.latMin {
-		c.latMin = lat
-	}
-	if lat > c.latMax {
-		c.latMax = lat
-	}
 	c.lat.Observe(lat)
 	c.net.Observe(p.NetworkLatency())
-	if int(p.Class) < len(c.byClass) {
-		c.byClass[p.Class].n++
-		c.byClass[p.Class].latSum += float64(lat)
+	if int(p.Class) < len(c.classLat) {
 		c.classLat[p.Class].Observe(lat)
 	}
 }
@@ -161,7 +140,12 @@ func (c *Collector) Created() uint64 { return c.created }
 func (c *Collector) Ejected() uint64 { return c.ejected }
 
 // Measured returns the number of packets included in latency statistics.
-func (c *Collector) Measured() uint64 { return c.measured }
+func (c *Collector) Measured() uint64 {
+	if c.lat == nil {
+		return 0
+	}
+	return c.lat.Count()
+}
 
 // Dropped returns the number of packets discarded by the network.
 func (c *Collector) Dropped() uint64 { return c.dropped }
@@ -193,42 +177,24 @@ func (c *Collector) DeliveryRatio() float64 {
 // AvgLatency returns the mean packet latency in cycles (creation to
 // ejection), or 0 with no measured packets (see the warmup edge case in
 // the Collector docs).
-func (c *Collector) AvgLatency() float64 {
-	if c.measured == 0 {
-		return 0
-	}
-	return c.latSum / float64(c.measured)
-}
+func (c *Collector) AvgLatency() float64 { return c.lat.Mean() }
 
 // AvgNetworkLatency returns the mean in-network latency in cycles, or 0
 // with no measured packets.
-func (c *Collector) AvgNetworkLatency() float64 {
-	if c.measured == 0 {
-		return 0
-	}
-	return c.netSum / float64(c.measured)
-}
+func (c *Collector) AvgNetworkLatency() float64 { return c.net.Mean() }
 
 // ClassAvgLatency returns the mean latency of one message class, or 0
 // when no packet of that class was measured.
 func (c *Collector) ClassAvgLatency(cls flit.Class) float64 {
-	b := c.byClass[cls]
-	if b.n == 0 {
-		return 0
-	}
-	return b.latSum / float64(b.n)
+	return c.ClassLatencyHist(cls).Mean()
 }
 
-// MinLatency and MaxLatency return the observed latency extremes.
-func (c *Collector) MinLatency() sim.Cycle {
-	if c.measured == 0 {
-		return 0
-	}
-	return c.latMin
-}
+// MinLatency and MaxLatency return the observed latency extremes, or 0
+// with no measured packets.
+func (c *Collector) MinLatency() sim.Cycle { return c.lat.Min() }
 
 // MaxLatency returns the largest observed packet latency.
-func (c *Collector) MaxLatency() sim.Cycle { return c.latMax }
+func (c *Collector) MaxLatency() sim.Cycle { return c.lat.Max() }
 
 // LatencyHist returns the total-latency histogram, or nil when no packet
 // has been measured yet.
@@ -251,30 +217,16 @@ func (c *Collector) ClassLatencyHist(cls flit.Class) *Histogram {
 // extracted from the latency histogram: exact for latencies with
 // one-cycle-wide buckets (up to 4096 cycles with the default bounds) and
 // bucket-resolution above. Returns 0 with no measured packets.
-func (c *Collector) Percentile(p float64) float64 {
-	if c.measured == 0 {
-		return 0
-	}
-	return float64(c.lat.Quantile(p))
-}
+func (c *Collector) Percentile(p float64) float64 { return float64(c.lat.Quantile(p)) }
 
 // NetworkPercentile is Percentile over the in-network latency
 // distribution.
-func (c *Collector) NetworkPercentile(p float64) float64 {
-	if c.measured == 0 {
-		return 0
-	}
-	return float64(c.net.Quantile(p))
-}
+func (c *Collector) NetworkPercentile(p float64) float64 { return float64(c.net.Quantile(p)) }
 
 // ClassPercentile is Percentile over one message class's latency
 // distribution.
 func (c *Collector) ClassPercentile(cls flit.Class, p float64) float64 {
-	h := c.ClassLatencyHist(cls)
-	if h == nil {
-		return 0
-	}
-	return float64(h.Quantile(p))
+	return float64(c.ClassLatencyHist(cls).Quantile(p))
 }
 
 // ThroughputFlits returns accepted flits per cycle over the measurement
@@ -288,12 +240,10 @@ func (c *Collector) ThroughputFlits(end sim.Cycle) float64 {
 }
 
 // Merge folds other's measurements into c, for aggregating per-worker
-// collectors after a sweep fan-out. The histogram and counter merges are
-// pure integer arithmetic — bit-exact in any merge order; the float
-// accumulators (latSum, class sums) are summed in call order, so merging
-// shards in a fixed order (e.g. sweep index order) keeps averages
-// deterministic too. The receivers' Warmup values are not reconciled;
-// each shard applies its own cutoff when recording.
+// collectors after a sweep fan-out. Every merge is integer arithmetic
+// (counters and histograms), so the result is bit-exact in any merge
+// order. The receivers' Warmup values are not reconciled; each shard
+// applies its own cutoff when recording.
 func (c *Collector) Merge(other *Collector) error {
 	if other == nil {
 		return nil
@@ -304,33 +254,20 @@ func (c *Collector) Merge(other *Collector) error {
 	c.duplicates += other.duplicates
 	c.retransmits += other.retransmits
 	c.flits += other.flits
-	c.latSum += other.latSum
-	c.netSum += other.netSum
-	c.hopSum += other.hopSum
-	if other.measured > 0 {
-		if c.measured == 0 || other.latMin < c.latMin {
-			c.latMin = other.latMin
-		}
-		if other.latMax > c.latMax {
-			c.latMax = other.latMax
-		}
-		c.ensureHists()
-		if err := c.lat.Merge(other.lat); err != nil {
-			return err
-		}
-		if err := c.net.Merge(other.net); err != nil {
-			return err
-		}
-		for i := range c.classLat {
-			if err := c.classLat[i].Merge(other.classLat[i]); err != nil {
-				return err
-			}
-		}
+	if other.lat == nil {
+		return nil
 	}
-	c.measured += other.measured
-	for i := range c.byClass {
-		c.byClass[i].n += other.byClass[i].n
-		c.byClass[i].latSum += other.byClass[i].latSum
+	c.ensureHists()
+	if err := c.lat.Merge(other.lat); err != nil {
+		return err
+	}
+	if err := c.net.Merge(other.net); err != nil {
+		return err
+	}
+	for i := range c.classLat {
+		if err := c.classLat[i].Merge(other.classLat[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -365,13 +302,13 @@ type Snapshot struct {
 // Snapshot captures the collector's current aggregates.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		Created: c.created, Ejected: c.ejected, Measured: c.measured,
+		Created: c.created, Ejected: c.ejected, Measured: c.Measured(),
 		InFlight: c.InFlight(),
 		Dropped:  c.dropped, Duplicates: c.duplicates, Retransmits: c.retransmits,
 		DeliveryRatio: c.DeliveryRatio(),
 		AvgLatency:    c.AvgLatency(), AvgNetworkLatency: c.AvgNetworkLatency(),
 	}
-	if c.measured > 0 {
+	if c.lat != nil {
 		s.Latency = c.lat.Snapshot()
 		s.NetworkLatency = c.net.Snapshot()
 		for i := range c.classLat {
@@ -388,32 +325,31 @@ func (c *Collector) String() string {
 
 // Summary renders every aggregate the collector holds as a multi-line
 // string. Two runs of the same simulation produce byte-identical
-// summaries — the floating-point accumulators are summed in ejection
-// order, which the network keeps canonical, and the histogram state is
-// integral — so golden-determinism and serial/parallel conformance tests
-// compare Summary outputs directly.
+// summaries — every aggregate is integral, and the averages divide
+// integer sums — so golden-determinism and serial/parallel conformance
+// tests compare Summary outputs directly. The float columns (hopsum,
+// class latsum) print the integer totals as floats.
 func (c *Collector) Summary() string {
 	var b []byte
 	app := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
 	app("created %d ejected %d measured %d in-flight %d\n",
-		c.created, c.ejected, c.measured, c.InFlight())
+		c.created, c.ejected, c.Measured(), c.InFlight())
 	if c.dropped != 0 || c.duplicates != 0 || c.retransmits != 0 {
 		app("dropped %d duplicates %d retransmits %d\n",
 			c.dropped, c.duplicates, c.retransmits)
 	}
 	app("latency avg %v net %v min %d max %d\n",
-		c.AvgLatency(), c.AvgNetworkLatency(), c.MinLatency(), c.latMax)
+		c.AvgLatency(), c.AvgNetworkLatency(), c.MinLatency(), c.MaxLatency())
 	app("latency p50 %v p95 %v p99 %v\n",
 		c.Percentile(50), c.Percentile(95), c.Percentile(99))
-	if c.measured > 0 {
+	if c.lat != nil {
 		app("hist count %d sum %d netsum %d\n", c.lat.Count(), c.lat.Sum(), c.net.Sum())
 	}
-	app("flits %d hopsum %v\n", c.flits, c.hopSum)
-	for cls := range c.byClass {
-		if c.byClass[cls].n == 0 {
-			continue
+	app("flits %d hopsum %v\n", c.flits, float64(c.flits))
+	for cls, h := range c.classLat {
+		if h != nil && h.Count() > 0 {
+			app("class %d n %d latsum %v\n", cls, h.Count(), float64(h.Sum()))
 		}
-		app("class %d n %d latsum %v\n", cls, c.byClass[cls].n, c.byClass[cls].latSum)
 	}
 	return string(b)
 }

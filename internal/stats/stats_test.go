@@ -322,3 +322,80 @@ func TestIntPercentileEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroValueCollector: the zero Collector is usable, and its minimum
+// is the smallest measured latency, not the zero it starts from.
+func TestZeroValueCollector(t *testing.T) {
+	var c Collector
+	p := mkPkt(3, 10, flit.Request, 2)
+	c.RecordCreation(p)
+	c.RecordEjection(p)
+	if c.Measured() != 1 || c.MinLatency() != 7 || c.MaxLatency() != 7 || c.AvgLatency() != 7 {
+		t.Fatalf("measured %d min %d max %d avg %v, want 1/7/7/7",
+			c.Measured(), c.MinLatency(), c.MaxLatency(), c.AvgLatency())
+	}
+	if c.ClassAvgLatency(flit.Request) != 7 || c.Percentile(50) != 7 {
+		t.Errorf("class avg %v p50 %v, want 7/7", c.ClassAvgLatency(flit.Request), c.Percentile(50))
+	}
+}
+
+// summaryRun fills a collector with a fixed, varied packet stream.
+func summaryRun(c *Collector, from, to int) {
+	for i := from; i < to; i++ {
+		p := &flit.Packet{
+			Size:      1 + i%5,
+			CreatedAt: sim.Cycle(i), InjectedAt: sim.Cycle(i + 2 + i%3),
+			EjectedAt: sim.Cycle(i + 20 + (i*37)%101),
+			Class:     flit.Class(i % int(flit.NumClasses)),
+		}
+		c.RecordCreation(p)
+		c.RecordEjection(p)
+	}
+}
+
+// TestSummaryGolden pins Summary's bytes for a fixed packet stream: the
+// averages, extremes and float columns read from the histograms' integer
+// state print exactly what the former float accumulators printed.
+func TestSummaryGolden(t *testing.T) {
+	c := NewCollector(10)
+	summaryRun(c, 0, 300)
+	c.RecordRetransmit(nil)
+	const want = "created 300 ejected 300 measured 290 in-flight 0\n" +
+		"dropped 0 duplicates 0 retransmits 1\n" +
+		"latency avg 70.05172413793103 net 67.04827586206896 min 20 max 120\n" +
+		"latency p50 70 p95 116 p99 120\n" +
+		"hist count 290 sum 20315 netsum 19444\n" +
+		"flits 870 hopsum 870\n" +
+		"class 0 n 145 latsum 10202\n" +
+		"class 1 n 145 latsum 10113\n"
+	if got := c.Summary(); got != want {
+		t.Errorf("Summary:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCollectorMergeOrderFree merges the same shards in two orders and
+// requires identical summaries.
+func TestCollectorMergeOrderFree(t *testing.T) {
+	shards := make([]*Collector, 4)
+	for i := range shards {
+		shards[i] = NewCollector(10)
+		summaryRun(shards[i], i*75, (i+1)*75)
+	}
+	merge := func(order ...int) string {
+		var c Collector
+		for _, i := range order {
+			if err := c.Merge(shards[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Summary()
+	}
+	if a, b := merge(0, 1, 2, 3), merge(3, 1, 0, 2); a != b {
+		t.Fatalf("merge order changed the summary:\n%s\nvs\n%s", a, b)
+	}
+	whole := NewCollector(10)
+	summaryRun(whole, 0, 300)
+	if got := merge(2, 0, 3, 1); got != whole.Summary() {
+		t.Errorf("merged shards:\n%s\nsingle collector:\n%s", got, whole.Summary())
+	}
+}
