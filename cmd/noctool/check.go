@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"time"
 
 	"gonoc/internal/modelcheck"
@@ -107,8 +108,8 @@ func runCheck(args []string) error {
 	if kind == "" {
 		kind = "mesh"
 	}
-	fmt.Printf("\nPROVED %d/%d scenarios (%d states total, %.0f states/s, peak frontier %s) in %v: deadlock freedom and full delivery on the %dx%d %s, fault free and under every single link/router fault\n",
-		proved, len(results), states, float64(states)/exploring.Seconds(), modelcheck.FormatBytes(peakBytes), time.Since(start).Round(time.Millisecond), *w, *h, kind)
+	fmt.Printf("\nPROVED %d/%d scenarios (%d states total, %.0f states/s on %d workers, peak frontier %s) in %v: deadlock freedom and full delivery on the %dx%d %s, fault free and under every single link/router fault\n",
+		proved, len(results), states, float64(states)/exploring.Seconds(), runtime.GOMAXPROCS(0), modelcheck.FormatBytes(peakBytes), time.Since(start).Round(time.Millisecond), *w, *h, kind)
 	return crossvalIfAsked(*crossval, *trials, *mcSeed)
 }
 

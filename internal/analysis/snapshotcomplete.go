@@ -98,7 +98,7 @@ var snapContracts = map[string][]snapContract{
 		{typeName: "Network", roles: []snapRole{
 			{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
 			{name: "restore", funcs: []string{"Restore", "restoreNI"}},
-			{name: "canonical", funcs: []string{"AppendCanonical", "appendCanonicalNI", "appendCanonicalWindows"}},
+			{name: "canonical", funcs: []string{"AppendCanonical", "AppendCanonicalNode", "appendCanonicalNI", "appendCanonicalWindows"}},
 		}},
 		{typeName: "NI", roles: []snapRole{
 			{name: "save", funcs: []string{"saveNI"}},

@@ -3,8 +3,10 @@ package modelcheck
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -94,9 +96,16 @@ type Options struct {
 	// (default 4096).
 	MaxDepth int
 	// Budget is a wall-clock bound; 0 means none. The explorer checks
-	// it between frontier expansions, so overshoot is one state's
-	// work.
+	// it between levels and, within a level, each worker checks it
+	// between parents, so the overshoot is one parent's expansion per
+	// worker plus the merge of what was expanded.
 	Budget time.Duration
+	// workers is the number of goroutines a BFS level is expanded on:
+	// 0 means GOMAXPROCS, which every caller uses, and 1 expands on the
+	// calling goroutine. The tests set other counts; every count explores
+	// the same graph and returns the same Result, Elapsed and
+	// PeakFrontierBytes aside.
+	workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -105,6 +114,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 4096
+	}
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -255,12 +267,12 @@ func (m *machine) terminal() bool {
 		m.n.PendingRetx() == 0
 }
 
-// key builds the canonical state identity: the network's cycle-free
-// canonical encoding plus the explorer-side state (injection progress,
-// the delivery ledger, the sabotage flag). Two states with equal keys
-// have identical futures.
-func (m *machine) key(buf []byte) []byte {
-	buf = m.n.AppendCanonical(buf[:0])
+// appendShadowKey appends the explorer-side part of a state's identity
+// to buf: injection progress, the sorted delivery ledger, the sabotage
+// flag and the injection cursor. Together with the network's canonical
+// encoding it identifies the state: two states with equal network
+// encodings and equal shadow keys have identical futures.
+func (m *machine) appendShadowKey(buf []byte) []byte {
 	for _, c := range m.injected {
 		buf = append(buf, c)
 	}
@@ -335,12 +347,13 @@ type state struct {
 
 // held is a discovered state awaiting expansion, and the storage of an
 // expanded one awaiting reuse: the network snapshot and the shadow
-// buffer, four heap objects short of the snapshot's own.
+// buffer, four heap objects short of the snapshot's own. size is
+// bytes() as of the last save into it.
 type held struct {
-	snap  *noc.Snapshot
-	shad  shadow
-	id    int32
-	depth int
+	snap *noc.Snapshot
+	shad shadow
+	id   int32
+	size int
 }
 
 // bytes is the heap the entry retains.
@@ -355,131 +368,423 @@ func (h *held) bytes() int {
 // quiescent self-loop short of it is a deadlock, a longer tick-cycle a
 // livelock. Injection interleavings are the explorer's nondeterminism;
 // the network itself is deterministic per transition.
+//
+// The search is breadth first, one level at a time: GOMAXPROCS
+// goroutines each expand a contiguous chunk of the level on their own
+// network, and one serial merge then walks the successors in frontier
+// order, numbering new states and checking the bounds and the deadlock
+// condition as it goes. The Result is the same at every worker count,
+// Elapsed and PeakFrontierBytes aside.
 func Explore(sc Scenario, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
-	m, err := newMachine(&sc, nil)
+	x, err := newExplorer(&sc, opt, start)
 	if err != nil {
 		return Result{}, err
 	}
-	defer m.Close()
+	defer x.close()
+	v, detail := x.run()
+	x.res.Verdict = v
+	x.res.Detail = detail
+	x.res.Elapsed = time.Since(start)
+	return x.res, nil
+}
 
-	res := Result{Scenario: sc, Expected: m.expected}
-	finish := func(v Verdict, detail string) (Result, error) {
-		res.Verdict = v
-		res.Detail = detail
-		res.Elapsed = time.Since(start)
-		return res, nil
+// explorer is one Explore call's search state. The workers read
+// sections, visited and level while they expand a level; only the merge,
+// which runs while they wait, writes them.
+type explorer struct {
+	opt   Options
+	start time.Time
+	res   Result
+	// workers[0] runs on the calling goroutine; the others are spawned
+	// once, in newExplorer, and wait on their start channel between
+	// levels. done collects their end-of-chunk signals, and exited
+	// their exits. done holds one signal per worker, so a worker whose
+	// level a panic on the calling goroutine cut short still reaches its
+	// exit, and close can wait for it.
+	workers []*worker
+	done    chan struct{}
+	exited  sync.WaitGroup
+	nodes   int
+
+	// sections interns every distinct node section of the network's
+	// canonical encoding (noc.Network.AppendCanonicalNode) seen so far.
+	// A visited key is the section id of every node, four bytes each,
+	// then the shadow key: a few dozen bytes where the full encoding is
+	// kilobytes. It is exact: sections are self-delimiting, so two
+	// states have equal keys exactly when their full encodings are equal.
+	sections map[string]uint32
+	visited  map[string]int32
+	states   []state
+
+	// level is the BFS level being expanded, next the one the merge
+	// fills. pending counts the level's entries the merge has not yet
+	// passed and frontierBytes what the unexpanded entries retain: the
+	// serial FIFO queue's length and bytes, which PeakFrontier and
+	// PeakFrontierBytes report.
+	level, next   []held
+	pending       int
+	frontierBytes int
+}
+
+// worker expands one chunk of a level on its own machine. Each
+// successor either was visited when the level began (its id is
+// recorded) or is a candidate: a new state or one first seen elsewhere
+// in the same level, which only the merge can tell apart. A candidate
+// carries its key, its still-unknown sections, and, unless it is
+// terminal, a snapshot of it.
+type worker struct {
+	m     *machine
+	start chan struct{}
+	// lo and hi bound the worker's chunk of the level.
+	lo, hi int
+
+	// free is recycled snapshot storage: a parent's as soon as its last
+	// choice is applied, a duplicate candidate's once the merge has
+	// found it.
+	free    []held
+	enabled []Choice
+	sec     []byte
+
+	// One level's output. outs is every transition of the chunk in
+	// order, and expanded the end in outs of each parent expanded.
+	// cands, keys, raw and miss hold the candidates: keys and raw are
+	// arenas the records index into. stop says why the worker ended its
+	// chunk early.
+	outs     []outcome
+	expanded []int
+	cands    []candidate
+	keys     []byte
+	raw      []byte
+	miss     []missing
+	stop     stopReason
+	// deadDelivered and deadInFlight describe the deadlocked state a
+	// stopDeadlock chunk ends on, for the verdict's detail.
+	deadDelivered, deadInFlight int
+}
+
+// outcome is one explored transition: the choice and its successor's
+// id, or the complement of its index in the worker's cands.
+type outcome struct {
+	c    Choice
+	succ int32
+}
+
+// candidate is a successor not in the visited set when its level began.
+type candidate struct {
+	h              held
+	keyLo, keyHi   int
+	missLo, missHi int
+	terminal, full bool
+}
+
+// missing is a node section the intern table lacked: the key bytes of
+// node stay zero until the merge interns raw[lo:hi].
+type missing struct {
+	node, lo, hi int
+}
+
+type stopReason uint8
+
+const (
+	stopNone stopReason = iota
+	stopBudget
+	stopDeadlock
+)
+
+func newExplorer(sc *Scenario, opt Options, start time.Time) (*explorer, error) {
+	x := &explorer{
+		opt:      opt,
+		start:    start,
+		done:     make(chan struct{}, opt.workers),
+		nodes:    sc.Width * sc.Height,
+		sections: make(map[string]uint32),
+		visited:  make(map[string]int32),
 	}
-
-	// visited keys on the full canonical bytes, so a hash collision
-	// cannot fold two states together.
-	visited := make(map[string]int32)
-	var states []state
-	// frontier is the BFS queue. An expanded entry's snapshot and shadow
-	// go to free, and the next new state is saved into them: snapshot
-	// storage is allocated PeakFrontier times, not once per state.
-	var frontier, free []held
-	var frontierBytes int
-	var keyBuf []byte
-
-	// discover records the machine's current state, reached from parent
-	// by c, and queues it for expansion unless it is terminal.
-	discover := func(parent int32, c Choice, depth int) int32 {
-		id := int32(len(states))
-		visited[string(keyBuf)] = id
-		st := state{parent: parent, choice: c, tickSucc: -1, terminal: m.terminal(), full: m.fullyInjected()}
-		states = append(states, st)
-		res.States++
-		if st.terminal {
-			res.Terminals++
-			return id
+	for i := 0; i < opt.workers; i++ {
+		m, err := newMachine(sc, nil)
+		if err != nil {
+			x.close()
+			return nil, err
 		}
-		var h held
-		if k := len(free) - 1; k >= 0 {
-			h, free = free[k], free[:k]
-		}
-		h = held{id: id, snap: m.n.SnapshotInto(h.snap), shad: m.saveShadow(h.shad), depth: depth}
-		frontier = append(frontier, h)
-		frontierBytes += h.bytes()
-		res.PeakFrontier = max(res.PeakFrontier, len(frontier))
-		res.PeakFrontierBytes = max(res.PeakFrontierBytes, frontierBytes)
-		return id
-	}
-
-	keyBuf = m.key(keyBuf)
-	discover(-1, Choice{}, 0)
-
-	// trace reconstructs the choice path from the root to state id.
-	trace := func(id int32) []Choice {
-		var out []Choice
-		for id > 0 {
-			out = append(out, states[id].choice)
-			id = states[id].parent
-		}
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-		return out
-	}
-
-	var enabled []Choice
-	for len(frontier) > 0 {
-		if opt.Budget > 0 && time.Since(start) > opt.Budget {
-			return finish(Exhausted, fmt.Sprintf("wall-clock budget %v exhausted at %d states", opt.Budget, res.States))
-		}
-		// Pop breadth-first: counterexamples come out minimal-depth.
-		cur := frontier[0]
-		frontier[0] = held{}
-		frontier = frontier[1:]
-		frontierBytes -= cur.bytes()
-		if cur.depth >= opt.MaxDepth {
-			return finish(Exhausted, fmt.Sprintf("depth bound %d reached at %d states", opt.MaxDepth, res.States))
-		}
-
-		// The enabled set derives from the shadow alone, so the parent
-		// network state only needs restoring per applied choice.
-		m.restoreShadow(cur.shad)
-		enabled = m.choices(enabled)
-
-		for _, c := range enabled {
-			m.n.Restore(cur.snap)
-			m.restoreShadow(cur.shad)
-			m.apply(c)
-			res.Transitions++
-
-			keyBuf = m.key(keyBuf)
-			// The conversion in the index expression does not allocate;
-			// only a new state's key is materialised, in discover.
-			id, seen := visited[string(keyBuf)]
-			if !seen {
-				id = discover(cur.id, c, cur.depth+1)
-				if d := cur.depth + 1; d > res.Deepest {
-					res.Deepest = d
+		w := &worker{m: m}
+		x.workers = append(x.workers, w)
+		if i > 0 {
+			w.start = make(chan struct{})
+			x.exited.Add(1)
+			go func() {
+				defer x.exited.Done()
+				for range w.start {
+					w.expand(x)
+					x.done <- struct{}{}
 				}
-				if res.States > opt.MaxStates {
-					return finish(Exhausted, fmt.Sprintf("state bound %d exceeded", opt.MaxStates))
+			}()
+		}
+	}
+	x.res = Result{Scenario: *sc, Expected: x.workers[0].m.expected}
+	return x, nil
+}
+
+// close stops the worker goroutines, waits for them to exit and
+// releases the networks. The workers are idle, as every level waits for
+// all of them, unless a panic on the calling goroutine cut a level
+// short: then a worker finishes its chunk, signals done without
+// blocking, and exits.
+func (x *explorer) close() {
+	for _, w := range x.workers {
+		if w.start != nil {
+			close(w.start)
+		}
+	}
+	x.exited.Wait()
+	for _, w := range x.workers {
+		w.m.Close()
+	}
+}
+
+// run searches level by level and returns the verdict and its detail.
+func (x *explorer) run() (Verdict, string) {
+	w := x.workers[0]
+	w.reset()
+	w.appendKey(x)
+	w.candidate(0, 0)
+	x.admit(w, 0, -1, Choice{}, 0)
+	x.level, x.next = x.next, x.level[:0]
+
+	for depth := 0; len(x.level) > 0; depth++ {
+		if x.opt.Budget > 0 && time.Since(x.start) > x.opt.Budget {
+			return Exhausted, x.budgetDetail()
+		}
+		if depth >= x.opt.MaxDepth {
+			return Exhausted, fmt.Sprintf("depth bound %d reached at %d states", x.opt.MaxDepth, x.res.States)
+		}
+		if v, detail, done := x.merge(x.expand(), depth); done {
+			return v, detail
+		}
+		clear(x.level)
+		x.level, x.next = x.next, x.level[:0]
+	}
+	if ce, lap := findLivelock(x.states); ce != nil {
+		x.res.Counterexample = ce
+		return Livelocked, fmt.Sprintf("tick cycle of %d states never completes delivery", lap)
+	}
+	return Proved, fmt.Sprintf("all %d states deliver %d/%d packets; %d terminal states",
+		x.res.States, x.res.Expected, x.res.Expected, x.res.Terminals)
+}
+
+func (x *explorer) budgetDetail() string {
+	return fmt.Sprintf("wall-clock budget %v exhausted at %d states", x.opt.Budget, x.res.States)
+}
+
+// expand splits the level into one contiguous chunk per worker, runs
+// them, and returns the workers used.
+func (x *explorer) expand() []*worker {
+	n := len(x.level)
+	ws := x.workers[:min(len(x.workers), n)]
+	for k, w := range ws {
+		w.lo, w.hi = k*n/len(ws), (k+1)*n/len(ws)
+		w.reset()
+	}
+	for _, w := range ws[1:] {
+		w.start <- struct{}{}
+	}
+	ws[0].expand(x)
+	for range ws[1:] {
+		<-x.done
+	}
+	return ws
+}
+
+// merge walks the level's transitions in frontier order, which is the
+// order the serial FIFO search applies them in: it counts them, admits
+// the candidates, records tick successors, and stops at the first
+// bound or deadlock the serial search would stop at. A successor a
+// worker found visited was visited at that point of the serial search
+// too, and a candidate is looked up again here, against every state
+// admitted before it; so ids, counts and counterexamples are the
+// serial search's.
+func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
+	i := 0
+	for _, w := range ws {
+		at := 0
+		for _, end := range w.expanded {
+			cur := x.level[i].id
+			x.frontierBytes -= x.level[i].size
+			i++
+			x.pending = len(x.level) - i
+			for _, o := range w.outs[at:end] {
+				x.res.Transitions++
+				id := o.succ
+				if id < 0 {
+					id = x.admit(w, int(^id), cur, o.c, depth+1)
+					if x.res.States > x.opt.MaxStates {
+						return Exhausted, fmt.Sprintf("state bound %d exceeded", x.opt.MaxStates), true
+					}
 				}
-			}
-			if c.Op == OpTick {
-				states[cur.id].tickSucc = id
+				if o.c.Op != OpTick {
+					continue
+				}
+				x.states[cur].tickSucc = id
 				// A tick self-loop on a fully-injected, non-terminal
 				// state is the classical deadlock: no transition
 				// remains that could change anything.
-				if id == cur.id && states[cur.id].full {
-					res.Counterexample = append(trace(cur.id), Choice{Op: OpTick})
-					return finish(Deadlocked, fmt.Sprintf(
+				if id == cur && x.states[cur].full {
+					x.res.Counterexample = append(traceTo(x.states, cur), Choice{Op: OpTick})
+					return Deadlocked, fmt.Sprintf(
 						"quiescent state with %d/%d packets delivered and %d flits in flight",
-						len(m.led.delivered), m.expected, m.n.Stats().InFlight()))
+						w.deadDelivered, x.res.Expected, w.deadInFlight), true
 				}
 			}
+			at = end
 		}
-		free = append(free, cur)
+		switch w.stop {
+		case stopBudget:
+			return Exhausted, x.budgetDetail(), true
+		case stopDeadlock:
+			panic("modelcheck: the merge passed the deadlock a worker stopped on")
+		}
 	}
+	return 0, "", false
+}
 
-	// The space is exhausted. Every fully-injected state's tick chain
-	// must reach a terminal-success state; tick is deterministic, so a
-	// chain that revisits a state has found a livelock cycle.
+// admit resolves candidate ci of worker w: it interns the sections the
+// worker could not, and either finds the state visited (the snapshot
+// storage goes back to w) or numbers it and queues it for expansion
+// unless it is terminal. It returns the state's id.
+func (x *explorer) admit(w *worker, ci int, parent int32, c Choice, depth int) int32 {
+	cd := &w.cands[ci]
+	key := w.keys[cd.keyLo:cd.keyHi]
+	for _, ms := range w.miss[cd.missLo:cd.missHi] {
+		raw := w.raw[ms.lo:ms.hi]
+		sid, ok := x.sections[string(raw)]
+		if !ok {
+			sid = uint32(len(x.sections))
+			x.sections[string(raw)] = sid
+		}
+		binary.LittleEndian.PutUint32(key[4*ms.node:], sid)
+	}
+	// The conversion in the index expression does not allocate; only a
+	// new state's key is materialised.
+	if id, seen := x.visited[string(key)]; seen {
+		if cd.h.snap != nil {
+			w.free = append(w.free, cd.h)
+		}
+		return id
+	}
+	id := int32(len(x.states))
+	x.visited[string(key)] = id
+	x.states = append(x.states, state{parent: parent, choice: c, tickSucc: -1, terminal: cd.terminal, full: cd.full})
+	x.res.States++
+	x.res.Deepest = max(x.res.Deepest, depth)
+	if cd.terminal {
+		x.res.Terminals++
+		return id
+	}
+	h := cd.h
+	h.id = id
+	x.next = append(x.next, h)
+	x.frontierBytes += h.size
+	x.res.PeakFrontier = max(x.res.PeakFrontier, x.pending+len(x.next))
+	x.res.PeakFrontierBytes = max(x.res.PeakFrontierBytes, x.frontierBytes)
+	return id
+}
+
+// reset empties the worker's per-level output.
+func (w *worker) reset() {
+	w.outs, w.expanded, w.cands = w.outs[:0], w.expanded[:0], w.cands[:0]
+	w.keys, w.raw, w.miss = w.keys[:0], w.raw[:0], w.miss[:0]
+	w.stop = stopNone
+}
+
+// expand applies every enabled choice to every parent of the worker's
+// chunk. It reads the visited set and the intern table as they stood
+// when the level began and writes nothing outside the worker.
+func (w *worker) expand(x *explorer) {
+	m := w.m
+	for i := w.lo; i < w.hi; i++ {
+		if x.opt.Budget > 0 && time.Since(x.start) > x.opt.Budget {
+			w.stop = stopBudget
+			return
+		}
+		p := &x.level[i]
+		// The enabled set derives from the shadow alone, so the parent
+		// network state only needs restoring per applied choice.
+		m.restoreShadow(p.shad)
+		w.enabled = m.choices(w.enabled)
+		for _, c := range w.enabled {
+			m.n.Restore(p.snap)
+			m.restoreShadow(p.shad)
+			m.apply(c)
+			keyLo, missLo := len(w.keys), len(w.miss)
+			if w.appendKey(x) {
+				if id, seen := x.visited[string(w.keys[keyLo:])]; seen {
+					w.keys = w.keys[:keyLo]
+					w.outs = append(w.outs, outcome{c: c, succ: id})
+					if c.Op == OpTick && id == p.id && m.fullyInjected() {
+						// The merge stops here with a deadlock verdict.
+						w.deadDelivered, w.deadInFlight = len(m.led.delivered), int(m.n.Stats().InFlight())
+						w.expanded = append(w.expanded, len(w.outs))
+						w.stop = stopDeadlock
+						return
+					}
+					continue
+				}
+			}
+			w.candidate(keyLo, missLo)
+			w.outs = append(w.outs, outcome{c: c, succ: ^int32(len(w.cands) - 1)})
+		}
+		// The parent is done with: its storage takes the next candidate.
+		w.expanded = append(w.expanded, len(w.outs))
+		w.free = append(w.free, held{snap: p.snap, shad: p.shad})
+	}
+}
+
+// appendKey appends the machine's state key to w.keys: the intern id of
+// every node section, then the shadow key. A section the table lacks is
+// copied to w.raw and listed in w.miss, its four key bytes left zero
+// for the merge to fill in. It reports whether every section was known.
+func (w *worker) appendKey(x *explorer) bool {
+	known := true
+	for node := 0; node < x.nodes; node++ {
+		w.sec = w.m.n.AppendCanonicalNode(w.sec[:0], node)
+		sid, ok := x.sections[string(w.sec)]
+		if !ok {
+			known = false
+			lo := len(w.raw)
+			w.raw = append(w.raw, w.sec...)
+			w.miss = append(w.miss, missing{node: node, lo: lo, hi: len(w.raw)})
+		}
+		w.keys = binary.LittleEndian.AppendUint32(w.keys, sid)
+	}
+	w.keys = w.m.appendShadowKey(w.keys)
+	return known
+}
+
+// candidate records the machine's state as a candidate whose key starts
+// at keyLo in w.keys and whose unknown sections start at missLo in
+// w.miss. A non-terminal one is snapshotted into recycled storage.
+func (w *worker) candidate(keyLo, missLo int) {
+	m := w.m
+	cd := candidate{keyLo: keyLo, keyHi: len(w.keys), missLo: missLo, missHi: len(w.miss),
+		terminal: m.terminal(), full: m.fullyInjected()}
+	if !cd.terminal {
+		if k := len(w.free) - 1; k >= 0 {
+			cd.h, w.free = w.free[k], w.free[:k]
+		}
+		cd.h.snap = m.n.SnapshotInto(cd.h.snap)
+		cd.h.shad = m.saveShadow(cd.h.shad)
+		cd.h.size = cd.h.bytes()
+	}
+	w.cands = append(w.cands, cd)
+}
+
+// findLivelock runs once the space is exhausted. Every fully-injected
+// state's tick chain must reach a terminal-success state; tick is
+// deterministic, so a chain that revisits a state has found a livelock
+// cycle. It returns the path to the cycle's entry plus one full lap,
+// and the lap's length, or nil.
+func findLivelock(states []state) ([]Choice, int) {
 	const (
 		white = 0
 		gray  = 1
@@ -498,8 +803,7 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 				break
 			}
 			if color[at] == gray {
-				// `at` is on the current chain: a tick cycle. Emit the
-				// path to the cycle entry plus one full lap.
+				// `at` is on the current chain: a tick cycle.
 				lap := 0
 				for i, s := range chain {
 					if s == at {
@@ -507,12 +811,11 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 						break
 					}
 				}
-				ce := trace(at)
+				ce := traceTo(states, at)
 				for i := 0; i < lap; i++ {
 					ce = append(ce, Choice{Op: OpTick})
 				}
-				res.Counterexample = ce
-				return finish(Livelocked, fmt.Sprintf("tick cycle of %d states never completes delivery", lap))
+				return ce, lap
 			}
 			color[at] = gray
 			chain = append(chain, at)
@@ -527,10 +830,18 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 			color[s] = black
 		}
 	}
+	return nil, 0
+}
 
-	return finish(Proved, fmt.Sprintf(
-		"all %d states deliver %d/%d packets; %d terminal states",
-		res.States, m.expected, m.expected, res.Terminals))
+// traceTo reconstructs the choice path from the root to state id.
+func traceTo(states []state, id int32) []Choice {
+	var out []Choice
+	for id > 0 {
+		out = append(out, states[id].choice)
+		id = states[id].parent
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // Replay rebuilds the scenario from scratch and applies trace choice by

@@ -1,8 +1,12 @@
 package modelcheck
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gonoc/internal/noc"
 )
@@ -276,6 +280,82 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 	}
 }
 
+// TestExploreWorkers runs the explorer at 1, 2 and 3 workers on
+// scenarios small enough for the race detector: the planted deadlock
+// (the same 14-choice counterexample at every count), a router-fault
+// goldenGraph row, and a wall-clock budget that ends the search partway
+// through a level. It then restores one snapshot into three networks at
+// once, from three goroutines, which noc.Network.Restore allows.
+func TestExploreWorkers(t *testing.T) {
+	router0 := SingleFaultSweep(RingOn("", 2, 2))[5]
+	if router0.Name != "ring-2x2/router-0" {
+		t.Fatalf("sweep entry 5 is %s, want ring-2x2/router-0", router0.Name)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		res, err := Explore(sabotageScenario(), Options{workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Deadlocked || len(res.Counterexample) != 14 || res.States != 56 || res.Transitions != 131 {
+			t.Errorf("workers=%d: sabotage %v with a %d-choice counterexample after %d states and %d transitions, want DEADLOCK, 14, 56 and 131",
+				workers, res.Verdict, len(res.Counterexample), res.States, res.Transitions)
+		}
+		if res, err = Explore(router0, Options{workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, res)
+		if res, err = Explore(RingOn("", 2, 2), Options{workers: workers, Budget: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Exhausted || !strings.Contains(res.Detail, "budget") {
+			t.Errorf("workers=%d: a 1ms budget gave %v (%s), want EXHAUSTED by the budget", workers, res.Verdict, res.Detail)
+		}
+	}
+
+	// A state with one packet delivered, so the statistics hold
+	// histograms, and two still in flight.
+	sc := sabotageScenario()
+	src, err := newMachine(&sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for range sc.Packets {
+		src.apply(Choice{Op: OpInject})
+	}
+	for src.n.Stats().Ejected() == 0 {
+		src.apply(Choice{Op: OpTick})
+	}
+	if src.n.Stats().InFlight() == 0 {
+		t.Fatal("every packet delivered before the snapshot")
+	}
+	snap := src.n.Snapshot()
+	src.n.Step()
+	want := string(src.n.AppendCanonical(nil))
+	got := make([]string, 3)
+	var wg sync.WaitGroup
+	for i := range got {
+		m, err := newMachine(&sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.n.Restore(snap)
+			m.n.Step()
+			got[i] = string(m.n.AppendCanonical(nil))
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("network %d: a concurrent Restore and Step diverged from the serial one", i)
+		}
+	}
+}
+
 // TestCheckMeshSweep drives the public sweep entry point the CLI uses,
 // CheckTopo, on the smallest mesh. It always runs all nine scenarios, so
 // -short leaves the 2x2 proofs to the tests above.
@@ -373,18 +453,65 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkExplore times the fault-free 2x2 proof, the unit the
-// benchmark's check_2x2 workload repeats: B/op over 34,834 transitions
-// is the heap cost of one explored transition.
-func BenchmarkExplore(b *testing.B) {
-	b.ReportAllocs()
-	var states int
-	for i := 0; i < b.N; i++ {
-		res, err := Explore(RingOn("", 2, 2), Options{})
-		if err != nil || res.Verdict != Proved {
-			b.Fatalf("verdict %v, err %v", res.Verdict, err)
-		}
-		states += res.States
+// TestExplorePanicPropagates panics on the calling goroutine's worker
+// while a second worker is still expanding its chunk of the level, the
+// way Explore's deferred close meets a failed assertion in Step. The
+// panic must reach the caller once the other worker has exited, not
+// leave close waiting on that worker for ever.
+func TestExplorePanicPropagates(t *testing.T) {
+	sc := sabotageScenario()
+	x, err := newExplorer(&sc, Options{workers: 2}.withDefaults(), time.Now())
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+	// A level of two copies of the initial state, one per worker.
+	w := x.workers[0]
+	w.reset()
+	w.candidate(0, 0)
+	w.candidate(0, 0)
+	x.level = []held{w.cands[0].h, w.cands[1].h}
+	// Worker 0's machine now expects one source more than the saved
+	// shadows hold, so restoring its parent indexes past the end.
+	w.m.injected = append(w.m.injected, 0)
+
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		defer x.close()
+		x.expand()
+	}()
+	select {
+	case r := <-recovered:
+		if r == nil || !strings.Contains(fmt.Sprint(r), "index out of range") {
+			t.Fatalf("expand ended with %v, want worker 0's index-out-of-range panic", r)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("close still waits on worker 1 30s after worker 0 panicked")
+	}
+}
+
+// BenchmarkExplore times the fault-free 2x2 proof, the unit the
+// benchmark's check_2x2 workload repeats, on one worker and on
+// GOMAXPROCS workers (the count check_2x2 runs at): states/s is the
+// proof rate, and B/op over 34,834 transitions the heap cost of one
+// explored transition.
+func BenchmarkExplore(b *testing.B) {
+	counts := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var states int
+			for i := 0; i < b.N; i++ {
+				res, err := Explore(RingOn("", 2, 2), Options{workers: workers})
+				if err != nil || res.Verdict != Proved {
+					b.Fatalf("verdict %v, err %v", res.Verdict, err)
+				}
+				states += res.States
+			}
+			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+		})
+	}
 }

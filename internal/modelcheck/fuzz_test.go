@@ -79,6 +79,8 @@ func FuzzModelCheckConformance(f *testing.F) {
 			b.apply(c)
 		}
 
+		// Full canonical bytes, not Explore's interned keys: section ids
+		// are only meaningful within one exploration.
 		ak, bk := a.key(nil), b.key(nil)
 		if !bytes.Equal(ak, bk) {
 			t.Fatalf("explorer-style execution and linear replay disagree after %d choices:\n%v", len(trace), trace)

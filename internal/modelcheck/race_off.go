@@ -3,8 +3,8 @@
 package modelcheck
 
 // raceEnabled reports whether the race detector is compiled in. The
-// exhaustive retransmission sweep is CPU-bound and gains nothing from
-// the detector (the explorer is single-goroutine), so its test skips
-// under -race; the CI model-checking tier runs it without the detector
-// instead.
+// exhaustive sweeps are CPU-bound and gain little from the detector
+// beyond what TestExploreWorkers' small scenarios give it, so the large
+// ones skip under -race; the CI model-checking tier runs them without
+// the detector instead.
 const raceEnabled = false

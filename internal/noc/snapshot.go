@@ -393,7 +393,9 @@ func saveNI(s *Snapshot, ni *NI, io *snapIO) {
 
 // Restore rewinds the network to a state captured by Snapshot. The
 // snapshot is re-cloned, not consumed: the same snapshot can be
-// restored again. Restore must be called at a step boundary, on a
+// restored again. Restore only reads the snapshot, so one snapshot may
+// be restored into several networks at once, from as many goroutines.
+// Restore must be called at a step boundary, on a
 // network of the snapshot's shape; on any other it panics, naming both,
 // before it has changed anything. The network's own storage is
 // overwritten in place — in particular the collector Stats returns
@@ -534,42 +536,56 @@ func restoreNI(ni *NI, io *snapIO) {
 // the same architectural behaviour. Excluded, because they never feed
 // back into behaviour: the cycle counter (all timers are encoded
 // relative to it), packet IDs and timestamps, the statistics collector,
-// and link-utilization counters.
+// and link-utilization counters. It is the concatenation of
+// AppendCanonicalNode over every node in id order.
 func (n *Network) AppendCanonical(b []byte) []byte {
-	for id, r := range n.routers {
-		b = r.AppendCanonical(b)
-		b = n.appendCanonicalNI(b, id)
-
-		b = appI(b, len(n.inFlits[id]))
-		for _, w := range n.inFlits[id] {
-			b = appI(b, int(w.in))
-			b = appI(b, int(w.vc))
-			b = core.AppendCanonicalFlit(b, w.f)
-		}
-		b = appendCanonicalCredits(b, n.inCredits[id])
-		b = appendCanonicalCredits(b, n.inNICredits[id])
-
-		b = appendBools(b, n.linkDead[id])
-		b = appB(b, n.routerDead[id])
-		for link := id * n.ports; link < (id+1)*n.ports; link++ {
-			b = appU(appU(b, n.midFlight[link]), n.linkDrop[link])
-		}
-
-		b = appU(b, n.seqNext[id])
-		b = appI(b, len(n.retx[id]))
-		for _, e := range n.retx[id] {
-			b = appU(b, e.seq)
-			b = appI(b, e.dst)
-			b = append(b, byte(e.class))
-			b = appI(b, e.size)
-			// Timers relative to the current cycle, so states reached at
-			// different absolute cycles can still coincide.
-			b = appU(b, uint64(e.deadline-n.cycle))
-			b = appU(b, uint64(e.interval))
-			b = appI(b, e.retries)
-		}
-		b = n.appendCanonicalWindows(b, n.delivered[id])
+	for id := range n.routers {
+		b = n.AppendCanonicalNode(b, id)
 	}
+	return b
+}
+
+// AppendCanonicalNode appends node id's section of the canonical
+// encoding: its router, NI, inbound latches, link and fault state,
+// retransmission entries and delivery windows. Every list in a section
+// is length-prefixed, so a section is self-delimiting under a fixed
+// configuration: two networks have equal AppendCanonical encodings
+// exactly when every pair of same-node sections is equal. The model
+// checker relies on that to key its visited set on one interned id
+// per section.
+func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
+	b = n.routers[id].AppendCanonical(b)
+	b = n.appendCanonicalNI(b, id)
+
+	b = appI(b, len(n.inFlits[id]))
+	for _, w := range n.inFlits[id] {
+		b = appI(b, int(w.in))
+		b = appI(b, int(w.vc))
+		b = core.AppendCanonicalFlit(b, w.f)
+	}
+	b = appendCanonicalCredits(b, n.inCredits[id])
+	b = appendCanonicalCredits(b, n.inNICredits[id])
+
+	b = appendBools(b, n.linkDead[id])
+	b = appB(b, n.routerDead[id])
+	for link := id * n.ports; link < (id+1)*n.ports; link++ {
+		b = appU(appU(b, n.midFlight[link]), n.linkDrop[link])
+	}
+
+	b = appU(b, n.seqNext[id])
+	b = appI(b, len(n.retx[id]))
+	for _, e := range n.retx[id] {
+		b = appU(b, e.seq)
+		b = appI(b, e.dst)
+		b = append(b, byte(e.class))
+		b = appI(b, e.size)
+		// Timers relative to the current cycle, so states reached at
+		// different absolute cycles can still coincide.
+		b = appU(b, uint64(e.deadline-n.cycle))
+		b = appU(b, uint64(e.interval))
+		b = appI(b, e.retries)
+	}
+	b = n.appendCanonicalWindows(b, n.delivered[id])
 	return b
 }
 
@@ -653,8 +669,8 @@ func appendBools(b []byte, vs []bool) []byte {
 
 // StateHash returns a 64-bit FNV-1a hash of the canonical state, for
 // display and logging. The model checker keys its visited set on the
-// full canonical bytes, not this hash, so hash collisions cannot mask
-// distinct states.
+// canonical sections themselves (AppendCanonicalNode, interned), not on
+// this hash, so hash collisions cannot mask distinct states.
 func (n *Network) StateHash() uint64 {
 	h := fnv.New64a()
 	h.Write(n.AppendCanonical(nil))

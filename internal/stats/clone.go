@@ -20,7 +20,12 @@ func (h *Histogram) cloneInto(dst *Histogram) *Histogram {
 	if dst == nil {
 		dst = new(Histogram)
 	}
-	h.shared = true
+	// A checkpoint's histograms are marked shared when saved, so a
+	// restore only reads them: one checkpoint can be restored into
+	// several collectors at once.
+	if !h.shared {
+		h.shared = true
+	}
 	*dst = *h
 	return dst
 }
