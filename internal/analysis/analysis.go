@@ -142,19 +142,20 @@ func (d Diagnostic) String() string {
 // run. Keys are plain strings (analyzers prefix their own namespace,
 // e.g. "alloc:" or "derived:") so facts survive the loader's per-variant
 // re-type-checking — types.Object identities differ between variants,
-// qualified names do not.
+// qualified names do not. A value is whatever the analyzer that reads
+// it back needs: a string, a token.Position, or nothing.
 type Facts struct {
-	m map[string]string
+	m map[string]any
 }
 
 // NewFacts returns an empty fact store.
-func NewFacts() *Facts { return &Facts{m: map[string]string{}} }
+func NewFacts() *Facts { return &Facts{m: map[string]any{}} }
 
 // Set records key = value, overwriting any previous value.
-func (f *Facts) Set(key, value string) { f.m[key] = value }
+func (f *Facts) Set(key string, value any) { f.m[key] = value }
 
 // Get returns the value recorded for key.
-func (f *Facts) Get(key string) (string, bool) {
+func (f *Facts) Get(key string) (any, bool) {
 	v, ok := f.m[key]
 	return v, ok
 }

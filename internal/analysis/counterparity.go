@@ -236,13 +236,13 @@ func checkObsDecls(pass *Pass) {
 		if c.Name() == "numKinds" {
 			continue
 		}
-		pass.Facts.Set("par.kind:"+c.Name(), encodePos(pass.Fset.Position(c.Pos())))
+		pass.Facts.Set("par.kind:"+c.Name(), pass.Fset.Position(c.Pos()))
 	}
 	for _, c := range enumConsts(pass.Pkg, "StallKind") {
 		if c.Name() == "numStallKinds" {
 			continue
 		}
-		pass.Facts.Set("par.stall:"+c.Name(), encodePos(pass.Fset.Position(c.Pos())))
+		pass.Facts.Set("par.stall:"+c.Name(), pass.Fset.Position(c.Pos()))
 	}
 }
 
@@ -327,23 +327,7 @@ func finishCounterParity(facts *Facts, report func(Diagnostic)) {
 				continue
 			}
 			pos, _ := facts.Get(key)
-			report(Diagnostic{Pos: decodePos(pos), Message: fmt.Sprintf(decl.message, name)})
+			report(Diagnostic{Pos: pos.(token.Position), Message: fmt.Sprintf(decl.message, name)})
 		}
 	}
-}
-
-// encodePos flattens a position into a fact value.
-func encodePos(p token.Position) string {
-	return fmt.Sprintf("%s\x00%d\x00%d", p.Filename, p.Line, p.Column)
-}
-
-// decodePos reverses encodePos.
-func decodePos(s string) token.Position {
-	parts := strings.SplitN(s, "\x00", 3)
-	if len(parts) != 3 {
-		return token.Position{Filename: s}
-	}
-	line, _ := strconv.Atoi(parts[1])
-	col, _ := strconv.Atoi(parts[2])
-	return token.Position{Filename: parts[0], Line: line, Column: col}
 }

@@ -52,8 +52,8 @@ func TestUnusedSuppressionReported(t *testing.T) {
 // (fixture imports resolve to the real module), so the cross-package
 // logic is exercised directly.
 func TestCounterParityFinish(t *testing.T) {
-	at := func(line int) string {
-		return encodePos(token.Position{Filename: "kinds.go", Line: line, Column: 2})
+	at := func(line int) token.Position {
+		return token.Position{Filename: "kinds.go", Line: line, Column: 2}
 	}
 	facts := NewFacts()
 	for _, pkg := range parityUserPkgs {
@@ -99,7 +99,7 @@ func TestCounterParityFinish(t *testing.T) {
 func TestCounterParityFinishGated(t *testing.T) {
 	facts := NewFacts()
 	facts.Set("par.analyzed:gonoc/internal/core", "")
-	facts.Set("par.kind:KOrphan", encodePos(token.Position{Filename: "kinds.go", Line: 1}))
+	facts.Set("par.kind:KOrphan", token.Position{Filename: "kinds.go", Line: 1})
 	var got []Diagnostic
 	finishCounterParity(facts, func(d Diagnostic) { got = append(got, d) })
 	if len(got) != 0 {

@@ -251,9 +251,6 @@ func (b *Bypassed) BypassFaulty() bool { return b.bypassFaulty }
 // switch allocation: either the arbiter or the bypass path must be intact.
 func (b *Bypassed) Usable() bool { return !b.Arb.Faulty() || !b.bypassFaulty }
 
-// InBypass reports whether grants are currently served by the bypass path.
-func (b *Bypassed) InBypass() bool { return b.Arb.Faulty() && !b.bypassFaulty }
-
 // BypassState returns the bypass register state: the current default
 // winner and the number of bypass grants since it last rotated. Paired
 // with SetBypassState for checkpoint/restore.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonoc/internal/flit"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/topology"
@@ -347,5 +348,20 @@ func TestAcceptRefusesMissingVCs(t *testing.T) {
 			}()
 			accept()
 		}()
+	}
+}
+
+// TestAdvanceWordsOnlyWhenObserved pins the lights-off size contract:
+// the stall scan's advance words exist only on a router with an obs
+// handle bound, so an unobserved router carries a nil slice for them.
+func TestAdvanceWordsOnlyWhenObserved(t *testing.T) {
+	cfg := router.DefaultConfig()
+	cfg.FaultTolerant = true
+	if r := MustNew(4, topology.NewMesh(3, 3), cfg); r.advanced != nil {
+		t.Errorf("lights-off router allocated %d advance words", len(r.advanced))
+	}
+	cfg.Obs = obs.New(0)
+	if r := MustNew(4, topology.NewMesh(3, 3), cfg); len(r.advanced) != cfg.Ports {
+		t.Errorf("observed router has %d advance words, want one per port (%d)", len(r.advanced), cfg.Ports)
 	}
 }

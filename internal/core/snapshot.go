@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"unsafe"
 
+	"gonoc/internal/canon"
 	"gonoc/internal/flit"
 	"gonoc/internal/topology"
 	"gonoc/internal/vc"
@@ -32,9 +32,9 @@ import (
 // at a network step boundary, produced by SaveState and consumed by
 // RestoreState. It is one sequential record plus the buffered flits:
 // three objects however many ports and VCs the router has, where the
-// field-by-field layout it replaced was ten (snapshot_ref_test.go keeps
-// that one as the test oracle). The zero RouterState is empty storage
-// SaveStateInto fills for any router.
+// field-by-field layout it replaced was ten. The zero RouterState is
+// empty storage SaveStateInto fills for any router. The tests round-trip
+// routers through it in lockstep with refRouter (refrouter_test.go).
 //
 // rec is written and read front to back, in this order:
 //
@@ -310,35 +310,13 @@ func restoreVC(v *vc.VC, entry []int16, fl []flit.Flit, cloneFlit func(*flit.Fli
 	return fl[n:]
 }
 
-// Canonical-encoding helpers. Signed varints keep the encoding compact
-// and unambiguous (every field is length- or count-prefixed where
-// variable).
-func appI(b []byte, v int) []byte    { return binary.AppendVarint(b, int64(v)) }
-func appU(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appB(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // AppendCanonicalFlit appends a behaviour-relevant encoding of one flit:
-// kind, flit sequence number, and the packet's logical identity
-// (source, destination, class, size, end-to-end sequence number).
-// Simulation-bookkeeping fields — packet ID and timestamps — are
-// deliberately excluded: two states that differ only in those fields
-// behave identically forever, and folding them together is what makes
-// exhaustive exploration terminate.
+// kind, flit sequence number, and its packet's logical identity
+// (canon.Packet, which leaves the packet ID and timestamps out).
 func AppendCanonicalFlit(b []byte, f *flit.Flit) []byte {
 	b = append(b, byte(f.Kind))
-	b = appI(b, f.Seq)
-	b = appI(b, f.Pkt.Src)
-	b = appI(b, f.Pkt.Dst)
-	b = append(b, byte(f.Pkt.Class))
-	b = appI(b, f.Pkt.Size)
-	b = appU(b, f.Pkt.Seq)
-	return b
+	b = canon.Int(b, f.Seq)
+	return canon.Packet(b, f.Pkt)
 }
 
 // AppendCanonical appends the router's behaviour-relevant state to b and
@@ -353,58 +331,58 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 		for v := 0; v < V; v++ {
 			ivc := &r.vcs[p*V+v]
 			b = append(b, byte(ivc.G))
-			b = appI(b, int(ivc.R))
-			b = appI(b, ivc.OutVC)
-			b = appI(b, int(ivc.R2))
-			b = appB(b, ivc.VF)
-			b = appI(b, ivc.ID)
-			b = appI(b, int(ivc.SP))
-			b = appB(b, ivc.FSP)
+			b = canon.Int(b, int(ivc.R))
+			b = canon.Int(b, ivc.OutVC)
+			b = canon.Int(b, int(ivc.R2))
+			b = canon.Bool(b, ivc.VF)
+			b = canon.Int(b, ivc.ID)
+			b = canon.Int(b, int(ivc.SP))
+			b = canon.Bool(b, ivc.FSP)
 			// Detour is observational only (stall attribution) and is
 			// excluded like the counters: it never feeds arbitration.
-			b = appI(b, ivc.DvcLo)
-			b = appI(b, ivc.DvcHi)
+			b = canon.Int(b, ivc.DvcLo)
+			b = canon.Int(b, ivc.DvcHi)
 			fs := ivc.Flits()
-			b = appI(b, len(fs))
+			b = canon.Int(b, len(fs))
 			for _, f := range fs {
 				b = AppendCanonicalFlit(b, f)
 			}
-			b = appB(b, r.outBusy[p]>>uint(v)&1 != 0)
-			b = appI(b, r.credits[p*V+v])
-			b = appI(b, r.va1[p*V+v].Prio())
-			b = appI(b, r.va2[p*V+v].Prio())
-			b = appB(b, r.va1Faulty[p]>>uint(v)&1 != 0)
-			b = appB(b, r.va2[p*V+v].Faulty())
+			b = canon.Bool(b, r.outBusy[p]>>uint(v)&1 != 0)
+			b = canon.Int(b, r.credits[p*V+v])
+			b = canon.Int(b, r.va1[p*V+v].Prio())
+			b = canon.Int(b, r.va2[p*V+v].Prio())
+			b = canon.Bool(b, r.va1Faulty[p]>>uint(v)&1 != 0)
+			b = canon.Bool(b, r.va2[p*V+v].Faulty())
 		}
 		sa1 := &r.sa1[p]
-		b = appI(b, sa1.Arb.Prio())
+		b = canon.Int(b, sa1.Arb.Prio())
 		dw, rot := sa1.BypassState()
-		b = appI(b, dw)
-		b = appI(b, rot)
-		b = appB(b, sa1.Arb.Faulty())
-		b = appB(b, sa1.BypassFaulty())
-		b = appI(b, r.sa2[p].Prio())
-		b = appB(b, r.sa2[p].Faulty())
+		b = canon.Int(b, dw)
+		b = canon.Int(b, rot)
+		b = canon.Bool(b, sa1.Arb.Faulty())
+		b = canon.Bool(b, sa1.BypassFaulty())
+		b = canon.Int(b, r.sa2[p].Prio())
+		b = canon.Bool(b, r.sa2[p].Faulty())
 		// The baseline has no duplicate RC unit or secondary paths: its
 		// encoding has no byte for them.
-		b = appB(b, r.rcFaulty[0]>>uint(p)&1 != 0)
+		b = canon.Bool(b, r.rcFaulty[0]>>uint(p)&1 != 0)
 		if r.cfg.FaultTolerant {
-			b = appB(b, r.rcFaulty[1]>>uint(p)&1 != 0)
+			b = canon.Bool(b, r.rcFaulty[1]>>uint(p)&1 != 0)
 		}
-		b = appB(b, r.xb.MuxFaulty(p))
+		b = canon.Bool(b, r.xb.MuxFaulty(p))
 		if r.cfg.FaultTolerant {
-			b = appB(b, r.xb.SecondaryFaulty(p))
+			b = canon.Bool(b, r.xb.SecondaryFaulty(p))
 		}
-		b = appI(b, r.rcScan[p])
-		b = appI(b, r.saAdopted[p])
-		b = appI(b, r.saAdoptAge[p])
+		b = canon.Int(b, r.rcScan[p])
+		b = canon.Int(b, r.saAdopted[p])
+		b = canon.Int(b, r.saAdoptAge[p])
 	}
-	b = appI(b, len(r.grants))
+	b = canon.Int(b, len(r.grants))
 	for _, g := range r.grants {
-		b = appI(b, int(g.inPort))
-		b = appI(b, g.inVC)
-		b = appI(b, int(g.outPort))
-		b = appB(b, g.secondary)
+		b = canon.Int(b, int(g.inPort))
+		b = canon.Int(b, g.inVC)
+		b = canon.Int(b, int(g.outPort))
+		b = canon.Bool(b, g.secondary)
 	}
 	return b
 }

@@ -1,0 +1,104 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"gonoc/internal/flit"
+	"gonoc/internal/router"
+	"gonoc/internal/topology"
+)
+
+// cloneWithPacket is the flit clone a network snapshot makes, without
+// the memo: flit and packet both copied.
+func cloneWithPacket(f *flit.Flit) *flit.Flit {
+	c, p := *f, *f.Pkt
+	c.Pkt = &p
+	return &c
+}
+
+// sameState compares two saved states value by value, packets included,
+// a nil flit buffer equal to an empty one.
+func sameState(a, b *RouterState) bool {
+	if a.ports != b.ports || a.vcs != b.vcs || a.depth != b.depth || a.protected != b.protected ||
+		a.counters != b.counters || !slices.Equal(a.rec, b.rec) || len(a.flits) != len(b.flits) {
+		return false
+	}
+	for i, f := range a.flits {
+		g := b.flits[i]
+		if f.Kind != g.Kind || f.Seq != g.Seq || *f.Pkt != *g.Pkt {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRouterStateRejectsOtherConfigurations pins the up-front refusal:
+// a state restored into a router of another VC count, buffer depth or
+// protection panics before a single field is overwritten, and storage
+// offered to SaveStateInto from such a router is left alone.
+func TestRouterStateRejectsOtherConfigurations(t *testing.T) {
+	all := func(p, v int) bool { return true }
+	donorCfg := router.DefaultConfig()
+	donorCfg.FaultTolerant = true
+	donor := newFeeder(donorCfg, all)
+	for i := 0; i < 50; i++ {
+		donor.tick()
+	}
+	st := donor.r.SaveState(cloneWithPacket)
+	stCopy := donor.r.SaveState(cloneWithPacket)
+
+	for name, mutate := range map[string]func(*router.Config){
+		"fewer-vcs": func(c *router.Config) { c.VCs = 2 },
+		"shallower": func(c *router.Config) { c.Depth = 2 },
+		"baseline":  func(c *router.Config) { c.FaultTolerant = false },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := donorCfg
+			mutate(&cfg)
+			f := newFeeder(cfg, all)
+			for i := 0; i < 30; i++ {
+				f.tick()
+			}
+			before := f.r.AppendCanonical(nil)
+			counters := f.r.Counters
+
+			if got := f.r.SaveStateInto(st, cloneWithPacket); got == st {
+				t.Error("SaveStateInto reused storage saved from another configuration")
+			}
+			if !sameState(st, stCopy) {
+				t.Error("the offered state was modified although its configuration did not fit")
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "RestoreState") {
+						t.Errorf("RestoreState of a foreign state: panic %q, want one naming both configurations", msg)
+					}
+				}()
+				f.r.RestoreState(st, cloneWithPacket)
+			}()
+			if !bytes.Equal(f.r.AppendCanonical(nil), before) || f.r.Counters != counters {
+				t.Error("the refused restore changed the router")
+			}
+		})
+	}
+}
+
+// TestSaveStateRefusesWhatTheRecordCannotHold pins put's range check: a
+// credit count past 16 bits (a buffer depth no experiment uses, but one
+// router.Config accepts) panics in SaveState with the value named,
+// instead of being truncated into a state that restores wrong.
+func TestSaveStateRefusesWhatTheRecordCannotHold(t *testing.T) {
+	cfg := router.DefaultConfig()
+	cfg.Depth = 1 << 15
+	r := MustNew(4, topology.NewMesh(3, 3), cfg)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "32768 does not fit") {
+			t.Errorf("SaveState of a depth-32768 router: panic %q, want the range check's", msg)
+		}
+	}()
+	r.SaveState(cloneWithPacket)
+}

@@ -1,28 +1,17 @@
 package noc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"unsafe"
 
+	"gonoc/internal/canon"
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
 )
-
-// Canonical-encoding helpers, mirroring internal/core's.
-func appI(b []byte, v int) []byte    { return binary.AppendVarint(b, int64(v)) }
-func appU(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appB(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
 
 // Deep snapshot/restore of a Network at a step boundary, plus a
 // canonical byte encoding of the behaviour-relevant state. These are
@@ -557,33 +546,33 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 	b = n.routers[id].AppendCanonical(b)
 	b = n.appendCanonicalNI(b, id)
 
-	b = appI(b, len(n.inFlits[id]))
+	b = canon.Int(b, len(n.inFlits[id]))
 	for _, w := range n.inFlits[id] {
-		b = appI(b, int(w.in))
-		b = appI(b, int(w.vc))
+		b = canon.Int(b, int(w.in))
+		b = canon.Int(b, int(w.vc))
 		b = core.AppendCanonicalFlit(b, w.f)
 	}
 	b = appendCanonicalCredits(b, n.inCredits[id])
 	b = appendCanonicalCredits(b, n.inNICredits[id])
 
 	b = appendBools(b, n.linkDead[id])
-	b = appB(b, n.routerDead[id])
+	b = canon.Bool(b, n.routerDead[id])
 	for link := id * n.ports; link < (id+1)*n.ports; link++ {
-		b = appU(appU(b, n.midFlight[link]), n.linkDrop[link])
+		b = canon.Uint(canon.Uint(b, n.midFlight[link]), n.linkDrop[link])
 	}
 
-	b = appU(b, n.seqNext[id])
-	b = appI(b, len(n.retx[id]))
+	b = canon.Uint(b, n.seqNext[id])
+	b = canon.Int(b, len(n.retx[id]))
 	for _, e := range n.retx[id] {
-		b = appU(b, e.seq)
-		b = appI(b, e.dst)
+		b = canon.Uint(b, e.seq)
+		b = canon.Int(b, e.dst)
 		b = append(b, byte(e.class))
-		b = appI(b, e.size)
+		b = canon.Int(b, e.size)
 		// Timers relative to the current cycle, so states reached at
 		// different absolute cycles can still coincide.
-		b = appU(b, uint64(e.deadline-n.cycle))
-		b = appU(b, uint64(e.interval))
-		b = appI(b, e.retries)
+		b = canon.Uint(b, uint64(e.deadline-n.cycle))
+		b = canon.Uint(b, uint64(e.interval))
+		b = canon.Int(b, e.retries)
 	}
 	b = n.appendCanonicalWindows(b, n.delivered[id])
 	return b
@@ -592,27 +581,27 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 func (n *Network) appendCanonicalNI(b []byte, id int) []byte {
 	ni := n.nis[id]
 	for _, q := range ni.queues {
-		b = appI(b, len(q))
+		b = canon.Int(b, len(q))
 		for _, p := range q {
-			b = appendCanonicalPacket(b, p)
+			b = canon.Packet(b, p)
 		}
 	}
 	for _, fl := range ni.active {
-		b = appI(b, len(fl))
+		b = canon.Int(b, len(fl))
 		for _, f := range fl {
 			b = core.AppendCanonicalFlit(b, f)
 		}
 	}
 	b = appendBools(b, ni.vcBusy)
 	for _, c := range ni.credits {
-		b = appI(b, c)
+		b = canon.Int(b, c)
 	}
-	b = appI(b, ni.sendScan)
+	b = canon.Int(b, ni.sendScan)
 	return b
 }
 
 func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte {
-	b = appI(b, len(m))
+	b = canon.Int(b, len(m))
 	srcs := n.canonSrcs[:0]
 	//nocvet:ignore determinism collected keys are sorted before use
 	for src := range m {
@@ -622,8 +611,8 @@ func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte 
 	n.canonSrcs = srcs
 	for _, src := range srcs {
 		w := m[src]
-		b = appI(b, src)
-		b = appU(b, w.floor)
+		b = canon.Int(b, src)
+		b = canon.Uint(b, w.floor)
 		seen := n.canonSeen[:0]
 		//nocvet:ignore determinism collected keys are sorted before use
 		for s := range w.seen {
@@ -631,9 +620,9 @@ func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte 
 		}
 		slices.Sort(seen)
 		n.canonSeen = seen
-		b = appI(b, len(seen))
+		b = canon.Int(b, len(seen))
 		for _, s := range seen {
-			b = appU(b, s)
+			b = canon.Uint(b, s)
 		}
 	}
 	return b
@@ -642,27 +631,18 @@ func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte 
 // appendCanonicalCredits appends a credit latch: its length, then port,
 // VC and VC-free flag per credit, in latch order.
 func appendCanonicalCredits(b []byte, cs []credit) []byte {
-	b = appI(b, len(cs))
+	b = canon.Int(b, len(cs))
 	for _, cr := range cs {
-		b = appI(b, int(cr.port))
-		b = appI(b, int(cr.vc))
-		b = appB(b, cr.free)
+		b = canon.Int(b, int(cr.port))
+		b = canon.Int(b, int(cr.vc))
+		b = canon.Bool(b, cr.free)
 	}
-	return b
-}
-
-func appendCanonicalPacket(b []byte, p *flit.Packet) []byte {
-	b = appI(b, p.Src)
-	b = appI(b, p.Dst)
-	b = append(b, byte(p.Class))
-	b = appI(b, p.Size)
-	b = appU(b, p.Seq)
 	return b
 }
 
 func appendBools(b []byte, vs []bool) []byte {
 	for _, v := range vs {
-		b = appB(b, v)
+		b = canon.Bool(b, v)
 	}
 	return b
 }

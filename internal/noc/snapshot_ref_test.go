@@ -16,7 +16,7 @@ import (
 // packets cloned one heap object each through a memoizing cloner with two
 // pointer-keyed maps. It is the oracle of FuzzSnapshotMatchesReference.
 // The router states it holds come from the production core.SaveStateInto
-// (core keeps its own field-by-field reference, snapshot_ref_test.go
+// (core holds save and restore to its refRouter, refrouter_test.go
 // there); everything at network level is the old code.
 
 // refSnap is the old Snapshot: about 130 heap objects on a 2x2.

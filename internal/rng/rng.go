@@ -138,20 +138,6 @@ func (r *Stream) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, a geometric variate with mean (1-p)/p. It panics unless
-// 0 < p <= 1.
-func (r *Stream) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := 1 - r.Float64()
-	return int(math.Log(u) / math.Log(1-p))
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -161,11 +147,4 @@ func (r *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }

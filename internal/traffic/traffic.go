@@ -1,8 +1,8 @@
 // Package traffic provides synthetic workload generators for the NoC:
 // the classic destination patterns (uniform random, transpose,
-// bit-complement, tornado, hotspot, nearest neighbour), Bernoulli and
-// bursty injection processes, and a trace replayer. All generators are
-// deterministic given their seed.
+// bit-complement, tornado, hotspot, nearest neighbour), Bernoulli
+// injection, and a trace replayer. All generators are deterministic given
+// their seed.
 package traffic
 
 import (
@@ -135,16 +135,14 @@ func Bimodal(shortSize, longSize int, shortFrac float64) SizeFn {
 }
 
 // Synthetic is an open-loop generator: every node offers packets by a
-// Bernoulli (or bursty) process at the configured rate.
+// Bernoulli process at the configured rate.
 type Synthetic struct {
 	nodes   int
 	rate    float64 // packets per node per cycle
 	dest    DestFn
 	size    SizeFn
-	burst   float64 // probability a packet is followed by a burst packet
 	stopAt  sim.Cycle
 	streams []*rng.Stream
-	inBurst []bool
 }
 
 // NewSynthetic builds a generator for nodes nodes offering rate packets
@@ -161,17 +159,12 @@ func NewSynthetic(nodes int, rate float64, dest DestFn, size SizeFn, seed uint64
 		dest:    dest,
 		size:    size,
 		streams: make([]*rng.Stream, nodes),
-		inBurst: make([]bool, nodes),
 	}
 	for i := range s.streams {
 		s.streams[i] = root.Split()
 	}
 	return s
 }
-
-// SetBurstiness makes each packet trigger a follow-up packet next cycle
-// with probability p, modelling bursty application phases.
-func (s *Synthetic) SetBurstiness(p float64) { s.burst = p }
 
 // StopAt stops generation at cycle c (0 = never), letting the network
 // drain.
@@ -183,11 +176,9 @@ func (s *Synthetic) Offered(node int, c sim.Cycle) []*flit.Packet {
 		return nil
 	}
 	r := s.streams[node]
-	fire := s.inBurst[node] || r.Bernoulli(s.rate)
-	if !fire {
+	if !r.Bernoulli(s.rate) {
 		return nil
 	}
-	s.inBurst[node] = s.burst > 0 && r.Bernoulli(s.burst)
 	return []*flit.Packet{{
 		Dst:   s.dest(node, r),
 		Class: flit.Request,
@@ -236,12 +227,3 @@ func (t *Trace) Offered(node int, c sim.Cycle) []*flit.Packet {
 
 // OnEject implements the noc.Traffic interface.
 func (t *Trace) OnEject(*flit.Packet, sim.Cycle) []*flit.Packet { return nil }
-
-// Remaining returns how many trace entries are still unsent.
-func (t *Trace) Remaining() int {
-	n := 0
-	for _, q := range t.byNode {
-		n += len(q)
-	}
-	return n
-}

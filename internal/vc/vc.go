@@ -229,14 +229,6 @@ type InputPort struct {
 	VCs []*VC
 }
 
-// NewInputPort returns an input port with nvc virtual channels of the
-// given depth.
-func NewInputPort(p topology.Port, nvc, depth int) *InputPort {
-	_, in := NewPorts(1, nvc, depth)
-	in[0].Port = p
-	return &in[0]
-}
-
 // NewPorts returns the input ports of a router: ports ports of nvc
 // virtual channels of the given depth, built as one block. The VCs are
 // held by value in one slab, port p's VC v at p*nvc+v; their buffers are

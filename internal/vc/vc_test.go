@@ -107,7 +107,7 @@ func TestClearBorrow(t *testing.T) {
 }
 
 func TestFindLenderPrefersFirstIdleOrActive(t *testing.T) {
-	ip := NewInputPort(topology.North, 4, 4)
+	ip := onePort(4)
 	ip.VCs[0].G = VCAlloc // requester
 	ip.VCs[1].G = Routing // busy: not eligible
 	ip.VCs[2].G = Active  // eligible
@@ -118,7 +118,7 @@ func TestFindLenderPrefersFirstIdleOrActive(t *testing.T) {
 }
 
 func TestFindLenderSkipsFaultyAndLending(t *testing.T) {
-	ip := NewInputPort(topology.North, 4, 4)
+	ip := onePort(4)
 	for _, v := range ip.VCs {
 		v.G = Idle
 	}
@@ -130,7 +130,7 @@ func TestFindLenderSkipsFaultyAndLending(t *testing.T) {
 }
 
 func TestFindLenderNone(t *testing.T) {
-	ip := NewInputPort(topology.North, 2, 4)
+	ip := onePort(2)
 	ip.VCs[0].G = VCAlloc
 	ip.VCs[1].G = VCAlloc // also allocating: not eligible this cycle
 	if l := ip.FindLender(0, nil); l != None {
@@ -139,7 +139,7 @@ func TestFindLenderNone(t *testing.T) {
 }
 
 func TestFindLenderExcludesSelf(t *testing.T) {
-	ip := NewInputPort(topology.North, 2, 4)
+	ip := onePort(2)
 	ip.VCs[0].G = Idle
 	ip.VCs[1].G = Routing
 	if l := ip.FindLender(0, nil); l != None {
@@ -147,13 +147,19 @@ func TestFindLenderExcludesSelf(t *testing.T) {
 	}
 }
 
-func TestNewInputPortPanics(t *testing.T) {
+// onePort returns a router's only input port, of nvc VCs of depth 4.
+func onePort(nvc int) *InputPort {
+	_, in := NewPorts(1, nvc, 4)
+	return &in[0]
+}
+
+func TestNewPortsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewInputPort with 0 VCs did not panic")
+			t.Fatal("NewPorts with 0 VCs did not panic")
 		}
 	}()
-	NewInputPort(topology.Local, 0, 4)
+	NewPorts(1, 0, 4)
 }
 
 // TestNewPortsIsOneBlock pins the router block's layout: the slab and the
