@@ -40,7 +40,7 @@ func runCheck(args []string) error {
 	}
 	retx := noc.RetxConfig{Timeout: sim.Cycle(*retxTimeout), MaxRetries: *retxRetries}
 	opt := modelcheck.Options{MaxStates: *maxStates, MaxDepth: *maxDepth, Budget: *budget}
-	if _, err := topology.New(*topoFlag, *w, *h, 1); err != nil {
+	if _, err := topology.New(*topoFlag, *w, *h); err != nil {
 		return err
 	}
 

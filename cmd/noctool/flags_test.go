@@ -32,9 +32,7 @@ func TestSimFlagValidation(t *testing.T) {
 		{"inject outside mesh", []string{"-width", "2", "-height", "2", "-inject", "9:router"}, "outside the 4-node mesh"},
 		{"torus", []string{"-topo", "torus"}, ""},
 		{"torus tornado", []string{"-topo", "torus", "-pattern", "tornado", "-width", "4", "-height", "4"}, ""},
-		{"cmesh", []string{"-topo", "cmesh", "-conc", "4"}, ""},
 		{"unknown topo", []string{"-topo", "hypercube"}, `unknown kind "hypercube"`},
-		{"negative conc", []string{"-topo", "cmesh", "-conc", "-2"}, "concentration"},
 		{"inject outside torus", []string{"-topo", "torus", "-width", "4", "-height", "4", "-inject", "99:sa1:e"},
 			"outside the 16-node torus"},
 		{"torus link fault ok", []string{"-topo", "torus", "-inject", "5:link:e"}, ""},
@@ -42,11 +40,10 @@ func TestSimFlagValidation(t *testing.T) {
 		{"torus wrap link fault ok", []string{"-topo", "torus", "-width", "4", "-height", "4", "-inject", "3:link:e"}, ""},
 		{"torus missing link still rejected", []string{"-topo", "torus", "-width", "4", "-height", "1", "-inject", "0:link:n"},
 			"has no N link"},
-		{"cmesh link fault ok", []string{"-topo", "cmesh", "-conc", "2", "-inject", "5:link:e"}, ""},
+		{"mesh link fault ok", []string{"-inject", "5:link:e"}, ""},
 		// The traffic patterns panic on grids they cannot serve, and the
 		// traffic is built before noc.New rejects the grid.
 		{"one-router mesh", []string{"-width", "1", "-height", "1"}, "a 1x1 mesh has one node"},
-		{"one-router cmesh", []string{"-topo", "cmesh", "-conc", "4", "-width", "1", "-height", "1"}, "a 1x1 cmesh has one node"},
 		{"transpose on a rectangle", []string{"-pattern", "transpose", "-width", "4", "-height", "2"},
 			"-pattern transpose needs a square grid, got 4x2"},
 	}

@@ -205,3 +205,57 @@ func TestRunFlightrecFinalDump(t *testing.T) {
 		t.Fatalf("dump file = %d dumps, want one non-empty end-of-run dump", len(dumps))
 	}
 }
+
+// TestSimHeatmapOutput pins sim -heatmap's whole report on a 4x4 grid.
+// The mesh, torus and sa1 rows are byte for byte what the tool printed
+// at 9c84917; the router-kill row draws the killed router as X and
+// reports the network non-functional.
+func TestSimHeatmapOutput(t *testing.T) {
+	const head = "cycles:        3000\n"
+	meshHeat := "router load heatmap (max 834 flits)\n 3 5 6 3\n 6 7 8 6\n 6 7 9 6\n 4 6 6 4\n"
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"mesh", nil, head +
+			"packets:       966 created, 963 delivered, 3 in flight\n" +
+			"avg latency:   15.62 cycles (network 15.60)\n" +
+			"p50/p95/p99:   15 / 25 / 28 cycles\n" +
+			"throughput:    0.0541 flits/node/cycle\n" +
+			"functional:    true\n" + meshHeat},
+		{"torus", []string{"-topo", "torus"}, head +
+			"packets:       966 created, 964 delivered, 2 in flight\n" +
+			"avg latency:   14.64 cycles (network 14.60)\n" +
+			"p50/p95/p99:   15 / 24 / 31 cycles\n" +
+			"throughput:    0.0543 flits/node/cycle\n" +
+			"functional:    true\n" +
+			"router load heatmap (max 564 flits)\n 6 7 8 6\n 8 7 7 7\n 7 7 9 8\n 7 7 8 8\n"},
+		{"sa1 fault", []string{"-inject", "5:sa1:e"}, head +
+			"packets:       966 created, 963 delivered, 3 in flight\n" +
+			"avg latency:   15.67 cycles (network 15.65)\n" +
+			"p50/p95/p99:   15 / 25 / 28 cycles\n" +
+			"throughput:    0.0541 flits/node/cycle\n" +
+			"functional:    true\n" + meshHeat},
+		{"router kill", []string{"-inject", "5:router"}, head +
+			"packets:       966 created, 849 delivered, 4 in flight\n" +
+			"reliability:   delivery ratio 0.8789 (113 dropped, 0 retransmitted, 0 duplicates suppressed)\n" +
+			"avg latency:   18.53 cycles (network 18.46)\n" +
+			"p50/p95/p99:   19 / 33 / 42 cycles\n" +
+			"throughput:    0.0484 flits/node/cycle\n" +
+			"functional:    false\n" +
+			"router load heatmap (max 1027 flits)\n 3 4 6 3\n 4 X 6 4\n 5 5 9 5\n 3 4 5 3\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-width", "4", "-height", "4", "-cycles", "3000", "-warmup", "500", "-heatmap"}, tc.args...)
+			got, err := captureStdout(t, func() error { return runSim(args) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("sim %v printed\n%swant\n%s", tc.args, got, tc.want)
+			}
+		})
+	}
+}

@@ -156,8 +156,7 @@ func runCampaign(args []string) error {
 	workers := fs.Int("workers", 0, "designs campaigned in parallel (0 = all cores)")
 	width := fs.Int("width", 0, "grid width for the -inject delivery campaign (0 = the study default)")
 	height := fs.Int("height", 0, "grid height for the -inject delivery campaign (0 = the study default)")
-	topoFlag := fs.String("topo", "", "topology for the -inject delivery campaign: mesh (default), torus or cmesh")
-	conc := fs.Int("conc", 0, "cmesh concentration for the -inject delivery campaign")
+	topoFlag := fs.String("topo", "", "topology for the -inject delivery campaign: mesh (default) or torus")
 	inject := fs.String("inject", "", "comma-separated fault specs (e.g. 5:link:e,10:router): "+
 		"run the network-fault delivery campaign over these scenarios instead of the Monte-Carlo table")
 	telemetryAddr := fs.String("telemetry", "",
@@ -186,7 +185,6 @@ func runCampaign(args []string) error {
 		cfg.Seed = *seed
 		cfg.Workers = *workers
 		cfg.Topo = *topoFlag
-		cfg.Conc = *conc
 		if *width > 0 {
 			cfg.Width = *width
 		}
@@ -204,7 +202,7 @@ func runCampaign(args []string) error {
 		}
 		// The study's workers build with noc.MustNew: build the grid once
 		// here so a grid noc.New refuses is an error, not a worker panic.
-		n, err := noc.New(noc.Config{Width: cfg.Width, Height: cfg.Height, Topo: cfg.Topo, Conc: cfg.Conc,
+		n, err := noc.New(noc.Config{Width: cfg.Width, Height: cfg.Height, Topo: cfg.Topo,
 			Router: router.DefaultConfig()}, nil)
 		if err != nil {
 			return err
@@ -213,8 +211,8 @@ func runCampaign(args []string) error {
 		fmt.Print(experiments.FormatLinkFault(experiments.LinkFaultStudy(cfg, scenarios)))
 		return nil
 	}
-	if *width > 0 || *height > 0 || *topoFlag != "" || *conc > 0 {
-		return fmt.Errorf("-width/-height/-topo/-conc only apply to the -inject delivery campaign")
+	if *width > 0 || *height > 0 || *topoFlag != "" {
+		return fmt.Errorf("-width/-height/-topo only apply to the -inject delivery campaign")
 	}
 	fmt.Print(experiments.FormatCampaign(experiments.CampaignTableObserved(*trials, *seed, *workers, onTrial)))
 	return nil
@@ -263,8 +261,7 @@ func runRecord(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	width := fs.Int("width", 8, "grid width")
 	height := fs.Int("height", 8, "grid height")
-	topoFlag := fs.String("topo", "mesh", "topology: mesh, torus or cmesh")
-	conc := fs.Int("conc", 0, "cmesh concentration (terminals per router)")
+	topoFlag := fs.String("topo", "mesh", "topology: mesh or torus")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -274,13 +271,13 @@ func runRecord(args []string) error {
 	}
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
-	tp, err := topology.New(*topoFlag, *width, *height, *conc)
+	tp, err := topology.New(*topoFlag, *width, *height)
 	if err != nil {
 		return err
 	}
 	src := workloads.NewCoherence(prof, tp, *seed)
 	rec := tracefile.NewRecorder(src)
-	n, err := noc.New(noc.Config{Width: *width, Height: *height, Topo: *topoFlag, Conc: *conc, Router: rc}, rec)
+	n, err := noc.New(noc.Config{Width: *width, Height: *height, Topo: *topoFlag, Router: rc}, rec)
 	if err != nil {
 		return err
 	}
@@ -321,7 +318,7 @@ func runReplay(args []string) error {
 	}
 	// A trace recorded on a larger grid names nodes this one lacks;
 	// replaying one would index past the mesh inside a worker goroutine.
-	tp, err := topology.New("mesh", *width, *height, 0)
+	tp, err := topology.New("mesh", *width, *height)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 type simFlags struct {
 	width, height *int
 	topo          *string
-	conc          *int
 	rate          *float64
 	pattern       *string
 	cycles        *uint64
@@ -41,8 +40,7 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 	return &simFlags{
 		width:     fs.Int("width", 8, "router grid width"),
 		height:    fs.Int("height", 8, "router grid height"),
-		topo:      fs.String("topo", "mesh", "topology: mesh, torus or cmesh"),
-		conc:      fs.Int("conc", 1, "terminals per router (cmesh concentration)"),
+		topo:      fs.String("topo", "mesh", "topology: mesh or torus"),
 		rate:      fs.Float64("rate", 0.02, "packets per node per cycle"),
 		pattern:   fs.String("pattern", "uniform", "uniform, transpose, bitcomp, tornado, neighbor, hotspot"),
 		cycles:    fs.Uint64("cycles", 50000, "cycles to simulate (including warmup)"),
@@ -117,7 +115,7 @@ func (sf *simFlags) build(newObs func(nodes int) (*obs.Observer, error)) (*noc.N
 	if err := sf.validate(); err != nil {
 		return nil, nil, err
 	}
-	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
+	topo, err := topology.New(*sf.topo, *sf.width, *sf.height)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,7 +140,7 @@ func (sf *simFlags) build(newObs func(nodes int) (*obs.Observer, error)) (*noc.N
 	rc.Obs = o
 	src := traffic.NewSynthetic(topo.Nodes(), *sf.rate, pattern(topo), traffic.Bimodal(1, 5, 0.6), *sf.seed)
 	n, err := noc.New(noc.Config{
-		Width: *sf.width, Height: *sf.height, Topo: *sf.topo, Conc: *sf.conc,
+		Width: *sf.width, Height: *sf.height, Topo: *sf.topo,
 		Router: rc, Warmup: sim.Cycle(*sf.warmup),
 		Workers: *sf.workers,
 		Retx: noc.RetxConfig{
@@ -256,10 +254,14 @@ func simulate(args []string, onReady func(net.Addr), stop <-chan struct{}) (shut
 		}
 	}
 	// With telemetry on, the run is instrumented: counters plus the
-	// windowed link-utilization ring backing /heatmap.
+	// windowed link-utilization ring backing /heatmap. -heatmap alone
+	// needs only the counters it draws from.
 	var newObs func(int) (*obs.Observer, error)
-	if *addr != "" {
+	switch {
+	case *addr != "":
 		newObs = windowed(obs.DefaultBucketCycles, obs.DefaultWindowBucket)
+	case *heatmap:
+		newObs = traced(0)
 	}
 	n, o, err := sf.build(newObs)
 	if err != nil {

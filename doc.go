@@ -19,8 +19,9 @@
 //     the repository flows from an explicit seed.
 //   - flit — packets, flits and message classes (request/response), with
 //     the creation/injection/ejection timestamps the stats layer reads.
-//   - topology — the 2-D mesh, the five router ports (Local, North,
-//     East, South, West) and XY dimension-order routing.
+//   - topology — the 2-D mesh and the torus, the five router ports
+//     (Local, North, East, South, West) and their dimension-order
+//     routing (XY on the mesh).
 //
 // Router building blocks, one package per structural component:
 //

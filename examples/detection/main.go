@@ -11,6 +11,7 @@ import (
 
 	"gonoc/internal/fault"
 	"gonoc/internal/noc"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
@@ -21,6 +22,7 @@ func main() {
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
 	rc.Classes = 1
+	rc.Obs = obs.New(0) // the link counters the closing heatmap draws
 	cfg := noc.Config{Width: 4, Height: 4, Router: rc, Warmup: 0}
 	src := traffic.NewSynthetic(16, 0.015, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 99)
 	n := noc.MustNew(cfg, src)

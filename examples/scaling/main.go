@@ -18,7 +18,7 @@ import (
 
 func main() {
 	const w, h = 32, 32
-	topo, err := topology.New("torus", w, h, 1)
+	topo, err := topology.New("torus", w, h)
 	if err != nil {
 		panic(err)
 	}

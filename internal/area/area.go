@@ -21,8 +21,6 @@ import "gonoc/internal/reliability"
 
 // Model holds the per-part-kind area/power coefficients.
 type Model struct {
-	// NAND2Um2 converts gate equivalents to µm² (0.8 at 45 nm).
-	NAND2Um2 float64
 	// ComparatorGE is the area of a 6-bit comparator in GE (scaled
 	// linearly with width for other sizes).
 	ComparatorGE float64
@@ -50,7 +48,6 @@ type Model struct {
 // paper's Section VI-A overheads at the 5-port, 4-VC, 32-bit design point.
 func DefaultModel() *Model {
 	return &Model{
-		NAND2Um2:           0.8,
 		ComparatorGE:       30,
 		ArbGEPerInput:      7,
 		MuxGEPerBitLeg:     0.75,
@@ -118,12 +115,4 @@ func (m *Model) AreaOverhead(spec reliability.RouterSpec, withDetection bool) fl
 // detection layer (paper headline: 30%).
 func (m *Model) PowerOverhead(spec reliability.RouterSpec, withDetection bool) float64 {
 	return overhead(m.PowerGE, spec, m.DetectionPowerFrac, withDetection)
-}
-
-// AreaUm2 converts a GE breakdown to µm².
-func (m *Model) AreaUm2(b reliability.PerStage) reliability.PerStage {
-	return reliability.PerStage{
-		RC: b.RC * m.NAND2Um2, VA: b.VA * m.NAND2Um2,
-		SA: b.SA * m.NAND2Um2, XB: b.XB * m.NAND2Um2,
-	}
 }

@@ -103,10 +103,3 @@ func TestCriticalPathMatchesPaper(t *testing.T) {
 		t.Errorf("protected clock period %v, want 612 (VA-limited)", p)
 	}
 }
-
-func TestAreaUm2Conversion(t *testing.T) {
-	m := DefaultModel()
-	ge := reliability.PerStage{RC: 100, VA: 200, SA: 300, XB: 400}
-	um := m.AreaUm2(ge)
-	near(t, "um2 total", um.Total(), 1000*m.NAND2Um2, 1e-9)
-}

@@ -26,10 +26,8 @@ type LinkFaultConfig struct {
 	// Width and Height give the router grid.
 	Width, Height int
 	// Topo selects the topology family, as noc.Config.Topo: "" or
-	// "mesh" (the default), "torus" or "cmesh". Conc is the cmesh
-	// concentration.
+	// "mesh" (the default) or "torus".
 	Topo string
-	Conc int
 	// Rate is the per-node offered load in packets per cycle.
 	Rate float64
 	// Warmup is the statistics warmup window.
@@ -101,11 +99,11 @@ func ScenariosFromSpecs(list string) ([]Scenario, error) {
 // grammar — the dimensions live in the config — so range checking
 // happens here, against the actual link table: an out-of-grid router
 // fails on any family, a link spec pointing off the mesh edge fails on
-// a mesh/cmesh, and the same spec on a torus validates because the edge
+// a mesh, and the same spec on a torus validates because the edge
 // router's port carries a wrap link there. In-router sites are checked
 // against the scenarios' router configuration (fault.Site.Check).
 func ValidateScenarios(cfg LinkFaultConfig, scenarios []Scenario) error {
-	topo, err := topology.New(cfg.Topo, cfg.Width, cfg.Height, cfg.Conc)
+	topo, err := topology.New(cfg.Topo, cfg.Width, cfg.Height)
 	if err != nil {
 		return err
 	}
@@ -166,7 +164,7 @@ func runScenario(sc Scenario, cfg LinkFaultConfig) LinkFaultPoint {
 	src := traffic.NewSynthetic(nodes, cfg.Rate, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), cfg.Seed)
 	src.StopAt(cfg.Warmup + cfg.Measure)
 	n := noc.MustNew(noc.Config{
-		Width: cfg.Width, Height: cfg.Height, Topo: cfg.Topo, Conc: cfg.Conc,
+		Width: cfg.Width, Height: cfg.Height, Topo: cfg.Topo,
 		Router: scenarioRouter(), Warmup: cfg.Warmup, Workers: 1, Retx: cfg.Retx,
 	}, src)
 	defer n.Close()

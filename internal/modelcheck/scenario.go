@@ -67,7 +67,7 @@ type Scenario struct {
 	// Width and Height are the router-grid dimensions.
 	Width, Height int
 	// Topo selects the topology family, as noc.Config.Topo: "" or
-	// "mesh" (the default), "torus" or "cmesh".
+	// "mesh" (the default) or "torus".
 	Topo string
 	// FaultTolerant selects the protected router (true) or baseline.
 	FaultTolerant bool
@@ -94,7 +94,7 @@ type Scenario struct {
 }
 
 // RingOn returns the standard small-model scenario on a w x h grid of
-// topology family topo ("" or "mesh", "torus", "cmesh"): every node sends
+// topology family topo ("" or "mesh", or "torus"): every node sends
 // one single-flit packet to its successor in node order, the densest
 // all-nodes-active pattern with a small packet count.
 func RingOn(topo string, w, h int) Scenario {
@@ -118,7 +118,7 @@ func RingOn(topo string, w, h int) Scenario {
 
 // topology resolves the scenario's router-graph topology.
 func (sc *Scenario) topology() (topology.Topology, error) {
-	return topology.New(sc.Topo, sc.Width, sc.Height, 1)
+	return topology.New(sc.Topo, sc.Width, sc.Height)
 }
 
 // SingleFaultSweep derives from base the full single-fault family: the

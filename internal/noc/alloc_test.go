@@ -61,7 +61,7 @@ func steadyNetwork(t testing.TB, topo string, w, h, workers int, observed bool) 
 
 // TestStepZeroAllocSteadyState pins the tentpole memory contract: once a
 // network is past its injection transient, Step allocates nothing — on a
-// 64x64 mesh, on the torus and cmesh families, with every observability
+// 64x64 and a 32x32 mesh, on the torus, with every observability
 // surface armed (handles are pre-bound and the rings pre-allocated) and
 // with the compute phase sharded across workers — so stepping large
 // meshes for millions of cycles puts no pressure on the garbage
@@ -76,7 +76,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"mesh-64x64", "", 64, 64, 1, false},
 		{"torus-32x32", "torus", 32, 32, 1, false},
-		{"cmesh-32x32", "cmesh", 32, 32, 1, false},
+		{"mesh-32x32", "", 32, 32, 1, false},
 		{"mesh-16x16-obs-flight", "", 16, 16, 1, true},
 		{"torus-32x32-w4", "torus", 32, 32, 4, false},
 	}
@@ -309,7 +309,7 @@ func BenchmarkStep(b *testing.B) {
 		{"mesh-64x64-idle-w1", "", 64, 64, 1, 0},
 		{"torus-32x32-w1", "torus", 32, 32, 1, 0.02},
 		{"torus-32x32-w4", "torus", 32, 32, 4, 0.02},
-		{"cmesh-32x32-w4", "cmesh", 32, 32, 4, 0.02},
+		{"mesh-32x32-w4", "", 32, 32, 4, 0.02},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/topology"
@@ -58,7 +59,6 @@ func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
 				}
 				continue
 			}
-			n.linkFlits[id][of.Out]++
 			if on := n.obsNodes[id]; on != nil {
 				on.LinkFlit(int(of.Out), of.DownVC)
 			}
@@ -119,7 +119,6 @@ func (n *Network) refCommitLinksNode(u int, linkTraffic []uint64) {
 			if of.F.Kind.IsTail() {
 				*mf &^= 1 << uint(dvc)
 			}
-			n.linkFlits[v][q]++
 			if on := n.obsNodes[v]; on != nil {
 				on.LinkFlit(int(q), dvc)
 			}
@@ -205,9 +204,6 @@ func requireSameCommit(t *testing.T, when string, got, ref *Network) {
 		if a, b := got.inNICredits[id], ref.inNICredits[id]; !slices.Equal(a, b) {
 			t.Fatalf("%s: node %d NI credit latch %+v, reference %+v", when, id, a, b)
 		}
-		if a, b := got.linkFlits[id], ref.linkFlits[id]; !slices.Equal(a, b) {
-			t.Fatalf("%s: node %d link utilization %v, reference %v", when, id, a, b)
-		}
 		if got.inbound[id] != 0 {
 			t.Fatalf("%s: node %d inbound mask %#x left after the commit", when, id, got.inbound[id])
 		}
@@ -222,6 +218,9 @@ func requireSameCommit(t *testing.T, when string, got, ref *Network) {
 	}
 	if a, b := got.Stats().Snapshot(), ref.Stats().Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: statistics differ:\n%+v\n%+v", when, a, b)
+	}
+	if a, b := got.Obs().Metrics.PerRouter(), ref.Obs().Metrics.PerRouter(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: observed counters differ, link utilization among them:\n%+v\n%+v", when, a, b)
 	}
 	if a, b := got.StateHash(), ref.StateHash(); a != b {
 		t.Fatalf("%s: state hash %#x, reference %#x", when, a, b)
@@ -245,7 +244,7 @@ func FuzzCommitMatchesReference(f *testing.F) {
 		for len(data) < 8 {
 			data = append(data, 0)
 		}
-		kind := []string{"mesh", "torus", "cmesh"}[data[0]%3]
+		kind := fuzzTopo(data[0])
 		w, h := 2+int(data[1]%4), 1+int(data[2]%4)
 		rc := router.DefaultConfig()
 		rc.Classes = 1 + int(data[3]%2)
@@ -261,6 +260,8 @@ func FuzzCommitMatchesReference(f *testing.F) {
 		rate := 0.02 + float64(data[6]%16)*0.03
 		build := func() *Network {
 			src := traffic.NewSynthetic(nodes, rate, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), uint64(data[7])+1)
+			rc := rc
+			rc.Obs = obs.New(0)
 			n, err := New(Config{Width: w, Height: h, Topo: kind, Router: rc, Workers: workers, Retx: retx}, src)
 			if err != nil {
 				t.Skipf("%dx%d %s %+v: %v", w, h, kind, rc, err)

@@ -128,8 +128,8 @@ func (n *Network) anyNetworkFault() bool {
 
 // rebuildRoutes recomputes the fault-aware routing tables after a fault
 // change. With no network faults the tables are dropped and every router
-// reverts to its baseline route computation (built-in XY on a mesh or
-// cmesh, the dateline torusRoute on a torus), keeping the fault-free
+// reverts to its baseline route computation (built-in XY on a mesh, the
+// dateline torusRoute on a torus), keeping the fault-free
 // simulation bit-identical to the pre-fault-model baseline.
 func (n *Network) rebuildRoutes() {
 	n.routes = nil

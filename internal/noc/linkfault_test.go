@@ -1,7 +1,7 @@
 // Network-level fault-tolerance suite: exhaustive single-fault
 // reachability of the two-layer turn-model routing, 100% end-to-end
 // delivery under any single link or router fault with retransmission
-// enabled — on mesh, cmesh and torus (wrap links included) — and clean
+// enabled — on mesh and torus (wrap links included) — and clean
 // termination on partitioned meshes.
 package noc_test
 
@@ -33,9 +33,9 @@ func topoLinks(tp topology.Topology) [][2]int {
 }
 
 // testTopo builds the router-graph topology for a fault-suite case.
-func testTopo(t *testing.T, topo string, w, h, conc int) topology.Topology {
+func testTopo(t *testing.T, topo string, w, h int) topology.Topology {
 	t.Helper()
-	tp, err := topology.New(topo, w, h, conc)
+	tp, err := topology.New(topo, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +44,18 @@ func testTopo(t *testing.T, topo string, w, h, conc int) topology.Topology {
 
 func newFaultNet(t *testing.T, w, h int, retx noc.RetxConfig, workers int, tr noc.Traffic) *noc.Network {
 	t.Helper()
-	return newTopoFaultNet(t, w, h, "", 0, retx, workers, tr)
+	return newTopoFaultNet(t, w, h, "", retx, workers, tr)
 }
 
 // newTopoFaultNet is newFaultNet with an explicit topology family, for
-// running the fault suites on cmesh as well as mesh. topo "" means
-// mesh; conc is the cmesh concentration.
-func newTopoFaultNet(t *testing.T, w, h int, topo string, conc int, retx noc.RetxConfig, workers int, tr noc.Traffic) *noc.Network {
+// running the fault suites on the torus as well as the mesh. topo ""
+// means mesh.
+func newTopoFaultNet(t *testing.T, w, h int, topo string, retx noc.RetxConfig, workers int, tr noc.Traffic) *noc.Network {
 	t.Helper()
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
 	n, err := noc.New(noc.Config{
-		Width: w, Height: h, Topo: topo, Conc: conc,
+		Width: w, Height: h, Topo: topo,
 		Router: rc, Warmup: 0, Workers: workers, Retx: retx,
 	}, tr)
 	if err != nil {
@@ -65,21 +65,18 @@ func newTopoFaultNet(t *testing.T, w, h int, topo string, conc int, retx noc.Ret
 }
 
 // faultTopologies enumerates the topology families the single-fault
-// suites must cover: the plain mesh, the concentrated mesh (whose
-// router graph routes faults over the same two-layer tables), and the
-// torus (whose tables add the wrap-link dateline rule).
+// suites must cover: the mesh and the torus (whose tables add the
+// wrap-link dateline rule).
 var faultTopologies = []struct {
 	name string
 	topo string
-	conc int
 }{
-	{name: "mesh", topo: "", conc: 0},
-	{name: "cmesh", topo: "cmesh", conc: 2},
-	{name: "torus", topo: "torus", conc: 0},
+	{name: "mesh", topo: ""},
+	{name: "torus", topo: "torus"},
 }
 
 // TestExhaustiveSingleFaultReachability kills every link and every
-// router of a 4x4 router grid in turn — on mesh, cmesh and torus — and
+// router of a 4x4 router grid in turn — on mesh and torus — and
 // asserts the routing tables keep every surviving (src, dst) pair
 // connected — the turn model loses no connectivity a single fault
 // leaves physically intact.
@@ -88,7 +85,7 @@ func TestExhaustiveSingleFaultReachability(t *testing.T) {
 		for _, tc := range faultTopologies {
 			w, h, tc := dim[0], dim[1], tc
 			t.Run(fmt.Sprintf("%s-%dx%d", tc.name, w, h), func(t *testing.T) {
-				n := newTopoFaultNet(t, w, h, tc.topo, tc.conc, noc.RetxConfig{}, 1, nil)
+				n := newTopoFaultNet(t, w, h, tc.topo, noc.RetxConfig{}, 1, nil)
 				defer n.Close()
 				tp := n.Topo()
 				nodes := tp.Nodes()
@@ -156,7 +153,7 @@ func TestSetFaultValidation(t *testing.T) {
 	}
 	// On a torus the same grid-edge port carries a wrap link, so the
 	// fault must be accepted there; a size-1 dimension still has none.
-	tor := newTopoFaultNet(t, 4, 4, "torus", 0, noc.RetxConfig{}, 1, nil)
+	tor := newTopoFaultNet(t, 4, 4, "torus", noc.RetxConfig{}, 1, nil)
 	defer tor.Close()
 	if err := tor.SetLinkFault(0, topology.North, true); err != nil {
 		t.Errorf("torus wrap link rejected: %v", err)
@@ -164,7 +161,7 @@ func TestSetFaultValidation(t *testing.T) {
 	if err := tor.SetLinkFault(0, topology.North, false); err != nil {
 		t.Error(err)
 	}
-	flatTor := newTopoFaultNet(t, 4, 1, "torus", 0, noc.RetxConfig{}, 1, nil)
+	flatTor := newTopoFaultNet(t, 4, 1, "torus", noc.RetxConfig{}, 1, nil)
 	defer flatTor.Close()
 	if err := flatTor.SetLinkFault(0, topology.North, true); err == nil {
 		t.Error("size-1 torus dimension accepted a link fault")
@@ -184,16 +181,16 @@ func TestSetFaultValidation(t *testing.T) {
 // routing layers) is refused before anything is written: the link and
 // router still report alive and the state hash has not moved. (A torus
 // needs the same two VCs per class for its dateline and refuses this
-// configuration at construction, so mesh and cmesh are the families
-// that can reach the error.)
+// configuration at construction, so the mesh is the family that can
+// reach the error.)
 func TestSetFaultErrorLeavesStateUntouched(t *testing.T) {
 	rc := router.DefaultConfig()
 	rc.VCs = 2 // two classes -> one VC each
 	if _, err := noc.New(noc.Config{Width: 4, Height: 4, Topo: "torus", Router: rc}, nil); err == nil {
 		t.Error("torus built with one VC per class: add it to the families below")
 	}
-	for _, topo := range []string{"mesh", "cmesh"} {
-		n := noc.MustNew(noc.Config{Width: 4, Height: 4, Topo: topo, Conc: 2, Router: rc}, nil)
+	for _, topo := range []string{"mesh"} {
+		n := noc.MustNew(noc.Config{Width: 4, Height: 4, Topo: topo, Router: rc}, nil)
 		before := n.StateHash()
 		if err := n.SetLinkFault(5, topology.East, true); err == nil {
 			t.Errorf("%s: link kill accepted with one VC per class", topo)
@@ -283,8 +280,7 @@ func checkFullDelivery(t *testing.T, n *noc.Network, desc string) {
 }
 
 // TestSingleLinkFaultFullDelivery kills each link of a 4x4 router grid
-// mid-run in turn, on the plain mesh, the concentrated mesh and the
-// torus (whose link set includes the wrap links). Rerouting plus NI
+// mid-run in turn, on the mesh and the torus (whose link set includes the wrap links). Rerouting plus NI
 // retransmission must deliver 100% of the offered packets: the copies
 // lost at the dying link are retransmitted over surviving paths, and
 // any duplicates are suppressed at the sinks.
@@ -297,7 +293,7 @@ func TestSingleLinkFaultFullDelivery(t *testing.T) {
 	for _, tc := range faultTopologies {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			links := topoLinks(testTopo(t, tc.topo, 4, 4, tc.conc))
+			links := topoLinks(testTopo(t, tc.topo, 4, 4))
 			if testing.Short() {
 				links = links[:4]
 			}
@@ -306,7 +302,7 @@ func TestSingleLinkFaultFullDelivery(t *testing.T) {
 				desc := fmt.Sprintf("%s link %d:%v", tc.name, id, p)
 				src := traffic.NewSynthetic(16, 0.04, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), uint64(37+id))
 				src.StopAt(stop)
-				n := newTopoFaultNet(t, 4, 4, tc.topo, tc.conc, retx, 1, src)
+				n := newTopoFaultNet(t, 4, 4, tc.topo, retx, 1, src)
 				n.AddHook(func(c sim.Cycle) {
 					if c == faultAt {
 						if err := n.SetLinkFault(id, p, true); err != nil {
@@ -354,8 +350,7 @@ func (a *avoidNode) OnEject(p *flit.Packet, c sim.Cycle) []*flit.Packet {
 }
 
 // TestSingleRouterFaultFullDelivery kills each router of a 4x4 router
-// grid mid-run in turn — on the plain mesh, the concentrated mesh and
-// the torus — with a workload that never sources or sinks at the dying
+// grid mid-run in turn — on the mesh and the torus — with a workload that never sources or sinks at the dying
 // node.
 // Packets transiting the dead router are lost and must be recovered by
 // retransmission over detour paths: 100% delivery.
@@ -376,7 +371,7 @@ func TestSingleRouterFaultFullDelivery(t *testing.T) {
 				desc := fmt.Sprintf("%s router %d", tc.name, id)
 				inner := traffic.NewSynthetic(16, 0.04, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), uint64(91+id))
 				inner.StopAt(stop)
-				n := newTopoFaultNet(t, 4, 4, tc.topo, tc.conc, retx, 1, &avoidNode{inner: inner, node: id})
+				n := newTopoFaultNet(t, 4, 4, tc.topo, retx, 1, &avoidNode{inner: inner, node: id})
 				n.AddHook(func(c sim.Cycle) {
 					if c == faultAt {
 						if err := n.SetRouterFault(id, true); err != nil {

@@ -267,7 +267,7 @@ func TestFaultRepairSequence(t *testing.T) {
 // bit-identically to a never-faulted one — which also proves repair
 // reinstalls the dateline RouteFn fast path — at workers 1, 2, 4 and 8.
 func TestTorusFaultRepairSequence(t *testing.T) {
-	n := newTopoFaultNet(t, 4, 4, "torus", 0, noc.RetxConfig{Timeout: 250, MaxRetries: 5}, 1, nil)
+	n := newTopoFaultNet(t, 4, 4, "torus", noc.RetxConfig{Timeout: 250, MaxRetries: 5}, 1, nil)
 	defer n.Close()
 	nodes := n.Topo().Nodes()
 	full := nodes * nodes
@@ -310,7 +310,7 @@ func TestTorusFaultRepairSequence(t *testing.T) {
 	run := func(faultCycle bool, workers int) string {
 		src := traffic.NewSynthetic(16, 0.05, traffic.Uniform(16), traffic.FixedSize(2), 909)
 		src.StopAt(stop)
-		n := newTopoFaultNet(t, 4, 4, "torus", 0, noc.RetxConfig{Timeout: 250, MaxRetries: 5}, workers, src)
+		n := newTopoFaultNet(t, 4, 4, "torus", noc.RetxConfig{Timeout: 250, MaxRetries: 5}, workers, src)
 		defer n.Close()
 		if faultCycle {
 			for _, v := range []bool{true, false} {

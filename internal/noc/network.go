@@ -1,8 +1,8 @@
 // Package noc wires routers, links and network interfaces into a complete
 // network-on-chip and drives end-to-end simulations: traffic generation,
-// fault-injection hooks and statistics collection. Three topologies are
-// supported — the paper's 2-D mesh, a torus and a concentrated mesh (see
-// internal/topology and Config.Topo).
+// fault-injection hooks and statistics collection. Two topologies are
+// supported — the paper's 2-D mesh and a torus (see internal/topology
+// and Config.Topo).
 //
 // The cycle model matches GARNET's at the granularity the paper needs:
 // routers have the 4-stage pipeline of Figure 2, inter-router links take
@@ -76,17 +76,14 @@ type Config struct {
 	// Width and Height are the router-grid dimensions (the paper uses
 	// 8×8).
 	Width, Height int
-	// Topo selects the topology family: "" or "mesh" (the default),
-	// "torus" or "cmesh". A torus needs at least numLayers VCs per
-	// message class for its dateline deadlock avoidance; all three
-	// families support network-level link/router faults (SetLinkFault,
-	// SetRouterFault) on top of router-internal faults — on a torus
-	// the fault-aware tables restrict wrap-link crossings to keep the
-	// dateline scheme deadlock free (see routing.go).
+	// Topo selects the topology family: "" or "mesh" (the default) or
+	// "torus". A torus needs at least numLayers VCs per message class
+	// for its dateline deadlock avoidance; both families support
+	// network-level link/router faults (SetLinkFault, SetRouterFault) on
+	// top of router-internal faults — on a torus the fault-aware tables
+	// restrict wrap-link crossings to keep the dateline scheme deadlock
+	// free (see routing.go).
 	Topo string
-	// Conc is the cmesh concentration (terminals per router); 0 means 1.
-	// Ignored unless Topo is "cmesh".
-	Conc int
 	// Router configures every router in the network.
 	Router router.Config
 	// Warmup is the statistics warmup window in cycles.
@@ -152,19 +149,10 @@ type Network struct {
 	cfg Config //noc:derived immutable configuration, fixed at construction
 	//noc:derived immutable configuration, fixed at construction
 	topo topology.Topology
-	// mesh is the underlying mesh router grid exposed by the Mesh()
-	// accessor: the mesh itself, or the cmesh's router grid. hasMesh is
-	// false for the torus, whose wrap links make it not a mesh (use
-	// Topo() there). Fault-aware routing runs on topo directly for all
-	// families.
-	//noc:derived immutable configuration, derived from topo at build time
-	mesh topology.Mesh
-	//noc:derived immutable configuration, derived from topo at build time
-	hasMesh bool
 
 	// baseRoute is the RouteFn installed while the network is fault
-	// free: nil for mesh/cmesh (the routers' built-in XY computation)
-	// and torusRoute for a torus. rebuildRoutes restores it when the
+	// free: nil for a mesh (the routers' built-in XY computation) and
+	// torusRoute for a torus. rebuildRoutes restores it when the
 	// last network fault is repaired.
 	//noc:derived immutable wiring, fixed at construction; rebuildRoutes reinstalls it
 	baseRoute core.RouteFn
@@ -193,13 +181,6 @@ type Network struct {
 	// hooks run at the start of every cycle (fault injection, probes).
 	//noc:derived immutable wiring, registered before stepping starts
 	hooks []func(c sim.Cycle)
-
-	// linkFlits counts flits sent per (router, output port), for
-	// utilization analysis and the heatmap.
-	//
-	//noc:committed
-	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because utilization counts never feed arbitration
-	linkFlits [][]uint64
 
 	// obsNodes holds each node's pre-bound observability handle, all nil
 	// when cfg.Router.Obs is nil (the default).
@@ -409,7 +390,7 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("noc: invalid Workers %d: want 0 (all cores), 1 (serial) or a positive shard count", cfg.Workers)
 	}
-	topo, err := topology.New(cfg.Topo, cfg.Width, cfg.Height, cfg.Conc)
+	topo, err := topology.New(cfg.Topo, cfg.Width, cfg.Height)
 	if err != nil {
 		return nil, err
 	}
@@ -445,12 +426,6 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		workers: workers,
 		retxCfg: cfg.Retx.withDefaults(),
 	}
-	switch t := topo.(type) {
-	case topology.Mesh:
-		n.mesh, n.hasMesh = t, true
-	case topology.CMesh:
-		n.mesh, n.hasMesh = t.Mesh, true
-	}
 	n.nbr = make([]int32, nodes*ports)
 	n.wrap = make([]bool, nodes*ports)
 	for id := 0; id < nodes; id++ {
@@ -468,7 +443,6 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	}
 	n.routers = make([]*core.Router, nodes)
 	n.nis = make([]*NI, nodes)
-	n.linkFlits = makeGrid[uint64](nodes, ports)
 	n.obsNodes = make([]*obs.NodeObs, nodes)
 	// Latch bucket capacities cover the steady-state per-cycle maxima:
 	// one flit per input port; per upstream link up to one credit per VC
@@ -547,14 +521,14 @@ func MustNew(cfg Config, traffic Traffic) *Network {
 // Topo returns the network topology.
 func (n *Network) Topo() topology.Topology { return n.topo }
 
-// Mesh returns the network's mesh router graph: the topology itself for
-// a mesh, the router grid for a cmesh. It panics for a torus — use Topo
-// for topology-generic access.
+// Mesh returns the network's topology as a mesh. It panics for a torus —
+// use Topo for topology-generic access.
 func (n *Network) Mesh() topology.Mesh {
-	if !n.hasMesh {
+	m, ok := n.topo.(topology.Mesh)
+	if !ok {
 		panic(fmt.Sprintf("noc: Mesh() on a %s network: use Topo()", n.topo.Kind()))
 	}
-	return n.mesh
+	return m
 }
 
 // Router returns the router at node id.
@@ -795,7 +769,6 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				}
 				continue
 			}
-			n.linkFlits[id][of.Out]++
 			if on := n.obsNodes[id]; on != nil {
 				on.LinkFlit(int(of.Out), of.DownVC)
 			}
@@ -849,7 +822,6 @@ func (n *Network) crossLink(id, link, u int, of router.OutFlit) {
 	if of.F.Kind.IsTail() {
 		n.midFlight[link] &^= bit
 	}
-	n.linkFlits[id][of.Out]++
 	if on := n.obsNodes[id]; on != nil {
 		on.LinkFlit(int(of.Out), of.DownVC)
 	}
@@ -1020,10 +992,12 @@ func (n *Network) TriggerFlightDump(reason string) (obs.Dump, bool) {
 	return f.Trigger(n.cycle, reason), true
 }
 
-// Functional reports whether every router in the network is functional.
+// Functional reports whether every router in the network is functional:
+// none has lost its pipeline to internal faults, and none has been
+// killed with SetRouterFault.
 func (n *Network) Functional() bool {
-	for _, r := range n.routers {
-		if !r.Functional() {
+	for id, r := range n.routers {
+		if n.routerDead[id] || !r.Functional() {
 			return false
 		}
 	}

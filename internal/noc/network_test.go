@@ -1,10 +1,12 @@
 package noc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gonoc/internal/flit"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/topology"
@@ -234,42 +236,85 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
+// TestLinkFlitsAndHeatmap follows one packet through the obs link
+// counters the heatmap reads, and pins the heatmap it draws before and
+// after two routers stop working: one that lost its pipeline to internal
+// faults and one killed with SetRouterFault.
 func TestLinkFlitsAndHeatmap(t *testing.T) {
-	n := MustNew(testCfg(4, 4, true), nil)
+	cfg := testCfg(4, 4, true)
+	cfg.Router.Obs = obs.New(0)
+	n := MustNew(cfg, nil)
 	// A 3-flit packet from node 0 to node 3 crosses routers 0,1,2,3 East.
 	n.Inject(0, &flit.Packet{Dst: 3, Size: 3})
 	if !n.Drain(200) {
 		t.Fatal("packet not delivered")
 	}
+	link := func(id int, p topology.Port) uint64 {
+		return cfg.Router.Obs.Metrics.Counter(obs.Key{Kind: obs.KLinkFlits, Router: int32(id), Port: int8(p), VC: obs.NoVC}).Value()
+	}
 	for _, id := range []int{0, 1, 2} {
-		if got := n.LinkFlits(id, topology.East); got != 3 {
+		if got := link(id, topology.East); got != 3 {
 			t.Errorf("router %d East link carried %d flits, want 3", id, got)
 		}
 	}
-	if got := n.LinkFlits(3, topology.Local); got != 3 {
+	if got := link(3, topology.Local); got != 3 {
 		t.Errorf("ejection link carried %d flits, want 3", got)
 	}
-	if n.RouterFlits(1) != 3 || n.RouterFlits(15) != 0 {
-		t.Errorf("RouterFlits: r1=%d r15=%d", n.RouterFlits(1), n.RouterFlits(15))
+	const rows = " . . . .\n . . . .\n"
+	if got, want := n.Heatmap(), "router load heatmap (max 3 flits)\n 9 9 9 9\n"+rows+" . . . .\n"; got != want {
+		t.Errorf("heatmap:\n%swant\n%s", got, want)
 	}
-	hm := n.Heatmap()
-	if !strings.Contains(hm, "9") {
-		t.Errorf("heatmap missing hot cell:\n%s", hm)
-	}
-	// Mark a router dead: heatmap shows X.
 	n.Router(15).SetRCFault(topology.Local, 0, true)
 	n.Router(15).SetRCFault(topology.Local, 1, true)
-	if !strings.Contains(n.Heatmap(), "X") {
-		t.Error("heatmap does not mark dead router")
+	if err := n.SetRouterFault(12, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Heatmap(), "router load heatmap (max 3 flits)\n 9 9 9 9\n"+rows+" X . . X\n"; got != want {
+		t.Errorf("heatmap with routers 12 and 15 down:\n%swant\n%s", got, want)
+	}
+}
+
+// TestFunctionalCountsKilledRouters pins that a router killed with
+// SetRouterFault makes the network non-functional, as a router that lost
+// its pipeline to internal faults does, and that the repair undoes it.
+func TestFunctionalCountsKilledRouters(t *testing.T) {
+	n := MustNew(testCfg(4, 4, true), nil)
+	if !n.Functional() {
+		t.Fatal("fresh network not functional")
+	}
+	if err := n.SetRouterFault(5, true); err != nil {
+		t.Fatal(err)
+	}
+	if n.Functional() {
+		t.Error("network with a killed router reports functional")
+	}
+	if err := n.SetRouterFault(5, false); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Functional() {
+		t.Error("repaired network not functional")
 	}
 }
 
 func TestHeatmapEmptyNetwork(t *testing.T) {
-	n := MustNew(testCfg(2, 2, true), nil)
-	hm := n.Heatmap()
-	if !strings.Contains(hm, ".") {
-		t.Errorf("idle heatmap: %s", hm)
+	cfg := testCfg(2, 2, true)
+	cfg.Router.Obs = obs.New(0)
+	n := MustNew(cfg, nil)
+	if got, want := n.Heatmap(), "router load heatmap (max 0 flits)\n . .\n . .\n"; got != want {
+		t.Errorf("idle heatmap:\n%swant\n%s", got, want)
 	}
+}
+
+// TestHeatmapNeedsObserver pins that Heatmap on a network without an
+// observer registry panics with a message that names the fix.
+func TestHeatmapNeedsObserver(t *testing.T) {
+	n := MustNew(testCfg(2, 2, true), nil)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "router.Config.Obs") {
+			t.Errorf("Heatmap without an observer: recovered %v, want a panic naming router.Config.Obs", r)
+		}
+	}()
+	n.Heatmap()
 }
 
 func TestCreditConservationInvariant(t *testing.T) {

@@ -81,13 +81,20 @@ func TestObsCountersMatchRouterCounters(t *testing.T) {
 		t.Errorf("ni.packets_ejected = %d, want %d", got, want)
 	}
 
-	// Link counters must match the network's own per-link tally.
-	var wantLink uint64
-	for id := 0; id < 16; id++ {
-		wantLink += n.RouterFlits(id)
+	// Without link faults every flit that crosses a crossbar crosses one
+	// link or ejects: the link counters sum to the routers' flit tally.
+	// The totals are the run's, recorded at 9c84917.
+	if got := sum(obs.KLinkFlits); got != wantFlits || got != 29825 {
+		t.Errorf("link.flits = %d, want %d (router tally) and 29825", got, wantFlits)
 	}
-	if got := sum(obs.KLinkFlits); got != wantLink {
-		t.Errorf("link.flits = %d, want %d", got, wantLink)
+	var ejected uint64
+	for _, s := range o.Metrics.Snapshot() {
+		if s.Key.Kind == obs.KLinkFlits && s.Key.Port == int8(topology.Local) {
+			ejected += uint64(s.Value)
+		}
+	}
+	if ejected != 8159 {
+		t.Errorf("link.flits on the Local ports = %d, want 8159", ejected)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // When at least one network-level fault (dead link or dead router) is
 // present, the network replaces the routers' baseline route computation
 // with table lookups built here; with no faults the tables are dropped
-// and routing is the exact, bit-identical baseline (XY on a mesh/cmesh,
-// the dateline RouteFn of torusroute.go on a torus).
+// and routing is the exact, bit-identical baseline (XY on a mesh, the
+// dateline RouteFn of torusroute.go on a torus).
 //
 // Deadlock freedom comes from a two-layer turn model. Each message
 // class's VC range is split into two routing layers:
@@ -43,7 +43,7 @@ import (
 // Connectivity under a single fault reduces to the proven mesh case:
 // a dead wrap link leaves the whole mesh subgraph intact, and a dead
 // mesh link or router is the exhaustively-proven mesh scenario (wrap
-// hops only ever shorten paths). On a mesh or cmesh topology.Wrap is
+// hops only ever shorten paths). On a mesh topology.Wrap is
 // identically false and the tables built here are bit-identical to the
 // pre-torus ones.
 //

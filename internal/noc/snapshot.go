@@ -69,8 +69,8 @@ type Snapshot struct {
 	net   []int32
 	flits int
 
-	// words holds the wide per-node values: linkFlits, midFlight and
-	// linkDrop per link, then seqNext and the linkDead mask per node.
+	// words holds the wide per-node values: midFlight and linkDrop per
+	// link, then seqNext and the linkDead mask per node.
 	words []uint64
 
 	pkts []flit.Packet
@@ -79,7 +79,7 @@ type Snapshot struct {
 	// (always, without retransmission).
 	delivered []map[int]*seqWindow
 
-	stats stats.Checkpoint
+	stats stats.Collector
 }
 
 // snapShape is what a Snapshot's layout and its router states' derive
@@ -243,7 +243,7 @@ func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
 			shape:   sh,
 			routers: make([]core.RouterState, sh.nodes),
 			net:     make([]int32, 0, sh.nodes*(7+3*sh.vcs+sh.classes)+8*inFlight),
-			words:   make([]uint64, sh.nodes*(3*sh.ports+2)),
+			words:   make([]uint64, sh.nodes*(2*sh.ports+2)),
 			pkts:    make([]flit.Packet, 0, inFlight),
 		}
 	}
@@ -272,13 +272,13 @@ func (n *Network) fill(s *Snapshot, io *snapIO) {
 	s.net, s.pkts, s.retx, s.flits = s.net[:0], s.pkts[:0], s.retx[:0], 0
 	s.cycle = n.cycle
 	s.nextID = n.nextID
-	n.stats.SaveTo(&s.stats)
+	s.stats.CopyFrom(n.stats)
 
 	links := len(n.midFlight)
-	copy(s.words[links:], n.midFlight)
-	copy(s.words[2*links:], n.linkDrop)
-	copy(s.words[3*links:], n.seqNext)
-	deadMasks := s.words[3*links+len(n.seqNext):]
+	copy(s.words, n.midFlight)
+	copy(s.words[links:], n.linkDrop)
+	copy(s.words[2*links:], n.seqNext)
+	deadMasks := s.words[2*links+len(n.seqNext):]
 	for id, r := range n.routers {
 		// Empty or of this shape, so filled in place: snapShape covers
 		// what core checks.
@@ -300,7 +300,6 @@ func (n *Network) fill(s *Snapshot, io *snapIO) {
 			s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
 		}
 
-		copy(s.words[id*n.ports:], n.linkFlits[id])
 		deadMasks[id] = deadMask(n.linkDead[id])
 		s.net = append(s.net, int32(len(n.retx[id])))
 		s.retx = append(s.retx, n.retx[id]...)
@@ -405,12 +404,12 @@ func (n *Network) Restore(s *Snapshot) {
 
 	n.cycle = s.cycle
 	n.nextID = s.nextID
-	n.stats.RestoreFrom(&s.stats)
+	n.stats.CopyFrom(&s.stats)
 	links := len(n.midFlight)
-	copy(n.midFlight, s.words[links:])
-	copy(n.linkDrop, s.words[2*links:])
-	copy(n.seqNext, s.words[3*links:])
-	deadMasks := s.words[3*links+len(n.seqNext):]
+	copy(n.midFlight, s.words)
+	copy(n.linkDrop, s.words[links:])
+	copy(n.seqNext, s.words[2*links:])
+	deadMasks := s.words[2*links+len(n.seqNext):]
 
 	// The fault-aware routing tables are a pure function of the link and
 	// router fault sets, so the rebuild at the end is only needed when
@@ -442,7 +441,6 @@ func (n *Network) Restore(s *Snapshot) {
 			n.inNICredits[id] = append(n.inNICredits[id], io.getCredit())
 		}
 
-		copy(n.linkFlits[id], s.words[id*n.ports:])
 		if m := deadMasks[id]; m != deadMask(n.linkDead[id]) {
 			faultsChanged = true
 			for p := range n.linkDead[id] {
@@ -471,7 +469,7 @@ func (n *Network) Restore(s *Snapshot) {
 	if faultsChanged {
 		// Rebuild (or drop) the fault-aware tables from the restored
 		// fault sets. rebuildRoutes reinstalls the topology's baseline
-		// RouteFn (nil for mesh/cmesh, the dateline torusRoute for a
+		// RouteFn (nil for a mesh, the dateline torusRoute for a
 		// torus) when the restored state is fault free.
 		n.rebuildRoutes()
 	}

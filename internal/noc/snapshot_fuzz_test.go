@@ -44,7 +44,7 @@ func internalFault(r *core.Router, sel, arg byte) {
 // requireSameNetworks fails unless a and b agree on everything a
 // snapshot covers: the canonical state and, beyond it, what the
 // canonical encoding leaves out on purpose — statistics, mechanism
-// counters, link utilization, the clock and the next packet ID.
+// counters, the clock and the next packet ID.
 func requireSameNetworks(t *testing.T, when string, a, b *Network) {
 	t.Helper()
 	if !bytes.Equal(a.AppendCanonical(nil), b.AppendCanonical(nil)) {
@@ -59,9 +59,6 @@ func requireSameNetworks(t *testing.T, when string, a, b *Network) {
 	for id := range a.routers {
 		if ca, cb := a.routers[id].Counters, b.routers[id].Counters; ca != cb {
 			t.Fatalf("%s: router %d counters %+v vs %+v", when, id, ca, cb)
-		}
-		if !reflect.DeepEqual(a.linkFlits[id], b.linkFlits[id]) {
-			t.Fatalf("%s: router %d link utilization %v vs %v", when, id, a.linkFlits[id], b.linkFlits[id])
 		}
 		if err := a.routers[id].CheckOccupancy(); err != nil {
 			t.Fatalf("%s: router %d: %v", when, id, err)
@@ -89,7 +86,7 @@ func FuzzSnapshotMatchesReference(f *testing.F) {
 		for len(data) < 8 {
 			data = append(data, 0)
 		}
-		kind := []string{"mesh", "torus", "cmesh"}[data[0]%3]
+		kind := fuzzTopo(data[0])
 		w, h := 2+int(data[1]%4), 1+int(data[2]%4)
 		rc := router.DefaultConfig()
 		rc.Classes = 1 + int(data[3]%2)

@@ -36,8 +36,6 @@ type refSnap struct {
 	inCredits   [][]credit
 	inNICredits [][]credit
 
-	linkFlits [][]uint64
-
 	linkDead   [][]bool
 	routerDead []bool
 	midFlight  []uint64
@@ -139,7 +137,6 @@ func (n *Network) refSnapshotInto(old *refSnap) *refSnap {
 		s.inCredits[id] = append(s.inCredits[id][:0], n.inCredits[id]...)
 		s.inNICredits[id] = append(s.inNICredits[id][:0], n.inNICredits[id]...)
 
-		copy(s.linkFlits[id], n.linkFlits[id])
 		copy(s.linkDead[id], n.linkDead[id])
 		s.retx[id] = append(s.retx[id][:0], n.retx[id]...)
 		s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
@@ -160,8 +157,6 @@ func newRefSnapshot(sh refShape) *refSnap {
 		inFlits:     make([][]inFlit, sh.nodes),
 		inCredits:   make([][]credit, sh.nodes),
 		inNICredits: make([][]credit, sh.nodes),
-
-		linkFlits: makeGrid[uint64](sh.nodes, sh.ports),
 
 		linkDead:   makeGrid[bool](sh.nodes, sh.ports),
 		routerDead: make([]bool, sh.nodes),
@@ -246,7 +241,6 @@ func (n *Network) refRestore(s *refSnap) {
 		n.inCredits[id] = append(n.inCredits[id][:0], s.inCredits[id]...)
 		n.inNICredits[id] = append(n.inNICredits[id][:0], s.inNICredits[id]...)
 
-		copy(n.linkFlits[id], s.linkFlits[id])
 		copy(n.linkDead[id], s.linkDead[id])
 		n.retx[id] = append(n.retx[id][:0], s.retx[id]...)
 		n.delivered[id] = copyWindows(n.delivered[id], s.delivered[id])
@@ -259,7 +253,7 @@ func (n *Network) refRestore(s *refSnap) {
 	if faultsChanged {
 		// Rebuild (or drop) the fault-aware tables from the restored
 		// fault sets. rebuildRoutes reinstalls the topology's baseline
-		// RouteFn (nil for mesh/cmesh, the dateline torusRoute for a
+		// RouteFn (nil for a mesh, the dateline torusRoute for a
 		// torus) when the restored state is fault free.
 		n.rebuildRoutes()
 	}

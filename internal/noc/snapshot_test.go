@@ -37,11 +37,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		topo string
-		conc int
 	}{
 		{name: "mesh", topo: ""},
 		{name: "torus", topo: "torus"},
-		{name: "cmesh", topo: "cmesh", conc: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rc := router.DefaultConfig()
@@ -49,7 +47,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			src := traffic.NewSynthetic(16, 0.1, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 11)
 			src.StopAt(120)
 			n := noc.MustNew(noc.Config{
-				Width: 4, Height: 4, Topo: tc.topo, Conc: tc.conc,
+				Width: 4, Height: 4, Topo: tc.topo,
 				Router: rc, Retx: noc.RetxConfig{Timeout: 400, MaxRetries: 3},
 			}, src)
 			defer n.Close()

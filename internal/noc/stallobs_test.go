@@ -32,9 +32,9 @@ type obsOutcome struct {
 
 // runObsCase runs one seeded workload with the full observability tier
 // attached (tracer, windows, flight recorder) and returns everything.
-func runObsCase(t *testing.T, topoKind string, conc, workers int, linkFault bool) obsOutcome {
+func runObsCase(t *testing.T, topoKind string, workers int, linkFault bool) obsOutcome {
 	t.Helper()
-	tp, err := topology.New(topoKind, 4, 4, conc)
+	tp, err := topology.New(topoKind, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func runObsCase(t *testing.T, topoKind string, conc, workers int, linkFault bool
 	src := traffic.NewSynthetic(16, 0.05, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 42)
 	src.StopAt(1500)
 	n := MustNew(Config{
-		Width: 4, Height: 4, Topo: topoKind, Conc: conc,
+		Width: 4, Height: 4, Topo: topoKind,
 		Router: rc, Warmup: 100, Workers: workers,
 	}, src)
 	defer n.Close()
@@ -90,7 +90,7 @@ func stallTotals(rts []obs.RouterTotals) [obs.NumStallKinds]uint64 {
 // snapshot, window buckets, the flight dump, and span reconstruction
 // must be bit-exact across Workers in {1, 2, 4, 8}.
 func TestStallObsWorkersInvariant(t *testing.T) {
-	ref := runObsCase(t, "mesh", 0, 1, true)
+	ref := runObsCase(t, "mesh", 1, true)
 	tot := stallTotals(ref.stalls)
 	if tot[obs.StallCreditStarved] == 0 || tot[obs.StallArbLost] == 0 {
 		t.Fatalf("faulted workload produced no credit/arb stalls: %v", tot)
@@ -105,7 +105,7 @@ func TestStallObsWorkersInvariant(t *testing.T) {
 		t.Fatal("window snapshot is empty")
 	}
 	for _, w := range []int{2, 4, 8} {
-		got := runObsCase(t, "mesh", 0, w, true)
+		got := runObsCase(t, "mesh", w, true)
 		if !reflect.DeepEqual(ref.stalls, got.stalls) {
 			t.Errorf("workers=%d: per-router stall totals diverged: %v vs %v",
 				w, stallTotals(ref.stalls), stallTotals(got.stalls))
@@ -213,7 +213,7 @@ func TestStallObsGoldenDigest(t *testing.T) {
 		canonical = 0x5ec9c01f5efd814e
 		merged    = 0xb7caddd6da3f41c6
 	)
-	out := runObsCase(t, "mesh", 0, 1, true)
+	out := runObsCase(t, "mesh", 1, true)
 	if got := obsDigest(out); got != merged {
 		t.Errorf("observed-artefact digest %#x, want %#x", got, uint64(merged))
 	}
@@ -225,21 +225,20 @@ func TestStallObsGoldenDigest(t *testing.T) {
 }
 
 // TestHeatmapWindowsTopologiesWorkers runs the windowed heatmap on the
-// torus and concentrated-mesh families: buckets must be populated,
-// cover the run, and stay bit-exact across worker counts.
+// torus and the mesh: buckets must be populated, cover the run, and
+// stay bit-exact across worker counts.
 func TestHeatmapWindowsTopologiesWorkers(t *testing.T) {
 	cases := []struct {
 		name string
 		topo string
-		conc int
 	}{
 		{name: "torus", topo: "torus"},
-		{name: "cmesh", topo: "cmesh", conc: 2},
+		{name: "mesh", topo: "mesh"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runObsCase(t, tc.topo, tc.conc, 1, false)
+			ref := runObsCase(t, tc.topo, 1, false)
 			if len(ref.window.Buckets) == 0 {
 				t.Fatal("no window buckets retained")
 			}
@@ -255,7 +254,7 @@ func TestHeatmapWindowsTopologiesWorkers(t *testing.T) {
 				t.Fatalf("fault-free %s run shows route/drain stalls: %v", tc.name, tot)
 			}
 			for _, w := range []int{2, 4, 8} {
-				got := runObsCase(t, tc.topo, tc.conc, w, false)
+				got := runObsCase(t, tc.topo, w, false)
 				if !reflect.DeepEqual(ref.window, got.window) {
 					t.Errorf("workers=%d: %s window snapshot diverged", w, tc.name)
 				}
@@ -268,24 +267,24 @@ func TestHeatmapWindowsTopologiesWorkers(t *testing.T) {
 }
 
 // TestSpansTopologiesWorkers extends hop-span reconstruction coverage to
-// the torus and cmesh families: every packet reconstructs losslessly,
-// hop chains are contiguous, the sets are worker-invariant, and they are
-// the sets the global event ring reconstructed (digests recorded at
-// d927909, before the tracer became per-router lanes).
+// the torus and the mesh: every packet reconstructs losslessly, hop
+// chains are contiguous, the sets are worker-invariant, and they are the
+// sets the global event ring reconstructed (digests recorded at d927909,
+// before the tracer became per-router lanes; the mesh row ran there
+// under a second topology name that stepped exactly as the mesh does).
 func TestSpansTopologiesWorkers(t *testing.T) {
 	cases := []struct {
 		name   string
 		topo   string
-		conc   int
 		digest uint64
 	}{
 		{name: "torus", topo: "torus", digest: 0xee960b87128037c4},
-		{name: "cmesh", topo: "cmesh", conc: 2, digest: 0xfbb8447142c9d42c},
+		{name: "mesh", topo: "mesh", digest: 0xfbb8447142c9d42c},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runObsCase(t, tc.topo, tc.conc, 1, false)
+			ref := runObsCase(t, tc.topo, 1, false)
 			if len(ref.spans.Packets) == 0 {
 				t.Fatal("no packets reconstructed")
 			}
@@ -308,7 +307,7 @@ func TestSpansTopologiesWorkers(t *testing.T) {
 				}
 			}
 			for _, w := range []int{4, 8} {
-				got := runObsCase(t, tc.topo, tc.conc, w, false)
+				got := runObsCase(t, tc.topo, w, false)
 				if !reflect.DeepEqual(ref.spans, got.spans) {
 					t.Errorf("workers=%d: %s span sets diverged", w, tc.name)
 				}
@@ -322,7 +321,7 @@ func TestSpansTopologiesWorkers(t *testing.T) {
 // every simulated cycle with bucket boundaries at multiples of the
 // bucket width.
 func TestWindowRollTracksNetworkCycle(t *testing.T) {
-	tp, err := topology.New("mesh", 4, 4, 0)
+	tp, err := topology.New("mesh", 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,8 @@ import (
 // common case for every workload in this repo), and log-linear buckets
 // (8 per octave, ≤ ~9% relative width) above it.
 //
-// A nil *Histogram reads as empty in Min, Max, Mean and Quantile.
+// A zero Histogram reads as empty and, from its first observation or
+// merge, uses the default latency bounds.
 type Histogram struct {
 	bounds []sim.Cycle // ascending inclusive upper bounds; shared, read-only
 	// counts is indexed by bucket; bucket len(bounds) is overflow. It is
@@ -95,6 +96,9 @@ func NewHistogram(bounds []sim.Cycle) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v sim.Cycle) {
+	if h.bounds == nil {
+		h.bounds = latencyBounds
+	}
 	i := h.bucket(v)
 	if h.shared || i >= len(h.counts) {
 		h.own(i)
@@ -133,7 +137,7 @@ func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Min and Max return the observed extremes, or 0 with no observations.
 func (h *Histogram) Min() sim.Cycle {
-	if h == nil || h.total == 0 {
+	if h.total == 0 {
 		return 0
 	}
 	return h.min
@@ -141,7 +145,7 @@ func (h *Histogram) Min() sim.Cycle {
 
 // Max returns the largest observed value, or 0 with no observations.
 func (h *Histogram) Max() sim.Cycle {
-	if h == nil || h.total == 0 {
+	if h.total == 0 {
 		return 0
 	}
 	return h.max
@@ -150,7 +154,7 @@ func (h *Histogram) Max() sim.Cycle {
 // Mean returns the average observed value, or 0 with no observations
 // (never NaN — see the Collector warmup edge case).
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.total == 0 {
+	if h.total == 0 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.total)
@@ -162,7 +166,7 @@ func (h *Histogram) Mean() float64 {
 // bucket's relative width above. The overflow bucket reports the exact
 // observed maximum. With no observations it returns 0.
 func (h *Histogram) Quantile(q float64) sim.Cycle {
-	if h == nil || h.total == 0 {
+	if h.total == 0 {
 		return 0
 	}
 	rank := uint64(math.Ceil(float64(h.total) * q / 100))
@@ -193,8 +197,11 @@ func (h *Histogram) Quantile(q float64) sim.Cycle {
 // merging one collector per sweep worker reproduces the single-collector
 // histogram.
 func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil || o.total == 0 {
+	if o.total == 0 {
 		return nil
+	}
+	if h.bounds == nil {
+		h.bounds = latencyBounds
 	}
 	if len(h.bounds) != len(o.bounds) {
 		return fmt.Errorf("stats: merging histograms with %d vs %d buckets", len(h.bounds)+1, len(o.bounds)+1)

@@ -193,11 +193,8 @@ func TestCollectorMergeSweepFanOut(t *testing.T) {
 		if merged.Measured() != whole.Measured() {
 			t.Fatalf("workers=%d: measured %d vs %d", workers, merged.Measured(), whole.Measured())
 		}
-		if !reflect.DeepEqual(whole.LatencyHist().Snapshot(), merged.LatencyHist().Snapshot()) {
-			t.Fatalf("workers=%d: merged latency histogram diverged", workers)
-		}
-		if !reflect.DeepEqual(whole.NetworkLatencyHist().Snapshot(), merged.NetworkLatencyHist().Snapshot()) {
-			t.Fatalf("workers=%d: merged network histogram diverged", workers)
+		if !reflect.DeepEqual(whole.Snapshot(), merged.Snapshot()) {
+			t.Fatalf("workers=%d: merged latency histograms diverged", workers)
 		}
 		for q := range []int{50, 95, 99} {
 			if whole.Percentile(float64(q)) != merged.Percentile(float64(q)) {

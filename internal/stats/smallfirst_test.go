@@ -211,12 +211,12 @@ func TestHistogramMergeLayoutMismatchWhileShort(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip holds Collector.SaveTo/RestoreFrom to what
-// Clone/CopyFrom do: a checkpoint restores the statistics it was taken
-// at whatever the collector recorded since — into the collector it came
-// from (whose histogram structs are reused: no allocation) and into a
-// fresh one — it survives being restored from twice, and a checkpoint of
-// a collector that has not recorded anything restores an empty one.
+// TestCheckpointRoundTrip uses a Collector value as a checkpoint, as a
+// network snapshot does: CopyFrom into it, and later back, restores the
+// statistics it was taken at whatever the collector recorded since —
+// into the collector it came from (without allocating) and into a fresh
+// one — it survives being restored from twice, and a checkpoint of a
+// collector that has not recorded anything restores an empty one.
 func TestCheckpointRoundTrip(t *testing.T) {
 	eject := func(c *Collector, lat sim.Cycle, class flit.Class) {
 		p := &flit.Packet{Size: 2, Class: class, CreatedAt: 10, InjectedAt: 12, EjectedAt: 10 + lat}
@@ -224,34 +224,34 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		c.RecordEjection(p)
 	}
 	c := NewCollector(0)
-	var empty, cp Checkpoint
-	c.SaveTo(&empty)
+	var empty, cp Collector
+	empty.CopyFrom(c)
 	for i := 0; i < 20; i++ {
 		eject(c, sim.Cycle(5+i), flit.Class(i%2))
 	}
-	want := c.Clone()
-	c.SaveTo(&cp)
+	want, wantSummary := c.Snapshot(), c.Summary()
+	cp.CopyFrom(c)
 	eject(c, 300, flit.Response) // past shortBuckets: the live histograms grow, the checkpoint must not
-	if reflect.DeepEqual(c.Snapshot(), want.Snapshot()) {
+	if reflect.DeepEqual(c.Snapshot(), want) {
 		t.Fatal("recording after the checkpoint changed nothing; case exercises nothing")
 	}
 
 	fresh := NewCollector(7)
 	for round := 0; round < 2; round++ {
-		if got := testing.AllocsPerRun(5, func() { c.RestoreFrom(&cp) }); got != 0 {
+		if got := testing.AllocsPerRun(5, func() { c.CopyFrom(&cp) }); got != 0 {
 			t.Errorf("round %d: restoring into the collector the checkpoint came from allocates %.0f objects", round, got)
 		}
-		fresh.RestoreFrom(&cp)
+		fresh.CopyFrom(&cp)
 		for name, got := range map[string]*Collector{"same collector": c, "fresh collector": fresh} {
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || got.Summary() != want.Summary() {
-				t.Errorf("round %d, %s: restored statistics differ from those checkpointed:\n%s\n%s", round, name, got.Summary(), want.Summary())
+			if !reflect.DeepEqual(got.Snapshot(), want) || got.Summary() != wantSummary {
+				t.Errorf("round %d, %s: restored statistics differ from those checkpointed:\n%s\n%s", round, name, got.Summary(), wantSummary)
 			}
 		}
 		eject(c, 400, flit.Request)
 		eject(fresh, 2, flit.Request)
 	}
 
-	c.RestoreFrom(&empty)
+	c.CopyFrom(&empty)
 	if !reflect.DeepEqual(c.Snapshot(), NewCollector(0).Snapshot()) {
 		t.Errorf("the checkpoint of an unused collector restored %s", c.Summary())
 	}

@@ -74,29 +74,19 @@ type Collector struct {
 	// lat and net hold the total (creation→ejection) and in-network
 	// (injection→ejection) latency distributions; classLat splits the
 	// total latency per message class. Every latency statistic is read
-	// from them: their counts, integer sums and extremes.
-	lat      *Histogram
-	net      *Histogram
-	classLat [flit.NumClasses]*Histogram
+	// from them: their counts, integer sums and extremes. They are held
+	// by value and start as zero histograms over the default bounds, so
+	// a zero-value Collector works and an all-warmup run allocates
+	// nothing.
+	lat      Histogram
+	net      Histogram
+	classLat [flit.NumClasses]Histogram
 }
 
 // NewCollector returns a collector measuring packets created at or after
 // warmup.
 func NewCollector(warmup sim.Cycle) *Collector {
 	return &Collector{Warmup: warmup}
-}
-
-// ensureHists lazily allocates the histograms, so a zero-value Collector
-// keeps working and an all-warmup run allocates nothing.
-func (c *Collector) ensureHists() {
-	if c.lat != nil {
-		return
-	}
-	c.lat = NewHistogram(nil)
-	c.net = NewHistogram(nil)
-	for i := range c.classLat {
-		c.classLat[i] = NewHistogram(nil)
-	}
 }
 
 // RecordCreation notes that a packet was offered to the network.
@@ -123,7 +113,6 @@ func (c *Collector) RecordEjection(p *flit.Packet) {
 	if p.CreatedAt < c.Warmup {
 		return
 	}
-	c.ensureHists()
 	lat := p.Latency()
 	c.flits += uint64(p.Size)
 	c.lat.Observe(lat)
@@ -140,12 +129,7 @@ func (c *Collector) Created() uint64 { return c.created }
 func (c *Collector) Ejected() uint64 { return c.ejected }
 
 // Measured returns the number of packets included in latency statistics.
-func (c *Collector) Measured() uint64 {
-	if c.lat == nil {
-		return 0
-	}
-	return c.lat.Count()
-}
+func (c *Collector) Measured() uint64 { return c.lat.Count() }
 
 // Dropped returns the number of packets discarded by the network.
 func (c *Collector) Dropped() uint64 { return c.dropped }
@@ -186,7 +170,10 @@ func (c *Collector) AvgNetworkLatency() float64 { return c.net.Mean() }
 // ClassAvgLatency returns the mean latency of one message class, or 0
 // when no packet of that class was measured.
 func (c *Collector) ClassAvgLatency(cls flit.Class) float64 {
-	return c.ClassLatencyHist(cls).Mean()
+	if int(cls) >= len(c.classLat) {
+		return 0
+	}
+	return c.classLat[cls].Mean()
 }
 
 // MinLatency and MaxLatency return the observed latency extremes, or 0
@@ -195,23 +182,6 @@ func (c *Collector) MinLatency() sim.Cycle { return c.lat.Min() }
 
 // MaxLatency returns the largest observed packet latency.
 func (c *Collector) MaxLatency() sim.Cycle { return c.lat.Max() }
-
-// LatencyHist returns the total-latency histogram, or nil when no packet
-// has been measured yet.
-func (c *Collector) LatencyHist() *Histogram { return c.lat }
-
-// NetworkLatencyHist returns the in-network-latency histogram, or nil
-// when no packet has been measured yet.
-func (c *Collector) NetworkLatencyHist() *Histogram { return c.net }
-
-// ClassLatencyHist returns the total-latency histogram of one message
-// class, or nil when no packet has been measured yet.
-func (c *Collector) ClassLatencyHist(cls flit.Class) *Histogram {
-	if int(cls) >= len(c.classLat) {
-		return nil
-	}
-	return c.classLat[cls]
-}
 
 // Percentile returns the p-th latency percentile (0 < p <= 100),
 // extracted from the latency histogram: exact for latencies with
@@ -226,7 +196,10 @@ func (c *Collector) NetworkPercentile(p float64) float64 { return float64(c.net.
 // ClassPercentile is Percentile over one message class's latency
 // distribution.
 func (c *Collector) ClassPercentile(cls flit.Class, p float64) float64 {
-	return float64(c.ClassLatencyHist(cls).Quantile(p))
+	if int(cls) >= len(c.classLat) {
+		return 0
+	}
+	return float64(c.classLat[cls].Quantile(p))
 }
 
 // ThroughputFlits returns accepted flits per cycle over the measurement
@@ -254,18 +227,14 @@ func (c *Collector) Merge(other *Collector) error {
 	c.duplicates += other.duplicates
 	c.retransmits += other.retransmits
 	c.flits += other.flits
-	if other.lat == nil {
-		return nil
-	}
-	c.ensureHists()
-	if err := c.lat.Merge(other.lat); err != nil {
+	if err := c.lat.Merge(&other.lat); err != nil {
 		return err
 	}
-	if err := c.net.Merge(other.net); err != nil {
+	if err := c.net.Merge(&other.net); err != nil {
 		return err
 	}
 	for i := range c.classLat {
-		if err := c.classLat[i].Merge(other.classLat[i]); err != nil {
+		if err := c.classLat[i].Merge(&other.classLat[i]); err != nil {
 			return err
 		}
 	}
@@ -308,7 +277,7 @@ func (c *Collector) Snapshot() Snapshot {
 		DeliveryRatio: c.DeliveryRatio(),
 		AvgLatency:    c.AvgLatency(), AvgNetworkLatency: c.AvgNetworkLatency(),
 	}
-	if c.lat != nil {
+	if c.lat.Count() > 0 {
 		s.Latency = c.lat.Snapshot()
 		s.NetworkLatency = c.net.Snapshot()
 		for i := range c.classLat {
@@ -342,12 +311,12 @@ func (c *Collector) Summary() string {
 		c.AvgLatency(), c.AvgNetworkLatency(), c.MinLatency(), c.MaxLatency())
 	app("latency p50 %v p95 %v p99 %v\n",
 		c.Percentile(50), c.Percentile(95), c.Percentile(99))
-	if c.lat != nil {
+	if c.lat.Count() > 0 {
 		app("hist count %d sum %d netsum %d\n", c.lat.Count(), c.lat.Sum(), c.net.Sum())
 	}
 	app("flits %d hopsum %v\n", c.flits, float64(c.flits))
-	for cls, h := range c.classLat {
-		if h != nil && h.Count() > 0 {
+	for cls := range c.classLat {
+		if h := &c.classLat[cls]; h.Count() > 0 {
 			app("class %d n %d latsum %v\n", cls, h.Count(), float64(h.Sum()))
 		}
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -336,6 +337,31 @@ func TestZeroValueCollector(t *testing.T) {
 	}
 	if c.ClassAvgLatency(flit.Request) != 7 || c.Percentile(50) != 7 {
 		t.Errorf("class avg %v p50 %v, want 7/7", c.ClassAvgLatency(flit.Request), c.Percentile(50))
+	}
+}
+
+// TestSummaryBeforeFirstMeasuredPacket pins what a collector reports
+// while every packet it has seen fell in the warmup: Summary prints no
+// hist or class line, and Snapshot leaves every distribution at its
+// zero value, with no export buckets.
+func TestSummaryBeforeFirstMeasuredPacket(t *testing.T) {
+	c := NewCollector(1000)
+	for i := sim.Cycle(0); i < 5; i++ {
+		p := mkPkt(i, i+40, flit.Request, 3)
+		c.RecordCreation(p)
+		c.RecordEjection(p)
+	}
+	const want = "created 5 ejected 5 measured 0 in-flight 0\n" +
+		"latency avg 0 net 0 min 0 max 0\n" +
+		"latency p50 0 p95 0 p99 0\n" +
+		"flits 0 hopsum 0\n"
+	if got := c.Summary(); got != want {
+		t.Errorf("Summary:\n%s\nwant:\n%s", got, want)
+	}
+	s := c.Snapshot()
+	if !reflect.DeepEqual(s.Latency, HistogramSnapshot{}) || !reflect.DeepEqual(s.NetworkLatency, HistogramSnapshot{}) ||
+		!reflect.DeepEqual(s.Classes, [flit.NumClasses]HistogramSnapshot{}) {
+		t.Errorf("Snapshot before the first measured packet holds distributions: %+v", s)
 	}
 }
 

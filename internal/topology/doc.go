@@ -1,7 +1,7 @@
 // Package topology models the NoC's physical structure: the router
 // graph, the five router ports (Local, North, East, South, West) and the
-// deterministic minimal routing function each graph family uses. Three
-// families are provided, all with radix-5 routers so the paper's router
+// deterministic minimal routing function each graph family uses. Two
+// families are provided, both with radix-5 routers so the paper's router
 // microarchitecture (5×5 crossbar, four directions plus the local NI
 // port) carries over unchanged:
 //
@@ -16,21 +16,13 @@
 //     halve the worst-case hop count but create a cycle in each ring's
 //     channel-dependency graph; the network layer breaks it with
 //     dateline virtual-channel layers (see internal/noc).
-//   - CMesh — a concentrated mesh: the router graph is a W×H mesh, but
-//     each router serves C terminals (cores) instead of one. The router
-//     count for a given core count shrinks by C×, trading bisection
-//     bandwidth for area. The simulator keeps one NI per router; the
-//     concentration surfaces as the terminal↔router mapping (Terminals,
-//     TerminalRouter) and as a C× higher per-router injection rate, which
-//     is exactly the concentration bottleneck a real CMesh NI has.
 //
 // # Coordinates and node IDs
 //
-// All three families share the coordinate system: node IDs are assigned
+// Both families share the coordinate system: node IDs are assigned
 // row-major (id = y*W + x) with the origin at the north-west corner;
 // North decreases y, South increases y, East increases x, West decreases
-// x. A CMesh terminal t maps to router t/C (terminals are blocked
-// C-per-router in terminal-ID order).
+// x.
 //
 // # Link wiring
 //
@@ -47,7 +39,7 @@
 // (the direct link and the wrap link); they are distinct links with
 // distinct buffers, exactly as in hardware.
 //
-// The Topology interface abstracts the family; Mesh, Torus and CMesh are
+// The Topology interface abstracts the family; Mesh and Torus are
 // cheap value types implementing it, and New builds one from a kind
 // string (the noctool -topo flag).
 package topology

@@ -70,10 +70,10 @@ func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 // Topology is the router-graph abstraction the simulator builds against:
 // a family of radix-5 router networks sharing the mesh coordinate system
 // (see the package documentation). Implementations are small value types
-// (Mesh, Torus, CMesh) and must be deterministic pure functions of the
+// (Mesh, Torus) and must be deterministic pure functions of the
 // node arguments.
 type Topology interface {
-	// Kind names the topology family: "mesh", "torus" or "cmesh".
+	// Kind names the topology family: "mesh" or "torus".
 	Kind() string
 	// Nodes returns the number of routers.
 	Nodes() int
@@ -87,21 +87,19 @@ type Topology interface {
 	// whether such a link exists (mesh edges lack some; Local has none).
 	Neighbor(id int, p Port) (int, bool)
 	// Route returns the output port a flit at cur takes toward dst under
-	// the family's deterministic minimal routing (XY for mesh/cmesh,
+	// the family's deterministic minimal routing (XY for mesh,
 	// minimal-direction DOR for torus). Route(dst, dst) is Local.
 	Route(cur, dst int) Port
 	// Hops returns the number of router-to-router hops on the Route path
 	// from src to dst.
 	Hops(src, dst int) int
 	// Wrap reports whether the link leaving id through p is a
-	// wrap-around (dateline) link. Always false for mesh and cmesh.
+	// wrap-around (dateline) link. Always false for a mesh.
 	Wrap(id int, p Port) bool
 }
 
-// New builds a topology from its kind name: "mesh", "torus" or "cmesh"
-// (conc is the terminals-per-router concentration, used by cmesh only
-// and ignored elsewhere; 0 defaults to 1).
-func New(kind string, w, h, conc int) (Topology, error) {
+// New builds a topology from its kind name: "mesh" (or "") or "torus".
+func New(kind string, w, h int) (Topology, error) {
 	switch kind {
 	case "", "mesh":
 		if w < 1 || h < 1 {
@@ -113,19 +111,8 @@ func New(kind string, w, h, conc int) (Topology, error) {
 			return nil, fmt.Errorf("topology: invalid torus %dx%d", w, h)
 		}
 		return NewTorus(w, h), nil
-	case "cmesh":
-		if w < 1 || h < 1 {
-			return nil, fmt.Errorf("topology: invalid cmesh %dx%d", w, h)
-		}
-		if conc == 0 {
-			conc = 1
-		}
-		if conc < 1 {
-			return nil, fmt.Errorf("topology: invalid cmesh concentration %d", conc)
-		}
-		return NewCMesh(w, h, conc), nil
 	default:
-		return nil, fmt.Errorf("topology: unknown kind %q (want mesh, torus or cmesh)", kind)
+		return nil, fmt.Errorf("topology: unknown kind %q (want mesh or torus)", kind)
 	}
 }
 

@@ -117,75 +117,35 @@ func TestTorusWrapCrossings(t *testing.T) {
 	}
 }
 
-// TestCMesh checks the concentrated mesh keeps the mesh router graph
-// while exposing the terminal mapping.
-func TestCMesh(t *testing.T) {
-	cm := NewCMesh(4, 2, 4)
-	if cm.Kind() != "cmesh" || cm.Nodes() != 8 || cm.Terminals() != 32 || cm.Concentration() != 4 {
-		t.Fatalf("cmesh basics wrong: %+v", cm)
-	}
-	if w, h := cm.Dims(); w != 4 || h != 2 {
-		t.Fatalf("Dims = %d,%d", w, h)
-	}
-	// Router graph is the mesh: same neighbours, same routes, no wraps.
-	m := NewMesh(4, 2)
-	for id := 0; id < cm.Nodes(); id++ {
-		for p := North; p <= West; p++ {
-			mn, mok := m.Neighbor(id, p)
-			cn, cok := cm.Neighbor(id, p)
-			if mok != cok || (mok && mn != cn) {
-				t.Errorf("Neighbor(%d,%v): cmesh %d,%v vs mesh %d,%v", id, p, cn, cok, mn, mok)
-			}
-			if cm.Wrap(id, p) {
-				t.Errorf("cmesh reports a wrap link at (%d,%v)", id, p)
-			}
-		}
-		for dst := 0; dst < cm.Nodes(); dst++ {
-			if cm.Route(id, dst) != m.Route(id, dst) {
-				t.Errorf("Route(%d,%d) diverges from mesh XY", id, dst)
-			}
-		}
-	}
-	// Terminal mapping: blocked C-per-router, covering every router.
-	for term := 0; term < cm.Terminals(); term++ {
-		if got, want := cm.TerminalRouter(term), term/4; got != want {
-			t.Errorf("TerminalRouter(%d) = %d, want %d", term, got, want)
-		}
-	}
-}
-
 // TestNewFactory is the kind-string constructor table test.
 func TestNewFactory(t *testing.T) {
 	cases := []struct {
 		kind    string
-		w, h, c int
+		w, h    int
 		wantErr bool
 		nodes   int
 	}{
 		{kind: "mesh", w: 4, h: 4, nodes: 16},
 		{kind: "", w: 2, h: 3, nodes: 6}, // empty kind defaults to mesh
 		{kind: "torus", w: 4, h: 4, nodes: 16},
-		{kind: "cmesh", w: 4, h: 4, c: 4, nodes: 16},
-		{kind: "cmesh", w: 4, h: 4, c: 0, nodes: 16}, // conc 0 defaults to 1
 		{kind: "hypercube", w: 4, h: 4, wantErr: true},
 		{kind: "mesh", w: 0, h: 4, wantErr: true},
 		{kind: "torus", w: 4, h: -1, wantErr: true},
-		{kind: "cmesh", w: 4, h: 4, c: -2, wantErr: true},
 	}
 	for _, tc := range cases {
-		topo, err := New(tc.kind, tc.w, tc.h, tc.c)
+		topo, err := New(tc.kind, tc.w, tc.h)
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("New(%q,%d,%d,%d) accepted, want error", tc.kind, tc.w, tc.h, tc.c)
+				t.Errorf("New(%q,%d,%d) accepted, want error", tc.kind, tc.w, tc.h)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("New(%q,%d,%d,%d): %v", tc.kind, tc.w, tc.h, tc.c, err)
+			t.Errorf("New(%q,%d,%d): %v", tc.kind, tc.w, tc.h, err)
 			continue
 		}
 		if topo.Nodes() != tc.nodes {
-			t.Errorf("New(%q,%d,%d,%d).Nodes() = %d, want %d", tc.kind, tc.w, tc.h, tc.c, topo.Nodes(), tc.nodes)
+			t.Errorf("New(%q,%d,%d).Nodes() = %d, want %d", tc.kind, tc.w, tc.h, topo.Nodes(), tc.nodes)
 		}
 	}
 }

@@ -89,7 +89,7 @@ type Coherence struct {
 }
 
 // NewCoherence builds the traffic source for app on any router-grid
-// topology (mesh, torus or cmesh), deterministic in seed. Memory
+// topology (mesh or torus), deterministic in seed. Memory
 // controllers sit at the four grid corners, directory homes are
 // address-interleaved across all nodes.
 func NewCoherence(app App, topo topology.Topology, seed uint64) *Coherence {

@@ -176,46 +176,34 @@ func TestCoherenceDeterminism(t *testing.T) {
 }
 
 // TestCoherenceOnTorusAndCMesh drives the coherence source end to end
-// through torus and cmesh networks — topology families whose Network
-// has no Mesh() accessor or a concentrated router grid — and requires
-// live request/reply traffic to be delivered on both.
+// through a torus network, whose Network has no Mesh() accessor, and
+// requires live request/reply traffic to be delivered. The name is kept
+// from when the test also ran a second topology family, so the torus
+// case stays the same test ID.
 func TestCoherenceOnTorusAndCMesh(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		topo string
-		conc int
-	}{
-		{name: "torus", topo: "torus"},
-		{name: "cmesh", topo: "cmesh", conc: 2},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			tp, err := topology.New(tc.topo, 4, 4, tc.conc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := NewCoherence(SPLASH2()[0], tp, 11)
-			c.StopAt(400)
-			rc := router.DefaultConfig()
-			rc.FaultTolerant = true
-			n, err := noc.New(noc.Config{
-				Width: 4, Height: 4, Topo: tc.topo, Conc: tc.conc,
-				Router: rc, Workers: 1,
-			}, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer n.Close()
-			n.Run(400)
-			if !n.Drain(5000) {
-				t.Fatalf("did not drain: %d in flight", n.Stats().InFlight())
-			}
-			if c.Requests == 0 || c.Replies == 0 {
-				t.Fatalf("no coherence traffic: %d requests, %d replies", c.Requests, c.Replies)
-			}
-			if n.Stats().Ejected() == 0 {
-				t.Fatal("nothing delivered")
-			}
-		})
-	}
+	t.Run("torus", func(t *testing.T) {
+		tp, err := topology.New("torus", 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCoherence(SPLASH2()[0], tp, 11)
+		c.StopAt(400)
+		rc := router.DefaultConfig()
+		rc.FaultTolerant = true
+		n, err := noc.New(noc.Config{Width: 4, Height: 4, Topo: "torus", Router: rc, Workers: 1}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		n.Run(400)
+		if !n.Drain(5000) {
+			t.Fatalf("did not drain: %d in flight", n.Stats().InFlight())
+		}
+		if c.Requests == 0 || c.Replies == 0 {
+			t.Fatalf("no coherence traffic: %d requests, %d replies", c.Requests, c.Replies)
+		}
+		if n.Stats().Ejected() == 0 {
+			t.Fatal("nothing delivered")
+		}
+	})
 }
