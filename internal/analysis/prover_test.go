@@ -21,6 +21,7 @@ func TestSnapshotCompleteFixtures(t *testing.T) {
 	runFixture(t, "snapshotcomplete/ignore", "gonoc/internal/core", SnapshotComplete)
 	runFixture(t, "snapshotcomplete/recycle", "gonoc/internal/core", SnapshotComplete)
 	runFixture(t, "snapshotcomplete/accessor", "gonoc/internal/vc", SnapshotComplete)
+	runFixture(t, "snapshotcomplete/noderecord", "gonoc/internal/noc", SnapshotComplete)
 }
 
 func TestHotPathAllocFixtures(t *testing.T) {
@@ -134,6 +135,7 @@ func TestSuiteOverFixtures(t *testing.T) {
 		{"snapshotcomplete/ignore", "gonoc/internal/core"},
 		{"snapshotcomplete/recycle", "gonoc/internal/core"},
 		{"snapshotcomplete/accessor", "gonoc/internal/vc"},
+		{"snapshotcomplete/noderecord", "gonoc/internal/noc"},
 		{"hotpathalloc/flagged", "gonoc/internal/core"},
 		{"hotpathalloc/clean", "gonoc/internal/core"},
 		{"hotpathalloc/ignore", "gonoc/internal/core"},

@@ -13,9 +13,12 @@ import (
 // The model-checking tier (PR 7) and the ROADMAP's checkpoint/restore
 // direction hang on one convention: SaveStateInto/RestoreState/
 // AppendCanonical (core.Router) and SnapshotInto/Restore/AppendCanonical
-// (noc.Network; SaveState and Snapshot are their allocate-fresh case) must
-// touch *every* mutable field, or state hashing silently folds distinct
-// states together and golden determinism drifts after a restore. A field
+// (noc.Network; SaveState and Snapshot are their allocate-fresh case,
+// and SaveNode/RestoreNode its single-node save and restore, which
+// share their per-node bodies saveNode and restoreNode with SnapshotInto
+// and Restore) must touch *every* mutable field, or state hashing
+// silently folds distinct states together and golden determinism
+// drifts after a restore. A field
 // added without snapshot coverage is exactly the heisenbug class runtime
 // tests cannot see until a model-check run happens to traverse it.
 //
@@ -23,7 +26,8 @@ import (
 // go/types:
 //
 //   - Contract structs (core.Router, noc.Network, noc.NI, and the saved
-//     forms core.RouterState and noc.Snapshot) must have every field
+//     forms core.RouterState, noc.Snapshot, noc.NodeRecord and the
+//     per-node record both of those embed) must have every field
 //     referenced by each of their save, restore and — for the live
 //     structs — canonical-encoding functions, or carry an explicit
 //     "//noc:derived <reason>" marker stating why the field sits outside
@@ -42,10 +46,10 @@ import (
 // that field unreferenced in its role and fails the build. The saved
 // forms are sequential records, not field-for-field mirrors, so the
 // other half — "save wrote it, restore never read it" — is not visible
-// to a field diff: RestoreState and Restore check at run time that they
-// consumed the record to its last value, and FuzzSnapshotMatchesReference
-// (internal/noc) holds both against the field-by-field code they
-// replaced.
+// to a field diff: RestoreState, Restore and RestoreNode check at run
+// time that they consumed the record to its last value, and
+// FuzzSnapshotMatchesReference (internal/noc) holds both against the
+// field-by-field code they replaced.
 //
 // The save functions fill caller-supplied storage when offered some and
 // allocate only otherwise (SaveStateInto, SnapshotInto). A reference
@@ -96,8 +100,8 @@ var snapContracts = map[string][]snapContract{
 	},
 	"gonoc/internal/noc": {
 		{typeName: "Network", roles: []snapRole{
-			{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
-			{name: "restore", funcs: []string{"Restore", "restoreNI"}},
+			{name: "save", funcs: []string{"SnapshotInto", "SaveNode", "saveNode", "saveNI"}},
+			{name: "restore", funcs: []string{"Restore", "RestoreNode", "restoreNode", "restoreNI"}},
 			{name: "canonical", funcs: []string{"AppendCanonical", "AppendCanonicalNode", "appendCanonicalNI", "appendCanonicalWindows"}},
 		}},
 		{typeName: "NI", roles: []snapRole{
@@ -106,8 +110,19 @@ var snapContracts = map[string][]snapContract{
 			{name: "canonical", funcs: []string{"appendCanonicalNI"}},
 		}},
 		{typeName: "Snapshot", roles: []snapRole{
-			{name: "save", funcs: []string{"SnapshotInto", "fill", "saveNI"}},
-			{name: "restore", funcs: []string{"Restore", "restoreNI"}},
+			{name: "save", funcs: []string{"SnapshotInto", "saveNode", "saveNI"}},
+			{name: "restore", funcs: []string{"Restore", "restoreNode", "restoreNI"}},
+		}},
+		{typeName: "NodeRecord", roles: []snapRole{
+			{name: "save", funcs: []string{"SaveNode", "saveNode"}},
+			{name: "restore", funcs: []string{"RestoreNode", "restoreNode"}},
+		}},
+		// record is the per-node part of both saved forms. Its flit
+		// count and packet clones are written by the flit and packet
+		// helpers, and read back through the cursor helpers.
+		{typeName: "record", roles: []snapRole{
+			{name: "save", funcs: []string{"saveNode", "saveNI", "putFlit", "savedFlit", "pkt"}},
+			{name: "restore", funcs: []string{"restoreNode", "restoreNI", "startRestore", "get", "getWords"}},
 		}},
 	},
 }

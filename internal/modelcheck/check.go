@@ -45,8 +45,9 @@ func (r Result) StatesPerSec() float64 {
 func FormatBytes(n int) string { return fmt.Sprintf("%.1fMB", float64(n)/(1<<20)) }
 
 // FormatResults renders a sweep outcome as a one-line-per-scenario
-// table — graph size, peak frontier in snapshots and in bytes (what
-// bounds memory), wall-clock time and states/s (what bounds patience) —
+// table — graph size, peak frontier in states and in bytes, node
+// records included (what bounds memory), wall-clock time and states/s
+// (what bounds patience) —
 // plus, for a failed scenario, the full counterexample report.
 func FormatResults(results []Result) string {
 	var b strings.Builder

@@ -136,11 +136,13 @@ type Result struct {
 	// Deepest is the largest transition depth reached.
 	Deepest int
 	// PeakFrontier is the largest number of discovered-but-unexpanded
-	// states held at once: each holds a network snapshot, so this is
-	// what bounds the exploration's memory. PeakFrontierBytes is the
-	// most heap those entries retained at once — noc.Snapshot.Bytes of
-	// each plus its shadow buffer — and about what the exploration
-	// holds on to: expanded entries wait on a free list to be refilled.
+	// states held at once. An entry is its visited key — one interned
+	// section id per node and the explorer-side state — plus its count
+	// of packets in flight; the network state it names lives once per
+	// distinct node section, in a table of noc.NodeRecords the search
+	// only grows. PeakFrontierBytes is the most heap the entries and
+	// that table held at once: what bounds the exploration's memory
+	// beyond the visited set and the per-state graph.
 	PeakFrontier      int
 	PeakFrontierBytes int
 	// Counterexample is the choice sequence from the initial state to
@@ -257,13 +259,15 @@ func (m *machine) fullyInjected() bool {
 	return true
 }
 
-// terminal reports terminal success: everything injected, every
-// reachable packet delivered, and the network fully drained — no
-// in-flight flits and no armed retransmission timers.
-func (m *machine) terminal() bool {
+// terminal reports terminal success for a state with inFlight packets
+// in flight: everything injected, every reachable packet delivered, and
+// the network fully drained — no packets in flight and no armed
+// retransmission timers. The count is the caller's: the explorer keeps
+// it per state, as the collector is not restored with the nodes.
+func (m *machine) terminal(inFlight int) bool {
 	return m.fullyInjected() &&
 		len(m.led.delivered) == m.expected &&
-		m.n.Stats().InFlight() == 0 &&
+		inFlight == 0 &&
 		m.n.PendingRetx() == 0
 }
 
@@ -294,38 +298,20 @@ func (m *machine) appendShadowKey(buf []byte) []byte {
 	return buf
 }
 
-// shadow is the explorer-side state saved beside each network snapshot,
-// in one buffer: the injection cursor with the sabotage flag in its top
-// bit, the injection count of every source, then the delivery keys.
-type shadow []uint64
-
-const shadowSabotaged = 1 << 63
-
-// saveShadow captures the explorer-side state into old's storage (a nil
-// shadow allocates).
-func (m *machine) saveShadow(old shadow) shadow {
-	s := append(old[:0], uint64(m.minInjectSrc))
-	if m.sabotaged {
-		s[0] |= shadowSabotaged
-	}
-	for _, c := range m.injected {
-		s = append(s, uint64(c))
-	}
-	for k := range m.led.delivered {
-		s = append(s, k)
-	}
-	return s
-}
-
-func (m *machine) restoreShadow(s shadow) {
-	m.minInjectSrc = int(s[0] &^ shadowSabotaged)
-	m.sabotaged = s[0]&shadowSabotaged != 0
+// restoreShadowKey restores the explorer-side state from k, a shadow
+// key appendShadowKey wrote: the injection counts, the delivery keys
+// up to the last two bytes, then the sabotage flag and the cursor.
+func (m *machine) restoreShadowKey(k string) {
 	for i := range m.injected {
-		m.injected[i] = uint8(s[1+i])
+		m.injected[i] = k[i]
 	}
+	m.sabotaged = k[len(k)-2] != 0
+	m.minInjectSrc = int(k[len(k)-1])
 	clear(m.led.delivered)
-	for _, k := range s[1+len(m.injected):] {
-		m.led.delivered[k] = true
+	for rest := []byte(k[len(m.injected) : len(k)-2]); len(rest) > 0; {
+		d, n := binary.Uvarint(rest)
+		m.led.delivered[d] = true
+		rest = rest[n:]
 	}
 }
 
@@ -345,21 +331,28 @@ type state struct {
 	terminal, full bool
 }
 
-// held is a discovered state awaiting expansion, and the storage of an
-// expanded one awaiting reuse: the network snapshot and the shadow
-// buffer, four heap objects short of the snapshot's own. size is
-// bytes() as of the last save into it.
+// held is a discovered state awaiting expansion. It is its visited key,
+// which names a record per node and encodes the explorer-side state, and
+// the one thing the key leaves out that the verdicts read: the number of
+// packets in flight.
 type held struct {
-	snap *noc.Snapshot
-	shad shadow
-	id   int32
-	size int
+	key      string
+	id       int32
+	inFlight int32
 }
 
 // bytes is the heap the entry retains.
-func (h *held) bytes() int {
-	return int(unsafe.Sizeof(*h)) + h.snap.Bytes() + cap(h.shad)*8
+func (h *held) bytes() int { return int(unsafe.Sizeof(*h)) + len(h.key) }
+
+// sectionID returns the interned section id of node in key.
+func sectionID(key string, node int) uint32 {
+	k := key[4*node : 4*node+4]
+	return uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
 }
+
+// noSection is a worker's live id for a node it has not keyed yet, or
+// whose section the table lacked when it did: no parent has it.
+const noSection = ^uint32(0)
 
 // Explore exhaustively enumerates the scenario's reachable state space
 // under opt's bounds and returns the verdict. The proof obligation
@@ -375,6 +368,13 @@ func (h *held) bytes() int {
 // order, numbering new states and checking the bounds and the deadlock
 // condition as it goes. The Result is the same at every worker count,
 // Elapsed and PeakFrontierBytes aside.
+//
+// A state is held as its key alone. The network half of a key is one
+// interned id per node section, and the explorer keeps one
+// noc.NodeRecord per id; a worker rebuilds a parent by restoring the
+// nodes whose live section differs from the parent's, which is sound on
+// the contract the visited set already rests on: equal sections are
+// bisimilar.
 func Explore(sc Scenario, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
@@ -414,9 +414,13 @@ type explorer struct {
 	// then the shadow key: a few dozen bytes where the full encoding is
 	// kilobytes. It is exact: sections are self-delimiting, so two
 	// states have equal keys exactly when their full encodings are equal.
-	sections map[string]uint32
-	visited  map[string]int32
-	states   []state
+	// records holds, per section id, a node saved with that section
+	// (the first in frontier order), and recordBytes what they retain.
+	sections    map[string]uint32
+	records     []*noc.NodeRecord
+	recordBytes int
+	visited     map[string]int32
+	states      []state
 
 	// level is the BFS level being expanded, next the one the merge
 	// fills. pending counts the level's entries the merge has not yet
@@ -432,18 +436,17 @@ type explorer struct {
 // successor either was visited when the level began (its id is
 // recorded) or is a candidate: a new state or one first seen elsewhere
 // in the same level, which only the merge can tell apart. A candidate
-// carries its key, its still-unknown sections, and, unless it is
-// terminal, a snapshot of it.
+// carries its key, its still-unknown sections with a record of each,
+// and its count of packets in flight.
 type worker struct {
 	m     *machine
 	start chan struct{}
 	// lo and hi bound the worker's chunk of the level.
 	lo, hi int
 
-	// free is recycled snapshot storage: a parent's as soon as its last
-	// choice is applied, a duplicate candidate's once the merge has
-	// found it.
-	free    []held
+	// live is the section id of each node of the worker's network, as
+	// appendKey last found it, or noSection.
+	live    []uint32
 	enabled []Choice
 	sec     []byte
 
@@ -473,16 +476,18 @@ type outcome struct {
 
 // candidate is a successor not in the visited set when its level began.
 type candidate struct {
-	h              held
 	keyLo, keyHi   int
 	missLo, missHi int
+	inFlight       int32
 	terminal, full bool
 }
 
 // missing is a node section the intern table lacked: the key bytes of
-// node stay zero until the merge interns raw[lo:hi].
+// node stay zero until the merge interns raw[lo:hi], keeping rec as its
+// record if the section is still new then.
 type missing struct {
 	node, lo, hi int
+	rec          *noc.NodeRecord
 }
 
 type stopReason uint8
@@ -508,7 +513,10 @@ func newExplorer(sc *Scenario, opt Options, start time.Time) (*explorer, error) 
 			x.close()
 			return nil, err
 		}
-		w := &worker{m: m}
+		w := &worker{m: m, live: make([]uint32, x.nodes)}
+		for node := range w.live {
+			w.live[node] = noSection
+		}
 		x.workers = append(x.workers, w)
 		if i > 0 {
 			w.start = make(chan struct{})
@@ -548,7 +556,7 @@ func (x *explorer) run() (Verdict, string) {
 	w := x.workers[0]
 	w.reset()
 	w.appendKey(x)
-	w.candidate(0, 0)
+	w.candidate(0, 0, int(w.m.n.Stats().InFlight()))
 	x.admit(w, 0, -1, Choice{}, 0)
 	x.level, x.next = x.next, x.level[:0]
 
@@ -610,7 +618,7 @@ func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
 		at := 0
 		for _, end := range w.expanded {
 			cur := x.level[i].id
-			x.frontierBytes -= x.level[i].size
+			x.frontierBytes -= x.level[i].bytes()
 			i++
 			x.pending = len(x.level) - i
 			for _, o := range w.outs[at:end] {
@@ -632,7 +640,7 @@ func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
 				if id == cur && x.states[cur].full {
 					x.res.Counterexample = append(traceTo(x.states, cur), Choice{Op: OpTick})
 					return Deadlocked, fmt.Sprintf(
-						"quiescent state with %d/%d packets delivered and %d flits in flight",
+						"quiescent state with %d/%d packets delivered and %d packets in flight",
 						w.deadDelivered, x.res.Expected, w.deadInFlight), true
 				}
 			}
@@ -649,9 +657,9 @@ func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
 }
 
 // admit resolves candidate ci of worker w: it interns the sections the
-// worker could not, and either finds the state visited (the snapshot
-// storage goes back to w) or numbers it and queues it for expansion
-// unless it is terminal. It returns the state's id.
+// worker could not, keeping the worker's record of each that is still
+// new, and either finds the state visited or numbers it and queues it
+// for expansion unless it is terminal. It returns the state's id.
 func (x *explorer) admit(w *worker, ci int, parent int32, c Choice, depth int) int32 {
 	cd := &w.cands[ci]
 	key := w.keys[cd.keyLo:cd.keyHi]
@@ -661,44 +669,45 @@ func (x *explorer) admit(w *worker, ci int, parent int32, c Choice, depth int) i
 		if !ok {
 			sid = uint32(len(x.sections))
 			x.sections[string(raw)] = sid
+			x.records = append(x.records, ms.rec)
+			x.recordBytes += ms.rec.Bytes()
 		}
 		binary.LittleEndian.PutUint32(key[4*ms.node:], sid)
 	}
 	// The conversion in the index expression does not allocate; only a
 	// new state's key is materialised.
 	if id, seen := x.visited[string(key)]; seen {
-		if cd.h.snap != nil {
-			w.free = append(w.free, cd.h)
-		}
 		return id
 	}
 	id := int32(len(x.states))
-	x.visited[string(key)] = id
+	k := string(key)
+	x.visited[k] = id
 	x.states = append(x.states, state{parent: parent, choice: c, tickSucc: -1, terminal: cd.terminal, full: cd.full})
 	x.res.States++
 	x.res.Deepest = max(x.res.Deepest, depth)
 	if cd.terminal {
 		x.res.Terminals++
-		return id
+	} else {
+		h := held{key: k, id: id, inFlight: cd.inFlight}
+		x.next = append(x.next, h)
+		x.frontierBytes += h.bytes()
+		x.res.PeakFrontier = max(x.res.PeakFrontier, x.pending+len(x.next))
 	}
-	h := cd.h
-	h.id = id
-	x.next = append(x.next, h)
-	x.frontierBytes += h.size
-	x.res.PeakFrontier = max(x.res.PeakFrontier, x.pending+len(x.next))
-	x.res.PeakFrontierBytes = max(x.res.PeakFrontierBytes, x.frontierBytes)
+	x.res.PeakFrontierBytes = max(x.res.PeakFrontierBytes, x.frontierBytes+x.recordBytes)
 	return id
 }
 
 // reset empties the worker's per-level output.
 func (w *worker) reset() {
 	w.outs, w.expanded, w.cands = w.outs[:0], w.expanded[:0], w.cands[:0]
-	w.keys, w.raw, w.miss = w.keys[:0], w.raw[:0], w.miss[:0]
+	w.keys, w.raw = w.keys[:0], w.raw[:0]
+	clear(w.miss)
+	w.miss = w.miss[:0]
 	w.stop = stopNone
 }
 
 // expand applies every enabled choice to every parent of the worker's
-// chunk. It reads the visited set and the intern table as they stood
+// chunk. It reads the visited set and the intern tables as they stood
 // when the level began and writes nothing outside the worker.
 func (w *worker) expand(x *explorer) {
 	m := w.m
@@ -710,12 +719,15 @@ func (w *worker) expand(x *explorer) {
 		p := &x.level[i]
 		// The enabled set derives from the shadow alone, so the parent
 		// network state only needs restoring per applied choice.
-		m.restoreShadow(p.shad)
+		m.restoreShadowKey(p.key[4*x.nodes:])
 		w.enabled = m.choices(w.enabled)
 		for _, c := range w.enabled {
-			m.n.Restore(p.snap)
-			m.restoreShadow(p.shad)
+			w.restore(x, p)
+			before := m.n.Stats().InFlight()
 			m.apply(c)
+			// The collector is not restored with the nodes, but what a
+			// transition adds to it or takes from it is the transition's.
+			inFlight := int(p.inFlight) + int(m.n.Stats().InFlight()-before)
 			keyLo, missLo := len(w.keys), len(w.miss)
 			if w.appendKey(x) {
 				if id, seen := x.visited[string(w.keys[keyLo:])]; seen {
@@ -723,7 +735,7 @@ func (w *worker) expand(x *explorer) {
 					w.outs = append(w.outs, outcome{c: c, succ: id})
 					if c.Op == OpTick && id == p.id && m.fullyInjected() {
 						// The merge stops here with a deadlock verdict.
-						w.deadDelivered, w.deadInFlight = len(m.led.delivered), int(m.n.Stats().InFlight())
+						w.deadDelivered, w.deadInFlight = len(m.led.delivered), inFlight
 						w.expanded = append(w.expanded, len(w.outs))
 						w.stop = stopDeadlock
 						return
@@ -731,29 +743,44 @@ func (w *worker) expand(x *explorer) {
 					continue
 				}
 			}
-			w.candidate(keyLo, missLo)
+			w.candidate(keyLo, missLo, inFlight)
 			w.outs = append(w.outs, outcome{c: c, succ: ^int32(len(w.cands) - 1)})
 		}
-		// The parent is done with: its storage takes the next candidate.
 		w.expanded = append(w.expanded, len(w.outs))
-		w.free = append(w.free, held{snap: p.snap, shad: p.shad})
 	}
 }
 
+// restore rebuilds parent p on the worker's machine: the nodes whose
+// live section differs from p's are restored from the table's records,
+// the others already hold a bisimilar state, and the explorer-side state
+// comes from p's key. w.live is stale until the next appendKey.
+func (w *worker) restore(x *explorer, p *held) {
+	for node, live := range w.live {
+		if sid := sectionID(p.key, node); sid != live {
+			w.m.n.RestoreNode(node, x.records[sid])
+		}
+	}
+	w.m.restoreShadowKey(p.key[4*x.nodes:])
+}
+
 // appendKey appends the machine's state key to w.keys: the intern id of
-// every node section, then the shadow key. A section the table lacks is
-// copied to w.raw and listed in w.miss, its four key bytes left zero
-// for the merge to fill in. It reports whether every section was known.
+// every node section, then the shadow key, and notes the ids in w.live.
+// A section the table lacks is copied to w.raw and listed in w.miss
+// with a record of the node, its four key bytes left zero for the merge
+// to fill in. It reports whether every section was known.
 func (w *worker) appendKey(x *explorer) bool {
 	known := true
 	for node := 0; node < x.nodes; node++ {
 		w.sec = w.m.n.AppendCanonicalNode(w.sec[:0], node)
 		sid, ok := x.sections[string(w.sec)]
-		if !ok {
+		if ok {
+			w.live[node] = sid
+		} else {
 			known = false
+			w.live[node] = noSection
 			lo := len(w.raw)
 			w.raw = append(w.raw, w.sec...)
-			w.miss = append(w.miss, missing{node: node, lo: lo, hi: len(w.raw)})
+			w.miss = append(w.miss, missing{node: node, lo: lo, hi: len(w.raw), rec: w.m.n.SaveNode(node)})
 		}
 		w.keys = binary.LittleEndian.AppendUint32(w.keys, sid)
 	}
@@ -761,22 +788,13 @@ func (w *worker) appendKey(x *explorer) bool {
 	return known
 }
 
-// candidate records the machine's state as a candidate whose key starts
-// at keyLo in w.keys and whose unknown sections start at missLo in
-// w.miss. A non-terminal one is snapshotted into recycled storage.
-func (w *worker) candidate(keyLo, missLo int) {
+// candidate records the machine's state, with inFlight packets in
+// flight, as a candidate whose key starts at keyLo in w.keys and whose
+// unknown sections start at missLo in w.miss.
+func (w *worker) candidate(keyLo, missLo, inFlight int) {
 	m := w.m
-	cd := candidate{keyLo: keyLo, keyHi: len(w.keys), missLo: missLo, missHi: len(w.miss),
-		terminal: m.terminal(), full: m.fullyInjected()}
-	if !cd.terminal {
-		if k := len(w.free) - 1; k >= 0 {
-			cd.h, w.free = w.free[k], w.free[:k]
-		}
-		cd.h.snap = m.n.SnapshotInto(cd.h.snap)
-		cd.h.shad = m.saveShadow(cd.h.shad)
-		cd.h.size = cd.h.bytes()
-	}
-	w.cands = append(w.cands, cd)
+	w.cands = append(w.cands, candidate{keyLo: keyLo, keyHi: len(w.keys), missLo: missLo, missHi: len(w.miss),
+		inFlight: int32(inFlight), terminal: m.terminal(inFlight), full: m.fullyInjected()})
 }
 
 // findLivelock runs once the space is exhausted. Every fully-injected

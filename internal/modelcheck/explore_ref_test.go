@@ -15,7 +15,8 @@ import (
 // This file keeps the serial explorer that Explore replaced, as an
 // oracle: refExplore pops one state at a time from a FIFO queue and keys
 // its visited set on the full canonical bytes (key), with no section
-// interning and no workers. TestExploreMatchesReference requires
+// interning and no workers, and it holds every frontier state as a
+// whole noc.Snapshot. TestExploreMatchesReference requires
 // Explore to return the same Result, field for field, at every worker
 // count.
 
@@ -50,16 +51,18 @@ func (m *machine) key(buf []byte) []byte {
 // depth.
 type refHeld struct {
 	snap  *noc.Snapshot
-	shad  shadow
+	shad  string
 	id    int32
 	depth int
 }
 
 func (h *refHeld) bytes() int {
-	return int(unsafe.Sizeof(*h)) + h.snap.Bytes() + cap(h.shad)*8
+	return int(unsafe.Sizeof(*h)) + h.snap.Bytes() + len(h.shad)
 }
 
-// refExplore is the serial FIFO explorer, kept verbatim.
+// refExplore is the serial FIFO explorer, kept as it was but for the
+// count its deadlock detail prints, which is packets, and the shadow,
+// which it keeps as its key.
 func refExplore(sc Scenario, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
@@ -93,7 +96,7 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 	discover := func(parent int32, c Choice, depth int) int32 {
 		id := int32(len(states))
 		visited[string(keyBuf)] = id
-		st := state{parent: parent, choice: c, tickSucc: -1, terminal: m.terminal(), full: m.fullyInjected()}
+		st := state{parent: parent, choice: c, tickSucc: -1, terminal: m.terminal(int(m.n.Stats().InFlight())), full: m.fullyInjected()}
 		states = append(states, st)
 		res.States++
 		if st.terminal {
@@ -104,7 +107,7 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 		if k := len(free) - 1; k >= 0 {
 			h, free = free[k], free[:k]
 		}
-		h = refHeld{id: id, snap: m.n.SnapshotInto(h.snap), shad: m.saveShadow(h.shad), depth: depth}
+		h = refHeld{id: id, snap: m.n.SnapshotInto(h.snap), shad: string(m.appendShadowKey(nil)), depth: depth}
 		frontier = append(frontier, h)
 		frontierBytes += h.bytes()
 		res.PeakFrontier = max(res.PeakFrontier, len(frontier))
@@ -144,12 +147,12 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 
 		// The enabled set derives from the shadow alone, so the parent
 		// network state only needs restoring per applied choice.
-		m.restoreShadow(cur.shad)
+		m.restoreShadowKey(cur.shad)
 		enabled = m.choices(enabled)
 
 		for _, c := range enabled {
 			m.n.Restore(cur.snap)
-			m.restoreShadow(cur.shad)
+			m.restoreShadowKey(cur.shad)
 			m.apply(c)
 			res.Transitions++
 
@@ -174,7 +177,7 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 				if id == cur.id && states[cur.id].full {
 					res.Counterexample = append(trace(cur.id), Choice{Op: OpTick})
 					return finish(Deadlocked, fmt.Sprintf(
-						"quiescent state with %d/%d packets delivered and %d flits in flight",
+						"quiescent state with %d/%d packets delivered and %d packets in flight",
 						len(m.led.delivered), m.expected, m.n.Stats().InFlight()))
 				}
 			}

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -254,6 +255,11 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 		t.Fatalf("counterexample of %d choices after %d states and %d transitions, want 14, 56 and 131:\n%v",
 			len(res.Counterexample), res.States, res.Transitions, res.Counterexample)
 	}
+	// The count is of packets, carried with each state from the root:
+	// three offered, one delivered.
+	if want := "quiescent state with 1/3 packets delivered and 2 packets in flight"; res.Detail != want {
+		t.Errorf("detail %q, want %q", res.Detail, want)
+	}
 
 	// The counterexample must be genuine: replaying it from scratch
 	// must land in a state that retains traffic and that ticking does
@@ -263,8 +269,8 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if n.Stats().InFlight() == 0 {
-		t.Error("replayed counterexample state holds no stuck traffic")
+	if got := n.Stats().InFlight(); got != 2 {
+		t.Errorf("replayed counterexample state holds %d packets in flight, want the detail's 2", got)
 	}
 	before := n.StateHash()
 	n.Step()
@@ -284,8 +290,9 @@ func TestSabotageFindsDeadlock(t *testing.T) {
 // scenarios small enough for the race detector: the planted deadlock
 // (the same 14-choice counterexample at every count), a router-fault
 // goldenGraph row, and a wall-clock budget that ends the search partway
-// through a level. It then restores one snapshot into three networks at
-// once, from three goroutines, which noc.Network.Restore allows.
+// through a level. It then restores one snapshot, and one set of node
+// records, into three networks at once, from three goroutines, which
+// noc.Network.Restore and RestoreNode allow.
 func TestExploreWorkers(t *testing.T) {
 	router0 := SingleFaultSweep(RingOn("", 2, 2))[5]
 	if router0.Name != "ring-2x2/router-0" {
@@ -330,9 +337,13 @@ func TestExploreWorkers(t *testing.T) {
 		t.Fatal("every packet delivered before the snapshot")
 	}
 	snap := src.n.Snapshot()
+	recs := make([]*noc.NodeRecord, sc.Width*sc.Height)
+	for node := range recs {
+		recs[node] = src.n.SaveNode(node)
+	}
 	src.n.Step()
 	want := string(src.n.AppendCanonical(nil))
-	got := make([]string, 3)
+	got, gotNodes := make([]string, 3), make([]string, 3)
 	var wg sync.WaitGroup
 	for i := range got {
 		m, err := newMachine(&sc, nil)
@@ -343,15 +354,23 @@ func TestExploreWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			for node, r := range recs {
+				m.n.RestoreNode(node, r)
+			}
+			m.n.Step()
+			gotNodes[i] = string(m.n.AppendCanonical(nil))
 			m.n.Restore(snap)
 			m.n.Step()
 			got[i] = string(m.n.AppendCanonical(nil))
 		}()
 	}
 	wg.Wait()
-	for i, g := range got {
-		if g != want {
+	for i := range got {
+		if got[i] != want {
 			t.Errorf("network %d: a concurrent Restore and Step diverged from the serial one", i)
+		}
+		if gotNodes[i] != want {
+			t.Errorf("network %d: concurrent RestoreNodes and a Step diverged from the serial one", i)
 		}
 	}
 }
@@ -467,12 +486,15 @@ func TestExplorePanicPropagates(t *testing.T) {
 	// A level of two copies of the initial state, one per worker.
 	w := x.workers[0]
 	w.reset()
-	w.candidate(0, 0)
-	w.candidate(0, 0)
-	x.level = []held{w.cands[0].h, w.cands[1].h}
-	// Worker 0's machine now expects one source more than the saved
-	// shadows hold, so restoring its parent indexes past the end.
-	w.m.injected = append(w.m.injected, 0)
+	w.appendKey(x)
+	w.candidate(0, 0, 0)
+	x.admit(w, 0, -1, Choice{}, 0)
+	root := x.next[0]
+	// Worker 0's copy names a section past the end of the record
+	// table, so restoring its parent indexes past the end.
+	broken := []byte(root.key)
+	binary.LittleEndian.PutUint32(broken[4:], uint32(len(x.records)))
+	x.level = []held{{key: string(broken)}, root}
 
 	recovered := make(chan any, 1)
 	go func() {

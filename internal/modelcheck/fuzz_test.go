@@ -10,12 +10,14 @@ import (
 
 // FuzzModelCheckConformance checks the explorer's state machinery
 // against straight-line simulation: a random choice sequence is (a)
-// executed on a machine that snapshot/restore round-trips after every
-// choice — exactly how Explore materializes reachable states — and (b)
-// replayed linearly on a fresh network. Both must land in the same
-// canonical state with the same delivery ledger. Any divergence means
-// a state the explorer believes reachable differs from what the
-// simulator actually does, voiding the tier's proofs.
+// executed on a machine that round-trips every state through node
+// records and its shadow key after every choice — restoring, after a
+// perturbing step, the nodes whose section the step changed, exactly
+// how Explore rebuilds a parent — and (b) replayed linearly on a fresh
+// network. Both must land in the same canonical state with the same
+// delivery ledger. Any divergence means a state the explorer believes
+// reachable differs from what the simulator actually does, voiding the
+// tier's proofs.
 func FuzzModelCheckConformance(f *testing.F) {
 	f.Add(uint64(1), uint8(24), uint8(0), uint8(0))
 	f.Add(uint64(42), uint8(60), uint8(3), uint8(1))
@@ -35,8 +37,8 @@ func FuzzModelCheckConformance(f *testing.F) {
 			sc.RouterFaults = nil
 		}
 
-		// Machine A: random walk with a snapshot/restore round trip
-		// after every choice, recording the trace.
+		// Machine A: random walk with a node-record round trip after
+		// every choice, recording the trace.
 		a, err := newMachine(&sc, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -45,10 +47,8 @@ func FuzzModelCheckConformance(f *testing.F) {
 		r := rng.New(seed)
 		var trace []Choice
 		var buf []Choice
-		// One snapshot and one shadow, refilled every step as Explore
-		// refills a recycled frontier entry's.
-		var snap *noc.Snapshot
-		var shad shadow
+		nodes := sc.Width * sc.Height
+		recs, secs := make([]*noc.NodeRecord, nodes), make([][]byte, nodes)
 		for i := 0; i < int(steps)%64; i++ {
 			buf = a.choices(buf)
 			c := buf[r.Intn(len(buf))]
@@ -58,13 +58,20 @@ func FuzzModelCheckConformance(f *testing.F) {
 			// the restored state must be canonically identical to the
 			// live one.
 			before := append([]byte(nil), a.key(nil)...)
-			snap = a.n.SnapshotInto(snap)
-			shad = a.saveShadow(shad)
+			for node := range recs {
+				recs[node] = a.n.SaveNode(node)
+				secs[node] = a.n.AppendCanonicalNode(nil, node)
+			}
+			shad := string(a.appendShadowKey(nil))
 			a.n.Step() // perturb
-			a.n.Restore(snap)
-			a.restoreShadow(shad)
+			for node, rec := range recs {
+				if !bytes.Equal(a.n.AppendCanonicalNode(nil, node), secs[node]) {
+					a.n.RestoreNode(node, rec)
+				}
+			}
+			a.restoreShadowKey(shad)
 			if after := a.key(nil); !bytes.Equal(before, after) {
-				t.Fatalf("step %d (%v): snapshot/restore round trip diverged from live state", i, c)
+				t.Fatalf("step %d (%v): node-record round trip diverged from live state", i, c)
 			}
 		}
 

@@ -78,7 +78,7 @@ func MonteCarlo(sc Scenario, opt MCOptions) (MCResult, error) {
 	defer m.Close()
 
 	root := m.n.Snapshot()
-	rootShadow := m.saveShadow(shadow{})
+	rootShadow := string(m.appendShadowKey(nil))
 	r := rng.New(opt.Seed)
 	res := MCResult{Scenario: sc, Walks: opt.Walks, Delta: opt.Delta}
 	var stepSum float64
@@ -86,11 +86,11 @@ func MonteCarlo(sc Scenario, opt MCOptions) (MCResult, error) {
 
 	for w := 0; w < opt.Walks; w++ {
 		m.n.Restore(root)
-		m.restoreShadow(rootShadow)
+		m.restoreShadowKey(rootShadow)
 		var walk []Choice
 		steps := 0
 		for ; steps < opt.MaxSteps; steps++ {
-			if m.terminal() {
+			if m.terminal(int(m.n.Stats().InFlight())) {
 				break
 			}
 			choiceBuf = m.choices(choiceBuf)

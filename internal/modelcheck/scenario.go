@@ -13,9 +13,9 @@
 // exploration is exact, not sampled: states are deduplicated by the
 // canonical encoding from noc.AppendCanonical (cycle-number free, so
 // behaviourally identical states merge across time), and transitions
-// are generated from snapshots (noc.Snapshot / Restore), so the model
-// IS the simulator — there is no separate abstract model to drift out
-// of sync.
+// are generated from saved node states (noc.NodeRecord / RestoreNode),
+// so the model IS the simulator — there is no separate abstract model
+// to drift out of sync.
 //
 // For configurations too large to exhaust, the package degrades
 // gracefully: Explore returns an Exhausted verdict with the explored

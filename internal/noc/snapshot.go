@@ -20,20 +20,22 @@ import (
 // per-network half of the checkpoint/restore groundwork the ROADMAP's
 // campaign-server item needs.
 //
-// Snapshot and Restore must be called between Steps (never from a
-// hook). At that boundary the router-internal I/O latches are empty —
-// inputs were drained at the top of Tick, outputs were taken by the
-// commit phase — and all in-flight traffic lives in the network's
-// inbound latches (inFlits/inCredits/inNICredits), which the snapshot
-// captures.
+// Snapshot and Restore, and SaveNode and RestoreNode, must be called
+// between Steps (never from a hook). At that boundary the
+// router-internal I/O latches are empty — inputs were drained at the
+// top of Tick, outputs were taken by the commit phase — and all
+// in-flight traffic lives in the network's inbound latches
+// (inFlits/inCredits/inNICredits), which the snapshot captures.
 //
-// Both directions are on the model checker's per-transition path, and a
-// frontier of held snapshots is what bounds how far a proof reaches, so
-// a snapshot is a handful of flat buffers, not an object graph:
+// A snapshot is a handful of flat buffers, not an object graph:
 // SnapshotInto refills the buffers of a snapshot the caller is finished
 // with and allocates nothing, Restore walks them front to back into the
 // network's own slices, maps and collector and allocates the live flits
 // and packets alone, one block of each (TestModelCheckTransitionAllocs).
+// A NodeRecord is the same per-node record for one node alone (SaveNode,
+// RestoreNode): the model checker keeps one per distinct node section
+// and rebuilds a state node by node, restoring only the nodes whose
+// section differs from what the network holds.
 
 // Snapshot is a deep, self-contained copy of a Network's mutable state.
 // It holds no aliases into the live network: packets are cloned, once
@@ -53,8 +55,17 @@ type Snapshot struct {
 	// into pkts.
 	routers []core.RouterState
 
-	// net is everything narrow outside the routers, one sequential
-	// record written node by node and read back in the same order:
+	// record holds the rest of every node's state, node after node.
+	record
+
+	stats stats.Collector
+}
+
+// record is what a saved node holds beyond its router state: saveNode
+// appends it and restoreNode reads it back in the same order, node after
+// node. A Snapshot holds every node's, a NodeRecord one.
+type record struct {
+	// net is everything narrow, one sequential record per node:
 	//
 	//	the pkts index of each flit the router state holds, in its order
 	//	routerDead, then the NI: activeVCs, sendScan, vcBusy and credits
@@ -63,23 +74,36 @@ type Snapshot struct {
 	//	the inbound latches: flits (port, VC, flit), credits and NI
 	//	  credits (port, VC, VCFree), each behind its length
 	//	the length of the node's retransmission buffer (entries in retx)
+	//	and its number of duplicate-suppression windows
 	//
 	// with a flit outside a router as kind, seq, pkts index. flits
-	// counts the flits in net and in routers together.
+	// counts the flits in net and in the router states together.
 	net   []int32
 	flits int
 
 	// words holds the wide per-node values: midFlight and linkDrop per
-	// link, then seqNext and the linkDead mask per node.
+	// link of the node, then its seqNext and linkDead mask.
 	words []uint64
 
 	pkts []flit.Packet
 	retx []retxEntry
-	// delivered is nil while no node has a duplicate-suppression window
-	// (always, without retransmission).
-	delivered []map[int]*seqWindow
+	// windows holds a copy of the duplicate-suppression windows of each
+	// node that has any, in node order: none without retransmission.
+	windows []map[int]*seqWindow
+}
 
-	stats stats.Collector
+// reset empties r for a save pass.
+func (r *record) reset() {
+	clear(r.windows)
+	r.net, r.words, r.pkts, r.retx, r.windows = r.net[:0], r.words[:0], r.pkts[:0], r.retx[:0], r.windows[:0]
+	r.flits = 0
+}
+
+// bytes returns the heap bytes r's buffers retain. The windows are maps
+// and count as one pointer each.
+func (r *record) bytes() int {
+	return cap(r.net)*4 + cap(r.words)*8 + cap(r.pkts)*int(unsafe.Sizeof(flit.Packet{})) +
+		cap(r.retx)*int(unsafe.Sizeof(retxEntry{})) + cap(r.windows)*8
 }
 
 // snapShape is what a Snapshot's layout and its router states' derive
@@ -95,22 +119,20 @@ type snapShape struct {
 // capacity of every buffer it owns. The duplicate-suppression windows of
 // a retransmission-armed network are maps and are not counted.
 func (s *Snapshot) Bytes() int {
-	b := int(unsafe.Sizeof(*s)) + cap(s.routers)*int(unsafe.Sizeof(core.RouterState{})) +
-		cap(s.net)*4 + cap(s.words)*8 + cap(s.pkts)*int(unsafe.Sizeof(flit.Packet{})) +
-		cap(s.retx)*int(unsafe.Sizeof(retxEntry{})) + cap(s.delivered)*8
+	b := int(unsafe.Sizeof(*s)) + cap(s.routers)*int(unsafe.Sizeof(core.RouterState{})) + s.record.bytes()
 	for i := range s.routers {
 		b += s.routers[i].Bytes()
 	}
 	return b
 }
 
-// snapIO is the scratch Snapshot and Restore share: the cursor state of
-// the one in progress and the two flit functions handed to core, bound
-// once. A network allocates it on its first Snapshot or Restore.
+// snapIO is the scratch the savers and restorers share: the cursor state
+// of the one in progress and the two flit functions handed to core,
+// bound once. A network allocates it on its first save or restore.
 type snapIO struct {
-	// shape is the network's, s the snapshot being written or read.
+	// shape is the network's, s the record being written or read.
 	shape snapShape
-	s     *Snapshot
+	s     *record
 
 	// Saving: pktIdx maps each live packet to its clone's index in
 	// s.pkts, so the flits of a packet split between an NI and router
@@ -126,12 +148,17 @@ type snapIO struct {
 	moved    bool
 	saveFlit func(*flit.Flit) *flit.Flit
 
-	// Restoring: pkts and flits are the live clones, one block each, at
-	// is the read position in s.net and used counts the flits handed out.
-	pkts        []flit.Packet
-	flits       []flit.Flit
-	at, used    int
-	restoreFlit func(*flit.Flit) *flit.Flit
+	// Restoring: pkts and flits are the live clones, one block each.
+	// at, wordAt, retxAt and windowAt are the read positions in s.net,
+	// s.words, s.retx and s.windows, and used counts the flits handed
+	// out. shift is how far the network's clock is ahead of the one the
+	// record was saved at.
+	pkts                     []flit.Packet
+	flits                    []flit.Flit
+	at, used                 int
+	wordAt, retxAt, windowAt int
+	shift                    sim.Cycle
+	restoreFlit              func(*flit.Flit) *flit.Flit
 }
 
 func (n *Network) snapIO() *snapIO {
@@ -143,6 +170,23 @@ func (n *Network) snapIO() *snapIO {
 		n.io.saveFlit, n.io.restoreFlit = n.io.savedFlit, n.io.liveFlit
 	}
 	return n.io
+}
+
+// startSave empties s and the packet memo for a save pass into s. Every
+// pass starts here: a pass that had to grow s.pkts is repeated (moved),
+// and one a panic cut short left entries in the memo.
+func (io *snapIO) startSave(s *record) {
+	io.s = s
+	s.reset()
+	clear(io.pktIdx)
+	io.last, io.moved = nil, false
+}
+
+// endSave drops the save's references: the memo must not keep live
+// packets reachable between saves.
+func (io *snapIO) endSave() {
+	io.s, io.last = nil, nil
+	clear(io.pktIdx)
 }
 
 // pkt returns the index in s.pkts of p's clone, cloning it on first
@@ -171,7 +215,7 @@ func (io *snapIO) putFlit(f *flit.Flit) {
 
 // savedFlit is core.SaveStateInto's cloneFlit: the router state keeps
 // the returned flit by value, and the record keeps its packet's index
-// for Restore.
+// for the restore.
 func (io *snapIO) savedFlit(f *flit.Flit) *flit.Flit {
 	idx := io.pkt(f.Pkt)
 	io.s.net = append(io.s.net, idx)
@@ -180,11 +224,47 @@ func (io *snapIO) savedFlit(f *flit.Flit) *flit.Flit {
 	return &io.tmp
 }
 
+// startRestore starts reading s into a network whose clock is shift
+// cycles ahead of the one s was saved at: it clones the saved packets,
+// their timestamps moved by shift, and allocates the live flits, one
+// block of each. EjectedAt is stamped when a packet leaves the network,
+// so no saved packet has one to move.
+func (io *snapIO) startRestore(s *record, shift sim.Cycle) {
+	io.s, io.shift = s, shift
+	io.pkts = slices.Clone(s.pkts)
+	if shift != 0 {
+		for i := range io.pkts {
+			io.pkts[i].CreatedAt += shift
+			io.pkts[i].InjectedAt += shift
+		}
+	}
+	io.flits = make([]flit.Flit, s.flits)
+	io.at, io.used, io.wordAt, io.retxAt, io.windowAt = 0, 0, 0, 0, 0
+}
+
+// endRestore checks that the restore read s to its end, and drops the
+// references.
+func (io *snapIO) endRestore(caller string) {
+	s := io.s
+	if io.at != len(s.net) || io.used != s.flits || io.wordAt != len(s.words) || io.retxAt != len(s.retx) || io.windowAt != len(s.windows) {
+		panic(fmt.Sprintf("noc: %s: read %d of %d record values, %d of %d flits, %d of %d words, %d of %d retransmission entries and %d of %d windows: save and restore disagree on the record layout",
+			caller, io.at, len(s.net), io.used, s.flits, io.wordAt, len(s.words), io.retxAt, len(s.retx), io.windowAt, len(s.windows)))
+	}
+	io.s, io.pkts, io.flits = nil, nil, nil
+}
+
 // get reads the next record value.
 func (io *snapIO) get() int {
 	v := io.s.net[io.at]
 	io.at++
 	return int(v)
+}
+
+// getWords reads the next k wide values.
+func (io *snapIO) getWords(k int) []uint64 {
+	w := io.s.words[io.wordAt : io.wordAt+k]
+	io.wordAt += k
+	return w
 }
 
 // live returns the next live flit, of the given kind and position in
@@ -212,7 +292,7 @@ func (io *snapIO) getCredit() credit {
 func (io *snapIO) liveFlit(f *flit.Flit) *flit.Flit {
 	idx := io.get()
 	if f.Pkt != &io.s.pkts[idx] {
-		panic("noc: Restore: router state and network record disagree on the order of the saved flits")
+		panic("noc: restore: router state and network record disagree on the order of the saved flits")
 	}
 	return io.live(f.Kind, f.Seq, idx)
 }
@@ -223,8 +303,7 @@ func (n *Network) Snapshot() *Snapshot { return n.SnapshotInto(nil) }
 
 // SnapshotInto is Snapshot writing into old's storage: every field of
 // old is overwritten and old is returned, so a caller that takes many
-// snapshots and is finished with some — the model checker, once a
-// frontier state is fully expanded — allocates nothing for the next
+// snapshots and is finished with some allocates nothing for the next
 // one. The caller must own old outright: whatever it held is gone.
 // Restore never consumes a snapshot, so handing storage back is always
 // the caller's decision. A nil old, or one taken from a network of
@@ -242,73 +321,61 @@ func (n *Network) SnapshotInto(old *Snapshot) *Snapshot {
 		s = &Snapshot{
 			shape:   sh,
 			routers: make([]core.RouterState, sh.nodes),
-			net:     make([]int32, 0, sh.nodes*(7+3*sh.vcs+sh.classes)+8*inFlight),
-			words:   make([]uint64, sh.nodes*(2*sh.ports+2)),
-			pkts:    make([]flit.Packet, 0, inFlight),
+			record: record{
+				net:   make([]int32, 0, sh.nodes*(8+3*sh.vcs+sh.classes)+8*inFlight),
+				words: make([]uint64, 0, sh.nodes*(2*sh.ports+2)),
+				pkts:  make([]flit.Packet, 0, inFlight),
+			},
 		}
 	}
 	// The router states point into pkts, so a pass that had to grow it
 	// is repeated: the second finds the capacity the first one built.
-	io.s = s
-	for {
-		io.moved = false
-		n.fill(s, io)
-		if !io.moved {
-			break
+	for repeat := true; repeat; repeat = io.moved {
+		io.startSave(&s.record)
+		s.cycle = n.cycle
+		s.nextID = n.nextID
+		s.stats.CopyFrom(n.stats)
+		for id := range n.routers {
+			// Empty or of this shape, so filled in place: snapShape
+			// covers what core checks.
+			n.saveNode(id, &s.routers[id], io)
 		}
 	}
-	// The memo must not keep live packets reachable between snapshots.
-	io.s, io.last = nil, nil
-	clear(io.pktIdx)
+	io.endSave()
 	return s
 }
 
-// fill writes every field of s from the network. It empties the packet
-// memo first: a pass that was repeated, or one a panic cut short, left
-// entries behind.
-func (n *Network) fill(s *Snapshot, io *snapIO) {
-	clear(io.pktIdx)
-	io.last = nil
-	s.net, s.pkts, s.retx, s.flits = s.net[:0], s.pkts[:0], s.retx[:0], 0
-	s.cycle = n.cycle
-	s.nextID = n.nextID
-	s.stats.CopyFrom(n.stats)
+// saveNode appends node id's state to the record being saved and saves
+// its router into rs, which is empty or of this network's shape: the
+// one per-node save of Snapshot and SaveNode.
+func (n *Network) saveNode(id int, rs *core.RouterState, io *snapIO) {
+	s := io.s
+	n.routers[id].SaveStateInto(rs, io.saveFlit)
+	s.net = append(s.net, int32(bit(n.routerDead[id])))
+	saveNI(s, n.nis[id], io)
 
-	links := len(n.midFlight)
-	copy(s.words, n.midFlight)
-	copy(s.words[links:], n.linkDrop)
-	copy(s.words[2*links:], n.seqNext)
-	deadMasks := s.words[2*links+len(n.seqNext):]
-	for id, r := range n.routers {
-		// Empty or of this shape, so filled in place: snapShape covers
-		// what core checks.
-		r.SaveStateInto(&s.routers[id], io.saveFlit)
-		s.net = append(s.net, int32(bit(n.routerDead[id])))
-		saveNI(s, n.nis[id], io)
+	s.net = append(s.net, int32(len(n.inFlits[id])))
+	for _, w := range n.inFlits[id] {
+		s.net = append(s.net, int32(w.in), int32(w.vc))
+		io.putFlit(w.f)
+	}
+	s.net = append(s.net, int32(len(n.inCredits[id])))
+	for _, c := range n.inCredits[id] {
+		s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
+	}
+	s.net = append(s.net, int32(len(n.inNICredits[id])))
+	for _, c := range n.inNICredits[id] {
+		s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
+	}
 
-		s.net = append(s.net, int32(len(n.inFlits[id])))
-		for _, w := range n.inFlits[id] {
-			s.net = append(s.net, int32(w.in), int32(w.vc))
-			io.putFlit(w.f)
-		}
-		s.net = append(s.net, int32(len(n.inCredits[id])))
-		for _, c := range n.inCredits[id] {
-			s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
-		}
-		s.net = append(s.net, int32(len(n.inNICredits[id])))
-		for _, c := range n.inNICredits[id] {
-			s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
-		}
-
-		deadMasks[id] = deadMask(n.linkDead[id])
-		s.net = append(s.net, int32(len(n.retx[id])))
-		s.retx = append(s.retx, n.retx[id]...)
-		if s.delivered == nil && len(n.delivered[id]) > 0 {
-			s.delivered = make([]map[int]*seqWindow, len(n.routers))
-		}
-		if s.delivered != nil {
-			s.delivered[id] = copyWindows(s.delivered[id], n.delivered[id])
-		}
+	lo, hi := id*n.ports, (id+1)*n.ports
+	s.words = append(s.words, n.midFlight[lo:hi]...)
+	s.words = append(s.words, n.linkDrop[lo:hi]...)
+	s.words = append(s.words, n.seqNext[id], deadMask(n.linkDead[id]))
+	s.net = append(s.net, int32(len(n.retx[id])), int32(len(n.delivered[id])))
+	s.retx = append(s.retx, n.retx[id]...)
+	if len(n.delivered[id]) > 0 {
+		s.windows = append(s.windows, copyWindows(nil, n.delivered[id]))
 	}
 }
 
@@ -360,7 +427,7 @@ func copyWindows(dst, src map[int]*seqWindow) map[int]*seqWindow {
 	return out
 }
 
-func saveNI(s *Snapshot, ni *NI, io *snapIO) {
+func saveNI(s *record, ni *NI, io *snapIO) {
 	s.net = append(s.net, int32(ni.activeVCs), int32(ni.sendScan))
 	for v, busy := range ni.vcBusy {
 		s.net = append(s.net, int32(bit(busy)), int32(ni.credits[v]))
@@ -397,80 +464,141 @@ func (n *Network) Restore(s *Snapshot) {
 	if s.shape != io.shape {
 		panic(fmt.Sprintf("noc: Restore: snapshot of a %+v network restored into a %+v one", s.shape, io.shape))
 	}
-	io.s = s
-	io.pkts = slices.Clone(s.pkts)
-	io.flits = make([]flit.Flit, s.flits)
-	io.at, io.used = 0, 0
-
+	io.startRestore(&s.record, 0)
 	n.cycle = s.cycle
 	n.nextID = s.nextID
 	n.stats.CopyFrom(&s.stats)
-	links := len(n.midFlight)
-	copy(n.midFlight, s.words)
-	copy(n.linkDrop, s.words[links:])
-	copy(n.seqNext, s.words[2*links:])
-	deadMasks := s.words[2*links+len(n.seqNext):]
-
-	// The fault-aware routing tables are a pure function of the link and
-	// router fault sets, so the rebuild at the end is only needed when
-	// the snapshot's fault sets differ from the network's current ones.
-	// The model checker restores thousands of same-fault-set snapshots
-	// per scenario; skipping the rebuild there is a large win.
 	faultsChanged := false
-	retxAt := 0
-	for id, r := range n.routers {
-		r.RestoreState(&s.routers[id], io.restoreFlit)
-		if dead := io.get() != 0; dead != n.routerDead[id] {
-			n.routerDead[id], faultsChanged = dead, true
-		}
-		restoreNI(n.nis[id], io)
-
-		// The operands below are read in the lexical order of each
-		// composite literal, which is the order fill wrote them in.
-		n.inFlits[id] = n.inFlits[id][:0]
-		for k := io.get(); k > 0; k-- {
-			n.inFlits[id] = append(n.inFlits[id],
-				inFlit{in: uint8(io.get()), vc: uint8(io.get()), f: io.getFlit()})
-		}
-		n.inCredits[id] = n.inCredits[id][:0]
-		for k := io.get(); k > 0; k-- {
-			n.inCredits[id] = append(n.inCredits[id], io.getCredit())
-		}
-		n.inNICredits[id] = n.inNICredits[id][:0]
-		for k := io.get(); k > 0; k-- {
-			n.inNICredits[id] = append(n.inNICredits[id], io.getCredit())
-		}
-
-		if m := deadMasks[id]; m != deadMask(n.linkDead[id]) {
+	for id := range n.routers {
+		if n.restoreNode(id, &s.routers[id], io) {
 			faultsChanged = true
-			for p := range n.linkDead[id] {
-				n.linkDead[id][p] = m>>uint(p)&1 != 0
-			}
 		}
-		k := io.get()
-		n.retx[id] = append(n.retx[id][:0], s.retx[retxAt:retxAt+k]...)
-		retxAt += k
-		var windows map[int]*seqWindow
-		if s.delivered != nil {
-			windows = s.delivered[id]
-		}
-		n.delivered[id] = copyWindows(n.delivered[id], windows)
-
-		// Staged compute outputs alias router buffers that RestoreState
-		// just reset; drop the stale views.
-		n.stagedFlits[id] = nil
-		n.stagedCredits[id] = nil
 	}
-	if io.at != len(s.net) || io.used != s.flits || retxAt != len(s.retx) {
-		panic(fmt.Sprintf("noc: Restore: read %d of %d record values, %d of %d flits and %d of %d retransmission entries: save and restore disagree on the record layout",
-			io.at, len(s.net), io.used, s.flits, retxAt, len(s.retx)))
-	}
-	io.s, io.pkts, io.flits = nil, nil, nil
+	io.endRestore("Restore")
 	if faultsChanged {
-		// Rebuild (or drop) the fault-aware tables from the restored
-		// fault sets. rebuildRoutes reinstalls the topology's baseline
-		// RouteFn (nil for a mesh, the dateline torusRoute for a
-		// torus) when the restored state is fault free.
+		n.rebuildRoutes()
+	}
+}
+
+// restoreNode overwrites node id from rs and from the record at io's
+// read position, moving its retransmission timers by io.shift: the one
+// per-node restore of Restore and RestoreNode. It reports whether the
+// node's link or router fault set changed. The fault-aware routing
+// tables are a pure function of those sets, so only then does the
+// caller rebuild them: a model checker restores thousands of states of
+// one fault set per scenario, and skipping the rebuild there is a large
+// win. rebuildRoutes reinstalls the topology's baseline RouteFn (nil for
+// a mesh, the dateline torusRoute for a torus) once the network is
+// fault free again.
+func (n *Network) restoreNode(id int, rs *core.RouterState, io *snapIO) (faultsChanged bool) {
+	n.routers[id].RestoreState(rs, io.restoreFlit)
+	if dead := io.get() != 0; dead != n.routerDead[id] {
+		n.routerDead[id], faultsChanged = dead, true
+	}
+	restoreNI(n.nis[id], io)
+
+	// The operands below are read in the lexical order of each
+	// composite literal, which is the order saveNode wrote them in.
+	n.inFlits[id] = n.inFlits[id][:0]
+	for k := io.get(); k > 0; k-- {
+		n.inFlits[id] = append(n.inFlits[id],
+			inFlit{in: uint8(io.get()), vc: uint8(io.get()), f: io.getFlit()})
+	}
+	n.inCredits[id] = n.inCredits[id][:0]
+	for k := io.get(); k > 0; k-- {
+		n.inCredits[id] = append(n.inCredits[id], io.getCredit())
+	}
+	n.inNICredits[id] = n.inNICredits[id][:0]
+	for k := io.get(); k > 0; k-- {
+		n.inNICredits[id] = append(n.inNICredits[id], io.getCredit())
+	}
+
+	copy(n.midFlight[id*n.ports:], io.getWords(n.ports))
+	copy(n.linkDrop[id*n.ports:], io.getWords(n.ports))
+	w := io.getWords(2)
+	n.seqNext[id] = w[0]
+	if m := w[1]; m != deadMask(n.linkDead[id]) {
+		faultsChanged = true
+		for p := range n.linkDead[id] {
+			n.linkDead[id][p] = m>>uint(p)&1 != 0
+		}
+	}
+	k := io.get()
+	n.retx[id] = append(n.retx[id][:0], io.s.retx[io.retxAt:io.retxAt+k]...)
+	io.retxAt += k
+	for i := range n.retx[id] {
+		n.retx[id][i].createdAt += io.shift
+		n.retx[id][i].deadline += io.shift
+	}
+	var windows map[int]*seqWindow
+	if io.get() > 0 {
+		windows = io.s.windows[io.windowAt]
+		io.windowAt++
+	}
+	n.delivered[id] = copyWindows(n.delivered[id], windows)
+
+	// Staged compute outputs alias router buffers that RestoreState
+	// just reset; drop the stale views.
+	n.stagedFlits[id] = nil
+	n.stagedCredits[id] = nil
+	return faultsChanged
+}
+
+// NodeRecord is one node's state at a step boundary, saved on its own by
+// SaveNode: what a Snapshot holds of each node, with the node's packets
+// cloned for it alone and its timestamps and retransmission timers taken
+// relative to the cycle it was saved at. It leaves out what belongs to
+// the whole network — the clock, the next packet ID, the statistics.
+// RestoreNode installs it into a node of any network of the same shape,
+// at any cycle, as often as asked: a restored node's canonical section
+// (AppendCanonicalNode) is the saved one. The model checker keeps one
+// record per distinct section and restores a state node by node.
+type NodeRecord struct {
+	shape  snapShape
+	cycle  sim.Cycle
+	router core.RouterState
+	record
+}
+
+// Bytes returns the heap bytes the record retains: the struct and the
+// capacity of every buffer it owns, duplicate-suppression windows not
+// counted.
+func (r *NodeRecord) Bytes() int {
+	return int(unsafe.Sizeof(*r)) + r.router.Bytes() + r.record.bytes()
+}
+
+// SaveNode saves node id's state into a fresh NodeRecord. It must be
+// called at a step boundary and leaves the network unchanged.
+func (n *Network) SaveNode(id int) *NodeRecord {
+	io := n.snapIO()
+	r := &NodeRecord{shape: io.shape, cycle: n.cycle}
+	for repeat := true; repeat; repeat = io.moved {
+		io.startSave(&r.record)
+		n.saveNode(id, &r.router, io)
+	}
+	io.endSave()
+	return r
+}
+
+// RestoreNode overwrites node id with a state SaveNode saved, of this
+// node or of any other, leaving every other node, the clock, the next
+// packet ID and the statistics as they are. The node's timestamps and
+// retransmission timers keep their distance from the clock; packets
+// whose flits sit in several nodes are restored as one equal clone per
+// node. It must be called at a step boundary, on a network of the
+// record's shape; on any other it panics before it has changed
+// anything. RestoreNode only reads the record, so one record may be
+// restored into several networks at once. The routing tables are
+// rebuilt only if the node's fault sets changed.
+func (n *Network) RestoreNode(id int, r *NodeRecord) {
+	io := n.snapIO()
+	if r.shape != io.shape {
+		panic(fmt.Sprintf("noc: RestoreNode: record of a %+v network restored into a %+v one", r.shape, io.shape))
+	}
+	io.startRestore(&r.record, n.cycle-r.cycle)
+	faultsChanged := n.restoreNode(id, &r.router, io)
+	io.endRestore("RestoreNode")
+	if faultsChanged {
 		n.rebuildRoutes()
 	}
 }

@@ -79,6 +79,8 @@ func requireSameNetworks(t *testing.T, when string, a, b *Network) {
 // agreement over 64 more cycles. It restores the same snapshot a second
 // time (restore must not consume it) and once more from storage recycled
 // from the previous check's state, which held more or less than this one.
+// A third twin, standing at its own cycle, takes every node's
+// NodeRecord instead and must encode and step as the first does.
 func FuzzSnapshotMatchesReference(f *testing.F) {
 	// The named seeds are in testdata/fuzz/FuzzSnapshotMatchesReference.
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 5, 7, 0, 0x20, 0, 4, 0, 0})
@@ -112,7 +114,7 @@ func FuzzSnapshotMatchesReference(f *testing.F) {
 		n := build(src)
 		// The twins take no traffic of their own: what they carry is what
 		// a restore put there.
-		twin, refTwin := build(nil), build(nil)
+		twin, refTwin, nodeTwin := build(nil), build(nil), build(nil)
 
 		var spare *Snapshot
 		checks := 0
@@ -131,6 +133,17 @@ func FuzzSnapshotMatchesReference(f *testing.F) {
 				if err := twin.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
+			}
+			twin.Restore(snap)
+			for id := range nodes {
+				nodeTwin.RestoreNode(id, n.SaveNode(id))
+			}
+			for k := 0; k <= 64; k++ {
+				if !bytes.Equal(nodeTwin.AppendCanonical(nil), twin.AppendCanonical(nil)) {
+					t.Fatalf("restored node by node, %d cycles on: canonical states differ", k)
+				}
+				twin.Step()
+				nodeTwin.Step()
 			}
 			// spare holds the previous check's state, or nothing yet.
 			spare = n.SnapshotInto(spare)
