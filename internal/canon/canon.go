@@ -14,11 +14,24 @@ import (
 	"gonoc/internal/flit"
 )
 
-// Int appends v as a signed varint.
-func Int(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+// Int appends v as a signed varint. Most values of a section are small,
+// and a zigzagged value below 0x80 is its own one-byte varint, appended
+// without the general loop: the bytes are binary.AppendVarint's.
+func Int(b []byte, v int) []byte {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return Uint(b, ux)
+}
 
-// Uint appends v as an unsigned varint.
-func Uint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+// Uint appends v as an unsigned varint, a value below 0x80 as itself.
+func Uint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, v)
+}
 
 // Bool appends v as one byte, 1 or 0.
 func Bool(b []byte, v bool) []byte {

@@ -21,12 +21,12 @@ func TestEmptyRouterInBypassKeepsTicking(t *testing.T) {
 	cfg := ftCfg()
 	cfg.BypassRotatePeriod = 4
 	b := newBench(t, cfg)
-	if !b.r.quiescent() {
+	if !b.r.Quiescent() {
 		t.Fatal("fresh router is not quiescent")
 	}
 	b.r.SetSA1Fault(topology.West, true)
 	b.r.SetSA1Fault(topology.West, true) // setting it twice must count once
-	if b.r.quiescent() {
+	if b.r.Quiescent() {
 		t.Error("router with a port in bypass mode reported quiescent")
 	}
 
@@ -48,7 +48,7 @@ func TestEmptyRouterInBypassKeepsTicking(t *testing.T) {
 	}
 
 	b.r.SetSA1Fault(topology.West, false)
-	if !b.r.quiescent() {
+	if !b.r.Quiescent() {
 		t.Error("repaired empty router is not quiescent again")
 	}
 	b.run(n)
@@ -80,14 +80,14 @@ func TestOccupancyTracksPackets(t *testing.T) {
 				if err := b.r.CheckOccupancy(); err != nil {
 					t.Fatalf("cycle %d: %v", i, err)
 				}
-				if !b.r.quiescent() {
+				if !b.r.Quiescent() {
 					busy++
 				}
 			}
 			if len(b.arrived[topology.East]) != 3 {
 				t.Fatalf("%d flits arrived, want 3", len(b.arrived[topology.East]))
 			}
-			if !b.r.quiescent() || b.r.occupied != 0 {
+			if !b.r.Quiescent() || b.r.occupied != 0 {
 				t.Errorf("router not quiescent after the tail left (occupied=%d)", b.r.occupied)
 			}
 			if busy == 0 {

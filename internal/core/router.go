@@ -484,7 +484,7 @@ func spanWord(lo, hi int) uint64 {
 // A quiescent router returns right after the latches are applied.
 func (r *Router) Tick(cy sim.Cycle) {
 	r.acceptInputs()
-	if r.quiescent() {
+	if r.Quiescent() {
 		return
 	}
 	r.drainStage()
@@ -495,13 +495,14 @@ func (r *Router) Tick(cy sim.Cycle) {
 	r.stallScan(cy)
 }
 
-// quiescent reports whether no pipeline stage has anything to do this
+// Quiescent reports whether no pipeline stage has anything to do this
 // cycle: no VC holds a packet and no grant awaits the crossbar. A port in
 // SA bypass mode is the exception that keeps an empty router ticking:
 // its default winner rotates (and an adoption ages) on empty cycles too,
 // see saStage. Every other piece of cross-cycle state — arbiter
-// priorities, rcScan — moves only when a VC is served.
-func (r *Router) quiescent() bool {
+// priorities, rcScan — moves only when a VC is served, so a quiescent
+// router whose input latches are empty leaves a Tick unchanged.
+func (r *Router) Quiescent() bool {
 	return r.occupied == 0 && len(r.grants) == 0 && r.sa1Faults == 0
 }
 

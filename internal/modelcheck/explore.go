@@ -136,13 +136,15 @@ type Result struct {
 	// Deepest is the largest transition depth reached.
 	Deepest int
 	// PeakFrontier is the largest number of discovered-but-unexpanded
-	// states held at once. An entry is its visited key — one interned
-	// section id per node and the explorer-side state — plus its count
-	// of packets in flight; the network state it names lives once per
-	// distinct node section, in a table of noc.NodeRecords the search
-	// only grows. PeakFrontierBytes is the most heap the entries and
-	// that table held at once: what bounds the exploration's memory
-	// beyond the visited set and the per-state graph.
+	// states held at once. An entry is eight bytes: the state's id,
+	// which names its key in the arena every visited state has one in
+	// (an interned section id per node and one for the explorer-side
+	// state), and its count of packets in flight. The network state a
+	// key names lives once per distinct node section, in a table of
+	// noc.NodeRecords the search only grows. PeakFrontierBytes is the
+	// most heap the entries and that table held at once; the visited
+	// set's arena and index and the per-state graph, which grow with
+	// States, are not counted.
 	PeakFrontier      int
 	PeakFrontierBytes int
 	// Counterexample is the choice sequence from the initial state to
@@ -318,40 +320,37 @@ func (m *machine) restoreShadowKey(k string) {
 // state is the explorer's record of one discovered state, indexed by
 // the dense id the visited set assigns in discovery order.
 type state struct {
-	// parent and choice record how the state was first reached, for
-	// counterexample reconstruction.
+	// parent, op and src record how the state was first reached, for
+	// counterexample reconstruction: the choice Choice{op, src}.
 	parent int32
-	choice Choice
+	src    int32
 	// tickSucc is the state's tick successor, or -1 until the state is
 	// expanded (terminal states never are). The livelock pass walks
 	// tick chains through fully-injected states only (injection counts
 	// are monotone, so any cycle is made of ticks alone).
 	tickSucc int32
+	op       Op
 	// terminal marks terminal success; full marks fully injected.
 	terminal, full bool
 }
 
-// held is a discovered state awaiting expansion. It is its visited key,
-// which names a record per node and encodes the explorer-side state, and
-// the one thing the key leaves out that the verdicts read: the number of
-// packets in flight.
+// choice returns the choice that first reached the state.
+func (s *state) choice() Choice { return Choice{Op: s.op, Src: int(s.src)} }
+
+// held is a discovered state awaiting expansion: its id, which names its
+// key in the explorer's arena, and the one thing the key leaves out that
+// the verdicts read: the number of packets in flight.
 type held struct {
-	key      string
-	id       int32
-	inFlight int32
+	id, inFlight int32
 }
 
-// bytes is the heap the entry retains.
-func (h *held) bytes() int { return int(unsafe.Sizeof(*h)) + len(h.key) }
+// heldBytes is the heap a frontier entry retains.
+const heldBytes = int(unsafe.Sizeof(held{}))
 
-// sectionID returns the interned section id of node in key.
-func sectionID(key string, node int) uint32 {
-	k := key[4*node : 4*node+4]
-	return uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
-}
-
-// noSection is a worker's live id for a node it has not keyed yet, or
-// whose section the table lacked when it did: no parent has it.
+// noSection is a key word the intern tables do not hold yet: a worker's
+// live word for a node it has not keyed, or whose section the table
+// lacked when it did, and a candidate's word until the merge interns it.
+// No admitted key has it.
 const noSection = ^uint32(0)
 
 // Explore exhaustively enumerates the scenario's reachable state space
@@ -369,12 +368,13 @@ const noSection = ^uint32(0)
 // condition as it goes. The Result is the same at every worker count,
 // Elapsed and PeakFrontierBytes aside.
 //
-// A state is held as its key alone. The network half of a key is one
-// interned id per node section, and the explorer keeps one
-// noc.NodeRecord per id; a worker rebuilds a parent by restoring the
-// nodes whose live section differs from the parent's, which is sound on
-// the contract the visited set already rests on: equal sections are
-// bisimilar.
+// A state is its key: one interned id per node section and one for the
+// explorer-side state, nodes+1 words held once in an arena. The explorer
+// keeps one noc.NodeRecord per section id; a worker rebuilds a parent by
+// restoring the nodes whose live section differs from the parent's,
+// which is sound on the contract the visited set already rests on: equal
+// sections are bisimilar. A successor's key starts as its parent's, and
+// only the nodes the transition can have changed are encoded again.
 func Explore(sc Scenario, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
@@ -390,9 +390,9 @@ func Explore(sc Scenario, opt Options) (Result, error) {
 	return x.res, nil
 }
 
-// explorer is one Explore call's search state. The workers read
-// sections, visited and level while they expand a level; only the merge,
-// which runs while they wait, writes them.
+// explorer is one Explore call's search state. The workers read the
+// intern tables, the arena, the index and level while they expand a
+// level; only the merge, which runs while they wait, writes them.
 type explorer struct {
 	opt   Options
 	start time.Time
@@ -406,21 +406,34 @@ type explorer struct {
 	workers []*worker
 	done    chan struct{}
 	exited  sync.WaitGroup
-	nodes   int
+	// nodes is the network's node count and width the words of a key:
+	// one per node, then the shadow's.
+	nodes, width int
 
 	// sections interns every distinct node section of the network's
-	// canonical encoding (noc.Network.AppendCanonicalNode) seen so far.
-	// A visited key is the section id of every node, four bytes each,
-	// then the shadow key: a few dozen bytes where the full encoding is
-	// kilobytes. It is exact: sections are self-delimiting, so two
-	// states have equal keys exactly when their full encodings are equal.
-	// records holds, per section id, a node saved with that section
-	// (the first in frontier order), and recordBytes what they retain.
+	// canonical encoding (noc.Network.AppendCanonicalNode) seen so far,
+	// and records holds, per section id, a node saved with that section
+	// (the first in frontier order); recordBytes is what they retain.
+	// shadows interns the explorer-side keys (appendShadowKey) the same
+	// way, and shadowKeys holds them by id for restoring. A key word per
+	// node section and one for the shadow is exact: sections are
+	// self-delimiting, so two states have equal keys exactly when their
+	// full encodings are equal.
 	sections    map[string]uint32
 	records     []*noc.NodeRecord
 	recordBytes int
-	visited     map[string]int32
-	states      []state
+	shadows     map[string]uint32
+	shadowKeys  []string
+
+	// keys is the arena of every admitted state's key, width words each,
+	// in id order; index is the visited set over it, open addressed
+	// with linear probing: a slot holds a state id plus one, or 0 when
+	// empty, and is found from the top bits of the key's hash (shift is
+	// 64 minus their count). It is never more than half full.
+	keys   []uint32
+	index  []int32
+	shift  uint
+	states []state
 
 	// level is the BFS level being expanded, next the one the merge
 	// fills. pending counts the level's entries the merge has not yet
@@ -444,21 +457,27 @@ type worker struct {
 	// lo and hi bound the worker's chunk of the level.
 	lo, hi int
 
-	// live is the section id of each node of the worker's network, as
-	// appendKey last found it, or noSection.
-	live    []uint32
+	// live is the key of the worker's network as it stands: each node's
+	// section id and the shadow's, or noSection where it is not known.
+	live []uint32
+	// quiet marks, for the parent being ticked, each node that was
+	// noc.Network.NodeQuiet before the tick.
+	quiet   []bool
 	enabled []Choice
 	sec     []byte
+	// at is where the key being built starts in rows, and missAt where
+	// its misses start in miss.
+	at, missAt int
 
 	// One level's output. outs is every transition of the chunk in
-	// order, and expanded the end in outs of each parent expanded.
-	// cands, keys, raw and miss hold the candidates: keys and raw are
-	// arenas the records index into. stop says why the worker ended its
-	// chunk early.
+	// choice order, and expanded the end in outs of each parent
+	// expanded. cands and rows hold the candidates, candidate i's key at
+	// rows[i*width:]; raw is the arena the misses index into. stop says
+	// why the worker ended its chunk early.
 	outs     []outcome
 	expanded []int
 	cands    []candidate
-	keys     []byte
+	rows     []uint32
 	raw      []byte
 	miss     []missing
 	stop     stopReason
@@ -476,17 +495,17 @@ type outcome struct {
 
 // candidate is a successor not in the visited set when its level began.
 type candidate struct {
-	keyLo, keyHi   int
 	missLo, missHi int
 	inFlight       int32
 	terminal, full bool
 }
 
-// missing is a node section the intern table lacked: the key bytes of
-// node stay zero until the merge interns raw[lo:hi], keeping rec as its
-// record if the section is still new then.
+// missing is a key word the intern tables lacked: word slot of the
+// candidate's key (a node, or nodes for the shadow) stays noSection
+// until the merge interns raw[lo:hi], keeping rec, a record of the node,
+// if the section is still new then.
 type missing struct {
-	node, lo, hi int
+	slot, lo, hi int
 	rec          *noc.NodeRecord
 }
 
@@ -499,13 +518,17 @@ const (
 )
 
 func newExplorer(sc *Scenario, opt Options, start time.Time) (*explorer, error) {
+	nodes := sc.Width * sc.Height
 	x := &explorer{
 		opt:      opt,
 		start:    start,
 		done:     make(chan struct{}, opt.workers),
-		nodes:    sc.Width * sc.Height,
+		nodes:    nodes,
+		width:    nodes + 1,
 		sections: make(map[string]uint32),
-		visited:  make(map[string]int32),
+		shadows:  make(map[string]uint32),
+		index:    make([]int32, 1<<10),
+		shift:    64 - 10,
 	}
 	for i := 0; i < opt.workers; i++ {
 		m, err := newMachine(sc, nil)
@@ -513,9 +536,9 @@ func newExplorer(sc *Scenario, opt Options, start time.Time) (*explorer, error) 
 			x.close()
 			return nil, err
 		}
-		w := &worker{m: m, live: make([]uint32, x.nodes)}
-		for node := range w.live {
-			w.live[node] = noSection
+		w := &worker{m: m, live: make([]uint32, x.width), quiet: make([]bool, nodes)}
+		for k := range w.live {
+			w.live[k] = noSection
 		}
 		x.workers = append(x.workers, w)
 		if i > 0 {
@@ -553,11 +576,7 @@ func (x *explorer) close() {
 
 // run searches level by level and returns the verdict and its detail.
 func (x *explorer) run() (Verdict, string) {
-	w := x.workers[0]
-	w.reset()
-	w.appendKey(x)
-	w.candidate(0, 0, int(w.m.n.Stats().InFlight()))
-	x.admit(w, 0, -1, Choice{}, 0)
+	x.admitRoot()
 	x.level, x.next = x.next, x.level[:0]
 
 	for depth := 0; len(x.level) > 0; depth++ {
@@ -570,7 +589,6 @@ func (x *explorer) run() (Verdict, string) {
 		if v, detail, done := x.merge(x.expand(), depth); done {
 			return v, detail
 		}
-		clear(x.level)
 		x.level, x.next = x.next, x.level[:0]
 	}
 	if ce, lap := findLivelock(x.states); ce != nil {
@@ -579,6 +597,19 @@ func (x *explorer) run() (Verdict, string) {
 	}
 	return Proved, fmt.Sprintf("all %d states deliver %d/%d packets; %d terminal states",
 		x.res.States, x.res.Expected, x.res.Expected, x.res.Terminals)
+}
+
+// admitRoot keys worker 0's fresh network in full and admits it as
+// state 0, queued in x.next.
+func (x *explorer) admitRoot() {
+	w := x.workers[0]
+	w.reset()
+	w.begin(w.live)
+	for node := 0; node < x.nodes; node++ {
+		w.encode(x, node)
+	}
+	ci := ^w.successor(x, int(w.m.n.Stats().InFlight()))
+	x.admit(w, int(ci), -1, Choice{}, 0)
 }
 
 func (x *explorer) budgetDetail() string {
@@ -618,7 +649,7 @@ func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
 		at := 0
 		for _, end := range w.expanded {
 			cur := x.level[i].id
-			x.frontierBytes -= x.level[i].bytes()
+			x.frontierBytes -= heldBytes
 			i++
 			x.pending = len(x.level) - i
 			for _, o := range w.outs[at:end] {
@@ -656,59 +687,132 @@ func (x *explorer) merge(ws []*worker, depth int) (Verdict, string, bool) {
 	return 0, "", false
 }
 
-// admit resolves candidate ci of worker w: it interns the sections the
-// worker could not, keeping the worker's record of each that is still
-// new, and either finds the state visited or numbers it and queues it
-// for expansion unless it is terminal. It returns the state's id.
+// admit resolves candidate ci of worker w: it interns the key words the
+// worker could not, keeping the worker's record of each section that is
+// still new, and either finds the state visited or appends its key to
+// the arena, numbers it and queues it for expansion unless it is
+// terminal. It returns the state's id.
 func (x *explorer) admit(w *worker, ci int, parent int32, c Choice, depth int) int32 {
 	cd := &w.cands[ci]
-	key := w.keys[cd.keyLo:cd.keyHi]
+	key := w.rows[ci*x.width : (ci+1)*x.width]
 	for _, ms := range w.miss[cd.missLo:cd.missHi] {
-		raw := w.raw[ms.lo:ms.hi]
-		sid, ok := x.sections[string(raw)]
-		if !ok {
-			sid = uint32(len(x.sections))
-			x.sections[string(raw)] = sid
-			x.records = append(x.records, ms.rec)
-			x.recordBytes += ms.rec.Bytes()
-		}
-		binary.LittleEndian.PutUint32(key[4*ms.node:], sid)
+		key[ms.slot] = x.intern(w.raw[ms.lo:ms.hi], ms.slot, ms.rec)
 	}
-	// The conversion in the index expression does not allocate; only a
-	// new state's key is materialised.
-	if id, seen := x.visited[string(key)]; seen {
+	h := hashKey(key)
+	if id, seen := x.lookup(key, h); seen {
 		return id
 	}
 	id := int32(len(x.states))
-	k := string(key)
-	x.visited[k] = id
-	x.states = append(x.states, state{parent: parent, choice: c, tickSucc: -1, terminal: cd.terminal, full: cd.full})
+	x.keys = append(x.keys, key...)
+	x.insert(id, h)
+	x.states = append(x.states, state{parent: parent, op: c.Op, src: int32(c.Src), tickSucc: -1, terminal: cd.terminal, full: cd.full})
 	x.res.States++
 	x.res.Deepest = max(x.res.Deepest, depth)
 	if cd.terminal {
 		x.res.Terminals++
 	} else {
-		h := held{key: k, id: id, inFlight: cd.inFlight}
-		x.next = append(x.next, h)
-		x.frontierBytes += h.bytes()
+		x.next = append(x.next, held{id: id, inFlight: cd.inFlight})
+		x.frontierBytes += heldBytes
 		x.res.PeakFrontier = max(x.res.PeakFrontier, x.pending+len(x.next))
 	}
 	x.res.PeakFrontierBytes = max(x.res.PeakFrontierBytes, x.frontierBytes+x.recordBytes)
 	return id
 }
 
+// intern returns the id of raw in the table of key word slot: the
+// shadows for slot nodes, else the node sections, where a new section
+// keeps rec as its record.
+func (x *explorer) intern(raw []byte, slot int, rec *noc.NodeRecord) uint32 {
+	if slot == x.nodes {
+		sid, ok := x.shadows[string(raw)]
+		if !ok {
+			sid = uint32(len(x.shadowKeys))
+			k := string(raw)
+			x.shadows[k] = sid
+			x.shadowKeys = append(x.shadowKeys, k)
+		}
+		return sid
+	}
+	sid, ok := x.sections[string(raw)]
+	if !ok {
+		sid = uint32(len(x.records))
+		x.sections[string(raw)] = sid
+		x.records = append(x.records, rec)
+		x.recordBytes += rec.Bytes()
+	}
+	return sid
+}
+
+// key returns state id's key in the arena.
+func (x *explorer) key(id int32) []uint32 {
+	return x.keys[int(id)*x.width : (int(id)+1)*x.width]
+}
+
+// hashKey mixes a key's words into a hash whose top bits pick its slot.
+func hashKey(key []uint32) uint64 {
+	var h uint64
+	for _, k := range key {
+		h = (h ^ uint64(k)) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// lookup returns the id of the state whose key is key, which hashes to
+// h, and whether there is one.
+func (x *explorer) lookup(key []uint32, h uint64) (int32, bool) {
+	mask := len(x.index) - 1
+	for i := int(h >> x.shift); ; i = (i + 1) & mask {
+		e := x.index[i]
+		if e == 0 {
+			return 0, false
+		}
+		if slices.Equal(x.key(e-1), key) {
+			return e - 1, true
+		}
+	}
+}
+
+// insert files state id, whose key hashes to h, in the index, doubling
+// the index first if id would fill more than half of it.
+func (x *explorer) insert(id int32, h uint64) {
+	if 2*(int(id)+1) > len(x.index) {
+		x.index = make([]int32, 2*len(x.index))
+		x.shift--
+		for old := int32(0); old < id; old++ {
+			x.place(old, hashKey(x.key(old)))
+		}
+	}
+	x.place(id, h)
+}
+
+// place files id in the first empty slot from h's.
+func (x *explorer) place(id int32, h uint64) {
+	mask := len(x.index) - 1
+	i := int(h >> x.shift)
+	for x.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.index[i] = id + 1
+}
+
 // reset empties the worker's per-level output.
 func (w *worker) reset() {
 	w.outs, w.expanded, w.cands = w.outs[:0], w.expanded[:0], w.cands[:0]
-	w.keys, w.raw = w.keys[:0], w.raw[:0]
+	w.rows, w.raw = w.rows[:0], w.raw[:0]
 	clear(w.miss)
 	w.miss = w.miss[:0]
 	w.stop = stopNone
 }
 
 // expand applies every enabled choice to every parent of the worker's
-// chunk. It reads the visited set and the intern tables as they stood
-// when the level began and writes nothing outside the worker.
+// chunk. It reads the intern tables, the arena and the index as they
+// stood when the level began and writes nothing outside the worker.
+//
+// The tick is enabled in every state and is the first choice, but it is
+// applied last: an injection or a sabotage changes one node, so the next
+// choice restores that node alone, where a tick changes several. Its
+// outcome still takes the first place in outs, so the merge sees the
+// transitions in choice order.
 func (w *worker) expand(x *explorer) {
 	m := w.m
 	for i := w.lo; i < w.hi; i++ {
@@ -716,85 +820,148 @@ func (w *worker) expand(x *explorer) {
 			w.stop = stopBudget
 			return
 		}
-		p := &x.level[i]
-		// The enabled set derives from the shadow alone, so the parent
-		// network state only needs restoring per applied choice.
-		m.restoreShadowKey(p.key[4*x.nodes:])
+		p := x.level[i]
+		// The enabled set derives from the parent's shadow.
+		w.restore(x, x.key(p.id))
 		w.enabled = m.choices(w.enabled)
-		for _, c := range w.enabled {
-			w.restore(x, p)
-			before := m.n.Stats().InFlight()
-			m.apply(c)
-			// The collector is not restored with the nodes, but what a
-			// transition adds to it or takes from it is the transition's.
-			inFlight := int(p.inFlight) + int(m.n.Stats().InFlight()-before)
-			keyLo, missLo := len(w.keys), len(w.miss)
-			if w.appendKey(x) {
-				if id, seen := x.visited[string(w.keys[keyLo:])]; seen {
-					w.keys = w.keys[:keyLo]
-					w.outs = append(w.outs, outcome{c: c, succ: id})
-					if c.Op == OpTick && id == p.id && m.fullyInjected() {
-						// The merge stops here with a deadlock verdict.
-						w.deadDelivered, w.deadInFlight = len(m.led.delivered), inFlight
-						w.expanded = append(w.expanded, len(w.outs))
-						w.stop = stopDeadlock
-						return
-					}
-					continue
-				}
+		tickAt := len(w.outs)
+		w.outs = append(w.outs, outcome{c: w.enabled[0]})
+		for _, c := range w.enabled[1:] {
+			// An injection or a sabotage changes node c.Src alone.
+			inFlight := w.apply(x, p, c)
+			w.encode(x, c.Src)
+			w.outs = append(w.outs, outcome{c: c, succ: w.successor(x, inFlight)})
+		}
+
+		inFlight := w.apply(x, p, w.enabled[0])
+		for node, q := range w.quiet {
+			// A node quiet before and after the tick keeps its section.
+			if !q || !m.n.NodeQuiet(node) {
+				w.encode(x, node)
 			}
-			w.candidate(keyLo, missLo, inFlight)
-			w.outs = append(w.outs, outcome{c: c, succ: ^int32(len(w.cands) - 1)})
 		}
+		id := w.successor(x, inFlight)
+		w.outs[tickAt].succ = id
 		w.expanded = append(w.expanded, len(w.outs))
-	}
-}
-
-// restore rebuilds parent p on the worker's machine: the nodes whose
-// live section differs from p's are restored from the table's records,
-// the others already hold a bisimilar state, and the explorer-side state
-// comes from p's key. w.live is stale until the next appendKey.
-func (w *worker) restore(x *explorer, p *held) {
-	for node, live := range w.live {
-		if sid := sectionID(p.key, node); sid != live {
-			w.m.n.RestoreNode(node, x.records[sid])
+		if id == p.id && m.fullyInjected() {
+			// The merge stops here with a deadlock verdict.
+			w.deadDelivered, w.deadInFlight = len(m.led.delivered), inFlight
+			w.stop = stopDeadlock
+			return
 		}
 	}
-	w.m.restoreShadowKey(p.key[4*x.nodes:])
 }
 
-// appendKey appends the machine's state key to w.keys: the intern id of
-// every node section, then the shadow key, and notes the ids in w.live.
-// A section the table lacks is copied to w.raw and listed in w.miss
-// with a record of the node, its four key bytes left zero for the merge
-// to fill in. It reports whether every section was known.
-func (w *worker) appendKey(x *explorer) bool {
-	known := true
-	for node := 0; node < x.nodes; node++ {
-		w.sec = w.m.n.AppendCanonicalNode(w.sec[:0], node)
-		sid, ok := x.sections[string(w.sec)]
-		if ok {
-			w.live[node] = sid
-		} else {
-			known = false
-			w.live[node] = noSection
-			lo := len(w.raw)
-			w.raw = append(w.raw, w.sec...)
-			w.miss = append(w.miss, missing{node: node, lo: lo, hi: len(w.raw), rec: w.m.n.SaveNode(node)})
-		}
-		w.keys = binary.LittleEndian.AppendUint32(w.keys, sid)
-	}
-	w.keys = w.m.appendShadowKey(w.keys)
-	return known
-}
-
-// candidate records the machine's state, with inFlight packets in
-// flight, as a candidate whose key starts at keyLo in w.keys and whose
-// unknown sections start at missLo in w.miss.
-func (w *worker) candidate(keyLo, missLo, inFlight int) {
+// apply rebuilds parent p on the worker's machine, notes before a tick
+// which nodes are quiet, applies c and starts the successor's key as a
+// copy of p's. It returns the successor's packets in flight: the
+// collector is not restored with the nodes, but what a transition adds
+// to it or takes from it is the transition's.
+func (w *worker) apply(x *explorer, p held, c Choice) int {
 	m := w.m
-	w.cands = append(w.cands, candidate{keyLo: keyLo, keyHi: len(w.keys), missLo: missLo, missHi: len(w.miss),
-		inFlight: int32(inFlight), terminal: m.terminal(inFlight), full: m.fullyInjected()})
+	parent := x.key(p.id)
+	w.restore(x, parent)
+	if c.Op == OpTick {
+		for node := range w.quiet {
+			w.quiet[node] = m.n.NodeQuiet(node)
+		}
+	}
+	before := m.n.Stats().InFlight()
+	m.apply(c)
+	w.begin(parent)
+	return int(p.inFlight) + int(m.n.Stats().InFlight()-before)
+}
+
+// begin starts a key in w.rows as a copy of from.
+func (w *worker) begin(from []uint32) {
+	w.at, w.missAt = len(w.rows), len(w.miss)
+	w.rows = append(w.rows, from...)
+}
+
+// successor finishes the key begun in w.rows, whose node words are
+// encoded or kept from the parent, with the shadow's. If the state was
+// visited when the level began it drops the key and returns the state's
+// id; else it records the machine's state, with inFlight packets in
+// flight, as a candidate and returns the complement of its index.
+func (w *worker) successor(x *explorer, inFlight int) int32 {
+	w.encodeShadow(x)
+	key := w.rows[w.at:]
+	if assertEnabled {
+		w.assertKept(x, key)
+	}
+	if len(w.miss) == w.missAt {
+		if id, seen := x.lookup(key, hashKey(key)); seen {
+			w.rows = w.rows[:w.at]
+			return id
+		}
+	}
+	w.cands = append(w.cands, candidate{missLo: w.missAt, missHi: len(w.miss),
+		inFlight: int32(inFlight), terminal: w.m.terminal(inFlight), full: w.m.fullyInjected()})
+	return ^int32(len(w.cands) - 1)
+}
+
+// restore rebuilds the key parent on the worker's machine: the nodes
+// whose live section differs from the parent's are restored from the
+// table's records, the others already hold a bisimilar state, and the
+// explorer-side state comes from the parent's shadow unless it is live.
+func (w *worker) restore(x *explorer, parent []uint32) {
+	for node, sid := range parent[:x.nodes] {
+		if sid != w.live[node] {
+			w.m.n.RestoreNode(node, x.records[sid])
+			w.live[node] = sid
+		}
+	}
+	if sid := parent[x.nodes]; sid != w.live[x.nodes] {
+		w.m.restoreShadowKey(x.shadowKeys[sid])
+		w.live[x.nodes] = sid
+	}
+}
+
+// encode sets node's word of the key begun in w.rows to the intern id
+// of its live section. A section the table lacks is copied to w.raw and
+// listed in w.miss with a record of the node, its word left noSection
+// for the merge to fill in.
+func (w *worker) encode(x *explorer, node int) {
+	w.sec = w.m.n.AppendCanonicalNode(w.sec[:0], node)
+	if !w.setWord(node, x.sections) {
+		w.miss[len(w.miss)-1].rec = w.m.n.SaveNode(node)
+	}
+}
+
+// encodeShadow sets the shadow's word of the key begun in w.rows the way
+// encode sets a node's, with no record.
+func (w *worker) encodeShadow(x *explorer) {
+	w.sec = w.m.appendShadowKey(w.sec[:0])
+	w.setWord(x.nodes, x.shadows)
+}
+
+// setWord sets word slot of the key begun in w.rows, and of w.live, to
+// the id table holds for w.sec and reports whether it holds one; if not,
+// the word is noSection and w.sec is listed in w.miss.
+func (w *worker) setWord(slot int, table map[string]uint32) bool {
+	sid, ok := table[string(w.sec)]
+	if !ok {
+		sid = noSection
+		lo := len(w.raw)
+		w.raw = append(w.raw, w.sec...)
+		w.miss = append(w.miss, missing{slot: slot, lo: lo, hi: len(w.raw)})
+	}
+	w.rows[w.at+slot] = sid
+	w.live[slot] = sid
+	return ok
+}
+
+// assertKept encodes every node again and panics if a word of key names
+// a section other than the node's: it catches a node the explorer kept
+// from the parent that the transition changed. It runs under the
+// nocassert build tag only.
+func (w *worker) assertKept(x *explorer, key []uint32) {
+	for node, sid := range key[:x.nodes] {
+		w.sec = w.m.n.AppendCanonicalNode(w.sec[:0], node)
+		if got, ok := x.sections[string(w.sec)]; sid != noSection && (!ok || got != sid) {
+			panic(fmt.Sprintf("modelcheck: node %d keeps section %d, but its live section is not that one", node, sid))
+		}
+	}
 }
 
 // findLivelock runs once the space is exhausted. Every fully-injected
@@ -855,7 +1022,7 @@ func findLivelock(states []state) ([]Choice, int) {
 func traceTo(states []state, id int32) []Choice {
 	var out []Choice
 	for id > 0 {
-		out = append(out, states[id].choice)
+		out = append(out, states[id].choice())
 		id = states[id].parent
 	}
 	slices.Reverse(out)

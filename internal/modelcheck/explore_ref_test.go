@@ -96,7 +96,7 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 	discover := func(parent int32, c Choice, depth int) int32 {
 		id := int32(len(states))
 		visited[string(keyBuf)] = id
-		st := state{parent: parent, choice: c, tickSucc: -1, terminal: m.terminal(int(m.n.Stats().InFlight())), full: m.fullyInjected()}
+		st := state{parent: parent, op: c.Op, src: int32(c.Src), tickSucc: -1, terminal: m.terminal(int(m.n.Stats().InFlight())), full: m.fullyInjected()}
 		states = append(states, st)
 		res.States++
 		if st.terminal {
@@ -122,7 +122,7 @@ func refExplore(sc Scenario, opt Options) (Result, error) {
 	trace := func(id int32) []Choice {
 		var out []Choice
 		for id > 0 {
-			out = append(out, states[id].choice)
+			out = append(out, states[id].choice())
 			id = states[id].parent
 		}
 		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {

@@ -1,9 +1,10 @@
 package modelcheck
 
 import (
-	"encoding/binary"
+	"flag"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,39 @@ func TestExploreRing2x3(t *testing.T) {
 	}
 	t.Logf("bounded 2x3: %v after %d states, %d transitions, depth %d in %v",
 		res.Verdict, res.States, res.Transitions, res.Deepest, res.Elapsed)
+}
+
+// prove3x2 enables TestExploreRing3x2FaultFree, which tier-1 leaves out:
+// go test -run TestExploreRing3x2FaultFree ./internal/modelcheck/ -prove3x2
+// (the flag after the package, or go test reads the package as an
+// argument of the test binary).
+var prove3x2 = flag.Bool("prove3x2", false, "run the 3x2 proof (about 40 s and 1 GB of heap)")
+
+// TestExploreRing3x2FaultFree exhausts the fault-free ring on the 3x2
+// mesh, the first grid past 2x2, and pins the graph: six injections and
+// their interleavings with ticking, 5,285,400 states, all delivering.
+// It takes about 40 s on two cores, so it runs only with -prove3x2 (a CI
+// job of its own), never under -race.
+func TestExploreRing3x2FaultFree(t *testing.T) {
+	if !*prove3x2 {
+		t.Skip("the 3x2 proof takes about 40 s; pass -prove3x2 to run it")
+	}
+	if raceEnabled {
+		t.Skip("the 3x2 proof is far too slow under -race")
+	}
+	res, err := Explore(RingOn("mesh", 3, 2), Options{MaxStates: 1 << 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Proved {
+		t.Fatalf("verdict %v, want PROVED: %s", res.Verdict, res.Detail)
+	}
+	if res.States != 5285400 || res.Transitions != 7330738 || res.Deepest != 23 || res.Terminals != 63 || res.Expected != 6 {
+		t.Errorf("explored %d states, %d transitions, depth %d, %d terminals, %d expected; want 5285400, 7330738, 23, 63 and 6",
+			res.States, res.Transitions, res.Deepest, res.Terminals, res.Expected)
+	}
+	t.Logf("3x2: %d states in %v (%.0f states/s), peak frontier %d states, %s",
+		res.States, res.Elapsed, res.StatesPerSec(), res.PeakFrontier, FormatBytes(res.PeakFrontierBytes))
 }
 
 // sabotageScenario is a configuration a single lost credit genuinely
@@ -483,18 +517,15 @@ func TestExplorePanicPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A level of two copies of the initial state, one per worker.
-	w := x.workers[0]
-	w.reset()
-	w.appendKey(x)
-	w.candidate(0, 0, 0)
-	x.admit(w, 0, -1, Choice{}, 0)
+	// A level of the initial state and a copy of it, one per worker.
+	x.admitRoot()
 	root := x.next[0]
-	// Worker 0's copy names a section past the end of the record
-	// table, so restoring its parent indexes past the end.
-	broken := []byte(root.key)
-	binary.LittleEndian.PutUint32(broken[4:], uint32(len(x.records)))
-	x.level = []held{{key: string(broken)}, root}
+	// Worker 0's copy is a key whose node 1 names a section past the
+	// end of the record table, so restoring it indexes past the end.
+	broken := slices.Clone(x.key(root.id))
+	broken[1] = uint32(len(x.records))
+	x.keys = append(x.keys, broken...)
+	x.level = []held{{id: 1}, root}
 
 	recovered := make(chan any, 1)
 	go func() {

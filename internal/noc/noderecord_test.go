@@ -141,6 +141,72 @@ func TestNodeRecordRestoresSection(t *testing.T) {
 	}
 }
 
+// TestNodeQuietKeepsSection steps lightly loaded networks and checks
+// the model checker's tick rule: a node NodeQuiet before a Step and
+// after it encodes the section it had. The retx case kills a link, so
+// retransmission buffers fill and timers run, and sets an SA stage-1
+// fault, whose bypass rotation keeps an empty router from being
+// quiescent. Each case must see nodes kept, and nodes quiet before a
+// Step that a neighbour's traffic made not quiet after it.
+func TestNodeQuietKeepsSection(t *testing.T) {
+	cases := []struct {
+		name      string
+		topo      string
+		protected bool
+		retx      noc.RetxConfig
+	}{
+		{"mesh-3x3-protected-retx", "mesh", true, noc.RetxConfig{Timeout: 24, MaxRetries: 3}},
+		{"torus-3x3-baseline", "torus", false, noc.RetxConfig{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rc := router.DefaultConfig()
+			rc.FaultTolerant = c.protected
+			n, err := noc.New(noc.Config{Width: 3, Height: 3, Topo: c.topo, Router: rc, Workers: 1, Retx: c.retx},
+				traffic.NewSynthetic(9, 0.05, traffic.Uniform(9), traffic.Bimodal(1, 5, 0.6), 11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if c.retx.Timeout > 0 {
+				n.Router(2).SetSA1Fault(topology.West, true)
+				n.AddHook(func(cy sim.Cycle) {
+					if cy == 60 {
+						if err := n.SetLinkFault(4, topology.East, true); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			}
+			before := make([][]byte, 9)
+			quiet := make([]bool, 9)
+			var kept, woken int
+			for cy := 0; cy < 600; cy++ {
+				for id := range before {
+					quiet[id] = n.NodeQuiet(id)
+					before[id] = n.AppendCanonicalNode(before[id][:0], id)
+				}
+				n.Step()
+				for id, q := range quiet {
+					switch {
+					case !q:
+					case !n.NodeQuiet(id):
+						woken++
+					default:
+						kept++
+						if after := n.AppendCanonicalNode(nil, id); !bytes.Equal(after, before[id]) {
+							t.Fatalf("cycle %d: node %d was quiet before and after the step, but its section changed", cy, id)
+						}
+					}
+				}
+			}
+			if kept < 20 || woken < 20 {
+				t.Errorf("%d node-steps kept and %d woken by a neighbour in 600 cycles; the check needs both", kept, woken)
+			}
+		})
+	}
+}
+
 // latencies is what a collector has recorded of ejections: their count
 // and the sums of their total and in-network latencies.
 type latencies struct{ ejected, total, network uint64 }

@@ -704,6 +704,22 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 	return b
 }
 
+// NodeQuiet reports whether node id has nothing of its own to do in the
+// next Step: its router is quiescent (core.Router.Quiescent), its NI has
+// nothing queued and nothing mid-injection, its inbound latches are empty
+// and its retransmission buffer holds nothing. Such a node's Step changes
+// nothing in its canonical section: it accepts nothing, sends nothing,
+// ejects nothing and has no timer to run. What a neighbour sends it
+// lands in its latches and makes it not quiet. So a node quiet before a
+// Step and after it has the section it had, and the model checker keeps
+// such a node's interned section id across a tick without encoding it.
+func (n *Network) NodeQuiet(id int) bool {
+	ni := n.nis[id]
+	return n.routers[id].Quiescent() && ni.activeVCs == 0 && ni.queued == 0 &&
+		len(n.inFlits[id]) == 0 && len(n.inCredits[id]) == 0 && len(n.inNICredits[id]) == 0 &&
+		len(n.retx[id]) == 0
+}
+
 func (n *Network) appendCanonicalNI(b []byte, id int) []byte {
 	ni := n.nis[id]
 	for _, q := range ni.queues {
