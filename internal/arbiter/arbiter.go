@@ -19,11 +19,17 @@ package arbiter
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
 // wordBits is the capacity of one request word.
 const wordBits = 64
+
+// maxInputs is the widest arbiter: its width and priority pointer are
+// 16-bit. A router's widest, VA stage 2 over every input VC, has at most
+// 64·64 = 4,096 inputs (router.Config caps ports and VCs at 64).
+const maxInputs = math.MaxInt16
 
 // RoundRobin is an n-input round-robin arbiter. Each grant goes to the
 // first requester at or after one past the previous winner, wrapping
@@ -33,18 +39,22 @@ const wordBits = 64
 // A faulty arbiter grants nothing: the paper's fault model makes a broken
 // arbiter unusable rather than byzantine (detection hardware is assumed to
 // flag it, Section V).
+//
+// An arbiter is six bytes: a router holds one per input VC, one per
+// downstream VC and one per port, by value in one slab.
 type RoundRobin struct {
-	n      int
-	prio   int // index to scan first
+	n      int16
+	prio   int16 // index to scan first
 	faulty bool
 }
 
-// NewRoundRobin returns an n-input arbiter. It panics if n < 1.
+// NewRoundRobin returns an n-input arbiter. It panics if n < 1 or n is
+// wider than 32,767 inputs.
 func NewRoundRobin(n int) *RoundRobin {
-	if n < 1 {
+	if n < 1 || n > maxInputs {
 		panic(sizeError{"width", n})
 	}
-	return &RoundRobin{n: n}
+	return &RoundRobin{n: int16(n)}
 }
 
 // sizeError is what the constructors panic with: a value, not a formatted
@@ -58,7 +68,7 @@ type sizeError struct {
 func (e sizeError) Error() string { return fmt.Sprintf("arbiter: invalid %s %d", e.what, e.n) }
 
 // Inputs returns the arbiter width.
-func (a *RoundRobin) Inputs() int { return a.n }
+func (a *RoundRobin) Inputs() int { return int(a.n) }
 
 // SetFaulty marks the arbiter permanently faulty (or repairs it, for
 // testing).
@@ -76,8 +86,9 @@ func (a *RoundRobin) Faulty() bool { return a.faulty }
 // or no input is requesting. It panics when the words do not cover
 // exactly Inputs() inputs or the winner is not an input.
 func (a *RoundRobin) arbitrate(req []uint64, width int, grant bool) (word, bit int, ok bool) {
-	if width < 1 || width > wordBits || len(req)*width < a.n || (len(req)-1)*width >= a.n {
-		panic(fmt.Sprintf("arbiter: %d request words of %d bits for %d-input arbiter", len(req), width, a.n))
+	n, prio := int(a.n), int(a.prio)
+	if width < 1 || width > wordBits || len(req)*width < n || (len(req)-1)*width >= n {
+		panic(fmt.Sprintf("arbiter: %d request words of %d bits for %d-input arbiter", len(req), width, n))
 	}
 	if a.faulty {
 		return -1, -1, false
@@ -90,7 +101,7 @@ func (a *RoundRobin) arbitrate(req []uint64, width int, grant bool) (word, bit i
 		}
 		// from is where prio falls in this word: at or below bit 0 once
 		// the scan has reached prio's word, at or above width before it.
-		if from := a.prio - base; from < width {
+		if from := prio - base; from < width {
 			if from > 0 {
 				w = w >> uint(from) << uint(from)
 			}
@@ -108,14 +119,14 @@ func (a *RoundRobin) arbitrate(req []uint64, width int, grant bool) (word, bit i
 		return -1, -1, false
 	}
 	next := word*width + bit + 1
-	if bit >= width || next > a.n {
-		panic(fmt.Sprintf("arbiter: request bit %d of %d-bit word %d: not an input of %d-input arbiter", bit, width, word, a.n))
+	if bit >= width || next > n {
+		panic(fmt.Sprintf("arbiter: request bit %d of %d-bit word %d: not an input of %d-input arbiter", bit, width, word, n))
 	}
 	if grant {
-		if next == a.n {
+		if next == n {
 			next = 0
 		}
-		a.prio = next
+		a.prio = int16(next)
 	}
 	return word, bit, true
 }
@@ -136,7 +147,7 @@ func (a *RoundRobin) GrantWords(req []uint64, width int) (word, bit int, ok bool
 // request set is the single word req.
 func (a *RoundRobin) GrantWord(req uint64) (winner int, ok bool) {
 	one := [1]uint64{req}
-	_, winner, ok = a.arbitrate(one[:], a.n, true)
+	_, winner, ok = a.arbitrate(one[:], int(a.n), true)
 	return winner, ok
 }
 
@@ -148,10 +159,11 @@ type packBuf [4]uint64
 // words: one word of Inputs() bits when that fits, otherwise 64-bit words
 // with a ragged last one.
 func (a *RoundRobin) pack(requests []bool, buf *packBuf) (req []uint64, width int) {
-	if len(requests) != a.n {
-		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), a.n))
+	n := int(a.n)
+	if len(requests) != n {
+		panic(fmt.Sprintf("arbiter: %d requests for %d-input arbiter", len(requests), n))
 	}
-	if k := (a.n + wordBits - 1) / wordBits; k <= len(buf) {
+	if k := (n + wordBits - 1) / wordBits; k <= len(buf) {
 		req = buf[:k]
 	} else {
 		req = make([]uint64, k)
@@ -161,7 +173,7 @@ func (a *RoundRobin) pack(requests []bool, buf *packBuf) (req []uint64, width in
 			req[i/wordBits] |= 1 << (uint(i) % wordBits)
 		}
 	}
-	return req, min(a.n, wordBits)
+	return req, min(n, wordBits)
 }
 
 // flat returns the input held in bit `bit` of width-bit request word
@@ -188,15 +200,15 @@ func (a *RoundRobin) Grant(requests []bool) (winner int, ok bool) {
 // SetPrio it lets checkpoint/restore and the model checker capture the
 // arbiter's full mutable state (the priority pointer is the only state
 // besides the fault flag).
-func (a *RoundRobin) Prio() int { return a.prio }
+func (a *RoundRobin) Prio() int { return int(a.prio) }
 
 // SetPrio restores the scan-first index saved by Prio. It panics when p
 // is outside [0, Inputs()).
 func (a *RoundRobin) SetPrio(p int) {
-	if p < 0 || p >= a.n {
+	if p < 0 || p >= int(a.n) {
 		panic(fmt.Sprintf("arbiter: prio %d out of range for %d-input arbiter", p, a.n))
 	}
-	a.prio = p
+	a.prio = int16(p)
 }
 
 // Peek is Grant without the priority update, for lookahead logic and tests.
@@ -217,28 +229,33 @@ func (a *RoundRobin) Peek(requests []bool) (winner int, ok bool) {
 // The bypass path itself (mux + register) is a fault site: with both the
 // arbiter and its bypass faulty, switch allocation at this input port is
 // impossible and the router has failed.
+//
+// Its registers are 16-bit like the arbiter's: the default winner is an
+// input and the grant count stays below the rotate period, which is at
+// most 32,767. A Bypassed is fourteen bytes.
 type Bypassed struct {
 	// Arb is the arbiter the bypass path stands in for, held by value so
 	// a router can keep its Bypassed arbiters in one flat slice.
 	Arb RoundRobin
 	// defaultWinner is the register driving the bypass mux.
-	defaultWinner int
+	defaultWinner int16
 	// rotatePeriod is how many bypass grants occur before the default
 	// winner advances; the paper only requires that "every input VC [be]
 	// default winner at different points of time".
 	//noc:derived immutable configuration, fixed at construction
-	rotatePeriod int
-	grants       int
+	rotatePeriod int16
+	grants       int16
 	bypassFaulty bool
 }
 
 // NewBypassed wraps an n-input arbiter with a bypass path. rotatePeriod
-// must be >= 1; it controls how often the default winner rotates.
+// must be in [1, 32767]; it controls how often the default winner
+// rotates.
 func NewBypassed(n, rotatePeriod int) *Bypassed {
-	if rotatePeriod < 1 {
+	if rotatePeriod < 1 || rotatePeriod > math.MaxInt16 {
 		panic(sizeError{"rotate period", rotatePeriod})
 	}
-	return &Bypassed{Arb: *NewRoundRobin(n), rotatePeriod: rotatePeriod}
+	return &Bypassed{Arb: *NewRoundRobin(n), rotatePeriod: int16(rotatePeriod)}
 }
 
 // SetBypassFaulty marks the bypass path (mux + register) faulty.
@@ -255,17 +272,21 @@ func (b *Bypassed) Usable() bool { return !b.Arb.Faulty() || !b.bypassFaulty }
 // winner and the number of bypass grants since it last rotated. Paired
 // with SetBypassState for checkpoint/restore.
 func (b *Bypassed) BypassState() (defaultWinner, grants int) {
-	return b.defaultWinner, b.grants
+	return int(b.defaultWinner), int(b.grants)
 }
 
 // SetBypassState restores the bypass register state saved by
-// BypassState. It panics when defaultWinner is outside [0, Inputs()).
+// BypassState. It panics when defaultWinner is outside [0, Inputs()) or
+// grants outside [0, rotate period).
 func (b *Bypassed) SetBypassState(defaultWinner, grants int) {
 	if defaultWinner < 0 || defaultWinner >= b.Arb.Inputs() {
 		panic(fmt.Sprintf("arbiter: default winner %d out of range for %d-input arbiter", defaultWinner, b.Arb.Inputs()))
 	}
-	b.defaultWinner = defaultWinner
-	b.grants = grants
+	if grants < 0 || grants >= int(b.rotatePeriod) {
+		panic(fmt.Sprintf("arbiter: %d bypass grants out of range for rotate period %d", grants, b.rotatePeriod))
+	}
+	b.defaultWinner = int16(defaultWinner)
+	b.grants = int16(grants)
 }
 
 // Grant arbitrates. In normal operation it defers to the round-robin
@@ -301,9 +322,9 @@ func (b *Bypassed) bypass() (winner int, ok bool) {
 	if b.grants >= b.rotatePeriod {
 		b.grants = 0
 		b.defaultWinner++
-		if b.defaultWinner == b.Arb.Inputs() {
+		if b.defaultWinner == b.Arb.n {
 			b.defaultWinner = 0
 		}
 	}
-	return w, true
+	return int(w), true
 }

@@ -93,13 +93,22 @@ func TestGrantWidthMismatchPanics(t *testing.T) {
 	NewRoundRobin(3).Grant([]bool{true})
 }
 
+// TestNewRoundRobinPanics pins the width bounds: at least one input, and
+// no more than the 16-bit width and priority pointer hold.
 func TestNewRoundRobinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRoundRobin(0) did not panic")
-		}
-	}()
-	NewRoundRobin(0)
+	for _, n := range []int{0, maxInputs + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRoundRobin(%d) did not panic", n)
+				}
+			}()
+			NewRoundRobin(n)
+		}()
+	}
+	if a := NewRoundRobin(maxInputs); a.Inputs() != maxInputs {
+		t.Errorf("NewRoundRobin(%d) has %d inputs", maxInputs, a.Inputs())
+	}
 }
 
 // Property: a grant is always an actually-requesting input (when the
@@ -200,10 +209,14 @@ func TestBypassFaultyAloneHarmless(t *testing.T) {
 }
 
 func TestNewBypassedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBypassed with period 0 did not panic")
-		}
-	}()
-	NewBypassed(4, 0)
+	for _, period := range []int{0, maxInputs + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBypassed with period %d did not panic", period)
+				}
+			}()
+			NewBypassed(4, period)
+		}()
+	}
 }

@@ -17,9 +17,9 @@ func (r *Router) acceptInputs() {
 	}
 	V := r.cfg.VCs
 	for _, c := range r.inCredits {
-		r.creditReturn(topology.Port(c.out), int(c.vc))
-		if c.free {
-			r.outBusy[c.out] &^= 1 << c.vc
+		r.creditReturn(c.Out, int(c.VC))
+		if c.VCFree {
+			r.outBusy[c.Out] &^= 1 << uint(c.VC)
 		}
 	}
 	r.inCredits = r.inCredits[:0]
@@ -104,11 +104,11 @@ func (r *Router) rcStage(cy sim.Cycle) {
 }
 
 // vcAfter returns the VC index that follows v in round-robin order.
-func (r *Router) vcAfter(v int) int {
+func (r *Router) vcAfter(v int) int16 {
 	if v+1 == r.cfg.VCs {
 		return 0
 	}
-	return v + 1
+	return int16(v + 1)
 }
 
 // computeRoute runs the port's RC unit, tracking duplicate use; ok is
@@ -126,17 +126,17 @@ func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port,
 	dst := q.Front().Pkt.Dst
 	if fn := r.routeFn; fn != nil {
 		//nocvet:ignore hotpathalloc RouteFn targets are pre-built table lookups (torusRoute, routeTable), pinned allocation-free by the zero-alloc suite
-		fout, lo, hi, fok := fn(r.ID, topology.Port(p), q.Index, dst)
+		fout, lo, hi, fok := fn(r.ID, topology.Port(p), int(q.Index), dst)
 		if !fok {
 			return topology.Local, false, true
 		}
-		q.DvcLo, q.DvcHi = lo, hi
+		q.DvcLo, q.DvcHi = int8(lo), int8(hi)
 		//nocvet:ignore hotpathalloc topology Route implementations are pure coordinate arithmetic
 		if r.ID != dst && fout != r.topo.Route(r.ID, dst) {
 			q.Detour = true
 			r.Counters.Reroutes++
 			if o := r.obs; o != nil {
-				o.Reroute(cy, p, q.Index, int(fout))
+				o.Reroute(cy, p, int(q.Index), int(fout))
 			}
 		}
 		return fout, true, false
@@ -206,7 +206,7 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 func (r *Router) freeDownVCs(q *vc.VC, v int) uint64 {
 	want := r.classWord[v]
 	if q.DvcLo < q.DvcHi {
-		want = spanWord(q.DvcLo, q.DvcHi)
+		want = spanWord(int(q.DvcLo), int(q.DvcHi))
 	}
 	return want &^ r.outBusy[q.R]
 }
@@ -229,8 +229,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				if !r.cfg.FaultTolerant {
 					continue // baseline: the VC is dead
 				}
-				//nocvet:ignore hotpathalloc the closure captures only loop-local state and never escapes FindLender: stack-allocated
-				lender := r.in[p].FindLender(v, func(i int) bool { return r.va1Faulty[p]>>uint(i)&1 != 0 })
+				lender := vc.FindLender(vcs, v, r.va1Faulty[p])
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
@@ -244,7 +243,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				// (Figure 4); the allocation below acts for the borrower.
 				lq := &vcs[lender]
 				lq.R2 = q.R
-				lq.ID = v
+				lq.ID = int8(v)
 				lq.VF = true
 				arbVC = lender
 				r.Counters.VA1Borrows++
@@ -301,7 +300,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			}
 			q := r.inVC(wp, wv)
 			q.G = vc.Active
-			q.OutVC = dvc
+			q.OutVC = int8(dvc)
 			r.vaDone(wp, wv)
 			r.outBusy[out] |= 1 << uint(dvc)
 			if o := r.obs; o != nil {
@@ -322,7 +321,7 @@ func (r *Router) saReady(q *vc.VC) bool {
 	if _, ok := r.effectiveRequestPort(q); !ok {
 		return false
 	}
-	return r.credits[int(q.R)*r.cfg.VCs+q.OutVC] > 0
+	return r.credits[int(q.R)*r.cfg.VCs+int(q.OutVC)] > 0
 }
 
 // effectiveRequestPort returns the output port whose SA stage-2 arbiter
@@ -391,7 +390,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			// sibling it transitively depends on).
 			if a := r.saAdopted[p]; a >= 0 {
 				r.saAdoptAge[p]++
-				if vcs[a].G != vc.Active || r.saAdoptAge[p] >= r.cfg.BypassRotatePeriod {
+				if vcs[a].G != vc.Active || int(r.saAdoptAge[p]) >= r.cfg.BypassRotatePeriod {
 					r.saAdopted[p] = -1
 				}
 			}
@@ -399,7 +398,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 				if ready&(1<<uint(a)) == 0 {
 					continue // waiting (e.g., on credits)
 				}
-				w, ok, bypassed = a, true, true
+				w, ok, bypassed = int(a), true, true
 				r.Counters.SABypassGrants++
 				if o := r.obs; o != nil {
 					o.SABypassGrant(p)
@@ -430,7 +429,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 		if !pathOK {
 			continue
 		}
-		r.saWinners[p] = saWinner{vcIdx: w, outPort: q.R, secondary: q.FSP, bypass: bypassed}
+		r.saWinners[p] = saWinner{vcIdx: int8(w), outPort: q.R, secondary: q.FSP, bypass: bypassed}
 		r.sa2req[reqPort] |= 1 << uint(p)
 		won = true
 	}
@@ -451,8 +450,8 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		win := r.saWinners[wp]
-		q := r.inVC(wp, win.vcIdx)
-		r.creditSpend(win.outPort, q.OutVC)
+		q := r.inVC(wp, int(win.vcIdx))
+		r.creditSpend(win.outPort, int(q.OutVC))
 		r.grants = append(r.grants, grant{
 			inPort:    topology.Port(wp),
 			inVC:      win.vcIdx,
@@ -460,8 +459,8 @@ func (r *Router) saStage(cy sim.Cycle) {
 			secondary: win.secondary,
 		})
 		if o := r.obs; o != nil {
-			o.SAGrant(cy, wp, win.vcIdx, int(win.outPort), win.bypass)
-			r.noteAdvance(wp, win.vcIdx)
+			o.SAGrant(cy, wp, int(win.vcIdx), int(win.outPort), win.bypass)
+			r.noteAdvance(wp, int(win.vcIdx))
 		}
 	}
 }
@@ -495,7 +494,7 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 		}
 	}
 	if cand >= 0 {
-		r.saAdopted[port] = cand
+		r.saAdopted[port] = int16(cand)
 		r.saAdoptAge[port] = 0
 		r.Counters.SATransfers++
 		if o := r.obs; o != nil {
@@ -513,7 +512,7 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 func (r *Router) xbStage(cy sim.Cycle) {
 	r.xb.BeginCycle()
 	for _, g := range r.grants {
-		q := r.inVC(int(g.inPort), g.inVC)
+		q := r.inVC(int(g.inPort), int(g.inVC))
 		err := r.xb.Traverse(int(g.inPort), int(g.outPort), g.secondary)
 		if err != nil && r.cfg.FaultTolerant {
 			// A fault can appear between the grant (last cycle's SA) and
@@ -527,7 +526,7 @@ func (r *Router) xbStage(cy sim.Cycle) {
 			// No usable path remains this cycle: cancel the grant, refund
 			// the reserved credit, and let switch allocation retry (the
 			// retry re-evaluates SP/FSP against the new fault state).
-			r.creditReturn(g.outPort, q.OutVC)
+			r.creditReturn(g.outPort, int(q.OutVC))
 			continue
 		}
 		f := q.Pop()
@@ -536,8 +535,8 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		}
 		r.Counters.FlitsRouted++
 		if o := r.obs; o != nil {
-			o.XBTraverse(cy, int(g.inPort), g.inVC, int(g.outPort), g.secondary)
-			r.noteAdvance(int(g.inPort), g.inVC)
+			o.XBTraverse(cy, int(g.inPort), int(g.inVC), int(g.outPort), g.secondary)
+			r.noteAdvance(int(g.inPort), int(g.inVC))
 		}
 		r.outFlits = append(r.outFlits, router.OutFlit{Out: g.outPort, DownVC: q.OutVC, F: f})
 		r.outCredits = append(r.outCredits, router.Credit{
@@ -547,7 +546,7 @@ func (r *Router) xbStage(cy sim.Cycle) {
 		})
 		if f.Kind.IsTail() {
 			q.ResetPacketState()
-			r.vcRelease(g.inPort, g.inVC)
+			r.vcRelease(g.inPort, int(g.inVC))
 		}
 	}
 	r.grants = r.grants[:0]

@@ -121,7 +121,7 @@ func (m *refRouter) syncFaults(r *Router) {
 
 // tick is one cycle on what Router latched. The stages run in reverse
 // pipeline order, so a head flit takes one a cycle: RC, VA, SA, XB.
-func (m *refRouter) tick(flits []inFlit, credits []creditIn) {
+func (m *refRouter) tick(flits []inFlit, credits []CreditIn) {
 	m.outFlits, m.outCredits, m.dropped = nil, nil, nil
 	m.accept(flits, credits)
 	m.drain()
@@ -133,10 +133,10 @@ func (m *refRouter) tick(flits []inFlit, credits []creditIn) {
 }
 
 // accept applies the credits and buffers the flits.
-func (m *refRouter) accept(flits []inFlit, credits []creditIn) {
+func (m *refRouter) accept(flits []inFlit, credits []CreditIn) {
 	for _, c := range credits {
-		m.ports[c.out].credits[c.vc]++
-		m.ports[c.out].busy[c.vc] = m.ports[c.out].busy[c.vc] && !c.free
+		m.ports[c.Out].credits[c.VC]++
+		m.ports[c.Out].busy[c.VC] = m.ports[c.Out].busy[c.VC] && !c.VCFree
 	}
 	for _, in := range flits {
 		q := &m.ports[in.in].vcs[in.vc]
@@ -153,7 +153,7 @@ func (m *refRouter) pop(p, v int) *flit.Flit {
 	q := &m.ports[p].vcs[v]
 	f := q.flits[0]
 	q.flits = q.flits[1:]
-	m.outCredits = append(m.outCredits, router.Credit{In: topology.Port(p), VC: v, VCFree: f.Kind.IsTail()})
+	m.outCredits = append(m.outCredits, router.Credit{In: topology.Port(p), VC: int8(v), VCFree: f.Kind.IsTail()})
 	if f.Kind.IsTail() {
 		q.g, q.r, q.outVC, q.fsp, q.sp = vc.Idle, topology.Local, vc.None, false, topology.Local
 		q.detour, q.dvcLo, q.dvcHi = false, 0, 0
@@ -194,7 +194,7 @@ func (m *refRouter) xb() {
 		m.counters.FlitsRouted++
 		q.advanced = true
 		down := q.outVC
-		m.outFlits = append(m.outFlits, router.OutFlit{Out: g.outPort, DownVC: down, F: m.pop(int(g.inPort), g.inVC)})
+		m.outFlits = append(m.outFlits, router.OutFlit{Out: g.outPort, DownVC: int8(down), F: m.pop(int(g.inPort), int(g.inVC))})
 	}
 	m.grants = nil
 }
@@ -276,7 +276,7 @@ func (m *refRouter) sa() {
 		if p, ok := m.ports[out].sa2.grant(asks[out*P : (out+1)*P]); ok {
 			q := &m.ports[p].vcs[winner[p]]
 			m.ports[q.r].credits[q.outVC]--
-			m.grants = append(m.grants, grant{inPort: topology.Port(p), inVC: winner[p], outPort: q.r, secondary: q.fsp})
+			m.grants = append(m.grants, grant{inPort: topology.Port(p), inVC: int8(winner[p]), outPort: q.r, secondary: q.fsp})
 			q.advanced = true
 		}
 	}
@@ -539,7 +539,7 @@ func (m *refRouter) appendCanonical(b []byte) []byte {
 	}
 	put(len(m.grants))
 	for _, g := range m.grants {
-		put(g.inPort, g.inVC, g.outPort, g.secondary)
+		put(g.inPort, int(g.inVC), g.outPort, g.secondary)
 	}
 	return b
 }

@@ -44,11 +44,13 @@ import (
 
 // CreditIn is a credit arriving at a router's output side: the downstream
 // consumer freed one buffer slot of VC (and the whole VC when VCFree).
+// Its VC is a byte, the type of router.OutFlit.DownVC, which a credit
+// returns.
 type CreditIn struct {
 	// Out is the output port of this router the credit applies to.
 	Out topology.Port
 	// VC is the downstream VC index.
-	VC int
+	VC int8
 	// VCFree marks the downstream VC free for reallocation.
 	VCFree bool
 }
@@ -63,19 +65,19 @@ type CreditIn struct {
 type RouteFn func(cur int, in topology.Port, vcIdx int, dst int) (out topology.Port, dvcLo, dvcHi int, ok bool)
 
 // grant is one switch-allocation winner, executed by the crossbar stage
-// the following cycle.
+// the following cycle: four bytes.
 type grant struct {
 	inPort    topology.Port
-	inVC      int
+	inVC      int8
 	outPort   topology.Port // actual destination output port
 	secondary bool          // traverse via the protected crossbar's secondary path
 }
 
 // saWinner is one input port's stage-1 switch-allocation winner, held in
 // the router's reusable per-port scratch buffer (saWinners) between the
-// two allocator stages.
+// two allocator stages: four bytes.
 type saWinner struct {
-	vcIdx     int
+	vcIdx     int8
 	outPort   topology.Port
 	secondary bool
 	bypass    bool
@@ -110,18 +112,13 @@ type Counters struct {
 	Reroutes uint64
 }
 
-// inFlit and creditIn are the router's latched inputs: what router.InFlit
-// and CreditIn carry, narrow (router.Config caps ports and VCs at 64). A
-// latch holds a cycle's worth of them per router, so their width is most
-// of what the latches cost.
+// inFlit is a latched input flit: what router.InFlit carries, with the
+// VC a byte (router.Config caps ports and VCs at 64). A latch holds a
+// cycle's worth of them per router, so their width is most of what the
+// latches cost; latched credits are CreditIn, narrow already.
 type inFlit struct {
 	f      *flit.Flit
 	in, vc uint8
-}
-
-type creditIn struct {
-	out, vc uint8
-	free    bool
 }
 
 // Router is a P-port, V-VC, 4-stage pipelined wormhole router with
@@ -141,7 +138,7 @@ type Router struct {
 	// The I/O latches are empty at the step boundary where snapshots are
 	// taken; RestoreState clears them rather than restoring contents.
 	inFlits    []inFlit         //noc:derived I/O latch, empty at the step boundary
-	inCredits  []creditIn       //noc:derived I/O latch, empty at the step boundary
+	inCredits  []CreditIn       //noc:derived I/O latch, empty at the step boundary
 	outFlits   []router.OutFlit //noc:derived I/O latch, empty at the step boundary
 	outCredits []router.Credit  //noc:derived I/O latch, empty at the step boundary
 
@@ -156,16 +153,17 @@ type Router struct {
 
 	cfg router.Config
 
-	// vcs is the slab of input VCs, VC v of port p at p*VCs+v; the pipeline
-	// stages index it directly. in (below) holds the ports by value, their
-	// VCs pointing into the slab — the view InputVC and FindLender use.
+	// vcs is the slab of input VCs, VC v of port p at p*VCs+v, and the
+	// router's one view of them: the stages, InputVC and FindLender all
+	// index it (inVC, portVCs).
 	vcs []vc.VC
 
 	// Output-side bookkeeping: this router as upstream of each output
 	// port's downstream buffers. credits holds downstream VC v of output p
-	// at p*VCs+v; outBusy[p] has bit v set while that VC is allocated (VA
-	// stage 2 sets it, its VC-free credit clears it).
-	credits []int
+	// at p*VCs+v, 16-bit (router.Config caps the depth at 32,767);
+	// outBusy[p] has bit v set while that VC is allocated (VA stage 2
+	// sets it, its VC-free credit clears it).
+	credits []int16
 	outBusy []uint64
 
 	// Occupancy state, derived from the VCs' G fields and the SA stage-1
@@ -216,9 +214,6 @@ type Router struct {
 	//noc:derived immutable configuration, fixed at construction
 	topo topology.Topology
 
-	//noc:derived immutable wiring: a view of vcs, fixed at construction
-	in []vc.InputPort
-
 	// The router's parts, in its own blocks. Bit p of rcFaulty[c] marks RC
 	// copy c of input port p faulty: copy 0 is the port's RC unit, copy 1
 	// the protected router's duplicate, switched in when the primary is
@@ -240,8 +235,9 @@ type Router struct {
 	xb crossbar.Protected
 
 	// rcScan is the per-port round-robin pointer for the (single) RC unit
-	// serving at most one VC per cycle.
-	rcScan []int
+	// serving at most one VC per cycle. It and the two adoption rows below
+	// are 16-bit, like credits, and share its block.
+	rcScan []int16
 
 	// saAdopted tracks, per input port, the VC adopted as the bypass
 	// path's effective default winner after a transfer (Section V-C1), or
@@ -250,9 +246,10 @@ type Router struct {
 	// flits and state move into the default winner's buffers in one
 	// cycle; architecturally the packet still occupies its original VC
 	// identity, which is what the upstream sees.
-	saAdopted []int
-	// saAdoptAge counts cycles since the adoption, for rotation expiry.
-	saAdoptAge []int
+	saAdopted []int16
+	// saAdoptAge counts cycles since the adoption, for rotation expiry:
+	// below the rotate period, so at most 32,767.
+	saAdoptAge []int16
 
 	// va2req collects stage-2 VA requests as request words, one per input
 	// port: the Ports words from (outPort*VCs+dvc)*Ports on are the
@@ -313,7 +310,7 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	}
 	P, V := cfg.Ports, cfg.VCs
 	r := &Router{ID: id, cfg: cfg, topo: topo, xb: *crossbar.NewProtected(P)}
-	r.vcs, r.in = vc.NewPorts(P, V, cfg.Depth)
+	r.vcs = vc.NewPorts(P, V, cfg.Depth)
 	// The busy, VA stage-1 fault and class words, and the stall scan's
 	// advance marks one per port when observability is bound, share one
 	// small allocation: carved from the words block below they would push
@@ -329,10 +326,10 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 		r.classWord[v] = spanWord(cfg.ClassRange(cfg.ClassOf(v)))
 	}
 	// The credit counts, then rcScan, saAdopted and saAdoptAge one per port.
-	ints := make([]int, P*V+3*P)
+	ints := make([]int16, P*V+3*P)
 	r.credits, ints = ints[:P*V:P*V], ints[P*V:]
 	for i := range r.credits {
-		r.credits[i] = cfg.Depth
+		r.credits[i] = int16(cfg.Depth)
 	}
 	r.rcScan, r.saAdopted, r.saAdoptAge = ints[:P:P], ints[P:2*P:2*P], ints[2*P:]
 	for i := range r.saAdopted {
@@ -365,7 +362,7 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	// (one flit per port per cycle; credits bounded by total VCs plus the
 	// VC-free piggyback) so the steady-state tick never grows them.
 	r.inFlits = make([]inFlit, 0, P)
-	r.inCredits = make([]creditIn, 0, P*V+P)
+	r.inCredits = make([]CreditIn, 0, P*V+P)
 	r.outFlits = make([]router.OutFlit, 0, P)
 	r.outCredits = make([]router.Credit, 0, P*V+P)
 	r.droppedPkts = make([]*flit.Packet, 0, P)
@@ -396,7 +393,7 @@ func (r *Router) FaultTolerant() bool { return r.cfg.FaultTolerant }
 // the pipeline finds work through state derived from the G field — the
 // occupancy mask occ and the stage words rcWait and vaWait — so a G
 // written through this pointer never reaches the stages.
-func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return r.in[p].VCs[v] }
+func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return &r.portVCs(int(p))[v] }
 
 // AcceptFlit delivers a flit to input port latch; it is buffered at the
 // start of the next Tick. It panics on a port or VC the router lacks.
@@ -411,9 +408,9 @@ func (r *Router) AcceptFlit(f router.InFlit) {
 // port or VC the router lacks.
 func (r *Router) AcceptCredit(c CreditIn) {
 	if uint(c.Out) >= uint(r.cfg.Ports) || uint(c.VC) >= uint(r.cfg.VCs) {
-		panic(vcError{r.ID, "credit for a missing VC", c.Out, c.VC})
+		panic(vcError{r.ID, "credit for a missing VC", c.Out, int(c.VC)})
 	}
-	r.inCredits = append(r.inCredits, creditIn{out: uint8(c.Out), vc: uint8(c.VC), free: c.VCFree})
+	r.inCredits = append(r.inCredits, c)
 }
 
 // vcError is what the latch entry points and the credit accessors panic
@@ -533,7 +530,7 @@ func (r *Router) portVCs(p int) []vc.VC {
 
 // Credits returns the router's current credit count for downstream VC
 // (p, v) — exposed for the network-level credit-conservation checker.
-func (r *Router) Credits(p topology.Port, v int) int { return r.credits[int(p)*r.cfg.VCs+v] }
+func (r *Router) Credits(p topology.Port, v int) int { return int(r.credits[int(p)*r.cfg.VCs+v]) }
 
 // creditReturn is the audited entry point for adding a downstream credit
 // on (p, v): a credit arriving from the neighbour, or one refunded when a
@@ -545,7 +542,7 @@ func (r *Router) Credits(p topology.Port, v int) int { return r.credits[int(p)*r
 func (r *Router) creditReturn(p topology.Port, v int) {
 	c := &r.credits[int(p)*r.cfg.VCs+v]
 	*c++
-	if *c > r.cfg.Depth {
+	if int(*c) > r.cfg.Depth {
 		panic(vcError{r.ID, "credit overflow", p, v})
 	}
 }
@@ -569,7 +566,7 @@ func (r *Router) creditSpend(p topology.Port, v int) {
 func (r *Router) PendingGrants(p topology.Port, v int) int {
 	n := 0
 	for _, g := range r.grants {
-		if g.outPort == p && r.inVC(int(g.inPort), g.inVC).OutVC == v {
+		if g.outPort == p && int(r.inVC(int(g.inPort), int(g.inVC)).OutVC) == v {
 			n++
 		}
 	}

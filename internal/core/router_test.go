@@ -71,7 +71,7 @@ func (b *bench) step() {
 	b.r.Tick(b.cycle)
 
 	for _, of := range b.r.TakeOutFlits() {
-		b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: of.DownVC, at: b.cycle})
+		b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: int(of.DownVC), at: b.cycle})
 		// Downstream consumes instantly and returns the credit next cycle.
 		b.pendingCredits = append(b.pendingCredits, CreditIn{
 			Out:    of.Out,
@@ -217,7 +217,7 @@ func TestCreditBackpressure(t *testing.T) {
 		}
 		b.r.Tick(b.cycle)
 		for _, of := range b.r.TakeOutFlits() {
-			b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: of.DownVC, at: b.cycle})
+			b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: int(of.DownVC), at: b.cycle})
 		}
 		for _, c := range b.r.TakeOutCredits() {
 			if c.In == topology.West && c.VC == 0 {
@@ -230,11 +230,11 @@ func TestCreditBackpressure(t *testing.T) {
 		t.Fatalf("%d flits left without credits, want %d (buffer depth)", n, cfg.Depth)
 	}
 	// Return one credit: exactly one more flit moves.
-	b.r.AcceptCredit(CreditIn{Out: topology.East, VC: b.arrived[topology.East][0].dvc})
+	b.r.AcceptCredit(CreditIn{Out: topology.East, VC: int8(b.arrived[topology.East][0].dvc)})
 	for i := 0; i < 5; i++ {
 		b.r.Tick(b.cycle)
 		for _, of := range b.r.TakeOutFlits() {
-			b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: of.DownVC, at: b.cycle})
+			b.arrived[of.Out] = append(b.arrived[of.Out], arrival{f: of.F, dvc: int(of.DownVC), at: b.cycle})
 		}
 		b.cycle++
 	}
@@ -284,23 +284,24 @@ func TestContentionSharedOutputSerializes(t *testing.T) {
 
 // TestNewRouterIsOneBlock pins the router's layout as a count of the
 // objects core.New allocates for the paper's protected 5-port, 4-VC
-// router: 17, every one retained, where the pointer-graph layout (one
+// router: 15, every one retained, where the pointer-graph layout (one
 // heap object per VC, per VC buffer, per input port, per RC unit, per
-// credit and busy row) allocated 99, and the layout with the RC units,
-// allocators and crossbar as objects of their own 32. A change that puts
-// a per-port or per-VC object back on the heap fails here. It also pins
-// the arbiters' widths (Figure 3a/3b): VA stage 1 over a port's v
-// downstream VCs, VA stage 2 over the pi·v input VCs, SA stage 1 over an
-// input port's v VCs and SA stage 2 over the pi input ports.
+// credit and busy row) allocated 99, the layout with the RC units,
+// allocators and crossbar as objects of their own 32, and the one with a
+// per-port pointer view of the VC slab 17. A change that puts a per-port
+// or per-VC object back on the heap fails here. It also pins the
+// arbiters' widths (Figure 3a/3b): VA stage 1 over a port's v downstream
+// VCs, VA stage 2 over the pi·v input VCs, SA stage 1 over an input
+// port's v VCs and SA stage 2 over the pi input ports.
 func TestNewRouterIsOneBlock(t *testing.T) {
 	mesh := topology.NewMesh(8, 8)
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
-	const maxObjects = 17
+	const maxObjects = 15
 	if got := testing.AllocsPerRun(50, func() { MustNew(9, mesh, cfg) }); got > maxObjects {
 		t.Errorf("core.New allocates %.0f objects, want <= %d", got, maxObjects)
 	}
-	// The slab and the port view are the same VCs.
+	// InputVC is the slab, port-major.
 	r := MustNew(9, mesh, cfg)
 	for p := 0; p < cfg.Ports; p++ {
 		for v := 0; v < cfg.VCs; v++ {

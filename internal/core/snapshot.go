@@ -49,12 +49,11 @@ import (
 //	           VF|FSP|Detour, DvcLo, DvcHi, number of buffered flits
 //
 // Every value is a port, a VC index, an arbiter priority (below
-// Ports*VCs), a credit count (at most Depth) or a rotation counter (at
-// most BypassRotatePeriod), so the record is []int16 and put panics on a
+// Ports*VCs), a credit count (at most Depth) or a rotation counter (below
+// BypassRotatePeriod), so the record is []int16 and put panics on a
 // value that does not fit instead of truncating it: router.Config caps
-// ports and VCs at 64, and a buffer depth or rotate period of 32768 is a
-// configuration no experiment in this repository comes within two orders
-// of magnitude of. The flits of the VCs that have an entry sit in flits,
+// ports and VCs at 64 and the depth and rotate period at 32,767, so
+// every value fits. The flits of the VCs that have an entry sit in flits,
 // in record order. RestoreState resets a live VC that has no entry —
 // what ResetPacketState and ClearBorrow do — and checks at the end that
 // it consumed the record and the flits exactly.
@@ -166,7 +165,7 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 
 	rec = put(rec, len(r.grants))
 	for _, g := range r.grants {
-		rec = put(put(put(put(rec, int(g.inPort)), g.inVC), int(g.outPort)), bit(g.secondary, 1))
+		rec = put(put(put(put(rec, int(g.inPort)), int(g.inVC)), int(g.outPort)), bit(g.secondary, 1))
 	}
 	for p := 0; p < P; p++ {
 		b := &r.sa1[p]
@@ -177,14 +176,14 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 			bit(r.sa2[p].Faulty(), portSA2) | bit(r.rcFaulty[0]>>uint(p)&1 != 0, portRC0) |
 			bit(r.rcFaulty[1]>>uint(p)&1 != 0, portRC1) |
 			bit(r.xb.MuxFaulty(p), portXBMux) | bit(r.xb.SecondaryFaulty(p), portXBSec)
-		rec = put(put(put(rec, r.rcScan[p]), r.saAdopted[p]), r.saAdoptAge[p])
+		rec = put(put(put(rec, int(r.rcScan[p])), int(r.saAdopted[p])), int(r.saAdoptAge[p]))
 		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa2[p].Prio())
 		rec = put(rec, flags)
 		vcs, credits, busy, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outBusy[p], r.va1[p*V:], r.va2[p*V:]
 		for v := 0; v < V; v++ {
 			q := &vcs[v]
 			entry := !q.IsReset()
-			rec = put(put(put(rec, credits[v]), va1[v].Prio()), va2[v].Prio())
+			rec = put(put(put(rec, int(credits[v])), va1[v].Prio()), va2[v].Prio())
 			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(r.va1Faulty[p]>>uint(v)&1 != 0, vcVA1Faulty)|
 				bit(va2[v].Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
 			if entry {
@@ -199,10 +198,10 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 // saveVC appends the entry of one input VC that is not in its reset
 // state, and the clones of its buffered flits.
 func saveVC(rec []int16, fl []flit.Flit, v *vc.VC, cloneFlit func(*flit.Flit) *flit.Flit) ([]int16, []flit.Flit) {
-	rec = put(put(put(rec, int(v.G)), int(v.R)), v.OutVC)
-	rec = put(put(put(rec, int(v.R2)), v.ID), int(v.SP))
+	rec = put(put(put(rec, int(v.G)), int(v.R)), int(v.OutVC))
+	rec = put(put(put(rec, int(v.R2)), int(v.ID)), int(v.SP))
 	rec = put(rec, bit(v.VF, vcVF)|bit(v.FSP, vcFSP)|bit(v.Detour, vcDetour))
-	rec = put(put(put(rec, v.DvcLo), v.DvcHi), v.Len())
+	rec = put(put(put(rec, int(v.DvcLo)), int(v.DvcHi)), v.Len())
 	for _, f := range v.Flits() {
 		fl = append(fl, *cloneFlit(f))
 	}
@@ -238,14 +237,14 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 	r.grants = r.grants[:0]
 	i := 1
 	for n := int(rec[0]); n > 0; i, n = i+4, n-1 {
-		r.grants = append(r.grants, grant{inPort: topology.Port(rec[i]), inVC: int(rec[i+1]),
+		r.grants = append(r.grants, grant{inPort: topology.Port(rec[i]), inVC: int8(rec[i+1]),
 			outPort: topology.Port(rec[i+2]), secondary: rec[i+3] != 0})
 	}
 	for p := 0; p < P; p++ {
 		b := &r.sa1[p]
 		port := rec[i : i+8 : i+8]
 		i += 8
-		r.rcScan[p], r.saAdopted[p], r.saAdoptAge[p] = int(port[0]), int(port[1]), int(port[2])
+		r.rcScan[p], r.saAdopted[p], r.saAdoptAge[p] = port[0], port[1], port[2]
 		b.Arb.SetPrio(int(port[3]))
 		b.SetBypassState(int(port[4]), int(port[5]))
 		r.sa2[p].SetPrio(int(port[6]))
@@ -263,7 +262,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 			slot := rec[i : i+4 : i+4]
 			i += 4
 			flags := slot[3]
-			credits[v] = int(slot[0])
+			credits[v] = slot[0]
 			va1[v].SetPrio(int(slot[1]))
 			va2[v].SetPrio(int(slot[2]))
 			if flags&vcOutBusy != 0 {
@@ -298,10 +297,10 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 // front of fl, and returns the flits that follow.
 func restoreVC(v *vc.VC, entry []int16, fl []flit.Flit, cloneFlit func(*flit.Flit) *flit.Flit) []flit.Flit {
 	_ = entry[vcEntryLen-1]
-	v.G, v.R, v.OutVC = vc.GState(entry[0]), topology.Port(entry[1]), int(entry[2])
-	v.R2, v.ID, v.SP = topology.Port(entry[3]), int(entry[4]), topology.Port(entry[5])
+	v.G, v.R, v.OutVC = vc.GState(entry[0]), topology.Port(entry[1]), int8(entry[2])
+	v.R2, v.ID, v.SP = topology.Port(entry[3]), int8(entry[4]), topology.Port(entry[5])
 	v.VF, v.FSP, v.Detour = entry[6]&vcVF != 0, entry[6]&vcFSP != 0, entry[6]&vcDetour != 0
-	v.DvcLo, v.DvcHi = int(entry[7]), int(entry[8])
+	v.DvcLo, v.DvcHi = int8(entry[7]), int8(entry[8])
 	n := int(entry[9])
 	v.Clear()
 	for i := range fl[:n] {
@@ -332,23 +331,23 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			ivc := &r.vcs[p*V+v]
 			b = append(b, byte(ivc.G))
 			b = canon.Int(b, int(ivc.R))
-			b = canon.Int(b, ivc.OutVC)
+			b = canon.Int(b, int(ivc.OutVC))
 			b = canon.Int(b, int(ivc.R2))
 			b = canon.Bool(b, ivc.VF)
-			b = canon.Int(b, ivc.ID)
+			b = canon.Int(b, int(ivc.ID))
 			b = canon.Int(b, int(ivc.SP))
 			b = canon.Bool(b, ivc.FSP)
 			// Detour is observational only (stall attribution) and is
 			// excluded like the counters: it never feeds arbitration.
-			b = canon.Int(b, ivc.DvcLo)
-			b = canon.Int(b, ivc.DvcHi)
+			b = canon.Int(b, int(ivc.DvcLo))
+			b = canon.Int(b, int(ivc.DvcHi))
 			fs := ivc.Flits()
 			b = canon.Int(b, len(fs))
 			for _, f := range fs {
 				b = AppendCanonicalFlit(b, f)
 			}
 			b = canon.Bool(b, r.outBusy[p]>>uint(v)&1 != 0)
-			b = canon.Int(b, r.credits[p*V+v])
+			b = canon.Int(b, int(r.credits[p*V+v]))
 			b = canon.Int(b, r.va1[p*V+v].Prio())
 			b = canon.Int(b, r.va2[p*V+v].Prio())
 			b = canon.Bool(b, r.va1Faulty[p]>>uint(v)&1 != 0)
@@ -373,14 +372,14 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 		if r.cfg.FaultTolerant {
 			b = canon.Bool(b, r.xb.SecondaryFaulty(p))
 		}
-		b = canon.Int(b, r.rcScan[p])
-		b = canon.Int(b, r.saAdopted[p])
-		b = canon.Int(b, r.saAdoptAge[p])
+		b = canon.Int(b, int(r.rcScan[p]))
+		b = canon.Int(b, int(r.saAdopted[p]))
+		b = canon.Int(b, int(r.saAdoptAge[p]))
 	}
 	b = canon.Int(b, len(r.grants))
 	for _, g := range r.grants {
 		b = canon.Int(b, int(g.inPort))
-		b = canon.Int(b, g.inVC)
+		b = canon.Int(b, int(g.inVC))
 		b = canon.Int(b, int(g.outPort))
 		b = canon.Bool(b, g.secondary)
 	}

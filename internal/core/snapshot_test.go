@@ -87,18 +87,21 @@ func TestRouterStateRejectsOtherConfigurations(t *testing.T) {
 	}
 }
 
-// TestSaveStateRefusesWhatTheRecordCannotHold pins put's range check: a
-// credit count past 16 bits (a buffer depth no experiment uses, but one
-// router.Config accepts) panics in SaveState with the value named,
-// instead of being truncated into a state that restores wrong.
+// TestSaveStateRefusesWhatTheRecordCannotHold pins the two guards of the
+// 16-bit record. A router whose credit counts would pass 16 bits (buffer
+// depth 32768) is refused when it is built, so none reaches SaveState; and
+// put, which writes the record's computed values, panics with the value
+// named instead of truncating it into a state that restores wrong.
 func TestSaveStateRefusesWhatTheRecordCannotHold(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.Depth = 1 << 15
-	r := MustNew(4, topology.NewMesh(3, 3), cfg)
+	if _, err := New(4, topology.NewMesh(3, 3), cfg); err == nil || !strings.Contains(err.Error(), "32768 exceeds 32767") {
+		t.Errorf("New of a depth-32768 router: error %v, want the depth bound named", err)
+	}
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "32768 does not fit") {
-			t.Errorf("SaveState of a depth-32768 router: panic %q, want the range check's", msg)
+			t.Errorf("put of 32768: panic %q, want the range check's", msg)
 		}
 	}()
-	r.SaveState(cloneWithPacket)
+	put(nil, 1<<15)
 }

@@ -87,7 +87,7 @@ func (r *Router) stallScan(cy sim.Cycle) {
 					o.Stall(obs.StallRouteBlocked, p, v)
 				case q.Detour || q.FSP:
 					o.Stall(obs.StallRouteBlocked, p, v)
-				case r.credits[int(q.R)*V+q.OutVC] == 0:
+				case r.credits[int(q.R)*V+int(q.OutVC)] == 0:
 					o.Stall(obs.StallCreditStarved, p, v)
 				default:
 					o.Stall(obs.StallArbLost, p, v)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -89,7 +90,7 @@ func ParseInjection(spec string) (router int, site Site, err error) {
 		site.Port = p
 	} else {
 		n, err := strconv.Atoi(fields[2])
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxInt8 {
 			return 0, Site{}, fmt.Errorf("fault spec %q: bad port %q (want l, n, e, s, w or a port id)", spec, fields[2])
 		}
 		site.Port = topology.Port(n)

@@ -45,6 +45,7 @@ func TestParseInjectionErrors(t *testing.T) {
 		"5:nope:e",    // unknown kind
 		"5:sa1:q",     // bad port letter
 		"5:sa1:-2",    // negative port
+		"5:sa1:256",   // a port id no byte holds (it would wrap to Local)
 		"5:va1:e:x",   // bad index
 		"5:va1:e:-1",  // negative index
 		"5:sa1:e:1:2", // too many fields

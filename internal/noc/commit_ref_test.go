@@ -60,7 +60,7 @@ func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
 				continue
 			}
 			if on := n.obsNodes[id]; on != nil {
-				on.LinkFlit(int(of.Out), of.DownVC)
+				on.LinkFlit(int(of.Out), int(of.DownVC))
 			}
 			if n.routerDead[id] {
 				// A dead node ejects nothing: the packet (necessarily
@@ -120,7 +120,7 @@ func (n *Network) refCommitLinksNode(u int, linkTraffic []uint64) {
 				*mf &^= 1 << uint(dvc)
 			}
 			if on := n.obsNodes[v]; on != nil {
-				on.LinkFlit(int(q), dvc)
+				on.LinkFlit(int(q), int(dvc))
 			}
 			n.inFlits[u] = append(n.inFlits[u],
 				inFlit{in: uint8(p), vc: uint8(dvc), f: of.F})

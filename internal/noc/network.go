@@ -693,11 +693,11 @@ func (n *Network) computeNode(id int, c sim.Cycle) {
 	}
 	n.inFlits[id] = n.inFlits[id][:0]
 	for _, cr := range n.inCredits[id] {
-		r.AcceptCredit(core.CreditIn{Out: topology.Port(cr.port), VC: int(cr.vc), VCFree: cr.free})
+		r.AcceptCredit(core.CreditIn{Out: topology.Port(cr.port), VC: int8(cr.vc), VCFree: cr.free})
 	}
 	n.inCredits[id] = n.inCredits[id][:0]
 	for _, cr := range n.inNICredits[id] {
-		ni.acceptCredit(router.Credit{In: topology.Port(cr.port), VC: int(cr.vc), VCFree: cr.free})
+		ni.acceptCredit(router.Credit{In: topology.Port(cr.port), VC: int8(cr.vc), VCFree: cr.free})
 	}
 	n.inNICredits[id] = n.inNICredits[id][:0]
 
@@ -770,7 +770,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				continue
 			}
 			if on := n.obsNodes[id]; on != nil {
-				on.LinkFlit(int(of.Out), of.DownVC)
+				on.LinkFlit(int(of.Out), int(of.DownVC))
 			}
 			if n.routerDead[id] {
 				// A dead node ejects nothing: the packet (necessarily
@@ -801,7 +801,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				panic(fmt.Sprintf("noc: router %d emitted credit through edge port %v", id, cr.In))
 			}
 			p := cr.In.Opposite()
-			n.creditReg[u*n.ports+int(p)].add(cr.VC, cr.VCFree)
+			n.creditReg[u*n.ports+int(p)].add(int(cr.VC), cr.VCFree)
 			n.inbound[u] |= 1 << uint(p)
 		}
 	}
@@ -823,7 +823,7 @@ func (n *Network) crossLink(id, link, u int, of router.OutFlit) {
 		n.midFlight[link] &^= bit
 	}
 	if on := n.obsNodes[id]; on != nil {
-		on.LinkFlit(int(of.Out), of.DownVC)
+		on.LinkFlit(int(of.Out), int(of.DownVC))
 	}
 	p := of.Out.Opposite()
 	reg := &n.flitReg[u*n.ports+int(p)]

@@ -108,7 +108,7 @@ func (ni *NI) Sending() bool { return ni.activeVCs > 0 }
 // acceptCredit processes a credit returned by the router's local input
 // port.
 func (ni *NI) acceptCredit(c router.Credit) {
-	ni.creditReturn(c.VC)
+	ni.creditReturn(int(c.VC))
 	if c.VCFree {
 		ni.vcBusy[c.VC] = false
 	}

@@ -88,7 +88,7 @@ func TestNIRespectsCredits(t *testing.T) {
 	if len(fr.got) != 4 {
 		t.Fatalf("sent %d flits without credits, want 4", len(fr.got))
 	}
-	ni.acceptCredit(router.Credit{In: localPort, VC: fr.got[0].VC})
+	ni.acceptCredit(router.Credit{In: localPort, VC: int8(fr.got[0].VC)})
 	ni.tick(10)
 	if len(fr.got) != 5 {
 		t.Fatalf("sent %d flits after one credit, want 5", len(fr.got))
@@ -108,8 +108,8 @@ func TestNIVCReuseAfterFree(t *testing.T) {
 		t.Fatalf("VC %d reused before VCFree", v)
 	}
 	// After VCFree (and credit return) the first VC is available again.
-	ni.acceptCredit(router.Credit{In: localPort, VC: v, VCFree: true})
-	ni.acceptCredit(router.Credit{In: localPort, VC: fr.got[1].VC, VCFree: true})
+	ni.acceptCredit(router.Credit{In: localPort, VC: int8(v), VCFree: true})
+	ni.acceptCredit(router.Credit{In: localPort, VC: int8(fr.got[1].VC), VCFree: true})
 	ni.Offer(&flit.Packet{Dst: 3, Class: flit.Request, Size: 1})
 	ni.tick(2)
 	if fr.got[2].VC != v {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"gonoc/internal/topology"
@@ -68,12 +69,25 @@ type routeEntry struct {
 	layer int8
 }
 
+// nibble packs e into four bits: out+1 (0 for unreachable, 1 to 5 for
+// Local to West) in the low three, the layer in the fourth.
+func (e routeEntry) nibble() byte { return byte(e.out+1) | byte(e.layer)<<3 }
+
+// entryOf unpacks the entry held in the low four bits of n.
+func entryOf(n byte) routeEntry {
+	return routeEntry{out: int8(n&7) - 1, layer: int8(n >> 3 & 1)}
+}
+
 // routeTable holds, per destination, a routeEntry for every routing
-// state. It is immutable once built; SetLinkFault/SetRouterFault swap in
-// a fresh table during the serial hook phase.
+// state, two to a byte: entry i = dst*nStates+stateID is the low nibble
+// of packed[i/2] when i is even, the high one when odd (nStates is a
+// multiple of statesPerNode, so even, and every destination starts on a
+// byte). A 32x32 mesh's table is 5.2 MB, a quarter of what a two-byte
+// entry took. It is immutable once built; SetLinkFault/SetRouterFault swap
+// in a fresh table during the serial hook phase.
 type routeTable struct {
 	nStates int
-	entries []routeEntry // [dst*nStates+stateID]
+	packed  []byte
 }
 
 // statesPerNode is the routing-state count per node.
@@ -156,14 +170,14 @@ type frontNode struct {
 // of the state graph is a node and a predLegal mask per state — no edge
 // lists — and injection states have no predecessors at all.
 type routeBuilder struct {
-	predNode []int32      // per state: the node its predecessors sit at, -1 for none
-	predMask []uint16     // per state: which of predNode's states may move here
-	seen     []uint16     // per node: states reached before the current level
-	now      []uint16     // per node: states reached in the current level
-	base     []int8       // per node: baseline port toward the current destination
-	front    []frontNode  // the current level
-	next     []frontNode  // the level it is reaching
-	blank    []routeEntry // one destination's worth of unreachable entries
+	predNode []int32     // per state: the node its predecessors sit at, -1 for none
+	predMask []uint16    // per state: which of predNode's states may move here
+	seen     []uint16    // per node: states reached before the current level
+	now      []uint16    // per node: states reached in the current level
+	base     []int8      // per node: baseline port toward the current destination
+	front    []frontNode // the current level
+	next     []frontNode // the level it is reaching
+	row      []byte      // one destination's entries, a nibble a byte; zero (unreachable) between destinations
 }
 
 // build computes the full per-destination routing tables for the given
@@ -178,10 +192,7 @@ func (b *routeBuilder) build(topo topology.Topology, linkDead [][]bool, routerDe
 			predNode: make([]int32, nStates), predMask: make([]uint16, nStates),
 			seen: make([]uint16, nodes), now: make([]uint16, nodes), base: make([]int8, nodes),
 			front: make([]frontNode, 0, nodes), next: make([]frontNode, 0, nodes),
-			blank: make([]routeEntry, nStates),
-		}
-		for i := range b.blank {
-			b.blank[i].out = -1
+			row: make([]byte, nStates),
 		}
 	}
 	for i := range b.predNode {
@@ -207,28 +218,51 @@ func (b *routeBuilder) build(topo topology.Topology, linkDead [][]bool, routerDe
 		}
 	}
 
-	t := &routeTable{nStates: nStates, entries: make([]routeEntry, nodes*nStates)}
+	t := &routeTable{nStates: nStates, packed: make([]byte, nodes*nStates/2)}
+	row := b.row
 	for dst := 0; dst < nodes; dst++ {
-		ents := t.entries[dst*nStates:][:nStates]
-		copy(ents, b.blank)
 		for s := 0; s < statesPerNode; s++ {
-			ents[dst*statesPerNode+s] = routeEntry{out: int8(topology.Local), layer: int8(s % numLayers)}
+			row[dst*statesPerNode+s] = routeEntry{out: int8(topology.Local), layer: int8(s % numLayers)}.nibble()
 		}
 		if !routerDead[dst] {
-			b.wave(topo, dst, ents)
+			b.wave(topo, dst, row)
 		}
+		// Pack the row into the table, then leave it unreachable again
+		// for the next destination.
+		pack(t.packed[dst*nStates/2:][:nStates/2], row)
+		clear(row)
 	}
 	return t
 }
 
-// wave fills ents, one destination's table, by a level-synchronous
+// pack writes the nibbles of row into out, two a byte: entry 2i in the
+// low nibble of out[i], entry 2i+1 in the high one. It folds eight
+// entries into four bytes at a time: each odd byte's nibble onto the
+// byte below it, then the four bytes together.
+func pack(out, row []byte) {
+	row = row[:2*len(out)]
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		x := binary.LittleEndian.Uint64(row[2*i:])
+		x = (x | x>>4) & 0x00ff00ff00ff00ff
+		x = (x | x>>8) & 0x0000ffff0000ffff
+		x = (x | x>>16) & 0xffffffff
+		binary.LittleEndian.PutUint32(out[i:], uint32(x))
+	}
+	for ; i < len(out); i++ {
+		out[i] = row[2*i] | row[2*i+1]<<4
+	}
+}
+
+// wave fills ents, one destination's entries as nibbles (one a byte, in
+// the builder's reused row, which stays in L1), by a level-synchronous
 // reverse wave from dst: level k+1 is every unseen state with a move
 // into level k. Such a state's minimal moves are exactly its moves into
 // level k, and all of them are met while level k is expanded, so its
 // entry is written the first time the level reaches it and replaced
 // only by a better-ranked move of the same level (moveRank); there is
 // no distance array and no second selection pass.
-func (b *routeBuilder) wave(topo topology.Topology, dst int, ents []routeEntry) {
+func (b *routeBuilder) wave(topo topology.Topology, dst int, ents []byte) {
 	for y := range b.base {
 		b.base[y] = int8(topo.Route(y, dst))
 	}
@@ -254,7 +288,7 @@ func (b *routeBuilder) wave(topo topology.Topology, dst int, ents []routeEntry) 
 				}
 				ties := reached & b.now[y]
 				b.now[y] |= reached
-				move := routeEntry{out: int8(topology.Port(bit / numLayers).Opposite()), layer: int8(bit % numLayers)}
+				move := routeEntry{out: int8(topology.Port(bit / numLayers).Opposite()), layer: int8(bit % numLayers)}.nibble()
 				row, base := ents[int(y)*statesPerNode:][:statesPerNode], b.base[y]
 				for r := reached &^ ties; r != 0; r &= r - 1 {
 					row[bits.TrailingZeros16(r)] = move
@@ -283,10 +317,12 @@ func (b *routeBuilder) wave(topo topology.Topology, dst int, ents []routeEntry) 
 // positive→negative turn rides the free 0→1 layer switch), so traffic
 // whose baseline path misses the faults keeps the baseline's load
 // balance — a single smallest-port tie-break instead funnels every tied
-// flow onto the same links and congests the whole network.
-func moveRank(m routeEntry, base int8) int {
-	rank := int(m.layer)<<3 | int(m.out)
-	if m.out != base {
+// flow onto the same links and congests the whole network. A move's
+// nibble already orders by layer, then port: the layer sits above
+// out+1.
+func moveRank(m byte, base int8) int {
+	rank := int(m)
+	if int8(m&7)-1 != base {
 		rank |= 1 << 4
 	}
 	return rank
@@ -295,7 +331,8 @@ func moveRank(m routeEntry, base int8) int {
 // lookup returns the routing decision for a packet at node (entered
 // through in, on layer) heading for dst.
 func (t *routeTable) lookup(dst, node int, in topology.Port, layer int) routeEntry {
-	return t.entries[dst*t.nStates+stateID(node, in, layer)]
+	i := dst*t.nStates + stateID(node, in, layer)
+	return entryOf(t.packed[i>>1] >> (uint(i&1) * 4))
 }
 
 // reachable reports whether a packet injected at src can reach dst under

@@ -76,13 +76,13 @@ func (f *faultSet) checkAgainstReference(t *testing.T, b *routeBuilder) {
 	t.Helper()
 	got := b.build(f.topo, f.linkDead, f.routerDead)
 	want := refBuildRoutes(f.topo, f.linkDead, f.routerDead)
-	if got.nStates != f.topo.Nodes()*statesPerNode || len(got.entries) != len(want)*got.nStates {
-		t.Fatalf("table shape: nStates %d, %d entries for %d destinations", got.nStates, len(got.entries), len(want))
+	if got.nStates != f.topo.Nodes()*statesPerNode || 2*len(got.packed) != len(want)*got.nStates {
+		t.Fatalf("table shape: nStates %d, %d bytes for %d destinations", got.nStates, len(got.packed), len(want))
 	}
 	bad := 0
 	for dst := range want {
 		for s, w := range want[dst] {
-			g := got.entries[dst*got.nStates+s]
+			g := got.lookup(dst, s/statesPerNode, topology.Port(s%statesPerNode/numLayers), s%numLayers)
 			if g == w {
 				continue
 			}

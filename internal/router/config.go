@@ -10,6 +10,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"gonoc/internal/obs"
 )
@@ -21,7 +22,7 @@ type Config struct {
 	Ports int
 	// VCs is the number of virtual channels per input port.
 	VCs int
-	// Depth is the per-VC buffer depth in flits.
+	// Depth is the per-VC buffer depth in flits, at most 32,767.
 	Depth int
 	// Classes is the number of message classes (virtual networks). VCs
 	// are partitioned evenly across classes so that requests and
@@ -33,7 +34,7 @@ type Config struct {
 	FaultTolerant bool
 	// BypassRotatePeriod is how many bypass grants the SA stage-1 default
 	// winner serves before rotating (Section V-C1's anti-starvation
-	// rotation). Values < 1 default to 16.
+	// rotation). Values < 1 default to 16; at most 32,767.
 	BypassRotatePeriod int
 	// Obs enables the observability layer (internal/obs): routers bind
 	// per-component counter handles and emit trace events to it. Leave
@@ -50,6 +51,11 @@ const (
 	maxVCs   = 64
 	maxPorts = 64
 )
+
+// maxCount is the largest buffer depth and bypass rotate period: a
+// router keeps its credit counts, bypass grant counts and adoption ages
+// in 16 bits, and saves them in a record of 16-bit values.
+const maxCount = math.MaxInt16
 
 // DefaultConfig returns the paper's 5×5, 4-VC, depth-4 configuration.
 func DefaultConfig() Config {
@@ -74,6 +80,9 @@ func (c *Config) Validate() error {
 	if c.Depth < 1 {
 		return fmt.Errorf("router: need buffer depth >= 1, got %d", c.Depth)
 	}
+	if c.Depth > maxCount {
+		return fmt.Errorf("router: buffer depth %d exceeds %d (credit counts are 16-bit)", c.Depth, maxCount)
+	}
 	if c.Classes < 1 {
 		c.Classes = 1
 	}
@@ -82,6 +91,9 @@ func (c *Config) Validate() error {
 	}
 	if c.BypassRotatePeriod < 1 {
 		c.BypassRotatePeriod = 16
+	}
+	if c.BypassRotatePeriod > maxCount {
+		return fmt.Errorf("router: bypass rotate period %d exceeds %d (bypass grant counts are 16-bit)", c.BypassRotatePeriod, maxCount)
 	}
 	return nil
 }

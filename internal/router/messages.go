@@ -10,14 +10,15 @@ import (
 // OutFlit is a flit leaving a router through an output port, tagged with
 // the downstream VC it was allocated. The network delivers it to the
 // neighbouring router's opposite input port (or to the local network
-// interface when Out == Local).
+// interface when Out == Local). The port and the VC are bytes (Config
+// caps both at 64), so an entry is the flit pointer and one more word.
 type OutFlit struct {
+	// F is the flit itself.
+	F *flit.Flit
 	// Out is the output port the flit leaves through.
 	Out topology.Port
 	// DownVC is the downstream input VC the flit enters.
-	DownVC int
-	// F is the flit itself.
-	F *flit.Flit
+	DownVC int8
 }
 
 // String implements fmt.Stringer.
@@ -27,7 +28,8 @@ func (o OutFlit) String() string {
 
 // Credit is a flow-control credit returned upstream when a flit leaves an
 // input VC buffer. VCFree additionally signals that the tail departed and
-// the VC may be reallocated (gonoc's atomic VC reallocation).
+// the VC may be reallocated (gonoc's atomic VC reallocation). A credit is
+// three bytes.
 type Credit struct {
 	// In is the input port of the router that emitted the credit; the
 	// network forwards the credit to whatever feeds that port (the
@@ -35,7 +37,7 @@ type Credit struct {
 	In topology.Port
 	// VC is the input VC index the credit refers to, as seen by the
 	// upstream allocator (a transferred packet credits its original VC).
-	VC int
+	VC int8
 	// VCFree is set when the tail flit departed and the VC is free for a
 	// new packet.
 	VCFree bool

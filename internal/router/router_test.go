@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"gonoc/internal/topology"
@@ -21,17 +22,22 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 		ok   bool
+		msg  string // what a refusal must say, when set
 	}{
-		{"too few ports", func(c *Config) { c.Ports = 2 }, false},
-		{"most ports one request word holds", func(c *Config) { c.Ports = maxPorts }, true},
-		{"more ports than one request word holds", func(c *Config) { c.Ports = 65 }, false},
-		{"no VCs", func(c *Config) { c.VCs = 0 }, false},
-		{"most VCs one mask word holds", func(c *Config) { c.VCs = maxVCs }, true},
-		{"more VCs than one mask word holds", func(c *Config) { c.VCs = 65; c.Classes = 1 }, false},
-		{"no depth", func(c *Config) { c.Depth = 0 }, false},
-		{"classes must divide VCs", func(c *Config) { c.VCs = 3; c.Classes = 2 }, false},
-		{"single class ok", func(c *Config) { c.Classes = 1 }, true},
-		{"four classes over four VCs", func(c *Config) { c.Classes = 4 }, true},
+		{"too few ports", func(c *Config) { c.Ports = 2 }, false, ""},
+		{"most ports one request word holds", func(c *Config) { c.Ports = maxPorts }, true, ""},
+		{"more ports than one request word holds", func(c *Config) { c.Ports = 65 }, false, ""},
+		{"no VCs", func(c *Config) { c.VCs = 0 }, false, ""},
+		{"most VCs one mask word holds", func(c *Config) { c.VCs = maxVCs }, true, ""},
+		{"more VCs than one mask word holds", func(c *Config) { c.VCs = 65; c.Classes = 1 }, false, ""},
+		{"no depth", func(c *Config) { c.Depth = 0 }, false, ""},
+		{"deepest buffer a 16-bit credit holds", func(c *Config) { c.Depth = 32767 }, true, ""},
+		{"deeper than a 16-bit credit holds", func(c *Config) { c.Depth = 32768 }, false, "buffer depth 32768 exceeds 32767"},
+		{"longest rotate period 16 bits hold", func(c *Config) { c.BypassRotatePeriod = 32767 }, true, ""},
+		{"longer rotate period than 16 bits hold", func(c *Config) { c.BypassRotatePeriod = 32768 }, false, "bypass rotate period 32768 exceeds 32767"},
+		{"classes must divide VCs", func(c *Config) { c.VCs = 3; c.Classes = 2 }, false, ""},
+		{"single class ok", func(c *Config) { c.Classes = 1 }, true, ""},
+		{"four classes over four VCs", func(c *Config) { c.Classes = 4 }, true, ""},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -39,6 +45,8 @@ func TestConfigValidation(t *testing.T) {
 		err := cfg.Validate()
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: Validate() = %v, want it to say %q", tc.name, err, tc.msg)
 		}
 	}
 }

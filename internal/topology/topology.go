@@ -2,9 +2,11 @@ package topology
 
 import "fmt"
 
-// Port identifies one of a mesh router's five ports. Port values double as
-// indices into per-port arrays throughout the simulator.
-type Port int
+// Port identifies one of a router's ports. Port values double as indices
+// into per-port arrays throughout the simulator. A port is a byte:
+// router.Config caps the radix at 64, and a router holds a port in every
+// VC's R, R2 and SP fields and in every latch and grant entry.
+type Port int8
 
 // The five ports of a 2-D mesh router. Local connects to the node's
 // network interface (core/cache); the others connect to neighbouring

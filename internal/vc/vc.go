@@ -1,4 +1,4 @@
-// Package vc models virtual channels and the router input port.
+// Package vc models virtual channels and a router's slab of them.
 //
 // Each input port of the paper's router (Figure 3d) holds V virtual
 // channels, each a small flit FIFO plus per-VC state fields:
@@ -68,20 +68,39 @@ func (g GState) String() string {
 // None is the sentinel for "no VC" in ID/OutVC fields.
 const None = -1
 
-// VC is a single virtual channel: a flit FIFO plus state fields. The
-// one-byte fields sit together so a VC is twelve words, not sixteen: a
-// router holds its VCs by value in one slab (NewPorts), where the padding
-// would be a quarter of the slab.
+// VC is a single virtual channel: a flit FIFO plus state fields. Every
+// state field is a byte — a port, a VC index (router.Config caps both at
+// 64), the G state or a flag — so a VC is its buffer header and twelve
+// bytes, 40 in all: a router holds its VCs by value in one slab
+// (NewPorts), and twenty of them fit in 1 KiB.
 type VC struct {
-	// Index is this VC's position within its input port.
-	//noc:derived immutable slot identity, fixed at construction
-	Index int
-
 	// buf is the FIFO; its capacity is the buffer depth.
 	buf []*flit.Flit
 
+	// Index is this VC's position within its input port.
+	//noc:derived immutable slot identity, fixed at construction
+	Index int8
+
 	// G is the pipeline state.
 	G GState
+	// R is the routing computation result ('R' field).
+	R topology.Port
+	// OutVC is the allocated downstream VC ('O' field), or None.
+	OutVC int8
+
+	// R2 holds a borrowing VC's routing result (protected router only).
+	R2 topology.Port
+	// ID names the VC borrowing the arbiters, or None.
+	ID int8
+	// SP is the output port to request in SA when FSP is set.
+	SP topology.Port
+
+	// DvcLo and DvcHi restrict VC allocation to the downstream VC range
+	// [DvcLo, DvcHi), set by fault-aware routing to pin the packet to a
+	// deadlock-free routing layer. Both zero (the reset state) means no
+	// restriction: the full message-class range is eligible.
+	DvcLo, DvcHi int8
+
 	// VF is set while this VC's arbiters serve another VC.
 	VF bool
 	// FSP indicates the crossbar secondary path must be used.
@@ -93,24 +112,6 @@ type VC struct {
 	// arbitration.
 	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because it never feeds arbitration
 	Detour bool
-
-	// R is the routing computation result ('R' field).
-	R topology.Port
-	// OutVC is the allocated downstream VC ('O' field), or None.
-	OutVC int
-
-	// R2 holds a borrowing VC's routing result (protected router only).
-	R2 topology.Port
-	// ID names the VC borrowing the arbiters, or None.
-	ID int
-	// SP is the output port to request in SA when FSP is set.
-	SP topology.Port
-
-	// DvcLo and DvcHi restrict VC allocation to the downstream VC range
-	// [DvcLo, DvcHi), set by fault-aware routing to pin the packet to a
-	// deadlock-free routing layer. Both zero (the reset state) means no
-	// restriction: the full message-class range is eligible.
-	DvcLo, DvcHi int
 }
 
 // NewVC returns an empty VC with the given buffer depth. It panics if
@@ -129,7 +130,7 @@ func NewVC(index, depth int) *VC {
 
 // init puts v in its reset state over buf, whose capacity is the depth.
 func (v *VC) init(index int, buf []*flit.Flit) {
-	*v = VC{Index: index, buf: buf, OutVC: None, ID: None}
+	*v = VC{Index: int8(index), buf: buf, OutVC: None, ID: None}
 }
 
 // Depth returns the buffer capacity in flits.
@@ -221,64 +222,43 @@ func (v *VC) String() string {
 	return fmt.Sprintf("VC%d{G=%v R=%v O=%d len=%d}", v.Index, v.G, v.R, v.OutVC, v.Len())
 }
 
-// InputPort is one router input port: V virtual channels sharing a link.
-type InputPort struct {
-	// Port is which router port this is.
-	Port topology.Port
-	// VCs are the port's virtual channels.
-	VCs []*VC
-}
-
-// NewPorts returns the input ports of a router: ports ports of nvc
-// virtual channels of the given depth, built as one block. The VCs are
-// held by value in one slab, port p's VC v at p*nvc+v; their buffers are
-// carved from one arena; and each port's VCs slice points into the slab,
-// so the slab and InputPort.VCs are two views of the same VCs. Port p of
-// the result is topology.Port(p). Four allocations, however many ports
-// and VCs. It panics if nvc < 1 or depth < 1.
-func NewPorts(ports, nvc, depth int) (vcs []VC, in []InputPort) {
+// NewPorts returns the input VCs of a router, ports ports of nvc virtual
+// channels of the given depth, as one slab: port p's VC v is at p*nvc+v,
+// and the buffers are carved from one arena. Two allocations, however
+// many ports and VCs. The slab is the one view of a router's VCs: a
+// port's VCs are the window [p*nvc, (p+1)*nvc). It panics if nvc < 1 or
+// depth < 1.
+func NewPorts(ports, nvc, depth int) []VC {
 	if nvc < 1 {
 		panic(fmt.Sprintf("vc: invalid VC count %d", nvc))
 	}
 	if depth < 1 {
 		panic(fmt.Sprintf("vc: invalid depth %d", depth))
 	}
-	vcs = make([]VC, ports*nvc)
+	vcs := make([]VC, ports*nvc)
 	bufs := make([]*flit.Flit, ports*nvc*depth)
-	ptrs := make([]*VC, ports*nvc)
-	in = make([]InputPort, ports)
 	for i := range vcs {
 		// A three-index slice pins the capacity, which is the depth.
 		vcs[i].init(i%nvc, bufs[i*depth:i*depth:(i+1)*depth])
-		ptrs[i] = &vcs[i]
 	}
-	for p := range in {
-		in[p] = InputPort{Port: topology.Port(p), VCs: ptrs[p*nvc : (p+1)*nvc : (p+1)*nvc]}
-	}
-	return vcs, in
+	return vcs
 }
 
-// FindLender scans the port's other VCs for one whose arbiters can be
-// borrowed by VC `requester`: per Section V-B1 the borrower "scan[s]
-// through the 'G' state field of all the other input VCs and pick[s] out
-// the first VC it encounters that is either idle or in switch allocation
-// state". VCs whose own arbiter sets are faulty (per arbFaulty) or that
-// are already lending (VF set) are skipped. Returns the lender index or
-// None.
-func (ip *InputPort) FindLender(requester int, arbFaulty func(vcIdx int) bool) int {
-	for _, v := range ip.VCs {
-		if v.Index == requester {
-			continue
-		}
-		//nocvet:ignore hotpathalloc non-escaping predicate: callers pass stack closures FindLender never retains
-		if arbFaulty != nil && arbFaulty(v.Index) {
-			continue
-		}
-		if v.VF {
+// FindLender scans one input port's VCs (its window of the slab) for one
+// whose arbiters can be borrowed by VC `requester`: per Section V-B1 the
+// borrower "scan[s] through the 'G' state field of all the other input
+// VCs and pick[s] out the first VC it encounters that is either idle or
+// in switch allocation state". VCs whose own arbiter sets are faulty (bit
+// i of arbFaulty set for VC i) or that are already lending (VF set) are
+// skipped. Returns the lender index or None.
+func FindLender(port []VC, requester int, arbFaulty uint64) int {
+	for i := range port {
+		v := &port[i]
+		if i == requester || arbFaulty>>uint(i)&1 != 0 || v.VF {
 			continue
 		}
 		if v.G == Idle || v.G == Active {
-			return v.Index
+			return i
 		}
 	}
 	return None

@@ -107,50 +107,41 @@ func TestClearBorrow(t *testing.T) {
 }
 
 func TestFindLenderPrefersFirstIdleOrActive(t *testing.T) {
-	ip := onePort(4)
-	ip.VCs[0].G = VCAlloc // requester
-	ip.VCs[1].G = Routing // busy: not eligible
-	ip.VCs[2].G = Active  // eligible
-	ip.VCs[3].G = Idle    // eligible but later
-	if l := ip.FindLender(0, nil); l != 2 {
+	port := NewPorts(1, 4, 4)
+	port[0].G = VCAlloc // requester
+	port[1].G = Routing // busy: not eligible
+	port[2].G = Active  // eligible
+	port[3].G = Idle    // eligible but later
+	if l := FindLender(port, 0, 0); l != 2 {
 		t.Fatalf("lender = %d, want 2", l)
 	}
 }
 
 func TestFindLenderSkipsFaultyAndLending(t *testing.T) {
-	ip := onePort(4)
-	for _, v := range ip.VCs {
-		v.G = Idle
-	}
-	ip.VCs[1].VF = true // already lending
-	faulty := func(i int) bool { return i == 2 }
-	if l := ip.FindLender(0, faulty); l != 3 {
+	port := NewPorts(1, 4, 4)
+	port[1].VF = true // already lending
+	const faulty = 1 << 2
+	if l := FindLender(port, 0, faulty); l != 3 {
 		t.Fatalf("lender = %d, want 3", l)
 	}
 }
 
 func TestFindLenderNone(t *testing.T) {
-	ip := onePort(2)
-	ip.VCs[0].G = VCAlloc
-	ip.VCs[1].G = VCAlloc // also allocating: not eligible this cycle
-	if l := ip.FindLender(0, nil); l != None {
+	port := NewPorts(1, 2, 4)
+	port[0].G = VCAlloc
+	port[1].G = VCAlloc // also allocating: not eligible this cycle
+	if l := FindLender(port, 0, 0); l != None {
 		t.Fatalf("lender = %d, want None", l)
 	}
 }
 
 func TestFindLenderExcludesSelf(t *testing.T) {
-	ip := onePort(2)
-	ip.VCs[0].G = Idle
-	ip.VCs[1].G = Routing
-	if l := ip.FindLender(0, nil); l != None {
+	port := NewPorts(1, 2, 4)
+	port[0].G = Idle
+	port[1].G = Routing
+	if l := FindLender(port, 0, 0); l != None {
 		t.Fatalf("lender = %d; requester must not lend to itself", l)
 	}
-}
-
-// onePort returns a router's only input port, of nvc VCs of depth 4.
-func onePort(nvc int) *InputPort {
-	_, in := NewPorts(1, nvc, 4)
-	return &in[0]
 }
 
 func TestNewPortsPanics(t *testing.T) {
@@ -162,25 +153,20 @@ func TestNewPortsPanics(t *testing.T) {
 	NewPorts(1, 0, 4)
 }
 
-// TestNewPortsIsOneBlock pins the router block's layout: the slab and the
-// ports' VCs are the same VCs, port-major; every buffer has exactly the
-// depth as capacity, so a full VC refuses the next push instead of
-// spilling into its neighbour's buffer; and the whole block is four
-// allocations however many ports and VCs it holds.
+// TestNewPortsIsOneBlock pins the router block's layout: the slab holds
+// the ports' VCs port-major; every buffer has exactly the depth as
+// capacity, so a full VC refuses the next push instead of spilling into
+// its neighbour's buffer; and the whole block is two allocations however
+// many ports and VCs it holds.
 func TestNewPortsIsOneBlock(t *testing.T) {
 	const ports, nvc, depth = 5, 4, 3
-	vcs, in := NewPorts(ports, nvc, depth)
-	if len(vcs) != ports*nvc || len(in) != ports {
-		t.Fatalf("got %d VCs in %d ports", len(vcs), len(in))
+	vcs := NewPorts(ports, nvc, depth)
+	if len(vcs) != ports*nvc {
+		t.Fatalf("got %d VCs, want %d", len(vcs), ports*nvc)
 	}
-	for p := range in {
-		if in[p].Port != topology.Port(p) || len(in[p].VCs) != nvc {
-			t.Fatalf("port %d: %v with %d VCs", p, in[p].Port, len(in[p].VCs))
-		}
-		for v, q := range in[p].VCs {
-			if q != &vcs[p*nvc+v] || q.Index != v || q.Depth() != depth || !q.IsReset() {
-				t.Fatalf("port %d VC %d: not slab entry %d in its reset state (index %d, depth %d)", p, v, p*nvc+v, q.Index, q.Depth())
-			}
+	for i := range vcs {
+		if q := &vcs[i]; int(q.Index) != i%nvc || q.Depth() != depth || !q.IsReset() {
+			t.Fatalf("slab entry %d (port %d): index %d, depth %d, reset %v", i, i/nvc, q.Index, q.Depth(), q.IsReset())
 		}
 	}
 	for i := 0; i < depth; i++ {
@@ -197,8 +183,8 @@ func TestNewPortsIsOneBlock(t *testing.T) {
 		}()
 		vcs[0].Push(&flit.Flit{Pkt: &flit.Packet{Size: 1}})
 	}()
-	if got := testing.AllocsPerRun(20, func() { NewPorts(ports, nvc, depth) }); got != 4 {
-		t.Errorf("NewPorts allocates %.0f objects, want 4", got)
+	if got := testing.AllocsPerRun(20, func() { NewPorts(ports, nvc, depth) }); got != 2 {
+		t.Errorf("NewPorts allocates %.0f objects, want 2", got)
 	}
 }
 
