@@ -54,13 +54,13 @@ func (r *Router) SetRCFault(p topology.Port, copyIdx int, f bool) {
 
 // SetVA1Fault marks the stage-1 VA arbiter set of input VC (p, v) faulty.
 func (r *Router) SetVA1Fault(p topology.Port, v int, f bool) {
-	r.va1Faulty[p] = setBit(r.va1Faulty[p], v, f)
+	r.va1Faulty()[p] = setBit(r.va1Faulty()[p], v, f)
 }
 
 // SetVA2Fault marks the stage-2 VA arbiter of downstream VC (out, dvc)
 // faulty.
 func (r *Router) SetVA2Fault(out topology.Port, dvc int, f bool) {
-	r.va2[int(out)*r.cfg.VCs+dvc].SetFaulty(f)
+	r.va2()[int(out)*r.cfg.VCs+dvc].SetFaulty(f)
 }
 
 // SetSA1Fault marks input port p's stage-1 SA arbiter faulty.
@@ -81,7 +81,7 @@ func (r *Router) SetSA1BypassFault(p topology.Port, f bool) { r.sa1[p].SetBypass
 
 // SetSA2Fault marks output port out's stage-2 SA arbiter faulty.
 func (r *Router) SetSA2Fault(out topology.Port, f bool) {
-	r.sa2[out].SetFaulty(f)
+	r.sa2()[out].SetFaulty(f)
 	r.pathOK = r.pathWord()
 }
 
@@ -119,17 +119,17 @@ func (r *Router) Functional() bool {
 			return false
 		}
 		if !r.cfg.FaultTolerant {
-			if r.va1Faulty[p] != 0 || r.sa1[p].Arb.Faulty() || r.sa2[p].Faulty() || r.xb.MuxFaulty(p) {
+			if r.va1Faulty()[p] != 0 || r.sa1[p].Arb.Faulty() || r.sa2()[p].Faulty() || r.xb.MuxFaulty(p) {
 				return false
 			}
-			for _, a := range r.va2[p*V : (p+1)*V] {
+			for _, a := range r.va2()[p*V : (p+1)*V] {
 				if a.Faulty() {
 					return false
 				}
 			}
 			continue
 		}
-		if r.va1Faulty[p] == spanWord(0, V) || !r.sa1[p].Usable() {
+		if r.va1Faulty()[p] == spanWord(0, V) || !r.sa1[p].Usable() {
 			return false
 		}
 		for cls := 0; cls < r.cfg.Classes; cls++ {
@@ -158,7 +158,7 @@ func (r *Router) rcUsable(p int) bool {
 // output port p is faulty.
 func (r *Router) classStage2Dead(p, cls int) bool {
 	lo, hi := r.cfg.ClassRange(cls)
-	for _, a := range r.va2[p*r.cfg.VCs+lo : p*r.cfg.VCs+hi] {
+	for _, a := range r.va2()[p*r.cfg.VCs+lo : p*r.cfg.VCs+hi] {
 		if !a.Faulty() {
 			return false
 		}
@@ -174,13 +174,13 @@ func (r *Router) RCFault(p topology.Port, copyIdx int) bool {
 // VA1Fault reports whether input VC (p, v)'s stage-1 arbiter set is
 // faulty.
 func (r *Router) VA1Fault(p topology.Port, v int) bool {
-	return r.va1Faulty[p]>>uint(v)&1 != 0
+	return r.va1Faulty()[p]>>uint(v)&1 != 0
 }
 
 // VA2Fault reports whether the stage-2 VA arbiter of (out, dvc) is
 // faulty.
 func (r *Router) VA2Fault(out topology.Port, dvc int) bool {
-	return r.va2[int(out)*r.cfg.VCs+dvc].Faulty()
+	return r.va2()[int(out)*r.cfg.VCs+dvc].Faulty()
 }
 
 // SA1Fault reports whether input port p's stage-1 SA arbiter is faulty.
@@ -191,7 +191,7 @@ func (r *Router) SA1BypassFault(p topology.Port) bool { return r.sa1[p].BypassFa
 
 // SA2Fault reports whether output port out's stage-2 SA arbiter is
 // faulty.
-func (r *Router) SA2Fault(out topology.Port) bool { return r.sa2[out].Faulty() }
+func (r *Router) SA2Fault(out topology.Port) bool { return r.sa2()[out].Faulty() }
 
 // XBFault reports whether output port out's primary crossbar mux is
 // faulty.

@@ -17,10 +17,16 @@ import (
 // Section V fields, an arbiter's priority and the latch entries are a
 // byte or two each (router.Config caps ports and VCs at 64, the depth
 // and rotate period at 32,767), so the structs a router holds one of per
-// VC, arbiter or cycle's output are these sizes, and core.New keeps at
-// most maxNewBytes for the paper's protected 5-port, 4-VC router (7,932,
-// counted the same way, when every one of those fields was an int). A
-// field widened back to int fails here with the struct it grew named.
+// VC, arbiter or cycle's output are these sizes; the router itself holds
+// its rows in four blocks behind one slice header each (credits has a
+// second), so it is at most 576 bytes (888 when every row had a header
+// of its own); and core.New keeps at most maxNewBytes for the paper's
+// protected 5-port, 4-VC router: 3,428 measured when this test runs
+// alone and 3,575 when the whole package runs (the count also sees
+// allocations the test binary makes meanwhile; the parent layout read
+// 4,340 and 4,488 the same two ways, and 7,932 alone when every one of
+// those fields was an int). A field widened back to int, or a row given
+// its own header again, fails here with the struct it grew named.
 func TestRouterFootprint(t *testing.T) {
 	for _, s := range []struct {
 		name      string
@@ -32,15 +38,17 @@ func TestRouterFootprint(t *testing.T) {
 		{"router.Credit", unsafe.Sizeof(router.Credit{}), 3},
 		{"router.OutFlit", unsafe.Sizeof(router.OutFlit{}), 16},
 		{"core.CreditIn", unsafe.Sizeof(CreditIn{}), 3},
+		{"core.FlitIn", unsafe.Sizeof(FlitIn{}), 16},
+		{"core.Router", unsafe.Sizeof(Router{}), 576},
 		{"core.grant", unsafe.Sizeof(grant{}), 4},
 		{"core.saWinner", unsafe.Sizeof(saWinner{}), 4},
 	} {
 		if s.size > s.max {
-			t.Errorf("%s is %d bytes, want <= %d: a field was widened", s.name, s.size, s.max)
+			t.Errorf("%s is %d bytes, want <= %d: a field was added or widened", s.name, s.size, s.max)
 		}
 	}
 
-	const maxNewBytes = 5000
+	const maxNewBytes = 3750
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
 	kept := newRetains(cfg)
@@ -79,13 +87,16 @@ func newRetains(cfg router.Config) int {
 // input port to the last VC of the last output port: the ports and VC
 // indices the router holds in a byte reach their cap on the way, and the
 // VA stage-2 arbiter of that downstream VC (4,096 inputs, a 16-bit
-// priority) grants input 63*64+62, its second-last. The flits, credits
-// and priorities must come out whole, and a saved state must restore
-// them.
+// priority, a request set of 64 words) grants input 63*64+62, its
+// second-last. The flits, credits and priorities must come out whole,
+// and a saved state must restore them.
 func TestWidestRouterCarriesAPacket(t *testing.T) {
 	cfg := router.Config{Ports: 64, VCs: 64, Depth: 4, Classes: 1, FaultTolerant: true}
 	const last, inVC = topology.Port(63), 62
 	b := newBench(t, cfg)
+	if w, n := b.r.va2Words(), len(b.r.va2req()); w != 64 || n != 64*64*64 {
+		t.Fatalf("VA stage-2 request sets of %d words, %d in all: want 64 per downstream VC, %d", w, n, 64*64*64)
+	}
 	var asked []int
 	route := func(cur int, in topology.Port, vcIdx, dst int) (topology.Port, int, int, bool) {
 		asked = append(asked, int(in), vcIdx)
@@ -118,7 +129,7 @@ func TestWidestRouterCarriesAPacket(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"VA stage 2 of downstream VC (63, 63)", b.r.va2[63*64+63].Prio(), 63*64 + inVC + 1},
+		{"VA stage 2 of downstream VC (63, 63)", b.r.va2()[63*64+63].Prio(), 63*64 + inVC + 1},
 		{"SA stage 1 of input port 63", b.r.sa1[63].Arb.Prio(), inVC + 1},
 		{"credits of downstream VC (63, 63)", b.r.Credits(last, 63), cfg.Depth},
 	} {

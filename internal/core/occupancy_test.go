@@ -40,7 +40,7 @@ func TestEmptyRouterInBypassKeepsTicking(t *testing.T) {
 		t.Errorf("after %d empty cycles bypass state = (winner %d, %d grants), want (%d, %d)",
 			n, dw, rot, wantDW, wantRot)
 	}
-	if a, age := b.r.saAdopted[topology.West], b.r.saAdoptAge[topology.West]; a != -1 || age != 0 {
+	if a, age := b.r.saAdopted()[topology.West], b.r.saAdoptAge()[topology.West]; a != -1 || age != 0 {
 		t.Errorf("empty port adopted VC %d (age %d), want none", a, age)
 	}
 	if err := b.r.CheckOccupancy(); err != nil {

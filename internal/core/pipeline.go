@@ -16,25 +16,26 @@ func (r *Router) acceptInputs() {
 		return // an idle tick reads nothing past the struct's first lines
 	}
 	V := r.cfg.VCs
+	busy := r.outBusy()
 	for _, c := range r.inCredits {
 		r.creditReturn(c.Out, int(c.VC))
 		if c.VCFree {
-			r.outBusy[c.Out] &^= 1 << uint(c.VC)
+			busy[c.Out] &^= 1 << uint(c.VC)
 		}
 	}
 	r.inCredits = r.inCredits[:0]
 
 	for _, inf := range r.inFlits {
-		p, v := int(inf.in), int(inf.vc)
+		p, v := int(inf.In), int(inf.VC)
 		q := &r.vcs[p*V+v]
-		if inf.f.Kind.IsHead() {
+		if inf.F.Kind.IsHead() {
 			if q.G != vc.Idle {
 				panic(fmt.Sprintf("core: router %d head flit into busy VC %v/%d (G=%v)", r.ID, topology.Port(p), v, q.G))
 			}
 			q.G = vc.Routing
 			r.vcOccupy(topology.Port(p), v)
 		}
-		q.Push(inf.f)
+		q.Push(inf.F)
 	}
 	r.inFlits = r.inFlits[:0]
 }
@@ -45,13 +46,17 @@ func (r *Router) acceptInputs() {
 // when the computed output port's regular path is unusable (Section V-D).
 // It visits only the ports and VCs in vc.Routing (rcPorts, rcWait).
 func (r *Router) rcStage(cy sim.Cycle) {
+	if r.rcPorts == 0 {
+		return
+	}
+	rcWait, rcScan := r.rcWait(), r.rcScan()
 	for ports := r.rcPorts; ports != 0; ports &= ports - 1 {
 		p := bits.TrailingZeros64(ports)
-		m := r.rcWait[p]
+		m := rcWait[p]
 		vcs := r.portVCs(p)
 		// Visit the routing VCs from rcScan[p] upward, then the ones
 		// below it: the order (rcScan[p]+i) mod VCs takes them in.
-		below := m & (1<<uint(r.rcScan[p]) - 1)
+		below := m & (1<<uint(rcScan[p]) - 1)
 	scan:
 		for _, part := range [2]uint64{m &^ below, below} {
 			for ; part != 0; part &= part - 1 {
@@ -70,7 +75,7 @@ func (r *Router) rcStage(cy sim.Cycle) {
 					r.rcDone(p, idx)
 					r.dropping++
 					r.droppedPkts = append(r.droppedPkts, q.Front().Pkt)
-					r.rcScan[p] = r.vcAfter(idx)
+					rcScan[p] = r.vcAfter(idx)
 					break scan
 				}
 				if !ok {
@@ -90,13 +95,13 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				}
 				q.G = vc.VCAlloc
 				r.rcDone(p, idx)
-				r.vaWait[p] |= 1 << uint(idx)
+				*r.word(rowVAWait, p) |= 1 << uint(idx)
 				r.vaPorts |= 1 << uint(p)
 				if o := r.obs; o != nil {
 					o.RCCompute(cy, p, idx, int(out), r.rcFaulty[0]>>uint(p)&1 != 0)
 					r.noteAdvance(p, idx)
 				}
-				r.rcScan[p] = r.vcAfter(idx)
+				rcScan[p] = r.vcAfter(idx)
 				break scan // one RC per port per cycle
 			}
 		}
@@ -153,7 +158,7 @@ func (r *Router) drainStage() {
 	if r.dropping == 0 {
 		return
 	}
-	for p, m := range r.occ {
+	for p, m := range r.occ() {
 		vcs := r.portVCs(p)
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
@@ -181,7 +186,7 @@ func (r *Router) drainStage() {
 // free. It probes the fault bits; the stages read its cached form,
 // primaryOK.
 func (r *Router) primaryPathUsable(out topology.Port) bool {
-	return !r.sa2[out].Faulty() && r.xb.PrimaryUsable(int(out))
+	return !r.sa2()[out].Faulty() && r.xb.PrimaryUsable(int(out))
 }
 
 // primaryOK is primaryPathUsable read from the path word.
@@ -195,7 +200,7 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 	if !r.cfg.FaultTolerant {
 		return false
 	}
-	return r.xb.SecondaryUsable(int(out)) && !r.sa2[r.xb.SecondaryOf(int(out))].Faulty()
+	return r.xb.SecondaryUsable(int(out)) && !r.sa2()[r.xb.SecondaryOf(int(out))].Faulty()
 }
 
 // freeDownVCs returns the request word of input VC v (q): the downstream
@@ -204,32 +209,38 @@ func (r *Router) secondaryPathUsable(out topology.Port) bool {
 // arbitrates over it and the stall scan calls a VC with none
 // credit-starved.
 func (r *Router) freeDownVCs(q *vc.VC, v int) uint64 {
-	want := r.classWord[v]
+	want := r.classWord()[v]
 	if q.DvcLo < q.DvcHi {
 		want = spanWord(int(q.DvcLo), int(q.DvcHi))
 	}
-	return want &^ r.outBusy[q.R]
+	return want &^ r.outBusy()[q.R]
 }
 
 // vaStage runs the two-stage separable virtual-channel allocator,
 // including the protected router's arbiter borrowing.
 func (r *Router) vaStage(cy sim.Cycle) {
+	if r.vaPorts == 0 {
+		return
+	}
 	P, V := r.cfg.Ports, r.cfg.VCs
+	W := r.va2Words()
+	vaWait, va1Faulty, va1 := r.vaWait(), r.va1Faulty(), r.va1()
+	va2req, va2any := r.va2req(), r.va2any()
 	// Stage 1: each input VC in VCAlloc (vaPorts, vaWait) picks one
 	// candidate downstream VC.
 	requested := false
 	for ports := r.vaPorts; ports != 0; ports &= ports - 1 {
 		p := bits.TrailingZeros64(ports)
 		vcs := r.portVCs(p)
-		for m := r.vaWait[p]; m != 0; m &= m - 1 {
+		for m := vaWait[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
 			q := &vcs[v]
 			arbVC := v
-			if r.va1Faulty[p]>>uint(v)&1 != 0 {
+			if va1Faulty[p]>>uint(v)&1 != 0 {
 				if !r.cfg.FaultTolerant {
 					continue // baseline: the VC is dead
 				}
-				lender := vc.FindLender(vcs, v, r.va1Faulty[p])
+				lender := vc.FindLender(vcs, v, va1Faulty[p])
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
@@ -253,9 +264,10 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			}
 			if free := r.freeDownVCs(q, v); free != 0 {
 				out := int(q.R)
-				if dvc, ok := r.va1[p*V+arbVC].GrantWord(free); ok {
-					r.va2req[(out*V+dvc)*P+p] |= 1 << uint(v)
-					r.va2any[out] |= 1 << uint(dvc)
+				if dvc, ok := va1[p*V+arbVC].GrantWord(free); ok {
+					k, bit := va2Bit(p, v, V)
+					va2req[(out*V+dvc)*W+k] |= bit
+					va2any[out] |= 1 << uint(dvc)
 					requested = true
 				}
 			}
@@ -268,17 +280,21 @@ func (r *Router) vaStage(cy sim.Cycle) {
 	}
 
 	// Stage 2: one arbiter per downstream VC resolves conflicts, consuming
-	// (and clearing) the request words stage 1 filled.
+	// (and clearing) the request sets stage 1 filled. A set is one bit per
+	// input VC, bit p*VCs+v for (p, v), which is the input index the
+	// (Ports·VCs)-input arbiter gives that VC: the arbiter reads it as
+	// 64-bit words and its winner's flat index is the VC's.
 	if !requested {
 		return
 	}
+	va2, busy := r.va2(), r.outBusy()
 	for out := 0; out < P; out++ {
-		any := r.va2any[out]
-		r.va2any[out] = 0
+		any := va2any[out]
+		va2any[out] = 0
 		for ; any != 0; any &= any - 1 {
 			dvc := bits.TrailingZeros64(any)
-			reqs := r.va2req[(out*V+dvc)*P:][:P]
-			arb := &r.va2[out*V+dvc]
+			reqs := va2req[(out*V+dvc)*W:][:W]
+			arb := &va2[out*V+dvc]
 			if arb.Faulty() {
 				// Section V-B3: the requesters lose this downstream VC
 				// and re-arbitrate for a different one next cycle.
@@ -293,16 +309,18 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				}
 				continue
 			}
-			wp, wv, ok := arb.GrantWords(reqs, V)
+			k, bit, ok := arb.GrantWords(reqs, 64)
 			clear(reqs)
 			if !ok {
 				continue
 			}
+			in := k<<6 | bit
+			wp, wv := in/V, in%V
 			q := r.inVC(wp, wv)
 			q.G = vc.Active
 			q.OutVC = int8(dvc)
 			r.vaDone(wp, wv)
-			r.outBusy[out] |= 1 << uint(dvc)
+			busy[out] |= 1 << uint(dvc)
 			if o := r.obs; o != nil {
 				o.VAAlloc(cy, wp, wv, out, dvc)
 				r.noteAdvance(wp, wv)
@@ -345,7 +363,9 @@ func (r *Router) effectiveRequestPort(q *vc.VC) (topology.Port, bool) {
 // saCands returns the VCs of input port p that switch allocation looks
 // at: the occupied ones that are past VC allocation (Active, or Dropping,
 // which saReady refuses).
-func (r *Router) saCands(p int) uint64 { return r.occ[p] &^ r.rcWait[p] &^ r.vaWait[p] }
+func (r *Router) saCands(p int) uint64 {
+	return *r.word(rowOcc, p) &^ *r.word(rowRCWait, p) &^ *r.word(rowVAWait, p)
+}
 
 // saStage runs the two-stage separable switch allocator with the
 // protected router's bypass path and VC transfer.
@@ -357,6 +377,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 	// sa2req[its request port], so stage 2 finds its request words built
 	// and reads only the entries of this cycle's winners.
 	won := false
+	sa2req := r.sa2req()
 	for p := 0; p < r.cfg.Ports; p++ {
 		m := r.saCands(p)
 		b := &r.sa1[p]
@@ -388,13 +409,14 @@ func (r *Router) saStage(cy sim.Cycle) {
 			// is eventually served, so adoption must never outlive it
 			// (otherwise a credit-stalled adopted packet could block a
 			// sibling it transitively depends on).
-			if a := r.saAdopted[p]; a >= 0 {
-				r.saAdoptAge[p]++
-				if vcs[a].G != vc.Active || int(r.saAdoptAge[p]) >= r.cfg.BypassRotatePeriod {
-					r.saAdopted[p] = -1
+			adopted, age := r.saAdopted(), r.saAdoptAge()
+			if a := adopted[p]; a >= 0 {
+				age[p]++
+				if vcs[a].G != vc.Active || int(age[p]) >= r.cfg.BypassRotatePeriod {
+					adopted[p] = -1
 				}
 			}
-			if a := r.saAdopted[p]; a >= 0 {
+			if a := adopted[p]; a >= 0 {
 				if ready&(1<<uint(a)) == 0 {
 					continue // waiting (e.g., on credits)
 				}
@@ -430,7 +452,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			continue
 		}
 		r.saWinners[p] = saWinner{vcIdx: int8(w), outPort: q.R, secondary: q.FSP, bypass: bypassed}
-		r.sa2req[reqPort] |= 1 << uint(p)
+		sa2req[reqPort] |= 1 << uint(p)
 		won = true
 	}
 
@@ -439,13 +461,14 @@ func (r *Router) saStage(cy sim.Cycle) {
 	if !won {
 		return
 	}
+	sa2 := r.sa2()
 	for out := 0; out < r.cfg.Ports; out++ {
-		req := r.sa2req[out]
+		req := sa2req[out]
 		if req == 0 {
 			continue
 		}
-		r.sa2req[out] = 0
-		wp, ok := r.sa2[out].GrantWord(req)
+		sa2req[out] = 0
+		wp, ok := sa2[out].GrantWord(req)
 		if !ok {
 			continue
 		}
@@ -494,8 +517,8 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 		}
 	}
 	if cand >= 0 {
-		r.saAdopted[port] = int16(cand)
-		r.saAdoptAge[port] = 0
+		r.saAdopted()[port] = int16(cand)
+		r.saAdoptAge()[port] = 0
 		r.Counters.SATransfers++
 		if o := r.obs; o != nil {
 			o.SATransfer(cy, port, dst, cand)

@@ -121,7 +121,7 @@ func (m *refRouter) syncFaults(r *Router) {
 
 // tick is one cycle on what Router latched. The stages run in reverse
 // pipeline order, so a head flit takes one a cycle: RC, VA, SA, XB.
-func (m *refRouter) tick(flits []inFlit, credits []CreditIn) {
+func (m *refRouter) tick(flits []FlitIn, credits []CreditIn) {
 	m.outFlits, m.outCredits, m.dropped = nil, nil, nil
 	m.accept(flits, credits)
 	m.drain()
@@ -133,17 +133,17 @@ func (m *refRouter) tick(flits []inFlit, credits []CreditIn) {
 }
 
 // accept applies the credits and buffers the flits.
-func (m *refRouter) accept(flits []inFlit, credits []CreditIn) {
+func (m *refRouter) accept(flits []FlitIn, credits []CreditIn) {
 	for _, c := range credits {
 		m.ports[c.Out].credits[c.VC]++
 		m.ports[c.Out].busy[c.VC] = m.ports[c.Out].busy[c.VC] && !c.VCFree
 	}
 	for _, in := range flits {
-		q := &m.ports[in.in].vcs[in.vc]
-		if in.f.Kind.IsHead() {
+		q := &m.ports[in.In].vcs[in.VC]
+		if in.F.Kind.IsHead() {
 			q.g = vc.Routing
 		}
-		q.flits = append(q.flits, in.f)
+		q.flits = append(q.flits, in.F)
 	}
 }
 

@@ -112,13 +112,15 @@ type Counters struct {
 	Reroutes uint64
 }
 
-// inFlit is a latched input flit: what router.InFlit carries, with the
-// VC a byte (router.Config caps ports and VCs at 64). A latch holds a
-// cycle's worth of them per router, so their width is most of what the
-// latches cost; latched credits are CreditIn, narrow already.
-type inFlit struct {
-	f      *flit.Flit
-	in, vc uint8
+// FlitIn is a flit arriving at a router's input side: what router.InFlit
+// carries, with the port and VC a byte each (router.Config caps ports and
+// VCs at 64). The input latch holds a cycle's worth of them per router,
+// so their width is most of what the latch costs; latched credits are
+// CreditIn, narrow already.
+type FlitIn struct {
+	F  *flit.Flit
+	In topology.Port
+	VC int8
 }
 
 // Router is a P-port, V-VC, 4-stage pipelined wormhole router with
@@ -129,20 +131,31 @@ type inFlit struct {
 // the grant list, the occupancy totals) come first so an idle router
 // costs the few lines they share, and the headers an active tick starts
 // from follow them. Its VCs are held by value in one slab with their
-// buffers in one arena (vc.NewPorts), the per-(port, VC) output-side
-// bookkeeping is flat, indexed p*VCs+v like the slab, and the fault words,
-// arbiters and crossbar are fields of the router itself, so a tick reaches
-// any VC, credit or arbiter through one slice header instead of a chain of
-// pointers.
+// buffers in one arena (vc.NewPorts), and its per-port and per-VC rows
+// sit in four more blocks, one per element type — the words, the 16-bit
+// counts and pointers, the round-robin arbiters, the SA stage-1 bypassed
+// arbiters — each behind one slice header (the credits have a second).
+// A row is found at an offset computed from (Ports, VCs) by an accessor
+// (the row* and arb* constants below), not through a header of its own.
+// The output-side bookkeeping is flat, indexed p*VCs+v like the slab,
+// and the fault words, arbiters and crossbar are the router's own, so a
+// tick reaches any VC, credit or arbiter through one slice header
+// instead of a chain of pointers.
 type Router struct {
-	// The I/O latches are empty at the step boundary where snapshots are
-	// taken; RestoreState clears them rather than restoring contents.
-	inFlits    []inFlit         //noc:derived I/O latch, empty at the step boundary
-	inCredits  []CreditIn       //noc:derived I/O latch, empty at the step boundary
+	// The input latch: what arrives for the next Tick, which buffers the
+	// flits and applies the credits. The network files the traffic of
+	// the links into this router straight into it during its commit, so
+	// at a step boundary it holds what is on those wires; the network's
+	// node section saves, restores and encodes it (Inputs), and
+	// RestoreState empties it.
+	inFlits   []FlitIn   //noc:derived input latch: the network's node section saves, restores and encodes it through Inputs and AcceptFlit
+	inCredits []CreditIn //noc:derived input latch: the network's node section saves, restores and encodes it through Inputs and AcceptCredit
+	// The output latch, drained by the network's commit: empty at the
+	// step boundary.
 	outFlits   []router.OutFlit //noc:derived I/O latch, empty at the step boundary
 	outCredits []router.Credit  //noc:derived I/O latch, empty at the step boundary
 
-	// occupied counts the set bits of occ.
+	// occupied counts the set bits of the occupancy words (occ).
 	//noc:derived recomputed from the VC G states by RestoreState
 	occupied int
 	// sa1Faults counts the input ports whose SA stage-1 arbiter is faulty.
@@ -158,41 +171,39 @@ type Router struct {
 	// index it (inVC, portVCs).
 	vcs []vc.VC
 
-	// Output-side bookkeeping: this router as upstream of each output
-	// port's downstream buffers. credits holds downstream VC v of output p
-	// at p*VCs+v, 16-bit (router.Config caps the depth at 32,767);
-	// outBusy[p] has bit v set while that VC is allocated (VA stage 2
-	// sets it, its VC-free credit clears it).
-	credits []int16
-	outBusy []uint64
+	// words is the block of the router's uint64 rows (the row* constants
+	// and their accessors): per port the occupancy and stage words, the
+	// busy, VA stage-1 fault and stage-2 request words; per VC its class
+	// word; per downstream VC its VA stage-2 request set; and, when
+	// observability is bound, per port the stall scan's advance marks.
+	// The busy and fault rows are saved state, the others derived or
+	// scratch, as their accessors say.
+	words []uint64
+	// The 16-bit rows are one allocation, behind two headers. credits
+	// holds the router's credit count of downstream VC v of output p at
+	// p*VCs+v — this router as upstream of each output port's downstream
+	// buffers, 16-bit (router.Config caps the depth at 32,767) — and has
+	// a header of its own so that every change to a credit count is a
+	// write to this field, which the creditflow analyzer confines to the
+	// audited accessors. portInts follows it: per port rcScan, saAdopted
+	// and saAdoptAge (the rowRCScan constants and their accessors).
+	credits  []int16
+	portInts []int16
+	// arbs is the block of the round-robin arbiters (Figure 3a/3b): VA
+	// stage 1, VA stage 2 and SA stage 2 (va1, va2, sa2).
+	arbs []arbiter.RoundRobin
+	// sa1[p] is input port p's SA stage-1 v:1 arbiter with the protected
+	// router's bypass path.
+	sa1 []arbiter.Bypassed
+	// xb is the crossbar, the protected one in both designs: the baseline
+	// only ever traverses the primary paths.
+	xb crossbar.Protected
 
-	// Occupancy state, derived from the VCs' G fields and the SA stage-1
-	// fault bits so the stages visit only VCs that hold a packet and Tick
-	// can return early on a quiescent router. It is maintained where a VC
-	// leaves or re-enters Idle (vcOccupy, vcRelease), where one starts
-	// Dropping (rcStage) and in SetSA1Fault; CheckOccupancy recomputes it.
-	//
-	// occ[p] has bit v set iff VC (p, v) is not vc.Idle (router.Config
-	// caps VCs at 64 so a port fits one word). occupied and sa1Faults sit
-	// at the top of the struct with the latches.
-	//noc:derived recomputed from the VC G states by RestoreState
-	occ []uint64
 	// dropping counts the VCs in vc.Dropping.
 	//noc:derived recomputed from the VC G states by RestoreState
 	dropping int
-
-	// Stage words, derived from the G fields like occ so that RC and VA
-	// stage 1 visit only the VCs in their own state and SA stage 1 skips
-	// them: rcWait[p] has bit v set iff VC (p, v) is in vc.Routing,
-	// vaWait[p] iff it is in vc.VCAlloc, and bit p of rcPorts (vaPorts) is
-	// set iff rcWait[p] (vaWait[p]) is non-zero. They move at the G
-	// transitions into and out of those two states: Idle→Routing in
-	// acceptInputs, Routing→VCAlloc and Routing→Dropping in rcStage,
-	// VCAlloc→Active in VA stage 2.
-	//noc:derived recomputed from the VC G states by RestoreState
-	rcWait []uint64
-	//noc:derived recomputed from the VC G states by RestoreState
-	vaWait []uint64
+	// Bit p of rcPorts (vaPorts) is set iff rcWait[p] (vaWait[p]) is
+	// non-zero: the ports RC and VA stage 1 visit.
 	//noc:derived recomputed from the VC G states by RestoreState
 	rcPorts uint64
 	//noc:derived recomputed from the VC G states by RestoreState
@@ -203,10 +214,6 @@ type Router struct {
 	// setters of those fault bits and RestoreState recompute it.
 	//noc:derived recomputed from the SA stage-2 and crossbar fault bits by RestoreState
 	pathOK uint64
-	// classWord[v] has the downstream VCs of input VC v's message class
-	// set: what VA stage 1 requests from when routing pinned no VC layer.
-	//noc:derived immutable configuration, fixed at construction
-	classWord []uint64
 
 	// ID is the router's node id in the mesh.
 	//noc:derived immutable identity, fixed at construction
@@ -214,65 +221,16 @@ type Router struct {
 	//noc:derived immutable configuration, fixed at construction
 	topo topology.Topology
 
-	// The router's parts, in its own blocks. Bit p of rcFaulty[c] marks RC
-	// copy c of input port p faulty: copy 0 is the port's RC unit, copy 1
-	// the protected router's duplicate, switched in when the primary is
-	// faulty (Section V-A). Bit v of va1Faulty[p] marks input VC (p, v)'s
-	// VA stage-1 arbiter set faulty.
-	rcFaulty  [2]uint64
-	va1Faulty []uint64
-	// The allocators' arbiters (Figure 3a/3b), by value in one slab. VA
-	// stage 1: every input VC owns a set of po v:1 arbiters, one per output
-	// port, of which only the routed port's is exercised and a fault in any
-	// makes the set unusable, so va1[p*VCs+v] is input VC (p, v)'s one v:1
-	// arbiter. VA stage 2: va2[out*VCs+dvc] is downstream VC (out, dvc)'s
-	// (pi·v):1 arbiter. SA: sa1[p] is input port p's v:1 arbiter with the
-	// protected router's bypass path, sa2[out] output port out's pi:1 one.
-	va1, va2, sa2 []arbiter.RoundRobin
-	sa1           []arbiter.Bypassed
-	// xb is the crossbar, the protected one in both designs: the baseline
-	// only ever traverses the primary paths.
-	xb crossbar.Protected
+	// Bit p of rcFaulty[c] marks RC copy c of input port p faulty: copy 0
+	// is the port's RC unit, copy 1 the protected router's duplicate,
+	// switched in when the primary is faulty (Section V-A).
+	rcFaulty [2]uint64
 
-	// rcScan is the per-port round-robin pointer for the (single) RC unit
-	// serving at most one VC per cycle. It and the two adoption rows below
-	// are 16-bit, like credits, and share its block.
-	rcScan []int16
-
-	// saAdopted tracks, per input port, the VC adopted as the bypass
-	// path's effective default winner after a transfer (Section V-C1), or
-	// -1. Modelling the transfer as adoption keeps the upstream router's
-	// per-VC credit and allocation bookkeeping exact: physically the
-	// flits and state move into the default winner's buffers in one
-	// cycle; architecturally the packet still occupies its original VC
-	// identity, which is what the upstream sees.
-	saAdopted []int16
-	// saAdoptAge counts cycles since the adoption, for rotation expiry:
-	// below the rotate period, so at most 32,767.
-	saAdoptAge []int16
-
-	// va2req collects stage-2 VA requests as request words, one per input
-	// port: the Ports words from (outPort*VCs+dvc)*Ports on are the
-	// request set of downstream VC (outPort, dvc), bit v of word p being
-	// input VC (p, v). A word per input port, like occ, is what lets the
-	// (Ports·VCs)-input arbiter take any Ports·VCs. va2any[outPort] has
-	// bit dvc set while (outPort, dvc) holds a request. Stage 1 sets bits
-	// and stage 2 clears them as it consumes them, so both are zero
-	// outside vaStage.
-	//noc:derived per-cycle scratch, zero outside vaStage
-	va2req []uint64
-	//noc:derived per-cycle scratch, zero outside vaStage
-	va2any []uint64
 	// saWinners is the switch allocator's per-port scratch buffer: stage
 	// 1 writes the entries of the ports that won and stage 2 reads only
-	// those, so it is never reset. sa2req[reqPort] is stage 2's request
-	// word, bit p set when input port p's winner requests that output;
-	// stage 2 clears the words it consumes, so all are zero outside
-	// saStage.
+	// those, so it is never reset.
 	//noc:derived per-cycle scratch, written before it is read every Tick
 	saWinners []saWinner
-	//noc:derived per-cycle scratch, zero outside saStage
-	sa2req []uint64
 
 	// routeFn, when non-nil, replaces the RC units' XY computation with a
 	// network-level fault-aware function (see RouteFn).
@@ -292,16 +250,156 @@ type Router struct {
 	// check so the disabled hot path stays allocation-free.
 	//noc:derived immutable wiring, bound at network construction; observational only
 	obs *obs.RouterObs
-
-	// advanced[p] has bit v set when input VC (p, v) advanced this cycle
-	// and must be skipped by the end-of-tick stall scan: one word per
-	// input port, like occ. Bits are set only on the obs-enabled path
-	// (inside existing nil-guarded blocks) and cleared by the scan itself;
-	// the words are allocated only when obs is bound, so a lights-off
-	// router carries a nil slice.
-	//noc:derived per-cycle scratch, cleared by the end-of-tick stall scan; observational only
-	advanced []uint64
 }
+
+// The rows of the word block that are one word per port, in block order.
+// classWord (VCs words), va2req (va2Words per downstream VC) and, on an
+// observed router, advanced (one per port) follow them.
+const (
+	rowOcc = iota
+	rowRCWait
+	rowVAWait
+	rowOutBusy
+	rowVA1Faulty
+	rowVA2Any
+	rowSA2Req
+	wordRows
+)
+
+// The rows of portInts, one value per port each, in block order.
+const (
+	rowRCScan = iota
+	rowSAAdopted
+	rowSAAdoptAge
+	intRows
+)
+
+// row returns row k of block, whose rows are n elements wide.
+func row[T any](block []T, k, n int) []T { return block[k*n : (k+1)*n : (k+1)*n] }
+
+// occ[p] has bit v set iff VC (p, v) is not vc.Idle (router.Config caps
+// VCs at 64 so a port fits one word). Like the stage words below it is
+// derived from the VCs' G fields and the SA stage-1 fault bits so the
+// stages visit only VCs that hold a packet and Tick can return early on
+// a quiescent router. It is maintained where a VC leaves or re-enters
+// Idle (vcOccupy, vcRelease), where one starts Dropping (rcStage) and in
+// SetSA1Fault; CheckOccupancy recomputes it, and RestoreState rebuilds
+// it (rebuildOccupancy).
+func (r *Router) occ() []uint64 { return row(r.words, rowOcc, r.cfg.Ports) }
+
+// rcWait[p] has bit v set iff VC (p, v) is in vc.Routing, vaWait[p] iff
+// it is in vc.VCAlloc: derived like occ, so that RC and VA stage 1 visit
+// only the VCs in their own state and SA stage 1 skips them. They move
+// at the G transitions into and out of those two states: Idle→Routing
+// in acceptInputs, Routing→VCAlloc and Routing→Dropping in rcStage,
+// VCAlloc→Active in VA stage 2.
+func (r *Router) rcWait() []uint64 { return row(r.words, rowRCWait, r.cfg.Ports) }
+
+// vaWait is rcWait's twin for vc.VCAlloc.
+func (r *Router) vaWait() []uint64 { return row(r.words, rowVAWait, r.cfg.Ports) }
+
+// outBusy[p] has bit v set while downstream VC (p, v) is allocated: VA
+// stage 2 sets it, its VC-free credit clears it. Saved state.
+func (r *Router) outBusy() []uint64 { return row(r.words, rowOutBusy, r.cfg.Ports) }
+
+// va1Faulty[p] has bit v set when input VC (p, v)'s VA stage-1 arbiter
+// set is faulty. Saved state.
+func (r *Router) va1Faulty() []uint64 { return row(r.words, rowVA1Faulty, r.cfg.Ports) }
+
+// va2any[out] has bit dvc set while downstream VC (out, dvc) holds a VA
+// stage-2 request: scratch, zero outside vaStage.
+func (r *Router) va2any() []uint64 { return row(r.words, rowVA2Any, r.cfg.Ports) }
+
+// sa2req[out] is SA stage 2's request word of output out, bit p set when
+// input port p's winner requests it: scratch, zero outside saStage.
+func (r *Router) sa2req() []uint64 { return row(r.words, rowSA2Req, r.cfg.Ports) }
+
+// word returns word p of row k of the word block, one of the rows that
+// are a word per port: what the single-word updates of the stages take.
+func (r *Router) word(k, p int) *uint64 { return &r.words[k*r.cfg.Ports+p] }
+
+// classWord[v] has the downstream VCs of input VC v's message class set:
+// what VA stage 1 requests from when routing pinned no VC layer.
+// Immutable configuration.
+func (r *Router) classWord() []uint64 {
+	lo := wordRows * r.cfg.Ports
+	return r.words[lo : lo+r.cfg.VCs : lo+r.cfg.VCs]
+}
+
+// va2Words is the number of words in one downstream VC's VA stage-2
+// request set: one bit per input VC.
+func (r *Router) va2Words() int { return (r.cfg.Ports*r.cfg.VCs + 63) >> 6 }
+
+// va2req holds the VA stage-2 request sets, va2Words words per
+// downstream VC: the set of downstream VC (out, dvc) starts at word
+// (out*VCs+dvc)*va2Words, and input VC (p, v) is its bit p*VCs+v
+// (va2Bit), the index the (Ports·VCs)-input arbiter gives that input.
+// Stage 1 sets bits and stage 2 clears them as it consumes them, so the
+// sets are zero outside vaStage.
+func (r *Router) va2req() []uint64 {
+	lo := wordRows*r.cfg.Ports + r.cfg.VCs
+	hi := lo + r.cfg.Ports*r.cfg.VCs*r.va2Words()
+	return r.words[lo:hi:hi]
+}
+
+// va2Bit returns where input VC (p, v) sits in a VA stage-2 request set
+// of routers with V VCs per port: the word of the set and the bit in it.
+func va2Bit(p, v, V int) (word int, bit uint64) {
+	i := p*V + v
+	return i >> 6, 1 << uint(i&63)
+}
+
+// advanced[p] has bit v set when input VC (p, v) advanced this cycle and
+// must be skipped by the end-of-tick stall scan: one word per input
+// port, like occ. Bits are set only on the obs-enabled path (inside
+// existing nil-guarded blocks) and cleared by the scan itself; the words
+// exist only on a router built with an observer, so a lights-off
+// router's block ends at va2req and this is empty.
+func (r *Router) advanced() []uint64 {
+	return r.words[wordRows*r.cfg.Ports+r.cfg.VCs+r.cfg.Ports*r.cfg.VCs*r.va2Words():]
+}
+
+// rcScan[p] is the round-robin pointer of input port p's single RC unit,
+// which serves at most one VC per cycle.
+func (r *Router) rcScan() []int16 { return row(r.portInts, rowRCScan, r.cfg.Ports) }
+
+// saAdopted[p] is the VC input port p adopted as the bypass path's
+// effective default winner after a transfer (Section V-C1), or -1.
+// Modelling the transfer as adoption keeps the upstream router's per-VC
+// credit and allocation bookkeeping exact: physically the flits and
+// state move into the default winner's buffers in one cycle;
+// architecturally the packet still occupies its original VC identity,
+// which is what the upstream sees.
+func (r *Router) saAdopted() []int16 { return row(r.portInts, rowSAAdopted, r.cfg.Ports) }
+
+// saAdoptAge[p] counts cycles since port p's adoption, for rotation
+// expiry: below the rotate period, so at most 32,767.
+func (r *Router) saAdoptAge() []int16 { return row(r.portInts, rowSAAdoptAge, r.cfg.Ports) }
+
+// The rows of the arbiter block, in block order: VA stage 1 and VA stage
+// 2, one arbiter per (port, VC) each, then SA stage 2, one per port.
+const (
+	arbVA1 = iota
+	arbVA2
+	arbSA2
+)
+
+// va1[p*VCs+v] is input VC (p, v)'s VA stage-1 v:1 arbiter. Every input
+// VC owns a set of po v:1 arbiters, one per output port, of which only
+// the routed port's is exercised and a fault in any makes the set
+// unusable (va1Faulty), so the set is modelled as its one arbiter.
+func (r *Router) va1() []arbiter.RoundRobin {
+	return row(r.arbs, arbVA1, r.cfg.Ports*r.cfg.VCs)
+}
+
+// va2[out*VCs+dvc] is downstream VC (out, dvc)'s (pi·v):1 VA stage-2
+// arbiter.
+func (r *Router) va2() []arbiter.RoundRobin {
+	return row(r.arbs, arbVA2, r.cfg.Ports*r.cfg.VCs)
+}
+
+// sa2[out] is output port out's pi:1 SA stage-2 arbiter.
+func (r *Router) sa2() []arbiter.RoundRobin { return r.arbs[arbSA2*r.cfg.Ports*r.cfg.VCs:] }
 
 // New returns a router with the given id in topo, configured by cfg.
 func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
@@ -311,64 +409,46 @@ func New(id int, topo topology.Topology, cfg router.Config) (*Router, error) {
 	P, V := cfg.Ports, cfg.VCs
 	r := &Router{ID: id, cfg: cfg, topo: topo, xb: *crossbar.NewProtected(P)}
 	r.vcs = vc.NewPorts(P, V, cfg.Depth)
-	// The busy, VA stage-1 fault and class words, and the stall scan's
-	// advance marks one per port when observability is bound, share one
-	// small allocation: carved from the words block below they would push
-	// it past its 1 KiB size class at the paper's 5 ports and 4 VCs.
-	nb := 2*P + V
+	nw := wordRows*P + V + P*V*r.va2Words()
 	if cfg.Obs != nil {
-		nb += P
+		nw += P // the stall scan's advance marks
 	}
-	busy := make([]uint64, nb)
-	r.outBusy, r.va1Faulty, busy = busy[:P:P], busy[P:2*P:2*P], busy[2*P:]
-	r.classWord, busy = busy[:V:V], busy[V:]
-	for v := range r.classWord {
-		r.classWord[v] = spanWord(cfg.ClassRange(cfg.ClassOf(v)))
+	r.words = make([]uint64, nw)
+	cw := r.classWord()
+	for v := range cw {
+		cw[v] = spanWord(cfg.ClassRange(cfg.ClassOf(v)))
 	}
-	// The credit counts, then rcScan, saAdopted and saAdoptAge one per port.
-	ints := make([]int16, P*V+3*P)
-	r.credits, ints = ints[:P*V:P*V], ints[P*V:]
+	ints := make([]int16, P*V+intRows*P)
+	r.credits, r.portInts = ints[:P*V:P*V], ints[P*V:]
 	for i := range r.credits {
 		r.credits[i] = int16(cfg.Depth)
 	}
-	r.rcScan, r.saAdopted, r.saAdoptAge = ints[:P:P], ints[P:2*P:2*P], ints[2*P:]
-	for i := range r.saAdopted {
-		r.saAdopted[i] = -1
+	adopted := r.saAdopted()
+	for i := range adopted {
+		adopted[i] = -1
 	}
 	va1, va2 := cfg.VA()
 	sa1, sa2 := cfg.SA()
-	arbs := make([]arbiter.RoundRobin, va1.Count+va2.Count+sa2.Count)
-	r.va1, arbs = arbs[:va1.Count:va1.Count], arbs[va1.Count:]
-	r.va2, r.sa2 = arbs[:va2.Count:va2.Count], arbs[va2.Count:]
-	for i := range r.va1 {
-		r.va1[i], r.va2[i] = *arbiter.NewRoundRobin(va1.Inputs), *arbiter.NewRoundRobin(va2.Inputs)
+	r.arbs = make([]arbiter.RoundRobin, va1.Count+va2.Count+sa2.Count)
+	a1, a2, s2 := r.va1(), r.va2(), r.sa2()
+	for i := range a1 {
+		a1[i], a2[i] = *arbiter.NewRoundRobin(va1.Inputs), *arbiter.NewRoundRobin(va2.Inputs)
 	}
 	r.sa1 = make([]arbiter.Bypassed, sa1.Count)
 	for p := range r.sa1 {
-		r.sa1[p], r.sa2[p] = *arbiter.NewBypassed(sa1.Inputs, cfg.BypassRotatePeriod), *arbiter.NewRoundRobin(sa2.Inputs)
+		r.sa1[p], s2[p] = *arbiter.NewBypassed(sa1.Inputs, cfg.BypassRotatePeriod), *arbiter.NewRoundRobin(sa2.Inputs)
 	}
 	r.pathOK = r.pathWord()
-	// The mask and request words: occ, rcWait, vaWait, va2any and sa2req
-	// one per port, and va2req P per downstream VC.
-	words := make([]uint64, (5+P*V)*P)
-	r.occ, words = words[:P:P], words[P:]
-	r.rcWait, words = words[:P:P], words[P:]
-	r.vaWait, words = words[:P:P], words[P:]
-	r.va2any, words = words[:P:P], words[P:]
-	r.sa2req, words = words[:P:P], words[P:]
-	r.va2req = words
 	r.saWinners = make([]saWinner, P)
-	// Pre-size the per-cycle staging latches to their flow-control bounds
-	// (one flit per port per cycle; credits bounded by total VCs plus the
+	// Pre-size the per-cycle latches to their flow-control bounds (one
+	// flit per port per cycle; credits bounded by total VCs plus the
 	// VC-free piggyback) so the steady-state tick never grows them.
-	r.inFlits = make([]inFlit, 0, P)
+	r.inFlits = make([]FlitIn, 0, P)
 	r.inCredits = make([]CreditIn, 0, P*V+P)
 	r.outFlits = make([]router.OutFlit, 0, P)
 	r.outCredits = make([]router.Credit, 0, P*V+P)
 	r.droppedPkts = make([]*flit.Packet, 0, P)
-	if r.obs = obs.BindRouter(cfg.Obs, id, P, V); r.obs != nil {
-		r.advanced = busy
-	}
+	r.obs = obs.BindRouter(cfg.Obs, id, P, V)
 	return r, nil
 }
 
@@ -395,22 +475,44 @@ func (r *Router) FaultTolerant() bool { return r.cfg.FaultTolerant }
 // written through this pointer never reaches the stages.
 func (r *Router) InputVC(p topology.Port, v int) *vc.VC { return &r.portVCs(int(p))[v] }
 
-// AcceptFlit delivers a flit to input port latch; it is buffered at the
+// AcceptFlit delivers a flit to the input latch; it is buffered at the
 // start of the next Tick. It panics on a port or VC the router lacks.
 func (r *Router) AcceptFlit(f router.InFlit) {
 	if uint(f.In) >= uint(r.cfg.Ports) || uint(f.VC) >= uint(r.cfg.VCs) {
 		panic(vcError{r.ID, "flit into a missing VC", f.In, f.VC})
 	}
-	r.inFlits = append(r.inFlits, inFlit{f: f.F, in: uint8(f.In), vc: uint8(f.VC)})
+	r.inFlits = append(r.inFlits, FlitIn{F: f.F, In: f.In, VC: int8(f.VC)})
 }
 
-// AcceptCredit delivers a credit to the output-side latch. It panics on a
-// port or VC the router lacks.
+// AcceptCredit delivers a credit to the input latch; it is applied at
+// the start of the next Tick. It panics on a port or VC the router
+// lacks.
 func (r *Router) AcceptCredit(c CreditIn) {
 	if uint(c.Out) >= uint(r.cfg.Ports) || uint(c.VC) >= uint(r.cfg.VCs) {
 		panic(vcError{r.ID, "credit for a missing VC", c.Out, int(c.VC)})
 	}
 	r.inCredits = append(r.inCredits, c)
+}
+
+// Inputs returns the input latch: the flits and credits accepted since
+// the last Tick, each in the order it arrived. Between network steps it
+// holds the traffic on the wires into the router, which the network
+// saves, restores (through AcceptFlit and AcceptCredit) and encodes with
+// the node and counts in its credit-conservation check. The slices are
+// the latch itself: read them only, and not past the next Accept or
+// Tick.
+func (r *Router) Inputs() ([]FlitIn, []CreditIn) { return r.inFlits, r.inCredits }
+
+// DropInputCredit removes the credit accepted last from the input latch
+// and reports whether there was one. It exists to sabotage the
+// simulator on purpose (noc.Network.DropPendingCredit): a lost credit
+// underfunds its VC for good.
+func (r *Router) DropInputCredit() bool {
+	if len(r.inCredits) == 0 {
+		return false
+	}
+	r.inCredits = r.inCredits[:len(r.inCredits)-1]
+	return true
 }
 
 // vcError is what the latch entry points and the credit accessors panic
@@ -465,7 +567,7 @@ func (r *Router) TakeOutCredits() []router.Credit {
 // FreeOutVCs returns, for output port p and message class cls, how many
 // downstream VCs are currently unallocated, for inspection by tests.
 func (r *Router) FreeOutVCs(p topology.Port, cls int) int {
-	return bits.OnesCount64(spanWord(r.cfg.ClassRange(cls)) &^ r.outBusy[p])
+	return bits.OnesCount64(spanWord(r.cfg.ClassRange(cls)) &^ r.outBusy()[p])
 }
 
 // spanWord returns the word with bits [lo, hi) set: a range of VCs.
@@ -575,28 +677,30 @@ func (r *Router) PendingGrants(p topology.Port, v int) int {
 
 // vcOccupy records that input VC (p, v) left Idle for Routing.
 func (r *Router) vcOccupy(p topology.Port, v int) {
-	r.occ[p] |= 1 << uint(v)
+	*r.word(rowOcc, int(p)) |= 1 << uint(v)
 	r.occupied++
-	r.rcWait[p] |= 1 << uint(v)
+	*r.word(rowRCWait, int(p)) |= 1 << uint(v)
 	r.rcPorts |= 1 << uint(p)
 }
 
 // vcRelease records that input VC (p, v) returned to Idle.
 func (r *Router) vcRelease(p topology.Port, v int) {
-	r.occ[p] &^= 1 << uint(v)
+	*r.word(rowOcc, int(p)) &^= 1 << uint(v)
 	r.occupied--
 }
 
 // rcDone records that input VC (p, v) left Routing.
 func (r *Router) rcDone(p, v int) {
-	if r.rcWait[p] &^= 1 << uint(v); r.rcWait[p] == 0 {
+	w := r.word(rowRCWait, p)
+	if *w &^= 1 << uint(v); *w == 0 {
 		r.rcPorts &^= 1 << uint(p)
 	}
 }
 
 // vaDone records that input VC (p, v) left VCAlloc.
 func (r *Router) vaDone(p, v int) {
-	if r.vaWait[p] &^= 1 << uint(v); r.vaWait[p] == 0 {
+	w := r.word(rowVAWait, p)
+	if *w &^= 1 << uint(v); *w == 0 {
 		r.vaPorts &^= 1 << uint(p)
 	}
 }
@@ -658,13 +762,14 @@ func (r *Router) pathWord() uint64 {
 // disagreed, -1 when none did.
 func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) {
 	stale = -1
-	for p := range r.occ {
+	occ, rcWait, vaWait := r.occ(), r.rcWait(), r.vaWait()
+	for p := range occ {
 		c := r.portOccupancy(p)
-		if stale < 0 && (c.occ != r.occ[p] || c.rc != r.rcWait[p] || c.va != r.vaWait[p]) {
+		if stale < 0 && (c.occ != occ[p] || c.rc != rcWait[p] || c.va != vaWait[p]) {
 			stale = p
 		}
 		if store {
-			r.occ[p], r.rcWait[p], r.vaWait[p] = c.occ, c.rc, c.va
+			occ[p], rcWait[p], vaWait[p] = c.occ, c.rc, c.va
 		}
 		occupied += bits.OnesCount64(c.occ)
 		dropping += c.dropping
@@ -680,7 +785,7 @@ func (r *Router) recount(store bool) (occupied, dropping, sa1Faults, stale int) 
 // from the VCs and the fault bits.
 func (r *Router) rebuildOccupancy() {
 	r.occupied, r.dropping, r.sa1Faults, _ = r.recount(true)
-	r.rcPorts, r.vaPorts = portsOf(r.rcWait), portsOf(r.vaWait)
+	r.rcPorts, r.vaPorts = portsOf(r.rcWait()), portsOf(r.vaWait())
 	r.pathOK = r.pathWord()
 }
 
@@ -698,33 +803,37 @@ func (r *Router) CheckOccupancy() error {
 	if stale >= 0 {
 		c := r.portOccupancy(stale)
 		return fmt.Errorf("port %v occ/rcWait/vaWait = %#x/%#x/%#x, VCs say %#x/%#x/%#x", topology.Port(stale),
-			r.occ[stale], r.rcWait[stale], r.vaWait[stale], c.occ, c.rc, c.va)
+			r.occ()[stale], r.rcWait()[stale], r.vaWait()[stale], c.occ, c.rc, c.va)
 	}
 	if occupied != r.occupied || dropping != r.dropping || sa1Faults != r.sa1Faults {
 		return fmt.Errorf("occupied/dropping/sa1Faults = %d/%d/%d, VCs and arbiters say %d/%d/%d",
 			r.occupied, r.dropping, r.sa1Faults, occupied, dropping, sa1Faults)
 	}
-	if rc, va := portsOf(r.rcWait), portsOf(r.vaWait); rc != r.rcPorts || va != r.vaPorts {
+	if rc, va := portsOf(r.rcWait()), portsOf(r.vaWait()); rc != r.rcPorts || va != r.vaPorts {
 		return fmt.Errorf("rcPorts/vaPorts = %#x/%#x, stage words say %#x/%#x", r.rcPorts, r.vaPorts, rc, va)
 	}
 	if m := r.pathWord(); m != r.pathOK {
 		return fmt.Errorf("pathOK = %#x, fault bits say %#x", r.pathOK, m)
 	}
-	for out, w := range r.outBusy {
+	for out, w := range r.outBusy() {
 		if extra := w &^ spanWord(0, r.cfg.VCs); extra != 0 {
 			return fmt.Errorf("output %v busy word %#x marks downstream VCs %#x the port lacks", topology.Port(out), w, extra)
 		}
 	}
-	for i, w := range r.va2req {
+	V, W := r.cfg.VCs, r.va2Words()
+	for i, w := range r.va2req() {
 		if w != 0 {
-			dvcFlat := i / r.cfg.Ports
-			return fmt.Errorf("VA stage-2 request word (%v, vc%d) holds stale requests %#x of input port %v",
-				topology.Port(dvcFlat/r.cfg.VCs), dvcFlat%r.cfg.VCs, w, topology.Port(i%r.cfg.Ports))
+			// Set i/W is downstream VC (out, dvc); bit b of its word i%W
+			// is input VC (p, v) with p*VCs+v = (i%W)*64+b.
+			d, in := i/W, i%W*64+bits.TrailingZeros64(w)
+			return fmt.Errorf("VA stage-2 request set of output %v vc%d holds a stale request of input %v vc%d (word %d of the set: %#x)",
+				topology.Port(d/V), d%V, topology.Port(in/V), in%V, i%W, w)
 		}
 	}
-	for out := range r.va2any {
-		if r.va2any[out] != 0 || r.sa2req[out] != 0 {
-			return fmt.Errorf("output %v holds stale stage-2 request marks: VA %#x, SA %#x", topology.Port(out), r.va2any[out], r.sa2req[out])
+	va2any, sa2req := r.va2any(), r.sa2req()
+	for out := range va2any {
+		if va2any[out] != 0 || sa2req[out] != 0 {
+			return fmt.Errorf("output %v holds stale stage-2 request marks: VA %#x, SA %#x", topology.Port(out), va2any[out], sa2req[out])
 		}
 	}
 	return nil

@@ -317,10 +317,10 @@ func TestNewRouterIsOneBlock(t *testing.T) {
 		n     int
 		w     func(i int) int
 	}{
-		{"VA stage 1", V, P * V, func(i int) int { return r.va1[i].Inputs() }},
-		{"VA stage 2", P * V, P * V, func(i int) int { return r.va2[i].Inputs() }},
+		{"VA stage 1", V, P * V, func(i int) int { return r.va1()[i].Inputs() }},
+		{"VA stage 2", P * V, P * V, func(i int) int { return r.va2()[i].Inputs() }},
 		{"SA stage 1", V, P, func(i int) int { return r.sa1[i].Arb.Inputs() }},
-		{"SA stage 2", P, P, func(i int) int { return r.sa2[i].Inputs() }},
+		{"SA stage 2", P, P, func(i int) int { return r.sa2()[i].Inputs() }},
 	} {
 		for i := 0; i < arbs.n; i++ {
 			if got := arbs.w(i); got != arbs.width {
@@ -358,11 +358,11 @@ func TestAcceptRefusesMissingVCs(t *testing.T) {
 func TestAdvanceWordsOnlyWhenObserved(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
-	if r := MustNew(4, topology.NewMesh(3, 3), cfg); r.advanced != nil {
-		t.Errorf("lights-off router allocated %d advance words", len(r.advanced))
+	if r := MustNew(4, topology.NewMesh(3, 3), cfg); len(r.advanced()) != 0 {
+		t.Errorf("lights-off router allocated %d advance words", len(r.advanced()))
 	}
 	cfg.Obs = obs.New(0)
-	if r := MustNew(4, topology.NewMesh(3, 3), cfg); len(r.advanced) != cfg.Ports {
-		t.Errorf("observed router has %d advance words, want one per port (%d)", len(r.advanced), cfg.Ports)
+	if r := MustNew(4, topology.NewMesh(3, 3), cfg); len(r.advanced()) != cfg.Ports {
+		t.Errorf("observed router has %d advance words, want one per port (%d)", len(r.advanced()), cfg.Ports)
 	}
 }

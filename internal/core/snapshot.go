@@ -18,14 +18,16 @@ import (
 // are the per-router half of the checkpoint/restore groundwork the
 // ROADMAP's campaign-server item needs.
 //
-// Save/Restore operate at the network step boundary, where the router's
-// four I/O latches (inFlits, inCredits, outFlits, outCredits) and the
-// droppedPkts drain are empty by construction: inputs were accepted at
-// the top of Tick and outputs were taken by the network's commit phase.
-// The only cross-cycle state is what SaveState captures: VC buffers and
-// state fields, output-side credit/busy bookkeeping, pending SA grants
-// (executed by next cycle's crossbar stage), arbiter priority and
-// bypass registers, the RC scan and bypass-adoption pointers, fault
+// Save/Restore operate at the network step boundary, where the output
+// latch (outFlits, outCredits) and the droppedPkts drain are empty by
+// construction: the network's commit took them. The input latch
+// (inFlits, inCredits) holds the traffic on the wires into the router
+// there, which the network saves, restores and encodes with the rest of
+// the node (Inputs); the router's triple leaves it out and RestoreState
+// empties it. The cross-cycle state SaveState captures is: VC buffers
+// and state fields, output-side credit/busy bookkeeping, pending SA
+// grants (executed by next cycle's crossbar stage), arbiter priority
+// and bypass registers, the RC scan and bypass-adoption pointers, fault
 // flags, and the counters.
 
 // RouterState is a deep copy of a Router's mutable architectural state
@@ -167,24 +169,27 @@ func (r *Router) SaveStateInto(old *RouterState, cloneFlit func(*flit.Flit) *fli
 	for _, g := range r.grants {
 		rec = put(put(put(put(rec, int(g.inPort)), int(g.inVC)), int(g.outPort)), bit(g.secondary, 1))
 	}
+	outBusy, va1Faulty := row(r.words, rowOutBusy, P), row(r.words, rowVA1Faulty, P)
+	rcScan, adopted, adoptAge := row(r.portInts, rowRCScan, P), row(r.portInts, rowSAAdopted, P), row(r.portInts, rowSAAdoptAge, P)
+	va1, va2, sa2 := row(r.arbs, arbVA1, P*V), row(r.arbs, arbVA2, P*V), r.arbs[arbSA2*P*V:]
 	for p := 0; p < P; p++ {
 		b := &r.sa1[p]
 		dw, rot := b.BypassState()
 		// The baseline's duplicate RC and secondary crossbar bits are
 		// never set.
 		flags := bit(b.Arb.Faulty(), portSA1Arb) | bit(b.BypassFaulty(), portSA1Byp) |
-			bit(r.sa2[p].Faulty(), portSA2) | bit(r.rcFaulty[0]>>uint(p)&1 != 0, portRC0) |
+			bit(sa2[p].Faulty(), portSA2) | bit(r.rcFaulty[0]>>uint(p)&1 != 0, portRC0) |
 			bit(r.rcFaulty[1]>>uint(p)&1 != 0, portRC1) |
 			bit(r.xb.MuxFaulty(p), portXBMux) | bit(r.xb.SecondaryFaulty(p), portXBSec)
-		rec = put(put(put(rec, int(r.rcScan[p])), int(r.saAdopted[p])), int(r.saAdoptAge[p]))
-		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), r.sa2[p].Prio())
+		rec = put(put(put(rec, int(rcScan[p])), int(adopted[p])), int(adoptAge[p]))
+		rec = put(put(put(put(rec, b.Arb.Prio()), dw), rot), sa2[p].Prio())
 		rec = put(rec, flags)
-		vcs, credits, busy, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.outBusy[p], r.va1[p*V:], r.va2[p*V:]
+		vcs, credits, busy, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], outBusy[p], va1[p*V:], va2[p*V:]
 		for v := 0; v < V; v++ {
 			q := &vcs[v]
 			entry := !q.IsReset()
 			rec = put(put(put(rec, int(credits[v])), va1[v].Prio()), va2[v].Prio())
-			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(r.va1Faulty[p]>>uint(v)&1 != 0, vcVA1Faulty)|
+			rec = put(rec, bit(busy>>uint(v)&1 != 0, vcOutBusy)|bit(va1Faulty[p]>>uint(v)&1 != 0, vcVA1Faulty)|
 				bit(va2[v].Faulty(), vcVA2Faulty)|bit(entry, vcHasEntry))
 			if entry {
 				rec, fl = saveVC(rec, fl, q, cloneFlit)
@@ -212,7 +217,7 @@ func saveVC(rec []int16, fl []flit.Flit, v *vc.VC, cloneFlit func(*flit.Flit) *f
 // SaveState clones.
 func (r *Router) bufferedFlits() int {
 	n := 0
-	for p, m := range r.occ {
+	for p, m := range r.occ() {
 		for ; m != 0; m &= m - 1 {
 			n += r.inVC(p, bits.TrailingZeros64(m)).Len()
 		}
@@ -225,8 +230,9 @@ func (r *Router) bufferedFlits() int {
 // router, so the state itself stays pristine and can be restored from
 // again. It panics before touching the router when the state was saved
 // from a router of another configuration. The router's I/O latches are
-// cleared — the caller must restore at a network step boundary, where
-// they are empty anyway.
+// emptied: the caller restores at a network step boundary, where the
+// output latch is empty anyway, and refills the input latch itself
+// (AcceptFlit, AcceptCredit) when it saved one.
 func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.Flit) {
 	if s.ports == 0 || !s.fits(r) {
 		panic(fmt.Sprintf("core: RestoreState: state of a %d-port %d-VC depth-%d router (protected %v) restored into a %d-port %d-VC depth-%d one (protected %v)",
@@ -240,23 +246,26 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 		r.grants = append(r.grants, grant{inPort: topology.Port(rec[i]), inVC: int8(rec[i+1]),
 			outPort: topology.Port(rec[i+2]), secondary: rec[i+3] != 0})
 	}
+	outBusy, va1Faulty := row(r.words, rowOutBusy, P), row(r.words, rowVA1Faulty, P)
+	rcScan, adopted, adoptAge := row(r.portInts, rowRCScan, P), row(r.portInts, rowSAAdopted, P), row(r.portInts, rowSAAdoptAge, P)
+	va1, va2, sa2 := row(r.arbs, arbVA1, P*V), row(r.arbs, arbVA2, P*V), r.arbs[arbSA2*P*V:]
 	for p := 0; p < P; p++ {
 		b := &r.sa1[p]
 		port := rec[i : i+8 : i+8]
 		i += 8
-		r.rcScan[p], r.saAdopted[p], r.saAdoptAge[p] = port[0], port[1], port[2]
+		rcScan[p], adopted[p], adoptAge[p] = port[0], port[1], port[2]
 		b.Arb.SetPrio(int(port[3]))
 		b.SetBypassState(int(port[4]), int(port[5]))
-		r.sa2[p].SetPrio(int(port[6]))
+		sa2[p].SetPrio(int(port[6]))
 		flags := port[7]
 		b.Arb.SetFaulty(flags&portSA1Arb != 0)
 		b.SetBypassFaulty(flags&portSA1Byp != 0)
-		r.sa2[p].SetFaulty(flags&portSA2 != 0)
+		sa2[p].SetFaulty(flags&portSA2 != 0)
 		r.rcFaulty[0] = setBit(r.rcFaulty[0], p, flags&portRC0 != 0)
 		r.rcFaulty[1] = setBit(r.rcFaulty[1], p, flags&portRC1 != 0)
 		r.xb.SetMuxFaulty(p, flags&portXBMux != 0)
 		r.xb.SetSecondaryFaulty(p, flags&portXBSec != 0)
-		vcs, credits, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], r.va1[p*V:], r.va2[p*V:]
+		vcs, credits, va1, va2 := r.vcs[p*V:(p+1)*V], r.credits[p*V:(p+1)*V], va1[p*V:], va2[p*V:]
 		var busy uint64
 		for v := 0; v < V; v++ {
 			slot := rec[i : i+4 : i+4]
@@ -268,7 +277,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 			if flags&vcOutBusy != 0 {
 				busy |= 1 << uint(v)
 			}
-			r.va1Faulty[p] = setBit(r.va1Faulty[p], v, flags&vcVA1Faulty != 0)
+			va1Faulty[p] = setBit(va1Faulty[p], v, flags&vcVA1Faulty != 0)
 			va2[v].SetFaulty(flags&vcVA2Faulty != 0)
 			if q := &vcs[v]; flags&vcHasEntry != 0 {
 				fl = restoreVC(q, rec[i:i+vcEntryLen], fl, cloneFlit)
@@ -279,7 +288,7 @@ func (r *Router) RestoreState(s *RouterState, cloneFlit func(*flit.Flit) *flit.F
 				q.ClearBorrow()
 			}
 		}
-		r.outBusy[p] = busy
+		outBusy[p] = busy
 	}
 	if i != len(rec) || len(fl) != 0 {
 		panic(fmt.Sprintf("core: RestoreState: read %d of %d record values, %d flits left over: save and restore disagree on the record layout", i, len(rec), len(fl)))
@@ -322,10 +331,14 @@ func AppendCanonicalFlit(b []byte, f *flit.Flit) []byte {
 // returns the extended slice. Two routers with equal canonical encodings
 // (and equal configurations) are bisimilar: every future Tick sequence
 // produces the same architectural behaviour. Counters are excluded (they
-// never feed back into arbitration), as are the I/O latches (empty at
-// the step boundary where this must be called).
+// never feed back into arbitration), as are the I/O latches: the output
+// latch is empty at the step boundary where this must be called, and the
+// network encodes the input latch with the node.
 func (r *Router) AppendCanonical(b []byte) []byte {
 	P, V := r.cfg.Ports, r.cfg.VCs
+	outBusy, va1Faulty := row(r.words, rowOutBusy, P), row(r.words, rowVA1Faulty, P)
+	rcScan, adopted, adoptAge := row(r.portInts, rowRCScan, P), row(r.portInts, rowSAAdopted, P), row(r.portInts, rowSAAdoptAge, P)
+	va1, va2, sa2 := row(r.arbs, arbVA1, P*V), row(r.arbs, arbVA2, P*V), r.arbs[arbSA2*P*V:]
 	for p := 0; p < P; p++ {
 		for v := 0; v < V; v++ {
 			ivc := &r.vcs[p*V+v]
@@ -346,12 +359,12 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 			for _, f := range fs {
 				b = AppendCanonicalFlit(b, f)
 			}
-			b = canon.Bool(b, r.outBusy[p]>>uint(v)&1 != 0)
+			b = canon.Bool(b, outBusy[p]>>uint(v)&1 != 0)
 			b = canon.Int(b, int(r.credits[p*V+v]))
-			b = canon.Int(b, r.va1[p*V+v].Prio())
-			b = canon.Int(b, r.va2[p*V+v].Prio())
-			b = canon.Bool(b, r.va1Faulty[p]>>uint(v)&1 != 0)
-			b = canon.Bool(b, r.va2[p*V+v].Faulty())
+			b = canon.Int(b, va1[p*V+v].Prio())
+			b = canon.Int(b, va2[p*V+v].Prio())
+			b = canon.Bool(b, va1Faulty[p]>>uint(v)&1 != 0)
+			b = canon.Bool(b, va2[p*V+v].Faulty())
 		}
 		sa1 := &r.sa1[p]
 		b = canon.Int(b, sa1.Arb.Prio())
@@ -360,8 +373,8 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 		b = canon.Int(b, rot)
 		b = canon.Bool(b, sa1.Arb.Faulty())
 		b = canon.Bool(b, sa1.BypassFaulty())
-		b = canon.Int(b, r.sa2[p].Prio())
-		b = canon.Bool(b, r.sa2[p].Faulty())
+		b = canon.Int(b, sa2[p].Prio())
+		b = canon.Bool(b, sa2[p].Faulty())
 		// The baseline has no duplicate RC unit or secondary paths: its
 		// encoding has no byte for them.
 		b = canon.Bool(b, r.rcFaulty[0]>>uint(p)&1 != 0)
@@ -372,9 +385,9 @@ func (r *Router) AppendCanonical(b []byte) []byte {
 		if r.cfg.FaultTolerant {
 			b = canon.Bool(b, r.xb.SecondaryFaulty(p))
 		}
-		b = canon.Int(b, int(r.rcScan[p]))
-		b = canon.Int(b, int(r.saAdopted[p]))
-		b = canon.Int(b, int(r.saAdoptAge[p]))
+		b = canon.Int(b, int(rcScan[p]))
+		b = canon.Int(b, int(adopted[p]))
+		b = canon.Int(b, int(adoptAge[p]))
 	}
 	b = canon.Int(b, len(r.grants))
 	for _, g := range r.grants {

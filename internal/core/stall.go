@@ -26,7 +26,7 @@ import (
 // noteAdvance marks input VC (p, v) as having advanced this cycle so
 // the stall scan skips it. Callers sit inside the pipeline's existing
 // obs nil-guarded blocks: the words exist only when the scan runs.
-func (r *Router) noteAdvance(p, v int) { r.advanced[p] |= 1 << uint(v) }
+func (r *Router) noteAdvance(p, v int) { r.advanced()[p] |= 1 << uint(v) }
 
 // stallScan runs after the pipeline stages and classifies every
 // non-advancing input VC. Within a Tick the stages run in reverse
@@ -42,9 +42,10 @@ func (r *Router) stallScan(cy sim.Cycle) {
 		return
 	}
 	V := r.cfg.VCs
-	for p, occ := range r.occ {
-		m := occ &^ r.advanced[p]
-		r.advanced[p] = 0
+	advanced := r.advanced()
+	for p, occ := range r.occ() {
+		m := occ &^ advanced[p]
+		advanced[p] = 0
 		vcs := r.portVCs(p)
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)

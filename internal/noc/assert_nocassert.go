@@ -14,6 +14,7 @@ package noc
 import (
 	"fmt"
 
+	"gonoc/internal/core"
 	"gonoc/internal/topology"
 	"gonoc/internal/vc"
 )
@@ -58,7 +59,7 @@ func (n *Network) assertPostStep() {
 			n.assertFail(fmt.Sprintf("nocassert: cycle %d: node %d inbound mask %#x left after the link commit", n.cycle, id, m))
 		}
 		for p := 0; p < n.ports; p++ {
-			if f, c := n.flitReg[id*n.ports+p], n.creditReg[id*n.ports+p]; f != (inFlit{}) || c != (creditRun{}) {
+			if f, c := n.flitReg[id*n.ports+p], n.creditReg[id*n.ports+p]; f != (core.FlitIn{}) || c != (creditRun{}) {
 				n.assertFail(fmt.Sprintf("nocassert: cycle %d: node %d port %v link registers not emptied: flit %+v, credits %+v",
 					n.cycle, id, topology.Port(p), f, c))
 			}

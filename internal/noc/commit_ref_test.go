@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"gonoc/internal/core"
 	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
@@ -15,28 +16,47 @@ import (
 
 // This file keeps the link commit that the inbound masks and link
 // registers of network.go replaced, verbatim but for the ref prefix, the
-// narrow latch entries it now appends, and linkTraffic, which was a
-// Network field and is the caller's slice here: each destination node
+// latches it now files into (each router's input latch, through
+// AcceptFlit and AcceptCredit, and the NI credit latch), and what were
+// Network fields and are the caller's here (refCommit): linkTraffic, and
+// the router outputs the compute phase staged. Each destination node
 // probed its four neighbours' linkTraffic words and re-walked their
 // staged flits and credits for the ones on its link. It is the oracle of
 // FuzzCommitMatchesReference.
 
+// refCommit is the state the reference commit kept in the network.
+type refCommit struct {
+	linkTraffic []uint64
+	// flits and credits are each node's staged router outputs, taken
+	// from the router at the end of its compute as the old computeNode
+	// did.
+	flits   [][]router.OutFlit
+	credits [][]router.Credit
+}
+
+func newRefCommit(nodes int) *refCommit {
+	return &refCommit{linkTraffic: make([]uint64, nodes), flits: make([][]router.OutFlit, nodes), credits: make([][]router.Credit, nodes)}
+}
+
 // refStep is Step with the commit this file keeps: the same pre-phase
-// and compute phase, then refCommitLocal and, node by node,
-// refCommitLinksNode.
-func (n *Network) refStep(linkTraffic []uint64) {
+// and compute phase, the staging of every router's outputs, then
+// refCommitLocal and, node by node, refCommitLinksNode.
+func (n *Network) refStep(rc *refCommit) {
 	c := n.cycle
 	n.generate(c)
 	n.compute(c)
-	n.refCommitLocal(c, linkTraffic)
+	for id, r := range n.routers {
+		rc.flits[id], rc.credits[id] = r.TakeOutFlits(), r.TakeOutCredits()
+	}
+	n.refCommitLocal(c, rc)
 	for id := range n.routers {
-		n.refCommitLinksNode(id, linkTraffic)
+		n.refCommitLinksNode(id, rc)
 	}
 	n.cycle++
 }
 
 // refCommitLocal is the old commitLocal.
-func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
+func (n *Network) refCommitLocal(c sim.Cycle, rc *refCommit) {
 	for id := range n.routers {
 		for _, pkt := range n.routers[id].TakeDropped() {
 			// Routing declared the destination unreachable; the router
@@ -47,8 +67,8 @@ func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
 			}
 		}
 		var links uint64
-		crossing := n.stagedFlits[id][:0]
-		for _, of := range n.stagedFlits[id] {
+		crossing := rc.flits[id][:0]
+		for _, of := range rc.flits[id] {
 			if of.Out != localPort {
 				if n.neighbor(id, of.Out) < 0 {
 					panic(fmt.Sprintf("noc: router %d emitted flit through edge port %v", id, of.Out))
@@ -77,11 +97,10 @@ func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
 				n.nis[id].consume(of.F, c)
 			}
 			// Ejection credit back to this router's local output.
-			n.inCredits[id] = append(n.inCredits[id],
-				credit{port: uint8(localPort), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
+			n.routers[id].AcceptCredit(core.CreditIn{Out: localPort, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 		}
-		n.stagedFlits[id] = crossing
-		for _, cr := range n.stagedCredits[id] {
+		rc.flits[id] = crossing
+		for _, cr := range rc.credits[id] {
 			if cr.In != localPort {
 				if n.neighbor(id, cr.In) < 0 {
 					panic(fmt.Sprintf("noc: router %d emitted credit through edge port %v", id, cr.In))
@@ -89,26 +108,25 @@ func (n *Network) refCommitLocal(c sim.Cycle, linkTraffic []uint64) {
 				links |= 1 << uint(cr.In)
 				continue
 			}
-			n.inNICredits[id] = append(n.inNICredits[id],
-				credit{port: uint8(cr.In), vc: uint8(cr.VC), free: cr.VCFree})
+			n.inNICredits[id] = append(n.inNICredits[id], cr)
 		}
-		linkTraffic[id] = links
+		rc.linkTraffic[id] = links
 	}
 }
 
 // refCommitLinksNode is the old commitLinksNode.
-func (n *Network) refCommitLinksNode(u int, linkTraffic []uint64) {
+func (n *Network) refCommitLinksNode(u int, rc *refCommit) {
 	for p := topology.Port(1); int(p) < n.ports; p++ {
 		v := n.neighbor(u, p)
 		if v < 0 {
 			continue
 		}
 		q := p.Opposite() // v's output port facing u
-		if linkTraffic[v]>>uint(q)&1 == 0 {
+		if rc.linkTraffic[v]>>uint(q)&1 == 0 {
 			continue
 		}
 		mf := &n.midFlight[v*n.ports+int(q)]
-		for _, of := range n.stagedFlits[v] {
+		for _, of := range rc.flits[v] {
 			if of.Out != q {
 				continue
 			}
@@ -122,15 +140,13 @@ func (n *Network) refCommitLinksNode(u int, linkTraffic []uint64) {
 			if on := n.obsNodes[v]; on != nil {
 				on.LinkFlit(int(q), int(dvc))
 			}
-			n.inFlits[u] = append(n.inFlits[u],
-				inFlit{in: uint8(p), vc: uint8(dvc), f: of.F})
+			n.routers[u].AcceptFlit(router.InFlit{In: p, VC: int(dvc), F: of.F})
 		}
-		for _, cr := range n.stagedCredits[v] {
+		for _, cr := range rc.credits[v] {
 			if cr.In != q {
 				continue
 			}
-			n.inCredits[u] = append(n.inCredits[u],
-				credit{port: uint8(p), vc: uint8(cr.VC), free: cr.VCFree})
+			n.routers[u].AcceptCredit(core.CreditIn{Out: p, VC: cr.VC, VCFree: cr.VCFree})
 		}
 	}
 }
@@ -163,8 +179,7 @@ func (n *Network) refDiscardAtLink(id int, of router.OutFlit, c sim.Cycle) bool 
 	default:
 		return false
 	}
-	n.inCredits[id] = append(n.inCredits[id],
-		credit{port: uint8(of.Out), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
+	n.routers[id].AcceptCredit(core.CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 	return true
 }
 
@@ -172,33 +187,37 @@ func (n *Network) refDiscardAtLink(id int, of router.OutFlit, c sim.Cycle) bool 
 // VC it waits at, and its packet ID, position and kind (the twins hold
 // distinct but identically numbered packets).
 type flitKey struct {
-	in, vc uint8
-	pkt    uint64
-	seq    int
-	kind   uint8
+	in   topology.Port
+	vc   int8
+	pkt  uint64
+	seq  int
+	kind uint8
 }
 
-func flitKeys(ws []inFlit) []flitKey {
+func flitKeys(ws []core.FlitIn) []flitKey {
 	out := make([]flitKey, len(ws))
 	for i, w := range ws {
-		out[i] = flitKey{w.in, w.vc, w.f.Pkt.ID, w.f.Seq, uint8(w.f.Kind)}
+		out[i] = flitKey{w.In, w.VC, w.F.Pkt.ID, w.F.Seq, uint8(w.F.Kind)}
 	}
 	return out
 }
 
 // requireSameCommit fails unless the network stepped by the production
 // commit and its twin stepped by the reference agree on everything the
-// commit writes: the three inbound latches, contents and order, the
+// commit writes: the inbound latches — each router's input latch of
+// flits and of credits, and the NI credits — contents and order, the
 // per-link wormhole masks and utilization counts, the statistics and the
 // canonical state. It also requires the production network's link
 // registers and inbound masks empty, as they must be between steps.
 func requireSameCommit(t *testing.T, when string, got, ref *Network) {
 	t.Helper()
 	for id := range got.routers {
-		if a, b := flitKeys(got.inFlits[id]), flitKeys(ref.inFlits[id]); !slices.Equal(a, b) {
+		gotFlits, gotCredits := got.routers[id].Inputs()
+		refFlits, refCredits := ref.routers[id].Inputs()
+		if a, b := flitKeys(gotFlits), flitKeys(refFlits); !slices.Equal(a, b) {
 			t.Fatalf("%s: node %d flit latch %+v, reference %+v", when, id, a, b)
 		}
-		if a, b := got.inCredits[id], ref.inCredits[id]; !slices.Equal(a, b) {
+		if a, b := gotCredits, refCredits; !slices.Equal(a, b) {
 			t.Fatalf("%s: node %d credit latch %+v, reference %+v", when, id, a, b)
 		}
 		if a, b := got.inNICredits[id], ref.inNICredits[id]; !slices.Equal(a, b) {
@@ -209,7 +228,7 @@ func requireSameCommit(t *testing.T, when string, got, ref *Network) {
 		}
 	}
 	for i := range got.flitReg {
-		if got.flitReg[i] != (inFlit{}) || got.creditReg[i] != (creditRun{}) {
+		if got.flitReg[i] != (core.FlitIn{}) || got.creditReg[i] != (creditRun{}) {
 			t.Fatalf("%s: link register %d not emptied: %+v %+v", when, i, got.flitReg[i], got.creditReg[i])
 		}
 	}
@@ -270,10 +289,10 @@ func FuzzCommitMatchesReference(f *testing.F) {
 			return n
 		}
 		got, ref := build(), build()
-		linkTraffic := make([]uint64, nodes)
+		state := newRefCommit(nodes)
 		step := func() {
 			got.Step()
-			ref.refStep(linkTraffic)
+			ref.refStep(state)
 			requireSameCommit(t, fmt.Sprintf("cycle %d", got.cycle), got, ref)
 		}
 

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"gonoc/internal/core"
 	"gonoc/internal/flit"
 	"gonoc/internal/router"
 	"gonoc/internal/sim"
@@ -174,7 +175,7 @@ func (n *Network) routeFor(cur int, in topology.Port, vcIdx int, dst int) (topol
 // a packet whose head crossed while the link was alive — midFlight —
 // completes gracefully, so the fault takes effect at packet granularity.
 // Each discarded flit synthesizes the credit the neighbour would have
-// returned, into the sender's own latch, so the sender's flow control
+// returned, into the sender's own input latch, so the sender's flow control
 // (and the network-wide credit-conservation invariant) stays exact.
 // Everything read and written here is indexed by the sender, which is why
 // this runs from the serial local commit and not from the receiver's
@@ -209,8 +210,7 @@ func (n *Network) discardAtLink(id int, of router.OutFlit, c sim.Cycle) bool {
 	default:
 		return false
 	}
-	n.inCredits[id] = append(n.inCredits[id],
-		credit{port: uint8(of.Out), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
+	n.routers[id].AcceptCredit(core.CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 	return true
 }
 

@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 
+	"gonoc/internal/core"
+	"gonoc/internal/router"
 	"gonoc/internal/topology"
 )
 
@@ -36,13 +38,14 @@ func (n *Network) CheckInvariants() error {
 	depth := n.cfg.Router.Depth
 	for id, r := range n.routers {
 		cfg := r.Config()
+		_, inCredits := r.Inputs()
 		for v := 0; v < cfg.VCs; v++ {
-			ni, occ, latched := n.nis[id].credits[v], r.InputVC(localPort, v).Len(), latchedCredits(n.inNICredits[id], localPort, v)
+			ni, occ, latched := n.nis[id].credits[v], r.InputVC(localPort, v).Len(), latchedNICredits(n.inNICredits[id], v)
 			if total := ni + occ + latched; total != depth {
 				return fmt.Errorf("noc: credit leak on local link ni%d -> r%d.%v vc%d: NI credits %d + occupancy %d + latched NI credits %d = %d, want %d",
 					id, id, localPort, v, ni, occ, latched, total, depth)
 			}
-			credits, latched, pending := r.Credits(localPort, v), latchedCredits(n.inCredits[id], localPort, v), r.PendingGrants(localPort, v)
+			credits, latched, pending := r.Credits(localPort, v), latchedCredits(inCredits, localPort, v), r.PendingGrants(localPort, v)
 			if total := credits + latched + pending; total != depth {
 				return fmt.Errorf("noc: credit leak on local link r%d.%v -> ni%d vc%d: credits %d + latched ejection credits %d + pending grants %d = %d, want %d",
 					id, localPort, id, v, credits, latched, pending, total, depth)
@@ -55,16 +58,17 @@ func (n *Network) CheckInvariants() error {
 				continue // edge port: no link
 			}
 			in := port.Opposite()
+			nbFlits, _ := n.routers[nb].Inputs()
 			for v := 0; v < cfg.VCs; v++ {
 				credits := r.Credits(port, v)
 				occ := n.routers[nb].InputVC(in, v).Len()
 				wireFlits := 0
-				for _, w := range n.inFlits[nb] {
-					if topology.Port(w.in) == in && int(w.vc) == v {
+				for _, w := range nbFlits {
+					if w.In == in && int(w.VC) == v {
 						wireFlits++
 					}
 				}
-				wireCredits := latchedCredits(n.inCredits[id], port, v)
+				wireCredits := latchedCredits(inCredits, port, v)
 				pending := r.PendingGrants(port, v)
 				total := credits + occ + wireFlits + wireCredits + pending
 				if total != depth {
@@ -78,11 +82,23 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
-// latchedCredits counts the credits in latch cs for VC v of port p.
-func latchedCredits(cs []credit, p topology.Port, v int) int {
+// latchedCredits counts the credits in a router's input latch cs for
+// downstream VC v of its output p.
+func latchedCredits(cs []core.CreditIn, p topology.Port, v int) int {
 	k := 0
 	for _, c := range cs {
-		if topology.Port(c.port) == p && int(c.vc) == v {
+		if c.Out == p && int(c.VC) == v {
+			k++
+		}
+	}
+	return k
+}
+
+// latchedNICredits counts the credits in an NI's latch cs for its VC v.
+func latchedNICredits(cs []router.Credit, v int) int {
+	k := 0
+	for _, c := range cs {
+		if int(c.VC) == v {
 			k++
 		}
 	}

@@ -21,9 +21,9 @@
 // serially in canonical node order, which also files every flit and
 // credit that crosses a link into the receiving node's link registers;
 // link transfers then commit pull-side — each destination node moves
-// what its registers hold into its latches — which makes every latch
-// single-writer, so the link commit also shards over the pool, network
-// faults or not. Serial and
+// what its registers hold into its router's input latch — which makes
+// every latch single-writer, so the link commit also shards over the
+// pool, network faults or not. Serial and
 // parallel execution run the identical code in the identical order, so
 // results are bit-exact for any worker count: the same flit arrival
 // cycles, the same statistics, and the same observability events in the
@@ -35,11 +35,12 @@
 // The steady-state Step path allocates nothing (pinned by
 // TestStepZeroAllocSteadyState; see DESIGN.md). All per-cycle traffic
 // flows through preallocated storage:
-// the inter-node latches are fixed-capacity buckets carved from
-// contiguous arenas, router output buffers are drained by handing the
-// caller the filled slice and retaining the backing array, and neighbour
-// lookups go through a flat table baked at construction time instead of
-// per-flit coordinate arithmetic.
+// a flit or credit bound for a router goes straight into that router's
+// pre-sized input latch, the NI credit latches are fixed-capacity
+// buckets carved from one arena, router output buffers are drained by
+// handing the caller the filled slice and retaining the backing array,
+// and neighbour lookups go through a flat table baked at construction
+// time instead of per-flit coordinate arithmetic.
 package noc
 
 import (
@@ -187,22 +188,15 @@ type Network struct {
 	//noc:derived immutable wiring, bound at construction; observational only
 	obsNodes []*obs.NodeObs
 
-	// Link latches, indexed by destination node: filled by the commit
-	// phase, drained by the next cycle's compute phase. Each bucket has
-	// exactly one writer per phase — the destination's compute worker
-	// drains it, the destination's commit worker fills it — and each is
-	// a fixed-capacity arena bucket (makeBuckets), so steady-state
-	// appends never allocate. Entries are the narrow inFlit and credit.
-	inFlits     [][]inFlit
-	inCredits   [][]credit
-	inNICredits [][]credit
-
-	// Staged per-node outputs of the compute phase, consumed by the
-	// local commit. Each entry aliases the producing router's reusable
-	// output buffer: valid from the end of the node's compute until
-	// that router's next Tick.
-	stagedFlits   [][]router.OutFlit //noc:derived per-cycle scratch, consumed by commit before the step boundary
-	stagedCredits [][]router.Credit  //noc:derived per-cycle scratch, consumed by commit before the step boundary
+	// What crosses a link into a router is filed straight into that
+	// router's input latch (core.Router.AcceptFlit, AcceptCredit), and
+	// its Tick applies it; the credits a router returns to its own NI
+	// wait here, in inNICredits, indexed by node, until the next compute
+	// phase hands them to the NI. Each NI bucket has exactly one writer
+	// per phase — the node's compute worker drains it, the serial local
+	// commit fills it — and each is a fixed-capacity arena bucket
+	// (makeBuckets), so steady-state appends never allocate.
+	inNICredits [][]router.Credit
 
 	// The link registers: what crosses each link this cycle, filed by the
 	// serial local commit and pulled by the receiving node's link commit.
@@ -216,9 +210,9 @@ type Network struct {
 	// array (router.Config.Validate caps Ports at 64). The local commit
 	// writes them and the link commit empties them, so all three are
 	// empty at the step boundary (assertPostStep checks it).
-	flitReg   []inFlit    //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
-	creditReg []creditRun //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
-	inbound   []uint64    //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
+	flitReg   []core.FlitIn //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
+	creditReg []creditRun   //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
+	inbound   []uint64      //noc:derived per-cycle scratch, filled by commitLocal and emptied by commitLinksNode before the step boundary
 
 	// Network-level fault state. linkDead is the explicit per-(node,
 	// port) dead-link set (kept symmetric: both endpoints of a link are
@@ -265,20 +259,6 @@ type Network struct {
 	// phase and released by Close.
 	workers int       //noc:derived immutable execution-engine configuration, not simulated state
 	pool    *stepPool //noc:derived execution-engine plumbing, not simulated state
-}
-
-// inFlit and credit are the network's latched link traffic: what
-// router.InFlit, core.CreditIn and router.Credit carry, narrow
-// (router.Config caps ports and VCs at 64). The latches hold a cycle's
-// traffic for every node, so the entry width is most of what they cost.
-type inFlit struct {
-	f      *flit.Flit
-	in, vc uint8
-}
-
-type credit struct {
-	port, vc uint8
-	free     bool
 }
 
 // creditRun is the link register of the credits crossing one link in one
@@ -444,16 +424,10 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	n.routers = make([]*core.Router, nodes)
 	n.nis = make([]*NI, nodes)
 	n.obsNodes = make([]*obs.NodeObs, nodes)
-	// Latch bucket capacities cover the steady-state per-cycle maxima:
-	// one flit per input port; per upstream link up to one credit per VC
-	// plus the ejection and drop-synthesized credits; up to one local
-	// credit per VC from the drain and crossbar stages each.
-	n.inFlits = makeBuckets[inFlit](nodes, ports)
-	n.inCredits = makeBuckets[credit](nodes, (ports-1)*cfg.Router.VCs+ports+2)
-	n.inNICredits = makeBuckets[credit](nodes, 2*cfg.Router.VCs)
-	n.stagedFlits = make([][]router.OutFlit, nodes)
-	n.stagedCredits = make([][]router.Credit, nodes)
-	n.flitReg = make([]inFlit, nodes*ports)
+	// The NI credit buckets cover the steady-state per-cycle maximum: up
+	// to one local credit per VC from the drain and crossbar stages each.
+	n.inNICredits = makeBuckets[router.Credit](nodes, 2*cfg.Router.VCs)
+	n.flitReg = make([]core.FlitIn, nodes*ports)
 	n.creditReg = make([]creditRun, nodes*ports)
 	n.inbound = make([]uint64, nodes)
 	n.linkDead = makeGrid[bool](nodes, ports)
@@ -602,10 +576,11 @@ func (n *Network) Workers() int { return n.workers }
 //     retransmission-timer scan and traffic generation, all of which
 //     touch shared state (router fault bits, packet IDs, the stats
 //     collector) in node order.
-//  2. Compute phase: every node delivers its latched link traffic,
-//     ticks its NI and ticks its router, reading only last-cycle
-//     state. Nodes are independent, so the phase shards over the
-//     worker pool when Workers > 1.
+//  2. Compute phase: every node hands its NI the credits latched for
+//     it, ticks its NI and ticks its router, which applies what its
+//     input latch holds, reading only last-cycle state. Nodes are
+//     independent, so the phase shards over the worker pool when
+//     Workers > 1.
 //  3. Local commit: per-node effects that touch shared state — packet
 //     ejections (statistics, closed-loop traffic replies), drops of
 //     unreachable packets, flits discarded at a dead link, the state of
@@ -613,7 +588,7 @@ func (n *Network) Workers() int { return n.workers }
 //     order, filing what crosses a link into the receiver's link
 //     registers.
 //  4. Link commit: each destination node pulls what its link registers
-//     hold into its inbound latches for delivery next cycle. Every
+//     hold into its router's input latch for the next cycle. Every
 //     latch has a single writer, so this phase also shards over the
 //     pool when Workers > 1.
 //
@@ -674,9 +649,10 @@ func (n *Network) runPhase(phase stepPhase, c sim.Cycle) {
 	n.pool.wg.Wait()
 }
 
-// computeNode advances node id through cycle c: deliver last cycle's
-// latched flits and credits, tick the NI (which streams at most one flit
-// into the router's local port) and tick the router. Everything touched
+// computeNode advances node id through cycle c: hand the NI the credits
+// latched for it, tick the NI (which streams at most one flit into the
+// router's local port) and tick the router, which takes in what the
+// commit filed into its input latch last cycle. Everything touched
 // here is either owned by node id or safe for concurrent use (obs
 // counters are atomic; trace events go to the node's own lane, written
 // only by the worker that owns the node), so computeNode runs
@@ -687,28 +663,18 @@ func (n *Network) runPhase(phase stepPhase, c sim.Cycle) {
 //noc:compute-phase
 //noc:hot-path
 func (n *Network) computeNode(id int, c sim.Cycle) {
-	r, ni := n.routers[id], n.nis[id]
-	for _, w := range n.inFlits[id] {
-		r.AcceptFlit(router.InFlit{In: topology.Port(w.in), VC: int(w.vc), F: w.f})
-	}
-	n.inFlits[id] = n.inFlits[id][:0]
-	for _, cr := range n.inCredits[id] {
-		r.AcceptCredit(core.CreditIn{Out: topology.Port(cr.port), VC: int8(cr.vc), VCFree: cr.free})
-	}
-	n.inCredits[id] = n.inCredits[id][:0]
+	ni := n.nis[id]
 	for _, cr := range n.inNICredits[id] {
-		ni.acceptCredit(router.Credit{In: topology.Port(cr.port), VC: int8(cr.vc), VCFree: cr.free})
+		ni.acceptCredit(cr)
 	}
 	n.inNICredits[id] = n.inNICredits[id][:0]
 
 	ni.tick(c)
-	r.Tick(c)
-
-	n.stagedFlits[id] = r.TakeOutFlits()
-	n.stagedCredits[id] = r.TakeOutCredits()
+	n.routers[id].Tick(c)
 }
 
-// commit applies the compute phase's staged outputs: first the serial
+// commit applies what the compute phase left in the routers' output
+// latches: first the serial
 // local commit (ejections, drops, statistics, link state — everything
 // that touches shared state, in canonical node order), then the link
 // commit, which writes nothing outside the pulling node's own latches
@@ -727,28 +693,30 @@ func (n *Network) commit(c sim.Cycle) {
 	}
 }
 
-// commitLocal applies, serially in node order, every staged effect that
+// commitLocal drains every router's output latch (TakeOutFlits,
+// TakeOutCredits) and applies, serially in node order, every effect that
 // touches shared state: packets the routing function declared
 // unreachable, and flits arriving at their destination's local port —
 // statistics, the ejection into the NI (which can re-enter the network
-// through closed-loop traffic replies), and the ejection credit. It also
-// validates that no router emitted traffic through a port with no link.
-// Flits that die at a dead link are discarded here (discardAtLink), where
-// writing the sender's own credit latch is single-writer by construction.
-// Every other flit and credit bound for a neighbour is filed into the
-// receiver's link registers, and the flit's link state — wormhole mask
-// and utilization — is updated here, by the sender, so the receiver's
-// pull reads its own registers and nothing of the sender's.
+// through closed-loop traffic replies), and the ejection credit into the
+// router's own input latch. It also validates that no router emitted
+// traffic through a port with no link. Flits that die at a dead link are
+// discarded here (discardAtLink), where writing the sender's own input
+// latch is single-writer by construction. Every other flit and credit
+// bound for a neighbour is filed into the receiver's link registers, and
+// the flit's link state — wormhole mask and utilization — is updated
+// here, by the sender, so the receiver's pull reads its own registers and
+// nothing of the sender's.
 //
 //noc:commit-only
 func (n *Network) commitLocal(c sim.Cycle) {
 	// Only fault-aware tables declare a packet unreachable, and they
 	// exist exactly while routes is set: without them TakeDropped would
-	// return nothing, so an idle node's router is not touched here.
+	// return nothing, so it is not called.
 	dropping := n.routes != nil
-	for id := range n.routers {
+	for id, r := range n.routers {
 		if dropping {
-			for _, pkt := range n.routers[id].TakeDropped() {
+			for _, pkt := range r.TakeDropped() {
 				// Routing declared the destination unreachable; the router
 				// drains the buffered flits itself.
 				n.stats.RecordDrop(pkt)
@@ -757,7 +725,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				}
 			}
 		}
-		for _, of := range n.stagedFlits[id] {
+		for _, of := range r.TakeOutFlits() {
 			if of.Out != localPort {
 				link := id*n.ports + int(of.Out)
 				u := int(n.nbr[link])
@@ -787,13 +755,11 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				n.nis[id].consume(of.F, c)
 			}
 			// Ejection credit back to this router's local output.
-			n.inCredits[id] = append(n.inCredits[id],
-				credit{port: uint8(localPort), vc: uint8(of.DownVC), free: of.F.Kind.IsTail()})
+			r.AcceptCredit(core.CreditIn{Out: localPort, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 		}
-		for _, cr := range n.stagedCredits[id] {
+		for _, cr := range r.TakeOutCredits() {
 			if cr.In == localPort {
-				n.inNICredits[id] = append(n.inNICredits[id],
-					credit{port: uint8(localPort), vc: uint8(cr.VC), free: cr.VCFree})
+				n.inNICredits[id] = append(n.inNICredits[id], cr)
 				continue
 			}
 			u := int(n.nbr[id*n.ports+int(cr.In)])
@@ -827,20 +793,20 @@ func (n *Network) crossLink(id, link, u int, of router.OutFlit) {
 	}
 	p := of.Out.Opposite()
 	reg := &n.flitReg[u*n.ports+int(p)]
-	if reg.f != nil {
+	if reg.F != nil {
 		panic(fmt.Sprintf("noc: router %d sent two flits through port %v in one cycle", id, of.Out))
 	}
-	*reg = inFlit{f: of.F, in: uint8(p), vc: uint8(of.DownVC)}
+	*reg = core.FlitIn{F: of.F, In: p, VC: of.DownVC}
 	n.inbound[u] |= 1 << uint(p)
 }
 
 // commitLinksNode applies, for destination node u, every link transfer
 // arriving at u this cycle: for each port inbound[u] marks, the flit and
-// then the credits the local commit filed in u's link registers, in
-// ascending port order. It reads and empties only u's registers and
-// writes only u's latches, so distinct destination nodes touch disjoint
-// state and the phase shards over the worker pool; a node nothing
-// crosses into costs one load.
+// then the credits the local commit filed in u's link registers go into
+// u's router's input latch, in ascending port order. It reads and
+// empties only u's registers and writes only u's latch, so distinct
+// destination nodes touch disjoint state and the phase shards over the
+// worker pool; a node nothing crosses into costs one load.
 //
 //noc:commit-only
 //noc:hot-path
@@ -850,20 +816,20 @@ func (n *Network) commitLinksNode(u int) {
 		return
 	}
 	n.inbound[u] = 0
-	row := u * n.ports
+	r, row := n.routers[u], u*n.ports
 	for ; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
-		if f := &n.flitReg[row+p]; f.f != nil {
-			n.inFlits[u] = append(n.inFlits[u], *f)
-			*f = inFlit{}
+		if f := &n.flitReg[row+p]; f.F != nil {
+			r.AcceptFlit(router.InFlit{In: f.In, VC: int(f.VC), F: f.F})
+			*f = core.FlitIn{}
 		}
 		cr := &n.creditReg[row+p]
 		for vcs := cr.vcs; vcs != 0; vcs &= vcs - 1 {
 			v := bits.TrailingZeros64(vcs)
-			n.inCredits[u] = append(n.inCredits[u], credit{port: uint8(p), vc: uint8(v), free: cr.free>>uint(v)&1 != 0})
+			r.AcceptCredit(core.CreditIn{Out: topology.Port(p), VC: int8(v), VCFree: cr.free>>uint(v)&1 != 0})
 		}
 		if cr.last != 0 {
-			n.inCredits[u] = append(n.inCredits[u], credit{port: uint8(p), vc: cr.last - 1, free: cr.lastFree})
+			r.AcceptCredit(core.CreditIn{Out: topology.Port(p), VC: int8(cr.last - 1), VCFree: cr.lastFree})
 		}
 		*cr = creditRun{}
 	}

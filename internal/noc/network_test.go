@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gonoc/internal/core"
 	"gonoc/internal/flit"
 	"gonoc/internal/obs"
 	"gonoc/internal/router"
@@ -347,7 +348,7 @@ func TestCreditConservationInvariant(t *testing.T) {
 func TestCreditConservationCoversLocalLinks(t *testing.T) {
 	for name, leak := range map[string]func(n *Network){
 		"ni5 -> r5.L": func(n *Network) { n.nis[5].credits[1]-- },
-		"r5.L -> ni5": func(n *Network) { n.inCredits[5] = append(n.inCredits[5], credit{port: uint8(localPort), vc: 1}) },
+		"r5.L -> ni5": func(n *Network) { n.routers[5].AcceptCredit(core.CreditIn{Out: localPort, VC: 1}) },
 	} {
 		src := traffic.NewSynthetic(16, 0.08, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.5), 17)
 		n := MustNew(testCfg(4, 4, true), src)

@@ -9,8 +9,10 @@ import (
 	"gonoc/internal/canon"
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
+	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
+	"gonoc/internal/topology"
 )
 
 // Deep snapshot/restore of a Network at a step boundary, plus a
@@ -21,11 +23,11 @@ import (
 // campaign-server item needs.
 //
 // Snapshot and Restore, and SaveNode and RestoreNode, must be called
-// between Steps (never from a hook). At that boundary the
-// router-internal I/O latches are empty — inputs were drained at the
-// top of Tick, outputs were taken by the commit phase — and all
-// in-flight traffic lives in the network's inbound latches
-// (inFlits/inCredits/inNICredits), which the snapshot captures.
+// between Steps (never from a hook). At that boundary the routers'
+// output latches are empty — the commit phase took them — and all
+// in-flight traffic lives in the routers' input latches
+// (core.Router.Inputs) and the NI credit latches (inNICredits), which
+// the snapshot captures with each node.
 //
 // A snapshot is a handful of flat buffers, not an object graph:
 // SnapshotInto refills the buffers of a snapshot the caller is finished
@@ -71,8 +73,9 @@ type record struct {
 	//	routerDead, then the NI: activeVCs, sendScan, vcBusy and credits
 	//	  per VC, per class the queue length and the queued packets'
 	//	  pkts indices, per VC the in-progress packet's remaining flits
-	//	the inbound latches: flits (port, VC, flit), credits and NI
-	//	  credits (port, VC, VCFree), each behind its length
+	//	the inbound latches: the router's input latch, flits (port, VC,
+	//	  flit) and credits (port, VC, VCFree), then the NI credits
+	//	  (port, VC, VCFree), each behind its length
 	//	the length of the node's retransmission buffer (entries in retx)
 	//	and its number of duplicate-suppression windows
 	//
@@ -281,11 +284,6 @@ func (io *snapIO) getFlit() *flit.Flit {
 	return io.live(flit.Kind(io.get()), io.get(), io.get())
 }
 
-// getCredit reads a latched credit: port, VC, VC-free flag.
-func (io *snapIO) getCredit() credit {
-	return credit{port: uint8(io.get()), vc: uint8(io.get()), free: io.get() != 0}
-}
-
 // liveFlit is core.RestoreState's cloneFlit: the saved flits arrive in
 // the order savedFlit cloned them, which is the order of their packet
 // indices in the record.
@@ -354,18 +352,19 @@ func (n *Network) saveNode(id int, rs *core.RouterState, io *snapIO) {
 	s.net = append(s.net, int32(bit(n.routerDead[id])))
 	saveNI(s, n.nis[id], io)
 
-	s.net = append(s.net, int32(len(n.inFlits[id])))
-	for _, w := range n.inFlits[id] {
-		s.net = append(s.net, int32(w.in), int32(w.vc))
-		io.putFlit(w.f)
+	flits, credits := n.routers[id].Inputs()
+	s.net = append(s.net, int32(len(flits)))
+	for _, w := range flits {
+		s.net = append(s.net, int32(w.In), int32(w.VC))
+		io.putFlit(w.F)
 	}
-	s.net = append(s.net, int32(len(n.inCredits[id])))
-	for _, c := range n.inCredits[id] {
-		s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
+	s.net = append(s.net, int32(len(credits)))
+	for _, c := range credits {
+		s.net = append(s.net, int32(c.Out), int32(c.VC), int32(bit(c.VCFree)))
 	}
 	s.net = append(s.net, int32(len(n.inNICredits[id])))
 	for _, c := range n.inNICredits[id] {
-		s.net = append(s.net, int32(c.port), int32(c.vc), int32(bit(c.free)))
+		s.net = append(s.net, int32(c.In), int32(c.VC), int32(bit(c.VCFree)))
 	}
 
 	lo, hi := id*n.ports, (id+1)*n.ports
@@ -491,26 +490,26 @@ func (n *Network) Restore(s *Snapshot) {
 // a mesh, the dateline torusRoute for a torus) once the network is
 // fault free again.
 func (n *Network) restoreNode(id int, rs *core.RouterState, io *snapIO) (faultsChanged bool) {
-	n.routers[id].RestoreState(rs, io.restoreFlit)
+	r := n.routers[id]
+	r.RestoreState(rs, io.restoreFlit)
 	if dead := io.get() != 0; dead != n.routerDead[id] {
 		n.routerDead[id], faultsChanged = dead, true
 	}
 	restoreNI(n.nis[id], io)
 
-	// The operands below are read in the lexical order of each
-	// composite literal, which is the order saveNode wrote them in.
-	n.inFlits[id] = n.inFlits[id][:0]
+	// RestoreState emptied the router's input latch; refill it. The
+	// operands below are read in the lexical order of each composite
+	// literal, which is the order saveNode wrote them in.
 	for k := io.get(); k > 0; k-- {
-		n.inFlits[id] = append(n.inFlits[id],
-			inFlit{in: uint8(io.get()), vc: uint8(io.get()), f: io.getFlit()})
+		r.AcceptFlit(router.InFlit{In: topology.Port(io.get()), VC: io.get(), F: io.getFlit()})
 	}
-	n.inCredits[id] = n.inCredits[id][:0]
 	for k := io.get(); k > 0; k-- {
-		n.inCredits[id] = append(n.inCredits[id], io.getCredit())
+		r.AcceptCredit(core.CreditIn{Out: topology.Port(io.get()), VC: int8(io.get()), VCFree: io.get() != 0})
 	}
 	n.inNICredits[id] = n.inNICredits[id][:0]
 	for k := io.get(); k > 0; k-- {
-		n.inNICredits[id] = append(n.inNICredits[id], io.getCredit())
+		n.inNICredits[id] = append(n.inNICredits[id],
+			router.Credit{In: topology.Port(io.get()), VC: int8(io.get()), VCFree: io.get() != 0})
 	}
 
 	copy(n.midFlight[id*n.ports:], io.getWords(n.ports))
@@ -536,11 +535,6 @@ func (n *Network) restoreNode(id int, rs *core.RouterState, io *snapIO) (faultsC
 		io.windowAt++
 	}
 	n.delivered[id] = copyWindows(n.delivered[id], windows)
-
-	// Staged compute outputs alias router buffers that RestoreState
-	// just reset; drop the stale views.
-	n.stagedFlits[id] = nil
-	n.stagedCredits[id] = nil
 	return faultsChanged
 }
 
@@ -661,7 +655,8 @@ func (n *Network) AppendCanonical(b []byte) []byte {
 }
 
 // AppendCanonicalNode appends node id's section of the canonical
-// encoding: its router, NI, inbound latches, link and fault state,
+// encoding: its router, NI, inbound latches (the router's input latch
+// and the NI credits), link and fault state,
 // retransmission entries and delivery windows. Every list in a section
 // is length-prefixed, so a section is self-delimiting under a fixed
 // configuration: two networks have equal AppendCanonical encodings
@@ -672,14 +667,21 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 	b = n.routers[id].AppendCanonical(b)
 	b = n.appendCanonicalNI(b, id)
 
-	b = canon.Int(b, len(n.inFlits[id]))
-	for _, w := range n.inFlits[id] {
-		b = canon.Int(b, int(w.in))
-		b = canon.Int(b, int(w.vc))
-		b = core.AppendCanonicalFlit(b, w.f)
+	flits, credits := n.routers[id].Inputs()
+	b = canon.Int(b, len(flits))
+	for _, w := range flits {
+		b = canon.Int(b, int(w.In))
+		b = canon.Int(b, int(w.VC))
+		b = core.AppendCanonicalFlit(b, w.F)
 	}
-	b = appendCanonicalCredits(b, n.inCredits[id])
-	b = appendCanonicalCredits(b, n.inNICredits[id])
+	b = canon.Int(b, len(credits))
+	for _, c := range credits {
+		b = appendCanonicalCredit(b, c.Out, c.VC, c.VCFree)
+	}
+	b = canon.Int(b, len(n.inNICredits[id]))
+	for _, c := range n.inNICredits[id] {
+		b = appendCanonicalCredit(b, c.In, c.VC, c.VCFree)
+	}
 
 	b = appendBools(b, n.linkDead[id])
 	b = canon.Bool(b, n.routerDead[id])
@@ -706,17 +708,19 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 
 // NodeQuiet reports whether node id has nothing of its own to do in the
 // next Step: its router is quiescent (core.Router.Quiescent), its NI has
-// nothing queued and nothing mid-injection, its inbound latches are empty
-// and its retransmission buffer holds nothing. Such a node's Step changes
+// nothing queued and nothing mid-injection, its inbound latches — the
+// router's input latch and the NI's credits — are empty and its
+// retransmission buffer holds nothing. Such a node's Step changes
 // nothing in its canonical section: it accepts nothing, sends nothing,
 // ejects nothing and has no timer to run. What a neighbour sends it
 // lands in its latches and makes it not quiet. So a node quiet before a
 // Step and after it has the section it had, and the model checker keeps
 // such a node's interned section id across a tick without encoding it.
 func (n *Network) NodeQuiet(id int) bool {
-	ni := n.nis[id]
-	return n.routers[id].Quiescent() && ni.activeVCs == 0 && ni.queued == 0 &&
-		len(n.inFlits[id]) == 0 && len(n.inCredits[id]) == 0 && len(n.inNICredits[id]) == 0 &&
+	r, ni := n.routers[id], n.nis[id]
+	flits, credits := r.Inputs()
+	return r.Quiescent() && ni.activeVCs == 0 && ni.queued == 0 &&
+		len(flits) == 0 && len(credits) == 0 && len(n.inNICredits[id]) == 0 &&
 		len(n.retx[id]) == 0
 }
 
@@ -770,16 +774,12 @@ func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte 
 	return b
 }
 
-// appendCanonicalCredits appends a credit latch: its length, then port,
-// VC and VC-free flag per credit, in latch order.
-func appendCanonicalCredits(b []byte, cs []credit) []byte {
-	b = canon.Int(b, len(cs))
-	for _, cr := range cs {
-		b = canon.Int(b, int(cr.port))
-		b = canon.Int(b, int(cr.vc))
-		b = canon.Bool(b, cr.free)
-	}
-	return b
+// appendCanonicalCredit appends one latched credit: its port, VC and
+// VC-free flag.
+func appendCanonicalCredit(b []byte, port topology.Port, vc int8, free bool) []byte {
+	b = canon.Int(b, int(port))
+	b = canon.Int(b, int(vc))
+	return canon.Bool(b, free)
 }
 
 func appendBools(b []byte, vs []bool) []byte {
@@ -799,18 +799,11 @@ func (n *Network) StateHash() uint64 {
 	return h.Sum64()
 }
 
-// DropPendingCredit removes one credit from router id's inbound credit
-// latch and reports whether there was one to remove. It exists to
-// sabotage the simulator on purpose: losing a credit permanently
+// DropPendingCredit removes one credit from router id's input latch,
+// the one latched last, and reports whether there was one to remove. It
+// exists to sabotage the simulator on purpose: losing a credit permanently
 // underfunds one VC's flow control, which eventually wedges the
 // pipeline — exactly the class of bug the model checker's deadlock
 // detector must catch. Used by `noctool check -sabotage` and the
 // modelcheck counterexample tests; never called by simulation code.
-func (n *Network) DropPendingCredit(id int) bool {
-	lat := n.inCredits[id]
-	if len(lat) == 0 {
-		return false
-	}
-	n.inCredits[id] = lat[:len(lat)-1]
-	return true
-}
+func (n *Network) DropPendingCredit(id int) bool { return n.routers[id].DropInputCredit() }

@@ -6,6 +6,7 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
+	"gonoc/internal/router"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
 )
@@ -14,7 +15,10 @@ import (
 // snapshot.go replaced, verbatim but for the ref prefix: one slice per
 // saved field, router states and the collector behind pointers, flits and
 // packets cloned one heap object each through a memoizing cloner with two
-// pointer-keyed maps. It is the oracle of FuzzSnapshotMatchesReference.
+// pointer-keyed maps, and the latches it copies: the network's link
+// latches were then its own slices, and are now each router's input
+// latch, read through Inputs and refilled through AcceptFlit and
+// AcceptCredit. It is the oracle of FuzzSnapshotMatchesReference.
 // The router states it holds come from the production core.SaveStateInto
 // (core holds save and restore to its refRouter, refrouter_test.go
 // there); everything at network level is the old code.
@@ -32,9 +36,9 @@ type refSnap struct {
 	routers []*core.RouterState
 	nis     []refNIState
 
-	inFlits     [][]inFlit
-	inCredits   [][]credit
-	inNICredits [][]credit
+	inFlits     [][]core.FlitIn
+	inCredits   [][]core.CreditIn
+	inNICredits [][]router.Credit
 
 	linkDead   [][]bool
 	routerDead []bool
@@ -129,12 +133,13 @@ func (n *Network) refSnapshotInto(old *refSnap) *refSnap {
 		s.routers[id] = n.routers[id].SaveStateInto(s.routers[id], cl.flitFn)
 		refSaveNI(&s.nis[id], n.nis[id], cl)
 
+		flits, credits := n.routers[id].Inputs()
 		fl := s.inFlits[id][:0]
-		for _, w := range n.inFlits[id] {
-			fl = append(fl, inFlit{in: w.in, vc: w.vc, f: cl.flit(w.f)})
+		for _, w := range flits {
+			fl = append(fl, core.FlitIn{In: w.In, VC: w.VC, F: cl.flit(w.F)})
 		}
 		s.inFlits[id] = fl
-		s.inCredits[id] = append(s.inCredits[id][:0], n.inCredits[id]...)
+		s.inCredits[id] = append(s.inCredits[id][:0], credits...)
 		s.inNICredits[id] = append(s.inNICredits[id][:0], n.inNICredits[id]...)
 
 		copy(s.linkDead[id], n.linkDead[id])
@@ -154,9 +159,9 @@ func newRefSnapshot(sh refShape) *refSnap {
 		routers: make([]*core.RouterState, sh.nodes),
 		nis:     make([]refNIState, sh.nodes),
 
-		inFlits:     make([][]inFlit, sh.nodes),
-		inCredits:   make([][]credit, sh.nodes),
-		inNICredits: make([][]credit, sh.nodes),
+		inFlits:     make([][]core.FlitIn, sh.nodes),
+		inCredits:   make([][]core.CreditIn, sh.nodes),
+		inNICredits: make([][]router.Credit, sh.nodes),
 
 		linkDead:   makeGrid[bool](sh.nodes, sh.ports),
 		routerDead: make([]bool, sh.nodes),
@@ -230,25 +235,21 @@ func (n *Network) refRestore(s *refSnap) {
 	n.stats.CopyFrom(s.stats)
 
 	for id := range n.routers {
-		n.routers[id].RestoreState(s.routers[id], cl.flitFn)
+		r := n.routers[id]
+		r.RestoreState(s.routers[id], cl.flitFn)
 		refRestoreNI(n.nis[id], &s.nis[id], cl)
 
-		n.inFlits[id] = n.inFlits[id][:0]
 		for _, w := range s.inFlits[id] {
-			n.inFlits[id] = append(n.inFlits[id],
-				inFlit{in: w.in, vc: w.vc, f: cl.flit(w.f)})
+			r.AcceptFlit(router.InFlit{In: w.In, VC: int(w.VC), F: cl.flit(w.F)})
 		}
-		n.inCredits[id] = append(n.inCredits[id][:0], s.inCredits[id]...)
+		for _, c := range s.inCredits[id] {
+			r.AcceptCredit(c)
+		}
 		n.inNICredits[id] = append(n.inNICredits[id][:0], s.inNICredits[id]...)
 
 		copy(n.linkDead[id], s.linkDead[id])
 		n.retx[id] = append(n.retx[id][:0], s.retx[id]...)
 		n.delivered[id] = copyWindows(n.delivered[id], s.delivered[id])
-
-		// Staged compute outputs alias router buffers that RestoreState
-		// just reset; drop the stale views.
-		n.stagedFlits[id] = nil
-		n.stagedCredits[id] = nil
 	}
 	if faultsChanged {
 		// Rebuild (or drop) the fault-aware tables from the restored
