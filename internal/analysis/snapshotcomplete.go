@@ -47,9 +47,12 @@ import (
 // forms are sequential records, not field-for-field mirrors, so the
 // other half — "save wrote it, restore never read it" — is not visible
 // to a field diff: RestoreState, Restore and RestoreNode check at run
-// time that they consumed the record to its last value, and
-// FuzzSnapshotMatchesReference (internal/noc) holds both against the
-// field-by-field code they replaced.
+// time that they consumed the record to its last value; core's
+// refRouter (internal/core) steps routers round-tripped through saved
+// states, and internal/noc's refNet steps networks round-tripped through
+// NodeRecords and Snapshots, in lockstep with plain statements of the
+// state that keep their own data (FuzzTickMatchesReference,
+// FuzzSnapshotMatchesReference).
 //
 // The save functions fill caller-supplied storage when offered some and
 // allocate only otherwise (SaveStateInto, SnapshotInto). A reference

@@ -9,7 +9,6 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/router"
-	"gonoc/internal/sim"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
 )
@@ -41,46 +40,10 @@ func internalFault(r *core.Router, sel, arg byte) {
 	}
 }
 
-// requireSameNetworks fails unless a and b agree on everything a
-// snapshot covers: the canonical state and, beyond it, what the
-// canonical encoding leaves out on purpose — statistics, mechanism
-// counters, the clock and the next packet ID.
-func requireSameNetworks(t *testing.T, when string, a, b *Network) {
-	t.Helper()
-	if !bytes.Equal(a.AppendCanonical(nil), b.AppendCanonical(nil)) {
-		t.Fatalf("%s: canonical states differ", when)
-	}
-	if a.cycle != b.cycle || a.nextID != b.nextID {
-		t.Fatalf("%s: cycle/nextID %d/%d vs %d/%d", when, a.cycle, a.nextID, b.cycle, b.nextID)
-	}
-	if sa, sb := a.Stats().Snapshot(), b.Stats().Snapshot(); !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("%s: statistics differ:\n%+v\n%+v", when, sa, sb)
-	}
-	for id := range a.routers {
-		if ca, cb := a.routers[id].Counters, b.routers[id].Counters; ca != cb {
-			t.Fatalf("%s: router %d counters %+v vs %+v", when, id, ca, cb)
-		}
-		if err := a.routers[id].CheckOccupancy(); err != nil {
-			t.Fatalf("%s: router %d: %v", when, id, err)
-		}
-	}
-}
-
-// FuzzSnapshotMatchesReference holds the flat snapshot against the
-// object-graph one it replaced (snapshot_ref_test.go). The input picks a
-// topology family and size, VCs, classes and depth, the router design,
-// retransmission and a traffic seed; the bytes after the header are
-// events: run some cycles (optionally only until a packet is being
-// discarded at a dead link), break a router-internal site, kill or
-// repair a link or a router, or check. A check snapshots the network through
-// both layouts, restores each into its own twin — fresh the first time,
-// still holding the previous check's state afterwards — and requires the
-// twins to agree with each other and with the network, then to stay in
-// agreement over 64 more cycles. It restores the same snapshot a second
-// time (restore must not consume it) and once more from storage recycled
-// from the previous check's state, which held more or less than this one.
-// A third twin, standing at its own cycle, takes every node's
-// NodeRecord instead and must encode and step as the first does.
+// FuzzSnapshotMatchesReference is FuzzCommitMatchesReference on one
+// worker with a fifth event, a round trip on demand (lockstep.roundTrip),
+// at most six of them: inside a dead-link discard, say. A last round
+// trip follows 16 cycles after the events, and 64 cycles after it.
 func FuzzSnapshotMatchesReference(f *testing.F) {
 	// The named seeds are in testdata/fuzz/FuzzSnapshotMatchesReference.
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 5, 7, 0, 0x20, 0, 4, 0, 0})
@@ -88,90 +51,19 @@ func FuzzSnapshotMatchesReference(f *testing.F) {
 		for len(data) < 8 {
 			data = append(data, 0)
 		}
-		kind := fuzzTopo(data[0])
-		w, h := 2+int(data[1]%4), 1+int(data[2]%4)
-		rc := router.DefaultConfig()
-		rc.Classes = 1 + int(data[3]%2)
-		rc.VCs = rc.Classes * (2 + int(data[3]>>1%2)) // a torus needs two VCs per class
-		rc.Depth = 1 + int(data[4]%5)
-		rc.FaultTolerant = data[5]&1 == 0
-		var retx RetxConfig
-		if data[5]&2 != 0 {
-			retx = RetxConfig{Timeout: 40 + sim.Cycle(data[5]>>2), MaxRetries: 3}
-		}
-		cfg := Config{Width: w, Height: h, Topo: kind, Router: rc, Workers: 1, Retx: retx}
-		build := func(tr Traffic) *Network {
-			n, err := New(cfg, tr)
-			if err != nil {
-				t.Skipf("%+v: %v", cfg, err)
-			}
-			t.Cleanup(n.Close)
-			return n
-		}
-		nodes := w * h
-		rate := 0.02 + float64(data[6]%16)*0.02
-		src := traffic.NewSynthetic(nodes, rate, traffic.Uniform(nodes), traffic.Bimodal(1, 5, 0.6), uint64(data[7])+1)
-		n := build(src)
-		// The twins take no traffic of their own: what they carry is what
-		// a restore put there.
-		twin, refTwin, nodeTwin := build(nil), build(nil), build(nil)
-
-		var spare *Snapshot
+		l := newLockstep(t, fuzzConfig(data, 2), 0.02+float64(data[6]%16)*0.02, data[7], 11)
 		checks := 0
-		check := func() {
-			checks++
-			ref := n.refSnapshot()
-			snap := n.Snapshot()
-			for _, round := range []string{"first restore", "second restore of the same snapshot"} {
-				twin.Restore(snap)
-				refTwin.refRestore(ref)
-				requireSameNetworks(t, round+": restored vs snapshotted", twin, n)
-				requireSameNetworks(t, round, twin, refTwin)
-				twin.Run(64)
-				refTwin.Run(64)
-				requireSameNetworks(t, round+", 64 cycles on", twin, refTwin)
-				if err := twin.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", round, err)
-				}
-			}
-			twin.Restore(snap)
-			for id := range nodes {
-				nodeTwin.RestoreNode(id, n.SaveNode(id))
-			}
-			for k := 0; k <= 64; k++ {
-				if !bytes.Equal(nodeTwin.AppendCanonical(nil), twin.AppendCanonical(nil)) {
-					t.Fatalf("restored node by node, %d cycles on: canonical states differ", k)
-				}
-				twin.Step()
-				nodeTwin.Step()
-			}
-			// spare holds the previous check's state, or nothing yet.
-			spare = n.SnapshotInto(spare)
-			twin.Restore(spare)
-			refTwin.refRestore(ref)
-			requireSameNetworks(t, "restore from recycled storage", twin, refTwin)
-		}
-
 		for ev := data[8:]; len(ev) >= 3 && checks < 6; ev = ev[3:] {
-			id := int(ev[1]) % nodes
-			switch ev[0] % 5 {
-			case 0: // run; an odd third byte stops inside a dead-link discard
-				for k := 1 + int(ev[1]%64); k > 0 && !(ev[2]&1 != 0 && n.MidDiscard()); k-- {
-					n.Step()
-				}
-			case 1:
-				internalFault(n.routers[id], ev[2], ev[1])
-			case 2: // a port without a link, or a fault that would partition a torus layer, is refused
-				p := topology.North + topology.Port(ev[2]%4)
-				_ = n.SetLinkFault(id, p, !n.linkDead[id][p])
-			case 3:
-				_ = n.SetRouterFault(id, !n.routerDead[id])
-			case 4:
-				check()
+			if ev[0]%5 == 4 {
+				l.roundTrip()
+				checks++
+			} else {
+				l.event(ev[0]%5, ev[1], ev[2])
 			}
 		}
-		n.Run(16)
-		check()
+		l.run(16)
+		l.roundTrip()
+		l.run(64)
 	})
 }
 
