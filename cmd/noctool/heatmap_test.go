@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,8 +210,9 @@ func TestRunFlightrecFinalDump(t *testing.T) {
 
 // TestSimHeatmapOutput pins sim -heatmap's whole report on a 4x4 grid.
 // The mesh, torus and sa1 rows are byte for byte what the tool printed
-// at 9c84917; the router-kill row draws the killed router as X and
-// reports the network non-functional.
+// at 9c84917 but for the throughput lines, which since count the flits
+// of packets created in the warmup too; the router-kill row draws the
+// killed router as X and reports the network non-functional.
 func TestSimHeatmapOutput(t *testing.T) {
 	const head = "cycles:        3000\n"
 	meshHeat := "router load heatmap (max 834 flits)\n 3 5 6 3\n 6 7 8 6\n 6 7 9 6\n 4 6 6 4\n"
@@ -222,27 +225,27 @@ func TestSimHeatmapOutput(t *testing.T) {
 			"packets:       966 created, 963 delivered, 3 in flight\n" +
 			"avg latency:   15.62 cycles (network 15.60)\n" +
 			"p50/p95/p99:   15 / 25 / 28 cycles\n" +
-			"throughput:    0.0541 flits/node/cycle\n" +
+			"throughput:    0.0542 flits/node/cycle\n" +
 			"functional:    true\n" + meshHeat},
 		{"torus", []string{"-topo", "torus"}, head +
 			"packets:       966 created, 964 delivered, 2 in flight\n" +
 			"avg latency:   14.64 cycles (network 14.60)\n" +
 			"p50/p95/p99:   15 / 24 / 31 cycles\n" +
-			"throughput:    0.0543 flits/node/cycle\n" +
+			"throughput:    0.0545 flits/node/cycle\n" +
 			"functional:    true\n" +
 			"router load heatmap (max 564 flits)\n 6 7 8 6\n 8 7 7 7\n 7 7 9 8\n 7 7 8 8\n"},
 		{"sa1 fault", []string{"-inject", "5:sa1:e"}, head +
 			"packets:       966 created, 963 delivered, 3 in flight\n" +
 			"avg latency:   15.67 cycles (network 15.65)\n" +
 			"p50/p95/p99:   15 / 25 / 28 cycles\n" +
-			"throughput:    0.0541 flits/node/cycle\n" +
+			"throughput:    0.0542 flits/node/cycle\n" +
 			"functional:    true\n" + meshHeat},
 		{"router kill", []string{"-inject", "5:router"}, head +
 			"packets:       966 created, 849 delivered, 4 in flight\n" +
 			"reliability:   delivery ratio 0.8789 (113 dropped, 0 retransmitted, 0 duplicates suppressed)\n" +
 			"avg latency:   18.53 cycles (network 18.46)\n" +
 			"p50/p95/p99:   19 / 33 / 42 cycles\n" +
-			"throughput:    0.0484 flits/node/cycle\n" +
+			"throughput:    0.0485 flits/node/cycle\n" +
 			"functional:    false\n" +
 			"router load heatmap (max 1027 flits)\n 3 4 6 3\n 4 X 6 4\n 5 5 9 5\n 3 4 5 3\n"},
 	}
@@ -257,5 +260,44 @@ func TestSimHeatmapOutput(t *testing.T) {
 				t.Errorf("sim %v printed\n%swant\n%s", tc.args, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestSimThroughputPastSaturation holds sim's throughput line to what it
+// says, accepted flits per node per cycle: every flit ejected after the
+// warmup, the warmup's backlog included. On a fault-free 8x8 mesh the
+// accepted rate plateaus at 0.171-0.173 from an offered 0.08
+// packets/node/cycle on (seeds 1-5 measured), so raising the offered
+// load past saturation must not lower it, and doubling the horizon must
+// not move it. Counting only packets created after the warmup read
+// 0.1437 at 0.12 and 0.1108 at 0.18 over 12 k cycles, 0.1440 over 24 k.
+func TestSimThroughputPastSaturation(t *testing.T) {
+	throughput := func(rate string, cycles string) float64 {
+		t.Helper()
+		out, err := captureStdout(t, func() error {
+			return runSim([]string{"-width", "8", "-height", "8", "-rate", rate, "-cycles", cycles, "-warmup", "2000"})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, "throughput:"); ok {
+				var v float64
+				if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%f", &v); err != nil {
+					t.Fatalf("throughput line %q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("sim printed no throughput line:\n%s", out)
+		return 0
+	}
+	below, past, longer := throughput("0.12", "12000"), throughput("0.18", "12000"), throughput("0.18", "24000")
+	t.Logf("offered 0.12: %.4f; offered 0.18: %.4f, over 24 k cycles %.4f", below, past, longer)
+	if past < 0.97*below {
+		t.Errorf("throughput fell from %.4f to %.4f as offered load rose past saturation", below, past)
+	}
+	if math.Abs(past-longer) > 0.02*longer {
+		t.Errorf("throughput %.4f over 12 k cycles, %.4f over 24 k: the figure depends on the horizon", past, longer)
 	}
 }

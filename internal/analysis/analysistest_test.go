@@ -154,11 +154,6 @@ func TestPhaseSafetyFixtures(t *testing.T) {
 	runFixture(t, "phasesafety/clean", "gonoc/internal/noc", PhaseSafety)
 }
 
-func TestObsGuardFixtures(t *testing.T) {
-	runFixture(t, "obsguard/flagged", "gonoc/internal/core", ObsGuard)
-	runFixture(t, "obsguard/clean", "gonoc/internal/core", ObsGuard)
-}
-
 func TestCreditFlowFixtures(t *testing.T) {
 	runFixture(t, "creditflow/flagged", "gonoc/internal/core", CreditFlow)
 	runFixture(t, "creditflow/clean", "gonoc/internal/core", CreditFlow)

@@ -102,7 +102,7 @@ func parseMarker(text, on string) (marker, reason, problem string) {
 
 // simPackages are the packages making up the simulated hardware model:
 // everything here must be deterministic and race-free under the sharded
-// compute phase, so the determinism, obsguard and creditflow analyzers
+// compute phase, so the determinism and creditflow analyzers
 // scope to this set. internal/stats rides along because the collectors
 // feed the bit-exact conformance comparisons.
 var simPackages = map[string]bool{

@@ -3,7 +3,7 @@ package analysis
 // Tests for the three contract provers added with the scale-out work
 // (snapshotcomplete, hotpathalloc, counterparity), the suite-level
 // unused-suppression pass, and the meta-checks that run the full
-// seven-analyzer suite over every fixture and over this package itself.
+// six-analyzer suite over every fixture and over this package itself.
 
 import (
 	"fmt"
@@ -28,12 +28,6 @@ func TestHotPathAllocFixtures(t *testing.T) {
 	runFixture(t, "hotpathalloc/flagged", "gonoc/internal/core", HotPathAlloc)
 	runFixture(t, "hotpathalloc/clean", "gonoc/internal/core", HotPathAlloc)
 	runFixture(t, "hotpathalloc/ignore", "gonoc/internal/core", HotPathAlloc)
-}
-
-func TestCounterParityFixtures(t *testing.T) {
-	runFixture(t, "counterparity/flagged", "gonoc/internal/obs", CounterParity)
-	runFixture(t, "counterparity/clean", "gonoc/internal/obs", CounterParity)
-	runFixture(t, "counterparity/ignore", "gonoc/internal/obs", CounterParity)
 }
 
 // TestUnusedSuppressionReported runs the full suite via RunSuite — the
@@ -108,7 +102,7 @@ func TestCounterParityFinishGated(t *testing.T) {
 	}
 }
 
-// TestSuiteOverFixtures runs all seven analyzers together over every
+// TestSuiteOverFixtures runs all six analyzers together over every
 // fixture package and compares every finding — foreign analyzers'
 // findings on each other's fixtures included — with
 // testdata/suite.golden: one line per finding, giving the fixture, the
@@ -126,8 +120,6 @@ func TestSuiteOverFixtures(t *testing.T) {
 		{"determinism/pool", "gonoc/internal/noc"},
 		{"phasesafety/flagged", "gonoc/internal/noc"},
 		{"phasesafety/clean", "gonoc/internal/noc"},
-		{"obsguard/flagged", "gonoc/internal/core"},
-		{"obsguard/clean", "gonoc/internal/core"},
 		{"creditflow/flagged", "gonoc/internal/core"},
 		{"creditflow/clean", "gonoc/internal/core"},
 		{"snapshotcomplete/flagged", "gonoc/internal/core"},
@@ -139,9 +131,6 @@ func TestSuiteOverFixtures(t *testing.T) {
 		{"hotpathalloc/flagged", "gonoc/internal/core"},
 		{"hotpathalloc/clean", "gonoc/internal/core"},
 		{"hotpathalloc/ignore", "gonoc/internal/core"},
-		{"counterparity/flagged", "gonoc/internal/obs"},
-		{"counterparity/clean", "gonoc/internal/obs"},
-		{"counterparity/ignore", "gonoc/internal/obs"},
 		{"ignore", "gonoc/internal/core"},
 		{"unusedignore", "gonoc/internal/core"},
 	}

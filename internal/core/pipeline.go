@@ -97,8 +97,8 @@ func (r *Router) rcStage(cy sim.Cycle) {
 				r.rcDone(p, idx)
 				*r.word(rowVAWait, p) |= 1 << uint(idx)
 				r.vaPorts |= 1 << uint(p)
-				if o := r.obs; o != nil {
-					o.RCCompute(cy, p, idx, int(out), r.rcFaulty[0]>>uint(p)&1 != 0)
+				r.obs.RCCompute(cy, p, idx, int(out), r.rcFaulty[0]>>uint(p)&1 != 0)
+				if r.obs != nil {
 					r.noteAdvance(p, idx)
 				}
 				rcScan[p] = r.vcAfter(idx)
@@ -140,9 +140,7 @@ func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port,
 		if r.ID != dst && fout != r.topo.Route(r.ID, dst) {
 			q.Detour = true
 			r.Counters.Reroutes++
-			if o := r.obs; o != nil {
-				o.Reroute(cy, p, int(q.Index), int(fout))
-			}
+			r.obs.Reroute(cy, p, int(q.Index), int(fout))
 		}
 		return fout, true, false
 	}
@@ -245,9 +243,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
 					r.Counters.VA1BorrowStalls++
-					if o := r.obs; o != nil {
-						o.VABorrowStall(cy, p, v)
-					}
+					r.obs.VABorrowStall(cy, p, v)
 					continue
 				}
 				// Deposit the borrow request in the lender's state fields
@@ -258,9 +254,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				lq.VF = true
 				arbVC = lender
 				r.Counters.VA1Borrows++
-				if o := r.obs; o != nil {
-					o.VABorrow(cy, p, v, lender)
-				}
+				r.obs.VABorrow(cy, p, v, lender)
 			}
 			if free := r.freeDownVCs(q, v); free != 0 {
 				out := int(q.R)
@@ -304,9 +298,7 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				}
 				clear(reqs)
 				r.Counters.VA2Retries += uint64(cands)
-				if o := r.obs; o != nil {
-					o.VARetry(cy, out, dvc, cands)
-				}
+				r.obs.VARetry(cy, out, dvc, cands)
 				continue
 			}
 			k, bit, ok := arb.GrantWords(reqs, 64)
@@ -321,8 +313,8 @@ func (r *Router) vaStage(cy sim.Cycle) {
 			q.OutVC = int8(dvc)
 			r.vaDone(wp, wv)
 			busy[out] |= 1 << uint(dvc)
-			if o := r.obs; o != nil {
-				o.VAAlloc(cy, wp, wv, out, dvc)
+			r.obs.VAAlloc(cy, wp, wv, out, dvc)
+			if r.obs != nil {
 				r.noteAdvance(wp, wv)
 			}
 		}
@@ -422,9 +414,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 				}
 				w, ok, bypassed = int(a), true, true
 				r.Counters.SABypassGrants++
-				if o := r.obs; o != nil {
-					o.SABypassGrant(p)
-				}
+				r.obs.SABypassGrant(p)
 				break
 			}
 			w, ok = b.GrantWord(ready)
@@ -438,9 +428,7 @@ func (r *Router) saStage(cy sim.Cycle) {
 			if ok {
 				bypassed = true
 				r.Counters.SABypassGrants++
-				if o := r.obs; o != nil {
-					o.SABypassGrant(p)
-				}
+				r.obs.SABypassGrant(p)
 			}
 		}
 		if !ok {
@@ -481,8 +469,8 @@ func (r *Router) saStage(cy sim.Cycle) {
 			outPort:   win.outPort,
 			secondary: win.secondary,
 		})
-		if o := r.obs; o != nil {
-			o.SAGrant(cy, wp, int(win.vcIdx), int(win.outPort), win.bypass)
+		r.obs.SAGrant(cy, wp, int(win.vcIdx), int(win.outPort), win.bypass)
+		if r.obs != nil {
 			r.noteAdvance(wp, int(win.vcIdx))
 		}
 	}
@@ -520,8 +508,8 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 		r.saAdopted()[port] = int16(cand)
 		r.saAdoptAge()[port] = 0
 		r.Counters.SATransfers++
-		if o := r.obs; o != nil {
-			o.SATransfer(cy, port, dst, cand)
+		r.obs.SATransfer(cy, port, dst, cand)
+		if r.obs != nil {
 			// The one-cycle transfer is the bypass mechanism making
 			// progress, not a stall of the adopted VC.
 			r.noteAdvance(port, cand)
@@ -557,8 +545,8 @@ func (r *Router) xbStage(cy sim.Cycle) {
 			r.Counters.XBSecondary++
 		}
 		r.Counters.FlitsRouted++
-		if o := r.obs; o != nil {
-			o.XBTraverse(cy, int(g.inPort), int(g.inVC), int(g.outPort), g.secondary)
+		r.obs.XBTraverse(cy, int(g.inPort), int(g.inVC), int(g.outPort), g.secondary)
+		if r.obs != nil {
 			r.noteAdvance(int(g.inPort), int(g.inVC))
 		}
 		r.outFlits = append(r.outFlits, router.OutFlit{Out: g.outPort, DownVC: q.OutVC, F: f})

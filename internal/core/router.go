@@ -246,8 +246,9 @@ type Router struct {
 	Counters Counters
 
 	// obs is the pre-bound observability handle (nil when disabled, the
-	// default); every instrumentation site guards on it with one nil
-	// check so the disabled hot path stays allocation-free.
+	// default). Its methods are no-ops on nil and inline to one nil test,
+	// so the stages call it unguarded and the disabled hot path stays
+	// allocation-free.
 	//noc:derived immutable wiring, bound at network construction; observational only
 	obs *obs.RouterObs
 }
@@ -351,8 +352,8 @@ func va2Bit(p, v, V int) (word int, bit uint64) {
 
 // advanced[p] has bit v set when input VC (p, v) advanced this cycle and
 // must be skipped by the end-of-tick stall scan: one word per input
-// port, like occ. Bits are set only on the obs-enabled path (inside
-// existing nil-guarded blocks) and cleared by the scan itself; the words
+// port, like occ. Bits are set only on the obs-enabled path (noteAdvance,
+// behind an r.obs != nil test) and cleared by the scan itself; the words
 // exist only on a router built with an observer, so a lights-off
 // router's block ends at va2req and this is empty.
 func (r *Router) advanced() []uint64 {

@@ -24,8 +24,8 @@ import (
 // hot path.
 
 // noteAdvance marks input VC (p, v) as having advanced this cycle so
-// the stall scan skips it. Callers sit inside the pipeline's existing
-// obs nil-guarded blocks: the words exist only when the scan runs.
+// the stall scan skips it. Callers test r.obs first: the words exist
+// only when the scan runs.
 func (r *Router) noteAdvance(p, v int) { r.advanced()[p] |= 1 << uint(v) }
 
 // stallScan runs after the pipeline stages and classifies every

@@ -52,42 +52,57 @@ const (
 	numKinds
 )
 
+// kindRow is one Kind's entry in kinds.
+type kindRow struct {
+	name, mnemonic    string
+	stage             core.StageID
+	correction, perVC bool
+}
+
+// kinds holds one row per Kind: its display name, its -inject mnemonic
+// (ParseInjection), the pipeline stage it sits in (the network kinds
+// report StageXB), whether it is correction circuitry (and so exists
+// only in the protected router), and whether a site of it needs a VC
+// index.
+var kinds = [numKinds]kindRow{
+	RCPrimary:   {"RC primary", "rc", core.StageRC, false, false},
+	RCDuplicate: {"RC duplicate", "rcdup", core.StageRC, true, false},
+	VA1ArbSet:   {"VA1 arbiter set", "va1", core.StageVA, false, true},
+	VA2Arb:      {"VA2 arbiter", "va2", core.StageVA, false, true},
+	SA1Arb:      {"SA1 arbiter", "sa1", core.StageSA, false, false},
+	SA1Bypass:   {"SA1 bypass", "sa1byp", core.StageSA, true, false},
+	SA2Arb:      {"SA2 arbiter", "sa2", core.StageXB, false, false},
+	XBMux:       {"XB mux", "xb", core.StageXB, false, false},
+	XBSecondary: {"XB secondary", "xbsec", core.StageXB, true, false},
+	LinkDead:    {"link dead", "link", core.StageXB, false, false},
+	RouterDead:  {"router dead", "router", core.StageXB, false, false},
+}
+
+// valid reports whether k is a declared kind.
+func (k Kind) valid() bool { return k >= 0 && k < numKinds }
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := [...]string{
-		"RC primary", "RC duplicate", "VA1 arbiter set", "VA2 arbiter",
-		"SA1 arbiter", "SA1 bypass", "SA2 arbiter", "XB mux", "XB secondary",
-		"link dead", "router dead",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k.valid() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Stage returns the pipeline stage a fault kind belongs to.
 func (k Kind) Stage() core.StageID {
-	switch k {
-	case RCPrimary, RCDuplicate:
-		return core.StageRC
-	case VA1ArbSet, VA2Arb:
-		return core.StageVA
-	case SA1Arb, SA1Bypass:
-		return core.StageSA
-	default:
-		return core.StageXB
+	if k.valid() {
+		return kinds[k].stage
 	}
+	return core.StageXB
 }
 
 // Correction reports whether the site belongs to the correction circuitry
 // (and therefore exists only in the protected router).
-func (k Kind) Correction() bool {
-	switch k {
-	case RCDuplicate, SA1Bypass, XBSecondary:
-		return true
-	}
-	return false
-}
+func (k Kind) Correction() bool { return k.valid() && kinds[k].correction }
+
+// perVC reports whether kind k requires a VC index.
+func perVC(k Kind) bool { return k.valid() && kinds[k].perVC }
 
 // Network reports whether the kind is a network-level fault (a dead link
 // or router) rather than a site inside one router's pipeline. Network
@@ -109,10 +124,10 @@ type Site struct {
 
 // String implements fmt.Stringer.
 func (s Site) String() string {
-	switch s.Kind {
-	case VA1ArbSet, VA2Arb:
+	switch {
+	case perVC(s.Kind):
 		return fmt.Sprintf("%v %v/vc%d", s.Kind, s.Port, s.Index)
-	case RouterDead:
+	case s.Kind == RouterDead:
 		return s.Kind.String()
 	default:
 		return fmt.Sprintf("%v %v", s.Kind, s.Port)
@@ -130,7 +145,7 @@ func (s Site) Check(cfg router.Config) error {
 	switch {
 	case s.Kind.Network():
 		return nil
-	case s.Kind < 0 || s.Kind >= numKinds:
+	case !s.Kind.valid():
 		return fmt.Errorf("fault: unknown kind %v", s.Kind)
 	case s.Port < 0 || int(s.Port) >= cfg.Ports:
 		return fmt.Errorf("fault: %v: port %d outside the router's %d ports", s.Kind, int(s.Port), cfg.Ports)

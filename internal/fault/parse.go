@@ -3,14 +3,23 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"gonoc/internal/topology"
 )
 
-// Injection spec grammar accepted by ParseInjection, used by noctool's
-// -inject flags:
+var portNames = map[string]topology.Port{
+	"l": topology.Local,
+	"n": topology.North,
+	"e": topology.East,
+	"s": topology.South,
+	"w": topology.West,
+}
+
+// ParseInjection parses one injection spec and returns the target router
+// id and fault site. The grammar, used by noctool's -inject flags:
 //
 //	<router>:<kind>:<port>[:<index>]
 //	<router>:link:<port>
@@ -35,34 +44,8 @@ import (
 // ApplyNetwork rather than Apply.
 //
 // Examples: "5:sa1:e" (SA1 arbiter, router 5, East input),
-// "0:va1:n:2" (VA1 arbiter set of North VC 2, router 0).
-var kindNames = map[string]Kind{
-	"rc":     RCPrimary,
-	"rcdup":  RCDuplicate,
-	"va1":    VA1ArbSet,
-	"va2":    VA2Arb,
-	"sa1":    SA1Arb,
-	"sa1byp": SA1Bypass,
-	"sa2":    SA2Arb,
-	"xb":     XBMux,
-	"xbsec":  XBSecondary,
-	"link":   LinkDead,
-	"router": RouterDead,
-}
-
-var portNames = map[string]topology.Port{
-	"l": topology.Local,
-	"n": topology.North,
-	"e": topology.East,
-	"s": topology.South,
-	"w": topology.West,
-}
-
-// perVC reports whether kind k requires a VC index.
-func perVC(k Kind) bool { return k == VA1ArbSet || k == VA2Arb }
-
-// ParseInjection parses one injection spec (see the grammar above) and
-// returns the target router id and fault site.
+// "0:va1:n:2" (VA1 arbiter set of North VC 2, router 0). The mnemonics
+// are the kinds table's.
 func ParseInjection(spec string) (router int, site Site, err error) {
 	fields := strings.Split(spec, ":")
 	if len(fields) < 2 || len(fields) > 4 {
@@ -72,8 +55,9 @@ func ParseInjection(spec string) (router int, site Site, err error) {
 	if err != nil || router < 0 {
 		return 0, Site{}, fmt.Errorf("fault spec %q: bad router id %q", spec, fields[0])
 	}
-	kind, ok := kindNames[strings.ToLower(fields[1])]
-	if !ok {
+	name := strings.ToLower(fields[1])
+	kind := Kind(slices.IndexFunc(kinds[:], func(r kindRow) bool { return r.mnemonic == name }))
+	if !kind.valid() {
 		return 0, Site{}, fmt.Errorf("fault spec %q: unknown kind %q (want rc, rcdup, va1, va2, sa1, sa1byp, sa2, xb, xbsec, link or router)", spec, fields[1])
 	}
 	site.Kind = kind
@@ -122,16 +106,10 @@ func FormatInjection(router int, site Site) (string, error) {
 	if router < 0 {
 		return "", fmt.Errorf("fault: format: bad router id %d", router)
 	}
-	var kind string
-	for name, k := range kindNames {
-		if k == site.Kind {
-			kind = name
-			break
-		}
-	}
-	if kind == "" {
+	if !site.Kind.valid() {
 		return "", fmt.Errorf("fault: format: unknown kind %v", site.Kind)
 	}
+	kind := kinds[site.Kind].mnemonic
 	if site.Kind == RouterDead {
 		if site.Port != 0 || site.Index != 0 {
 			return "", fmt.Errorf("fault: format: kind %q takes no port or index", kind)

@@ -130,3 +130,31 @@ func TestParseNetworkInjections(t *testing.T) {
 		}
 	}
 }
+
+// TestKindTable: every kind has a distinct name and a distinct mnemonic,
+// and a site of it formats to a spec that parses back to it.
+func TestKindTable(t *testing.T) {
+	names, mnemonics := map[string]bool{}, map[string]bool{}
+	for k := Kind(0); k < numKinds; k++ {
+		row := kinds[k]
+		if row.name == "" || row.mnemonic == "" || names[row.name] || mnemonics[row.mnemonic] {
+			t.Errorf("kind %d: name %q, mnemonic %q: empty or taken", k, row.name, row.mnemonic)
+		}
+		names[row.name], mnemonics[row.mnemonic] = true, true
+		site := Site{Kind: k, Port: topology.North}
+		switch {
+		case k == RouterDead:
+			site.Port = 0
+		case row.perVC:
+			site.Index = 3
+		}
+		spec, err := FormatInjection(2, site)
+		if err != nil {
+			t.Errorf("FormatInjection(%v): %v", site, err)
+			continue
+		}
+		if r, got, err := ParseInjection(spec); err != nil || r != 2 || got != site {
+			t.Errorf("%q parses to %d, %+v, %v; want 2, %+v", spec, r, got, err, site)
+		}
+	}
+}

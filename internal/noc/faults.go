@@ -200,9 +200,7 @@ func (n *Network) discardAtLink(id int, of router.OutFlit, c sim.Cycle) bool {
 		// per flit.
 		if of.F.Kind.IsHead() {
 			n.stats.RecordDrop(of.F.Pkt)
-			if on := n.obsNodes[id]; on != nil {
-				on.LinkDrop(c, int(of.Out), of.F.Pkt.Dst)
-			}
+			n.obsNodes[id].LinkDrop(c, int(of.Out), of.F.Pkt.Dst)
 		}
 		if !of.F.Kind.IsTail() {
 			n.linkDrop[link] |= bit
@@ -230,9 +228,7 @@ func (n *Network) dropIfUnreachable(node int, p *flit.Packet, c sim.Cycle) bool 
 		return false // self-delivery at a live node always works
 	}
 	n.stats.RecordDrop(p)
-	if on := n.obsNodes[node]; on != nil {
-		on.DropUnreachable(c, p.Dst)
-	}
+	n.obsNodes[node].DropUnreachable(c, p.Dst)
 	return true
 }
 
@@ -302,9 +298,7 @@ func (n *Network) retransmit(node int, e retxEntry, c sim.Cycle) {
 	n.nextID++
 	n.stats.RecordCreation(p)
 	n.stats.RecordRetransmit(p)
-	if on := n.obsNodes[node]; on != nil {
-		on.NIRetransmit(c, e.dst, e.retries)
-	}
+	n.obsNodes[node].NIRetransmit(c, e.dst, e.retries)
 	if n.dropIfUnreachable(node, p, c) {
 		return
 	}

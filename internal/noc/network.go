@@ -449,17 +449,13 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 			if n.retxCfg.Timeout > 0 {
 				if n.isDuplicate(node, p) {
 					n.stats.RecordDuplicate(p)
-					if on := n.obsNodes[node]; on != nil {
-						on.NIDupSuppressed(c, p.Src)
-					}
+					n.obsNodes[node].NIDupSuppressed(c, p.Src)
 					return
 				}
 				n.releaseRetx(p.Src, p.Seq)
 			}
 			n.stats.RecordEjection(p)
-			if on := n.obsNodes[node]; on != nil {
-				on.NIEject(c, p.Latency())
-			}
+			n.obsNodes[node].NIEject(c, p.Latency())
 			if n.traffic != nil {
 				for _, rp := range n.traffic.OnEject(p, c) {
 					n.offer(node, rp, c)
@@ -553,9 +549,7 @@ func (n *Network) offer(node int, p *flit.Packet, c sim.Cycle) {
 	p.Seq = n.seqNext[node]
 	n.seqNext[node]++
 	n.stats.RecordCreation(p)
-	if on := n.obsNodes[node]; on != nil {
-		on.NIOffer(c, p.Dst)
-	}
+	n.obsNodes[node].NIOffer(c, p.Dst)
 	if n.dropIfUnreachable(node, p, c) {
 		return
 	}
@@ -720,9 +714,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				// Routing declared the destination unreachable; the router
 				// drains the buffered flits itself.
 				n.stats.RecordDrop(pkt)
-				if on := n.obsNodes[id]; on != nil {
-					on.DropUnreachable(c, pkt.Dst)
-				}
+				n.obsNodes[id].DropUnreachable(c, pkt.Dst)
 			}
 		}
 		for _, of := range r.TakeOutFlits() {
@@ -737,9 +729,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				}
 				continue
 			}
-			if on := n.obsNodes[id]; on != nil {
-				on.LinkFlit(int(of.Out), int(of.DownVC))
-			}
+			n.obsNodes[id].LinkFlit(int(of.Out), int(of.DownVC))
 			if n.routerDead[id] {
 				// A dead node ejects nothing: the packet (necessarily
 				// one already inside this router when it died) is
@@ -747,9 +737,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				// its ejection credit so the pipeline drains.
 				if of.F.Kind.IsTail() {
 					n.stats.RecordDrop(of.F.Pkt)
-					if on := n.obsNodes[id]; on != nil {
-						on.DropUnreachable(c, of.F.Pkt.Dst)
-					}
+					n.obsNodes[id].DropUnreachable(c, of.F.Pkt.Dst)
 				}
 			} else {
 				n.nis[id].consume(of.F, c)
@@ -788,9 +776,7 @@ func (n *Network) crossLink(id, link, u int, of router.OutFlit) {
 	if of.F.Kind.IsTail() {
 		n.midFlight[link] &^= bit
 	}
-	if on := n.obsNodes[id]; on != nil {
-		on.LinkFlit(int(of.Out), int(of.DownVC))
-	}
+	n.obsNodes[id].LinkFlit(int(of.Out), int(of.DownVC))
 	p := of.Out.Opposite()
 	reg := &n.flitReg[u*n.ports+int(p)]
 	if reg.F != nil {

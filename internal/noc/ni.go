@@ -141,9 +141,7 @@ func (ni *NI) creditSpend(v int) {
 // with nothing queued and no packet mid-injection has neither to do.
 func (ni *NI) tick(cy sim.Cycle) {
 	if ni.activeVCs == 0 && ni.queued == 0 {
-		if ni.obs != nil {
-			ni.obs.NIQueueDepth(0)
-		}
+		ni.obs.NIQueueDepth(0)
 		return
 	}
 	// Allocate a free local VC to the head packet of each class queue.
@@ -167,9 +165,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 			break
 		}
 	}
-	if ni.obs != nil {
-		ni.obs.NIQueueDepth(ni.queued)
-	}
+	ni.obs.NIQueueDepth(ni.queued)
 
 	// Send one flit from one active VC (the local link carries one flit
 	// per cycle), rotating the starting VC for fairness: VCs sendScan and
@@ -187,9 +183,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 		f := fl[0]
 		//nocvet:ignore hotpathalloc routerCore is always *core.Router, whose AcceptFlit is a self-append into a pre-capped latch
 		ni.r.AcceptFlit(router.InFlit{In: localPort, VC: v, F: f})
-		if ni.obs != nil {
-			ni.obs.NIFlitSent()
-		}
+		ni.obs.NIFlitSent()
 		ni.creditSpend(v)
 		if len(fl) == 1 {
 			ni.active[v] = nil

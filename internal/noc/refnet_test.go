@@ -440,8 +440,8 @@ func (l *lockstep) compare(n *Network, when string) {
 			t.Fatalf("cycle %d%s: node %d: %s", c, when, id, d)
 		}
 	}
-	if a, b := n.stats.Snapshot(), m.stats.Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("cycle %d%s: statistics differ:\n%+v\n%+v", c, when, a, b)
+	if !n.stats.Equal(m.stats) {
+		t.Fatalf("cycle %d%s: statistics differ:\n%+v\n%+v", c, when, n.stats.Snapshot(), m.stats.Snapshot())
 	}
 	if a, b := n.Obs().Metrics.PerRouter(), m.cfg.Router.Obs.Metrics.PerRouter(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("cycle %d%s: observed counters differ, link utilization among them:\n%+v\n%+v", c, when, a, b)

@@ -106,48 +106,60 @@ const (
 // NumKinds is the number of defined Kinds, for table building.
 const NumKinds = int(numKinds)
 
+// kinds holds one row per Kind: the stable exported name (metric
+// tables, Prometheus families) and the stage it is grouped under.
+// TestKindTables holds every row to a distinct name whose prefix
+// matches its stage.
+var kinds = [NumKinds]struct {
+	name  string
+	stage Stage
+}{
+	KRCComputes:         {"rc.computes", StageRC},
+	KRCDuplicateUses:    {"rc.duplicate_uses", StageRC},
+	KVAAllocs:           {"va.allocs", StageVA},
+	KVA1Borrows:         {"va.borrows", StageVA},
+	KVA1BorrowStalls:    {"va.borrow_stalls", StageVA},
+	KVA2Retries:         {"va.retries", StageVA},
+	KSAGrants:           {"sa.grants", StageSA},
+	KSABypassGrants:     {"sa.bypass_grants", StageSA},
+	KSATransfers:        {"sa.transfers", StageSA},
+	KFlitsRouted:        {"xb.flits_routed", StageXB},
+	KXBSecondary:        {"xb.secondary", StageXB},
+	KLinkFlits:          {"link.flits", StageLink},
+	KNIFlitsSent:        {"ni.flits_sent", StageNI},
+	KNIPacketsOffered:   {"ni.packets_offered", StageNI},
+	KNIPacketsEjected:   {"ni.packets_ejected", StageNI},
+	KNIQueueDepth:       {"ni.queue_depth", StageNI},
+	KFaultsInjected:     {"fault.injected", StageFault},
+	KFaultsTransient:    {"fault.transient", StageFault},
+	KFaultsRecovered:    {"fault.recovered", StageFault},
+	KFaultsDetected:     {"fault.detected", StageFault},
+	KReroutes:           {"rc.reroutes", StageRC},
+	KLinkDrops:          {"link.drops", StageLink},
+	KDropsUnreachable:   {"ni.drops_unreachable", StageNI},
+	KNIRetransmits:      {"ni.retransmits", StageNI},
+	KNIRetxTimeouts:     {"ni.retx_timeouts", StageNI},
+	KNIDupsSuppressed:   {"ni.dups_suppressed", StageNI},
+	KStallCreditStarved: {"stall.credit_starved", StageStall},
+	KStallArbLost:       {"stall.arb_lost", StageStall},
+	KStallRouteBlocked:  {"stall.route_blocked", StageStall},
+	KStallFaultDrain:    {"stall.fault_drain", StageStall},
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := [...]string{
-		"rc.computes", "rc.duplicate_uses",
-		"va.allocs", "va.borrows", "va.borrow_stalls", "va.retries",
-		"sa.grants", "sa.bypass_grants", "sa.transfers",
-		"xb.flits_routed", "xb.secondary",
-		"link.flits",
-		"ni.flits_sent", "ni.packets_offered", "ni.packets_ejected", "ni.queue_depth",
-		"fault.injected", "fault.transient", "fault.recovered", "fault.detected",
-		"rc.reroutes", "link.drops", "ni.drops_unreachable",
-		"ni.retransmits", "ni.retx_timeouts", "ni.dups_suppressed",
-		"stall.credit_starved", "stall.arb_lost", "stall.route_blocked",
-		"stall.fault_drain",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k < numKinds {
+		return kinds[k].name
 	}
 	return "kind.unknown"
 }
 
 // Stage returns the pipeline stage (or pseudo-stage) the kind belongs to.
 func (k Kind) Stage() Stage {
-	switch k {
-	case KRCComputes, KRCDuplicateUses, KReroutes:
-		return StageRC
-	case KVAAllocs, KVA1Borrows, KVA1BorrowStalls, KVA2Retries:
-		return StageVA
-	case KSAGrants, KSABypassGrants, KSATransfers:
-		return StageSA
-	case KFlitsRouted, KXBSecondary:
-		return StageXB
-	case KLinkFlits, KLinkDrops:
-		return StageLink
-	case KNIFlitsSent, KNIPacketsOffered, KNIPacketsEjected, KNIQueueDepth,
-		KDropsUnreachable, KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed:
-		return StageNI
-	case KStallCreditStarved, KStallArbLost, KStallRouteBlocked, KStallFaultDrain:
-		return StageStall
-	default:
-		return StageFault
+	if k < numKinds {
+		return kinds[k].stage
 	}
+	return StageFault
 }
 
 // Stage is a pipeline stage or pseudo-stage used to group metrics and
@@ -329,7 +341,7 @@ var kindDim, kindSlot = func() (d [NumKinds]dimension, s [NumKinds]int) {
 
 // nodeSide reports whether BindNode owns the block series of kind k (the
 // link and NI stages); BindRouter owns the rest.
-func nodeSide(k Kind) bool { return k.Stage() == StageLink || k.Stage() == StageNI }
+func nodeSide(k Kind) bool { return kinds[k].stage == StageLink || kinds[k].stage == StageNI }
 
 // block is one router's counters: every series BindRouter and BindNode
 // own for it, contiguous, in the layout above. Counters stay atomic —
@@ -546,34 +558,75 @@ type RouterTotals struct {
 // VC dimensions, sorted by router id. Gauges are not included.
 func (m *Metrics) PerRouter() []RouterTotals {
 	m.mu.Lock()
-	acc := map[int32]*RouterTotals{}
-	row := func(router int32) *RouterTotals {
-		t := acc[router]
-		if t == nil {
-			t = &RouterTotals{Router: int(router)}
-			acc[router] = t
-		}
-		return t
-	}
+	defer m.mu.Unlock()
+	rows := make([]RouterTotals, len(m.blocks))
 	for id, b := range m.blocks {
-		if b == nil {
+		if b != nil {
+			rows[id].Router = id
+			b.addTotals(&rows[id].Total)
+		}
+	}
+	// The map holds the fault kinds of bound routers, mostly; a series
+	// of any other router (network-global ones, router -1) gets a row of
+	// its own.
+	var loose map[int32]*RouterTotals
+	for k, c := range m.counters {
+		if b := m.blockOf(k.Router); b != nil {
+			rows[k.Router].Total[k.Kind] += c.Value()
 			continue
 		}
-		t := row(int32(id))
-		b.each(int32(id), func(s Sample) {
-			if !s.IsGauge {
-				t.Total[s.Key.Kind] += uint64(s.Value)
+		t := loose[k.Router]
+		if t == nil {
+			if loose == nil {
+				loose = map[int32]*RouterTotals{}
 			}
-		})
+			t = &RouterTotals{Router: int(k.Router)}
+			loose[k.Router] = t
+		}
+		t.Total[k.Kind] += c.Value()
 	}
-	for k, c := range m.counters {
-		row(k.Router).Total[k.Kind] += c.Value()
+	out := rows[:0]
+	for id, b := range m.blocks {
+		if b != nil {
+			out = append(out, rows[id])
+		}
 	}
-	m.mu.Unlock()
-	out := make([]RouterTotals, 0, len(acc))
-	for _, t := range acc {
+	if loose == nil {
+		return out
+	}
+	for _, t := range loose {
 		out = append(out, *t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Router < out[j].Router })
 	return out
+}
+
+// addTotals adds every counter b holds to t, summed over ports and VCs,
+// save the series of a side (router or node) no handle bound, as each
+// leaves them out.
+func (b *block) addTotals(t *[NumKinds]uint64) {
+	bound := func(k Kind) bool {
+		if nodeSide(k) {
+			return b.nodeBound
+		}
+		return b.routerBound
+	}
+	for p := 0; p < b.ports; p++ {
+		row := b.c[p*b.stride : (p+1)*b.stride]
+		for slot, k := range portKinds {
+			if bound(k) {
+				t[k] += row[slot].Value()
+			}
+		}
+		for i := numPortSlots; i < len(row); i++ {
+			if k := StallKind((i - numPortSlots) % NumStallKinds).Kind(); bound(k) {
+				t[k] += row[i].Value()
+			}
+		}
+	}
+	for slot, k := range nodeKinds {
+		if bound(k) {
+			t[k] += b.c[b.ports*b.stride+slot].Value()
+		}
+	}
 }

@@ -14,8 +14,8 @@
 // # Design
 //
 // Observability is opt-in per simulation via router.Config.Obs. When the
-// field is nil — the default — every instrumentation site in the hot path
-// reduces to one nil pointer test and no allocation, so the disabled
+// field is nil — the default — the handles are nil, and every call on one
+// is an inlined nil test and no allocation, so the disabled
 // simulator profile is indistinguishable from an uninstrumented build
 // (bench_test.go keeps the comparison honest). When enabled, components
 // resolve their node's lane once at attach time (RouterObs, NodeObs): the
@@ -192,11 +192,27 @@ func (l *lane) emit(cy sim.Cycle, kind EventKind, port, vcIdx int8, arg, arg2 in
 	}
 }
 
+// event counts one occurrence at slot of port p and records the event.
+func (l *lane) event(p, slot int, cy sim.Cycle, kind EventKind, port, vcIdx int8, arg, arg2 int32) {
+	l.port(p, slot).Inc()
+	l.emit(cy, kind, port, vcIdx, arg, arg2)
+}
+
+// nodeEvent counts one occurrence at node slot and records the event,
+// which locates no port or VC.
+func (l *lane) nodeEvent(slot int, cy sim.Cycle, kind EventKind, arg, arg2 int32) {
+	l.node(slot).Inc()
+	l.emit(cy, kind, NoPort, NoVC, arg, arg2)
+}
+
 // RouterObs is a router's pre-bound instrumentation handle: the router's
 // lane is resolved once here, so the per-event cost inside core.Router is
 // an indexed atomic add (and a ring store when recording). A nil
-// *RouterObs means observability is disabled; callers guard with a
-// single nil check.
+// *RouterObs means observability is disabled, and every method is then a
+// no-op: each one tests its receiver first and is small enough to inline
+// (TestHandlesInline holds that), so a call site costs one nil test and
+// needs no guard of its own. A method whose work does not fit the
+// inliner's budget is a nil test around an unexported body.
 type RouterObs struct{ lane }
 
 // BindRouter resolves router id's lane. It returns nil when o is nil, so
@@ -215,6 +231,9 @@ func BindRouter(o *Observer, id, ports, vcs int) *RouterObs {
 // counters and the windowed stall mix, which is what a drowned tracer
 // ring could not show anyway.
 func (r *RouterObs) Stall(k StallKind, port, vcIdx int) {
+	if r == nil {
+		return
+	}
 	r.stall(port, vcIdx, k).Inc()
 	if w := r.win; w != nil {
 		w.addStall(port, k)
@@ -224,6 +243,12 @@ func (r *RouterObs) Stall(k StallKind, port, vcIdx int) {
 // RCCompute records a completed routing computation for input VC
 // (port, vcIdx) toward out; dup marks service by the duplicate unit.
 func (r *RouterObs) RCCompute(cy sim.Cycle, port, vcIdx, out int, dup bool) {
+	if r != nil {
+		r.rcCompute(cy, port, vcIdx, out, dup)
+	}
+}
+
+func (r *RouterObs) rcCompute(cy sim.Cycle, port, vcIdx, out int, dup bool) {
 	r.port(port, slotRCComputes).Inc()
 	kind := EvRCCompute
 	if dup {
@@ -236,33 +261,43 @@ func (r *RouterObs) RCCompute(cy sim.Cycle, port, vcIdx, out int, dup bool) {
 // Reroute records routing for (port, vcIdx) detouring off the XY path
 // toward out to avoid a dead link or router.
 func (r *RouterObs) Reroute(cy sim.Cycle, port, vcIdx, out int) {
-	r.port(port, slotReroutes).Inc()
-	r.emit(cy, EvReroute, int8(port), int8(vcIdx), int32(out), 0)
+	if r != nil {
+		r.event(port, slotReroutes, cy, EvReroute, int8(port), int8(vcIdx), int32(out), 0)
+	}
 }
 
 // VAAlloc records input VC (port, vcIdx) winning downstream VC dvc at
 // output port out.
 func (r *RouterObs) VAAlloc(cy sim.Cycle, port, vcIdx, out, dvc int) {
-	r.port(port, slotVAAllocs).Inc()
-	r.emit(cy, EvVAAlloc, int8(port), int8(vcIdx), int32(out), int32(dvc))
+	if r != nil {
+		r.event(port, slotVAAllocs, cy, EvVAAlloc, int8(port), int8(vcIdx), int32(out), int32(dvc))
+	}
 }
 
 // VABorrow records (port, vcIdx) borrowing the stage-1 arbiters of
 // sibling VC lender.
 func (r *RouterObs) VABorrow(cy sim.Cycle, port, vcIdx, lender int) {
-	r.port(port, slotVA1Borrows).Inc()
-	r.emit(cy, EvVABorrow, int8(port), int8(vcIdx), int32(lender), 0)
+	if r != nil {
+		r.event(port, slotVA1Borrows, cy, EvVABorrow, int8(port), int8(vcIdx), int32(lender), 0)
+	}
 }
 
 // VABorrowStall records (port, vcIdx) waiting a cycle for a lender.
 func (r *RouterObs) VABorrowStall(cy sim.Cycle, port, vcIdx int) {
-	r.port(port, slotVA1BorrowStalls).Inc()
-	r.emit(cy, EvVABorrowStall, int8(port), int8(vcIdx), 0, 0)
+	if r != nil {
+		r.event(port, slotVA1BorrowStalls, cy, EvVABorrowStall, int8(port), int8(vcIdx), 0, 0)
+	}
 }
 
 // VARetry records losers requesters of downstream VC (out, dvc) losing
 // their attempt to a faulty stage-2 arbiter.
 func (r *RouterObs) VARetry(cy sim.Cycle, out, dvc, losers int) {
+	if r != nil {
+		r.vaRetry(cy, out, dvc, losers)
+	}
+}
+
+func (r *RouterObs) vaRetry(cy sim.Cycle, out, dvc, losers int) {
 	r.port(out, slotVA2Retries).Add(uint64(losers))
 	r.emit(cy, EvVARetry, int8(out), int8(dvc), int32(losers), 0)
 }
@@ -270,6 +305,12 @@ func (r *RouterObs) VARetry(cy sim.Cycle, out, dvc, losers int) {
 // SAGrant records input VC (port, vcIdx) winning switch allocation
 // toward out; bypass marks a stage-1 grant issued by the bypass path.
 func (r *RouterObs) SAGrant(cy sim.Cycle, port, vcIdx, out int, bypass bool) {
+	if r != nil {
+		r.saGrant(cy, port, vcIdx, out, bypass)
+	}
+}
+
+func (r *RouterObs) saGrant(cy sim.Cycle, port, vcIdx, out int, bypass bool) {
 	r.port(port, slotSAGrants).Inc()
 	kind := EvSAGrant
 	if bypass {
@@ -280,18 +321,29 @@ func (r *RouterObs) SAGrant(cy sim.Cycle, port, vcIdx, out int, bypass bool) {
 
 // SABypassGrant records a stage-1 grant issued by the bypass default
 // winner at port (counted even when stage 2 later denies the port).
-func (r *RouterObs) SABypassGrant(port int) { r.port(port, slotSABypassGrants).Inc() }
+func (r *RouterObs) SABypassGrant(port int) {
+	if r != nil {
+		r.port(port, slotSABypassGrants).Inc()
+	}
+}
 
 // SATransfer records input port adopting sibling VC adopted as the
 // bypass default winner dst.
 func (r *RouterObs) SATransfer(cy sim.Cycle, port, dst, adopted int) {
-	r.port(port, slotSATransfers).Inc()
-	r.emit(cy, EvSATransfer, int8(port), NoVC, int32(dst), int32(adopted))
+	if r != nil {
+		r.event(port, slotSATransfers, cy, EvSATransfer, int8(port), NoVC, int32(dst), int32(adopted))
+	}
 }
 
 // XBTraverse records a flit from (port, vcIdx) crossing to output out;
 // secondary marks the protected crossbar's detour path.
 func (r *RouterObs) XBTraverse(cy sim.Cycle, port, vcIdx, out int, secondary bool) {
+	if r != nil {
+		r.xbTraverse(cy, port, vcIdx, out, secondary)
+	}
+}
+
+func (r *RouterObs) xbTraverse(cy sim.Cycle, port, vcIdx, out int, secondary bool) {
 	r.port(out, slotFlitsRouted).Inc()
 	kind := EvXBTraverse
 	if secondary {
@@ -303,7 +355,8 @@ func (r *RouterObs) XBTraverse(cy sim.Cycle, port, vcIdx, out int, secondary boo
 
 // NodeObs is the pre-bound handle for a node's network-side activity:
 // link utilization per output port and NI injection/ejection. Held by
-// noc.Network and noc.NI; nil when observability is disabled.
+// noc.Network and noc.NI; nil when observability is disabled, and then
+// every method is a no-op, as RouterObs's are.
 type NodeObs struct {
 	lane
 	queue *Gauge
@@ -328,6 +381,9 @@ func BindNode(o *Observer, id, ports, vcs int) *NodeObs {
 // downstream VC vcIdx (the VC dimension feeds the utilization windows;
 // the counter stays per-port).
 func (n *NodeObs) LinkFlit(out, vcIdx int) {
+	if n == nil {
+		return
+	}
 	n.port(out, slotLinkFlits).Inc()
 	if w := n.win; w != nil {
 		w.addUtil(out*n.vcs + vcIdx)
@@ -335,24 +391,30 @@ func (n *NodeObs) LinkFlit(out, vcIdx int) {
 }
 
 // NIFlitSent records the NI streaming one flit into the router.
-func (n *NodeObs) NIFlitSent() { n.node(slotNIFlitsSent).Inc() }
+func (n *NodeObs) NIFlitSent() {
+	if n != nil {
+		n.node(slotNIFlitsSent).Inc()
+	}
+}
 
 // NIOffer records a packet for node dst entering the injection queue.
 func (n *NodeObs) NIOffer(cy sim.Cycle, dst int) {
-	n.node(slotNIPacketsOffered).Inc()
-	n.emit(cy, EvNIOffer, NoPort, NoVC, int32(dst), 0)
+	if n != nil {
+		n.nodeEvent(slotNIPacketsOffered, cy, EvNIOffer, int32(dst), 0)
+	}
 }
 
 // NIEject records a packet delivered at this node with the given
 // creation-to-ejection latency.
 func (n *NodeObs) NIEject(cy sim.Cycle, latency sim.Cycle) {
-	n.node(slotNIPacketsEjected).Inc()
-	n.emit(cy, EvNIEject, NoPort, NoVC, int32(latency), 0)
+	if n != nil {
+		n.nodeEvent(slotNIPacketsEjected, cy, EvNIEject, int32(latency), 0)
+	}
 }
 
 // NIQueueDepth updates the NI's waiting-packet gauge.
 func (n *NodeObs) NIQueueDepth(depth int) {
-	if depth != n.depth {
+	if n != nil && depth != n.depth {
 		n.depth = depth
 		n.queue.Set(int64(depth))
 	}
@@ -362,18 +424,24 @@ func (n *NodeObs) NIQueueDepth(depth int) {
 // outgoing link out. The drop feeds the windowed stall mix as
 // fault-drain work on that link.
 func (n *NodeObs) LinkDrop(cy sim.Cycle, out, dst int) {
-	n.port(out, slotLinkDrops).Inc()
+	if n != nil {
+		n.linkDrop(cy, out, dst)
+	}
+}
+
+func (n *NodeObs) linkDrop(cy sim.Cycle, out, dst int) {
 	if w := n.win; w != nil {
 		w.addStall(out, StallFaultDrain)
 	}
-	n.emit(cy, EvLinkDrop, int8(out), NoVC, int32(dst), 0)
+	n.event(out, slotLinkDrops, cy, EvLinkDrop, int8(out), NoVC, int32(dst), 0)
 }
 
 // DropUnreachable records a packet for dst dropped because no surviving
 // path reaches it.
 func (n *NodeObs) DropUnreachable(cy sim.Cycle, dst int) {
-	n.node(slotDropsUnreachable).Inc()
-	n.emit(cy, EvDropUnreachable, NoPort, NoVC, int32(dst), 0)
+	if n != nil {
+		n.nodeEvent(slotDropsUnreachable, cy, EvDropUnreachable, int32(dst), 0)
+	}
 }
 
 // NIRetransmit records the NI re-injecting an unacknowledged packet for
@@ -381,6 +449,12 @@ func (n *NodeObs) DropUnreachable(cy sim.Cycle, dst int) {
 // attempt number (1-based). Every retransmission today is timer-driven,
 // so the timeout counter moves in lockstep.
 func (n *NodeObs) NIRetransmit(cy sim.Cycle, dst, retry int) {
+	if n != nil {
+		n.niRetransmit(cy, dst, retry)
+	}
+}
+
+func (n *NodeObs) niRetransmit(cy sim.Cycle, dst, retry int) {
 	n.node(slotNIRetransmits).Inc()
 	n.node(slotNIRetxTimeouts).Inc()
 	n.emit(cy, EvNIRetransmit, NoPort, NoVC, int32(dst), int32(retry))
@@ -389,6 +463,7 @@ func (n *NodeObs) NIRetransmit(cy sim.Cycle, dst, retry int) {
 // NIDupSuppressed records the sink NI discarding a duplicate delivery of
 // a packet from src.
 func (n *NodeObs) NIDupSuppressed(cy sim.Cycle, src int) {
-	n.node(slotNIDupsSuppressed).Inc()
-	n.emit(cy, EvNIDupSuppressed, NoPort, NoVC, int32(src), 0)
+	if n != nil {
+		n.nodeEvent(slotNIDupsSuppressed, cy, EvNIDupSuppressed, int32(src), 0)
+	}
 }

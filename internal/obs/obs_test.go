@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -56,18 +57,76 @@ func TestDisabledObserverIsNoOp(t *testing.T) {
 		n.LinkFlit(2, 0) // nil counter handles must be tolerated
 		n.NIQueueDepth(3)
 	}
+	// Every exported method of a nil handle is a no-op: core and noc
+	// call them unguarded.
+	for _, h := range []any{(*RouterObs)(nil), (*NodeObs)(nil)} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m, name := v.Method(i), v.Type().Method(i).Name
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%T).%s on a nil handle panicked: %v", h, name, p)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
+	}
 }
 
 func TestDisabledAllocationFree(t *testing.T) {
-	// The nil-guarded call pattern used in core must not allocate.
+	// An unguarded call on a nil handle, as core makes, must not allocate.
 	var r *RouterObs
 	allocs := testing.AllocsPerRun(1000, func() {
-		if r != nil {
-			r.RCCompute(1, 0, 0, 2, false)
-		}
+		r.RCCompute(1, 0, 0, 2, false)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f/op", allocs)
+	}
+}
+
+// TestKindTables holds the Kind, EventKind and StallKind tables to their
+// contract: every constant has a distinct, non-empty name; a Kind's name
+// prefix names its stage; and StallKind.Kind maps each stall cause to the
+// Kind named after it, which keeps the KStall* block contiguous and in
+// StallKind order.
+func TestKindTables(t *testing.T) {
+	distinct := func(what string, n int, name func(int) string) {
+		seen := map[string]int{}
+		for i := 0; i < n; i++ {
+			s := name(i)
+			if s == "" {
+				t.Errorf("%s %d has no name", what, i)
+			} else if j, dup := seen[s]; dup {
+				t.Errorf("%s %d and %d are both named %q", what, j, i, s)
+			}
+			seen[s] = i
+		}
+	}
+	distinct("Kind", NumKinds, func(i int) string { return Kind(i).String() })
+	distinct("EventKind", int(numEventKinds), func(i int) string { return EventKind(i).String() })
+	distinct("StallKind", NumStallKinds, func(i int) string { return StallKind(i).String() })
+
+	prefix := map[Stage]string{
+		StageRC: "rc.", StageVA: "va.", StageSA: "sa.", StageXB: "xb.",
+		StageLink: "link.", StageNI: "ni.", StageFault: "fault.", StageStall: "stall.",
+	}
+	byName := map[string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		byName[k.String()] = k
+		if p, ok := prefix[k.Stage()]; !ok || !strings.HasPrefix(k.String(), p) {
+			t.Errorf("Kind %d %q is in stage %v, whose names start %q", k, k, k.Stage(), p)
+		}
+	}
+	for s := StallKind(0); s < numStallKinds; s++ {
+		if want, ok := byName["stall."+s.String()]; !ok || s.Kind() != want {
+			t.Errorf("StallKind %v maps to Kind %q, want the Kind named %q", s, s.Kind(), "stall."+s.String())
+		}
 	}
 }
 

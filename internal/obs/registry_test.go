@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 )
 
@@ -73,6 +74,54 @@ func TestSnapshotSeriesGolden(t *testing.T) {
 // TestSharedRegistrySumsIntoOneBlock binds two networks' worth of
 // handles to one Observer: both get the same block, so their counts sum
 // (the sweep fan-out contract), and Counter resolves the block's series.
+// TestPerRouterMatchesSnapshot holds PerRouter to the sums of Snapshot's
+// counter series per router, on a registry mixing router-only,
+// node-only and fully bound blocks, a gap, map-held fault kinds on bound
+// and unbound routers and a network-global series.
+func TestPerRouterMatchesSnapshot(t *testing.T) {
+	o := New(0)
+	if err := o.Attach(6, 5, 4); err != nil {
+		t.Fatal(err)
+	}
+	r0, n0 := BindRouter(o, 0, 5, 4), BindNode(o, 0, 5, 4)
+	r2, n3 := BindRouter(o, 2, 5, 4), BindNode(o, 3, 5, 4)
+	for i := 0; i < 40; i++ {
+		for _, r := range []*RouterObs{r0, r2} {
+			r.RCCompute(1, i%5, i%4, (i+1)%5, i%3 == 0)
+			r.XBTraverse(1, i%5, i%4, (i+2)%5, i%2 == 0)
+			r.Stall(StallKind(i%NumStallKinds), i%5, i%4)
+			r.VARetry(1, i%5, i%4, i%3)
+		}
+		for _, n := range []*NodeObs{n0, n3} {
+			n.LinkFlit(i%5, i%4)
+			n.NIRetransmit(1, i, 1)
+			n.NIQueueDepth(i)
+		}
+	}
+	// Series of a side no handle bound are left out: router 3's RC
+	// counter and router 2's link counter.
+	o.Metrics.Counter(Key{Kind: KRCComputes, Router: 3, Port: 1, VC: NoVC}).Add(7)
+	o.Metrics.Counter(Key{Kind: KLinkFlits, Router: 2, Port: 1, VC: NoVC}).Add(7)
+	o.RecordFault(KFaultsInjected, EvFaultInject, 1, 0, 2, 0, 0, "x")
+	o.RecordFault(KFaultsInjected, EvFaultInject, 1, 4, 2, 0, 0, "x")
+	o.RecordFault(KFaultsDetected, EvFaultDetect, 1, -1, -1, -1, 0, "y")
+	o.RecordFault(KFaultsTransient, EvFaultInject, 1, 9, 0, 0, 0, "x")
+
+	var want []RouterTotals
+	for _, s := range o.Metrics.Snapshot() {
+		if s.IsGauge {
+			continue
+		}
+		if len(want) == 0 || want[len(want)-1].Router != int(s.Key.Router) {
+			want = append(want, RouterTotals{Router: int(s.Key.Router)})
+		}
+		want[len(want)-1].Total[s.Key.Kind] += uint64(s.Value)
+	}
+	if got := o.Metrics.PerRouter(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PerRouter:\n%+v\nsums of Snapshot:\n%+v", got, want)
+	}
+}
+
 func TestSharedRegistrySumsIntoOneBlock(t *testing.T) {
 	o := New(0)
 	ra, rb := BindRouter(o, 2, 5, 4), BindRouter(o, 2, 5, 4)

@@ -79,42 +79,51 @@ const (
 	numEventKinds
 )
 
+// events holds one row per EventKind: its display name, its stage and
+// the Chrome-trace args keys of Arg and Arg2 ("" when unused).
+var events = [numEventKinds]struct {
+	name      string
+	stage     Stage
+	arg, arg2 string
+}{
+	EvRCCompute:       {"RC compute", StageRC, "out", ""},
+	EvRCDuplicate:     {"RC duplicate", StageRC, "out", ""},
+	EvVAAlloc:         {"VA alloc", StageVA, "out", "dvc"},
+	EvVABorrow:        {"VA borrow", StageVA, "lender", ""},
+	EvVABorrowStall:   {"VA borrow stall", StageVA, "", ""},
+	EvVARetry:         {"VA retry", StageVA, "losers", ""},
+	EvSAGrant:         {"SA grant", StageSA, "out", ""},
+	EvSABypass:        {"SA bypass", StageSA, "out", ""},
+	EvSATransfer:      {"SA transfer", StageSA, "winner", "adopted"},
+	EvXBTraverse:      {"XB traverse", StageXB, "out", ""},
+	EvXBSecondary:     {"XB secondary", StageXB, "out", ""},
+	EvNIOffer:         {"NI offer", StageNI, "dst", ""},
+	EvNIEject:         {"NI eject", StageNI, "latency", ""},
+	EvFaultInject:     {"fault inject", StageFault, "", ""},
+	EvFaultTransient:  {"fault transient", StageFault, "duration", ""},
+	EvFaultRecover:    {"fault recover", StageFault, "", ""},
+	EvFaultDetect:     {"fault detect", StageFault, "stage", ""},
+	EvReroute:         {"reroute", StageRC, "out", ""},
+	EvLinkDrop:        {"link drop", StageLink, "dst", ""},
+	EvDropUnreachable: {"drop unreachable", StageNI, "dst", ""},
+	EvNIRetransmit:    {"NI retransmit", StageNI, "dst", "retry"},
+	EvNIDupSuppressed: {"NI dup suppressed", StageNI, "src", ""},
+}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	names := [...]string{
-		"RC compute", "RC duplicate",
-		"VA alloc", "VA borrow", "VA borrow stall", "VA retry",
-		"SA grant", "SA bypass", "SA transfer",
-		"XB traverse", "XB secondary",
-		"NI offer", "NI eject",
-		"fault inject", "fault transient", "fault recover", "fault detect",
-		"reroute", "link drop", "drop unreachable",
-		"NI retransmit", "NI dup suppressed",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k < numEventKinds {
+		return events[k].name
 	}
 	return "event.unknown"
 }
 
 // Stage returns the pipeline stage (or pseudo-stage) of the event kind.
 func (k EventKind) Stage() Stage {
-	switch k {
-	case EvRCCompute, EvRCDuplicate, EvReroute:
-		return StageRC
-	case EvVAAlloc, EvVABorrow, EvVABorrowStall, EvVARetry:
-		return StageVA
-	case EvSAGrant, EvSABypass, EvSATransfer:
-		return StageSA
-	case EvXBTraverse, EvXBSecondary:
-		return StageXB
-	case EvNIOffer, EvNIEject, EvDropUnreachable, EvNIRetransmit, EvNIDupSuppressed:
-		return StageNI
-	case EvLinkDrop:
-		return StageLink
-	default:
-		return StageFault
+	if k < numEventKinds {
+		return events[k].stage
 	}
+	return StageFault
 }
 
 // instant reports whether the event is a point-in-time marker rather
@@ -123,41 +132,16 @@ func (k EventKind) instant() bool { return k >= EvFaultInject }
 
 // argName returns the Chrome-trace args key for Arg, or "" when unused.
 func (k EventKind) argName() string {
-	switch k {
-	case EvRCCompute, EvRCDuplicate, EvVAAlloc, EvSAGrant, EvSABypass,
-		EvXBTraverse, EvXBSecondary, EvReroute:
-		return "out"
-	case EvVABorrow:
-		return "lender"
-	case EvVARetry:
-		return "losers"
-	case EvSATransfer:
-		return "winner"
-	case EvNIOffer:
-		return "dst"
-	case EvNIEject:
-		return "latency"
-	case EvFaultTransient:
-		return "duration"
-	case EvFaultDetect:
-		return "stage"
-	case EvLinkDrop, EvDropUnreachable, EvNIRetransmit:
-		return "dst"
-	case EvNIDupSuppressed:
-		return "src"
+	if k < numEventKinds {
+		return events[k].arg
 	}
 	return ""
 }
 
 // arg2Name returns the args key for Arg2, or "" when unused.
 func (k EventKind) arg2Name() string {
-	switch k {
-	case EvVAAlloc:
-		return "dvc"
-	case EvSATransfer:
-		return "adopted"
-	case EvNIRetransmit:
-		return "retry"
+	if k < numEventKinds {
+		return events[k].arg2
 	}
 	return ""
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gonoc/internal/sim"
 )
@@ -229,6 +230,27 @@ func (h *Histogram) Merge(o *Histogram) error {
 	h.total += o.total
 	h.sum += o.sum
 	return nil
+}
+
+// Equal reports whether h and o hold the same observations over the
+// same bounds: counts (a short counts array equals a full one with the
+// same buckets filled), sum and extremes. Two empty histograms are
+// equal whatever their bounds.
+func (h *Histogram) Equal(o *Histogram) bool {
+	if h.total != o.total || h.sum != o.sum || h.min != o.min || h.max != o.max {
+		return false
+	}
+	if h.total == 0 {
+		return true
+	}
+	if len(h.bounds) != len(o.bounds) || len(h.bounds) > 0 && &h.bounds[0] != &o.bounds[0] && !slices.Equal(h.bounds, o.bounds) {
+		return false
+	}
+	long, short := h.counts, o.counts
+	if len(long) < len(short) {
+		long, short = short, long
+	}
+	return slices.Equal(long[:len(short)], short) && !slices.ContainsFunc(long[len(short):], func(c uint64) bool { return c != 0 })
 }
 
 // Bucket is one cumulative histogram bucket in export form: Count

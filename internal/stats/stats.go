@@ -68,8 +68,11 @@ type Collector struct {
 	duplicates  uint64
 	retransmits uint64
 
-	// flits counts the measured packets' flits.
-	flits uint64
+	// flits counts the measured packets' flits; accepted counts the
+	// flits of every packet ejected at or after Warmup, whenever it was
+	// created (ThroughputFlits).
+	flits    uint64
+	accepted uint64
 
 	// lat and net hold the total (creation→ejection) and in-network
 	// (injection→ejection) latency distributions; classLat splits the
@@ -110,6 +113,9 @@ func (c *Collector) RecordRetransmit(*flit.Packet) { c.retransmits++ }
 // CreatedAt and EjectedAt stamps set.
 func (c *Collector) RecordEjection(p *flit.Packet) {
 	c.ejected++
+	if p.EjectedAt >= c.Warmup {
+		c.accepted += uint64(p.Size)
+	}
 	if p.CreatedAt < c.Warmup {
 		return
 	}
@@ -203,13 +209,15 @@ func (c *Collector) ClassPercentile(cls flit.Class, p float64) float64 {
 }
 
 // ThroughputFlits returns accepted flits per cycle over the measurement
-// interval ending at cycle end, or 0 when end is inside the warmup
-// window (end <= Warmup would otherwise divide by zero).
+// interval ending at cycle end: every flit ejected at or after Warmup,
+// including those of packets created during it, which past saturation
+// are most of them. It returns 0 when end is inside the warmup window
+// (end <= Warmup would otherwise divide by zero).
 func (c *Collector) ThroughputFlits(end sim.Cycle) float64 {
 	if end <= c.Warmup {
 		return 0
 	}
-	return float64(c.flits) / float64(end-c.Warmup)
+	return float64(c.accepted) / float64(end-c.Warmup)
 }
 
 // Merge folds other's measurements into c, for aggregating per-worker
@@ -227,6 +235,7 @@ func (c *Collector) Merge(other *Collector) error {
 	c.duplicates += other.duplicates
 	c.retransmits += other.retransmits
 	c.flits += other.flits
+	c.accepted += other.accepted
 	if err := c.lat.Merge(&other.lat); err != nil {
 		return err
 	}
@@ -239,6 +248,24 @@ func (c *Collector) Merge(other *Collector) error {
 		}
 	}
 	return nil
+}
+
+// Equal reports whether c and o hold the same measurements: every
+// counter, the warmup cutoff and every histogram. It implies equal
+// Snapshots and Summaries without building either.
+func (c *Collector) Equal(o *Collector) bool {
+	if c.Warmup != o.Warmup || c.created != o.created || c.ejected != o.ejected ||
+		c.dropped != o.dropped || c.duplicates != o.duplicates || c.retransmits != o.retransmits ||
+		c.flits != o.flits || c.accepted != o.accepted ||
+		!c.lat.Equal(&o.lat) || !c.net.Equal(&o.net) {
+		return false
+	}
+	for i := range c.classLat {
+		if !c.classLat[i].Equal(&o.classLat[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Snapshot is a point-in-time copy of a collector's aggregates, safe to

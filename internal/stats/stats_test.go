@@ -121,6 +121,69 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
+// TestThroughputCountsBacklog: ThroughputFlits counts every flit
+// ejected in the measured window, the packets created during the warmup
+// among them, and none ejected before it.
+func TestThroughputCountsBacklog(t *testing.T) {
+	c := NewCollector(100)
+	for _, p := range []*flit.Packet{
+		mkPkt(10, 90, flit.Request, 5),    // ejected in the warmup
+		mkPkt(50, 120, flit.Request, 4),   // created in the warmup
+		mkPkt(150, 160, flit.Response, 6), // measured
+	} {
+		c.RecordCreation(p)
+		c.RecordEjection(p)
+	}
+	// 10 flits over cycles 100..300.
+	if got := c.ThroughputFlits(300); math.Abs(got-0.05) > 1e-12 {
+		t.Errorf("throughput = %v, want 0.05", got)
+	}
+	if c.Measured() != 1 {
+		t.Errorf("measured %d packets, want 1: latency stays tagged by creation", c.Measured())
+	}
+}
+
+// TestCollectorEqual: Equal agrees with comparing Snapshots and
+// Summaries, a short and a full counts array with the same buckets
+// filled included.
+func TestCollectorEqual(t *testing.T) {
+	fill := func(c *Collector, lats ...sim.Cycle) {
+		for i, l := range lats {
+			p := mkPkt(sim.Cycle(100+i), sim.Cycle(100+i)+l, flit.Class(i%flit.NumClasses), 1+i%5)
+			c.RecordCreation(p)
+			c.RecordEjection(p)
+		}
+	}
+	a, b := NewCollector(100), NewCollector(100)
+	fill(a, 5, 9, 30)
+	fill(b, 5, 9, 30)
+	b.lat.own(len(latencyBounds)) // same buckets, full-length array
+	same := func(x, y *Collector) bool {
+		return reflect.DeepEqual(x.Snapshot(), y.Snapshot()) && x.Summary() == y.Summary()
+	}
+	if !a.Equal(b) || !same(a, b) {
+		t.Fatalf("equal collectors: Equal %v, snapshots and summaries equal %v", a.Equal(b), same(a, b))
+	}
+	for name, change := range map[string]func(c *Collector){
+		"one more latency":                 func(c *Collector) { fill(c, 9) },
+		"a latency past the short buckets": func(c *Collector) { fill(c, 5000) },
+		"a drop":                           func(c *Collector) { c.RecordDrop(nil) },
+		"a warmup ejection": func(c *Collector) {
+			c.RecordEjection(mkPkt(1, 2, flit.Request, 1))
+		},
+		"a backlog ejection": func(c *Collector) {
+			p := mkPkt(1, 200, flit.Request, 1)
+			c.RecordEjection(p)
+		},
+	} {
+		d := a.Clone()
+		change(d)
+		if d.Equal(a) || a.Equal(d) {
+			t.Errorf("%s: Equal still reports the collectors equal", name)
+		}
+	}
+}
+
 func TestEmptyCollector(t *testing.T) {
 	c := NewCollector(0)
 	if c.AvgLatency() != 0 || c.MinLatency() != 0 || c.Percentile(50) != 0 {

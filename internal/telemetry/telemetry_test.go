@@ -394,3 +394,30 @@ func TestPublishEmptySnapshot(t *testing.T) {
 	}
 	checkPrometheusSyntax(t, strings.NewReader(body))
 }
+
+// TestPrometheusFamilyPerKind: a registry holding a sample of every
+// obs.Kind exports one family per Kind name, so a Kind added to obs
+// reaches the endpoint without a change here.
+func TestPrometheusFamilyPerKind(t *testing.T) {
+	m := obs.NewMetrics()
+	for k := obs.Kind(0); int(k) < obs.NumKinds; k++ {
+		m.Counter(obs.Key{Kind: k, Router: -1, Port: obs.NoPort, VC: obs.NoVC}).Inc()
+	}
+	body := get(t, NewServer(m).Handler(), "/metrics")
+	families := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families[name]++
+		}
+	}
+	for k := obs.Kind(0); int(k) < obs.NumKinds; k++ {
+		fam := "gonoc_" + strings.ReplaceAll(k.String(), ".", "_") + "_total counter"
+		if families[fam] != 1 {
+			t.Errorf("Kind %q: %d families %q, want 1", k, families[fam], fam)
+		}
+		delete(families, fam)
+	}
+	if len(families) != 1 || families["gonoc_cycle gauge"] != 1 {
+		t.Errorf("families besides the Kinds' and gonoc_cycle: %v", families)
+	}
+}
