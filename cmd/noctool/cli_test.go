@@ -137,9 +137,12 @@ func firstLine(s string) string { return strings.SplitN(s, "\n", 2)[0] }
 // TestDocsNameRegisteredCommands: every `noctool <word>` in the user
 // docs, the verify recipe and this command's sources names a row of the
 // command table (or help), and every `noctool observe <word>` a view.
-// DESIGN.md is exempt: its history paragraphs record past commands.
+// DESIGN.md is exempt: its history paragraphs record past commands. In
+// the same files and DESIGN.md's §3 inventory, every `go run ./<path>`
+// and `examples/<name>` names a directory that exists.
 func TestDocsNameRegisteredCommands(t *testing.T) {
 	files := []string{
+		filepath.Join("..", "..", "doc.go"),
 		filepath.Join("..", "..", "README.md"),
 		filepath.Join("..", "..", "EXPERIMENTS.md"),
 		filepath.Join("..", "..", ".claude", "skills", "verify", "SKILL.md"),
@@ -157,6 +160,17 @@ func TestDocsNameRegisteredCommands(t *testing.T) {
 		knownView[v.name] = true
 	}
 	mention := regexp.MustCompile(`\bnoctool ([a-z]+)( [a-z]+)?`)
+	dir := regexp.MustCompile("go run \\./([^\\s`'\")<]+)|\\b(examples/[A-Za-z0-9_]+)")
+	checkDirs := func(path, text string, first int) {
+		for i, line := range strings.Split(text, "\n") {
+			for _, m := range dir.FindAllStringSubmatch(line, -1) {
+				rel := m[1] + m[2]
+				if fi, err := os.Stat(filepath.Join("..", "..", rel)); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d names %s, which is not a directory", path, first+i, rel)
+				}
+			}
+		}
+	}
 	for _, path := range append(files, sources...) {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -172,5 +186,17 @@ func TestDocsNameRegisteredCommands(t *testing.T) {
 				}
 			}
 		}
+		checkDirs(path, string(text), 1)
 	}
+	design := filepath.Join("..", "..", "DESIGN.md")
+	text, err := os.ReadFile(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(text), "\n## 3.")
+	end := strings.Index(string(text), "\n## 4.")
+	if start < 0 || end < start {
+		t.Fatalf("%s: no §3 inventory before §4", design)
+	}
+	checkDirs(design, string(text[start+1:end]), strings.Count(string(text[:start+1]), "\n")+1)
 }

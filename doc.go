@@ -100,12 +100,12 @@
 //     (sim), instrumented read-outs (observe metrics|spans|heatmap|
 //     flightrec|trace), record/replay, ablations, model checking
 //     (check), and a -pprof profiling flag.
-//   - examples/quickstart — minimal simulation of the 8×8 protected mesh
-//   - examples/faultcampaign — per-mechanism fault tolerance walkthrough
-//   - examples/reliability — the Section VII derivation step by step
-//   - examples/spfsweep — Table III and the SPF corollaries
-//   - examples/detection — transients, accumulation, watchdog localization
-//   - examples/observability — faulty mesh → counter table + Chrome trace
+//   - the checked Examples: internal/noc's Example_oneFaultPerStage (one
+//     fault per pipeline stage on a live mesh, the mechanism that took
+//     over, the two-fault failure boundary), internal/watchdog's
+//     Example_faultLifecycle (transients, accumulation, watchdog
+//     localization), internal/fault's ExampleFaultsToFailure (both site universes) and
+//     internal/reliability's Example (the ≈6× MTTF).
 //
 // The benchmarks in bench_test.go regenerate each experiment and include
 // obs-enabled/disabled microbenchmarks of the network step; see

@@ -91,8 +91,9 @@ func TestFormatDump(t *testing.T) {
 	f := NewFlightRecorder(1, 8)
 	f.Record(Event{Cycle: 7, Kind: EvSAGrant, Router: 0, Port: 1, VC: 2, Arg: 3})
 	f.Record(Event{Cycle: 8, Kind: EvFaultDetect, Router: 0, Port: 2, VC: 0, Arg: 2, Detail: "watchdog"})
+	f.Record(Event{Cycle: 8, Kind: EvFaultInject, Router: 0, Port: 3, VC: NoVC, Arg: 3, Detail: "XB mux"})
 	txt := FormatDump(f.Trigger(9, "unit test"))
-	for _, want := range []string{"unit test", "cycle 7:", "cycle 8:", "SA grant", "fault detect", "watchdog"} {
+	for _, want := range []string{"unit test", "cycle 7:", "cycle 8:", "SA grant", "fault detect", "watchdog", "stage=XB"} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("formatted dump missing %q:\n%s", want, txt)
 		}

@@ -230,7 +230,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Emit(Event{Cycle: 12, Kind: EvVABorrow, Router: 5, Port: 2, VC: 1, Arg: 3})
 	tr.Emit(Event{Cycle: 14, Kind: EvSABypass, Router: 5, Port: 2, VC: 1, Arg: 4})
-	tr.Emit(Event{Cycle: 20, Kind: EvFaultInject, Router: 6, Port: 1, VC: NoVC, Detail: "XB mux E"})
+	tr.Emit(Event{Cycle: 20, Kind: EvFaultInject, Router: 6, Port: 1, VC: NoVC, Arg: int32(StageXB), Detail: "XB mux E"})
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -247,6 +247,11 @@ func TestWriteChromeTrace(t *testing.T) {
 		ph := e["ph"].(string)
 		if ph != "X" && ph != "i" && ph != "M" {
 			t.Fatalf("unexpected phase %q", ph)
+		}
+		if e["name"] == "fault inject" {
+			if args, _ := e["args"].(map[string]any); args["stage"] != "XB" {
+				t.Fatalf("fault inject args %v, want stage XB", e["args"])
+			}
 		}
 	}
 	joined := strings.Join(names, ",")

@@ -99,7 +99,7 @@ var events = [numEventKinds]struct {
 	EvXBSecondary:     {"XB secondary", StageXB, "out", ""},
 	EvNIOffer:         {"NI offer", StageNI, "dst", ""},
 	EvNIEject:         {"NI eject", StageNI, "latency", ""},
-	EvFaultInject:     {"fault inject", StageFault, "", ""},
+	EvFaultInject:     {"fault inject", StageFault, "stage", ""},
 	EvFaultTransient:  {"fault transient", StageFault, "duration", ""},
 	EvFaultRecover:    {"fault recover", StageFault, "", ""},
 	EvFaultDetect:     {"fault detect", StageFault, "stage", ""},
@@ -149,7 +149,7 @@ func (k EventKind) arg2Name() string {
 // argValue renders Arg under its argName: a stage name where Arg is a
 // pipeline stage, the integer otherwise.
 func (k EventKind) argValue(arg int32) any {
-	if k == EvFaultDetect {
+	if k.argName() == "stage" {
 		return Stage(arg).String()
 	}
 	return arg
