@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gonoc/internal/experiments"
+	"gonoc/internal/obs"
 )
 
 func TestFindApp(t *testing.T) {
@@ -141,6 +142,44 @@ func TestRunTraceJSONL(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("empty JSONL trace")
+	}
+}
+
+// TestTraceFaultInjectVC pins the VC an injection event carries: none
+// for a site of a whole port (RC, XB, ...), the site's own for a per-VC
+// one (VA1).
+func TestTraceFaultInjectVC(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.jsonl")
+	args := []string{
+		"-width", "4", "-height", "4", "-cycles", "300", "-warmup", "0",
+		"-inject", "5:rcdup:e,6:xb:w,3:va1:n:2", "-format", "jsonl", "-o", out,
+	}
+	if err := runView("trace")(args); err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]int{5: int(obs.NoVC), 6: int(obs.NoVC), 3: 2} // router -> VC
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e struct {
+			Kind       string
+			Router, VC int
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("line is not JSON: %v: %s", err, line)
+		}
+		if e.Kind != "fault inject" {
+			continue
+		}
+		if vc, ok := want[e.Router]; !ok || e.VC != vc {
+			t.Errorf("fault inject at router %d carries VC %d, want %d (%s)", e.Router, e.VC, vc, line)
+		}
+		delete(want, e.Router)
+	}
+	if len(want) != 0 {
+		t.Errorf("no fault inject event for routers %v", want)
 	}
 }
 

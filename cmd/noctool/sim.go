@@ -59,7 +59,7 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 		retxRetries: fs.Int("retx-retries", 0,
 			"max retransmissions per packet (0 = default 8; needs -retx-timeout)"),
 		retxBuffer: fs.Int("retx-buffer", 0,
-			"retransmission buffer entries per source NI (0 = default 32; needs -retx-timeout)"),
+			"retransmission timers running at once per source NI (0 = default 32; needs -retx-timeout)"),
 	}
 }
 
@@ -164,7 +164,7 @@ func (sf *simFlags) build(newObs func(nodes int) (*obs.Observer, error)) (*noc.N
 			return nil, nil, err
 		}
 		o.RecordFault(obs.KFaultsInjected, obs.EvFaultInject, 0, r,
-			int(sites[i].Port), sites[i].Index, int32(sites[i].Kind.Stage()), sites[i].String())
+			int(sites[i].Port), sites[i].VC(), int32(sites[i].Kind.Stage()), sites[i].String())
 	}
 	if *sf.faultMean > 0 {
 		fault.NewInjector(n, sim.Cycle(*sf.faultMean), *sf.seed^0xabcdef, true)

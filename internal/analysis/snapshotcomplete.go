@@ -105,7 +105,7 @@ var snapContracts = map[string][]snapContract{
 		{typeName: "Network", roles: []snapRole{
 			{name: "save", funcs: []string{"SnapshotInto", "SaveNode", "saveNode", "saveNI"}},
 			{name: "restore", funcs: []string{"Restore", "RestoreNode", "restoreNode", "restoreNI"}},
-			{name: "canonical", funcs: []string{"AppendCanonical", "AppendCanonicalNode", "appendCanonicalNI", "appendCanonicalWindows"}},
+			{name: "canonical", funcs: []string{"AppendCanonical", "AppendCanonicalNode", "appendCanonicalNI"}},
 		}},
 		{typeName: "NI", roles: []snapRole{
 			{name: "save", funcs: []string{"saveNI"}},

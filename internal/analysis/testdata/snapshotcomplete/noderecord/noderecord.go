@@ -71,10 +71,7 @@ func (n *Network) AppendCanonical(b []byte) []byte {
 
 func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 	b = n.appendCanonicalNI(b, id)
-	b = append(b, byte(n.seqNext[id]-uint64(n.cycle)))
-	return n.appendCanonicalWindows(b)
+	return append(b, byte(n.seqNext[id]-uint64(n.cycle)))
 }
 
 func (n *Network) appendCanonicalNI(b []byte, id int) []byte { return append(b, byte(n.credits[id])) }
-
-func (n *Network) appendCanonicalWindows(b []byte) []byte { return b }

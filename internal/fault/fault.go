@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"gonoc/internal/core"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 )
@@ -120,6 +121,15 @@ type Site struct {
 	// Index disambiguates within a port: the VC index for VA1ArbSet and
 	// VA2Arb, unused otherwise.
 	Index int
+}
+
+// VC returns the VC an observed event or counter of the site carries:
+// the site's own for a per-VC kind, obs.NoVC for a site of a whole port.
+func (s Site) VC() int {
+	if perVC(s.Kind) {
+		return s.Index
+	}
+	return int(obs.NoVC)
 }
 
 // String implements fmt.Stringer.

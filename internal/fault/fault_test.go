@@ -6,6 +6,7 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/noc"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
@@ -229,6 +230,41 @@ func TestInjectorSafeOnly(t *testing.T) {
 	}
 	if len(stages) < 3 {
 		t.Errorf("injections concentrated: %v", stages)
+	}
+}
+
+// TestInjectorEventVC pins the VC of each injection the injector
+// reports: the site's for a per-VC site, obs.NoVC for a site of a whole
+// port.
+func TestInjectorEventVC(t *testing.T) {
+	rc := protCfg()
+	rc.Obs = obs.New(1 << 12)
+	n := noc.MustNew(noc.Config{Width: 4, Height: 4, Router: rc, Warmup: 0}, nil)
+	inj := NewInjector(n, 20, 11, true)
+	n.Run(4000)
+	var got []int8
+	for _, e := range rc.Obs.Tracer.Events() {
+		if e.Kind == obs.EvFaultInject {
+			got = append(got, e.VC)
+		}
+	}
+	log, perPort := inj.Injected(), 0
+	if len(got) != len(log) {
+		t.Fatalf("%d injection events for %d injections", len(got), len(log))
+	}
+	for i, in := range log {
+		want := obs.NoVC
+		if perVC(in.Site.Kind) {
+			want = int8(in.Site.Index)
+		} else {
+			perPort++
+		}
+		if got[i] != want {
+			t.Errorf("injection %d (%v): event VC %d, want %d", i, in.Site, got[i], want)
+		}
+	}
+	if perPort == 0 || perPort == len(log) {
+		t.Errorf("%d of %d injections at port-level sites: the check needs both kinds", perPort, len(log))
 	}
 }
 

@@ -128,7 +128,7 @@ func (inj *Injector) inject(node, st int, c sim.Cycle) {
 		done[s] = true
 		inj.injected = append(inj.injected, Injection{Cycle: c, Router: node, Site: s})
 		inj.obs.RecordFault(obs.KFaultsInjected, obs.EvFaultInject,
-			c, node, int(s.Port), s.Index, int32(s.Kind.Stage()), s.String())
+			c, node, int(s.Port), s.VC(), int32(s.Kind.Stage()), s.String())
 		return
 	}
 }

@@ -90,7 +90,7 @@ func (ti *TransientInjector) hook(c sim.Cycle) {
 		if c >= t.expires {
 			Apply(ti.net.Router(t.router), t.site, false)
 			ti.obs.RecordFault(obs.KFaultsRecovered, obs.EvFaultRecover,
-				c, t.router, int(t.site.Port), t.site.Index, 0, t.site.String())
+				c, t.router, int(t.site.Port), t.site.VC(), 0, t.site.String())
 			continue
 		}
 		kept = append(kept, t)
@@ -111,7 +111,7 @@ func (ti *TransientInjector) hook(c sim.Cycle) {
 		ti.active = append(ti.active, transient{router: node, site: s, expires: c + ti.Duration})
 		ti.Strikes++
 		ti.obs.RecordFault(obs.KFaultsTransient, obs.EvFaultTransient,
-			c, node, int(s.Port), s.Index, int32(ti.Duration), s.String())
+			c, node, int(s.Port), s.VC(), int32(ti.Duration), s.String())
 	}
 }
 

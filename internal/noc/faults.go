@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"gonoc/internal/core"
 	"gonoc/internal/flit"
@@ -199,8 +200,7 @@ func (n *Network) discardAtLink(id int, of router.OutFlit, c sim.Cycle) bool {
 		// keeps the fault-free commit at one load and one pointer test
 		// per flit.
 		if of.F.Kind.IsHead() {
-			n.stats.RecordDrop(of.F.Pkt)
-			n.obsNodes[id].LinkDrop(c, int(of.Out), of.F.Pkt.Dst)
+			n.dropCopy(id, of.F.Pkt, of.Out, c)
 		}
 		if !of.F.Kind.IsTail() {
 			n.linkDrop[link] |= bit
@@ -227,22 +227,78 @@ func (n *Network) dropIfUnreachable(node int, p *flit.Packet, c sim.Cycle) bool 
 	if node == p.Dst && !n.routerDead[node] {
 		return false // self-delivery at a live node always works
 	}
-	n.stats.RecordDrop(p)
-	n.obsNodes[node].DropUnreachable(c, p.Dst)
+	n.dropCopy(node, p, localPort, c)
 	return true
 }
 
+// dropCopy is the one death of a packet copy short of delivery: it
+// records the drop in the statistics and the observer — at the dead link
+// leaving node through port out, or, with out Local, as unreachable from
+// node — and ends the copy at its source's retransmission entry.
+//
+//noc:commit-only
+func (n *Network) dropCopy(node int, p *flit.Packet, out topology.Port, c sim.Cycle) {
+	n.stats.RecordDrop(p)
+	if out == localPort {
+		n.obsNodes[node].DropUnreachable(c, p.Dst)
+	} else {
+		n.obsNodes[node].LinkDrop(c, int(out), p.Dst)
+	}
+	n.endCopy(p, false)
+}
+
+// endCopy ends one copy of p in flight, delivered or dropped, at its
+// source's entry, and reports whether a delivered copy is a duplicate:
+// whether another copy of the packet was delivered before it. A packet
+// without an entry is unprotected — its one copy was offered while the
+// buffer was full, or the network runs without retransmission — and is
+// never a duplicate. The first delivery stops the entry's timer; an
+// entry whose timer has stopped goes with its last copy.
+//
+//noc:commit-only
+func (n *Network) endCopy(p *flit.Packet, delivered bool) (duplicate bool) {
+	es := n.retx[p.Src]
+	i := slices.IndexFunc(es, func(e retxEntry) bool { return e.seq == p.Seq })
+	if i < 0 {
+		return false
+	}
+	e := &es[i]
+	e.alive--
+	if delivered {
+		duplicate = e.state == retxDelivered
+		e.state = retxDelivered
+	}
+	if e.alive == 0 && e.state != retxTiming {
+		n.retx[p.Src] = slices.Delete(es, i, i+1)
+	}
+	return duplicate
+}
+
+// timing counts the entries of a source whose timer runs.
+func timing(es []retxEntry) int {
+	k := 0
+	for i := range es {
+		if es[i].state == retxTiming {
+			k++
+		}
+	}
+	return k
+}
+
 // trackRetx records a freshly offered packet in its source's
-// retransmission buffer, if retransmission is enabled and the buffer has
-// room (packets offered past the bound travel unprotected).
+// retransmission buffer, its one copy in flight, if retransmission is
+// enabled and fewer than Buffer timers run (packets offered past the
+// bound travel unprotected). Sequence numbers only grow, so the entries
+// stay in sequence order.
 //
 //noc:commit-only
 func (n *Network) trackRetx(node int, p *flit.Packet, c sim.Cycle) {
-	if n.retxCfg.Timeout == 0 || len(n.retx[node]) >= n.retxCfg.Buffer {
+	if n.retxCfg.Timeout == 0 || timing(n.retx[node]) >= n.retxCfg.Buffer {
 		return
 	}
 	n.retx[node] = append(n.retx[node], retxEntry{
 		seq: p.Seq, dst: p.Dst, class: p.Class, size: p.Size,
+		alive:     1,
 		createdAt: c,
 		deadline:  c + n.retxCfg.Timeout,
 		interval:  n.retxCfg.Timeout,
@@ -251,51 +307,52 @@ func (n *Network) trackRetx(node int, p *flit.Packet, c sim.Cycle) {
 
 // retxScan fires expired retransmission timers. It runs in Step's serial
 // pre-phase in canonical node order, so retransmissions are bit-exact at
-// every Workers setting.
+// every Workers setting. A timer that expires with its retries spent
+// abandons its packet: the entry stays while copies of the packet are in
+// flight, and goes at once otherwise.
 //
 //noc:commit-only
 func (n *Network) retxScan(c sim.Cycle) {
 	if n.retxCfg.Timeout == 0 {
 		return
 	}
-	for node := range n.retx {
-		entries := n.retx[node]
-		if len(entries) == 0 {
-			continue
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if c < e.deadline {
-				kept = append(kept, e)
+	for node, es := range n.retx {
+		abandoned := false
+		for i := range es {
+			e := &es[i]
+			if e.state != retxTiming || c < e.deadline {
 				continue
 			}
 			if e.retries >= n.retxCfg.MaxRetries {
-				// Abandon: every copy was already recorded as dropped
-				// when it died, so accounting stays balanced.
+				e.state, abandoned = retxAbandoned, true
 				continue
 			}
 			e.retries++
 			e.interval *= retxBackoff
 			e.deadline = c + e.interval
 			n.retransmit(node, e, c)
-			kept = append(kept, e)
 		}
-		n.retx[node] = kept
+		if abandoned {
+			n.retx[node] = slices.DeleteFunc(es, func(e retxEntry) bool { return e.alive == 0 && e.state != retxTiming })
+		}
 	}
 }
 
-// retransmit clones and re-offers an unacknowledged packet. The clone
-// keeps the original's sequence number (for duplicate suppression and
-// release) and CreatedAt stamp (so measured latency includes the loss),
-// under a fresh packet ID.
+// retransmit clones and re-offers the packet of entry e, one more copy
+// in flight. The clone keeps the original's sequence number (for
+// duplicate suppression and release) and CreatedAt stamp (so measured
+// latency includes the loss), under a fresh packet ID. A clone dropped
+// at once as unreachable ends at e again, which is why e is the entry
+// itself and the entries are not moved until the scan is over.
 //
 //noc:commit-only
-func (n *Network) retransmit(node int, e retxEntry, c sim.Cycle) {
+func (n *Network) retransmit(node int, e *retxEntry, c sim.Cycle) {
 	p := &flit.Packet{
 		ID: n.nextID, Src: node, Dst: e.dst, Class: e.class, Size: e.size,
 		CreatedAt: e.createdAt, Seq: e.seq,
 	}
 	n.nextID++
+	e.alive++
 	n.stats.RecordCreation(p)
 	n.stats.RecordRetransmit(p)
 	n.obsNodes[node].NIRetransmit(c, e.dst, e.retries)
@@ -303,46 +360,4 @@ func (n *Network) retransmit(node int, e retxEntry, c sim.Cycle) {
 		return
 	}
 	n.nis[node].Offer(p)
-}
-
-// releaseRetx removes the retransmission entry for (src, seq) after the
-// sink saw its first delivery.
-//
-//noc:commit-only
-func (n *Network) releaseRetx(src int, seq uint64) {
-	entries := n.retx[src]
-	for i := range entries {
-		if entries[i].seq == seq {
-			n.retx[src] = append(entries[:i], entries[i+1:]...)
-			return
-		}
-	}
-}
-
-// isDuplicate reports whether the sink at node has already delivered the
-// packet (same source, same sequence number), marking it delivered
-// otherwise. The per-source window compacts as its floor advances, so
-// memory tracks only out-of-order deliveries.
-//
-//noc:commit-only
-func (n *Network) isDuplicate(node int, p *flit.Packet) bool {
-	m := n.delivered[node]
-	if m == nil {
-		m = make(map[int]*seqWindow)
-		n.delivered[node] = m
-	}
-	w := m[p.Src]
-	if w == nil {
-		w = &seqWindow{seen: make(map[uint64]bool)}
-		m[p.Src] = w
-	}
-	if p.Seq < w.floor || w.seen[p.Seq] {
-		return true
-	}
-	w.seen[p.Seq] = true
-	for w.seen[w.floor] {
-		delete(w.seen, w.floor)
-		w.floor++
-	}
-	return false
 }

@@ -103,9 +103,10 @@ type Config struct {
 // RetxConfig configures end-to-end packet retransmission at the network
 // interfaces: sources keep a bounded buffer of unacknowledged packets
 // and re-inject them on a cycle timeout that doubles after every
-// retransmission (retxBackoff), and sinks suppress the duplicate
-// deliveries this can create. Combined with fault-aware routing it
-// delivers 100% of packets under any single link or router fault.
+// retransmission (retxBackoff), and the duplicate deliveries this can
+// create are suppressed against the source's entry for the packet.
+// Combined with fault-aware routing it delivers 100% of packets under
+// any single link or router fault.
 type RetxConfig struct {
 	// Timeout is the initial retransmission timeout in cycles, counted
 	// from the offer; 0 disables retransmission entirely. Set it above
@@ -113,12 +114,13 @@ type RetxConfig struct {
 	// will be common (they are suppressed, but cost bandwidth).
 	Timeout sim.Cycle
 	// MaxRetries bounds the retransmissions per packet; 0 defaults to 8.
-	// A packet still undelivered after MaxRetries is abandoned (it has
-	// already been recorded as dropped when its last copy died).
+	// A packet still undelivered after MaxRetries is abandoned: its timer
+	// stops, and the first of its copies still in flight to arrive, if
+	// any, is delivered.
 	MaxRetries int
-	// Buffer bounds the retransmission entries tracked per source node;
-	// 0 defaults to 32. Packets offered while the buffer is full are
-	// sent without retransmission protection.
+	// Buffer bounds the packets per source node whose retransmission
+	// timer runs; 0 defaults to 32. Packets offered while Buffer timers
+	// run are sent without retransmission protection.
 	Buffer int
 }
 
@@ -237,22 +239,22 @@ type Network struct {
 	midFlight []uint64 //noc:committed
 	linkDrop  []uint64 //noc:committed
 
-	// End-to-end retransmission state: per-source sequence numbers,
-	// retransmission buffers, and per-sink duplicate-suppression windows
-	// keyed by source node. retxCfg is cfg.Retx with defaults resolved.
-	seqNext   []uint64             //noc:committed
-	retx      [][]retxEntry        //noc:committed
-	delivered []map[int]*seqWindow //noc:committed
+	// End-to-end retransmission state, all of it at the source: per-source
+	// sequence numbers and, per source in sequence order, one entry for
+	// each protected packet whose timer still runs or a copy of which can
+	// still arrive (retxEntry). A delivery or a drop of a copy updates its
+	// source's entry, and an entry whose timer has stopped leaves with its
+	// last copy, so a source holds at most Buffer timing entries plus one
+	// entry per copy in flight, however long the run. retxCfg is cfg.Retx
+	// with defaults resolved.
+	seqNext []uint64      //noc:committed
+	retx    [][]retxEntry //noc:committed
 	//noc:derived immutable configuration, resolved from cfg.Retx at construction
 	retxCfg RetxConfig
 
 	// io is the scratch Snapshot and Restore share, nil until the first
 	// of either.
 	io *snapIO //noc:derived snapshot/restore scratch, empty of meaning between calls
-	// canonSrcs and canonSeen are AppendCanonical's buffers for sorting
-	// the duplicate-suppression windows' map keys.
-	canonSrcs []int    //noc:derived canonical-encoding scratch, empty of meaning between calls
-	canonSeen []uint64 //noc:derived canonical-encoding scratch, empty of meaning between calls
 
 	// workers is the resolved parallel-phase shard count (>= 1); pool is
 	// the persistent worker pool, started lazily on the first parallel
@@ -299,12 +301,21 @@ func (c *creditRun) add(v int, free bool) {
 // retransmission: exponential backoff.
 const retxBackoff = 2
 
-// retxEntry is one unacknowledged packet in a source's retransmission
-// buffer: everything needed to clone it, plus the timer state.
+// retxEntry is one protected packet at its source: everything needed to
+// clone it, the timer state, and the count of its copies in flight. The
+// entry starts timing (retxTiming) and leaves that state at the first
+// delivery of a copy (retxDelivered) or when its retries run out
+// (retxAbandoned); only a timing entry's timer runs, and only timing
+// entries count against Buffer. A copy is in flight from its offer to
+// the NI until it is delivered or dropped, and an entry that is no
+// longer timing is removed with its last copy: nothing can then arrive
+// that it would have to recognise.
 type retxEntry struct {
 	seq       uint64
 	dst       int
 	class     flit.Class
+	state     retxState
+	alive     int32 // copies in flight
 	size      int
 	createdAt sim.Cycle
 	deadline  sim.Cycle
@@ -312,13 +323,19 @@ type retxEntry struct {
 	retries   int
 }
 
-// seqWindow is a sink's duplicate-suppression state for one source: all
-// sequence numbers below floor have been delivered, plus a sparse set of
-// delivered numbers above it (compacted as the floor advances).
-type seqWindow struct {
-	floor uint64
-	seen  map[uint64]bool
-}
+// retxState is where a retransmission entry stands.
+type retxState uint8
+
+const (
+	// retxTiming: no copy delivered yet, and the timer runs.
+	retxTiming retxState = iota
+	// retxDelivered: a copy was delivered; every later one is a
+	// duplicate.
+	retxDelivered
+	// retxAbandoned: the retries ran out before any copy was delivered;
+	// the first copy still to arrive is delivered.
+	retxAbandoned
+)
 
 // stepPhase selects the work a pooled worker runs over its node shard.
 type stepPhase int8
@@ -436,7 +453,6 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 	n.linkDrop = make([]uint64, nodes*ports)
 	n.seqNext = make([]uint64, nodes)
 	n.retx = make([][]retxEntry, nodes)
-	n.delivered = make([]map[int]*seqWindow, nodes)
 	for id := 0; id < nodes; id++ {
 		r, err := core.New(id, topo, cfg.Router)
 		if err != nil {
@@ -446,13 +462,10 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 		n.obsNodes[id] = obs.BindNode(cfg.Router.Obs, id, ports, cfg.Router.VCs)
 		node := id
 		n.nis[id] = newNI(id, r, n.obsNodes[id], func(p *flit.Packet, c sim.Cycle) {
-			if n.retxCfg.Timeout > 0 {
-				if n.isDuplicate(node, p) {
-					n.stats.RecordDuplicate(p)
-					n.obsNodes[node].NIDupSuppressed(c, p.Src)
-					return
-				}
-				n.releaseRetx(p.Src, p.Seq)
+			if n.endCopy(p, true) {
+				n.stats.RecordDuplicate(p)
+				n.obsNodes[node].NIDupSuppressed(c, p.Src)
+				return
 			}
 			n.stats.RecordEjection(p)
 			n.obsNodes[node].NIEject(c, p.Latency())
@@ -713,8 +726,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 			for _, pkt := range r.TakeDropped() {
 				// Routing declared the destination unreachable; the router
 				// drains the buffered flits itself.
-				n.stats.RecordDrop(pkt)
-				n.obsNodes[id].DropUnreachable(c, pkt.Dst)
+				n.dropCopy(id, pkt, localPort, c)
 			}
 		}
 		for _, of := range r.TakeOutFlits() {
@@ -736,8 +748,7 @@ func (n *Network) commitLocal(c sim.Cycle) {
 				// discarded, but the router's local output still gets
 				// its ejection credit so the pipeline drains.
 				if of.F.Kind.IsTail() {
-					n.stats.RecordDrop(of.F.Pkt)
-					n.obsNodes[id].DropUnreachable(c, of.F.Pkt.Dst)
+					n.dropCopy(id, of.F.Pkt, localPort, c)
 				}
 			} else {
 				n.nis[id].consume(of.F, c)
@@ -914,15 +925,16 @@ func (n *Network) InjectionIdle() bool {
 	return true
 }
 
-// PendingRetx returns the number of unacknowledged packets tracked by
-// source retransmission buffers across the network.
+// PendingRetx returns the number of unacknowledged packets whose
+// retransmission timer still runs, across the network: the timing
+// entries of the source retransmission buffers.
 func (n *Network) PendingRetx() int {
 	if n.retxCfg.Timeout == 0 {
 		return 0
 	}
 	total := 0
-	for _, e := range n.retx {
-		total += len(e)
+	for _, es := range n.retx {
+		total += timing(es)
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -23,7 +24,9 @@ import (
 // per link and VC for a packet whose head crossed the link and one for a
 // packet a dead link is discarding; an NI of class queues, per-VC flit
 // queues, credits and busy flags; retransmission entries and their
-// timers; and the set of packets delivered to it. There is nothing for
+// timers; the set of packets delivered to it; and, for the packets it
+// sent, the count of each one's copies in flight and the destination of
+// each that got an entry. There is nothing for
 // the network's masks, credit runs, inbound words, records or recycled
 // storage. The routers are core.Routers, which core's refRouter covers.
 // From the network it shadows refNet takes the configuration, a traffic
@@ -62,8 +65,13 @@ type refNode struct {
 	back    []router.Credit // what the router returned over the local link last cycle
 
 	seqNext   uint64
-	retx      []retxEntry
+	retx      []retxEntry        // the entries whose timer runs, their copies not counted
 	delivered map[[2]uint64]bool // (source, sequence number)
+	// By sequence number, of the packets this node sent: the copies in
+	// flight, from the NI's queue until delivered or dropped, and the
+	// destination of each packet that got a retransmission entry.
+	copies    map[uint64]int
+	protected map[uint64]int
 }
 
 // refLink is what crosses one link in one cycle.
@@ -87,7 +95,8 @@ func newRefNet(cfg Config, src Traffic) *refNet {
 			panic(err)
 		}
 		nd := refNode{r: r, obs: obs.BindNode(rc.Obs, id, rc.Ports, rc.VCs), linkDead: make([]bool, rc.Ports), in: make([]refLink, rc.Ports),
-			queues: make([][]*flit.Packet, rc.Classes), sending: make([][]*flit.Flit, rc.VCs), busy: make([]bool, rc.VCs), delivered: map[[2]uint64]bool{}}
+			queues: make([][]*flit.Packet, rc.Classes), sending: make([][]*flit.Flit, rc.VCs), busy: make([]bool, rc.VCs), delivered: map[[2]uint64]bool{},
+			copies: map[uint64]int{}, protected: map[uint64]int{}}
 		for range rc.Ports {
 			nd.mid, nd.drop = append(nd.mid, make([]bool, rc.VCs)), append(nd.drop, make([]bool, rc.VCs))
 		}
@@ -156,13 +165,24 @@ func (m *refNet) offer(id int, p *flit.Packet, c sim.Cycle) {
 	if m.retx.Timeout > 0 && len(nd.retx) < m.retx.Buffer {
 		nd.retx = append(nd.retx, retxEntry{seq: p.Seq, dst: p.Dst, class: p.Class, size: p.Size,
 			createdAt: c, deadline: c + m.retx.Timeout, interval: m.retx.Timeout})
+		nd.protected[p.Seq] = p.Dst
 	}
 	nd.enqueue(p)
 }
 
+// enqueue queues a copy of a packet node nd sent, one more in flight.
 func (nd *refNode) enqueue(p *flit.Packet) {
 	cls := min(int(p.Class), len(nd.queues)-1)
 	nd.queues[cls] = append(nd.queues[cls], p)
+	nd.copies[p.Seq]++
+}
+
+// gone counts a copy of p out of flight, delivered or dropped.
+func (m *refNet) gone(p *flit.Packet) {
+	src := &m.nodes[p.Src]
+	if src.copies[p.Seq]--; src.copies[p.Seq] == 0 {
+		delete(src.copies, p.Seq)
+	}
 }
 
 // unreachable drops p, offered at node id, if no path reaches its
@@ -246,6 +266,7 @@ func (m *refNet) commit(id int, c sim.Cycle) {
 	for _, p := range nd.r.TakeDropped() {
 		m.stats.RecordDrop(p)
 		nd.obs.DropUnreachable(c, p.Dst)
+		m.gone(p)
 	}
 	for _, of := range nd.r.TakeOutFlits() {
 		f, v := of.F, int(of.DownVC)
@@ -259,6 +280,7 @@ func (m *refNet) commit(id int, c sim.Cycle) {
 			} else if tail { // a dead node ejects nothing
 				m.stats.RecordDrop(f.Pkt)
 				nd.obs.DropUnreachable(c, f.Pkt.Dst)
+				m.gone(f.Pkt)
 			}
 			nd.r.AcceptCredit(credit)
 			continue
@@ -272,6 +294,7 @@ func (m *refNet) commit(id int, c sim.Cycle) {
 			if head {
 				m.stats.RecordDrop(f.Pkt)
 				nd.obs.LinkDrop(c, int(of.Out), f.Pkt.Dst)
+				m.gone(f.Pkt)
 			}
 			*drop = !tail
 		default:
@@ -301,6 +324,7 @@ func (m *refNet) eject(id int, f *flit.Flit, c sim.Cycle) {
 		return
 	}
 	p.EjectedAt = c
+	m.gone(p)
 	if m.retx.Timeout > 0 {
 		key := [2]uint64{uint64(p.Src), p.Seq}
 		if nd.delivered[key] {
@@ -436,7 +460,7 @@ func (l *lockstep) compare(n *Network, when string) {
 	}
 	l.got.pkts, l.want.pkts = l.got.pkts[:0], l.want.pkts[:0]
 	for id := range m.nodes {
-		if d := diffNode(n, &m.nodes[id], id); d != "" {
+		if d := diffNode(n, m, id); d != "" {
 			t.Fatalf("cycle %d%s: node %d: %s", c, when, id, d)
 		}
 	}
@@ -453,12 +477,14 @@ func (l *lockstep) compare(n *Network, when string) {
 
 func sameFlit(a, b *flit.Flit) bool { return a.Kind == b.Kind && a.Seq == b.Seq && *a.Pkt == *b.Pkt }
 
-// diffNode names the first thing node id of n differs in from nd, or
-// returns "": the router's canonical state, counters and input latch
-// (contents and order), the NI, the links the node sends on, its fault
-// state and its retransmission and duplicate state. It also names a
-// link register of n's that is not empty, as all must be between steps.
-func diffNode(n *Network, nd *refNode, id int) string {
+// diffNode names the first thing node id of n differs in from the
+// reference's, or returns "": the router's canonical state, counters and
+// input latch (contents and order), the NI, the links the node sends on,
+// its fault state and its retransmission entries (wantRetx). It also
+// names a link register of n's that is not empty, as all must be
+// between steps.
+func diffNode(n *Network, m *refNet, id int) string {
+	nd := &m.nodes[id]
 	r, ni := n.routers[id], n.nis[id]
 	flits, credits := r.Inputs()
 	mflits, mcredits := nd.r.Inputs()
@@ -513,25 +539,48 @@ func diffNode(n *Network, nd *refNode, id int) string {
 		return fmt.Sprintf("dead links %v, router %v; reference %v, %v", n.linkDead[id], n.routerDead[id], nd.linkDead, nd.dead)
 	}
 
-	if n.seqNext[id] != nd.seqNext || !slices.Equal(n.retx[id], nd.retx) {
-		return fmt.Sprintf("next sequence number %d, retransmission entries %+v; reference %d, %+v", n.seqNext[id], n.retx[id], nd.seqNext, nd.retx)
-	}
-	// A window holds the numbers below its floor and those in seen, each
-	// once: as many as the reference's set, and every one of those.
-	delivered := 0
-	//nocvet:ignore determinism a sum: the order is free
-	for _, w := range n.delivered[id] {
-		delivered += int(w.floor) + len(w.seen)
-	}
-	for key := range nd.delivered {
-		if w := n.delivered[id][int(key[0])]; w == nil || key[1] >= w.floor && !w.seen[key[1]] {
-			return fmt.Sprintf("packet %d from node %d not marked delivered", key[1], key[0])
-		}
-	}
-	if delivered != len(nd.delivered) {
-		return fmt.Sprintf("%d packets marked delivered, reference %d", delivered, len(nd.delivered))
+	if want := m.wantRetx(id); n.seqNext[id] != nd.seqNext || !slices.EqualFunc(n.retx[id], want, sameRetx) {
+		return fmt.Sprintf("next sequence number %d, retransmission entries %+v; reference %d, %+v", n.seqNext[id], n.retx[id], nd.seqNext, want)
 	}
 	return ""
+}
+
+// wantRetx is what node id's retransmission entries must be, in sequence
+// order: the reference's timing entries, and one entry for every other
+// packet of the node's that got an entry and has a copy in flight,
+// delivered if its sink has it and abandoned if not — each with the
+// count of its copies in flight.
+func (m *refNet) wantRetx(id int) []retxEntry {
+	nd := &m.nodes[id]
+	var want []retxEntry
+	for _, e := range nd.retx {
+		e.alive = int32(nd.copies[e.seq])
+		want = append(want, e)
+	}
+	//nocvet:ignore determinism the entries are sorted before use
+	for seq, k := range nd.copies {
+		dst, ok := nd.protected[seq]
+		if !ok || slices.ContainsFunc(nd.retx, func(e retxEntry) bool { return e.seq == seq }) {
+			continue
+		}
+		e := retxEntry{seq: seq, state: retxAbandoned, alive: int32(k)}
+		if m.nodes[dst].delivered[[2]uint64{uint64(id), seq}] {
+			e.state = retxDelivered
+		}
+		want = append(want, e)
+	}
+	slices.SortFunc(want, func(a, b retxEntry) int { return cmp.Compare(a.seq, b.seq) })
+	return want
+}
+
+// sameRetx compares a retransmission entry with the reference's: all of
+// a timing entry, and of one whose timer has stopped what still counts —
+// its sequence number, state and copies in flight.
+func sameRetx(a, b retxEntry) bool {
+	if a.state == retxTiming {
+		return a == b
+	}
+	return a.seq == b.seq && a.state == b.state && a.alive == b.alive
 }
 
 // roundTrip moves the network into the spare twice over, the spare
@@ -631,7 +680,9 @@ func flipAll(n *Network) {
 
 // fuzzConfig decodes the header the two fuzz targets share: topology
 // family and size, classes and VCs, buffer depth, router design, and
-// retransmission, with a timeout of 40 plus data[5]>>retxShift.
+// retransmission, with a timeout of 40 plus data[5]>>retxShift, three
+// retries or, with bit 2 of data[3], one, and the default buffer or,
+// with bit 3 of data[3], room for one packet.
 func fuzzConfig(data []byte, retxShift uint) Config {
 	rc := router.DefaultConfig()
 	rc.Classes = 1 + int(data[3]%2)
@@ -641,6 +692,12 @@ func fuzzConfig(data []byte, retxShift uint) Config {
 	cfg := Config{Width: 2 + int(data[1]%4), Height: 1 + int(data[2]%4), Topo: fuzzTopo(data[0]), Router: rc, Workers: 1}
 	if data[5]&2 != 0 {
 		cfg.Retx = RetxConfig{Timeout: 40 + sim.Cycle(data[5]>>retxShift), MaxRetries: 3}
+		if data[3]&4 != 0 {
+			cfg.Retx.MaxRetries = 1
+		}
+		if data[3]&8 != 0 {
+			cfg.Retx.Buffer = 1
+		}
 	}
 	return cfg
 }

@@ -76,8 +76,7 @@ type record struct {
 	//	the inbound latches: the router's input latch, flits (port, VC,
 	//	  flit) and credits (port, VC, VCFree), then the NI credits
 	//	  (port, VC, VCFree), each behind its length
-	//	the length of the node's retransmission buffer (entries in retx)
-	//	and its number of duplicate-suppression windows
+	//	the number of the node's retransmission entries (in retx)
 	//
 	// with a flit outside a router as kind, seq, pkts index. flits
 	// counts the flits in net and in the router states together.
@@ -90,23 +89,18 @@ type record struct {
 
 	pkts []flit.Packet
 	retx []retxEntry
-	// windows holds a copy of the duplicate-suppression windows of each
-	// node that has any, in node order: none without retransmission.
-	windows []map[int]*seqWindow
 }
 
 // reset empties r for a save pass.
 func (r *record) reset() {
-	clear(r.windows)
-	r.net, r.words, r.pkts, r.retx, r.windows = r.net[:0], r.words[:0], r.pkts[:0], r.retx[:0], r.windows[:0]
+	r.net, r.words, r.pkts, r.retx = r.net[:0], r.words[:0], r.pkts[:0], r.retx[:0]
 	r.flits = 0
 }
 
-// bytes returns the heap bytes r's buffers retain. The windows are maps
-// and count as one pointer each.
+// bytes returns the heap bytes r's buffers retain.
 func (r *record) bytes() int {
 	return cap(r.net)*4 + cap(r.words)*8 + cap(r.pkts)*int(unsafe.Sizeof(flit.Packet{})) +
-		cap(r.retx)*int(unsafe.Sizeof(retxEntry{})) + cap(r.windows)*8
+		cap(r.retx)*int(unsafe.Sizeof(retxEntry{}))
 }
 
 // snapShape is what a Snapshot's layout and its router states' derive
@@ -119,8 +113,7 @@ type snapShape struct {
 }
 
 // Bytes returns the heap bytes the snapshot retains: the struct and the
-// capacity of every buffer it owns. The duplicate-suppression windows of
-// a retransmission-armed network are maps and are not counted.
+// capacity of every buffer it owns.
 func (s *Snapshot) Bytes() int {
 	b := int(unsafe.Sizeof(*s)) + cap(s.routers)*int(unsafe.Sizeof(core.RouterState{})) + s.record.bytes()
 	for i := range s.routers {
@@ -152,16 +145,15 @@ type snapIO struct {
 	saveFlit func(*flit.Flit) *flit.Flit
 
 	// Restoring: pkts and flits are the live clones, one block each.
-	// at, wordAt, retxAt and windowAt are the read positions in s.net,
-	// s.words, s.retx and s.windows, and used counts the flits handed
-	// out. shift is how far the network's clock is ahead of the one the
-	// record was saved at.
-	pkts                     []flit.Packet
-	flits                    []flit.Flit
-	at, used                 int
-	wordAt, retxAt, windowAt int
-	shift                    sim.Cycle
-	restoreFlit              func(*flit.Flit) *flit.Flit
+	// at, wordAt and retxAt are the read positions in s.net, s.words and
+	// s.retx, and used counts the flits handed out. shift is how far the
+	// network's clock is ahead of the one the record was saved at.
+	pkts           []flit.Packet
+	flits          []flit.Flit
+	at, used       int
+	wordAt, retxAt int
+	shift          sim.Cycle
+	restoreFlit    func(*flit.Flit) *flit.Flit
 }
 
 func (n *Network) snapIO() *snapIO {
@@ -242,16 +234,16 @@ func (io *snapIO) startRestore(s *record, shift sim.Cycle) {
 		}
 	}
 	io.flits = make([]flit.Flit, s.flits)
-	io.at, io.used, io.wordAt, io.retxAt, io.windowAt = 0, 0, 0, 0, 0
+	io.at, io.used, io.wordAt, io.retxAt = 0, 0, 0, 0
 }
 
 // endRestore checks that the restore read s to its end, and drops the
 // references.
 func (io *snapIO) endRestore(caller string) {
 	s := io.s
-	if io.at != len(s.net) || io.used != s.flits || io.wordAt != len(s.words) || io.retxAt != len(s.retx) || io.windowAt != len(s.windows) {
-		panic(fmt.Sprintf("noc: %s: read %d of %d record values, %d of %d flits, %d of %d words, %d of %d retransmission entries and %d of %d windows: save and restore disagree on the record layout",
-			caller, io.at, len(s.net), io.used, s.flits, io.wordAt, len(s.words), io.retxAt, len(s.retx), io.windowAt, len(s.windows)))
+	if io.at != len(s.net) || io.used != s.flits || io.wordAt != len(s.words) || io.retxAt != len(s.retx) {
+		panic(fmt.Sprintf("noc: %s: read %d of %d record values, %d of %d flits, %d of %d words and %d of %d retransmission entries: save and restore disagree on the record layout",
+			caller, io.at, len(s.net), io.used, s.flits, io.wordAt, len(s.words), io.retxAt, len(s.retx)))
 	}
 	io.s, io.pkts, io.flits = nil, nil, nil
 }
@@ -371,11 +363,8 @@ func (n *Network) saveNode(id int, rs *core.RouterState, io *snapIO) {
 	s.words = append(s.words, n.midFlight[lo:hi]...)
 	s.words = append(s.words, n.linkDrop[lo:hi]...)
 	s.words = append(s.words, n.seqNext[id], deadMask(n.linkDead[id]))
-	s.net = append(s.net, int32(len(n.retx[id])), int32(len(n.delivered[id])))
+	s.net = append(s.net, int32(len(n.retx[id])))
 	s.retx = append(s.retx, n.retx[id]...)
-	if len(n.delivered[id]) > 0 {
-		s.windows = append(s.windows, copyWindows(nil, n.delivered[id]))
-	}
 }
 
 func bit(b bool) int {
@@ -404,26 +393,6 @@ func makeGrid[T any](rows, per int) [][]T {
 		g[i] = g[i][:per]
 	}
 	return g
-}
-
-// copyWindows returns an independent copy of src to replace dst. Without
-// retransmission both are always empty and nothing is allocated.
-func copyWindows(dst, src map[int]*seqWindow) map[int]*seqWindow {
-	if len(src) == 0 {
-		clear(dst)
-		return dst
-	}
-	out := make(map[int]*seqWindow, len(src))
-	//nocvet:ignore determinism map-to-map copy; result order-independent
-	for from, w := range src {
-		seen := make(map[uint64]bool, len(w.seen))
-		//nocvet:ignore determinism map-to-map copy; result order-independent
-		for k, v := range w.seen {
-			seen[k] = v
-		}
-		out[from] = &seqWindow{floor: w.floor, seen: seen}
-	}
-	return out
 }
 
 func saveNI(s *record, ni *NI, io *snapIO) {
@@ -529,12 +498,6 @@ func (n *Network) restoreNode(id int, rs *core.RouterState, io *snapIO) (faultsC
 		n.retx[id][i].createdAt += io.shift
 		n.retx[id][i].deadline += io.shift
 	}
-	var windows map[int]*seqWindow
-	if io.get() > 0 {
-		windows = io.s.windows[io.windowAt]
-		io.windowAt++
-	}
-	n.delivered[id] = copyWindows(n.delivered[id], windows)
 	return faultsChanged
 }
 
@@ -555,8 +518,7 @@ type NodeRecord struct {
 }
 
 // Bytes returns the heap bytes the record retains: the struct and the
-// capacity of every buffer it owns, duplicate-suppression windows not
-// counted.
+// capacity of every buffer it owns.
 func (r *NodeRecord) Bytes() int {
 	return int(unsafe.Sizeof(*r)) + r.router.Bytes() + r.record.bytes()
 }
@@ -656,8 +618,8 @@ func (n *Network) AppendCanonical(b []byte) []byte {
 
 // AppendCanonicalNode appends node id's section of the canonical
 // encoding: its router, NI, inbound latches (the router's input latch
-// and the NI credits), link and fault state,
-// retransmission entries and delivery windows. Every list in a section
+// and the NI credits), link and fault state, and
+// retransmission entries. Every list in a section
 // is length-prefixed, so a section is self-delimiting under a fixed
 // configuration: two networks have equal AppendCanonical encodings
 // exactly when every pair of same-node sections is equal. The model
@@ -690,8 +652,15 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 	}
 
 	b = canon.Uint(b, n.seqNext[id])
-	b = canon.Int(b, len(n.retx[id]))
-	for _, e := range n.retx[id] {
+	// The timing entries, then those whose timer has stopped: a node
+	// without retransmission writes two zero counts either way.
+	es := n.retx[id]
+	k := timing(es)
+	b = canon.Int(b, k)
+	for _, e := range es {
+		if e.state != retxTiming {
+			continue
+		}
 		b = canon.Uint(b, e.seq)
 		b = canon.Int(b, e.dst)
 		b = append(b, byte(e.class))
@@ -701,19 +670,29 @@ func (n *Network) AppendCanonicalNode(b []byte, id int) []byte {
 		b = canon.Uint(b, uint64(e.deadline-n.cycle))
 		b = canon.Uint(b, uint64(e.interval))
 		b = canon.Int(b, e.retries)
+		b = canon.Int(b, int(e.alive))
 	}
-	b = n.appendCanonicalWindows(b, n.delivered[id])
+	b = canon.Int(b, len(es)-k)
+	for _, e := range es {
+		if e.state == retxTiming {
+			continue
+		}
+		b = canon.Uint(b, e.seq)
+		b = canon.Bool(b, e.state == retxDelivered)
+		b = canon.Int(b, int(e.alive))
+	}
 	return b
 }
 
 // NodeQuiet reports whether node id has nothing of its own to do in the
 // next Step: its router is quiescent (core.Router.Quiescent), its NI has
 // nothing queued and nothing mid-injection, its inbound latches — the
-// router's input latch and the NI's credits — are empty and its
-// retransmission buffer holds nothing. Such a node's Step changes
-// nothing in its canonical section: it accepts nothing, sends nothing,
-// ejects nothing and has no timer to run. What a neighbour sends it
-// lands in its latches and makes it not quiet. So a node quiet before a
+// router's input latch and the NI's credits — are empty and it holds no
+// retransmission entry. Such a node's Step changes nothing in its
+// canonical section: it accepts nothing, sends nothing, ejects nothing,
+// has no timer to run and no entry that the delivery or the drop of a
+// copy elsewhere would write. What a neighbour sends it lands in its
+// latches and makes it not quiet. So a node quiet before a
 // Step and after it has the section it had, and the model checker keeps
 // such a node's interned section id across a tick without encoding it.
 func (n *Network) NodeQuiet(id int) bool {
@@ -743,34 +722,6 @@ func (n *Network) appendCanonicalNI(b []byte, id int) []byte {
 		b = canon.Int(b, c)
 	}
 	b = canon.Int(b, ni.sendScan)
-	return b
-}
-
-func (n *Network) appendCanonicalWindows(b []byte, m map[int]*seqWindow) []byte {
-	b = canon.Int(b, len(m))
-	srcs := n.canonSrcs[:0]
-	//nocvet:ignore determinism collected keys are sorted before use
-	for src := range m {
-		srcs = append(srcs, src)
-	}
-	slices.Sort(srcs)
-	n.canonSrcs = srcs
-	for _, src := range srcs {
-		w := m[src]
-		b = canon.Int(b, src)
-		b = canon.Uint(b, w.floor)
-		seen := n.canonSeen[:0]
-		//nocvet:ignore determinism collected keys are sorted before use
-		for s := range w.seen {
-			seen = append(seen, s)
-		}
-		slices.Sort(seen)
-		n.canonSeen = seen
-		b = canon.Int(b, len(seen))
-		for _, s := range seen {
-			b = canon.Uint(b, s)
-		}
-	}
 	return b
 }
 
