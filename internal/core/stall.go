@@ -46,6 +46,9 @@ func (r *Router) stallScan(cy sim.Cycle) {
 	for p, occ := range r.occ() {
 		m := occ &^ advanced[p]
 		advanced[p] = 0
+		if m == 0 {
+			continue
+		}
 		vcs := r.portVCs(p)
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)

@@ -186,7 +186,8 @@ type Network struct {
 	hooks []func(c sim.Cycle)
 
 	// obsNodes holds each node's pre-bound observability handle, all nil
-	// when cfg.Router.Obs is nil (the default).
+	// when cfg.Router.Obs is nil (the default); each is a view of the
+	// node's header, which its router's handle views too.
 	//noc:derived immutable wiring, bound at construction; observational only
 	obsNodes []*obs.NodeObs
 

@@ -25,6 +25,10 @@ type NI struct {
 	// obs is the node's observability handle (nil when disabled).
 	//noc:derived immutable wiring, bound at construction; observational only
 	obs *obs.NodeObs
+	// depth is the queue level last reported to obs: tick reports queued
+	// only when it differs, so an idle NI touches no observability state.
+	//noc:derived observational only: the level last reported, never read by the simulation
+	depth int
 
 	node int           //noc:derived immutable identity, fixed at construction
 	r    routerCore    //noc:derived immutable wiring, fixed at construction
@@ -141,7 +145,7 @@ func (ni *NI) creditSpend(v int) {
 // with nothing queued and no packet mid-injection has neither to do.
 func (ni *NI) tick(cy sim.Cycle) {
 	if ni.activeVCs == 0 && ni.queued == 0 {
-		ni.obs.NIQueueDepth(0)
+		ni.reportDepth()
 		return
 	}
 	// Allocate a free local VC to the head packet of each class queue.
@@ -165,7 +169,7 @@ func (ni *NI) tick(cy sim.Cycle) {
 			break
 		}
 	}
-	ni.obs.NIQueueDepth(ni.queued)
+	ni.reportDepth()
 
 	// Send one flit from one active VC (the local link carries one flit
 	// per cycle), rotating the starting VC for fairness: VCs sendScan and
@@ -193,6 +197,15 @@ func (ni *NI) tick(cy sim.Cycle) {
 		}
 		ni.sendScan = next
 		break
+	}
+}
+
+// reportDepth reports the queue level to the node's gauge when it moved
+// since the last report.
+func (ni *NI) reportDepth() {
+	if ni.queued != ni.depth {
+		ni.depth = ni.queued
+		ni.obs.NIQueueDepth(ni.queued)
 	}
 }
 

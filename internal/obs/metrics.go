@@ -258,32 +258,45 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// The block layout. A router's block holds, port by port, the port's
-// per-port counters followed by its per-VC stall counters, then the
-// node-scalar counters:
+// The block layout. A router's block holds every series its two handles
+// own, grouped by how often an event writes them, each group laid out
+// kind by kind (one row per kind):
 //
-//	port p:  [p*stride, p*stride+numPortSlots)        one per portKinds entry
-//	         then vcs groups of NumStallKinds          (p, v, StallKind)
-//	node:    [ports*stride, ports*stride+len(nodeKinds))
+//	hot port rows:  slot*ports + p                    slot < numHotSlots
+//	node row:       numHotSlots*ports + slot          one per nodeKinds entry
+//	stall rows:     nodeEnd + (k*ports + p)*vcs + v   StallKind k of input VC (p, v)
+//	cold port rows: stallEnd + (slot-numHotSlots)*ports + p
 //
-// with stride = numPortSlots + vcs*NumStallKinds. Port-major keeps what
-// one flit touches on its way through an input port (rc, va, sa) and out
-// of an output port (xb, link) on two cache lines. The queue-depth gauge
-// sits beside the counters in the block struct.
+// The hot rows are what one flit writes on every hop, whatever port it
+// takes: the crossbar traversal and the link flit at its output port, the
+// SA grant at its input port, and for a head the RC and VA of its input
+// port. With the node row behind them they fill the block's first 256
+// bytes at 5 ports, so a node's per-flit counters are four cache lines,
+// and the XB, link and SA counters of a body flit's hop two of them. XB
+// leads because the link flit is counted in the serial commit, after
+// every node's compute phase: at the first three output ports it lands on
+// the line the traversal wrote in this node's compute phase. The stall
+// rows follow, credit-starved first (by far the most frequent class),
+// then the kinds an event writes only under faults or bypass. The
+// queue-depth gauge sits beside the counters in the block struct.
 const (
-	slotRCComputes = iota
-	slotRCDuplicateUses
+	slotFlitsRouted = iota
+	slotLinkFlits
+	slotSAGrants
+	slotRCComputes
 	slotVAAllocs
+	numHotSlots
+)
+
+const (
+	slotRCDuplicateUses = numHotSlots + iota
 	slotVA1Borrows
 	slotVA1BorrowStalls
 	slotVA2Retries
-	slotSAGrants
 	slotSABypassGrants
 	slotSATransfers
 	slotReroutes
-	slotFlitsRouted
 	slotXBSecondary
-	slotLinkFlits
 	slotLinkDrops
 	numPortSlots
 )
@@ -302,15 +315,40 @@ const (
 // portKinds and nodeKinds name the Kind stored at each slot.
 var (
 	portKinds = [numPortSlots]Kind{
-		KRCComputes, KRCDuplicateUses, KVAAllocs, KVA1Borrows, KVA1BorrowStalls,
-		KVA2Retries, KSAGrants, KSABypassGrants, KSATransfers, KReroutes,
-		KFlitsRouted, KXBSecondary, KLinkFlits, KLinkDrops,
+		KFlitsRouted, KLinkFlits, KSAGrants, KRCComputes, KVAAllocs,
+		KRCDuplicateUses, KVA1Borrows, KVA1BorrowStalls, KVA2Retries,
+		KSABypassGrants, KSATransfers, KReroutes, KXBSecondary, KLinkDrops,
 	}
 	nodeKinds = [numNodeSlots]Kind{
 		KNIFlitsSent, KNIPacketsOffered, KNIPacketsEjected, KDropsUnreachable,
 		KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed,
 	}
 )
+
+// shape is a block's geometry; its methods are the layout above, shared
+// by the handles' lanes and the registry's reads.
+type shape struct{ ports, vcs int }
+
+// size returns the number of counters in a block of this shape.
+func (s shape) size() int {
+	return numPortSlots*s.ports + numNodeSlots + NumStallKinds*s.ports*s.vcs
+}
+
+// port returns the index of port p's counter at slot.
+func (s shape) port(p, slot int) int {
+	if slot < numHotSlots {
+		return slot*s.ports + p
+	}
+	return numNodeSlots + (slot+NumStallKinds*s.vcs)*s.ports + p
+}
+
+// node returns the index of the node-scalar counter at slot.
+func (s shape) node(slot int) int { return numHotSlots*s.ports + slot }
+
+// stall returns the index of the class-k stall counter of input VC (p, v).
+func (s shape) stall(p, v int, k StallKind) int {
+	return numHotSlots*s.ports + numNodeSlots + (int(k)*s.ports+p)*s.vcs + v
+}
 
 // dimension says which Key dimensions a block-resident Kind carries.
 type dimension uint8
@@ -348,7 +386,7 @@ func nodeSide(k Kind) bool { return kinds[k].stage == StageLink || kinds[k].stag
 // concurrently stepping networks bound to one registry sum into the same
 // block, and a live scrape reads it mid-step.
 type block struct {
-	ports, vcs, stride int
+	shape
 	// routerBound and nodeBound record which handle kinds were bound, so
 	// Snapshot lists only the series a binding created, zero rows included.
 	routerBound, nodeBound bool
@@ -357,8 +395,8 @@ type block struct {
 }
 
 func newBlock(ports, vcs int) *block {
-	stride := numPortSlots + vcs*NumStallKinds
-	return &block{ports: ports, vcs: vcs, stride: stride, c: make([]Counter, ports*stride+numNodeSlots)}
+	s := shape{ports, vcs}
+	return &block{shape: s, c: make([]Counter, s.size())}
 }
 
 // index returns the position in b.c of counter key k, ok=false when k
@@ -371,11 +409,15 @@ func (b *block) index(k Key) (i int, ok bool) {
 	inPort := port >= 0 && port < b.ports
 	switch kindDim[k.Kind] {
 	case dimPort:
-		return port*b.stride + kindSlot[k.Kind], inPort && k.VC == NoVC
+		if inPort && k.VC == NoVC {
+			return b.port(port, kindSlot[k.Kind]), true
+		}
 	case dimStall:
-		return port*b.stride + numPortSlots + v*NumStallKinds + kindSlot[k.Kind], inPort && v >= 0 && v < b.vcs
+		if inPort && v >= 0 && v < b.vcs {
+			return b.stall(port, v, StallKind(kindSlot[k.Kind])), true
+		}
 	case dimNode:
-		return b.ports*b.stride + kindSlot[k.Kind], k.Port == NoPort && k.VC == NoVC
+		return b.node(kindSlot[k.Kind]), k.Port == NoPort && k.VC == NoVC
 	}
 	return 0, false
 }
@@ -605,28 +647,9 @@ func (m *Metrics) PerRouter() []RouterTotals {
 // save the series of a side (router or node) no handle bound, as each
 // leaves them out.
 func (b *block) addTotals(t *[NumKinds]uint64) {
-	bound := func(k Kind) bool {
-		if nodeSide(k) {
-			return b.nodeBound
+	b.each(0, func(s Sample) {
+		if !s.IsGauge {
+			t[s.Key.Kind] += uint64(s.Value)
 		}
-		return b.routerBound
-	}
-	for p := 0; p < b.ports; p++ {
-		row := b.c[p*b.stride : (p+1)*b.stride]
-		for slot, k := range portKinds {
-			if bound(k) {
-				t[k] += row[slot].Value()
-			}
-		}
-		for i := numPortSlots; i < len(row); i++ {
-			if k := StallKind((i - numPortSlots) % NumStallKinds).Kind(); bound(k) {
-				t[k] += row[i].Value()
-			}
-		}
-	}
-	for slot, k := range nodeKinds {
-		if bound(k) {
-			t[k] += b.c[b.ports*b.stride+slot].Value()
-		}
-	}
+	})
 }

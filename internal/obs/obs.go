@@ -17,12 +17,13 @@
 // field is nil — the default — the handles are nil, and every call on one
 // is an inlined nil test and no allocation, so the disabled
 // simulator profile is indistinguishable from an uninstrumented build
-// (bench_test.go keeps the comparison honest). When enabled, components
-// resolve their node's lane once at attach time (RouterObs, NodeObs): the
-// node's contiguous counter block in the registry, its tracer and flight
-// rings and its cells of the current window bucket. Per-event work is then
-// an indexed atomic add or two plus, when recording, one 24-byte ring
-// store — nothing is looked up, and nothing outside the lane is touched.
+// (bench_test.go keeps the comparison honest). When enabled, a router
+// and its NI bind one header per node at attach time, RouterObs and
+// NodeObs being two views of it: it addresses the node's contiguous
+// counter block in the registry, its flight ring and its window cells.
+// Per-event work is then an indexed atomic add or two plus, when
+// recording, one 24-byte ring store — nothing is looked up, and nothing
+// outside the header and the lines written is touched.
 //
 // # Data flow
 //
@@ -60,6 +61,10 @@ type Observer struct {
 	// Flight is the always-on bounded flight recorder, dumped when a
 	// watchdog or nocassert anomaly trips, or nil.
 	Flight *FlightRecorder
+
+	// lanes is the header slab of the network attached last, one per
+	// node in node order; a header is filled when its node binds.
+	lanes []lane
 }
 
 // New returns an Observer with a fresh metrics registry and, when
@@ -77,7 +82,9 @@ func New(traceCapacity int) *Observer {
 // it refuses surfaces sized for another geometry — the window ring and
 // the event stores index their storage by node, port and VC unchecked,
 // and a registry may hold a router's block in one shape only — then
-// sizes the tracer's per-router rings.
+// sizes the tracer's per-router rings and makes the network's header
+// slab. A second network attached to the same observer gets a slab of
+// its own; its counters still sum into the registry's blocks.
 func (o *Observer) Attach(nodes, ports, vcs int) error {
 	if w := o.Windows; w != nil && (w.nodes != nodes || w.ports != ports || w.vcs != vcs) {
 		return fmt.Errorf("obs: Windows sized for %d nodes, %d ports, %d VCs attached to a network of %d nodes, %d ports, %d VCs",
@@ -102,6 +109,7 @@ func (o *Observer) Attach(nodes, ports, vcs int) error {
 	if t := o.Tracer; t != nil && t.lanes == nil {
 		t.size(nodes, (t.globalCap+nodes-1)/nodes)
 	}
+	o.lanes = make([]lane, nodes)
 	return nil
 }
 
@@ -130,65 +138,84 @@ func (o *Observer) RecordFault(kind Kind, ev EventKind, cy sim.Cycle, routerID, 
 	}
 }
 
-// lane is one node's slice of every collection surface, resolved once at
-// bind time so an instrumentation site touches nothing else: the node's
-// counter block, its tracer and flight-recorder rings and its window
-// cells. RouterObs and NodeObs of one node are two views of the same
-// lane storage.
+// lane is one node's observability header: what an event of the node
+// needs to address its counter, its flight slot and its window cell,
+// resolved once at bind time so an instrumentation site touches the
+// header and the lines it writes and nothing else. A network's headers
+// are one dense slab in node order (Observer.lanes; 64 bytes each, so a
+// header is one cache line), and the node's RouterObs and NodeObs are two
+// views of the same header.
 type lane struct {
-	vcs    int
-	stride int       // counters per port in c (see the block layout)
-	c      []Counter // the node's counter block
-	tr     *Tracer   // whose pause switch gates tl
-	tl     *eventLane
-	fl     *eventLane
-	win    *windowLane
+	c     []Counter  // the node's counter block, in the block layout
+	fl    *eventLane // the node's flight-recorder ring, or nil
+	tr    *Tracer    // whose pause switch gates the node's tracer lane
+	win   *Windows   // the window ring the node's cells are in, or nil
+	queue *Gauge     // the NI's queue-depth gauge
+	node  int32
+	ports int16
+	vcs   int16
 }
 
-// bindLane resolves node id's lane. Without a registry the handle counts
-// into a private block nobody reads, which keeps the per-event path free
-// of nil tests.
-func bindLane(o *Observer, id, ports, vcs int, node bool) (lane, *block) {
+// bindLane returns node id's header, marking the router or node side of
+// its counter block bound. The header of a network's node is in the slab
+// Attach made; a node past it, or an Observer never attached (a router
+// built alone), gets a header of its own. Without a registry the node
+// counts into a private block nobody reads, which keeps the per-event
+// path free of nil tests.
+func (o *Observer) bindLane(id, ports, vcs int, node bool) *lane {
 	var b *block
 	if o.Metrics != nil {
 		b = o.Metrics.bind(id, ports, vcs, node)
 	} else {
 		b = newBlock(ports, vcs)
 	}
-	l := lane{vcs: vcs, stride: b.stride, c: b.c}
-	if t := o.Tracer; t != nil {
-		l.tr, l.tl = t, t.lane(int32(id))
+	if id >= 0 && id < len(o.lanes) {
+		l := &o.lanes[id]
+		if l.c == nil {
+			o.fill(l, id, b)
+		}
+		if l.shape() == b.shape {
+			return l
+		}
 	}
+	l := new(lane)
+	o.fill(l, id, b)
+	return l
+}
+
+// fill resolves header l of node id, whose counters are b.
+func (o *Observer) fill(l *lane, id int, b *block) {
+	*l = lane{c: b.c, queue: &b.queue, tr: o.Tracer, node: int32(id), ports: int16(b.ports), vcs: int16(b.vcs)}
 	if o.Flight != nil {
 		l.fl = o.Flight.lane(int32(id))
 	}
-	if o.Windows != nil {
-		l.win = o.Windows.lane(id, ports, vcs)
+	if w := o.Windows; w != nil && w.fits(id, b.ports, b.vcs) {
+		l.win = w
 	}
-	return l, b
 }
+
+func (l *lane) shape() shape { return shape{int(l.ports), int(l.vcs)} }
 
 // port returns the per-port counter at slot of port p.
-func (l *lane) port(p, slot int) *Counter { return &l.c[p*l.stride+slot] }
+func (l *lane) port(p, slot int) *Counter { return &l.c[l.shape().port(p, slot)] }
 
 // stall returns the class-k stall counter of input VC (p, v).
-func (l *lane) stall(p, v int, k StallKind) *Counter {
-	return &l.c[p*l.stride+numPortSlots+v*NumStallKinds+int(k)]
-}
+func (l *lane) stall(p, v int, k StallKind) *Counter { return &l.c[l.shape().stall(p, v, k)] }
 
-// node returns the node-scalar counter at slot.
-func (l *lane) node(slot int) *Counter { return &l.c[len(l.c)-numNodeSlots+slot] }
+// nodeCounter returns the node-scalar counter at slot.
+func (l *lane) nodeCounter(slot int) *Counter { return &l.c[l.shape().node(slot)] }
 
 // emit records one event of the lane's node in its tracer and flight
 // rings, whichever are attached. The events built here never carry a
 // Detail.
 func (l *lane) emit(cy sim.Cycle, kind EventKind, port, vcIdx int8, arg, arg2 int32) {
-	s := eventSlot{cycle: cy, arg: arg, arg2: arg2, kind: kind, port: port, vc: vcIdx}
-	if t := l.tl; t != nil && !l.tr.paused.Load() {
-		t.put(s)
+	if t := l.tr; t != nil && !t.paused.Load() {
+		if tl := t.lane(l.node); tl != nil {
+			tl.claim().set(cy, kind, port, vcIdx, arg, arg2)
+		}
 	}
 	if f := l.fl; f != nil {
-		f.put(s)
+		f.claim().set(cy, kind, port, vcIdx, arg, arg2)
 	}
 }
 
@@ -201,28 +228,27 @@ func (l *lane) event(p, slot int, cy sim.Cycle, kind EventKind, port, vcIdx int8
 // nodeEvent counts one occurrence at node slot and records the event,
 // which locates no port or VC.
 func (l *lane) nodeEvent(slot int, cy sim.Cycle, kind EventKind, arg, arg2 int32) {
-	l.node(slot).Inc()
+	l.nodeCounter(slot).Inc()
 	l.emit(cy, kind, NoPort, NoVC, arg, arg2)
 }
 
-// RouterObs is a router's pre-bound instrumentation handle: the router's
-// lane is resolved once here, so the per-event cost inside core.Router is
-// an indexed atomic add (and a ring store when recording). A nil
-// *RouterObs means observability is disabled, and every method is then a
-// no-op: each one tests its receiver first and is small enough to inline
+// RouterObs is a router's pre-bound instrumentation handle, a view of
+// its node's header: the per-event cost inside core.Router is an indexed
+// atomic add (and a ring store when recording). A nil *RouterObs means
+// observability is disabled, and every method is then a no-op: each one
+// tests its receiver first and is small enough to inline
 // (TestHandlesInline holds that), so a call site costs one nil test and
 // needs no guard of its own. A method whose work does not fit the
 // inliner's budget is a nil test around an unexported body.
-type RouterObs struct{ lane }
+type RouterObs lane
 
-// BindRouter resolves router id's lane. It returns nil when o is nil, so
-// core.New can bind unconditionally.
+// BindRouter resolves router id's header. It returns nil when o is nil,
+// so core.New can bind unconditionally.
 func BindRouter(o *Observer, id, ports, vcs int) *RouterObs {
 	if o == nil {
 		return nil
 	}
-	l, _ := bindLane(o, id, ports, vcs, false)
-	return &RouterObs{l}
+	return (*RouterObs)(o.bindLane(id, ports, vcs, false))
 }
 
 // Stall records one non-advancing flit-cycle of input VC (port, vcIdx)
@@ -231,12 +257,16 @@ func BindRouter(o *Observer, id, ports, vcs int) *RouterObs {
 // counters and the windowed stall mix, which is what a drowned tracer
 // ring could not show anyway.
 func (r *RouterObs) Stall(k StallKind, port, vcIdx int) {
-	if r == nil {
-		return
+	if r != nil {
+		r.stallAt(k, port, vcIdx)
 	}
-	r.stall(port, vcIdx, k).Inc()
-	if w := r.win; w != nil {
-		w.addStall(port, k)
+}
+
+func (r *RouterObs) stallAt(k StallKind, port, vcIdx int) {
+	l := (*lane)(r)
+	l.stall(port, vcIdx, k).Inc()
+	if w := l.win; w != nil {
+		w.AddStall(int(l.node), port, k)
 	}
 }
 
@@ -249,20 +279,21 @@ func (r *RouterObs) RCCompute(cy sim.Cycle, port, vcIdx, out int, dup bool) {
 }
 
 func (r *RouterObs) rcCompute(cy sim.Cycle, port, vcIdx, out int, dup bool) {
-	r.port(port, slotRCComputes).Inc()
+	l := (*lane)(r)
+	l.port(port, slotRCComputes).Inc()
 	kind := EvRCCompute
 	if dup {
-		r.port(port, slotRCDuplicateUses).Inc()
+		l.port(port, slotRCDuplicateUses).Inc()
 		kind = EvRCDuplicate
 	}
-	r.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
+	l.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
 }
 
 // Reroute records routing for (port, vcIdx) detouring off the XY path
 // toward out to avoid a dead link or router.
 func (r *RouterObs) Reroute(cy sim.Cycle, port, vcIdx, out int) {
 	if r != nil {
-		r.event(port, slotReroutes, cy, EvReroute, int8(port), int8(vcIdx), int32(out), 0)
+		(*lane)(r).event(port, slotReroutes, cy, EvReroute, int8(port), int8(vcIdx), int32(out), 0)
 	}
 }
 
@@ -270,7 +301,7 @@ func (r *RouterObs) Reroute(cy sim.Cycle, port, vcIdx, out int) {
 // output port out.
 func (r *RouterObs) VAAlloc(cy sim.Cycle, port, vcIdx, out, dvc int) {
 	if r != nil {
-		r.event(port, slotVAAllocs, cy, EvVAAlloc, int8(port), int8(vcIdx), int32(out), int32(dvc))
+		(*lane)(r).event(port, slotVAAllocs, cy, EvVAAlloc, int8(port), int8(vcIdx), int32(out), int32(dvc))
 	}
 }
 
@@ -278,14 +309,14 @@ func (r *RouterObs) VAAlloc(cy sim.Cycle, port, vcIdx, out, dvc int) {
 // sibling VC lender.
 func (r *RouterObs) VABorrow(cy sim.Cycle, port, vcIdx, lender int) {
 	if r != nil {
-		r.event(port, slotVA1Borrows, cy, EvVABorrow, int8(port), int8(vcIdx), int32(lender), 0)
+		(*lane)(r).event(port, slotVA1Borrows, cy, EvVABorrow, int8(port), int8(vcIdx), int32(lender), 0)
 	}
 }
 
 // VABorrowStall records (port, vcIdx) waiting a cycle for a lender.
 func (r *RouterObs) VABorrowStall(cy sim.Cycle, port, vcIdx int) {
 	if r != nil {
-		r.event(port, slotVA1BorrowStalls, cy, EvVABorrowStall, int8(port), int8(vcIdx), 0, 0)
+		(*lane)(r).event(port, slotVA1BorrowStalls, cy, EvVABorrowStall, int8(port), int8(vcIdx), 0, 0)
 	}
 }
 
@@ -298,8 +329,9 @@ func (r *RouterObs) VARetry(cy sim.Cycle, out, dvc, losers int) {
 }
 
 func (r *RouterObs) vaRetry(cy sim.Cycle, out, dvc, losers int) {
-	r.port(out, slotVA2Retries).Add(uint64(losers))
-	r.emit(cy, EvVARetry, int8(out), int8(dvc), int32(losers), 0)
+	l := (*lane)(r)
+	l.port(out, slotVA2Retries).Add(uint64(losers))
+	l.emit(cy, EvVARetry, int8(out), int8(dvc), int32(losers), 0)
 }
 
 // SAGrant records input VC (port, vcIdx) winning switch allocation
@@ -311,19 +343,20 @@ func (r *RouterObs) SAGrant(cy sim.Cycle, port, vcIdx, out int, bypass bool) {
 }
 
 func (r *RouterObs) saGrant(cy sim.Cycle, port, vcIdx, out int, bypass bool) {
-	r.port(port, slotSAGrants).Inc()
+	l := (*lane)(r)
+	l.port(port, slotSAGrants).Inc()
 	kind := EvSAGrant
 	if bypass {
 		kind = EvSABypass
 	}
-	r.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
+	l.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
 }
 
 // SABypassGrant records a stage-1 grant issued by the bypass default
 // winner at port (counted even when stage 2 later denies the port).
 func (r *RouterObs) SABypassGrant(port int) {
 	if r != nil {
-		r.port(port, slotSABypassGrants).Inc()
+		(*lane)(r).port(port, slotSABypassGrants).Inc()
 	}
 }
 
@@ -331,7 +364,7 @@ func (r *RouterObs) SABypassGrant(port int) {
 // bypass default winner dst.
 func (r *RouterObs) SATransfer(cy sim.Cycle, port, dst, adopted int) {
 	if r != nil {
-		r.event(port, slotSATransfers, cy, EvSATransfer, int8(port), NoVC, int32(dst), int32(adopted))
+		(*lane)(r).event(port, slotSATransfers, cy, EvSATransfer, int8(port), NoVC, int32(dst), int32(adopted))
 	}
 }
 
@@ -344,63 +377,60 @@ func (r *RouterObs) XBTraverse(cy sim.Cycle, port, vcIdx, out int, secondary boo
 }
 
 func (r *RouterObs) xbTraverse(cy sim.Cycle, port, vcIdx, out int, secondary bool) {
-	r.port(out, slotFlitsRouted).Inc()
+	l := (*lane)(r)
+	l.port(out, slotFlitsRouted).Inc()
 	kind := EvXBTraverse
 	if secondary {
-		r.port(out, slotXBSecondary).Inc()
+		l.port(out, slotXBSecondary).Inc()
 		kind = EvXBSecondary
 	}
-	r.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
+	l.emit(cy, kind, int8(port), int8(vcIdx), int32(out), 0)
 }
 
 // NodeObs is the pre-bound handle for a node's network-side activity:
-// link utilization per output port and NI injection/ejection. Held by
+// link utilization per output port and NI injection/ejection. It is the
+// other view of the header its node's RouterObs views. Held by
 // noc.Network and noc.NI; nil when observability is disabled, and then
 // every method is a no-op, as RouterObs's are.
-type NodeObs struct {
-	lane
-	queue *Gauge
-	// depth is the level last stored to queue. The NI reports its queue
-	// every cycle and an idle NI's is 0 every time, so only a change is
-	// worth the store. One NI ticks one NodeObs, so the field has a
-	// single writer.
-	depth int
-}
+type NodeObs lane
 
-// BindNode resolves node id's lane for its link and NI series. It
+// BindNode resolves node id's header for its link and NI series. It
 // returns nil when o is nil.
 func BindNode(o *Observer, id, ports, vcs int) *NodeObs {
 	if o == nil {
 		return nil
 	}
-	l, b := bindLane(o, id, ports, vcs, true)
-	return &NodeObs{lane: l, queue: &b.queue}
+	return (*NodeObs)(o.bindLane(id, ports, vcs, true))
 }
 
 // LinkFlit records one flit carried by the node's output link out on
 // downstream VC vcIdx (the VC dimension feeds the utilization windows;
 // the counter stays per-port).
 func (n *NodeObs) LinkFlit(out, vcIdx int) {
-	if n == nil {
-		return
+	if n != nil {
+		n.linkFlit(out, vcIdx)
 	}
-	n.port(out, slotLinkFlits).Inc()
-	if w := n.win; w != nil {
-		w.addUtil(out*n.vcs + vcIdx)
+}
+
+func (n *NodeObs) linkFlit(out, vcIdx int) {
+	l := (*lane)(n)
+	l.port(out, slotLinkFlits).Inc()
+	if w := l.win; w != nil {
+		w.AddUtil(int(l.node), out, vcIdx)
 	}
 }
 
 // NIFlitSent records the NI streaming one flit into the router.
 func (n *NodeObs) NIFlitSent() {
 	if n != nil {
-		n.node(slotNIFlitsSent).Inc()
+		(*lane)(n).nodeCounter(slotNIFlitsSent).Inc()
 	}
 }
 
 // NIOffer records a packet for node dst entering the injection queue.
 func (n *NodeObs) NIOffer(cy sim.Cycle, dst int) {
 	if n != nil {
-		n.nodeEvent(slotNIPacketsOffered, cy, EvNIOffer, int32(dst), 0)
+		(*lane)(n).nodeEvent(slotNIPacketsOffered, cy, EvNIOffer, int32(dst), 0)
 	}
 }
 
@@ -408,14 +438,15 @@ func (n *NodeObs) NIOffer(cy sim.Cycle, dst int) {
 // creation-to-ejection latency.
 func (n *NodeObs) NIEject(cy sim.Cycle, latency sim.Cycle) {
 	if n != nil {
-		n.nodeEvent(slotNIPacketsEjected, cy, EvNIEject, int32(latency), 0)
+		(*lane)(n).nodeEvent(slotNIPacketsEjected, cy, EvNIEject, int32(latency), 0)
 	}
 }
 
-// NIQueueDepth updates the NI's waiting-packet gauge.
+// NIQueueDepth sets the NI's waiting-packet gauge. The NI reports a
+// level only when it differs from the one it reported last, so an idle
+// NI touches no observability state.
 func (n *NodeObs) NIQueueDepth(depth int) {
-	if n != nil && depth != n.depth {
-		n.depth = depth
+	if n != nil {
 		n.queue.Set(int64(depth))
 	}
 }
@@ -430,17 +461,18 @@ func (n *NodeObs) LinkDrop(cy sim.Cycle, out, dst int) {
 }
 
 func (n *NodeObs) linkDrop(cy sim.Cycle, out, dst int) {
-	if w := n.win; w != nil {
-		w.addStall(out, StallFaultDrain)
+	l := (*lane)(n)
+	if w := l.win; w != nil {
+		w.AddStall(int(l.node), out, StallFaultDrain)
 	}
-	n.event(out, slotLinkDrops, cy, EvLinkDrop, int8(out), NoVC, int32(dst), 0)
+	l.event(out, slotLinkDrops, cy, EvLinkDrop, int8(out), NoVC, int32(dst), 0)
 }
 
 // DropUnreachable records a packet for dst dropped because no surviving
 // path reaches it.
 func (n *NodeObs) DropUnreachable(cy sim.Cycle, dst int) {
 	if n != nil {
-		n.nodeEvent(slotDropsUnreachable, cy, EvDropUnreachable, int32(dst), 0)
+		(*lane)(n).nodeEvent(slotDropsUnreachable, cy, EvDropUnreachable, int32(dst), 0)
 	}
 }
 
@@ -455,15 +487,16 @@ func (n *NodeObs) NIRetransmit(cy sim.Cycle, dst, retry int) {
 }
 
 func (n *NodeObs) niRetransmit(cy sim.Cycle, dst, retry int) {
-	n.node(slotNIRetransmits).Inc()
-	n.node(slotNIRetxTimeouts).Inc()
-	n.emit(cy, EvNIRetransmit, NoPort, NoVC, int32(dst), int32(retry))
+	l := (*lane)(n)
+	l.nodeCounter(slotNIRetransmits).Inc()
+	l.nodeCounter(slotNIRetxTimeouts).Inc()
+	l.emit(cy, EvNIRetransmit, NoPort, NoVC, int32(dst), int32(retry))
 }
 
 // NIDupSuppressed records the sink NI discarding a duplicate delivery of
 // a packet from src.
 func (n *NodeObs) NIDupSuppressed(cy sim.Cycle, src int) {
 	if n != nil {
-		n.nodeEvent(slotNIDupsSuppressed, cy, EvNIDupSuppressed, int32(src), 0)
+		(*lane)(n).nodeEvent(slotNIDupsSuppressed, cy, EvNIDupSuppressed, int32(src), 0)
 	}
 }

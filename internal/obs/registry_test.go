@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // seriesDigest folds a snapshot's series — key, value and kind of series,
@@ -296,5 +297,58 @@ func TestFlightDetailTableIsBounded(t *testing.T) {
 	f.Record(Event{Cycle: uint64ToCycle(distinct), Kind: EvFaultInject, Router: 0, Detail: "site 7"})
 	if got := f.lanes[0].ring[f.lanes[0].next-1].detail; got != 8 {
 		t.Errorf("known detail got handle %d with the table full, want 8", got)
+	}
+}
+
+// TestNodeHandlesShareOneHeader pins the header slab: a router's and its
+// NI's handles are two views of one 64-byte header, dense in node order
+// in the slab Attach made, and a handle bound with no slab gets a header
+// of its own.
+func TestNodeHandlesShareOneHeader(t *testing.T) {
+	if size := unsafe.Sizeof(lane{}); size != 64 {
+		t.Errorf("a lane header is %d bytes, want 64 (one cache line)", size)
+	}
+	o := New(0)
+	o.Windows = NewWindows(4, 5, 4, 0, 0)
+	o.Flight = NewFlightRecorder(4, 8)
+	if err := o.Attach(4, 5, 4); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 4; id++ {
+		r, n := BindRouter(o, id, 5, 4), BindNode(o, id, 5, 4)
+		if unsafe.Pointer(r) != unsafe.Pointer(&o.lanes[id]) || unsafe.Pointer(n) != unsafe.Pointer(&o.lanes[id]) {
+			t.Errorf("node %d: handles %p and %p, want both at its slab header %p", id, r, n, &o.lanes[id])
+		}
+	}
+	if h := BindRouter(New(0), 2, 5, 4); h == nil || h.fl != nil || h.win != nil {
+		t.Errorf("an unattached bind returned %+v, want a header of its own with no rings", h)
+	}
+}
+
+// TestHotCountersLeadTheBlock pins the block layout's point: at 5 ports
+// and 4 VCs the counters one flit writes on a hop (SA, XB, link, RC, VA
+// of every port) and the node row are the block's first 256 bytes, the
+// SA, XB and link rows its first 120.
+func TestHotCountersLeadTheBlock(t *testing.T) {
+	b := newBlock(5, 4)
+	for _, c := range []struct {
+		kinds []Kind
+		bytes int
+	}{
+		{[]Kind{KSAGrants, KFlitsRouted, KLinkFlits}, 120},
+		{[]Kind{KSAGrants, KFlitsRouted, KLinkFlits, KRCComputes, KVAAllocs, KNIFlitsSent, KNIPacketsOffered,
+			KNIPacketsEjected, KDropsUnreachable, KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed}, 256},
+	} {
+		for _, k := range c.kinds {
+			key := Key{Kind: k, Router: 0, Port: NoPort, VC: NoVC}
+			for p := 0; p < 5; p++ {
+				if kindDim[k] == dimPort {
+					key.Port = int8(p)
+				}
+				if i, ok := b.index(key); !ok || (i+1)*8 > c.bytes {
+					t.Errorf("%v at port %d is counter %d of the block, want it within the first %d bytes", k, key.Port, i, c.bytes)
+				}
+			}
+		}
 	}
 }

@@ -54,13 +54,26 @@ type eventLane struct {
 	ring  []eventSlot
 }
 
-// put stores s, overwriting the oldest slot when the ring is full.
-func (l *eventLane) put(s eventSlot) {
-	l.ring[l.next] = s
+// claim returns the slot the next event lands in, the oldest one when
+// the ring is full, and advances the cursor past it.
+func (l *eventLane) claim() *eventSlot {
+	s := &l.ring[l.next]
 	if l.next++; int(l.next) == len(l.ring) {
 		l.next = 0
 	}
 	l.total++
+	return s
+}
+
+// put stores s, overwriting the oldest slot when the ring is full.
+func (l *eventLane) put(s eventSlot) { *l.claim() = s }
+
+// set fills s with a handle's event field by field: building the slot
+// elsewhere and copying it in would read back its narrow fields as one
+// wide load, which the store buffer cannot forward.
+func (s *eventSlot) set(cy sim.Cycle, kind EventKind, port, vcIdx int8, arg, arg2 int32) {
+	s.cycle, s.arg, s.arg2 = cy, arg, arg2
+	s.detail, s.kind, s.port, s.vc = 0, kind, port, vcIdx
 }
 
 // size carves nodes lanes of perLane slots from one slab; the global

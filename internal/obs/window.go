@@ -23,8 +23,8 @@ const (
 // Cells are plain uint32 accessed only through sync/atomic, so samples
 // from the parallel compute phase and reads from a live telemetry
 // scrape are race-free. Roll must run in the network's serial phase
-// (it is registered as a cycle hook by noc.New): it re-aims every node's
-// lane at the new bucket, which no adder may be reading meanwhile.
+// (it is registered as a cycle hook by noc.New): it re-aims the current
+// bucket's cells, which no adder may be reading meanwhile.
 //
 // Utilization is kept per (node, output port, VC); the stall mix per
 // (node, input port, StallKind) — summed over VCs to bound memory. The
@@ -42,21 +42,10 @@ type Windows struct {
 	util  []uint32 // [bucket][node][port][vc]
 	stall []uint32 // [bucket][node][port][stallKind]
 
-	lanes []windowLane // per node, aimed at the current bucket
-}
-
-// windowLane is one node's cells of the current bucket: util indexed
-// out*vcs+vc, stall indexed port*NumStallKinds+kind. Roll re-aims it, so
-// an adder indexes its node's cells without recomputing where the
-// current bucket's start is.
-type windowLane struct {
-	util, stall []uint32
-}
-
-func (l *windowLane) addUtil(cell int) { atomic.AddUint32(&l.util[cell], 1) }
-
-func (l *windowLane) addStall(port int, k StallKind) {
-	atomic.AddUint32(&l.stall[port*NumStallKinds+int(k)], 1)
+	// curUtil and curStall are the current bucket's cells, which Roll
+	// re-aims, so an adder addresses a node's cell from them and its
+	// node id alone.
+	curUtil, curStall []uint32
 }
 
 // NewWindows returns a window ring for a nodes-router network with the
@@ -74,42 +63,36 @@ func NewWindows(nodes, ports, vcs int, bucketCycles sim.Cycle, buckets int) *Win
 		bucketCycles: bucketCycles, buckets: buckets,
 		util:  make([]uint32, buckets*nodes*ports*vcs),
 		stall: make([]uint32, buckets*nodes*ports*NumStallKinds),
-		lanes: make([]windowLane, nodes),
 	}
 	w.aim(0)
 	return w
 }
 
-// lane returns node's lane for a handle of the given geometry, or nil
-// when the ring was sized for another one (noc.New refuses such a ring; a
-// handle bound to it by hand adds no samples). The pointer stays valid
-// for the ring's life.
-func (w *Windows) lane(node, ports, vcs int) *windowLane {
-	if node < 0 || node >= w.nodes || ports != w.ports || vcs != w.vcs {
-		return nil
-	}
-	return &w.lanes[node]
+// fits reports whether node's handle, of the given geometry, may add to
+// the ring: not when the ring was sized for another one (noc.New refuses
+// such a ring; a handle bound to it by hand adds no samples).
+func (w *Windows) fits(node, ports, vcs int) bool {
+	return node >= 0 && node < w.nodes && ports == w.ports && vcs == w.vcs
 }
 
-// aim points every lane at ring slot b's cells.
+// aim points the current-bucket cells at ring slot b's.
 func (w *Windows) aim(b int) {
-	u, s := w.ports*w.vcs, w.ports*NumStallKinds
-	for node := range w.lanes {
-		cell := b*w.nodes + node
-		w.lanes[node] = windowLane{
-			util:  w.util[cell*u : (cell+1)*u : (cell+1)*u],
-			stall: w.stall[cell*s : (cell+1)*s : (cell+1)*s],
-		}
-	}
+	u, s := w.nodes*w.ports*w.vcs, w.nodes*w.ports*NumStallKinds
+	w.curUtil = w.util[b*u : (b+1)*u : (b+1)*u]
+	w.curStall = w.stall[b*s : (b+1)*s : (b+1)*s]
 }
 
 // AddUtil records one flit carried by node's output link out on VC
 // vcIdx. Safe from the parallel compute/commit phases.
-func (w *Windows) AddUtil(node, out, vcIdx int) { w.lanes[node].addUtil(out*w.vcs + vcIdx) }
+func (w *Windows) AddUtil(node, out, vcIdx int) {
+	atomic.AddUint32(&w.curUtil[(node*w.ports+out)*w.vcs+vcIdx], 1)
+}
 
 // AddStall records one stalled flit-cycle of class k at node's input
 // port. Safe from the parallel compute/commit phases.
-func (w *Windows) AddStall(node, port int, k StallKind) { w.lanes[node].addStall(port, k) }
+func (w *Windows) AddStall(node, port int, k StallKind) {
+	atomic.AddUint32(&w.curStall[(node*w.ports+port)*NumStallKinds+int(k)], 1)
+}
 
 // Roll closes the current bucket once bucketCycles have elapsed and
 // reopens the oldest ring slot for the new window. It is registered as
