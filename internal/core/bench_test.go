@@ -21,6 +21,7 @@ type feeder struct {
 	feeds [][]vcFeed // [port][vc]; nil for a port with no fed VC, and a feed with no flits is off
 	next  []int      // per port, the VC the round-robin starts at
 	cycle sim.Cycle
+	sent  uint64 // flits the router has emitted
 }
 
 type vcFeed struct {
@@ -93,7 +94,9 @@ func (f *feeder) offer() {
 // collect hands every output flit's credit straight back and takes the
 // credits the router returned upstream.
 func (f *feeder) collect() {
-	for _, of := range f.r.TakeOutFlits() {
+	outs := f.r.TakeOutFlits()
+	f.sent += uint64(len(outs))
+	for _, of := range outs {
 		f.r.AcceptCredit(CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 	}
 	for _, cr := range f.r.TakeOutCredits() {
@@ -114,7 +117,9 @@ func (f *feeder) collectHeld(held [][]CreditIn) {
 		f.collect()
 		return
 	}
-	for _, of := range f.r.TakeOutFlits() {
+	outs := f.r.TakeOutFlits()
+	f.sent += uint64(len(outs))
+	for _, of := range outs {
 		held[d] = append(held[d], CreditIn{Out: of.Out, VC: of.DownVC, VCFree: of.F.Kind.IsTail()})
 	}
 	f.collect() // no out flits left: the upstream credits alone
@@ -166,8 +171,8 @@ func BenchmarkTick(b *testing.B) {
 				f.tick()
 			}
 			b.StopTimer()
-			if got := f.r.Counters.FlitsRouted; (got == 0) != (bc.name == "idle" || bc.bypass) {
-				b.Fatalf("%d flits routed: the case does not run at the occupancy it names", got)
+			if got := f.sent; (got == 0) != (bc.name == "idle" || bc.bypass) {
+				b.Fatalf("%d flits sent: the case does not run at the occupancy it names", got)
 			}
 		})
 	}

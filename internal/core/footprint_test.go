@@ -19,12 +19,15 @@ import (
 // and rotate period at 32,767), so the structs a router holds one of per
 // VC, arbiter or cycle's output are these sizes; the router itself holds
 // its rows in four blocks behind one slice header each (credits has a
-// second), so it is at most 576 bytes (888 when every row had a header
-// of its own); and core.New of the paper's protected 5-port, 4-VC router
-// allocates at most maxNewBytes in maxNewObjects objects, 3,576 bytes in
-// 14 measured, all of which the live heap keeps (the live heap of the
-// layout before read 4,340 bytes alone and 4,488 in a whole-package
-// run, and 7,932 alone when every one of those fields was an int). A
+// second), so it is at most 512 bytes (576 while it carried a tally of
+// every mechanism event, 888 when every row had a header of its own);
+// and core.New of the paper's protected 5-port, 4-VC router allocates
+// at most maxNewBytes in maxNewObjects objects, 3,448 bytes in 14
+// measured, all of which the live heap keeps. At 512 bytes the router
+// is a small object with no malloc header: at 576 it took a 640-byte
+// slot, and core.New allocated 3,576 bytes. The live heap of the layout
+// before the blocks read 4,340 bytes alone and 4,488 in a whole-package
+// run, and 7,932 alone when every one of those fields was an int. A
 // field widened back to int, or a row given its own header again, fails
 // here with the struct it grew named.
 func TestRouterFootprint(t *testing.T) {
@@ -39,7 +42,7 @@ func TestRouterFootprint(t *testing.T) {
 		{"router.OutFlit", unsafe.Sizeof(router.OutFlit{}), 16},
 		{"core.CreditIn", unsafe.Sizeof(CreditIn{}), 3},
 		{"core.FlitIn", unsafe.Sizeof(FlitIn{}), 16},
-		{"core.Router", unsafe.Sizeof(Router{}), 576},
+		{"core.Router", unsafe.Sizeof(Router{}), 512},
 		{"core.grant", unsafe.Sizeof(grant{}), 4},
 		{"core.saWinner", unsafe.Sizeof(saWinner{}), 4},
 	} {
@@ -48,7 +51,7 @@ func TestRouterFootprint(t *testing.T) {
 		}
 	}
 
-	const maxNewBytes, maxNewObjects = 3640, 14
+	const maxNewBytes, maxNewObjects = 3512, 14
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true
 	allocated, objects, kept := newAllocs(cfg)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonoc/internal/flit"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 )
@@ -121,11 +122,11 @@ func TestClassIsolationInVA(t *testing.T) {
 }
 
 func TestCountersFlitsRouted(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.sendPacket(topology.West, 0, eastOf(b), 4)
 	b.run(10)
-	if b.r.Counters.FlitsRouted != 4 {
-		t.Fatalf("FlitsRouted = %d, want 4", b.r.Counters.FlitsRouted)
+	if n := b.count(obs.KFlitsRouted, topology.East); n != 4 {
+		t.Fatalf("East xb.flits_routed = %d, want 4", n)
 	}
 }
 
@@ -133,7 +134,7 @@ func TestMidPacketXBFaultRecovers(t *testing.T) {
 	// Inject an XB fault while a packet is mid-flight: the grant/traverse
 	// race must be handled (credit refund + secondary retry), and all
 	// flits still arrive.
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	east := eastOf(b)
 	pkt := &flit.Packet{ID: 1, Src: 4, Dst: east, Size: 6}
 	fs := flit.Segment(pkt)
@@ -151,7 +152,7 @@ func TestMidPacketXBFaultRecovers(t *testing.T) {
 	if n := len(b.arrived[topology.East]); n != 6 {
 		t.Fatalf("%d flits arrived, want 6", n)
 	}
-	if b.r.Counters.XBSecondary == 0 {
+	if b.count(obs.KXBSecondary, topology.East) == 0 {
 		t.Fatal("secondary path never used after mid-packet fault")
 	}
 }
@@ -162,7 +163,7 @@ func TestMidPacketXBFaultRecovers(t *testing.T) {
 // traversal cancels the grant, refunds its credit, and nothing more
 // leaves through the dead port.
 func TestMidPacketXBFaultBaselineCancels(t *testing.T) {
-	b := newBench(t, baseCfg())
+	b := newObservedBench(t, baseCfg())
 	fs := flit.Segment(&flit.Packet{ID: 1, Src: 4, Dst: eastOf(b), Size: 4})
 	for i := 0; i < 3; i++ {
 		b.inject(topology.West, 0, fs[i])
@@ -174,8 +175,8 @@ func TestMidPacketXBFaultBaselineCancels(t *testing.T) {
 	b.r.SetXBFault(topology.East, true)
 	b.inject(topology.West, 0, fs[3])
 	b.run(20)
-	if n := len(b.arrived[topology.East]); n != 0 || b.r.Counters.XBSecondary != 0 {
-		t.Fatalf("%d flits left the dead port, %d through a secondary path; want none", n, b.r.Counters.XBSecondary)
+	if n, sec := len(b.arrived[topology.East]), b.count(obs.KXBSecondary, topology.East); n != 0 || sec != 0 {
+		t.Fatalf("%d flits left the dead port, %d through a secondary path; want none", n, sec)
 	}
 	for v := 0; v < b.r.cfg.VCs; v++ {
 		if c := b.r.Credits(topology.East, v); c != b.r.cfg.Depth {
@@ -211,7 +212,7 @@ func TestMidPacketSecondaryFaultFallsBack(t *testing.T) {
 func TestVA1BorrowManyPacketsSequential(t *testing.T) {
 	// A VC with faulty arbiters sustains a long sequence of packets
 	// purely through borrowing.
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetVA1Fault(topology.West, 1, true)
 	east := eastOf(b)
 	for i := 0; i < 10; i++ {
@@ -225,8 +226,8 @@ func TestVA1BorrowManyPacketsSequential(t *testing.T) {
 	if n := len(b.arrived[topology.East]); n != 20 {
 		t.Fatalf("%d flits arrived, want 20", n)
 	}
-	if b.r.Counters.VA1Borrows != 10 {
-		t.Fatalf("VA1Borrows = %d, want 10", b.r.Counters.VA1Borrows)
+	if n := b.count(obs.KVA1Borrows, topology.West); n != 10 {
+		t.Fatalf("West va.borrows = %d, want 10", n)
 	}
 }
 

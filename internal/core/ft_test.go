@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonoc/internal/flit"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 	"gonoc/internal/vc"
@@ -15,7 +16,7 @@ func eastOf(b *bench) int { return b.mesh.ID(topology.Coord{X: 2, Y: 1}) }
 // --- RC stage (Section V-A) ---
 
 func TestRCDuplicateCoversPrimaryFault(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetRCFault(topology.West, 0, true)
 	if !b.r.Functional() {
 		t.Fatal("router not functional with a single RC fault")
@@ -31,8 +32,8 @@ func TestRCDuplicateCoversPrimaryFault(t *testing.T) {
 	if got[0].at != 3 {
 		t.Errorf("latency with duplicate RC = %d cycles, want 3", got[0].at)
 	}
-	if b.r.Counters.RCDuplicateUses != 1 {
-		t.Errorf("RCDuplicateUses = %d, want 1", b.r.Counters.RCDuplicateUses)
+	if n := b.count(obs.KRCDuplicateUses, topology.West); n != 1 {
+		t.Errorf("West rc.duplicate_uses = %d, want 1", n)
 	}
 }
 
@@ -75,7 +76,7 @@ func TestBaselineRCFaultKillsPort(t *testing.T) {
 // --- VA stage 1 (Section V-B1) ---
 
 func TestVA1BorrowScenario1NoExtraLatency(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetVA1Fault(topology.West, 0, true)
 	if !b.r.Functional() {
 		t.Fatal("router not functional with one VA1 fault")
@@ -91,8 +92,8 @@ func TestVA1BorrowScenario1NoExtraLatency(t *testing.T) {
 	if got[0].at != 3 {
 		t.Errorf("borrow latency = %d cycles, want 3", got[0].at)
 	}
-	if b.r.Counters.VA1Borrows != 1 {
-		t.Errorf("VA1Borrows = %d, want 1", b.r.Counters.VA1Borrows)
+	if n := b.count(obs.KVA1Borrows, topology.West); n != 1 {
+		t.Errorf("West va.borrows = %d, want 1", n)
 	}
 }
 
@@ -102,7 +103,7 @@ func TestVA1BorrowScenario2OneCycleStall(t *testing.T) {
 	// (Section V-B1, Scenario 2).
 	cfg := ftCfg()
 	cfg.VCs = 2
-	b := newBench(t, cfg)
+	b := newObservedBench(t, cfg)
 	b.r.SetVA1Fault(topology.West, 0, true)
 	east := eastOf(b)
 	p0 := &flit.Packet{ID: 1, Src: 4, Dst: east, Size: 1}
@@ -115,11 +116,11 @@ func TestVA1BorrowScenario2OneCycleStall(t *testing.T) {
 	q1.Push(flit.Segment(p1)[0])
 	b.r.setVCState(topology.West, 1, vc.VCAlloc, topology.East)
 	b.run(12)
-	if b.r.Counters.VA1BorrowStalls == 0 {
-		t.Error("expected at least one borrow stall (Scenario 2)")
+	if b.count(obs.KVA1BorrowStalls, topology.West) == 0 {
+		t.Error("expected at least one West borrow stall (Scenario 2)")
 	}
-	if b.r.Counters.VA1Borrows != 1 {
-		t.Errorf("VA1Borrows = %d, want 1", b.r.Counters.VA1Borrows)
+	if n := b.count(obs.KVA1Borrows, topology.West); n != 1 {
+		t.Errorf("West va.borrows = %d, want 1", n)
 	}
 	got := b.arrived[topology.East]
 	if len(got) != 2 {
@@ -175,7 +176,7 @@ func TestVA1ThreeFaultsStillWork(t *testing.T) {
 // --- VA stage 2 (Section V-B3) ---
 
 func TestVA2FaultRetriesWithAnotherVC(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	// With round-robin stage-1 starting at dvc 0, the first attempt hits
 	// the faulty arbiter and costs one recompute cycle.
 	b.r.SetVA2Fault(topology.East, 0, true)
@@ -195,8 +196,22 @@ func TestVA2FaultRetriesWithAnotherVC(t *testing.T) {
 	if got[0].dvc == 0 {
 		t.Error("packet was allocated the downstream VC with the faulty arbiter")
 	}
-	if b.r.Counters.VA2Retries != 1 {
-		t.Errorf("VA2Retries = %d, want 1", b.r.Counters.VA2Retries)
+	if n := b.count(obs.KVA2Retries, topology.East); n != 1 {
+		t.Errorf("East va.retries = %d, want 1", n)
+	}
+
+	// Two heads from different ports ask for the faulty arbiter's VC in
+	// the same cycle: the stage-2 fault costs each of them a retry.
+	b = newObservedBench(t, ftCfg())
+	b.r.SetVA2Fault(topology.East, 0, true)
+	b.inject(topology.West, 0, flit.Segment(&flit.Packet{ID: 1, Src: 4, Dst: eastOf(b), Size: 1})[0])
+	b.inject(topology.North, 0, flit.Segment(&flit.Packet{ID: 2, Src: 4, Dst: eastOf(b), Size: 1})[0])
+	b.run(12)
+	if n := len(b.arrived[topology.East]); n != 2 {
+		t.Fatalf("%d arrivals from two ports, want 2", n)
+	}
+	if n := b.count(obs.KVA2Retries, topology.East); n != 2 {
+		t.Errorf("East va.retries = %d with two requesters of the faulty arbiter, want 2", n)
 	}
 }
 
@@ -227,7 +242,7 @@ func TestVA2AllFaultyFails(t *testing.T) {
 // --- SA stage 1 (Section V-C1) ---
 
 func TestSABypassDefaultWinnerReady(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetSA1Fault(topology.West, true)
 	if !b.r.Functional() {
 		t.Fatal("router not functional with one SA1 fault")
@@ -242,16 +257,16 @@ func TestSABypassDefaultWinnerReady(t *testing.T) {
 	if n := len(b.arrived[topology.East]); n != 2 {
 		t.Fatalf("%d arrivals, want 2", n)
 	}
-	if b.r.Counters.SABypassGrants == 0 {
-		t.Error("no bypass grants recorded")
+	if b.count(obs.KSABypassGrants, topology.West) == 0 {
+		t.Error("no bypass grants recorded at West")
 	}
-	if b.r.Counters.SATransfers != 0 {
-		t.Errorf("unexpected transfers: %d", b.r.Counters.SATransfers)
+	if n := b.count(obs.KSATransfers, topology.West); n != 0 {
+		t.Errorf("unexpected transfers: %d", n)
 	}
 }
 
 func TestSABypassTransfersIntoDefaultWinner(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetSA1Fault(topology.West, true)
 	// Inject into VC 1 while the default winner is VC 0 (empty): the
 	// router must transfer flits+state into VC 0, costing one cycle.
@@ -265,8 +280,8 @@ func TestSABypassTransfersIntoDefaultWinner(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("%d arrivals, want 3", len(got))
 	}
-	if b.r.Counters.SATransfers != 1 {
-		t.Errorf("SATransfers = %d, want 1", b.r.Counters.SATransfers)
+	if n := b.count(obs.KSATransfers, topology.West); n != 1 {
+		t.Errorf("West sa.transfers = %d, want 1", n)
 	}
 	// Credits must be returned for the ORIGINAL VC (the router adopts
 	// the packet where it sits instead of moving it), so the upstream's
@@ -294,7 +309,7 @@ func TestSABypassPlusBypassFaultFails(t *testing.T) {
 // --- SA stage 2 + XB (Sections V-C2, V-D) ---
 
 func TestXBFaultUsesSecondaryPath(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetXBFault(topology.East, true)
 	if !b.r.Functional() {
 		t.Fatal("router not functional with one XB mux fault")
@@ -309,8 +324,8 @@ func TestXBFaultUsesSecondaryPath(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("%d arrivals at East, want 2", len(got))
 	}
-	if b.r.Counters.XBSecondary != 2 {
-		t.Errorf("XBSecondary = %d, want 2", b.r.Counters.XBSecondary)
+	if n := b.count(obs.KXBSecondary, topology.East); n != 2 {
+		t.Errorf("East xb.secondary = %d, want 2", n)
 	}
 	// FSP/SP were set at RC time.
 	if got[0].at != 3 {
@@ -319,7 +334,7 @@ func TestXBFaultUsesSecondaryPath(t *testing.T) {
 }
 
 func TestSA2FaultUsesSecondaryPath(t *testing.T) {
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetSA2Fault(topology.East, true)
 	if !b.r.Functional() {
 		t.Fatal("router not functional with one SA2 fault")
@@ -330,8 +345,8 @@ func TestSA2FaultUsesSecondaryPath(t *testing.T) {
 	if len(b.arrived[topology.East]) != 1 {
 		t.Fatal("packet did not reach East with faulty SA2 arbiter")
 	}
-	if b.r.Counters.XBSecondary != 1 {
-		t.Errorf("XBSecondary = %d, want 1", b.r.Counters.XBSecondary)
+	if n := b.count(obs.KXBSecondary, topology.East); n != 1 {
+		t.Errorf("East xb.secondary = %d, want 1", n)
 	}
 }
 
@@ -389,7 +404,7 @@ func TestFourFaultsOnePerStageStillDelivers(t *testing.T) {
 	// "Assuming that each individual pipeline stage is affected by only
 	// one permanent fault, the protected router pipeline will be able to
 	// tolerate four permanent faults." (Section IV)
-	b := newBench(t, ftCfg())
+	b := newObservedBench(t, ftCfg())
 	b.r.SetRCFault(topology.West, 0, true)
 	b.r.SetVA1Fault(topology.West, 0, true)
 	b.r.SetSA1Fault(topology.West, true)
@@ -409,9 +424,16 @@ func TestFourFaultsOnePerStageStillDelivers(t *testing.T) {
 	if n := len(b.arrived[topology.East]); n != 12 {
 		t.Fatalf("%d flits arrived under 4 faults, want 12", n)
 	}
-	c := b.r.Counters
-	if c.RCDuplicateUses == 0 || c.VA1Borrows == 0 || c.SABypassGrants == 0 || c.XBSecondary == 0 {
-		t.Fatalf("not every mechanism engaged: %+v", c)
+	for _, c := range []struct {
+		k obs.Kind
+		p topology.Port
+	}{
+		{obs.KRCDuplicateUses, topology.West}, {obs.KVA1Borrows, topology.West},
+		{obs.KSABypassGrants, topology.West}, {obs.KXBSecondary, topology.East},
+	} {
+		if b.count(c.k, c.p) == 0 {
+			t.Errorf("%v never counted at port %v: not every mechanism engaged", c.k, c.p)
+		}
 	}
 }
 

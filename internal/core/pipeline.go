@@ -116,17 +116,15 @@ func (r *Router) vcAfter(v int) int16 {
 	return int16(v + 1)
 }
 
-// computeRoute runs the port's RC unit, tracking duplicate use; ok is
-// false when no fault-free copy remains. With a fault-aware route function
+// computeRoute runs the port's RC unit; ok is false when no fault-free
+// copy remains. rcStage counts the computation, and the duplicate unit's
+// use, only once it yields a route. With a fault-aware route function
 // installed the unit computes that function instead of XY (unreachable=true
 // when no path to the destination survives); without one the behavior is
 // exactly the baseline XY lookup.
 func (r *Router) computeRoute(cy sim.Cycle, p int, q *vc.VC) (out topology.Port, ok, unreachable bool) {
 	if !r.rcUsable(p) {
 		return topology.Local, false, false
-	}
-	if r.rcFaulty[0]>>uint(p)&1 != 0 {
-		r.Counters.RCDuplicateUses++
 	}
 	dst := q.Front().Pkt.Dst
 	if fn := r.routeFn; fn != nil {
@@ -242,7 +240,6 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				if lender == vc.None {
 					// Scenario 2: every candidate lender is busy
 					// allocating this cycle; wait one cycle.
-					r.Counters.VA1BorrowStalls++
 					r.obs.VABorrowStall(cy, p, v)
 					continue
 				}
@@ -253,7 +250,6 @@ func (r *Router) vaStage(cy sim.Cycle) {
 				lq.ID = int8(v)
 				lq.VF = true
 				arbVC = lender
-				r.Counters.VA1Borrows++
 				r.obs.VABorrow(cy, p, v, lender)
 			}
 			if free := r.freeDownVCs(q, v); free != 0 {
@@ -297,7 +293,6 @@ func (r *Router) vaStage(cy sim.Cycle) {
 					cands += bits.OnesCount64(w)
 				}
 				clear(reqs)
-				r.Counters.VA2Retries += uint64(cands)
 				r.obs.VARetry(cy, out, dvc, cands)
 				continue
 			}
@@ -413,7 +408,6 @@ func (r *Router) saStage(cy sim.Cycle) {
 					continue // waiting (e.g., on credits)
 				}
 				w, ok, bypassed = int(a), true, true
-				r.Counters.SABypassGrants++
 				r.obs.SABypassGrant(p)
 				break
 			}
@@ -427,7 +421,6 @@ func (r *Router) saStage(cy sim.Cycle) {
 			}
 			if ok {
 				bypassed = true
-				r.Counters.SABypassGrants++
 				r.obs.SABypassGrant(p)
 			}
 		}
@@ -507,7 +500,6 @@ func (r *Router) tryTransfer(cy sim.Cycle, port, dst int) {
 	if cand >= 0 {
 		r.saAdopted()[port] = int16(cand)
 		r.saAdoptAge()[port] = 0
-		r.Counters.SATransfers++
 		r.obs.SATransfer(cy, port, dst, cand)
 		if r.obs != nil {
 			// The one-cycle transfer is the bypass mechanism making
@@ -541,10 +533,6 @@ func (r *Router) xbStage(cy sim.Cycle) {
 			continue
 		}
 		f := q.Pop()
-		if g.secondary {
-			r.Counters.XBSecondary++
-		}
-		r.Counters.FlitsRouted++
 		r.obs.XBTraverse(cy, int(g.inPort), int(g.inVC), int(g.outPort), g.secondary)
 		if r.obs != nil {
 			r.noteAdvance(int(g.inPort), int(g.inVC))

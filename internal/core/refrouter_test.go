@@ -33,7 +33,18 @@ type refRouter struct {
 	outCredits []router.Credit
 	dropped    []*flit.Packet
 	counters   Counters
+	counts     []uint64 // event counts at int(kind)*Ports+port, for the kinds in countKinds
 	stalls     []uint64 // stall counts at (p*VCs+v)*obs.NumStallKinds+kind
+}
+
+// countKinds are the per-port series a router's obs handle counts
+// besides stalls: every Section V mechanism event and the stage events
+// around them. The lockstep compares each, port by port, every cycle.
+var countKinds = []obs.Kind{
+	obs.KRCComputes, obs.KRCDuplicateUses, obs.KReroutes,
+	obs.KVAAllocs, obs.KVA1Borrows, obs.KVA1BorrowStalls, obs.KVA2Retries,
+	obs.KSAGrants, obs.KSABypassGrants, obs.KSATransfers,
+	obs.KFlitsRouted, obs.KXBSecondary,
 }
 
 // refPort is input port p and output port p.
@@ -91,7 +102,7 @@ func (a *rr) grant(req []bool) (int, bool) {
 func newRefRouter(r *Router) *refRouter {
 	cfg := r.Config()
 	m := &refRouter{cfg: cfg, id: r.ID, topo: r.topo, route: r.routeFn, ports: make([]refPort, cfg.Ports),
-		stalls: make([]uint64, cfg.Ports*cfg.VCs*obs.NumStallKinds)}
+		counts: make([]uint64, obs.NumKinds*cfg.Ports), stalls: make([]uint64, cfg.Ports*cfg.VCs*obs.NumStallKinds)}
 	for p := range m.ports {
 		port := &m.ports[p]
 		port.vcs, port.va1, port.va2 = make([]refVC, cfg.VCs), make([]rr, cfg.VCs), make([]rr, cfg.VCs)
@@ -189,9 +200,9 @@ func (m *refRouter) xb() {
 			continue
 		}
 		if g.secondary {
-			m.counters.XBSecondary++
+			m.count(obs.KXBSecondary, int(g.outPort))
 		}
-		m.counters.FlitsRouted++
+		m.count(obs.KFlitsRouted, int(g.outPort))
 		q.advanced = true
 		down := q.outVC
 		m.outFlits = append(m.outFlits, router.OutFlit{Out: g.outPort, DownVC: int8(down), F: m.pop(int(g.inPort), int(g.inVC))})
@@ -278,6 +289,7 @@ func (m *refRouter) sa() {
 			m.ports[q.r].credits[q.outVC]--
 			m.grants = append(m.grants, grant{inPort: topology.Port(p), inVC: int8(winner[p]), outPort: q.r, secondary: q.fsp})
 			q.advanced = true
+			m.count(obs.KSAGrants, p)
 		}
 	}
 }
@@ -314,7 +326,7 @@ func (m *refRouter) sa1(p int, ready []bool) (int, bool) {
 	if !ready[w] {
 		return -1, false // the adopted packet waits, for a credit say
 	}
-	m.counters.SABypassGrants++
+	m.count(obs.KSABypassGrants, p)
 	return w, true
 }
 
@@ -341,7 +353,7 @@ func (m *refRouter) transfer(p, dst int) {
 	if cand >= 0 {
 		port.adopted, port.adoptAge = cand, 0
 		port.vcs[cand].advanced = true
-		m.counters.SATransfers++
+		m.count(obs.KSATransfers, p)
 	}
 }
 
@@ -387,12 +399,12 @@ func (m *refRouter) va() {
 			}
 			if port.va1[v].faulty {
 				if arb = m.lender(p, v); arb < 0 {
-					m.counters.VA1BorrowStalls++
+					m.count(obs.KVA1BorrowStalls, p)
 					continue
 				}
 				l := &port.vcs[arb]
 				l.r2, l.id, l.vf = q.r, v, true
-				m.counters.VA1Borrows++
+				m.count(obs.KVA1Borrows, p)
 			}
 			if dvc, ok := port.va1[arb].grant(m.freeDown(q, v)); ok {
 				asks[(int(q.r)*V+dvc)*n+p*V+v] = true
@@ -409,10 +421,11 @@ func (m *refRouter) va() {
 			q := &m.ports[w/V].vcs[w%V]
 			q.g, q.outVC, q.advanced = vc.Active, k%V, true
 			out.busy[k%V] = true
+			m.count(obs.KVAAllocs, w/V)
 		} else if out.va2[k%V].faulty {
 			for _, asked := range req {
 				if asked {
-					m.counters.VA2Retries++
+					m.count(obs.KVA2Retries, k/V)
 				}
 			}
 		}
@@ -438,9 +451,6 @@ func (m *refRouter) rc() {
 			if q.g != vc.Routing { // the head flit is at the front
 				continue
 			}
-			if port.rcFaulty[0] {
-				m.counters.RCDuplicateUses++
-			}
 			port.rcScan = (v + 1) % V
 			dst := q.flits[0].Pkt.Dst
 			out := m.topo.Route(m.id, dst)
@@ -454,8 +464,15 @@ func (m *refRouter) rc() {
 				if m.id != dst && fout != out {
 					q.detour = true
 					m.counters.Reroutes++
+					m.count(obs.KReroutes, p)
 				}
 				out, q.dvcLo, q.dvcHi = fout, lo, hi
+			}
+			// A computation counts once it yields a route, the duplicate
+			// unit's as a duplicate use too.
+			m.count(obs.KRCComputes, p)
+			if port.rcFaulty[0] {
+				m.count(obs.KRCDuplicateUses, p)
 			}
 			q.g, q.r, q.fsp, q.advanced = vc.VCAlloc, out, false, true
 			m.requestPort(q) // marks the secondary path if the regular one is broken
@@ -463,6 +480,9 @@ func (m *refRouter) rc() {
 		}
 	}
 }
+
+// count adds one event of kind k at port p.
+func (m *refRouter) count(k obs.Kind, p int) { m.counts[int(k)*m.cfg.Ports+p]++ }
 
 // classify counts a stall for every VC that holds work it did not
 // advance this cycle: on a fault, on credits or on lost arbitration.
@@ -546,9 +566,9 @@ func (m *refRouter) appendCanonical(b []byte) []byte {
 
 // lockstep steps a Router on the feeder and a refRouter on the same
 // inputs, observability bound, and fails at the first cycle their
-// outputs, canonical states, counters or stall counts differ or the
-// router fails CheckOccupancy. Every `every` cycles (0: never) it also
-// round-trips the router through a saved state.
+// outputs, canonical states, reroute tallies, obs event counts or stall
+// counts differ or the router fails CheckOccupancy. Every `every` cycles
+// (0: never) it also round-trips the router through a saved state.
 type lockstep struct {
 	t     testing.TB
 	f     *feeder
@@ -556,6 +576,7 @@ type lockstep struct {
 	ref   *refRouter
 	held  [][]CreditIn
 	every int
+	count []*obs.Counter // the router's counters of countKinds, kind by kind, port by port
 	stall []*obs.Counter // the router's stall counters, indexed as refRouter.stalls
 	saved *RouterState   // the last round trip's state: recycled storage for the next
 	flits int            // flits held by the saved states
@@ -574,6 +595,11 @@ func newLockstep(t testing.TB, cfg router.Config, fed func(p, v int) bool, credi
 	}
 	l := &lockstep{t: t, f: build(), spare: build().r, held: make([][]CreditIn, creditDelay+1), every: every}
 	l.ref = newRefRouter(l.f.r)
+	for _, k := range countKinds {
+		for p := 0; p < cfg.Ports; p++ {
+			l.count = append(l.count, cfg.Obs.Metrics.Counter(obs.Key{Kind: k, Router: int32(l.f.r.ID), Port: int8(p), VC: obs.NoVC}))
+		}
+	}
 	for i := range l.ref.stalls {
 		k, v, p := obs.StallKind(i%obs.NumStallKinds), i/obs.NumStallKinds%cfg.VCs, i/obs.NumStallKinds/cfg.VCs
 		l.stall = append(l.stall, cfg.Obs.Metrics.Counter(obs.Key{Kind: k.Kind(), Router: int32(l.f.r.ID), Port: int8(p), VC: int8(v)}))
@@ -618,6 +644,13 @@ func (l *lockstep) compare(c sim.Cycle, after string) {
 	}
 	if r.Counters != m.counters {
 		l.t.Fatalf("cycle %d%s: counters %+v, reference %+v", c, after, r.Counters, m.counters)
+	}
+	P := r.cfg.Ports
+	for i, ctr := range l.count {
+		k, p := countKinds[i/P], i%P
+		if n, want := ctr.Value(), m.counts[int(k)*P+p]; n != want {
+			l.t.Fatalf("cycle %d%s: port %d: %v = %d, reference %d", c, after, p, k, n, want)
+		}
 	}
 	V, K := r.cfg.VCs, obs.NumStallKinds
 	for i, ctr := range l.stall {

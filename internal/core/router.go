@@ -83,29 +83,12 @@ type saWinner struct {
 	bypass    bool
 }
 
-// Counters tallies fault-tolerance mechanism activity and basic traffic,
-// for tests and the latency analysis.
+// Counters is the router's lights-off tally: the one count that two
+// readers need with observability off, experiments.LinkFaultStudy and
+// the benchmark's noc.reroutes. Every Section V mechanism event (and
+// reroutes again, per port) is counted once, by the obs handle, in the
+// registry of an observed network.
 type Counters struct {
-	// FlitsRouted counts flits that traversed the crossbar.
-	FlitsRouted uint64
-	// RCDuplicateUses counts routing computations served by the duplicate
-	// RC unit.
-	RCDuplicateUses uint64
-	// VA1Borrows counts successful arbiter borrows (Section V-B1).
-	VA1Borrows uint64
-	// VA1BorrowStalls counts cycles a VC wanted to borrow but found no
-	// lender (Scenario 2 waits).
-	VA1BorrowStalls uint64
-	// VA2Retries counts stage-2 allocation attempts lost to a faulty
-	// stage-2 arbiter (each costs one recompute cycle, Section V-B3).
-	VA2Retries uint64
-	// SABypassGrants counts stage-1 grants served by the bypass path.
-	SABypassGrants uint64
-	// SATransfers counts VC-to-VC flit/state transfers feeding the bypass
-	// default winner (each costs one cycle, Section V-C1).
-	SATransfers uint64
-	// XBSecondary counts crossbar traversals through the secondary path.
-	XBSecondary uint64
 	// Reroutes counts routing computations where the fault-aware route
 	// function diverged from dimension-ordered XY to detour around a dead
 	// link or router.
@@ -241,7 +224,7 @@ type Router struct {
 	//noc:derived per-cycle scratch, drained by the network before the step boundary
 	droppedPkts []*flit.Packet
 
-	// Counters tallies mechanism activity.
+	// Counters is the lights-off reroute tally.
 	//noc:derived observational only: saved and restored, but excluded from the canonical encoding because counters never feed back into arbitration
 	Counters Counters
 

@@ -42,6 +42,20 @@ func newBench(t *testing.T, cfg router.Config) *bench {
 	return &bench{t: t, r: r, mesh: mesh, arrived: map[topology.Port][]arrival{}}
 }
 
+// newObservedBench is newBench with an observer bound: the obs registry
+// is where a router counts its Section V mechanism events.
+func newObservedBench(t *testing.T, cfg router.Config) *bench {
+	t.Helper()
+	cfg.Obs = obs.New(0)
+	return newBench(t, cfg)
+}
+
+// count returns the router's counter of kind k at port p; the bench must
+// be observed.
+func (b *bench) count(k obs.Kind, p topology.Port) uint64 {
+	return b.r.cfg.Obs.Metrics.Counter(obs.Key{Kind: k, Router: int32(b.r.ID), Port: int8(p), VC: obs.NoVC}).Value()
+}
+
 func ftCfg() router.Config {
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true

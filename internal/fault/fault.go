@@ -226,3 +226,29 @@ func Apply(r *core.Router, s Site, value bool) {
 		panic(fmt.Sprintf("fault: unknown kind %v", s.Kind))
 	}
 }
+
+// IsFaulty reports whether site s of router r is currently faulty. It is
+// the read counterpart of Apply.
+func IsFaulty(r *core.Router, s Site) bool {
+	switch s.Kind {
+	case RCPrimary:
+		return r.RCFault(s.Port, 0)
+	case RCDuplicate:
+		return r.RCFault(s.Port, 1)
+	case VA1ArbSet:
+		return r.VA1Fault(s.Port, s.Index)
+	case VA2Arb:
+		return r.VA2Fault(s.Port, s.Index)
+	case SA1Arb:
+		return r.SA1Fault(s.Port)
+	case SA1Bypass:
+		return r.SA1BypassFault(s.Port)
+	case SA2Arb:
+		return r.SA2Fault(s.Port)
+	case XBMux:
+		return r.XBFault(s.Port)
+	case XBSecondary:
+		return r.XBSecondaryFault(s.Port)
+	}
+	return false
+}

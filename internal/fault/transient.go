@@ -1,38 +1,11 @@
 package fault
 
 import (
-	"gonoc/internal/core"
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
 	"gonoc/internal/rng"
 	"gonoc/internal/sim"
 )
-
-// IsFaulty reports whether site s of router r is currently faulty. It is
-// the read counterpart of Apply.
-func IsFaulty(r *core.Router, s Site) bool {
-	switch s.Kind {
-	case RCPrimary:
-		return r.RCFault(s.Port, 0)
-	case RCDuplicate:
-		return r.RCFault(s.Port, 1)
-	case VA1ArbSet:
-		return r.VA1Fault(s.Port, s.Index)
-	case VA2Arb:
-		return r.VA2Fault(s.Port, s.Index)
-	case SA1Arb:
-		return r.SA1Fault(s.Port)
-	case SA1Bypass:
-		return r.SA1BypassFault(s.Port)
-	case SA2Arb:
-		return r.SA2Fault(s.Port)
-	case XBMux:
-		return r.XBFault(s.Port)
-	case XBSecondary:
-		return r.XBSecondaryFault(s.Port)
-	}
-	return false
-}
 
 // TransientInjector injects transient faults: a randomly chosen component
 // becomes unusable for a short window (Duration cycles) and then recovers

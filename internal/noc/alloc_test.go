@@ -234,9 +234,10 @@ func TestFreshSnapshotIsAHandfulOfObjects(t *testing.T) {
 // TestNewIsUnderTenKilobytesARouter pins what a node of a 64x64 protected
 // mesh retains once built — router, NI, and its share of the network's
 // latches, link registers and tables — at most 4,600 bytes and 19 heap
-// objects (4,498 and 18 measured, with one input latch per router and
-// its rows in blocks, and 4,519 and 19 under the race detector, which
-// keeps one more object a node; 5,656 and 19 with the network's own link
+// objects (4,362 and 18 measured, and 4,374 and 19 under the race
+// detector, which keeps one more object a node; 4,498 and 18 while the
+// router carried a tally of every mechanism event, with one input latch
+// per router and its rows in blocks; 5,656 and 19 with the network's own link
 // latches, 9,516 and 28 when the block layout landed). The pointer-graph router
 // with 24-byte latch entries retained 11,307 bytes in 93 objects, and
 // mesh64_lowload's live heap is almost all of this times 4,096.

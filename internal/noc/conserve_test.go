@@ -12,9 +12,9 @@ import (
 )
 
 // TestObsCountersConserveHops derives the per-hop counters from what was
-// delivered and the route function alone, reading neither obs nor
-// core.Counters for the expected values. On a fault-free mesh or torus
-// routing is deterministic, so a delivered packet of S flits from s to d
+// delivered and the route function alone, not reading obs for the
+// expected values. On a fault-free mesh or torus routing is
+// deterministic, so a delivered packet of S flits from s to d
 // took exactly the hops Topo().Route walks from s to d. At each router on
 // the walk, entered through port in and left through port out (Local at
 // both ends), the packet's S flits each won one SA grant at in and

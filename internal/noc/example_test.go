@@ -5,6 +5,7 @@ import (
 
 	"gonoc/internal/core"
 	"gonoc/internal/noc"
+	"gonoc/internal/obs"
 	"gonoc/internal/router"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
@@ -25,6 +26,7 @@ func Example_oneFaultPerStage() {
 		rc := router.DefaultConfig()
 		rc.FaultTolerant = ft
 		rc.Classes = 1
+		rc.Obs = obs.New(0) // the registry counts the mechanisms' events
 		src := traffic.NewSynthetic(16, 0.03, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.5), 7)
 		n := noc.MustNew(noc.Config{Width: 4, Height: 4, Router: rc, Workers: 1}, src)
 		r := n.Router(5)
@@ -47,9 +49,9 @@ func Example_oneFaultPerStage() {
 			prev = got
 		}
 		if ft {
-			c := r.Counters
+			c := rc.Obs.Metrics.PerRouter()[5].Total // one row per router, in id order
 			fmt.Printf("  duplicate RC uses %d, VA borrows %d, SA bypass grants %d (%d VC transfers), XB secondary %d\n",
-				c.RCDuplicateUses, c.VA1Borrows, c.SABypassGrants, c.SATransfers, c.XBSecondary)
+				c[obs.KRCDuplicateUses], c[obs.KVA1Borrows], c[obs.KSABypassGrants], c[obs.KSATransfers], c[obs.KXBSecondary])
 		}
 	}
 

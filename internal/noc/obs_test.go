@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"gonoc/internal/flit"
 	"gonoc/internal/obs"
 	"gonoc/internal/router"
+	"gonoc/internal/sim"
 	"gonoc/internal/topology"
 	"gonoc/internal/traffic"
 )
@@ -21,11 +23,11 @@ func obsCfg(o *obs.Observer) Config {
 	return Config{Width: 4, Height: 4, Router: rc}
 }
 
-// TestObsCountersMatchRouterCounters cross-checks the obs registry
-// against the router's own mechanism tally: the two are maintained at
-// the same instrumentation sites, so any divergence means a counter was
-// bound to the wrong key.
-func TestObsCountersMatchRouterCounters(t *testing.T) {
+// TestObsNodeCountersMatchCollector holds the NI and link series of a
+// faulted run to what the network records elsewhere: packets offered and
+// ejected to the stats collector, and link flits to the crossbar's
+// traversals and to the run's totals.
+func TestObsNodeCountersMatchCollector(t *testing.T) {
 	o := obs.New(1 << 14)
 	src := traffic.NewSynthetic(16, 0.05, traffic.Uniform(16), traffic.Bimodal(1, 5, 0.6), 9)
 	n := MustNew(obsCfg(o), src)
@@ -38,19 +40,6 @@ func TestObsCountersMatchRouterCounters(t *testing.T) {
 	rt.SetXBFault(topology.West, true)
 	n.Run(4000)
 
-	var wantBypass, wantBorrow, wantSecondary, wantFlits uint64
-	for id := 0; id < 16; id++ {
-		c := n.Router(id).Counters
-		wantBypass += c.SABypassGrants
-		wantBorrow += c.VA1Borrows
-		wantSecondary += c.XBSecondary
-		wantFlits += c.FlitsRouted
-	}
-	if wantBypass == 0 || wantBorrow == 0 || wantSecondary == 0 {
-		t.Fatalf("fault mechanisms not engaged: bypass=%d borrow=%d secondary=%d",
-			wantBypass, wantBorrow, wantSecondary)
-	}
-
 	sum := func(k obs.Kind) uint64 {
 		var s uint64
 		for _, r := range o.Metrics.PerRouter() {
@@ -58,19 +47,8 @@ func TestObsCountersMatchRouterCounters(t *testing.T) {
 		}
 		return s
 	}
-	checks := []struct {
-		kind obs.Kind
-		want uint64
-	}{
-		{obs.KSABypassGrants, wantBypass},
-		{obs.KVA1Borrows, wantBorrow},
-		{obs.KXBSecondary, wantSecondary},
-		{obs.KFlitsRouted, wantFlits},
-	}
-	for _, c := range checks {
-		if got := sum(c.kind); got != c.want {
-			t.Errorf("%v = %d, want %d (router tally)", c.kind, got, c.want)
-		}
+	if bypass, borrow, secondary := sum(obs.KSABypassGrants), sum(obs.KVA1Borrows), sum(obs.KXBSecondary); bypass == 0 || borrow == 0 || secondary == 0 {
+		t.Fatalf("fault mechanisms not engaged: bypass=%d borrow=%d secondary=%d", bypass, borrow, secondary)
 	}
 
 	// NI accounting must match the stats collector.
@@ -82,10 +60,10 @@ func TestObsCountersMatchRouterCounters(t *testing.T) {
 	}
 
 	// Without link faults every flit that crosses a crossbar crosses one
-	// link or ejects: the link counters sum to the routers' flit tally.
-	// The totals are the run's, recorded at 9c84917.
-	if got := sum(obs.KLinkFlits); got != wantFlits || got != 29825 {
-		t.Errorf("link.flits = %d, want %d (router tally) and 29825", got, wantFlits)
+	// link or ejects: the link counters sum to the crossbar's. The totals
+	// are the run's, recorded at 9c84917.
+	if got, routed := sum(obs.KLinkFlits), sum(obs.KFlitsRouted); got != routed || got != 29825 {
+		t.Errorf("link.flits = %d, want xb.flits_routed (%d) and 29825", got, routed)
 	}
 	var ejected uint64
 	for _, s := range o.Metrics.Snapshot() {
@@ -222,4 +200,59 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestRCCountsOnDropPath pins what the RC series count when routing
+// finds a destination cut off: a computation counts once it yields a
+// route, so the duplicate unit's computation that ends in a drop counts
+// in neither rc.computes nor rc.duplicate_uses. Router 1's West RC
+// primary is faulty; a packet from node 0 to the north-east corner is in
+// router 1's input latch when the corner's two links die, so router 1's
+// duplicate unit finds no path and drops it. A second packet, from node
+// 0 to node 2, then takes the duplicate unit to a route.
+func TestRCCountsOnDropPath(t *testing.T) {
+	o := obs.New(0)
+	cfg := obsCfg(o)
+	cfg.Workers = 1
+	n := MustNew(cfg, nil)
+	defer n.Close()
+	n.Router(1).SetRCFault(topology.West, 0, true)
+	cut := false
+	n.AddHook(func(c sim.Cycle) {
+		if flits, _ := n.Router(1).Inputs(); !cut && len(flits) > 0 {
+			cut = true
+			for _, p := range []topology.Port{topology.West, topology.South} {
+				if err := n.SetLinkFault(3, p, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	n.Inject(0, &flit.Packet{Dst: 3, Class: flit.Request, Size: 1})
+	n.Run(20)
+	if !cut {
+		t.Fatal("the packet for node 3 never reached router 1")
+	}
+	n.Inject(0, &flit.Packet{Dst: 2, Class: flit.Request, Size: 1})
+	if !n.Drain(200) {
+		t.Fatalf("did not drain: %d in flight", n.Stats().InFlight())
+	}
+	if s := n.Stats(); s.Dropped() != 1 || s.Ejected() != 1 {
+		t.Fatalf("dropped %d and delivered %d packets, want 1 and 1", s.Dropped(), s.Ejected())
+	}
+	want := map[obs.Key]int64{
+		{Kind: obs.KRCComputes, Router: 0, Port: int8(topology.Local), VC: obs.NoVC}:     2,
+		{Kind: obs.KRCComputes, Router: 1, Port: int8(topology.West), VC: obs.NoVC}:      1,
+		{Kind: obs.KRCComputes, Router: 2, Port: int8(topology.West), VC: obs.NoVC}:      1,
+		{Kind: obs.KRCDuplicateUses, Router: 1, Port: int8(topology.West), VC: obs.NoVC}: 1,
+		{Kind: obs.KDropsUnreachable, Router: 1, Port: obs.NoPort, VC: obs.NoVC}:         1,
+	}
+	for _, s := range o.Metrics.Snapshot() {
+		switch s.Key.Kind {
+		case obs.KRCComputes, obs.KRCDuplicateUses, obs.KReroutes, obs.KDropsUnreachable:
+			if s.Value != want[s.Key] {
+				t.Errorf("%v at router %d port %d = %d, want %d", s.Key.Kind, s.Key.Router, s.Key.Port, s.Value, want[s.Key])
+			}
+		}
+	}
 }

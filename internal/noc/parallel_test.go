@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"testing"
 
-	"gonoc/internal/core"
 	"gonoc/internal/fault"
 	"gonoc/internal/flit"
 	"gonoc/internal/noc"
@@ -59,8 +58,8 @@ type outcome struct {
 	// loaded and drained are the StateHash at the generation horizon,
 	// packets in flight, and after Drain.
 	loaded, drained uint64
-	// mech sums the routers' fault-tolerance mechanism counters.
-	mech core.Counters
+	// mech sums the routers' obs counters, by kind.
+	mech [obs.NumKinds]uint64
 }
 
 // golden pins a case to values computed by another commit's simulator,
@@ -328,13 +327,10 @@ func runCase(t *testing.T, cc confCase, workers int) outcome {
 		loaded:  loaded,
 		drained: n.StateHash(),
 	}
-	for id := 0; id < n.Topo().Nodes(); id++ {
-		c := n.Router(id).Counters
-		out.mech.VA1Borrows += c.VA1Borrows
-		out.mech.VA2Retries += c.VA2Retries
-		out.mech.SABypassGrants += c.SABypassGrants
-		out.mech.SATransfers += c.SATransfers
-		out.mech.XBSecondary += c.XBSecondary
+	for _, rt := range o.Metrics.PerRouter() {
+		for k, c := range rt.Total {
+			out.mech[k] += c
+		}
 	}
 	for _, p := range rec.pkts {
 		out.packets = append(out.packets, pktRecord{
@@ -654,9 +650,10 @@ func TestGoldenDeterminism(t *testing.T) {
 					ref.loaded, ref.drained, g.loaded, g.drained, ref.summary, g.summary)
 			}
 			if len(cc.midFaults) > 0 {
-				m := ref.mech
-				if m.VA1Borrows == 0 || m.VA2Retries == 0 || m.SABypassGrants == 0 || m.SATransfers == 0 || m.XBSecondary == 0 {
-					t.Errorf("a planted fault's mechanism never ran: %+v", m)
+				for _, k := range []obs.Kind{obs.KVA1Borrows, obs.KVA2Retries, obs.KSABypassGrants, obs.KSATransfers, obs.KXBSecondary} {
+					if ref.mech[k] == 0 {
+						t.Errorf("a planted fault's mechanism never ran: %v = 0", k)
+					}
 				}
 			}
 		})

@@ -13,10 +13,14 @@ type Kind uint8
 
 // The counter and gauge kinds collected by the instrumentation.
 const (
-	// KRCComputes counts routing computations completed, per input port.
+	// KRCComputes counts routing computations completed, per input port:
+	// those that yield a route. A computation that finds the destination
+	// cut off drops the packet and is not counted.
 	KRCComputes Kind = iota
 	// KRCDuplicateUses counts computations served by the duplicate RC
-	// unit because the primary is faulty (Section V-A).
+	// unit because the primary is faulty (Section V-A), per input port,
+	// as KRCComputes does: a duplicate computation that ends in a drop is
+	// not counted.
 	KRCDuplicateUses
 	// KVAAllocs counts successful downstream-VC allocations, per input
 	// port of the winning VC.
@@ -77,8 +81,6 @@ const (
 	// KNIRetransmits counts packet retransmissions issued by the NI's
 	// end-to-end reliability layer.
 	KNIRetransmits
-	// KNIRetxTimeouts counts retransmission-timer expirations at the NI.
-	KNIRetxTimeouts
 	// KNIDupsSuppressed counts duplicate deliveries suppressed at the
 	// sink NI.
 	KNIDupsSuppressed
@@ -138,7 +140,6 @@ var kinds = [NumKinds]struct {
 	KLinkDrops:          {"link.drops", StageLink},
 	KDropsUnreachable:   {"ni.drops_unreachable", StageNI},
 	KNIRetransmits:      {"ni.retransmits", StageNI},
-	KNIRetxTimeouts:     {"ni.retx_timeouts", StageNI},
 	KNIDupsSuppressed:   {"ni.dups_suppressed", StageNI},
 	KStallCreditStarved: {"stall.credit_starved", StageStall},
 	KStallArbLost:       {"stall.arb_lost", StageStall},
@@ -234,7 +235,7 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Metrics is the registry. The series a bound router and node own — the
-// bulk of any registry: 158 per node at the default 5 ports and 4 VCs —
+// bulk of any registry: 157 per node at the default 5 ports and 4 VCs —
 // live in one contiguous counter block per router (see block) that the
 // RouterObs / NodeObs handles index directly; everything else (the fault
 // kinds, network-global series, ad-hoc keys) sits in a lazily populated
@@ -270,7 +271,7 @@ func NewMetrics() *Metrics {
 // The hot rows are what one flit writes on every hop, whatever port it
 // takes: the crossbar traversal and the link flit at its output port, the
 // SA grant at its input port, and for a head the RC and VA of its input
-// port. With the node row behind them they fill the block's first 256
+// port. With the node row behind them they take the block's first 248
 // bytes at 5 ports, so a node's per-flit counters are four cache lines,
 // and the XB, link and SA counters of a body flit's hop two of them. XB
 // leads because the link flit is counted in the serial commit, after
@@ -307,7 +308,6 @@ const (
 	slotNIPacketsEjected
 	slotDropsUnreachable
 	slotNIRetransmits
-	slotNIRetxTimeouts
 	slotNIDupsSuppressed
 	numNodeSlots
 )
@@ -321,7 +321,7 @@ var (
 	}
 	nodeKinds = [numNodeSlots]Kind{
 		KNIFlitsSent, KNIPacketsOffered, KNIPacketsEjected, KDropsUnreachable,
-		KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed,
+		KNIRetransmits, KNIDupsSuppressed,
 	}
 )
 

@@ -478,19 +478,12 @@ func (n *NodeObs) DropUnreachable(cy sim.Cycle, dst int) {
 
 // NIRetransmit records the NI re-injecting an unacknowledged packet for
 // dst after a retransmission-timer expiry; retry is the retransmission
-// attempt number (1-based). Every retransmission today is timer-driven,
-// so the timeout counter moves in lockstep.
+// attempt number (1-based). Every retransmission is timer-driven, so
+// ni.retransmits also counts the timer expiries.
 func (n *NodeObs) NIRetransmit(cy sim.Cycle, dst, retry int) {
 	if n != nil {
-		n.niRetransmit(cy, dst, retry)
+		(*lane)(n).nodeEvent(slotNIRetransmits, cy, EvNIRetransmit, int32(dst), int32(retry))
 	}
-}
-
-func (n *NodeObs) niRetransmit(cy sim.Cycle, dst, retry int) {
-	l := (*lane)(n)
-	l.nodeCounter(slotNIRetransmits).Inc()
-	l.nodeCounter(slotNIRetxTimeouts).Inc()
-	l.emit(cy, EvNIRetransmit, NoPort, NoVC, int32(dst), int32(retry))
 }
 
 // NIDupSuppressed records the sink NI discarding a duplicate delivery of

@@ -22,9 +22,11 @@ func seriesDigest(ss []Sample) uint64 {
 // TestSnapshotSeriesGolden pins what Snapshot lists for bound handles:
 // the same series, in the same order, zero rows included, as the
 // registry that kept every series in one map (counts and digests recorded
-// at 6a72585). The last row mixes in series no block holds — fault kinds
-// on a bound router, on an unbound one and network-global — which must
-// merge into the blocks' order.
+// at 6a72585, then recomputed from 4978d56's snapshots with the
+// ni.retx_timeouts series dropped and the kinds after it numbered one
+// lower, when that twin of ni.retransmits went). The last row mixes in
+// series no block holds — fault kinds on a bound router, on an unbound
+// one and network-global — which must merge into the blocks' order.
 func TestSnapshotSeriesGolden(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -33,10 +35,10 @@ func TestSnapshotSeriesGolden(t *testing.T) {
 		series       int
 		digest       uint64
 	}{
-		{"router and node", true, true, false, 158, 0x4fc556bb84388afd},
-		{"router only", true, false, false, 140, 0x1926a9e4e77b5b41},
-		{"node only", false, true, false, 18, 0xd1ed5623120e2ba5},
-		{"with map-held series", true, true, true, 162, 0x716d1aae02a9cf3c},
+		{"router and node", true, true, false, 157, 0x9eebab8246a5743a},
+		{"router only", true, false, false, 140, 0x20d56a2fe10d05e1},
+		{"node only", false, true, false, 17, 0xa44ac4081f97f76a},
+		{"with map-held series", true, true, true, 161, 0x19c69aed68e40667},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,8 +151,8 @@ func TestSharedRegistrySumsIntoOneBlock(t *testing.T) {
 			t.Errorf("%+v = %d, want %d", c.key, got, c.want)
 		}
 	}
-	if got := len(o.Metrics.Snapshot()); got != 158 {
-		t.Errorf("two networks on one registry list %d series, want one block's 158", got)
+	if got := len(o.Metrics.Snapshot()); got != 157 {
+		t.Errorf("two networks on one registry list %d series, want one block's 157", got)
 	}
 	na.NIQueueDepth(3)
 	if got := o.Metrics.Gauge(Key{Kind: KNIQueueDepth, Router: 2, Port: NoPort, VC: NoVC}).Value(); got != 3 {
@@ -192,8 +194,8 @@ func TestRegistryKeysOutsideBlocks(t *testing.T) {
 			t.Errorf("Snapshot lists %+v = %d, want %d", k, snap[k], i+1)
 		}
 	}
-	if len(snap) != 158+len(outside) {
-		t.Errorf("Snapshot lists %d series, want the block's 158 and %d outside it", len(snap), len(outside))
+	if len(snap) != 157+len(outside) {
+		t.Errorf("Snapshot lists %d series, want the block's 157 and %d outside it", len(snap), len(outside))
 	}
 	var flits uint64
 	for _, r := range o.Metrics.PerRouter() {
@@ -208,7 +210,7 @@ func TestRegistryKeysOutsideBlocks(t *testing.T) {
 
 // TestBoundNetworkLeavesMapEmpty is the registry's size contract: binding
 // a 32x32 network's handles puts nothing in the maps — the blocks carry
-// all 160,768 counters and 1,024 gauges — and afterwards only the fault
+// all 159,744 counters and 1,024 gauges — and afterwards only the fault
 // and global keys someone records are created there.
 func TestBoundNetworkLeavesMapEmpty(t *testing.T) {
 	const nodes = 32 * 32
@@ -221,8 +223,8 @@ func TestBoundNetworkLeavesMapEmpty(t *testing.T) {
 	if len(m.counters) != 0 || len(m.gauges) != 0 {
 		t.Fatalf("binding left %d counters and %d gauges in the maps, want none", len(m.counters), len(m.gauges))
 	}
-	if got := len(m.Snapshot()); got != nodes*158 {
-		t.Fatalf("Snapshot lists %d series, want %d", got, nodes*158)
+	if got := len(m.Snapshot()); got != nodes*157 {
+		t.Fatalf("Snapshot lists %d series, want %d", got, nodes*157)
 	}
 	o.RecordFault(KFaultsInjected, EvFaultInject, 7, 40, 2, 0, 0, "SA1 arbiter")
 	o.RecordFault(KFaultsDetected, EvFaultDetect, 9, -1, int(NoPort), int(NoVC), 0, "monitor")
@@ -327,8 +329,8 @@ func TestNodeHandlesShareOneHeader(t *testing.T) {
 
 // TestHotCountersLeadTheBlock pins the block layout's point: at 5 ports
 // and 4 VCs the counters one flit writes on a hop (SA, XB, link, RC, VA
-// of every port) and the node row are the block's first 256 bytes, the
-// SA, XB and link rows its first 120.
+// of every port) and the node row lie in the block's first 256 bytes,
+// the SA, XB and link rows in its first 120.
 func TestHotCountersLeadTheBlock(t *testing.T) {
 	b := newBlock(5, 4)
 	for _, c := range []struct {
@@ -337,7 +339,7 @@ func TestHotCountersLeadTheBlock(t *testing.T) {
 	}{
 		{[]Kind{KSAGrants, KFlitsRouted, KLinkFlits}, 120},
 		{[]Kind{KSAGrants, KFlitsRouted, KLinkFlits, KRCComputes, KVAAllocs, KNIFlitsSent, KNIPacketsOffered,
-			KNIPacketsEjected, KDropsUnreachable, KNIRetransmits, KNIRetxTimeouts, KNIDupsSuppressed}, 256},
+			KNIPacketsEjected, KDropsUnreachable, KNIRetransmits, KNIDupsSuppressed}, 256},
 	} {
 		for _, k := range c.kinds {
 			key := Key{Kind: k, Router: 0, Port: NoPort, VC: NoVC}
