@@ -139,7 +139,11 @@ func firstLine(s string) string { return strings.SplitN(s, "\n", 2)[0] }
 // command table (or help), and every `noctool observe <word>` a view.
 // DESIGN.md is exempt: its history paragraphs record past commands. In
 // the same files and DESIGN.md's §3 inventory, every `go run ./<path>`
-// and `examples/<name>` names a directory that exists.
+// and `examples/<name>` names a directory that exists. In the docs,
+// the verify recipe and all of DESIGN.md, every Test, Benchmark, Example
+// or Fuzz name cited names a function of some _test.go in the module or
+// the benchmark module; a name followed by ( or * is a -run pattern or
+// a glob and is skipped.
 func TestDocsNameRegisteredCommands(t *testing.T) {
 	files := []string{
 		filepath.Join("..", "..", "doc.go"),
@@ -193,10 +197,56 @@ func TestDocsNameRegisteredCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defined := testFuncs(t, filepath.Join("..", ".."))
+	cite := regexp.MustCompile(`\b((?:Test|Benchmark|Example|Fuzz)[A-Z_]\w*)([(*]?)`)
+	for _, path := range append(files, design) {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(doc), "\n") {
+			for _, m := range cite.FindAllStringSubmatch(line, -1) {
+				if m[2] == "" && !defined[m[1]] {
+					t.Errorf("%s:%d cites %s, which no _test.go defines", path, i+1, m[1])
+				}
+			}
+		}
+	}
 	start := strings.Index(string(text), "\n## 3.")
 	end := strings.Index(string(text), "\n## 4.")
 	if start < 0 || end < start {
 		t.Fatalf("%s: no §3 inventory before §4", design)
 	}
 	checkDirs(design, string(text[start+1:end]), strings.Count(string(text[:start+1]), "\n")+1)
+}
+
+// testFuncs returns the names of the Test, Benchmark, Example and Fuzz
+// functions of every _test.go under root, skipping directories whose
+// names start with a dot (.git, build output).
+func testFuncs(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example|Fuzz)\w*)\(`)
+	names := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

@@ -26,6 +26,11 @@ func TestSimFlagValidation(t *testing.T) {
 		{"buffer without timeout", []string{"-retx-buffer", "8"}, "need -retx-timeout"},
 		{"negative rate", []string{"-rate", "-0.5"}, "-rate must be in [0, 1]"},
 		{"rate above one", []string{"-rate", "1.5"}, "-rate must be in [0, 1]"},
+		{"NaN rate", []string{"-rate", "NaN"}, "-rate must be in [0, 1], got NaN"},
+		// The injector draws over [1, 2·mean]: at 2^63 the bound wrapped
+		// to 0 (a panic in rng), just above 2^62 to a short interval.
+		{"fault mean 2^63", []string{"-fault-mean", "9223372036854775808"}, "-fault-mean must be <= 4611686018427387904 (2^62)"},
+		{"fault mean past 2^62", []string{"-fault-mean", "4611686018427387905"}, "-fault-mean must be <= 4611686018427387904 (2^62)"},
 		{"unknown pattern", []string{"-pattern", "zigzag"}, `unknown pattern "zigzag"`},
 		{"malformed inject", []string{"-inject", "bogus"}, "fault spec"},
 		{"inject unknown kind", []string{"-inject", "3:warp"}, `unknown kind "warp"`},
@@ -144,6 +149,13 @@ func TestCommandFlagValidation(t *testing.T) {
 		{"latency unknown suite", runLatency, []string{"-suite", "nope"}, `unknown suite "nope"`},
 		{"latency no measured window", runLatency, []string{"-suite", "splash2", "-measure", "0"}, "-measure must be >= 1"},
 		{"latency no faults in the faulty half", runLatency, []string{"-suite", "splash2", "-fault-mean", "0"}, "-fault-mean must be >= 1"},
+		{"latency fault mean 2^63", runLatency, []string{"-suite", "splash2", "-measure", "100", "-fault-mean", "9223372036854775808"},
+			"-fault-mean must be <= 4611686018427387904 (2^62)"},
+		{"replay fault mean 2^63", runReplay, []string{"-i", recorded, "-fault-mean", "9223372036854775808"},
+			"-fault-mean must be <= 4611686018427387904 (2^62)"},
+		{"metrics fault mean past 2^63", runView("metrics"), []string{"-cycles", "2000", "-warmup", "500", "-fault-mean", "9223372036854775813"},
+			"-fault-mean must be <= 4611686018427387904 (2^62)"},
+		{"ablation zero cycles", runAblation, []string{"-cycles", "0"}, "-cycles must be >= 1, got 0"},
 		{"sim warmup covers the run", runSim, []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},
 		{"sim warmup equals the run", runSim, []string{"-cycles", "500", "-warmup", "500"}, "-cycles (500) must exceed -warmup (500)"},
 		{"metrics warmup covers the run", runView("metrics"), []string{"-cycles", "100", "-warmup", "500"}, "-cycles (100) must exceed -warmup (500)"},

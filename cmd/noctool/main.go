@@ -239,6 +239,9 @@ func runLatency(args []string) error {
 	if *faultMean < 1 {
 		return fmt.Errorf("-fault-mean must be >= 1, got %d (the study compares against a fault-injected run)", *faultMean)
 	}
+	if err := checkFaultMean(*faultMean); err != nil {
+		return err
+	}
 	cfg := experiments.DefaultLatencyConfig()
 	cfg.Seed = *seed
 	cfg.FaultMean = sim.Cycle(*faultMean)
@@ -307,6 +310,9 @@ func runReplay(args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if err := checkFaultMean(*faultMean); err != nil {
+		return err
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
@@ -368,6 +374,10 @@ func runAblation(args []string) error {
 	seed := fs.Uint64("seed", 3, "random seed")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	// No cycles deliver no packets: a table of zero latencies.
+	if *cycles < 1 {
+		return fmt.Errorf("-cycles must be >= 1, got %d", *cycles)
 	}
 	cyc := sim.Cycle(*cycles)
 	fmt.Println("bypass default-winner rotation period (SA1 faults on E/W everywhere)")

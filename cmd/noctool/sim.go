@@ -79,8 +79,17 @@ func (sf *simFlags) validate() error {
 	if *sf.retxTimeout == 0 && (*sf.retxRetries > 0 || *sf.retxBuffer > 0) {
 		return fmt.Errorf("-retx-retries/-retx-buffer need -retx-timeout > 0 (retransmission is off)")
 	}
-	if *sf.rate < 0 || *sf.rate > 1 {
+	if !(*sf.rate >= 0 && *sf.rate <= 1) { // NaN too
 		return fmt.Errorf("-rate must be in [0, 1], got %g", *sf.rate)
+	}
+	return checkFaultMean(*sf.faultMean)
+}
+
+// checkFaultMean rejects a -fault-mean the injector would refuse: its
+// doubled draw bound, or the next injection cycle, would wrap.
+func checkFaultMean(mean uint64) error {
+	if mean > uint64(fault.MaxMean) {
+		return fmt.Errorf("-fault-mean must be <= %d (2^62), got %d", uint64(fault.MaxMean), mean)
 	}
 	return nil
 }

@@ -186,13 +186,13 @@ func TestSPFVCSweep(t *testing.T) {
 }
 
 func TestCampaignTable(t *testing.T) {
-	rows := CampaignTable(400, 9, 0)
+	rows := CampaignTableObserved(400, 9, 0, nil)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// The designs run as parallel sweep jobs; the table must not depend on
 	// how many actually ran at once.
-	if serial := CampaignTable(400, 9, 1); !reflect.DeepEqual(rows, serial) {
+	if serial := CampaignTableObserved(400, 9, 1, nil); !reflect.DeepEqual(rows, serial) {
 		t.Fatalf("campaign table depends on worker count:\n%v\nvs\n%v", rows, serial)
 	}
 	byName := map[string]float64{}

@@ -91,20 +91,14 @@ func SPFVCSweep(vcs []int) []reliability.SPFResult {
 	return out
 }
 
-// CampaignTable runs the Monte-Carlo faults-to-failure campaigns of all
-// four designs (the simulation counterpart of Table III's fault counts).
-// The designs are independent seeded campaigns, so they run on up to
-// workers goroutines (0 = all cores) with identical results at any
-// worker count.
-func CampaignTable(trials int, seed uint64, workers int) []ftrouters.CampaignResult {
-	return CampaignTableObserved(trials, seed, workers, nil)
-}
-
-// CampaignTableObserved is CampaignTable with a progress callback (nil
-// to disable): onTrial(design, done, total) runs after every trial of
-// every design, so a long campaign can feed live telemetry gauges. The
-// callback may be invoked concurrently from the sweep workers; the
-// results are identical with or without it.
+// CampaignTableObserved runs the Monte-Carlo faults-to-failure campaigns
+// of all four designs (the simulation counterpart of Table III's fault
+// counts). The designs are independent seeded campaigns, so they run on
+// up to workers goroutines (0 = all cores) with identical results at any
+// worker count. onTrial, if not nil, runs after every trial of every
+// design — onTrial(design, done, total) — so a long campaign can feed
+// live telemetry gauges. The callback may be invoked concurrently from
+// the sweep workers; the results are identical with or without it.
 func CampaignTableObserved(trials int, seed uint64, workers int, onTrial func(design string, done, total int)) []ftrouters.CampaignResult {
 	cfg := router.DefaultConfig()
 	cfg.FaultTolerant = true

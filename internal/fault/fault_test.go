@@ -217,7 +217,21 @@ func TestInjectorSafeOnly(t *testing.T) {
 		t.Fatal("no faults injected")
 	}
 	if !n.Functional() {
-		t.Fatal("SafeOnly injector broke a router")
+		t.Fatal("safe-only injector broke a router")
+	}
+	// The routers' fault bits are the injector's only record: each site
+	// it injected is struck once and stays faulty.
+	type key struct {
+		router int
+		site   Site
+	}
+	seen := map[key]bool{}
+	for _, e := range inj.Injected() {
+		k := key{e.Router, e.Site}
+		if seen[k] || !IsFaulty(n.Router(e.Router), e.Site) {
+			t.Fatalf("injection %+v: repeated %v, faulty now %v", e, seen[k], IsFaulty(n.Router(e.Router), e.Site))
+		}
+		seen[k] = true
 	}
 	// Traffic still flows.
 	if n.Stats().Ejected() == 0 {
@@ -231,6 +245,22 @@ func TestInjectorSafeOnly(t *testing.T) {
 	if len(stages) < 3 {
 		t.Errorf("injections concentrated: %v", stages)
 	}
+}
+
+// TestInjectorRejectsMeanAboveMax: a mean past MaxMean would wrap the
+// doubled draw bound (to 0 at 2^63: a panic inside rng) or the next
+// injection cycle, so NewInjector refuses it; MaxMean itself is legal.
+func TestInjectorRejectsMeanAboveMax(t *testing.T) {
+	n := noc.MustNew(noc.Config{Width: 2, Height: 2, Router: protCfg()}, nil)
+	defer n.Close()
+	NewInjector(n, MaxMean, 1, true)
+	n.Run(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewInjector accepted a mean above MaxMean")
+		}
+	}()
+	NewInjector(n, MaxMean+1, 1, true)
 }
 
 // TestInjectorEventVC pins the VC of each injection the injector

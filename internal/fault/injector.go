@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+
 	"gonoc/internal/noc"
 	"gonoc/internal/obs"
 	"gonoc/internal/rng"
@@ -26,7 +28,7 @@ type Injection struct {
 // schedule fires, a random still-healthy site in that stage is made
 // faulty.
 //
-// With SafeOnly set, injections that would make a router non-functional
+// With safeOnly set, injections that would make a router non-functional
 // are skipped (the paper's latency study measures a degraded but live
 // network — packets are still delivered under multiple faults).
 type Injector struct {
@@ -34,8 +36,8 @@ type Injector struct {
 	mean sim.Cycle
 	r    *rng.Stream
 
-	// SafeOnly skips injections that would break a router.
-	SafeOnly bool
+	// safeOnly skips injections that would break a router.
+	safeOnly bool
 
 	// obs receives injection events (nil when observability is off).
 	obs *obs.Observer
@@ -45,20 +47,28 @@ type Injector struct {
 	// sitesByStage[stage] lists site templates per stage.
 	sitesByStage [4][]Site
 	injected     []Injection
-	faulty       map[int]map[Site]bool
 }
 
+// MaxMean is the largest mean interval NewInjector accepts, and the
+// interval of a zero mean, which never fires. Up to it, neither the
+// uniform draw over [1, 2·mean] nor the next injection cycle of a run
+// shorter than 2^63 cycles can wrap.
+const MaxMean sim.Cycle = 1 << 62
+
 // NewInjector attaches an injector to net with the given mean
-// inter-injection interval per (router, stage). It registers itself as a
-// network hook; faults then appear as the simulation runs.
+// inter-injection interval per (router, stage), 0 for none. It registers
+// itself as a network hook; faults then appear as the simulation runs.
+// It panics on a mean above MaxMean.
 func NewInjector(net *noc.Network, mean sim.Cycle, seed uint64, safeOnly bool) *Injector {
+	if mean > MaxMean {
+		panic(fmt.Sprintf("fault: NewInjector: mean interval %d is above MaxMean (%d)", mean, MaxMean))
+	}
 	inj := &Injector{
 		net:      net,
 		mean:     mean,
 		r:        rng.New(seed),
-		SafeOnly: safeOnly,
+		safeOnly: safeOnly,
 		obs:      net.Obs(),
-		faulty:   map[int]map[Site]bool{},
 	}
 	cfg := net.Router(0).Config()
 	for _, s := range Sites(cfg) {
@@ -80,7 +90,7 @@ func NewInjector(net *noc.Network, mean sim.Cycle, seed uint64, safeOnly bool) *
 // interval draws a uniform inter-arrival time with the configured mean.
 func (inj *Injector) interval() sim.Cycle {
 	if inj.mean == 0 {
-		return 1 << 62 // effectively never
+		return MaxMean // effectively never
 	}
 	return sim.Cycle(inj.r.Uint64n(uint64(2*inj.mean)) + 1)
 }
@@ -105,11 +115,6 @@ func (inj *Injector) inject(node, st int, c sim.Cycle) {
 		return
 	}
 	rt := inj.net.Router(node)
-	done := inj.faulty[node]
-	if done == nil {
-		done = map[Site]bool{}
-		inj.faulty[node] = done
-	}
 	// Random starting point, scan for a healthy site. Sites that are
 	// already faulty — injected by us, by another injector, or set
 	// manually — are skipped, so the safe-only rollback below can never
@@ -117,15 +122,14 @@ func (inj *Injector) inject(node, st int, c sim.Cycle) {
 	start := inj.r.Intn(len(cands))
 	for i := 0; i < len(cands); i++ {
 		s := cands[(start+i)%len(cands)]
-		if done[s] || IsFaulty(rt, s) {
+		if IsFaulty(rt, s) {
 			continue
 		}
 		Apply(rt, s, true)
-		if inj.SafeOnly && !rt.Functional() {
+		if inj.safeOnly && !rt.Functional() {
 			Apply(rt, s, false)
 			continue
 		}
-		done[s] = true
 		inj.injected = append(inj.injected, Injection{Cycle: c, Router: node, Site: s})
 		inj.obs.RecordFault(obs.KFaultsInjected, obs.EvFaultInject,
 			c, node, int(s.Port), s.VC(), int32(s.Kind.Stage()), s.String())

@@ -11,12 +11,11 @@ func (h *Histogram) share() {
 	}
 }
 
-// Clone returns an independent copy of the histogram. The bounds slice
-// is shared (it is read-only by contract); the counts buffer is shared
-// copy-on-write — both histograms are marked shared and the next write
-// to either copies what exists of it first (512 bytes while the
-// histogram is still short) — so cloning is O(1), which the model
-// checker's snapshot-per-state exploration depends on.
+// Clone returns an independent copy of the histogram. The counts buffer
+// is shared copy-on-write — both histograms are marked shared and the
+// next write to either copies what exists of it first (512 bytes while
+// the histogram is still short) — so cloning is O(1), which keeps
+// noc.Snapshot and noc.Restore from copying up to 33 KB per histogram.
 func (h *Histogram) Clone() *Histogram {
 	h.share()
 	cp := *h
@@ -32,10 +31,10 @@ func (c *Collector) Clone() *Collector {
 
 // CopyFrom overwrites c with an independent copy of src, in c's own
 // storage, so a pointer to c obtained earlier reads the copied values:
-// the model checker snapshots a network mid-run and rolls its
-// statistics back along with the rest of the state. The histograms'
-// counts are shared copy-on-write as Histogram.Clone shares them, so a
-// copy is O(1) and allocates nothing. src is written only to mark its
+// noc.Snapshot copies a network's statistics out this way and
+// noc.Restore rolls them back along with the rest of the state. The
+// histograms' counts are shared copy-on-write as Histogram.Clone shares
+// them, so a copy is O(1) and allocates nothing. src is written only to mark its
 // histograms shared, and only those not marked yet: copying back from a
 // copy only reads it, so one snapshot restores into several collectors
 // at once.

@@ -1,35 +1,34 @@
 package stats
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"gonoc/internal/sim"
 )
 
-// Histogram is a fixed-bucket latency histogram. Bucket boundaries are
-// inclusive upper bounds shared by every histogram built from the same
-// bounds slice, so histograms from a sweep fan-out merge bucket-for-
-// bucket. All state is integral (counts and a cycle sum), which makes
-// Merge associative and bit-exact regardless of merge order or of the
-// worker count that produced the inputs — the property the sweep and
-// parallel-stepping conformance tests pin.
+// Histogram is a fixed-bucket latency histogram. Every histogram has the
+// one bucket layout that bucket and upper compute, so histograms from a
+// sweep fan-out merge bucket-for-bucket. All state is integral (counts
+// and a cycle sum), which makes Merge associative and bit-exact
+// regardless of merge order or of the worker count that produced the
+// inputs — the property the sweep and parallel-stepping conformance
+// tests pin.
 //
-// The default latency bounds keep one-cycle-wide buckets up to
-// maxExactLatency cycles, so quantile extraction is exact there (the
-// common case for every workload in this repo), and log-linear buckets
-// (8 per octave, ≤ ~9% relative width) above it.
+// The layout keeps one-cycle-wide buckets up to maxExactLatency cycles,
+// so quantile extraction is exact there (the common case for every
+// workload in this repo), and log-linear buckets above it (8 per
+// octave, each at most 12.5% of its lower edge wide) up to 2^24 cycles;
+// larger values go to an overflow bucket.
 //
-// A zero Histogram reads as empty and, from its first observation or
-// merge, uses the default latency bounds.
+// The zero Histogram is empty and ready to use.
 type Histogram struct {
-	bounds []sim.Cycle // ascending inclusive upper bounds; shared, read-only
-	// counts is indexed by bucket; bucket len(bounds) is overflow. It is
+	// counts is indexed by bucket; bucket overflow is the last. It is
 	// small-first: nil until the first observation, shortBuckets long
-	// while every value has landed below that, and the full
-	// len(bounds)+1 from the first value that does not. Buckets past
-	// len(counts) read as zero.
+	// while every value has landed below that, and the full overflow+1
+	// from the first value that does not. Buckets past len(counts) read
+	// as zero.
 	counts []uint64
 	total  uint64
 	sum    uint64 // sum of observed values, in cycles
@@ -53,8 +52,8 @@ const shortBuckets = 64
 func (h *Histogram) own(i int) {
 	n := len(h.counts)
 	if i >= n {
-		n = len(h.bounds) + 1
-		if i < shortBuckets && shortBuckets < n {
+		n = overflow + 1
+		if i < shortBuckets {
 			n = shortBuckets
 		}
 	}
@@ -66,41 +65,48 @@ func (h *Histogram) own(i int) {
 	}
 }
 
-// maxExactLatency is the largest latency with a one-cycle-wide bucket;
-// quantiles at or below it are exact.
-const maxExactLatency = 4096
+const (
+	// maxExactLatency is the largest latency with a one-cycle-wide
+	// bucket; quantiles at or below it are exact.
+	maxExactLatency = 4096
+	// subBuckets is the number of buckets per octave above
+	// maxExactLatency, and octaves the number of octaves: the last
+	// finite bucket ends at maxExactLatency<<octaves = 2^24 cycles.
+	subBuckets = 8
+	octaves    = 12
+	// overflow is the index of the bucket holding every larger value.
+	overflow = maxExactLatency + 1 + subBuckets*octaves
+)
 
-// latencyBounds is the shared default bucket layout, built once.
-var latencyBounds = func() []sim.Cycle {
-	var b []sim.Cycle
-	for v := sim.Cycle(0); v <= maxExactLatency; v++ {
-		b = append(b, v)
+// bucket returns the index of the bucket holding v: the bucket whose
+// inclusive upper bound, upper(i), is the least one >= v, or overflow.
+// Values up to maxExactLatency are their own index. Above it, v lies in
+// octave k, (4096·2^k, 8192·2^k], where v−1 has 13+k bits, and the
+// octave's 8 sub-buckets are 2^(9+k) cycles wide.
+func bucket(v sim.Cycle) int {
+	if v <= maxExactLatency {
+		return int(v)
 	}
-	// Log-linear tail: 8 sub-buckets per octave up to ~16M cycles.
-	for lo := sim.Cycle(maxExactLatency); lo < 1<<24; lo *= 2 {
-		step := lo / 8
-		for v := lo + step; v <= lo*2; v += step {
-			b = append(b, v)
-		}
+	if v > maxExactLatency<<octaves {
+		return overflow
 	}
-	return b
-}()
+	k := bits.Len64(uint64(v)-1) - 13
+	sub := (uint64(v) - 1 - maxExactLatency<<k) >> (9 + k)
+	return maxExactLatency + 1 + subBuckets*k + int(sub)
+}
 
-// NewHistogram returns an empty histogram over bounds; nil bounds selects
-// the shared default latency bounds. bounds must be ascending.
-func NewHistogram(bounds []sim.Cycle) *Histogram {
-	if bounds == nil {
-		bounds = latencyBounds
+// upper returns the inclusive upper bound of bucket i < overflow.
+func upper(i int) sim.Cycle {
+	if i <= maxExactLatency {
+		return sim.Cycle(i)
 	}
-	return &Histogram{bounds: bounds}
+	k, sub := (i-maxExactLatency-1)/subBuckets, (i-maxExactLatency-1)%subBuckets
+	return sim.Cycle(maxExactLatency+(sub+1)*(maxExactLatency/subBuckets)) << k
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v sim.Cycle) {
-	if h.bounds == nil {
-		h.bounds = latencyBounds
-	}
-	i := h.bucket(v)
+	i := bucket(v)
 	if h.shared || i >= len(h.counts) {
 		h.own(i)
 	}
@@ -113,21 +119,6 @@ func (h *Histogram) Observe(v sim.Cycle) {
 	}
 	h.total++
 	h.sum += uint64(v)
-}
-
-// bucket returns the index of the bucket containing v: the first bound
-// >= v, or the overflow bucket.
-func (h *Histogram) bucket(v sim.Cycle) int {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Count returns the number of observations.
@@ -163,8 +154,8 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile returns the q-th percentile (0 < q <= 100) as the upper bound
 // of the bucket holding that rank — exact for values with one-cycle-wide
-// buckets (<= maxExactLatency with the default bounds), and within the
-// bucket's relative width above. The overflow bucket reports the exact
+// buckets (<= maxExactLatency), and within the bucket's relative width
+// above. The overflow bucket reports the exact
 // observed maximum. With no observations it returns 0.
 func (h *Histogram) Quantile(q float64) sim.Cycle {
 	if h.total == 0 {
@@ -181,41 +172,22 @@ func (h *Histogram) Quantile(q float64) sim.Cycle {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			if i == len(h.bounds) {
+			if i == overflow {
 				return h.max // overflow bucket: max is exact
 			}
-			return h.bounds[i]
+			return upper(i)
 		}
 	}
 	return h.max
 }
 
-// Merge adds o's observations into h. Both histograms must share the
-// same bucket layout — not just the same bucket count: mismatched bounds
-// are rejected with an error rather than silently adding counts that
-// mean different latency ranges. Merging is pure integer arithmetic, so
-// the result is bit-exact regardless of how the inputs were sharded —
-// merging one collector per sweep worker reproduces the single-collector
-// histogram.
-func (h *Histogram) Merge(o *Histogram) error {
+// Merge adds o's observations into h. Merging is pure integer
+// arithmetic, so the result is bit-exact regardless of how the inputs
+// were sharded — merging one collector per sweep worker reproduces the
+// single-collector histogram.
+func (h *Histogram) Merge(o *Histogram) {
 	if o.total == 0 {
-		return nil
-	}
-	if h.bounds == nil {
-		h.bounds = latencyBounds
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d buckets", len(h.bounds)+1, len(o.bounds)+1)
-	}
-	// Same backing array (the common shared-default-bounds case) needs no
-	// element scan; otherwise every bound must match.
-	if len(h.bounds) > 0 && &h.bounds[0] != &o.bounds[0] {
-		for i := range h.bounds {
-			if h.bounds[i] != o.bounds[i] {
-				return fmt.Errorf("stats: merging histograms with mismatched bucket bounds (bucket %d: %d vs %d cycles)",
-					i, h.bounds[i], o.bounds[i])
-			}
-		}
+		return
 	}
 	h.own(len(o.counts) - 1)
 	for i, c := range o.counts {
@@ -229,22 +201,17 @@ func (h *Histogram) Merge(o *Histogram) error {
 	}
 	h.total += o.total
 	h.sum += o.sum
-	return nil
 }
 
-// Equal reports whether h and o hold the same observations over the
-// same bounds: counts (a short counts array equals a full one with the
-// same buckets filled), sum and extremes. Two empty histograms are
-// equal whatever their bounds.
+// Equal reports whether h and o hold the same observations: counts (a
+// short counts array equals a full one with the same buckets filled),
+// sum and extremes.
 func (h *Histogram) Equal(o *Histogram) bool {
 	if h.total != o.total || h.sum != o.sum || h.min != o.min || h.max != o.max {
 		return false
 	}
 	if h.total == 0 {
 		return true
-	}
-	if len(h.bounds) != len(o.bounds) || len(h.bounds) > 0 && &h.bounds[0] != &o.bounds[0] && !slices.Equal(h.bounds, o.bounds) {
-		return false
 	}
 	long, short := h.counts, o.counts
 	if len(long) < len(short) {
@@ -284,10 +251,10 @@ func (h *Histogram) Cumulative() []Bucket {
 	var cum uint64
 	ei := 0
 	for i, c := range h.counts {
-		if i == len(h.bounds) {
+		if i == overflow {
 			break // overflow lands in +Inf only
 		}
-		for ei < len(exportBounds) && h.bounds[i] > exportBounds[ei] {
+		for ei < len(exportBounds) && upper(i) > exportBounds[ei] {
 			out[ei].Count = cum
 			ei++
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestHistogramExactQuantiles(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	for v := sim.Cycle(1); v <= 100; v++ {
 		h.Observe(v)
 	}
@@ -36,7 +36,7 @@ func TestHistogramExactQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	if h.Quantile(50) != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Error("empty histogram returned nonzero statistics")
 	}
@@ -52,7 +52,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramTailBuckets(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	// Values beyond the exact region land in log-linear buckets; the
 	// quantile must come back within the bucket's relative width.
 	h.Observe(100_000)
@@ -60,7 +60,7 @@ func TestHistogramTailBuckets(t *testing.T) {
 		t.Errorf("tail quantile = %d, want within ~12%% above 100000", got)
 	}
 	// Beyond the largest bound the overflow bucket reports the exact max.
-	h2 := NewHistogram(nil)
+	h2 := new(Histogram)
 	h2.Observe(1 << 30)
 	if got := h2.Quantile(99); got != 1<<30 {
 		t.Errorf("overflow quantile = %d, want exact max", got)
@@ -68,7 +68,7 @@ func TestHistogramTailBuckets(t *testing.T) {
 }
 
 func TestHistogramCumulativeExport(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	for _, v := range []sim.Cycle{0, 1, 2, 3, 4, 8, 9, 1000, 5000, 1 << 25} {
 		h.Observe(v)
 	}
@@ -117,7 +117,7 @@ func TestHistogramMergeBitExact(t *testing.T) {
 	for i := range values {
 		values[i] = sim.Cycle(r.Intn(20000))
 	}
-	whole := NewHistogram(nil)
+	whole := new(Histogram)
 	for _, v := range values {
 		whole.Observe(v)
 	}
@@ -125,31 +125,20 @@ func TestHistogramMergeBitExact(t *testing.T) {
 	// must be identical field-for-field regardless of sharding.
 	shards := make([]*Histogram, 8)
 	for i := range shards {
-		shards[i] = NewHistogram(nil)
+		shards[i] = new(Histogram)
 	}
 	for i, v := range values {
 		shards[i%8].Observe(v)
 	}
-	merged := NewHistogram(nil)
+	merged := new(Histogram)
 	for _, s := range shards {
-		if err := merged.Merge(s); err != nil {
-			t.Fatal(err)
-		}
+		merged.Merge(s)
 	}
 	if !reflect.DeepEqual(whole.Snapshot(), merged.Snapshot()) {
 		t.Fatal("merged histogram diverged from whole-stream histogram")
 	}
 	if whole.Quantile(99) != merged.Quantile(99) {
 		t.Fatal("p99 diverged after merge")
-	}
-}
-
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	a := NewHistogram(nil)
-	b := NewHistogram([]sim.Cycle{1, 2, 3})
-	b.Observe(2)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge accepted mismatched bucket layouts")
 	}
 }
 
@@ -231,52 +220,69 @@ func TestCollectorSnapshot(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeSameLengthDifferentBounds: equal bucket counts with
-// different bounds must be rejected too — adding such counts silently
-// reassigns observations to different latency ranges.
-func TestHistogramMergeSameLengthDifferentBounds(t *testing.T) {
-	a := NewHistogram([]sim.Cycle{1, 2, 3})
-	b := NewHistogram([]sim.Cycle{1, 2, 4})
-	a.Observe(1)
-	b.Observe(4)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge accepted same-length histograms with different bounds")
-	}
-	// Identical (but separately allocated) bounds merge fine.
-	c := NewHistogram([]sim.Cycle{1, 2, 3})
-	c.Observe(3)
-	if err := a.Merge(c); err != nil {
-		t.Fatalf("merge rejected identical bounds: %v", err)
-	}
-	if a.Count() != 2 {
-		t.Fatalf("count after merge = %d, want 2", a.Count())
-	}
-}
-
 // TestHistogramQuantileEdges pins Quantile's edge behavior: empty,
 // single-element and p=100 inputs, plus ranks landing in the overflow
 // bucket (where the exact observed max is reported).
 func TestHistogramQuantileEdges(t *testing.T) {
-	empty := NewHistogram(nil)
+	empty := new(Histogram)
 	for _, p := range []float64{1, 50, 100} {
 		if got := empty.Quantile(p); got != 0 {
 			t.Errorf("empty p%v = %d, want 0", p, got)
 		}
 	}
-	single := NewHistogram(nil)
+	single := new(Histogram)
 	single.Observe(37)
 	for _, p := range []float64{0.01, 1, 50, 99, 100} {
 		if got := single.Quantile(p); got != 37 {
 			t.Errorf("single-element p%v = %d, want 37", p, got)
 		}
 	}
-	overflow := NewHistogram([]sim.Cycle{10, 20})
-	overflow.Observe(5)
-	overflow.Observe(123456) // overflow bucket
-	if got := overflow.Quantile(100); got != 123456 {
-		t.Errorf("overflow p100 = %d, want the exact max 123456", got)
+	over := new(Histogram)
+	over.Observe(5000)
+	over.Observe(1<<24 + 1) // the overflow bucket
+	if got := over.Quantile(100); got != 1<<24+1 {
+		t.Errorf("overflow p100 = %d, want the exact max %d", got, 1<<24+1)
 	}
-	if got := overflow.Quantile(50); got != 10 {
-		t.Errorf("p50 = %d, want bucket bound 10", got)
+	if got := over.Quantile(50); got != 5120 {
+		t.Errorf("p50 = %d, want bucket bound 5120", got)
+	}
+}
+
+// TestBucketLayoutMatchesTable holds bucket and upper to a reference
+// table of inclusive upper bounds, built by the plain loop over the
+// exact region and the octaves: upper(i) is the table's bound i, and
+// bucket(v) is the index of the first bound >= v (len(table), the
+// overflow bucket, past the last one), for every v up to just past the
+// last bound.
+func TestBucketLayoutMatchesTable(t *testing.T) {
+	var table []sim.Cycle
+	for v := sim.Cycle(0); v <= maxExactLatency; v++ {
+		table = append(table, v)
+	}
+	for lo := sim.Cycle(maxExactLatency); lo < 1<<24; lo *= 2 {
+		step := lo / 8
+		for v := lo + step; v <= lo*2; v += step {
+			table = append(table, v)
+		}
+	}
+	if len(table) != overflow {
+		t.Fatalf("the table has %d bounds, the layout %d finite buckets", len(table), overflow)
+	}
+	for i, b := range table {
+		if got := upper(i); got != b {
+			t.Fatalf("upper(%d) = %d, table %d", i, got, b)
+		}
+	}
+	i := 0
+	for v := sim.Cycle(0); v <= 1<<24+2; v++ {
+		for i < len(table) && table[i] < v {
+			i++
+		}
+		if got := bucket(v); got != i {
+			t.Fatalf("bucket(%d) = %d, table %d", v, got, i)
+		}
+	}
+	if i != overflow {
+		t.Fatalf("the scan ended at bucket %d, not overflow (%d)", i, overflow)
 	}
 }

@@ -9,13 +9,13 @@ import (
 	"gonoc/internal/sim"
 )
 
-// fullHistogram returns a histogram over the default bounds whose counts
-// are the full layout from the start: what every histogram was before
-// counts became small-first, and the reference the short ones must agree
-// with bit for bit.
+// fullHistogram returns a histogram whose counts are the full layout
+// from the start: what every histogram was before counts became
+// small-first, and the reference the short ones must agree with bit for
+// bit.
 func fullHistogram() *Histogram {
-	h := NewHistogram(nil)
-	h.own(len(h.bounds))
+	h := new(Histogram)
+	h.own(overflow)
 	return h
 }
 
@@ -27,7 +27,7 @@ func fullHistogram() *Histogram {
 // slowly its values climb (growing geometrically instead cost
 // 14-17% more heap on the loaded-mesh workloads).
 func TestHistogramSmallFirstAllocation(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	if h.counts != nil {
 		t.Errorf("a new histogram holds %d buckets before any observation", len(h.counts))
 	}
@@ -43,7 +43,7 @@ func TestHistogramSmallFirstAllocation(t *testing.T) {
 		t.Errorf("counts holds %d buckets after values below %d, want %d", len(h.counts), shortBuckets, shortBuckets)
 	}
 	h.Observe(shortBuckets)
-	if want := len(h.bounds) + 1; len(h.counts) != want {
+	if want := overflow + 1; len(h.counts) != want {
 		t.Errorf("counts holds %d buckets after a value of %d, want the full %d", len(h.counts), shortBuckets, want)
 	}
 	if h.counts[5] != 11 || h.counts[shortBuckets] != 1 {
@@ -52,7 +52,7 @@ func TestHistogramSmallFirstAllocation(t *testing.T) {
 	}
 
 	climb := testing.AllocsPerRun(5, func() {
-		c := NewHistogram(nil)
+		c := new(Histogram)
 		for v := sim.Cycle(0); v < 6000; v++ {
 			c.Observe(v)
 		}
@@ -60,20 +60,13 @@ func TestHistogramSmallFirstAllocation(t *testing.T) {
 	if climb != 2 {
 		t.Errorf("a histogram climbing through 6000 buckets allocates %.0f arrays, want 2 (short, then full)", climb)
 	}
-
-	// A layout no longer than the short array is allocated whole.
-	tiny := NewHistogram([]sim.Cycle{1, 2, 3})
-	tiny.Observe(2)
-	if len(tiny.counts) != 4 {
-		t.Errorf("3-bound histogram holds %d buckets, want 4", len(tiny.counts))
-	}
 }
 
 // TestHistogramCloneCopiesWhatExists checks copy-on-write over a short
 // array: the clone's first write copies shortBuckets counters, not the
 // full layout, and neither side sees the other's later observations.
 func TestHistogramCloneCopiesWhatExists(t *testing.T) {
-	h := NewHistogram(nil)
+	h := new(Histogram)
 	h.Observe(3)
 	c := h.Clone()
 	c.Observe(3)
@@ -95,7 +88,7 @@ func TestHistogramCloneCopiesWhatExists(t *testing.T) {
 	// A clone taken while short that then grows leaves the original short.
 	g := h.Clone()
 	g.Observe(5000)
-	if len(h.counts) != shortBuckets || len(g.counts) != len(g.bounds)+1 {
+	if len(h.counts) != shortBuckets || len(g.counts) != overflow+1 {
 		t.Errorf("after the clone grew: original %d buckets, clone %d", len(h.counts), len(g.counts))
 	}
 }
@@ -139,76 +132,33 @@ func TestHistogramShortFullEquivalence(t *testing.T) {
 		}
 	}
 
-	short := fill(NewHistogram(nil), small)
+	short := fill(new(Histogram), small)
 	if len(short.counts) != shortBuckets {
 		t.Fatalf("the short operand holds %d buckets", len(short.counts))
 	}
 	same("short", short, fill(fullHistogram(), small))
-	same("grown", fill(NewHistogram(nil), large), fill(fullHistogram(), large))
+	same("grown", fill(new(Histogram), large), fill(fullHistogram(), large))
 
 	merge := func(dst, src *Histogram) *Histogram {
-		t.Helper()
-		if err := dst.Merge(src); err != nil {
-			t.Fatal(err)
-		}
+		dst.Merge(src)
 		return dst
 	}
 	wantSL := merge(fill(fullHistogram(), small), fill(fullHistogram(), large))
-	same("short.Merge(full)", merge(fill(NewHistogram(nil), small), fill(NewHistogram(nil), large)), wantSL)
+	same("short.Merge(full)", merge(fill(new(Histogram), small), fill(new(Histogram), large)), wantSL)
 	wantLS := merge(fill(fullHistogram(), large), fill(fullHistogram(), small))
-	same("full.Merge(short)", merge(fill(NewHistogram(nil), large), fill(NewHistogram(nil), small)), wantLS)
-	same("empty.Merge(short)", merge(NewHistogram(nil), fill(NewHistogram(nil), small)), fill(fullHistogram(), small))
-	shortBoth := merge(fill(NewHistogram(nil), small), fill(NewHistogram(nil), small))
+	same("full.Merge(short)", merge(fill(new(Histogram), large), fill(new(Histogram), small)), wantLS)
+	same("empty.Merge(short)", merge(new(Histogram), fill(new(Histogram), small)), fill(fullHistogram(), small))
+	shortBoth := merge(fill(new(Histogram), small), fill(new(Histogram), small))
 	if len(shortBoth.counts) != shortBuckets {
 		t.Errorf("merging two short histograms produced %d buckets", len(shortBoth.counts))
 	}
 	same("short.Merge(short)", shortBoth, merge(fill(fullHistogram(), small), fill(fullHistogram(), small)))
 
 	// Merging into a clone must not write through to the original.
-	orig := fill(NewHistogram(nil), small)
+	orig := fill(new(Histogram), small)
 	cl := orig.Clone()
-	merge(cl, fill(NewHistogram(nil), large))
+	merge(cl, fill(new(Histogram), large))
 	same("original after its clone merged", orig, fill(fullHistogram(), small))
-}
-
-// TestHistogramMergeLayoutMismatchWhileShort covers the merges that
-// len(counts) used to reject and no longer can: two histograms whose
-// counts are equally long only because both are still short (or because
-// a custom layout happens to be shortBuckets long) but whose bounds
-// differ must still be refused, and must be left unmodified.
-func TestHistogramMergeLayoutMismatchWhileShort(t *testing.T) {
-	ramp := func(n int, step sim.Cycle) []sim.Cycle {
-		b := make([]sim.Cycle, n)
-		for i := range b {
-			b[i] = sim.Cycle(i) * step
-		}
-		return b
-	}
-	def := NewHistogram(nil)
-	def.Observe(5)
-	for _, tc := range []struct {
-		name   string
-		bounds []sim.Cycle
-	}{
-		{"custom layout exactly shortBuckets long", ramp(shortBuckets-1, 1)},
-		{"longer custom layout, still short", ramp(200, 1)},
-		{"same bucket count as the default, other bounds", ramp(len(latencyBounds), 2)},
-	} {
-		o := NewHistogram(tc.bounds)
-		o.Observe(5)
-		if len(o.counts) != len(def.counts) {
-			t.Fatalf("%s: operands hold %d vs %d buckets; the case needs them equal", tc.name, len(o.counts), len(def.counts))
-		}
-		for _, pair := range [][2]*Histogram{{def, o}, {o, def}} {
-			dst := pair[0].Clone()
-			if err := dst.Merge(pair[1]); err == nil {
-				t.Errorf("%s: merge accepted mismatched bucket layouts", tc.name)
-			}
-			if dst.Count() != 1 {
-				t.Errorf("%s: a refused merge changed the receiver (count %d)", tc.name, dst.Count())
-			}
-		}
-	}
 }
 
 // TestCheckpointRoundTrip uses a Collector value as a checkpoint, as a

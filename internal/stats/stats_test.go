@@ -157,7 +157,7 @@ func TestCollectorEqual(t *testing.T) {
 	a, b := NewCollector(100), NewCollector(100)
 	fill(a, 5, 9, 30)
 	fill(b, 5, 9, 30)
-	b.lat.own(len(latencyBounds)) // same buckets, full-length array
+	b.lat.own(overflow) // same buckets, full-length array
 	same := func(x, y *Collector) bool {
 		return reflect.DeepEqual(x.Snapshot(), y.Snapshot()) && x.Summary() == y.Summary()
 	}
@@ -347,7 +347,7 @@ func TestIntPercentile(t *testing.T) {
 		t.Error("IntPercentile mutated its input")
 	}
 	// Nearest-rank must agree with Histogram.Quantile on the same data.
-	h := NewHistogram(nil)
+	var h Histogram
 	for _, v := range vals {
 		h.Observe(sim.Cycle(v))
 	}

@@ -43,8 +43,10 @@ func Example_faultLifecycle() {
 	victim.SetRCFault(topology.West, 1, true)
 	n.Run(phase)
 	fmt.Printf("router 5 functional=%v\n", victim.Functional())
-	for _, s := range mon.SuspectsAt(5) {
-		fmt.Println(s)
+	for _, s := range mon.Suspects() {
+		if s.Router == 5 {
+			fmt.Println(s)
+		}
 	}
 	// Output:
 	// transient strikes 69, delivered 489, suspects 0

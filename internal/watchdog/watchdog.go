@@ -161,16 +161,5 @@ func (m *Monitor) Suspects() []Suspect {
 	return out
 }
 
-// SuspectsAt filters reports to one router.
-func (m *Monitor) SuspectsAt(router int) []Suspect {
-	var out []Suspect
-	for _, s := range m.suspects {
-		if s.Router == router {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Clear discards accumulated reports (state tracking continues).
 func (m *Monitor) Clear() { m.suspects = m.suspects[:0] }

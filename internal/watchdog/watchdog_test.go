@@ -24,6 +24,17 @@ func lightTraffic(seed uint64) *traffic.Synthetic {
 	return traffic.NewSynthetic(16, 0.01, traffic.Uniform(16), traffic.FixedSize(2), seed)
 }
 
+// suspectsAt filters m's reports to one router.
+func suspectsAt(m *Monitor, router int) []Suspect {
+	var out []Suspect
+	for _, s := range m.Suspects() {
+		if s.Router == router {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestNoFalsePositivesAtLightLoad(t *testing.T) {
 	n := noc.MustNew(protCfg(true), lightTraffic(1))
 	m := New(n, 200)
@@ -42,7 +53,7 @@ func TestDetectsDeadRCPort(t *testing.T) {
 	m := New(n, 200)
 	n.Run(15000)
 	found := false
-	for _, s := range m.SuspectsAt(5) {
+	for _, s := range suspectsAt(m, 5) {
 		if s.Port == topology.West && s.Stage == core.StageRC {
 			found = true
 		}
@@ -60,13 +71,13 @@ func TestDetectsBaselineVAFault(t *testing.T) {
 	m := New(n, 200)
 	n.Run(20000)
 	found := false
-	for _, s := range m.SuspectsAt(9) {
+	for _, s := range suspectsAt(m, 9) {
 		if s.Port == topology.North && s.Stage == core.StageVA {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("baseline VA fault not localized; suspects at 9: %v", m.SuspectsAt(9))
+		t.Fatalf("baseline VA fault not localized; suspects at 9: %v", suspectsAt(m, 9))
 	}
 }
 
@@ -76,13 +87,13 @@ func TestDetectsBaselineSwitchFault(t *testing.T) {
 	m := New(n, 200)
 	n.Run(20000)
 	found := false
-	for _, s := range m.SuspectsAt(6) {
+	for _, s := range suspectsAt(m, 6) {
 		if s.Port == topology.East && s.Stage == core.StageSA {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("baseline SA fault not localized; suspects at 6: %v", m.SuspectsAt(6))
+		t.Fatalf("baseline SA fault not localized; suspects at 6: %v", suspectsAt(m, 6))
 	}
 }
 
@@ -108,7 +119,7 @@ func TestReportOncePerStall(t *testing.T) {
 	n.Run(20000)
 	// One stuck VC must produce exactly one report, not one per cycle.
 	perVC := map[int]int{}
-	for _, s := range m.SuspectsAt(5) {
+	for _, s := range suspectsAt(m, 5) {
 		if s.Port == topology.West {
 			perVC[s.VC]++
 		}
